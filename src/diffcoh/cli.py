@@ -393,6 +393,16 @@ _COMMANDS = {
 }
 
 
+def _positive_degree(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffcoh",
@@ -419,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         common(p)
-        p.add_argument("--max-degree", type=int, default=2)
+        p.add_argument("--max-degree", type=_positive_degree, default=2)
         p.add_argument("--budget", type=int, default=60000)
 
     p = sub.add_parser("classify", help="classify extensions or semidirect operators")

@@ -9,10 +9,11 @@ differential is the block map
 
 where K anticommutes with the differentials.  The short exact sequence
 0 -> A -> B -> C -> 0 then yields a long exact sequence in cohomology
-whose connecting map is induced by K.  This module computes explicit
-bases for all cohomology spaces and verifies exactness at every node by
-two criteria: consecutive maps compose to zero, and ranks add up to the
-dimension of the middle space.
+whose connecting map is induced by K.  This module computes cohomology
+dimensions from ranks alone, computes explicit bases for cohomology
+spaces, and verifies exactness at every node by two criteria:
+consecutive maps compose to zero, and ranks add up to the dimension of
+the middle space.
 
 Degrees are 1-based; every complex here starts in degree 1 (there are
 no degree-0 cochains in the normalized theory).
@@ -20,10 +21,10 @@ no degree-0 cochains in the normalized theory).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
-from .linalg import Matrix, column_space_basis, kernel_basis, rank, solve
+from .linalg import Matrix, SparseMatrix, column_space_basis, kernel_basis, rank, rref
 
 
 class InternalCheckError(RuntimeError):
@@ -33,6 +34,12 @@ class InternalCheckError(RuntimeError):
     the cocycle space.  Indicates corrupt inputs or an implementation
     bug, never bad user data.
     """
+
+
+_NOT_A_COMPLEX = (
+    "boundary space is not contained in the cocycle space; "
+    "the differentials do not compose to zero"
+)
 
 
 @dataclass(frozen=True)
@@ -56,65 +63,58 @@ class CohomologySpace:
         return len(self.reps)
 
 
-def block_matrix(ring: Any, blocks: list[list[Matrix]]) -> Matrix:
-    """Assemble a matrix from a grid of blocks with consistent shapes."""
-    row_heights = [row[0].nrows for row in blocks]
-    col_widths = [b.ncols for b in blocks[0]]
-    for row in blocks:
-        for j, b in enumerate(row):
-            if b.ncols != col_widths[j] or b.nrows != row[0].nrows:
-                raise ValueError("inconsistent block shapes")
-    entries = []
-    for bi, row in enumerate(blocks):
-        for i in range(row_heights[bi]):
-            for b in row:
-                entries.extend(b.row(i))
-    return Matrix(ring, sum(row_heights), sum(col_widths), tuple(entries))
-
-
-def cohomology_space(field: Any, d_out: Matrix, d_in: Matrix | None) -> CohomologySpace:
+def cohomology_space(
+    field: Any, d_out: SparseMatrix, d_in: SparseMatrix | None
+) -> CohomologySpace:
     """H = ker(d_out) / im(d_in) with deterministic representative choice.
 
     Representatives are the kernel-basis vectors that are independent
-    modulo the boundary space, in kernel-basis order.
+    modulo the boundary space and the earlier representatives, in
+    kernel-basis order.  Those are exactly the cocycle columns among the
+    pivot columns of [B | Z], B the boundary basis and Z the kernel
+    basis, so one elimination finds them all.
     """
     cocycles = kernel_basis(d_out)
     boundaries = column_space_basis(d_in) if d_in is not None else []
-    span: list[list[Any]] = list(boundaries)
-    reps: list[list[Any]] = []
     n = d_out.ncols
-    for z in cocycles:
-        mat = Matrix.from_columns(field, span, n)
-        if solve(mat, z) is None:
-            reps.append(z)
-            span.append(z)
+    reps: list[list[Any]] = []
+    if cocycles:
+        stacked = SparseMatrix.from_columns(field, boundaries + cocycles, n)
+        reps = column_space_basis(stacked)[len(boundaries) :]
     if len(reps) != len(cocycles) - len(boundaries):
-        raise InternalCheckError(
-            "boundary space is not contained in the cocycle space; "
-            "the differentials do not compose to zero"
-        )
+        raise InternalCheckError(_NOT_A_COMPLEX)
     return CohomologySpace(dim_total=n, reps=reps, boundaries=boundaries)
-
-
-def class_coordinates(field: Any, space: CohomologySpace, vector: list[Any]) -> list[Any]:
-    """Coordinates of a cocycle's class in the chosen representative basis."""
-    columns = space.reps + space.boundaries
-    mat = Matrix.from_columns(field, columns, space.dim_total)
-    x = solve(mat, vector)
-    if x is None:
-        raise InternalCheckError("vector is not a cocycle of the target complex")
-    return x[: space.dim]
 
 
 def induced_map(
     field: Any,
-    chain_map: Matrix,
+    chain_map: SparseMatrix,
     dom: CohomologySpace,
     cod: CohomologySpace,
 ) -> Matrix:
-    """Matrix of the map induced on cohomology by a cocycle-preserving map."""
-    cols = [class_coordinates(field, cod, chain_map.matvec(rep)) for rep in dom.reps]
-    return Matrix.from_columns(field, cols, cod.dim)
+    """Matrix of the map induced on cohomology by a cocycle-preserving map.
+
+    The images of the representatives of ``dom`` are written in the basis
+    reps + boundaries of the target cocycles by one elimination of
+    [reps | boundaries | images]; the coordinates on reps are the
+    matrix columns.
+    """
+    basis = cod.reps + cod.boundaries
+    images = [chain_map.matvec(rep) for rep in dom.reps]
+    rows, pivots = rref(SparseMatrix.from_columns(field, basis + images, cod.dim_total))
+    if len(pivots) != len(basis):
+        raise InternalCheckError("vector is not a cocycle of the target complex")
+    width = len(basis)
+    return Matrix(
+        field,
+        cod.dim,
+        dom.dim,
+        tuple(
+            rows[i].get(width + j, field.zero)
+            for i in range(cod.dim)
+            for j in range(dom.dim)
+        ),
+    )
 
 
 @dataclass
@@ -123,40 +123,74 @@ class LESData:
 
     ``dim_a(n)`` / ``dim_c(n)`` give space dimensions; ``d_a(n)`` /
     ``d_c(n)`` the differentials X_n -> X_{n+1}; ``k(n)`` the
-    anticommuting map C_n -> A_{n+1}.
+    anticommuting map C_n -> A_{n+1}.  The total differential ``d_b(n)``
+    is assembled once per degree.
     """
 
     field: Any
     dim_a: Callable[[int], int]
     dim_c: Callable[[int], int]
-    d_a: Callable[[int], Matrix]
-    d_c: Callable[[int], Matrix]
-    k: Callable[[int], Matrix]
+    d_a: Callable[[int], SparseMatrix]
+    d_c: Callable[[int], SparseMatrix]
+    k: Callable[[int], SparseMatrix]
+    _d_b: dict[int, SparseMatrix] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def dim_b(self, n: int) -> int:
         return self.dim_c(n) + self.dim_a(n)
 
-    def d_b(self, n: int) -> Matrix:
-        f = self.field
-        zero = Matrix.zeros(f, self.dim_c(n + 1), self.dim_a(n))
-        return block_matrix(f, [[self.d_c(n), zero], [self.k(n), self.d_a(n)]])
+    def d_b(self, n: int) -> SparseMatrix:
+        if n not in self._d_b:
+            f = self.field
+            zero = SparseMatrix.zeros(f, self.dim_c(n + 1), self.dim_a(n))
+            self._d_b[n] = SparseMatrix.block(
+                f, [[self.d_c(n), zero], [self.k(n), self.d_a(n)]]
+            )
+        return self._d_b[n]
 
-    def inclusion(self, n: int) -> Matrix:
+    def inclusion(self, n: int) -> SparseMatrix:
         f = self.field
-        return block_matrix(
+        return SparseMatrix.block(
             f,
             [
-                [Matrix.zeros(f, self.dim_c(n), self.dim_a(n))],
-                [Matrix.identity(f, self.dim_a(n))],
+                [SparseMatrix.zeros(f, self.dim_c(n), self.dim_a(n))],
+                [SparseMatrix.identity(f, self.dim_a(n))],
             ],
         )
 
-    def projection(self, n: int) -> Matrix:
+    def projection(self, n: int) -> SparseMatrix:
         f = self.field
-        return block_matrix(
+        return SparseMatrix.block(
             f,
-            [[Matrix.identity(f, self.dim_c(n)), Matrix.zeros(f, self.dim_c(n), self.dim_a(n))]],
+            [
+                [
+                    SparseMatrix.identity(f, self.dim_c(n)),
+                    SparseMatrix.zeros(f, self.dim_c(n), self.dim_a(n)),
+                ]
+            ],
         )
+
+
+def cohomology_dims(data: LESData, max_degree: int) -> dict[int, tuple[int, int, int]]:
+    """dim H^n of the quotient, sub and total complexes, n = 1..max_degree.
+
+    Uses ranks only: dim H^n = (dim X_n - rank d_n) - rank d_{n-1}.  The
+    count is valid for complexes only, so the total differential is
+    checked to square to zero with a sparse product; the diagonal blocks
+    of d_B d_B are d_C d_C and d_A d_A, so this checks all three.
+    """
+    dims = {}
+    prev: tuple = ()
+    prev_ranks = (0, 0, 0)
+    for n in range(1, max_degree + 1):
+        mats = (data.d_c(n), data.d_a(n), data.d_b(n))
+        if prev and not (mats[2] @ prev[2]).is_zero():
+            raise InternalCheckError(_NOT_A_COMPLEX)
+        ranks = tuple(rank(m) for m in mats)
+        dims[n] = tuple(m.ncols - r - pr for m, r, pr in zip(mats, ranks, prev_ranks))
+        prev, prev_ranks = mats, ranks
+    return dims
 
 
 def verify_anticommutation(data: LESData, max_degree: int) -> list[LESNode]:
@@ -178,6 +212,22 @@ def verify_anticommutation(data: LESData, max_degree: int) -> list[LESNode]:
     return out
 
 
+def verify_delta_squared(data: LESData, max_degree: int) -> list[LESNode]:
+    """The anticommutation nodes, then delta delta = 0 degreewise."""
+    nodes = verify_anticommutation(data, max_degree)
+    for n in range(1, max_degree + 1):
+        ok = (data.d_b(n + 1) @ data.d_b(n)).is_zero()
+        nodes.append(
+            LESNode(
+                degree=n,
+                node="delta-squared",
+                ok=ok,
+                detail="delta delta = 0" if ok else "delta delta != 0",
+            )
+        )
+    return nodes
+
+
 def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     """Verify exactness of the long exact sequence through ``max_degree``.
 
@@ -187,19 +237,17 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     (image of connecting map = kernel of inclusion).
     """
     f = data.field
+    top = max_degree + 1
+    d_a = {n: data.d_a(n) for n in range(1, top + 1)}
+    d_b = {n: data.d_b(n) for n in range(1, top + 1)}
+    d_c = {n: data.d_c(n) for n in range(1, max_degree + 1)}
 
-    def h(which: str, n: int) -> CohomologySpace:
-        if which == "A":
-            d_out, d_in = data.d_a(n), (data.d_a(n - 1) if n > 1 else None)
-        elif which == "B":
-            d_out, d_in = data.d_b(n), (data.d_b(n - 1) if n > 1 else None)
-        else:
-            d_out, d_in = data.d_c(n), (data.d_c(n - 1) if n > 1 else None)
-        return cohomology_space(f, d_out, d_in)
+    def h(d: dict, n: int) -> CohomologySpace:
+        return cohomology_space(f, d[n], d.get(n - 1))
 
-    ha = {n: h("A", n) for n in range(1, max_degree + 2)}
-    hb = {n: h("B", n) for n in range(1, max_degree + 2)}
-    hc = {n: h("C", n) for n in range(1, max_degree + 1)}
+    ha = {n: h(d_a, n) for n in range(1, top + 1)}
+    hb = {n: h(d_b, n) for n in range(1, top + 1)}
+    hc = {n: h(d_c, n) for n in range(1, max_degree + 1)}
 
     i_star = {n: induced_map(f, data.inclusion(n), ha[n], hb[n]) for n in ha}
     p_star = {n: induced_map(f, data.projection(n), hb[n], hc[n]) for n in hc}

@@ -40,7 +40,7 @@ from .group_cohomology import (
     kk,
 )
 from .exactness import InternalCheckError
-from .linalg import Matrix, kernel_basis, column_space_basis, rank
+from .linalg import Matrix, column_space_basis, kernel_basis, rank, rref
 from .scalars import PrimeField
 
 
@@ -334,22 +334,19 @@ def are_isomorphic(
     return None
 
 
-def _rref_rows(field: Any, vectors: list[list[Any]], width: int):
+def _rref_rows(field: Any, vectors: list[list[Any]]) -> tuple[list[dict], list[int]]:
     if not vectors:
         return [], []
-    m = Matrix.from_rows(field, vectors)
-    from .linalg import _echelon
-
-    rows, pivots = _echelon(m)
-    return rows[: len(pivots)], pivots
+    return rref(Matrix.from_rows(field, vectors))
 
 
-def _reduce_mod(field: Any, rows: list[list[Any]], pivots: list[int], vec: list[Any]) -> tuple:
+def _reduce_mod(field: Any, rows: list[dict], pivots: list[int], vec: list[Any]) -> tuple:
     out = list(vec)
     for row, p in zip(rows, pivots):
         c = out[p]
         if c != field.zero:
-            out = [field.sub(x, field.mul(c, y)) for x, y in zip(out, row)]
+            for j, y in row.items():
+                out[j] = field.sub(out[j], field.mul(c, y))
     return tuple(out)
 
 
@@ -409,7 +406,7 @@ def classify_extensions(rep: DifferenceRep, budget: int = 60000) -> ExtensionCla
         beta = c1.from_vector(vec[c2.size :])
         return CochainPair(alpha, beta)
 
-    rows, pivots = _rref_rows(f, [list(v) for v in b_basis], delta2.ncols)
+    rows, pivots = _rref_rows(f, [list(v) for v in b_basis])
 
     cocycles = []
     for coeffs in itertools.product(range(p), repeat=len(z_basis)):
@@ -528,7 +525,7 @@ def classify_semidirect_difference_ops(
     count_rank = p ** (len(z_beta) - k_rank)
 
     # census: reduce every beta cocycle modulo the image of K on eta cocycles
-    rows, pivots = _rref_rows(f, [list(v) for v in k_images], kmat.nrows)
+    rows, pivots = _rref_rows(f, [list(v) for v in k_images])
     n_betas = p ** len(z_beta)
     if n_betas > budget:
         raise BudgetExceededError(1, n_betas, budget)

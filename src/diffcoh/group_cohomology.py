@@ -26,12 +26,12 @@ from typing import Any, Iterable, Mapping, Sequence
 from .exactness import (
     LESData,
     LESNode,
-    cohomology_space,
-    verify_anticommutation,
+    cohomology_dims,
+    verify_delta_squared,
     verify_les,
 )
-from .groups import DifferenceRep, FiniteGroup
-from .linalg import Matrix, solve
+from .groups import DifferenceRep, FiniteGroup, induced_rep_theta_d
+from .linalg import Matrix, SparseMatrix, solve
 
 
 class CochainError(ValueError):
@@ -306,8 +306,6 @@ def kk(rep: DifferenceRep, a: GroupCochain) -> GroupCochain:
 def delta(rep: DifferenceRep, pair: CochainPair) -> CochainPair:
     """Differential of the pair complex:
     delta(a, b) = (d^Theta a, d^{Theta_D} b + K a)."""
-    from .groups import induced_rep_theta_d
-
     alpha = coboundary(rep.theta, pair.alpha)
     beta = kk(rep, pair.alpha)
     if pair.beta is not None:
@@ -357,6 +355,84 @@ class CochainSpace:
         return self.from_vector(vec)
 
 
+def _scatter(dom: CochainSpace, tuples: Iterable[tuple], faces_of) -> list[dict]:
+    """Rows of a linear map into cochains on ``tuples`` whose value at
+    each tuple is a sum of faces of the argument cochain.
+
+    ``faces_of(args)`` yields (face, coefficient) pairs standing for the
+    term coefficient * a(face); the coefficient is a scalar or a
+    dim x dim matrix.  Faces containing the identity vanish.  Row
+    (args, r) of the result maps basis vector (face, c) of ``dom`` to
+    its coefficient, as ``CochainSpace`` orders coordinates.
+    """
+    f, dim, e, index = dom.field, dom.dim, dom.group.identity, dom.index
+    zero, add = f.zero, f.add
+    rows: list[dict] = []
+    for args in tuples:
+        block: list[dict] = [{} for _ in range(dim)]
+        for face, coeff in faces_of(args):
+            if e in face:
+                continue
+            base = index[face] * dim
+            if isinstance(coeff, Matrix):
+                terms = [(r, base + c, coeff.at(r, c)) for r in range(dim) for c in range(dim)]
+            else:
+                terms = [(r, base + r, coeff) for r in range(dim)]
+            for r, col, x in terms:
+                row = block[r]
+                row[col] = add(row[col], x) if col in row else x
+        rows.extend({j: x for j, x in row.items() if x != zero} for row in block)
+    return rows
+
+
+def coboundary_rows(theta: Sequence[Matrix], dom: CochainSpace, cod: CochainSpace) -> list[dict]:
+    """The matrix of d^Theta from ``dom`` to ``cod`` as sparse rows, in
+    one pass over the (n+1)-tuples: each scatters its n+2 faces
+    Theta(g1) a(g2..), (-1)^i a(.., g_i g_{i+1}, ..) and
+    (-1)^{n+1} a(g1..gn), as ``coboundary`` evaluates them."""
+    f, n, mul = dom.field, dom.degree, dom.group.mul
+    one, minus = f.one, f.neg(f.one)
+
+    def faces(args: tuple):
+        yield args[1:], theta[args[0]]
+        for i in range(n):
+            merged = args[:i] + (mul(args[i], args[i + 1]),) + args[i + 2 :]
+            yield merged, one if i % 2 else minus
+        yield args[:n], one if n % 2 else minus
+
+    return _scatter(dom, cod.tuples, faces)
+
+
+def connecting_rows(rep: DifferenceRep, dom: CochainSpace) -> list[dict]:
+    """The matrix of K = pk + hk on ``dom`` as sparse rows, one pass over
+    the n-tuples scattering the faces that ``pk`` and ``hk`` evaluate."""
+    dg, f, n = rep.dg, rep.field, dom.degree
+    group = dg.group
+    one, minus = f.one, f.neg(f.one)
+    sign = minus if n % 2 else one  # (-1)^n of hk
+    minus_sign = f.neg(sign)
+    minus_t = rep.t.scale(minus_sign)
+    minus_theta = [-m for m in rep.theta]
+
+    def faces(args: tuple):
+        yield tuple(dg.d_plus_of(g) for g in args), sign
+        yield args, minus_t
+        yield args, minus_sign
+        if n == 1:
+            (g,) = args
+            yield args, minus_theta[dg.d_of(g)]
+            yield (dg.d_plus_of(g),), one
+            yield (dg.d_of(g),), minus
+        elif n == 2:
+            g1, g2 = args
+            g12 = group.mul(g1, g2)
+            yield (dg.d_of(g1), g1), one
+            yield (dg.d_of(g12), g12), minus
+            yield (dg.d_of(g2), g2), rep.theta[dg.d_plus_of(g1)]
+
+    return _scatter(dom, dom.tuples, faces)
+
+
 @dataclass
 class DegreeDims:
     h_ordinary: int
@@ -384,8 +460,6 @@ class DifferenceComplex:
     """Matrix-level view of the three complexes attached to (G, D, V, T)."""
 
     def __init__(self, rep: DifferenceRep, budget: int = 60000) -> None:
-        from .groups import induced_rep_theta_d
-
         self.rep = rep
         self.dg = rep.dg
         self.group = rep.dg.group
@@ -394,7 +468,7 @@ class DifferenceComplex:
         self.budget = budget
         self.theta_d = induced_rep_theta_d(rep)
         self._spaces: dict[int, CochainSpace] = {}
-        self._matrices: dict[tuple[str, int], Matrix] = {}
+        self._matrices: dict[tuple[str, int], SparseMatrix] = {}
 
     def space(self, degree: int) -> CochainSpace:
         if degree not in self._spaces:
@@ -407,27 +481,30 @@ class DifferenceComplex:
             )
         return self._spaces[degree]
 
-    def _operator_matrix(self, key: str, n: int, fn, out_degree: int) -> Matrix:
+    def _operator_matrix(self, key: str, n: int, out_degree: int, build) -> SparseMatrix:
         cache_key = (key, n)
         if cache_key not in self._matrices:
             dom = self.space(n)
             cod = self.space(out_degree)
-            cols = [cod.to_vector(fn(dom.basis_cochain(k))) for k in range(dom.size)]
-            self._matrices[cache_key] = Matrix.from_columns(self.field, cols, cod.size)
+            self._matrices[cache_key] = SparseMatrix(
+                self.field, cod.size, dom.size, build(dom, cod)
+            )
         return self._matrices[cache_key]
 
-    def d_ordinary(self, n: int) -> Matrix:
+    def d_ordinary(self, n: int) -> SparseMatrix:
         return self._operator_matrix(
-            "d", n, lambda a: coboundary(self.rep.theta, a), n + 1
+            "d", n, n + 1, lambda dom, cod: coboundary_rows(self.rep.theta, dom, cod)
         )
 
-    def d_difference(self, n: int) -> Matrix:
+    def d_difference(self, n: int) -> SparseMatrix:
         return self._operator_matrix(
-            "dD", n, lambda a: coboundary(self.theta_d, a), n + 1
+            "dD", n, n + 1, lambda dom, cod: coboundary_rows(self.theta_d, dom, cod)
         )
 
-    def k_matrix(self, n: int) -> Matrix:
-        return self._operator_matrix("K", n, lambda a: kk(self.rep, a), n)
+    def k_matrix(self, n: int) -> SparseMatrix:
+        return self._operator_matrix(
+            "K", n, n, lambda dom, cod: connecting_rows(self.rep, dom)
+        )
 
     def les_data(self) -> LESData:
         f = self.field
@@ -438,9 +515,9 @@ class DifferenceComplex:
         def dim_c(n: int) -> int:
             return self.space(n).size
 
-        def d_a(n: int) -> Matrix:
+        def d_a(n: int) -> SparseMatrix:
             if n <= 1:
-                return Matrix.zeros(f, dim_a(n + 1), 0)
+                return SparseMatrix.zeros(f, dim_a(n + 1), 0)
             return self.d_difference(n - 1)
 
         return LESData(
@@ -453,19 +530,8 @@ class DifferenceComplex:
         )
 
     def cohomology_dims(self, max_degree: int) -> CohomologyReport:
-        data = self.les_data()
-        degrees = {}
-        for n in range(1, max_degree + 1):
-            h_ord = cohomology_space(
-                self.field, data.d_c(n), data.d_c(n - 1) if n > 1 else None
-            ).dim
-            h_diff = cohomology_space(
-                self.field, data.d_a(n), data.d_a(n - 1) if n > 1 else None
-            ).dim
-            h_pair = cohomology_space(
-                self.field, data.d_b(n), data.d_b(n - 1) if n > 1 else None
-            ).dim
-            degrees[n] = DegreeDims(h_ord, h_diff, h_pair)
+        dims = cohomology_dims(self.les_data(), max_degree)
+        degrees = {n: DegreeDims(*d) for n, d in dims.items()}
         notes = []
         if getattr(self.field, "kind", "") == "prime-field":
             notes.append(
@@ -475,19 +541,7 @@ class DifferenceComplex:
         return CohomologyReport(degrees=degrees, notes=notes)
 
     def verify_delta_squared(self, max_degree: int) -> list[LESNode]:
-        data = self.les_data()
-        nodes = verify_anticommutation(data, max_degree)
-        for n in range(1, max_degree + 1):
-            ok = (data.d_b(n + 1) @ data.d_b(n)).is_zero()
-            nodes.append(
-                LESNode(
-                    degree=n,
-                    node="delta-squared",
-                    ok=ok,
-                    detail="delta delta = 0" if ok else "delta delta != 0",
-                )
-            )
-        return nodes
+        return verify_delta_squared(self.les_data(), max_degree)
 
     def verify_les(self, max_degree: int) -> list[LESNode]:
         return verify_les(self.les_data(), max_degree)

@@ -34,12 +34,12 @@ from .exactness import (
     InternalCheckError,
     LESData,
     LESNode,
-    cohomology_space,
-    verify_anticommutation,
+    cohomology_dims,
+    verify_delta_squared,
     verify_les,
 )
 from .groups import ValidationError, ValidationReport
-from .linalg import Matrix, solve
+from .linalg import Matrix, SparseMatrix, solve
 
 
 class LieError(ValueError):
@@ -582,33 +582,33 @@ class LieDifferenceComplex:
         self.dimv = rep.dimv
         self.theta_d = theta_d_matrices(rep)
         self._spaces: dict[int, LieCochainSpace] = {}
-        self._matrices: dict[tuple[str, int], Matrix] = {}
+        self._matrices: dict[tuple[str, int], SparseMatrix] = {}
 
     def space(self, degree: int) -> LieCochainSpace:
         if degree not in self._spaces:
             self._spaces[degree] = LieCochainSpace(self.lie, self.dimv, degree)
         return self._spaces[degree]
 
-    def _operator_matrix(self, key: str, n: int, fn, out_degree: int) -> Matrix:
+    def _operator_matrix(self, key: str, n: int, fn, out_degree: int) -> SparseMatrix:
         cache_key = (key, n)
         if cache_key not in self._matrices:
             dom = self.space(n)
             cod = self.space(out_degree)
             cols = [cod.to_vector(fn(dom.basis_cochain(k))) for k in range(dom.size)]
-            self._matrices[cache_key] = Matrix.from_columns(self.field, cols, cod.size)
+            self._matrices[cache_key] = SparseMatrix.from_columns(self.field, cols, cod.size)
         return self._matrices[cache_key]
 
-    def d_ordinary(self, n: int) -> Matrix:
+    def d_ordinary(self, n: int) -> SparseMatrix:
         return self._operator_matrix(
             "d", n, lambda z: ce_coboundary(self.rep.theta, z), n + 1
         )
 
-    def d_difference(self, n: int) -> Matrix:
+    def d_difference(self, n: int) -> SparseMatrix:
         return self._operator_matrix(
             "dD", n, lambda z: ce_coboundary(self.theta_d, z), n + 1
         )
 
-    def k_matrix(self, n: int) -> Matrix:
+    def k_matrix(self, n: int) -> SparseMatrix:
         return self._operator_matrix("K", n, lambda z: k_map(self.rep, z), n)
 
     def les_data(self) -> LESData:
@@ -620,9 +620,9 @@ class LieDifferenceComplex:
         def dim_c(n: int) -> int:
             return self.space(n).size
 
-        def d_a(n: int) -> Matrix:
+        def d_a(n: int) -> SparseMatrix:
             if n <= 1:
-                return Matrix.zeros(f, dim_a(n + 1), 0)
+                return SparseMatrix.zeros(f, dim_a(n + 1), 0)
             return self.d_difference(n - 1)
 
         return LESData(
@@ -635,35 +635,12 @@ class LieDifferenceComplex:
         )
 
     def cohomology_dims(self, max_degree: int) -> LieCohomologyReport:
-        data = self.les_data()
-        degrees = {}
-        for n in range(1, max_degree + 1):
-            h_ord = cohomology_space(
-                self.field, data.d_c(n), data.d_c(n - 1) if n > 1 else None
-            ).dim
-            h_diff = cohomology_space(
-                self.field, data.d_a(n), data.d_a(n - 1) if n > 1 else None
-            ).dim
-            h_pair = cohomology_space(
-                self.field, data.d_b(n), data.d_b(n - 1) if n > 1 else None
-            ).dim
-            degrees[n] = LieDegreeDims(h_ord, h_diff, h_pair)
+        dims = cohomology_dims(self.les_data(), max_degree)
+        degrees = {n: LieDegreeDims(*d) for n, d in dims.items()}
         return LieCohomologyReport(degrees=degrees, notes=[])
 
     def verify_delta_squared(self, max_degree: int) -> list[LESNode]:
-        data = self.les_data()
-        nodes = verify_anticommutation(data, max_degree)
-        for n in range(1, max_degree + 1):
-            ok = (data.d_b(n + 1) @ data.d_b(n)).is_zero()
-            nodes.append(
-                LESNode(
-                    degree=n,
-                    node="delta-squared",
-                    ok=ok,
-                    detail="delta delta = 0" if ok else "delta delta != 0",
-                )
-            )
-        return nodes
+        return verify_delta_squared(self.les_data(), max_degree)
 
     def verify_les(self, max_degree: int) -> list[LESNode]:
         return verify_les(self.les_data(), max_degree)

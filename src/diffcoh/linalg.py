@@ -1,19 +1,26 @@
-"""Exact dense linear algebra over the scalar rings.
+"""Exact linear algebra over the scalar rings.
 
-Matrices are immutable, row-major, and generic over a ring object from
-``scalars``.  Elimination (rank, kernel, solve, inverse) is restricted
-to fields and uses a deterministic pivot rule: scan columns left to
-right, take the first row with a nonzero entry.  Determinant and
-adjugate are cofactor expansions and work over any commutative ring,
-including jet rings; jet matrices are inverted by eliminating the base
-part and summing the finite geometric series of the nilpotent remainder.
+Matrices are immutable and generic over a ring object from ``scalars``:
+``Matrix`` is dense and row-major, ``SparseMatrix`` keeps one
+``{column: value}`` dict of nonzeros per row.  Elimination (rank,
+kernel, solve, column space, inverse, ``rref``) is restricted to fields
+and runs one sparse echelon for both kinds; its results are those of the
+reduced row echelon form, which is unique, so they do not depend on the
+pivot rows it picks.  Determinant and adjugate are cofactor expansions
+and work over any commutative ring, including jet rings; jet matrices
+are inverted by eliminating the base part and summing the finite
+geometric series of the nilpotent remainder.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import math
+from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .scalars import Jet, JetRing
+from .scalars import Jet, JetRing, PrimeField, Rationals
 
 
 class LinAlgError(ValueError):
@@ -193,67 +200,340 @@ class Matrix:
         )
 
 
+class SparseMatrix:
+    """An immutable exact matrix stored by rows, each row a
+    ``{column: value}`` dict of its nonzero entries.
+
+    The operator matrices of the difference complexes have a handful of
+    nonzeros per row, so they are built, multiplied and eliminated in
+    this form.  ``entries`` holds only the stored (nonzero) values, row
+    by row; ``to_dense`` gives the equal ``Matrix``.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "rows")
+
+    def __init__(self, ring: Any, nrows: int, ncols: int, rows: Sequence[dict]) -> None:
+        if nrows < 0 or ncols < 0 or len(rows) != nrows:
+            raise LinAlgError(f"row count {len(rows)} != {nrows}")
+        self.ring = ring
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = tuple(rows)
+
+    @classmethod
+    def zeros(cls, ring: Any, nrows: int, ncols: int) -> "SparseMatrix":
+        return cls(ring, nrows, ncols, [{} for _ in range(nrows)])
+
+    @classmethod
+    def identity(cls, ring: Any, n: int) -> "SparseMatrix":
+        return cls(ring, n, n, [{i: ring.one} for i in range(n)])
+
+    @classmethod
+    def from_dense(cls, m: Matrix) -> "SparseMatrix":
+        zero = m.ring.zero
+        rows = [{j: x for j, x in enumerate(m.row(i)) if x != zero} for i in range(m.nrows)]
+        return cls(m.ring, m.nrows, m.ncols, rows)
+
+    @classmethod
+    def from_columns(
+        cls, ring: Any, columns: Sequence[Sequence[Any]], nrows: int
+    ) -> "SparseMatrix":
+        rows: list[dict] = [{} for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            if len(col) != nrows:
+                raise LinAlgError("column length mismatch")
+            for i, x in enumerate(col):
+                if x != ring.zero:
+                    rows[i][j] = x
+        return cls(ring, nrows, len(columns), rows)
+
+    @classmethod
+    def block(cls, ring: Any, blocks: list[list["SparseMatrix"]]) -> "SparseMatrix":
+        """Assemble a matrix from a grid of blocks with consistent shapes."""
+        col_widths = [b.ncols for b in blocks[0]]
+        offsets = [sum(col_widths[:j]) for j in range(len(col_widths))]
+        rows: list[dict] = []
+        for band in blocks:
+            height = band[0].nrows
+            if [b.ncols for b in band] != col_widths or any(b.nrows != height for b in band):
+                raise LinAlgError("inconsistent block shapes")
+            for i in range(height):
+                row: dict = {}
+                for b, off in zip(band, offsets):
+                    row.update((off + j, x) for j, x in b.rows[i].items())
+                rows.append(row)
+        return cls(ring, len(rows), sum(col_widths), rows)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(x for row in self.rows for x in row.values())
+
+    def col(self, j: int) -> tuple:
+        zero = self.ring.zero
+        return tuple(row.get(j, zero) for row in self.rows)
+
+    def to_dense(self) -> Matrix:
+        zero = self.ring.zero
+        return Matrix(
+            self.ring,
+            self.nrows,
+            self.ncols,
+            tuple(row.get(j, zero) for row in self.rows for j in range(self.ncols)),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, SparseMatrix)
+            and other.nrows == self.nrows
+            and other.ncols == self.ncols
+            and other.rows == self.rows
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix({self.nrows}x{self.ncols}, {list(self.rows)!r})"
+
+    def _strip(self, rows: list[dict], ncols: int) -> "SparseMatrix":
+        zero = self.ring.zero
+        return SparseMatrix(
+            self.ring,
+            len(rows),
+            ncols,
+            [{j: x for j, x in row.items() if x != zero} for row in rows],
+        )
+
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise LinAlgError(
+                f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
+            )
+        add = self.ring.add
+        out = []
+        for mine, theirs in zip(self.rows, other.rows):
+            row = dict(mine)
+            for j, x in theirs.items():
+                row[j] = add(row[j], x) if j in row else x
+            out.append(row)
+        return self._strip(out, self.ncols)
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.ncols != other.nrows:
+            raise LinAlgError(
+                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
+            )
+        add, mul = self.ring.add, self.ring.mul
+        out = []
+        for left in self.rows:
+            row: dict = {}
+            for k, x in left.items():
+                for j, y in other.rows[k].items():
+                    row[j] = add(row[j], mul(x, y)) if j in row else mul(x, y)
+            out.append(row)
+        return self._strip(out, other.ncols)
+
+    def matvec(self, v: Sequence[Any]) -> list[Any]:
+        if len(v) != self.ncols:
+            raise LinAlgError(f"vector length {len(v)} != {self.ncols} columns")
+        r = self.ring
+        out = []
+        for row in self.rows:
+            acc = r.zero
+            for j, x in row.items():
+                acc = r.add(acc, r.mul(x, v[j]))
+            out.append(acc)
+        return out
+
+    def is_zero(self) -> bool:
+        zero = self.ring.zero
+        return all(x == zero for row in self.rows for x in row.values())
+
+
 def _require_field(ring: Any, what: str) -> None:
     if not getattr(ring, "is_field", False):
         raise LinAlgError(f"{what} requires a field, got {ring!r}")
 
 
-def _echelon(m: Matrix) -> tuple[list[list[Any]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+# ------------------------------------------------------------ elimination
+#
+# One sparse echelon serves every elimination.  Rows are inserted one at
+# a time, fewest nonzeros first, and each is reduced against the pivot
+# rows found so far, leftmost column first; a row whose leftmost
+# surviving column has no pivot yet becomes the pivot row there.  The
+# pivot columns are therefore those of the reduced row echelon form, and
+# back substitution yields that form itself, which is unique: it does not
+# depend on which rows were chosen as pivots, so kernels, solutions and
+# column-space bases are the same as with any other pivot rule.
+#
+# A row reduction ``combine(row, c, prow)`` removes column c from row
+# using the pivot row prow, in place, and returns the columns it added.
+# Over a field the pivot rows are scaled to a leading one.  Over Q the
+# rows are integers after clearing denominators and are combined
+# fraction-free, a * row - b * prow divided by its content; the entries
+# become fractions again only in the reduced form.
 
-    Pivot rule: for each column in order, use the first remaining row
-    with a nonzero entry.  Deterministic for reproducible bases.
-    """
-    _require_field(m.ring, "elimination")
-    f = m.ring
-    rows = [list(m.row(i)) for i in range(m.nrows)]
-    pivots: list[int] = []
-    lead = 0
-    for col in range(m.ncols):
-        pivot_row = None
-        for i in range(lead, m.nrows):
-            if rows[i][col] != f.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
+
+def _combine_field(f: Any, row: dict, c: int, prow: dict) -> list[int]:
+    x = row.pop(c)
+    zero, sub, mul = f.zero, f.sub, f.mul
+    added = []
+    for j, y in prow.items():
+        if j == c:
             continue
-        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        inv = f.inv(rows[lead][col])
-        rows[lead] = [f.mul(inv, x) for x in rows[lead]]
-        for i in range(m.nrows):
-            if i != lead and rows[i][col] != f.zero:
-                c = rows[i][col]
-                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == m.nrows:
-            break
-    return rows, pivots
+        v = row.get(j)
+        if v is None:
+            row[j] = f.neg(mul(x, y))
+            added.append(j)
+        else:
+            v = sub(v, mul(x, y))
+            if v == zero:
+                del row[j]
+            else:
+                row[j] = v
+    return added
 
 
-def rank(m: Matrix) -> int:
-    return len(_echelon(m)[1])
+def _combine_mod(p: int, row: dict, c: int, prow: dict) -> list[int]:
+    x = row.pop(c)
+    added = []
+    for j, y in prow.items():
+        if j == c:
+            continue
+        v = row.get(j)
+        if v is None:
+            row[j] = (-x * y) % p
+            added.append(j)
+        else:
+            v = (v - x * y) % p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+    return added
 
 
-def kernel_basis(m: Matrix) -> list[list[Any]]:
+def _combine_int(row: dict, c: int, prow: dict) -> list[int]:
+    b = row.pop(c)
+    a = prow[c]
+    g = math.gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    added = []
+    for j, y in prow.items():
+        if j == c:
+            continue
+        v = row.get(j)
+        if v is None:
+            row[j] = -b * y
+            added.append(j)
+        else:
+            v -= b * y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+    if a != 1 and row:
+        g = math.gcd(*row.values())
+        if g != 1:
+            for j in row:
+                row[j] //= g
+    return added
+
+
+def _integer_row(row: dict) -> dict:
+    """A rational row scaled to coprime integers."""
+    scale = math.lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    g = math.gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()}
+
+
+def _echelon_rows(m: Any, reduced: bool) -> dict[int, dict]:
+    """Pivot column -> pivot row of an echelon form of m (a ``Matrix``
+    or ``SparseMatrix``); with ``reduced``, of its reduced row echelon
+    form, whose pivot rows have a leading one."""
+    f = m.ring
+    _require_field(f, "elimination")
+    if isinstance(m, SparseMatrix):
+        rows = [dict(row) for row in m.rows if row]
+    else:
+        rows = [row for row in SparseMatrix.from_dense(m).rows if row]
+    if isinstance(f, Rationals):
+        rows = [_integer_row(row) for row in rows]
+        combine = _combine_int
+    elif isinstance(f, PrimeField):
+        combine = functools.partial(_combine_mod, f.p)
+    else:
+        combine = functools.partial(_combine_field, f)
+    scaled = not isinstance(f, Rationals)
+
+    pivots: dict[int, dict] = {}
+    for row in sorted(rows, key=len):
+        heap = list(row)
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            if c not in row:
+                continue
+            prow = pivots.get(c)
+            if prow is None:
+                if scaled and row[c] != f.one:
+                    s = f.inv(row[c])
+                    row = {j: f.mul(s, x) for j, x in row.items()}
+                pivots[c] = row
+                break
+            for j in combine(row, c, prow):
+                heapq.heappush(heap, j)
+    if not reduced:
+        return pivots
+    # back substitution, rightmost pivot first: a pivot row that is
+    # already reduced has no entry in any other pivot column
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            combine(row, j, pivots[j])
+    if not scaled:
+        for c, row in pivots.items():
+            lead = row[c]
+            pivots[c] = {j: Fraction(x, lead) for j, x in row.items()}
+    return pivots
+
+
+def rref(m: Any) -> tuple[list[dict[int, Any]], list[int]]:
+    """Reduced row echelon form of m: its nonzero rows as ``{column:
+    value}`` dicts in pivot order, and the pivot columns."""
+    pivots = _echelon_rows(m, reduced=True)
+    order = sorted(pivots)
+    return [pivots[c] for c in order], order
+
+
+def rank(m: Any) -> int:
+    return len(_echelon_rows(m, reduced=False))
+
+
+def kernel_basis(m: Any) -> list[list[Any]]:
     """Basis of the right kernel, one vector per free column, in
     increasing free-column order; the free coordinate is set to one."""
     f = m.ring
-    rows, pivots = _echelon(m)
+    rows, pivots = rref(m)
     pivot_set = set(pivots)
-    basis = []
+    basis = {}
     for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        v = [f.zero] * m.ncols
-        v[free] = f.one
-        for r_idx, p_col in enumerate(pivots):
-            v[p_col] = f.neg(rows[r_idx][free])
-        basis.append(v)
-    return basis
+        if free not in pivot_set:
+            v = [f.zero] * m.ncols
+            v[free] = f.one
+            basis[free] = v
+    for row, p_col in zip(rows, pivots):
+        for j, x in row.items():
+            if j != p_col:
+                basis[j][p_col] = f.neg(x)
+    return list(basis.values())
 
 
-def solve(m: Matrix, b: Sequence[Any]) -> list[Any] | None:
+def solve(m: Any, b: Sequence[Any]) -> list[Any] | None:
     """One solution of m x = b, or None when the system is inconsistent.
 
     Free coordinates are set to zero, so the answer is deterministic.
@@ -262,24 +542,25 @@ def solve(m: Matrix, b: Sequence[Any]) -> list[Any] | None:
         raise LinAlgError(f"rhs length {len(b)} != {m.nrows} rows")
     f = m.ring
     _require_field(f, "solve")
-    aug = Matrix(
+    sparse = m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
+    aug = SparseMatrix(
         f,
         m.nrows,
         m.ncols + 1,
-        tuple(x for i in range(m.nrows) for x in (*m.row(i), b[i])),
+        [{**row, m.ncols: x} if x != f.zero else row for row, x in zip(sparse.rows, b)],
     )
-    rows, pivots = _echelon(aug)
-    if m.ncols in pivots:
+    rows, pivots = rref(aug)
+    if pivots and pivots[-1] == m.ncols:
         return None
     x = [f.zero] * m.ncols
-    for r_idx, p_col in enumerate(pivots):
-        x[p_col] = rows[r_idx][m.ncols]
+    for row, p_col in zip(rows, pivots):
+        x[p_col] = row.get(m.ncols, f.zero)
     return x
 
 
-def column_space_basis(m: Matrix) -> list[list[Any]]:
+def column_space_basis(m: Any) -> list[list[Any]]:
     """The pivot columns of m, a deterministic basis of the column space."""
-    _, pivots = _echelon(m)
+    pivots = sorted(_echelon_rows(m, reduced=False))
     return [list(m.col(j)) for j in pivots]
 
 
@@ -289,20 +570,15 @@ def field_matrix_inverse(m: Matrix) -> Matrix:
     f = m.ring
     _require_field(f, "matrix inverse")
     n = m.nrows
-    aug = Matrix(
-        f,
-        n,
-        2 * n,
-        tuple(
-            x
-            for i in range(n)
-            for x in (*m.row(i), *(f.one if j == i else f.zero for j in range(n)))
-        ),
+    aug = SparseMatrix.block(
+        f, [[SparseMatrix.from_dense(m), SparseMatrix.identity(f, n)]]
     )
-    rows, pivots = _echelon(aug)
+    rows, pivots = rref(aug)
     if pivots != list(range(n)):
         raise LinAlgError("matrix is singular")
-    return Matrix(f, n, n, tuple(rows[i][n + j] for i in range(n) for j in range(n)))
+    return Matrix(
+        f, n, n, tuple(rows[i].get(n + j, f.zero) for i in range(n) for j in range(n))
+    )
 
 
 def det(m: Matrix) -> Any:

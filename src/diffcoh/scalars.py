@@ -24,6 +24,36 @@ class ScalarError(ValueError):
     """Raised for malformed scalars or operations outside a ring's domain."""
 
 
+# Miller-Rabin with the first twelve prime bases decides primality
+# exactly below this bound (Sorenson and Webster, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_CAP = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 2 <= n < PRIME_CAP."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -101,9 +131,13 @@ class PrimeField:
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or p < 2:
             raise ScalarError(f"prime-field characteristic must be a prime, got {p!r}")
-        for q in range(2, math.isqrt(p) + 1):
-            if p % q == 0:
-                raise ScalarError(f"prime-field characteristic must be a prime, got {p}")
+        if p >= PRIME_CAP:
+            raise ScalarError(
+                f"prime-field characteristic {p} is not below the supported cap "
+                f"{PRIME_CAP}, up to which primality is decided exactly"
+            )
+        if not is_prime(p):
+            raise ScalarError(f"prime-field characteristic must be a prime, got {p}")
         self.p = p
         self.zero = 0
         self.one = 1 % p
@@ -427,11 +461,3 @@ class JetRing:
             {"subset": sorted(s), "value": self.base.format(c)}
             for s, c in sorted(x.coeffs.items(), key=lambda item: sorted(item[0]))
         ]
-
-
-def jet_mul(ring: JetRing, x: Jet, y: Jet) -> Jet:
-    return ring.mul(x, y)
-
-
-def jet_coefficient(x: Jet, subset: Iterable[int]) -> Any:
-    return x.coefficient(subset)

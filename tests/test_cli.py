@@ -217,3 +217,15 @@ def test_lie_fixture_check(capsys):
     assert "check jacobi: ok" in out
     assert "check difference-identity: ok" in out
     assert "check representation: ok" in out
+
+
+@pytest.mark.parametrize("command", ["cohomology", "les"])
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_max_degree_below_one_is_a_usage_error(command, degree, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, fx("z3_inverse.json"), f"--max-degree={degree}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--max-degree" in err
+    assert "Traceback" not in err

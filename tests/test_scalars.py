@@ -1,11 +1,14 @@
 """Field axioms, quadratic extensions, and jet arithmetic."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from diffcoh.scalars import (
+    PRIME_CAP,
     Jet,
     JetRing,
     PrimeField,
@@ -15,6 +18,7 @@ from diffcoh.scalars import (
     ScalarError,
     field_from_spec,
     field_to_spec,
+    is_prime,
 )
 
 Q = Rationals()
@@ -233,3 +237,32 @@ def test_jet_parse_format_round_trip():
 def test_jet_ring_needs_a_field_base():
     with pytest.raises(ScalarError):
         JetRing(JetRing(Q, 1), 1)
+
+
+def test_large_prime_field_loads_quickly():
+    started = time.perf_counter()
+    field = field_from_spec({"kind": "Fp", "p": 2**61 - 1})
+    assert time.perf_counter() - started < 1.0
+    assert field.p == 2**61 - 1
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_pseudoprimes_are_rejected(n):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7; 3825123056546413051 to every prime base up to 23
+    with pytest.raises(ScalarError, match="must be a prime"):
+        PrimeField(n)
+
+
+def test_characteristic_above_the_primality_cap_is_rejected():
+    with pytest.raises(ScalarError, match=str(PRIME_CAP)):
+        PrimeField(PRIME_CAP + 2)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(5000) if is_prime(n)] == [
+        n for n in range(5000) if by_division(n)
+    ]
