@@ -334,12 +334,6 @@ def are_isomorphic(
     return None
 
 
-def _rref_rows(field: Any, vectors: list[list[Any]]) -> tuple[list[dict], list[int]]:
-    if not vectors:
-        return [], []
-    return rref(Matrix.from_rows(field, vectors))
-
-
 def _reduce_mod(field: Any, rows: list[dict], pivots: list[int], vec: list[Any]) -> tuple:
     out = list(vec)
     for row, p in zip(rows, pivots):
@@ -406,7 +400,7 @@ def classify_extensions(rep: DifferenceRep, budget: int = 60000) -> ExtensionCla
         beta = c1.from_vector(vec[c2.size :])
         return CochainPair(alpha, beta)
 
-    rows, pivots = _rref_rows(f, [list(v) for v in b_basis])
+    rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in b_basis]))
 
     cocycles = []
     for coeffs in itertools.product(range(p), repeat=len(z_basis)):
@@ -525,7 +519,7 @@ def classify_semidirect_difference_ops(
     count_rank = p ** (len(z_beta) - k_rank)
 
     # census: reduce every beta cocycle modulo the image of K on eta cocycles
-    rows, pivots = _rref_rows(f, [list(v) for v in k_images])
+    rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in k_images]))
     n_betas = p ** len(z_beta)
     if n_betas > budget:
         raise BudgetExceededError(1, n_betas, budget)

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .scalars import Jet, JetRing, PrimeField, Rationals
+from .scalars import JetRing, PrimeField, Rationals
 
 
 class LinAlgError(ValueError):

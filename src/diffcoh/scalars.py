@@ -24,9 +24,11 @@ class ScalarError(ValueError):
     """Raised for malformed scalars or operations outside a ring's domain."""
 
 
-# Miller-Rabin with the first twelve prime bases decides primality
-# exactly below this bound (Sorenson and Webster, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first thirteen prime bases decides primality
+# exactly below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2017).  The first twelve bases, 2..37, would
+# not do: 318665857834031151167461 is a strong pseudoprime to each.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_CAP = 3317044064679887385961981
 
 

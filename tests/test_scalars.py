@@ -246,10 +246,13 @@ def test_large_prime_field_loads_quickly():
     assert field.p == 2**61 - 1
 
 
-@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+@pytest.mark.parametrize(
+    "n", [561, 3215031751, 3825123056546413051, 318665857834031151167461]
+)
 def test_pseudoprimes_are_rejected(n):
-    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
-    # the bases 2, 3, 5 and 7; 3825123056546413051 to every prime base up to 23
+    # 561 is a Carmichael number; the others are strong pseudoprimes to
+    # the bases 2, 3, 5, 7, to every prime base up to 23, and to every
+    # prime base up to 37 (399165290221 * 798330580441)
     with pytest.raises(ScalarError, match="must be a prime"):
         PrimeField(n)
 

@@ -56,12 +56,13 @@ Q2 = QuadraticField(2)
 small = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
 
 
-def _scalar(field, draw_int, draw_int2):
+def _scalar(field, a, b):
+    """a / (1 + |b|) over Q, a + b sqrt(2) over Q(sqrt 2), a mod p over F_p."""
     if field is Q:
-        return Fraction(draw_int, 1 + abs(draw_int2))
+        return Fraction(a, 1 + abs(b))
     if field is Q2:
-        return Q2.from_parts(draw_int, draw_int2)
-    return field.from_int(draw_int)
+        return Q2.from_parts(a, b)
+    return field.from_int(a)
 
 
 @st.composite
