@@ -30,7 +30,7 @@ from .exactness import (
     verify_delta_squared,
     verify_les,
 )
-from .groups import DifferenceRep, FiniteGroup, induced_rep_theta_d
+from .groups import DifferenceRep, FiniteGroup
 from .linalg import Matrix, SparseMatrix, solve
 
 
@@ -306,6 +306,8 @@ def kk(rep: DifferenceRep, a: GroupCochain) -> GroupCochain:
 def delta(rep: DifferenceRep, pair: CochainPair) -> CochainPair:
     """Differential of the pair complex:
     delta(a, b) = (d^Theta a, d^{Theta_D} b + K a)."""
+    from .groups import induced_rep_theta_d
+
     alpha = coboundary(rep.theta, pair.alpha)
     beta = kk(rep, pair.alpha)
     if pair.beta is not None:
@@ -460,6 +462,8 @@ class DifferenceComplex:
     """Matrix-level view of the three complexes attached to (G, D, V, T)."""
 
     def __init__(self, rep: DifferenceRep, budget: int = 60000) -> None:
+        from .groups import induced_rep_theta_d
+
         self.rep = rep
         self.dg = rep.dg
         self.group = rep.dg.group

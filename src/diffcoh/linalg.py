@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .scalars import JetRing, PrimeField, Rationals
+from .scalars import JetRing, Rationals
 
 
 class LinAlgError(ValueError):
@@ -207,7 +207,7 @@ class SparseMatrix:
     The operator matrices of the difference complexes have a handful of
     nonzeros per row, so they are built, multiplied and eliminated in
     this form.  ``entries`` holds only the stored (nonzero) values, row
-    by row; ``to_dense`` gives the equal ``Matrix``.
+    by row.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "rows")
@@ -271,28 +271,6 @@ class SparseMatrix:
     def col(self, j: int) -> tuple:
         zero = self.ring.zero
         return tuple(row.get(j, zero) for row in self.rows)
-
-    def to_dense(self) -> Matrix:
-        zero = self.ring.zero
-        return Matrix(
-            self.ring,
-            self.nrows,
-            self.ncols,
-            tuple(row.get(j, zero) for row in self.rows for j in range(self.ncols)),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and other.nrows == self.nrows
-            and other.ncols == self.ncols
-            and other.rows == self.rows
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.nrows}x{self.ncols}, {list(self.rows)!r})"
 
     def _strip(self, rows: list[dict], ncols: int) -> "SparseMatrix":
         zero = self.ring.zero
@@ -393,25 +371,6 @@ def _combine_field(f: Any, row: dict, c: int, prow: dict) -> list[int]:
     return added
 
 
-def _combine_mod(p: int, row: dict, c: int, prow: dict) -> list[int]:
-    x = row.pop(c)
-    added = []
-    for j, y in prow.items():
-        if j == c:
-            continue
-        v = row.get(j)
-        if v is None:
-            row[j] = (-x * y) % p
-            added.append(j)
-        else:
-            v = (v - x * y) % p
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-    return added
-
-
 def _combine_int(row: dict, c: int, prow: dict) -> list[int]:
     b = row.pop(c)
     a = prow[c]
@@ -464,8 +423,6 @@ def _echelon_rows(m: Any, reduced: bool) -> dict[int, dict]:
     if isinstance(f, Rationals):
         rows = [_integer_row(row) for row in rows]
         combine = _combine_int
-    elif isinstance(f, PrimeField):
-        combine = functools.partial(_combine_mod, f.p)
     else:
         combine = functools.partial(_combine_field, f)
     scaled = not isinstance(f, Rationals)

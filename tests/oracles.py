@@ -79,6 +79,17 @@ def dense_column_space_basis(m):
     return [list(m.col(j)) for j in pivots]
 
 
+def to_dense(s):
+    """The dense ``Matrix`` equal to the ``SparseMatrix`` s."""
+    zero = s.ring.zero
+    return Matrix(
+        s.ring,
+        s.nrows,
+        s.ncols,
+        tuple(row.get(j, zero) for row in s.rows for j in range(s.ncols)),
+    )
+
+
 def per_basis_matrix(cx, fn, n, out_degree):
     """The matrix of a cochain map, one column per basis cochain of
     degree n: column k is ``fn`` applied to basis cochain k."""
