@@ -47,6 +47,7 @@ from .programs import ProgramError
 from .scalars import ScalarError
 from .vanest import (
     DEFAULT_SAMPLES,
+    VE_DEGREE_CAP,
     SampledPreconditionError,
     differentiate_difference_operator,
     differentiate_representation,
@@ -245,15 +246,12 @@ def _check_jet_fixture(report: dict, fx: JetFixture, seed: int) -> None:
 
 
 def _complex_for(fx, budget: int):
-    if isinstance(fx, GroupFixture):
-        if fx.rep is None:
-            raise FixtureError("$.rep", "this command needs a rep block")
-        return DifferenceComplex(fx.rep, budget=budget)
-    if isinstance(fx, LieFixture):
-        if fx.rep is None:
-            raise FixtureError("$.rep", "this command needs a rep block")
-        return LieDifferenceComplex(fx.rep)
-    raise FixtureError("$", "this command needs a group or Lie fixture")
+    if not isinstance(fx, (GroupFixture, LieFixture)):
+        raise FixtureError("$", "this command needs a group or Lie fixture")
+    if fx.rep is None:
+        raise FixtureError("$.rep", "this command needs a rep block")
+    theory = DifferenceComplex if isinstance(fx, GroupFixture) else LieDifferenceComplex
+    return theory(fx.rep, budget=budget)
 
 
 def cmd_cohomology(args: argparse.Namespace, argv: list[str]) -> dict:
@@ -375,10 +373,14 @@ def cmd_vanest(args: argparse.Namespace, argv: list[str]) -> dict:
         _add_check(report, "differentiation", False, str(exc))
         return report
     _add_check(report, "differentiation", True, "operator and representation derived")
-    ve = verify_van_est_cochain_map(
-        fx.spec, diff, lierep, fx.dprog, fx.theta_prog, fx.t, fx.vshape,
-        fx.alpha_prog, degree, beta_prog=fx.beta_prog, seed=args.seed,
-    )
+    try:
+        ve = verify_van_est_cochain_map(
+            fx.spec, diff, lierep, fx.dprog, fx.theta_prog, fx.t, fx.vshape,
+            fx.alpha_prog, degree, beta_prog=fx.beta_prog, seed=args.seed,
+        )
+    except SampledPreconditionError as exc:
+        _add_check(report, "cochain-program", False, str(exc))
+        return report
     for chk in ve.checks:
         _add_check(report, chk.name, chk.ok, chk.detail)
     return report
@@ -439,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vanest", help="verify the differentiation cochain map")
     common(p)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=int, choices=range(1, VE_DEGREE_CAP + 1), default=None)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

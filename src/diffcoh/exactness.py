@@ -15,6 +15,9 @@ spaces, and verifies exactness at every node by two criteria:
 consecutive maps compose to zero, and ranks add up to the dimension of
 the middle space.
 
+``DifferenceComplexBase`` is the complex engine of both theories; a
+theory subclass supplies its cochain spaces and the faces of d, d_D, K.
+
 Degrees are 1-based; every complex here starts in degree 1 (there are
 no degree-0 cochains in the normalized theory).
 """
@@ -22,7 +25,7 @@ no degree-0 cochains in the normalized theory).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 from .linalg import Matrix, SparseMatrix, column_space_basis, kernel_basis, rank, rref
 
@@ -34,6 +37,17 @@ class InternalCheckError(RuntimeError):
     the cocycle space.  Indicates corrupt inputs or an implementation
     bug, never bad user data.
     """
+
+
+class BudgetExceededError(RuntimeError):
+    def __init__(self, degree: int, required: int, budget: int) -> None:
+        super().__init__(
+            f"cochain space in degree {degree} needs {required} basis elements, "
+            f"budget is {budget}"
+        )
+        self.degree = degree
+        self.required = required
+        self.budget = budget
 
 
 _NOT_A_COMPLEX = (
@@ -136,9 +150,6 @@ class LESData:
     _d_b: dict[int, SparseMatrix] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def dim_b(self, n: int) -> int:
-        return self.dim_c(n) + self.dim_a(n)
 
     def d_b(self, n: int) -> SparseMatrix:
         if n not in self._d_b:
@@ -274,3 +285,170 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
         check(n, f"H^{n}(quotient)", p_star[n], k_star[n], hc[n].dim)
         check(n + 1, f"H^{n + 1}(sub)", k_star[n], i_star[n + 1], ha[n + 1].dim)
     return nodes
+
+
+class CochainSpaceBase:
+    """Coordinates on the degree-n cochains of a theory stored on
+    ``tuples``: the basis is indexed by (tuple, coordinate), tuples in
+    the given order, coordinates innermost.
+
+    A subclass sets ``error`` (the exception for a mismatched cochain or
+    vector) and supplies ``_cochain(values)``, the cochain with a
+    {tuple: value} dict, and ``_stored(a)``, the dict of a cochain.
+    """
+
+    def __init__(self, field: Any, dim: int, degree: int, tuples: list[tuple]) -> None:
+        self.field = field
+        self.dim = dim
+        self.degree = degree
+        self.tuples = tuples
+        self.index = {t: i for i, t in enumerate(tuples)}
+        self.size = len(tuples) * dim
+
+    def to_vector(self, a: Any) -> list[Any]:
+        if a.degree != self.degree:
+            raise self.error(f"degree {a.degree} != space degree {self.degree}")
+        vec = [self.field.zero] * self.size
+        for args, value in self._stored(a).items():
+            base = self.index[args] * self.dim
+            vec[base : base + self.dim] = value
+        return vec
+
+    def from_vector(self, vec: Sequence[Any]) -> Any:
+        if len(vec) != self.size:
+            raise self.error(f"vector length {len(vec)} != {self.size}")
+        dim = self.dim
+        return self._cochain(
+            {t: tuple(vec[i * dim : (i + 1) * dim]) for i, t in enumerate(self.tuples)}
+        )
+
+    def basis_cochain(self, k: int) -> Any:
+        vec = [self.field.zero] * self.size
+        vec[k] = self.field.one
+        return self.from_vector(vec)
+
+
+def scatter(dom: CochainSpaceBase, tuples: Iterable[tuple], faces_of) -> list[dict]:
+    """Rows of a linear map into cochains on ``tuples`` whose value at
+    each tuple is a sum of faces of the argument cochain in ``dom``.
+
+    ``faces_of(args)`` yields (face, coefficient) pairs standing for the
+    term coefficient * a(face); the coefficient is a scalar or a
+    dim x dim matrix.  A face outside ``dom.index`` vanishes.  Row
+    (args, r) of the result maps basis vector (face, c) of ``dom`` to
+    its coefficient, as ``dom`` orders coordinates.
+    """
+    dim, index, zero, add = dom.dim, dom.index, dom.field.zero, dom.field.add
+    rows: list[dict] = []
+    for args in tuples:
+        block: list[dict] = [{} for _ in range(dim)]
+        for face, coeff in faces_of(args):
+            k = index.get(face)
+            if k is None:
+                continue
+            base = k * dim
+            if isinstance(coeff, Matrix):
+                terms = [(r, base + c, coeff.at(r, c)) for r in range(dim) for c in range(dim)]
+            else:
+                terms = [(r, base + r, coeff) for r in range(dim)]
+            for r, col, x in terms:
+                row = block[r]
+                row[col] = add(row[col], x) if col in row else x
+        rows.extend({j: x for j, x in row.items() if x != zero} for row in block)
+    return rows
+
+
+@dataclass
+class DegreeDims:
+    h_ordinary: int
+    h_difference: int
+    h_pair: int
+
+
+@dataclass
+class CohomologyReport:
+    degrees: dict[int, DegreeDims]
+    notes: list[str]
+
+
+class DifferenceComplexBase:
+    """Matrix-level view of the ordinary, difference and pair complexes
+    of a difference theory with coefficients of dimension ``dim``.
+
+    A subclass supplies ``_space_size(n)`` and ``_new_space(n)`` (a
+    ``CochainSpaceBase``), and ``d_ordinary``, ``d_difference`` and
+    ``k_matrix`` through ``_operator_matrix``.
+    """
+
+    def __init__(self, field: Any, dim: int, budget: int) -> None:
+        self.field = field
+        self.dim = dim
+        self.budget = budget
+        self._spaces: dict[int, Any] = {}
+        self._matrices: dict[tuple[str, int], SparseMatrix] = {}
+
+    def space(self, degree: int) -> Any:
+        if degree not in self._spaces:
+            required = self._space_size(degree)
+            if required > self.budget:
+                raise BudgetExceededError(degree, required, self.budget)
+            self._spaces[degree] = self._new_space(degree)
+        return self._spaces[degree]
+
+    def _operator_matrix(self, key: str, n: int, out_degree: int, *forms) -> SparseMatrix:
+        """The matrix of an operator from degree n to ``out_degree``,
+        scattered once and cached.  Each form is a ``faces_of`` for
+        ``scatter``; several forms of one operator must give the same
+        matrix, else the first tuple where they differ is named."""
+        if (key, n) not in self._matrices:
+            dom, cod = self.space(n), self.space(out_degree)
+            first, *others = (scatter(dom, cod.tuples, faces) for faces in forms)
+            for rows in others:
+                if rows != first:
+                    i = next(i for i, (a, b) in enumerate(zip(first, rows)) if a != b)
+                    raise InternalCheckError(
+                        f"the forms of {key} in degree {n} disagree at "
+                        f"{cod.tuples[i // self.dim]}"
+                    )
+            self._matrices[(key, n)] = SparseMatrix(self.field, cod.size, dom.size, first)
+        return self._matrices[(key, n)]
+
+    def les_data(self) -> LESData:
+        f = self.field
+
+        def dim_a(n: int) -> int:
+            return 0 if n <= 1 else self.space(n - 1).size
+
+        def dim_c(n: int) -> int:
+            return self.space(n).size
+
+        def d_a(n: int) -> SparseMatrix:
+            if n <= 1:
+                return SparseMatrix.zeros(f, dim_a(n + 1), 0)
+            return self.d_difference(n - 1)
+
+        return LESData(
+            field=f,
+            dim_a=dim_a,
+            dim_c=dim_c,
+            d_a=d_a,
+            d_c=self.d_ordinary,
+            k=self.k_matrix,
+        )
+
+    def cohomology_dims(self, max_degree: int) -> CohomologyReport:
+        dims = cohomology_dims(self.les_data(), max_degree)
+        degrees = {n: DegreeDims(*d) for n, d in dims.items()}
+        notes = []
+        if getattr(self.field, "kind", "") == "prime-field":
+            notes.append(
+                f"dimensions are over F_{self.field.p}; they need not agree "
+                "with characteristic-zero coefficients"
+            )
+        return CohomologyReport(degrees=degrees, notes=notes)
+
+    def verify_delta_squared(self, max_degree: int) -> list[LESNode]:
+        return verify_delta_squared(self.les_data(), max_degree)
+
+    def verify_les(self, max_degree: int) -> list[LESNode]:
+        return verify_les(self.les_data(), max_degree)

@@ -88,8 +88,15 @@ class AbelianExtension:
             table, identity=self.index(group.identity, self.vectors[0]), labels=labels
         )
 
-        d_total = []
-        for g in group.elements:
+        self.total = DifferenceGroup(total_group, self._operator_table(beta))
+        self._verify_structure()
+
+    def _operator_table(self, beta: GroupCochain) -> list[int]:
+        """D(g, u) = (D g, T u + u - Theta(D g) u + beta(g)) on the
+        carrier, as a list in total-group index order."""
+        rep, f = self.rep, self.rep.field
+        table = []
+        for g in self.base.group.elements:
             d_g = self.base.d_of(g)
             theta_dg = rep.theta[d_g]
             b = beta.value_at((g,))
@@ -100,9 +107,8 @@ class AbelianExtension:
                     f.add(f.sub(f.add(tu[i], u[i]), thu[i]), b[i])
                     for i in range(rep.dim)
                 )
-                d_total.append(self.index(d_g, w))
-        self.total = DifferenceGroup(total_group, d_total)
-        self._verify_structure()
+                table.append(self.index(d_g, w))
+        return table
 
     def index(self, g: int, u: tuple) -> int:
         return g * self.nv + self._vec_index[u]
@@ -334,6 +340,21 @@ def are_isomorphic(
     return None
 
 
+def _span(field: PrimeField, basis: list[list[Any]], length: int) -> list[list[Any]]:
+    """Every F_p-linear combination of ``basis`` (vectors of ``length``),
+    coefficient tuples in ``itertools.product`` order."""
+    out = []
+    for coeffs in itertools.product(range(field.p), repeat=len(basis)):
+        vec = [field.zero] * length
+        for c, basis_vec in zip(coeffs, basis):
+            if c == 0:
+                continue
+            cf = field.from_int(c)
+            vec = [field.add(x, field.mul(cf, y)) for x, y in zip(vec, basis_vec)]
+        out.append(vec)
+    return out
+
+
 def _reduce_mod(field: Any, rows: list[dict], pivots: list[int], vec: list[Any]) -> tuple:
     out = list(vec)
     for row, p in zip(rows, pivots):
@@ -402,15 +423,7 @@ def classify_extensions(rep: DifferenceRep, budget: int = 60000) -> ExtensionCla
 
     rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in b_basis]))
 
-    cocycles = []
-    for coeffs in itertools.product(range(p), repeat=len(z_basis)):
-        vec = [f.zero] * delta2.ncols
-        for c, basis_vec in zip(coeffs, z_basis):
-            if c == 0:
-                continue
-            cf = f.from_int(c)
-            vec = [f.add(x, f.mul(cf, y)) for x, y in zip(vec, basis_vec)]
-        cocycles.append(vec)
+    cocycles = _span(f, z_basis, delta2.ncols)
 
     coset_key = [_reduce_mod(f, rows, pivots, v) for v in cocycles]
     coset_classes: dict[tuple, list[int]] = {}
@@ -523,15 +536,7 @@ def classify_semidirect_difference_ops(
     n_betas = p ** len(z_beta)
     if n_betas > budget:
         raise BudgetExceededError(1, n_betas, budget)
-    betas = []
-    for coeffs in itertools.product(range(p), repeat=len(z_beta)):
-        vec = [f.zero] * d_dd_1.ncols
-        for c, basis_vec in zip(coeffs, z_beta):
-            if c == 0:
-                continue
-            cf = f.from_int(c)
-            vec = [f.add(x, f.mul(cf, y)) for x, y in zip(vec, basis_vec)]
-        betas.append(vec)
+    betas = _span(f, z_beta, d_dd_1.ncols)
     census_keys = {_reduce_mod(f, rows, pivots, v) for v in betas}
     count_census = len(census_keys)
 
@@ -617,36 +622,14 @@ def _direct_ops_census(
             valid.append(tuple(d_arr))
 
     # every valid operator must be the one induced by some beta cocycle
-    beta_ops = set()
-    for vec in betas:
-        beta = c1.from_vector(vec)
-        d_arr = [0] * order
-        for g in group.elements:
-            d_g = dg.d_of(g)
-            theta_dg = rep.theta[d_g]
-            b = beta.value_at((g,))
-            for u in sd.vectors:
-                tu = rep.t.matvec(list(u))
-                thu = theta_dg.matvec(list(u))
-                w = tuple(
-                    f.add(f.sub(f.add(tu[i], u[i]), thu[i]), b[i])
-                    for i in range(rep.dim)
-                )
-                d_arr[sd.index(g, u)] = sd.index(d_g, w)
-        beta_ops.add(tuple(d_arr))
+    beta_ops = {tuple(sd._operator_table(c1.from_vector(vec))) for vec in betas}
     if set(valid) != beta_ops:
         raise InternalCheckError(
             "direct enumeration found operators outside the cocycle family"
         )
 
     shears = []
-    for coeffs in itertools.product(range(p), repeat=len(z_eta)):
-        vec = [f.zero] * c1.size
-        for c, basis_vec in zip(coeffs, z_eta):
-            if c == 0:
-                continue
-            cf = f.from_int(c)
-            vec = [f.add(x, f.mul(cf, y)) for x, y in zip(vec, basis_vec)]
+    for vec in _span(f, z_eta, c1.size):
         eta = c1.from_vector(vec)
         sigma = [0] * order
         for idx in range(order):

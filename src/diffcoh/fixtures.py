@@ -44,7 +44,7 @@ from .programs import (
     format_program,
     parse_program,
 )
-from .vanest import MatrixGroupSpec, VSpace
+from .vanest import VE_DEGREE_CAP, MatrixGroupSpec, VSpace
 
 
 class FixtureError(ValueError):
@@ -411,6 +411,10 @@ def parse_jet_fixture(data: dict, path: str = "$") -> JetFixture:
     degree = None
     if "degree" in data:
         degree = _int_at(data["degree"], f"{path}.degree")
+        if not 1 <= degree <= VE_DEGREE_CAP:
+            raise FixtureError(
+                f"{path}.degree", f"expected a degree in 1..{VE_DEGREE_CAP}, got {degree}"
+            )
     alpha_prog = None
     if "alpha-program" in data:
         alpha_prog = _resolve_program(

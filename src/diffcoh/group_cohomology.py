@@ -23,30 +23,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .exactness import (
-    LESData,
-    LESNode,
-    cohomology_dims,
-    verify_delta_squared,
-    verify_les,
-)
+# BudgetExceededError is re-exported for callers that import it from here
+from .exactness import BudgetExceededError, CochainSpaceBase, DifferenceComplexBase  # noqa: F401
 from .groups import DifferenceRep, FiniteGroup
 from .linalg import Matrix, SparseMatrix, solve
 
 
 class CochainError(ValueError):
     """Raised for malformed cochains or degree mismatches."""
-
-
-class BudgetExceededError(RuntimeError):
-    def __init__(self, degree: int, required: int, budget: int) -> None:
-        super().__init__(
-            f"cochain space in degree {degree} needs {required} basis elements, "
-            f"budget is {budget}"
-        )
-        self.degree = degree
-        self.required = required
-        self.budget = budget
 
 
 class NotACocycleError(ValueError):
@@ -316,136 +300,21 @@ def delta(rep: DifferenceRep, pair: CochainPair) -> CochainPair:
     return CochainPair(alpha, beta)
 
 
-class CochainSpace:
-    """Coordinates on the space of normalized n-cochains.
+class CochainSpace(CochainSpaceBase):
+    """Coordinates on the space of normalized n-cochains: identity-free
+    tuples in lexicographic order of element indices."""
 
-    The basis is indexed by (argument tuple, coordinate), tuples in
-    lexicographic order of element indices, coordinates innermost.
-    """
+    error = CochainError
 
     def __init__(self, group: FiniteGroup, field: Any, dim: int, degree: int) -> None:
+        super().__init__(field, dim, degree, _tuples(group, degree))
         self.group = group
-        self.field = field
-        self.dim = dim
-        self.degree = degree
-        self.tuples = _tuples(group, degree)
-        self.index = {t: i for i, t in enumerate(self.tuples)}
-        self.size = len(self.tuples) * dim
 
-    def to_vector(self, a: GroupCochain) -> list[Any]:
-        if a.degree != self.degree:
-            raise CochainError(f"degree {a.degree} != space degree {self.degree}")
-        vec = [self.field.zero] * self.size
-        for args, value in a.values.items():
-            base = self.index[args] * self.dim
-            for c, x in enumerate(value):
-                vec[base + c] = x
-        return vec
-
-    def from_vector(self, vec: Sequence[Any]) -> GroupCochain:
-        if len(vec) != self.size:
-            raise CochainError(f"vector length {len(vec)} != {self.size}")
-        values = {
-            t: tuple(vec[i * self.dim : (i + 1) * self.dim])
-            for i, t in enumerate(self.tuples)
-        }
+    def _cochain(self, values: dict) -> GroupCochain:
         return GroupCochain(self.group, self.field, self.dim, self.degree, values)
 
-    def basis_cochain(self, k: int) -> GroupCochain:
-        vec = [self.field.zero] * self.size
-        vec[k] = self.field.one
-        return self.from_vector(vec)
-
-
-def _scatter(dom: CochainSpace, tuples: Iterable[tuple], faces_of) -> list[dict]:
-    """Rows of a linear map into cochains on ``tuples`` whose value at
-    each tuple is a sum of faces of the argument cochain.
-
-    ``faces_of(args)`` yields (face, coefficient) pairs standing for the
-    term coefficient * a(face); the coefficient is a scalar or a
-    dim x dim matrix.  Faces containing the identity vanish.  Row
-    (args, r) of the result maps basis vector (face, c) of ``dom`` to
-    its coefficient, as ``CochainSpace`` orders coordinates.
-    """
-    f, dim, e, index = dom.field, dom.dim, dom.group.identity, dom.index
-    zero, add = f.zero, f.add
-    rows: list[dict] = []
-    for args in tuples:
-        block: list[dict] = [{} for _ in range(dim)]
-        for face, coeff in faces_of(args):
-            if e in face:
-                continue
-            base = index[face] * dim
-            if isinstance(coeff, Matrix):
-                terms = [(r, base + c, coeff.at(r, c)) for r in range(dim) for c in range(dim)]
-            else:
-                terms = [(r, base + r, coeff) for r in range(dim)]
-            for r, col, x in terms:
-                row = block[r]
-                row[col] = add(row[col], x) if col in row else x
-        rows.extend({j: x for j, x in row.items() if x != zero} for row in block)
-    return rows
-
-
-def coboundary_rows(theta: Sequence[Matrix], dom: CochainSpace, cod: CochainSpace) -> list[dict]:
-    """The matrix of d^Theta from ``dom`` to ``cod`` as sparse rows, in
-    one pass over the (n+1)-tuples: each scatters its n+2 faces
-    Theta(g1) a(g2..), (-1)^i a(.., g_i g_{i+1}, ..) and
-    (-1)^{n+1} a(g1..gn), as ``coboundary`` evaluates them."""
-    f, n, mul = dom.field, dom.degree, dom.group.mul
-    one, minus = f.one, f.neg(f.one)
-
-    def faces(args: tuple):
-        yield args[1:], theta[args[0]]
-        for i in range(n):
-            merged = args[:i] + (mul(args[i], args[i + 1]),) + args[i + 2 :]
-            yield merged, one if i % 2 else minus
-        yield args[:n], one if n % 2 else minus
-
-    return _scatter(dom, cod.tuples, faces)
-
-
-def connecting_rows(rep: DifferenceRep, dom: CochainSpace) -> list[dict]:
-    """The matrix of K = pk + hk on ``dom`` as sparse rows, one pass over
-    the n-tuples scattering the faces that ``pk`` and ``hk`` evaluate."""
-    dg, f, n = rep.dg, rep.field, dom.degree
-    group = dg.group
-    one, minus = f.one, f.neg(f.one)
-    sign = minus if n % 2 else one  # (-1)^n of hk
-    minus_sign = f.neg(sign)
-    minus_t = rep.t.scale(minus_sign)
-    minus_theta = [-m for m in rep.theta]
-
-    def faces(args: tuple):
-        yield tuple(dg.d_plus_of(g) for g in args), sign
-        yield args, minus_t
-        yield args, minus_sign
-        if n == 1:
-            (g,) = args
-            yield args, minus_theta[dg.d_of(g)]
-            yield (dg.d_plus_of(g),), one
-            yield (dg.d_of(g),), minus
-        elif n == 2:
-            g1, g2 = args
-            g12 = group.mul(g1, g2)
-            yield (dg.d_of(g1), g1), one
-            yield (dg.d_of(g12), g12), minus
-            yield (dg.d_of(g2), g2), rep.theta[dg.d_plus_of(g1)]
-
-    return _scatter(dom, dom.tuples, faces)
-
-
-@dataclass
-class DegreeDims:
-    h_ordinary: int
-    h_difference: int
-    h_pair: int
-
-
-@dataclass
-class CohomologyReport:
-    degrees: dict[int, DegreeDims]
-    notes: list[str]
+    def _stored(self, a: GroupCochain) -> dict:
+        return a.values
 
 
 @dataclass
@@ -458,97 +327,81 @@ class ConnectingClass:
     preimage: GroupCochain | None
 
 
-class DifferenceComplex:
-    """Matrix-level view of the three complexes attached to (G, D, V, T)."""
+class DifferenceComplex(DifferenceComplexBase):
+    """Matrix-level view of the three complexes attached to (G, D, V, T).
+
+    d^Theta, d^{Theta_D} and K are scattered from the faces that
+    ``coboundary`` and ``kk`` evaluate; faces containing the identity
+    are outside the normalized space and vanish.
+    """
 
     def __init__(self, rep: DifferenceRep, budget: int = 60000) -> None:
         from .groups import induced_rep_theta_d
 
+        super().__init__(rep.field, rep.dim, budget)
         self.rep = rep
         self.dg = rep.dg
         self.group = rep.dg.group
-        self.field = rep.field
-        self.dim = rep.dim
-        self.budget = budget
         self.theta_d = induced_rep_theta_d(rep)
-        self._spaces: dict[int, CochainSpace] = {}
-        self._matrices: dict[tuple[str, int], SparseMatrix] = {}
 
-    def space(self, degree: int) -> CochainSpace:
-        if degree not in self._spaces:
-            nonid = self.group.order - 1
-            required = (nonid**degree) * self.dim
-            if required > self.budget:
-                raise BudgetExceededError(degree, required, self.budget)
-            self._spaces[degree] = CochainSpace(
-                self.group, self.field, self.dim, degree
-            )
-        return self._spaces[degree]
+    def _space_size(self, degree: int) -> int:
+        return (self.group.order - 1) ** degree * self.dim
 
-    def _operator_matrix(self, key: str, n: int, out_degree: int, build) -> SparseMatrix:
-        cache_key = (key, n)
-        if cache_key not in self._matrices:
-            dom = self.space(n)
-            cod = self.space(out_degree)
-            self._matrices[cache_key] = SparseMatrix(
-                self.field, cod.size, dom.size, build(dom, cod)
-            )
-        return self._matrices[cache_key]
+    def _new_space(self, degree: int) -> CochainSpace:
+        return CochainSpace(self.group, self.field, self.dim, degree)
 
     def d_ordinary(self, n: int) -> SparseMatrix:
-        return self._operator_matrix(
-            "d", n, n + 1, lambda dom, cod: coboundary_rows(self.rep.theta, dom, cod)
-        )
+        return self._operator_matrix("d", n, n + 1, self._coboundary_faces(self.rep.theta))
 
     def d_difference(self, n: int) -> SparseMatrix:
-        return self._operator_matrix(
-            "dD", n, n + 1, lambda dom, cod: coboundary_rows(self.theta_d, dom, cod)
-        )
+        return self._operator_matrix("dD", n, n + 1, self._coboundary_faces(self.theta_d))
 
     def k_matrix(self, n: int) -> SparseMatrix:
-        return self._operator_matrix(
-            "K", n, n, lambda dom, cod: connecting_rows(self.rep, dom)
-        )
+        return self._operator_matrix("K", n, n, self._connecting_faces(n))
 
-    def les_data(self) -> LESData:
-        f = self.field
+    def _coboundary_faces(self, theta: Sequence[Matrix]):
+        """Faces of d^Theta at an (n+1)-tuple: Theta(g1) a(g2..),
+        (-1)^i a(.., g_i g_{i+1}, ..) and (-1)^{n+1} a(g1..gn)."""
+        f, mul = self.field, self.group.mul
+        one, minus = f.one, f.neg(f.one)
 
-        def dim_a(n: int) -> int:
-            return 0 if n <= 1 else self.space(n - 1).size
+        def faces(args: tuple):
+            n = len(args) - 1
+            yield args[1:], theta[args[0]]
+            for i in range(n):
+                merged = args[:i] + (mul(args[i], args[i + 1]),) + args[i + 2 :]
+                yield merged, one if i % 2 else minus
+            yield args[:n], one if n % 2 else minus
 
-        def dim_c(n: int) -> int:
-            return self.space(n).size
+        return faces
 
-        def d_a(n: int) -> SparseMatrix:
-            if n <= 1:
-                return SparseMatrix.zeros(f, dim_a(n + 1), 0)
-            return self.d_difference(n - 1)
+    def _connecting_faces(self, n: int):
+        """Faces of K = pk + hk at an n-tuple, as ``pk`` and ``hk``
+        evaluate them."""
+        rep, dg, f, mul = self.rep, self.dg, self.field, self.group.mul
+        one, minus = f.one, f.neg(f.one)
+        sign = minus if n % 2 else one  # (-1)^n of hk
+        minus_sign = f.neg(sign)
+        minus_t = rep.t.scale(minus_sign)
+        minus_theta = [-m for m in rep.theta]
 
-        return LESData(
-            field=f,
-            dim_a=dim_a,
-            dim_c=dim_c,
-            d_a=d_a,
-            d_c=self.d_ordinary,
-            k=self.k_matrix,
-        )
+        def faces(args: tuple):
+            yield tuple(dg.d_plus_of(g) for g in args), sign
+            yield args, minus_t
+            yield args, minus_sign
+            if n == 1:
+                (g,) = args
+                yield args, minus_theta[dg.d_of(g)]
+                yield (dg.d_plus_of(g),), one
+                yield (dg.d_of(g),), minus
+            elif n == 2:
+                g1, g2 = args
+                g12 = mul(g1, g2)
+                yield (dg.d_of(g1), g1), one
+                yield (dg.d_of(g12), g12), minus
+                yield (dg.d_of(g2), g2), rep.theta[dg.d_plus_of(g1)]
 
-    def cohomology_dims(self, max_degree: int) -> CohomologyReport:
-        dims = cohomology_dims(self.les_data(), max_degree)
-        degrees = {n: DegreeDims(*d) for n, d in dims.items()}
-        notes = []
-        if getattr(self.field, "kind", "") == "prime-field":
-            notes.append(
-                f"dimensions are over F_{self.field.p}; they need not agree "
-                "with characteristic-zero coefficients"
-            )
-        return CohomologyReport(degrees=degrees, notes=notes)
-
-    def verify_delta_squared(self, max_degree: int) -> list[LESNode]:
-        return verify_delta_squared(self.les_data(), max_degree)
-
-    def verify_les(self, max_degree: int) -> list[LESNode]:
-        return verify_les(self.les_data(), max_degree)
+        return faces
 
     def connecting_class(self, a: GroupCochain) -> ConnectingClass:
         """Apply the connecting map to an ordinary cocycle and decide

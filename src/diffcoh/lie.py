@@ -20,24 +20,22 @@ coupling them through the connecting cochain map
                               - T z(x_1..x_n) ),
 
 which by multilinearity equals
-(-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).  Both forms are
-evaluated on every call and compared; disagreement aborts.
+(-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).  ``k_map`` evaluates
+both forms on a cochain and compares them.  ``LieDifferenceComplex``
+assembles d, d_D and K with the engine of ``exactness``, scattering the
+faces of each increasing tuple (sorted with their permutation sign; a
+repeated index vanishes); it scatters both forms of K and compares the
+two matrices.  Disagreement aborts either way.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .exactness import (
-    InternalCheckError,
-    LESData,
-    LESNode,
-    cohomology_dims,
-    verify_delta_squared,
-    verify_les,
-)
+from .exactness import CochainSpaceBase, DifferenceComplexBase, InternalCheckError
 from .groups import ValidationError, ValidationReport
 from .linalg import Matrix, SparseMatrix, solve
 
@@ -161,6 +159,18 @@ class LieDifferenceOp:
         return f"LieDifferenceOp(dim={self.lie.dim})"
 
 
+def theta_of(theta: Sequence[Matrix], vec: Sequence[Any]) -> Matrix:
+    """The linear extension sum_i vec[i] theta[i] of matrices given on
+    basis elements."""
+    m = theta[0]
+    f = m.ring
+    acc = Matrix.zeros(f, m.nrows, m.ncols)
+    for i, c in enumerate(vec):
+        if c != f.zero:
+            acc = acc + theta[i].scale(c)
+    return acc
+
+
 def check_lie_rep(
     lie: LieAlgebra, d: Matrix, theta: Sequence[Matrix], t: Matrix
 ) -> ValidationReport:
@@ -180,15 +190,8 @@ def check_lie_rep(
             report.add("theta-shape", (i,), "theta(e_i) has wrong shape or ring")
             return report
 
-    def theta_of(vec: Sequence[Any]) -> Matrix:
-        acc = Matrix.zeros(f, dimv, dimv)
-        for i, c in enumerate(vec):
-            if c != f.zero:
-                acc = acc + theta[i].scale(c)
-        return acc
-
     for i, j in itertools.combinations(range(lie.dim), 2):
-        lhs = theta_of(lie.bracket_basis(i, j))
+        lhs = theta_of(theta, lie.bracket_basis(i, j))
         rhs = (theta[i] @ theta[j]) - (theta[j] @ theta[i])
         if lhs != rhs:
             report.add(
@@ -199,7 +202,7 @@ def check_lie_rep(
     if not report.ok:
         return report
     for i in range(lie.dim):
-        th_dei = theta_of(d.matvec(lie.basis_vector(i)))
+        th_dei = theta_of(theta, d.matvec(lie.basis_vector(i)))
         lhs = t @ theta[i]
         rhs = th_dei + (theta[i] @ t) + (th_dei @ t)
         if lhs != rhs:
@@ -226,14 +229,6 @@ class LieRep:
         self.t = t
         self.dimv = t.nrows
 
-    def theta_of(self, vec: Sequence[Any]) -> Matrix:
-        f = self.field
-        acc = Matrix.zeros(f, self.dimv, self.dimv)
-        for i, c in enumerate(vec):
-            if c != f.zero:
-                acc = acc + self.theta[i].scale(c)
-        return acc
-
     def __repr__(self) -> str:
         return f"LieRep(dim={self.lie.dim}, dimv={self.dimv})"
 
@@ -244,19 +239,11 @@ def theta_d_matrices(rep: LieRep) -> tuple[Matrix, ...]:
     lie = rep.lie
     d = rep.dop.d
     out = tuple(
-        rep.theta[i] + rep.theta_of(d.matvec(lie.basis_vector(i)))
+        rep.theta[i] + theta_of(rep.theta, d.matvec(lie.basis_vector(i)))
         for i in range(lie.dim)
     )
-
-    def of(vec: Sequence[Any]) -> Matrix:
-        acc = Matrix.zeros(rep.field, rep.dimv, rep.dimv)
-        for i, c in enumerate(vec):
-            if c != rep.field.zero:
-                acc = acc + out[i].scale(c)
-        return acc
-
     for i, j in itertools.combinations(range(lie.dim), 2):
-        lhs = of(lie.bracket_basis(i, j))
+        lhs = theta_of(out, lie.bracket_basis(i, j))
         rhs = (out[i] @ out[j]) - (out[j] @ out[i])
         if lhs != rhs:
             raise InternalCheckError(
@@ -522,128 +509,115 @@ def delta_theta(rep: LieRep, pair: LieCochainPair) -> LieCochainPair:
     return LieCochainPair(zeta, xi)
 
 
-class LieCochainSpace:
+class LieCochainSpace(CochainSpaceBase):
     """Coordinates on Hom(wedge^n g, V): increasing tuples ordered
-    lexicographically, value coordinates innermost."""
+    lexicographically."""
+
+    error = LieError
 
     def __init__(self, lie: LieAlgebra, dimv: int, degree: int) -> None:
+        tuples = list(itertools.combinations(range(lie.dim), degree))
+        super().__init__(lie.field, dimv, degree, tuples)
         self.lie = lie
-        self.dimv = dimv
-        self.degree = degree
-        self.tuples = list(itertools.combinations(range(lie.dim), degree))
-        self.index = {t: i for i, t in enumerate(self.tuples)}
-        self.size = len(self.tuples) * dimv
 
-    def to_vector(self, z: LieCochain) -> list[Any]:
-        if z.degree != self.degree:
-            raise LieError(f"degree {z.degree} != space degree {self.degree}")
-        vec = [self.lie.field.zero] * self.size
-        for args, value in z.coeffs.items():
-            base = self.index[args] * self.dimv
-            for c, x in enumerate(value):
-                vec[base + c] = x
-        return vec
+    def _cochain(self, values: dict) -> LieCochain:
+        return LieCochain(self.lie, self.dim, self.degree, values)
 
-    def from_vector(self, vec: Sequence[Any]) -> LieCochain:
-        if len(vec) != self.size:
-            raise LieError(f"vector length {len(vec)} != {self.size}")
-        coeffs = {
-            t: tuple(vec[i * self.dimv : (i + 1) * self.dimv])
-            for i, t in enumerate(self.tuples)
-        }
-        return LieCochain(self.lie, self.dimv, self.degree, coeffs)
-
-    def basis_cochain(self, k: int) -> LieCochain:
-        vec = [self.lie.field.zero] * self.size
-        vec[k] = self.lie.field.one
-        return self.from_vector(vec)
+    def _stored(self, z: LieCochain) -> dict:
+        return z.coeffs
 
 
-@dataclass
-class LieDegreeDims:
-    h_ordinary: int
-    h_difference: int
-    h_pair: int
+def _sorted_with_sign(args: tuple) -> tuple[tuple, bool]:
+    """The increasing rearrangement of distinct indices and whether it
+    is an odd permutation of them."""
+    inversions = sum(1 for a, b in itertools.combinations(args, 2) if a > b)
+    return tuple(sorted(args)), inversions % 2 == 1
 
 
-@dataclass
-class LieCohomologyReport:
-    degrees: dict[int, LieDegreeDims]
-    notes: list[str]
+class LieDifferenceComplex(DifferenceComplexBase):
+    """Matrix-level view of the three complexes attached to (g, D, V, T).
 
+    The faces scattered are those ``ce_coboundary`` and ``k_map``
+    evaluate, each sorted with its permutation sign; a face with a
+    repeated index is outside the space and vanishes.
+    """
 
-class LieDifferenceComplex:
-    """Matrix-level view of the three complexes attached to (g, D, V, T)."""
-
-    def __init__(self, rep: LieRep) -> None:
+    def __init__(self, rep: LieRep, budget: int = 60000) -> None:
+        super().__init__(rep.field, rep.dimv, budget)
         self.rep = rep
         self.lie = rep.lie
-        self.field = rep.field
-        self.dimv = rep.dimv
         self.theta_d = theta_d_matrices(rep)
-        self._spaces: dict[int, LieCochainSpace] = {}
-        self._matrices: dict[tuple[str, int], SparseMatrix] = {}
 
-    def space(self, degree: int) -> LieCochainSpace:
-        if degree not in self._spaces:
-            self._spaces[degree] = LieCochainSpace(self.lie, self.dimv, degree)
-        return self._spaces[degree]
+    def _space_size(self, degree: int) -> int:
+        return math.comb(self.lie.dim, degree) * self.dim
 
-    def _operator_matrix(self, key: str, n: int, fn, out_degree: int) -> SparseMatrix:
-        cache_key = (key, n)
-        if cache_key not in self._matrices:
-            dom = self.space(n)
-            cod = self.space(out_degree)
-            cols = [cod.to_vector(fn(dom.basis_cochain(k))) for k in range(dom.size)]
-            self._matrices[cache_key] = SparseMatrix.from_columns(self.field, cols, cod.size)
-        return self._matrices[cache_key]
+    def _new_space(self, degree: int) -> LieCochainSpace:
+        return LieCochainSpace(self.lie, self.dim, degree)
 
     def d_ordinary(self, n: int) -> SparseMatrix:
-        return self._operator_matrix(
-            "d", n, lambda z: ce_coboundary(self.rep.theta, z), n + 1
-        )
+        return self._operator_matrix("d", n, n + 1, self._ce_faces(self.rep.theta))
 
     def d_difference(self, n: int) -> SparseMatrix:
-        return self._operator_matrix(
-            "dD", n, lambda z: ce_coboundary(self.theta_d, z), n + 1
-        )
+        return self._operator_matrix("dD", n, n + 1, self._ce_faces(self.theta_d))
 
     def k_matrix(self, n: int) -> SparseMatrix:
-        return self._operator_matrix("K", n, lambda z: k_map(self.rep, z), n)
+        return self._operator_matrix("K", n, n, *self._connecting_faces(n))
 
-    def les_data(self) -> LESData:
+    def _ce_faces(self, theta: Sequence[Matrix]):
+        """Faces of the Chevalley-Eilenberg coboundary at an increasing
+        tuple: (-1)^k theta(x_k) z(.. no x_k ..) and
+        (-1)^(a+b) z([x_a, x_b], .. no x_a, x_b ..)."""
+        f, lie = self.field, self.lie
+        minus_theta = [-m for m in theta]
+
+        def faces(args: tuple):
+            for k, i in enumerate(args):
+                yield args[:k] + args[k + 1 :], minus_theta[i] if k % 2 else theta[i]
+            for a, b in itertools.combinations(range(len(args)), 2):
+                rest = args[:a] + args[a + 1 : b] + args[b + 1 :]
+                for m, c in enumerate(lie.bracket_basis(args[a], args[b])):
+                    if c != f.zero:
+                        face, odd = _sorted_with_sign((m,) + rest)
+                        yield face, f.neg(c) if odd != (a + b) % 2 else c
+
+        return faces
+
+    def _connecting_faces(self, n: int):
+        """Faces of K at an increasing n-tuple in the subset form
+        (-1)^n ( sum over nonempty S of z(.. D at S ..) - T z ) and in
+        the closed form (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z - T z )."""
         f = self.field
+        sign = f.neg(f.one) if n % 2 else f.one
+        minus_t = self.rep.t.scale(f.neg(sign))
 
-        def dim_a(n: int) -> int:
-            return 0 if n <= 1 else self.space(n - 1).size
-
-        def dim_c(n: int) -> int:
-            return self.space(n).size
-
-        def d_a(n: int) -> SparseMatrix:
-            if n <= 1:
-                return SparseMatrix.zeros(f, dim_a(n + 1), 0)
-            return self.d_difference(n - 1)
-
-        return LESData(
-            field=f,
-            dim_a=dim_a,
-            dim_c=dim_c,
-            d_a=d_a,
-            d_c=self.d_ordinary,
-            k=self.k_matrix,
+        d_cols, plus_cols = (
+            [[(r, x) for r, x in enumerate(m.col(i)) if x != f.zero] for i in range(m.ncols)]
+            for m in (self.rep.dop.d, self.rep.dop.d_plus)
         )
 
-    def cohomology_dims(self, max_degree: int) -> LieCohomologyReport:
-        dims = cohomology_dims(self.les_data(), max_degree)
-        degrees = {n: LieDegreeDims(*d) for n, d in dims.items()}
-        return LieCohomologyReport(degrees=degrees, notes=[])
+        def expand(cols: list[list[tuple]]):
+            """Faces of z(v_1, .., v_n), v_k = sum of c e_r over cols[k]."""
+            for combo in itertools.product(*cols):
+                c = sign
+                for _, x in combo:
+                    c = f.mul(c, x)
+                face, odd = _sorted_with_sign(tuple(r for r, _ in combo))
+                yield face, f.neg(c) if odd else c
 
-    def verify_delta_squared(self, max_degree: int) -> list[LESNode]:
-        return verify_delta_squared(self.les_data(), max_degree)
+        def subset(args: tuple):
+            yield args, minus_t
+            for size in range(1, n + 1):
+                for moved in itertools.combinations(range(n), size):
+                    yield from expand(
+                        [d_cols[i] if k in moved else [(i, f.one)] for k, i in enumerate(args)]
+                    )
 
-    def verify_les(self, max_degree: int) -> list[LESNode]:
-        return verify_les(self.les_data(), max_degree)
+        def closed(args: tuple):
+            yield args, minus_t
+            yield args, f.neg(sign)
+            yield from expand([plus_cols[i] for i in args])
+
+        return subset, closed
 
 
 def matrix_lie_algebra(field: Any, basis: Sequence[Matrix]) -> LieAlgebra:

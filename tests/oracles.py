@@ -1,9 +1,10 @@
 """Reference implementations kept as test oracles.
 
 The dense elimination (first nonzero row as pivot, full-row updates)
-and the per-basis-cochain operator assembly are the routes the library
-used before its sparse echelon and one-pass scatter assembly.  Tests
-compare the two routes exactly.
+and the per-basis-cochain operator assembly, for the group and the Lie
+complex alike, are the routes the library used before its sparse
+echelon and one-pass scatter assembly.  Tests compare the two routes
+exactly.
 """
 
 from diffcoh.linalg import Matrix, LinAlgError

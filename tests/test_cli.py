@@ -229,3 +229,46 @@ def test_max_degree_below_one_is_a_usage_error(command, degree, capsys):
     assert out == ""
     assert "--max-degree" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cohomology", "les"])
+def test_lie_budget_failure_is_a_verdict(command, capsys):
+    code, out, _ = run([command, fx("lie_solvable.json"), "--budget", "1"], capsys)
+    assert code == 1
+    assert "check budget: FAIL (cochain space in degree 1 needs 2 basis elements" in out
+    assert out.endswith("ok: false\n")
+
+
+@pytest.mark.parametrize("degree", ["0", "4"])
+def test_vanest_degree_out_of_range_is_a_usage_error(degree, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["vanest", fx("gl2_adjugate_det.json"), "--degree", degree])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--degree" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("degree", [0, 4])
+def test_fixture_degree_out_of_range_is_a_fixture_error(degree, tmp_path, capsys):
+    data = json.loads((FIXDIR / "gl2_adjugate_det.json").read_text())
+    data["degree"] = degree
+    path = tmp_path / "bad_degree.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["vanest", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"$.degree: expected a degree in 1..3, got {degree}" in err
+
+
+@pytest.mark.parametrize(
+    "name,degree", [("gl2_adjugate_det.json", "2"), ("gl2_inverse_det_deg2.json", "3")]
+)
+def test_vanest_precondition_failure_is_a_verdict(name, degree, capsys):
+    code, out, err = run(["vanest", fx(name), "--degree", degree], capsys)
+    assert code == 1
+    assert err == ""
+    assert "check differentiation: ok" in out
+    assert "check cochain-program: FAIL (cochain program is not normalized" in out
+    assert out.endswith("ok: false\n")

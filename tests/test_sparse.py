@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
 from diffcoh.exactness import (
+    BudgetExceededError,
     InternalCheckError,
     LESData,
     cohomology_dims,
@@ -21,7 +22,14 @@ from diffcoh.exactness import (
 from diffcoh.fixtures import GroupFixture, LieFixture, load_fixture
 from diffcoh.group_cohomology import DifferenceComplex, coboundary, kk
 from diffcoh.groups import DifferenceGroup, DifferenceRep
-from diffcoh.lie import LieDifferenceComplex
+from diffcoh.lie import (
+    LieAlgebra,
+    LieDifferenceComplex,
+    LieDifferenceOp,
+    LieRep,
+    ce_coboundary,
+    k_map,
+)
 from diffcoh.linalg import (
     Matrix,
     SparseMatrix,
@@ -48,6 +56,7 @@ FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Q = Rationals()
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 Q2 = QuadraticField(2)
 
 # ------------------------------------------------------------ elimination
@@ -199,6 +208,124 @@ def test_scatter_assembly_matches_per_basis_cochain_assembly(rep, max_degree):
         assert to_dense(cx.d_ordinary(n)) == d, n
         assert to_dense(cx.d_difference(n)) == d_d, n
         assert to_dense(cx.k_matrix(n)) == k, n
+
+
+# ------------------------------------------------------ Lie face scatter
+
+
+def _lie(field, dim, brackets):
+    return LieAlgebra(
+        field, dim, {k: tuple(field.from_int(x) for x in v) for k, v in brackets.items()}
+    )
+
+
+def _sl2(field):
+    # basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
+    return _lie(field, 3, {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)})
+
+
+def _h3_plus(field, dim):
+    """h3 + F^(dim-3) with [e0,e1] = e_(dim-1)."""
+    return _lie(field, dim, {(0, 1): tuple(int(m == dim - 1) for m in range(dim))})
+
+
+def _diagonal(field, values):
+    n = len(values)
+    return Matrix.from_rows(
+        field, [[values[i] if i == j else field.zero for j in range(n)] for i in range(n)]
+    )
+
+
+def _trivial_lie_rep(lie, d):
+    f = lie.field
+    zero = Matrix.zeros(f, 1, 1)
+    return LieRep(LieDifferenceOp(lie, d), [zero] * lie.dim, zero)
+
+
+def _adjoint_rep(lie, d_plus_diagonal):
+    """theta = ad and T = D, a representation whenever D is a difference
+    operator; D is given by the diagonal of D_+ = id + D."""
+    f = lie.field
+    d = _diagonal(f, [f.sub(x, f.one) for x in d_plus_diagonal])
+    ad = [
+        Matrix.from_columns(f, [list(lie.bracket_basis(i, j)) for j in range(lie.dim)], lie.dim)
+        for i in range(lie.dim)
+    ]
+    return LieRep(LieDifferenceOp(lie, d), ad, d)
+
+
+def _adjoint_cases():
+    """sl2 and h3 + F over Q, F_3 and F_5 with D = 0, D = -I and a
+    diagonal D_+ other than the identity: diag(1, 2, 1/2) on (h, e, f)
+    and diag(2, 1, 2, 2) on h3 + F are Lie algebra endomorphisms."""
+    out = []
+    for field, name in ((Q, "Q"), (F3, "F3"), (F5, "F5")):
+        two, one, zero = field.from_int(2), field.one, field.zero
+        for lie, label, diagonal in (
+            (_sl2(field), "sl2", [one, two, field.inv(two)]),
+            (_h3_plus(field, 4), "h3+F", [two, one, two, two]),
+        ):
+            for d_name, d_plus in (
+                ("D=0", [one] * lie.dim),
+                ("D=-I", [zero] * lie.dim),
+                ("D+diag", diagonal),
+            ):
+                out.append(pytest.param(_adjoint_rep(lie, d_plus), id=f"{label}/{name},{d_name}"))
+    return out
+
+
+def _shipped_lie_reps():
+    out = []
+    for path in sorted(FIXDIR.glob("*.json")):
+        fx = load_fixture(str(path))
+        if isinstance(fx, LieFixture) and fx.rep is not None:
+            out.append(pytest.param(fx.rep, id=path.stem))
+    return out
+
+
+LIE_ASSEMBLY_CASES = (
+    _shipped_lie_reps()
+    + [
+        pytest.param(_trivial_lie_rep(_h3_plus(Q, 5), Matrix.zeros(Q, 5, 5)), id="h3+Q^2,D=0"),
+        pytest.param(_trivial_lie_rep(_h3_plus(Q, 5), -Matrix.identity(Q, 5)), id="h3+Q^2,D=-I"),
+    ]
+    + _adjoint_cases()
+)
+
+
+@pytest.mark.parametrize("rep", LIE_ASSEMBLY_CASES)
+def test_lie_scatter_assembly_matches_per_basis_cochain_assembly(rep):
+    cx = LieDifferenceComplex(rep)
+    for n in range(1, rep.lie.dim + 1):
+        d = per_basis_matrix(cx, lambda z: ce_coboundary(rep.theta, z), n, n + 1)
+        d_d = per_basis_matrix(cx, lambda z: ce_coboundary(cx.theta_d, z), n, n + 1)
+        k = per_basis_matrix(cx, lambda z: k_map(rep, z), n, n)
+        assert to_dense(cx.d_ordinary(n)) == d, n
+        assert to_dense(cx.d_difference(n)) == d_d, n
+        assert to_dense(cx.k_matrix(n)) == k, n
+
+
+def test_lie_k_matrix_compares_its_two_forms():
+    rep = _adjoint_rep(_sl2(Q), [Q.one, Q.from_int(2), Fraction(1, 2)])
+    rep.dop.d_plus = Matrix.identity(Q, 3)  # D_+ no longer equals id + D
+    cx = LieDifferenceComplex(rep)
+    with pytest.raises(InternalCheckError, match=r"forms of K in degree 1 disagree at \(\d"):
+        cx.k_matrix(1)
+
+
+def test_lie_space_respects_the_budget():
+    cx = LieDifferenceComplex(_trivial_lie_rep(_h3_plus(Q, 5), Matrix.zeros(Q, 5, 5)), budget=9)
+    assert cx.space(1).size == 5
+    with pytest.raises(BudgetExceededError) as exc:
+        cx.space(2)
+    assert (exc.value.degree, exc.value.required, exc.value.budget) == (2, 10, 9)
+
+
+def test_prime_field_note_on_both_theories():
+    lie_report = LieDifferenceComplex(_adjoint_rep(_sl2(F3), [F3.one] * 3)).cohomology_dims(1)
+    group_report = DifferenceComplex(_trivial(cyclic(3), F3)).cohomology_dims(1)
+    assert lie_report.notes == group_report.notes
+    assert lie_report.notes[0].startswith("dimensions are over F_3")
 
 
 # ------------------------------------------------------------- rank route
