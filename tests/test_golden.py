@@ -20,6 +20,8 @@ COMMANDS = {
     "les3": ["les", "--max-degree", "3"],
     "classify": ["classify"],
     "classify-semidirect": ["classify", "--mode", "semidirect-ops"],
+    "vanest": ["vanest"],
+    "vanest-seed1": ["vanest", "--seed", "1"],
 }
 
 CASES = sorted(p.stem for p in GOLDEN.glob("*.txt"))
