@@ -43,7 +43,7 @@ from .group_cohomology import (
 )
 from .groups import ValidationError
 from .lie import LieDifferenceComplex, LieError
-from .programs import ProgramError
+from .programs import ProgramError, max_input_index
 from .scalars import ScalarError
 from .vanest import (
     DEFAULT_SAMPLES,
@@ -346,6 +346,17 @@ def cmd_classify(args: argparse.Namespace, argv: list[str]) -> dict:
     return report
 
 
+def _require_arity(prog, role: str, arity: int, degree: int, source: str) -> None:
+    """Reject a cochain program that reads an input at or beyond the
+    ``arity`` that van Est degree ``degree`` gives it."""
+    inputs = max_input_index(prog) + 1
+    if inputs > arity:
+        raise FixtureError(
+            source,
+            f"degree {degree} gives the {role} {arity} input(s), but it reads {inputs}",
+        )
+
+
 def cmd_vanest(args: argparse.Namespace, argv: list[str]) -> dict:
     report = _new_report(args, argv)
     fx = _load(args)
@@ -359,6 +370,12 @@ def cmd_vanest(args: argparse.Namespace, argv: list[str]) -> dict:
     if degree is None:
         raise FixtureError("$.degree", "no degree in the fixture and no --degree flag")
     report["arguments"]["degree"] = degree
+    source = "$.degree" if args.degree is None else "--degree"
+    _require_arity(fx.alpha_prog, "alpha-program", degree, degree, source)
+    if fx.beta_prog is not None:
+        if degree < 2:
+            raise FixtureError(source, f"a beta-program needs degree >= 2, got {degree}")
+        _require_arity(fx.beta_prog, "beta-program", degree - 1, degree, source)
     report["notes"].append(
         f"program preconditions sampled on {DEFAULT_SAMPLES} matrices, seed {args.seed}"
     )
@@ -466,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InternalCheckError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 2
+        return 3
     if args.timing:
         report["elapsed-seconds"] = round(time.monotonic() - started, 3)
     sys.stdout.write(_render(report, args.format))

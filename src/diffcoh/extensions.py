@@ -67,15 +67,15 @@ class AbelianExtension:
         table = []
         for g in group.elements:
             theta_g = rep.theta[g]
+            theta_vs = [theta_g.matvec(list(v)) for v in self.vectors]
             for u in self.vectors:
                 row = []
                 for h in group.elements:
                     a = alpha.value_at((g, h))
                     gh = group.mul(g, h)
-                    for v in self.vectors:
+                    for theta_v in theta_vs:
                         w = tuple(
-                            f.add(f.add(u[i], x), a[i])
-                            for i, x in enumerate(theta_g.matvec(list(v)))
+                            f.add(f.add(u[i], x), a[i]) for i, x in enumerate(theta_v)
                         )
                         row.append(self.index(gh, w))
                 table.append(row)
@@ -313,14 +313,21 @@ def are_isomorphic(
 
     t1, t2 = e1.total, e2.total
     order = t1.group.order
-    for combo in itertools.product(e1.vectors, repeat=len(nonid)):
-        eta = {g: vec for g, vec in zip(nonid, combo)}
-        eta[group.identity] = e1.vectors[0]
-        sigma = [0] * order
-        for idx in range(order):
-            g, u = e1.split(idx)
-            shifted = tuple(f.add(a, b) for a, b in zip(u, eta[g]))
-            sigma[idx] = e2.index(g, shifted)
+    vectors = e1.vectors
+    # coset[g][k]: the e2-indices of e1's coset g, in e1's order, sheared
+    # by vectors[k]; a candidate sigma is one slice of it per coset
+    coset = [
+        [
+            [e2.index(g, tuple(f.add(a, b) for a, b in zip(u, shift))) for u in vectors]
+            for shift in vectors
+        ]
+        for g in group.elements
+    ]
+    shear = [0] * group.order
+    for combo in itertools.product(range(e1.nv), repeat=len(nonid)):
+        for g, k in zip(nonid, combo):
+            shear[g] = k
+        sigma = [i for g in group.elements for i in coset[g][shear[g]]]
         ok = True
         for x in range(order):
             if sigma[t1.d_of(x)] != t2.d_of(sigma[x]):
@@ -335,7 +342,7 @@ def are_isomorphic(
             if not ok:
                 break
         if ok:
-            values = {(g,): eta[g] for g in nonid}
+            values = {(g,): vectors[k] for g, k in zip(nonid, combo)}
             return GroupCochain(group, f, e1.rep.dim, 1, values)
     return None
 

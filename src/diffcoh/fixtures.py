@@ -41,7 +41,6 @@ from .programs import (
     builtin_cochain_program,
     builtin_difference_program,
     builtin_rep_program,
-    format_program,
     parse_program,
 )
 from .vanest import VE_DEGREE_CAP, MatrixGroupSpec, VSpace

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Sequence
+from typing import Sequence
 
 from .linalg import Matrix
 from .scalars import PrimeField

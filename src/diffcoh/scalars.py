@@ -331,6 +331,16 @@ class Jet:
                 clean[subset] = c
         self.coeffs = clean
 
+    @classmethod
+    def _raw(cls, base: Any, ngens: int, coeffs: dict[frozenset, Any]) -> "Jet":
+        """A jet over coefficients already known to be nonzero and keyed
+        by frozensets of generators below ``ngens``; no validation."""
+        jet = cls.__new__(cls)
+        jet.base = base
+        jet.ngens = ngens
+        jet.coeffs = coeffs
+        return jet
+
     def coefficient(self, subset: Iterable[int]) -> Any:
         return self.coeffs.get(frozenset(subset), self.base.zero)
 
@@ -394,31 +404,62 @@ class JetRing:
     def from_int(self, n: int) -> Jet:
         return self.embed(self.base.from_int(n))
 
+    # add, neg and mul build their results with Jet._raw.  Operands come
+    # from this ring or a narrower one, so their keys are in range and
+    # their stored coefficients nonzero; over a field, a negative or a
+    # product of nonzero elements is nonzero, so only sums can vanish.
+
+    def _too_wide(self, *jets: Jet) -> ScalarError:
+        wide = next(j for j in jets if j.ngens > self.ngens)
+        return ScalarError(
+            f"jet in {wide.ngens} generators used in a ring with {self.ngens}"
+        )
+
     def add(self, x: Jet, y: Jet) -> Jet:
+        if x.ngens > self.ngens or y.ngens > self.ngens:
+            raise self._too_wide(x, y)
+        add, zero = self.base.add, self.base.zero
         coeffs = dict(x.coeffs)
         for subset, c in y.coeffs.items():
-            coeffs[subset] = self.base.add(coeffs.get(subset, self.base.zero), c)
-        return Jet(self.base, self.ngens, coeffs)
+            if subset in coeffs:
+                total = add(coeffs[subset], c)
+                if total == zero:
+                    del coeffs[subset]
+                else:
+                    coeffs[subset] = total
+            else:
+                coeffs[subset] = c
+        return Jet._raw(self.base, self.ngens, coeffs)
 
     def neg(self, x: Jet) -> Jet:
-        return Jet(
-            self.base, self.ngens, {s: self.base.neg(c) for s, c in x.coeffs.items()}
-        )
+        if x.ngens > self.ngens:
+            raise self._too_wide(x)
+        neg = self.base.neg
+        return Jet._raw(self.base, self.ngens, {s: neg(c) for s, c in x.coeffs.items()})
 
     def sub(self, x: Jet, y: Jet) -> Jet:
         return self.add(x, self.neg(y))
 
     def mul(self, x: Jet, y: Jet) -> Jet:
+        if x.ngens > self.ngens or y.ngens > self.ngens:
+            raise self._too_wide(x, y)
         # e_i^2 = 0 kills any product of overlapping monomials.
-        base = self.base
+        add, mul, zero = self.base.add, self.base.mul, self.base.zero
         coeffs: dict[frozenset, Any] = {}
         for s, c in x.coeffs.items():
             for t, d in y.coeffs.items():
                 if s & t:
                     continue
                 u = s | t
-                coeffs[u] = base.add(coeffs.get(u, base.zero), base.mul(c, d))
-        return Jet(self.base, self.ngens, coeffs)
+                if u in coeffs:
+                    total = add(coeffs[u], mul(c, d))
+                    if total == zero:
+                        del coeffs[u]
+                    else:
+                        coeffs[u] = total
+                else:
+                    coeffs[u] = mul(c, d)
+        return Jet._raw(self.base, self.ngens, coeffs)
 
     def inv(self, x: Jet) -> Jet:
         """Inverse of a unit jet (nonzero base part) via the finite

@@ -272,3 +272,64 @@ def test_vanest_precondition_failure_is_a_verdict(name, degree, capsys):
     assert "check differentiation: ok" in out
     assert "check cochain-program: FAIL (cochain program is not normalized" in out
     assert out.endswith("ok: false\n")
+
+
+def _jet_fixture(tmp_path, base, **fields):
+    data = json.loads((FIXDIR / base).read_text())
+    data.update(fields)
+    path = tmp_path / "jet.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_vanest_degree_below_the_program_arity_names_the_flag(capsys):
+    code, out, err = run(["vanest", fx("gl2_inverse_det_deg2.json"), "--degree", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --degree: degree 1 gives the alpha-program 1 input(s), but it reads 2\n"
+    )
+
+
+def test_fixture_degree_below_the_program_arity_names_the_field(tmp_path, capsys):
+    alpha = json.loads((FIXDIR / "gl2_inverse_det_deg2.json").read_text())["alpha-program"]
+    path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"alpha-program": alpha})
+    code, out, err = run(["vanest", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: $.degree: degree 1 gives the alpha-program 1 input(s), but it reads 2\n"
+    )
+
+
+def test_beta_program_arity_is_checked(tmp_path, capsys):
+    alpha = json.loads((FIXDIR / "gl2_inverse_det_deg2.json").read_text())["alpha-program"]
+    path = _jet_fixture(tmp_path, "gl2_inverse_det_deg2.json", **{"beta-program": alpha})
+    code, out, err = run(["vanest", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: $.degree: degree 2 gives the beta-program 1 input(s), but it reads 2\n"
+    )
+
+
+def test_beta_program_at_degree_one_is_rejected(tmp_path, capsys):
+    closed = {"op": "scalar", "value": "0"}
+    path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"beta-program": closed})
+    code, out, err = run(["vanest", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: $.degree: a beta-program needs degree >= 2, got 1\n"
+
+
+def test_internal_check_failure_exits_three(monkeypatch, capsys):
+    from diffcoh.exactness import DifferenceComplexBase, InternalCheckError
+
+    def broken(self, max_degree):
+        raise InternalCheckError("the two routes disagree at degree 1")
+
+    monkeypatch.setattr(DifferenceComplexBase, "cohomology_dims", broken)
+    code, out, err = run(["cohomology", fx("z3_inverse.json")], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal consistency failure: the two routes disagree at degree 1\n"

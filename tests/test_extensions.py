@@ -4,7 +4,6 @@ shear isomorphisms, and the two classification routines."""
 import pytest
 
 from diffcoh.catalog import cyclic, inverse_map
-from diffcoh.exactness import InternalCheckError
 from diffcoh.extensions import (
     AbelianExtension,
     all_sections,

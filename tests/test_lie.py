@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from diffcoh.exactness import InternalCheckError
 from diffcoh.groups import ValidationError
 from diffcoh.lie import (
     LieAlgebra,

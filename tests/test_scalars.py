@@ -1,5 +1,6 @@
 """Field axioms, quadratic extensions, and jet arithmetic."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -13,7 +14,6 @@ from diffcoh.scalars import (
     JetRing,
     PrimeField,
     QuadraticField,
-    QuadScalar,
     Rationals,
     ScalarError,
     field_from_spec,
@@ -208,6 +208,89 @@ def test_jet_ring_axioms(x, y, z):
     assert ring.mul(x, ring.mul(y, z)) == ring.mul(ring.mul(x, y), z)
     assert ring.mul(x, ring.add(y, z)) == ring.add(ring.mul(x, y), ring.mul(x, z))
     assert ring.add(x, ring.neg(x)) == ring.zero
+
+
+QR2 = QuadraticField(2)
+JET_GENS = 3
+JET_SUBSETS = [
+    frozenset(c)
+    for k in range(JET_GENS + 1)
+    for c in itertools.combinations(range(JET_GENS), k)
+]
+
+
+@st.composite
+def jet_operands(draw, base, elements):
+    """Two jets in three generators; each coefficient of the second is
+    drawn freely, copied from the first or its negative, so sums cancel."""
+    x = {s: draw(elements) for s in JET_SUBSETS}
+    y = {}
+    for s in JET_SUBSETS:
+        kind = draw(st.sampled_from(["free", "same", "negated"]))
+        if kind == "free":
+            y[s] = draw(elements)
+        else:
+            y[s] = x[s] if kind == "same" else base.neg(x[s])
+    return Jet(base, JET_GENS, x), Jet(base, JET_GENS, y)
+
+
+def _reference(op, base, x, y):
+    """The ring operation on all 2^n coefficients, zeros included."""
+    xs = {s: x.coefficient(s) for s in JET_SUBSETS}
+    ys = {s: y.coefficient(s) for s in JET_SUBSETS}
+    if op == "add":
+        out = {s: base.add(xs[s], ys[s]) for s in JET_SUBSETS}
+    elif op == "sub":
+        out = {s: base.sub(xs[s], ys[s]) for s in JET_SUBSETS}
+    elif op == "neg":
+        out = {s: base.neg(xs[s]) for s in JET_SUBSETS}
+    else:
+        out = {s: base.zero for s in JET_SUBSETS}
+        for s in JET_SUBSETS:
+            for t in JET_SUBSETS:
+                if not s & t:
+                    out[s | t] = base.add(out[s | t], base.mul(xs[s], ys[t]))
+    return Jet(base, JET_GENS, out)
+
+
+@pytest.mark.parametrize(
+    "base,elements",
+    [
+        (F7, f7_elements),
+        (Q, rationals),
+        (QR2, st.builds(QR2.from_parts, st.integers(-3, 3), st.integers(-3, 3))),
+    ],
+    ids=["F7", "Q", "Q(sqrt2)"],
+)
+@given(data=st.data())
+def test_jet_ring_ops_store_only_nonzero_coefficients(base, elements, data):
+    x, y = data.draw(jet_operands(base, elements))
+    ring = JetRing(base, JET_GENS)
+    for op in ("add", "sub", "neg", "mul"):
+        result = ring.neg(x) if op == "neg" else getattr(ring, op)(x, y)
+        assert result == Jet(base, JET_GENS, dict(result.coeffs))
+        assert all(c != base.zero for c in result.coeffs.values())
+        assert result == _reference(op, base, x, y)
+
+
+def test_jet_ring_ops_reject_jets_with_more_generators():
+    ring = JetRing(Q, 1)
+    wide = JetRing(Q, 2)
+    for jet in (wide.generator(1), wide.one):
+        for call in (
+            lambda: ring.add(jet, ring.one),
+            lambda: ring.add(ring.one, jet),
+            lambda: ring.sub(ring.one, jet),
+            lambda: ring.neg(jet),
+            lambda: ring.mul(jet, ring.one),
+            lambda: ring.mul(ring.one, jet),
+        ):
+            with pytest.raises(ScalarError, match="jet in 2 generators used in a ring with 1"):
+                call()
+    # a jet from a narrower ring is a jet of the wider one
+    assert wide.add(ring.generator(0), wide.generator(1)) == wide.add(
+        wide.generator(0), wide.generator(1)
+    )
 
 
 @given(x=jet_f7)
