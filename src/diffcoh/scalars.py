@@ -451,14 +451,15 @@ class JetRing:
                 if s & t:
                     continue
                 u = s | t
+                term = mul(c, d)
                 if u in coeffs:
-                    total = add(coeffs[u], mul(c, d))
+                    total = add(coeffs[u], term)
                     if total == zero:
                         del coeffs[u]
                     else:
                         coeffs[u] = total
                 else:
-                    coeffs[u] = mul(c, d)
+                    coeffs[u] = term
         return Jet._raw(self.base, self.ngens, coeffs)
 
     def inv(self, x: Jet) -> Jet:
