@@ -17,8 +17,11 @@ GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = {
     "check": ["check"],
     "cohomology3": ["cohomology", "--max-degree", "3"],
+    "cohomology3-json": ["cohomology", "--max-degree", "3", "--format", "json"],
     "les3": ["les", "--max-degree", "3"],
+    "les3-budget1": ["les", "--max-degree", "3", "--budget", "1"],
     "classify": ["classify"],
+    "classify-budget1": ["classify", "--budget", "1"],
     "classify-semidirect": ["classify", "--mode", "semidirect-ops"],
     "vanest": ["vanest"],
     "vanest-seed1": ["vanest", "--seed", "1"],
