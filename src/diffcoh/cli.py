@@ -33,8 +33,10 @@ from .fixtures import (
     JetFixture,
     LieFixture,
     fixture_digest,
+    load_fixture,
     load_fixture_data,
     parse_fixture,
+    require_arity,
 )
 from .group_cohomology import (
     BudgetExceededError,
@@ -43,7 +45,7 @@ from .group_cohomology import (
 )
 from .groups import ValidationError
 from .lie import LieDifferenceComplex, LieError
-from .programs import ProgramError, max_input_index
+from .programs import ProgramError
 from .scalars import ScalarError
 from .vanest import (
     DEFAULT_SAMPLES,
@@ -149,20 +151,14 @@ def _render(report: dict, fmt: str) -> str:
     return _render_text(report)
 
 
-def _load(args: argparse.Namespace):
-    data = load_fixture_data(args.fixture)
-    return parse_fixture(data)
-
-
-def cmd_check(args: argparse.Namespace, argv: list[str]) -> dict:
-    report = _new_report(args, argv)
+def cmd_check(args: argparse.Namespace, report: dict) -> None:
     data = load_fixture_data(args.fixture)
     try:
         fx = parse_fixture(data)
     except ValidationError as exc:
         stages = _GROUP_STAGES if "group" in data else _LIE_STAGES
         _validation_failure(report, exc, stages)
-        return report
+        return
     if isinstance(fx, GroupFixture):
         _add_check(report, "group-table", True, "validated")
         _add_check(report, "difference-operator", True, "validated")
@@ -191,7 +187,6 @@ def cmd_check(args: argparse.Namespace, argv: list[str]) -> dict:
             _add_check(report, "representation", True, "validated")
     else:
         _check_jet_fixture(report, fx, args.seed)
-    return report
 
 
 def _check_jet_fixture(report: dict, fx: JetFixture, seed: int) -> None:
@@ -254,15 +249,9 @@ def _complex_for(fx, budget: int):
     return theory(fx.rep, budget=budget)
 
 
-def cmd_cohomology(args: argparse.Namespace, argv: list[str]) -> dict:
-    report = _new_report(args, argv)
-    fx = _load(args)
-    cx = _complex_for(fx, args.budget)
-    try:
-        dims = cx.cohomology_dims(args.max_degree)
-    except BudgetExceededError as exc:
-        _add_check(report, "budget", False, str(exc))
-        return report
+def cmd_cohomology(args: argparse.Namespace, report: dict) -> None:
+    cx = _complex_for(load_fixture(args.fixture), args.budget)
+    dims = cx.cohomology_dims(args.max_degree)
     rows = [
         {
             "degree": n,
@@ -275,34 +264,20 @@ def cmd_cohomology(args: argparse.Namespace, argv: list[str]) -> dict:
     report["tables"]["cohomology"] = rows
     report["notes"].extend(dims.notes)
     _add_check(report, "dimensions-computed", True, f"degrees 1..{args.max_degree}")
-    return report
 
 
-def cmd_les(args: argparse.Namespace, argv: list[str]) -> dict:
-    report = _new_report(args, argv)
-    fx = _load(args)
-    cx = _complex_for(fx, args.budget)
-    try:
-        nodes = cx.verify_les(args.max_degree)
-    except BudgetExceededError as exc:
-        _add_check(report, "budget", False, str(exc))
-        return report
-    for node in nodes:
+def cmd_les(args: argparse.Namespace, report: dict) -> None:
+    cx = _complex_for(load_fixture(args.fixture), args.budget)
+    for node in cx.verify_les(args.max_degree):
         _add_check(report, node.node, node.ok, node.detail)
-    return report
 
 
-def cmd_classify(args: argparse.Namespace, argv: list[str]) -> dict:
-    report = _new_report(args, argv)
-    fx = _load(args)
+def cmd_classify(args: argparse.Namespace, report: dict) -> None:
+    fx = load_fixture(args.fixture)
     if not isinstance(fx, GroupFixture) or fx.rep is None:
         raise FixtureError("$", "classification needs a group fixture with a rep block")
     if args.mode == "extensions":
-        try:
-            cls = classify_extensions(fx.rep, budget=args.budget)
-        except BudgetExceededError as exc:
-            _add_check(report, "budget", False, str(exc))
-            return report
+        cls = classify_extensions(fx.rep, budget=args.budget)
         report["tables"]["classification"] = {
             "cocycles": cls.cocycle_count,
             "coboundaries": cls.coboundary_count,
@@ -320,11 +295,7 @@ def cmd_classify(args: argparse.Namespace, argv: list[str]) -> dict:
             else "the counting routes disagree",
         )
     else:
-        try:
-            cls = classify_semidirect_difference_ops(fx.rep, budget=args.budget)
-        except BudgetExceededError as exc:
-            _add_check(report, "budget", False, str(exc))
-            return report
+        cls = classify_semidirect_difference_ops(fx.rep, budget=args.budget)
         report["tables"]["classification"] = {
             "cocycle-space-dim": cls.z_dim,
             "connecting-rank": cls.connecting_rank,
@@ -343,23 +314,10 @@ def cmd_classify(args: argparse.Namespace, argv: list[str]) -> dict:
             if cls.consistent
             else "the counting routes disagree",
         )
-    return report
 
 
-def _require_arity(prog, role: str, arity: int, degree: int, source: str) -> None:
-    """Reject a cochain program that reads an input at or beyond the
-    ``arity`` that van Est degree ``degree`` gives it."""
-    inputs = max_input_index(prog) + 1
-    if inputs > arity:
-        raise FixtureError(
-            source,
-            f"degree {degree} gives the {role} {arity} input(s), but it reads {inputs}",
-        )
-
-
-def cmd_vanest(args: argparse.Namespace, argv: list[str]) -> dict:
-    report = _new_report(args, argv)
-    fx = _load(args)
+def cmd_vanest(args: argparse.Namespace, report: dict) -> None:
+    fx = load_fixture(args.fixture)
     if not isinstance(fx, JetFixture):
         raise FixtureError("$", "the vanest command needs a jet fixture")
     if fx.theta_prog is None or fx.alpha_prog is None:
@@ -371,11 +329,13 @@ def cmd_vanest(args: argparse.Namespace, argv: list[str]) -> dict:
         raise FixtureError("$.degree", "no degree in the fixture and no --degree flag")
     report["arguments"]["degree"] = degree
     source = "$.degree" if args.degree is None else "--degree"
-    _require_arity(fx.alpha_prog, "alpha-program", degree, degree, source)
+    require_arity(fx.alpha_prog, degree, source, f"degree {degree} gives the alpha-program")
     if fx.beta_prog is not None:
         if degree < 2:
             raise FixtureError(source, f"a beta-program needs degree >= 2, got {degree}")
-        _require_arity(fx.beta_prog, "beta-program", degree - 1, degree, source)
+        require_arity(
+            fx.beta_prog, degree - 1, source, f"degree {degree} gives the beta-program"
+        )
     report["notes"].append(
         f"program preconditions sampled on {DEFAULT_SAMPLES} matrices, seed {args.seed}"
     )
@@ -388,19 +348,18 @@ def cmd_vanest(args: argparse.Namespace, argv: list[str]) -> dict:
         )
     except (SampledPreconditionError, ValidationError) as exc:
         _add_check(report, "differentiation", False, str(exc))
-        return report
+        return
     _add_check(report, "differentiation", True, "operator and representation derived")
     try:
         ve = verify_van_est_cochain_map(
-            fx.spec, diff, lierep, fx.dprog, fx.theta_prog, fx.t, fx.vshape,
+            diff, lierep, fx.dprog, fx.theta_prog, fx.t, fx.vshape,
             fx.alpha_prog, degree, beta_prog=fx.beta_prog, seed=args.seed,
         )
     except SampledPreconditionError as exc:
         _add_check(report, "cochain-program", False, str(exc))
-        return report
+        return
     for chk in ve.checks:
         _add_check(report, chk.name, chk.ok, chk.detail)
-    return report
 
 
 _COMMANDS = {
@@ -470,7 +429,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        report = _COMMANDS[args.cmd](args, argv)
+        report = _new_report(args, argv)
+        _COMMANDS[args.cmd](args, report)
+    except BudgetExceededError as exc:
+        _add_check(report, "budget", False, str(exc))
     except FileNotFoundError as exc:
         print(f"error: cannot read fixture: {exc}", file=sys.stderr)
         return 2

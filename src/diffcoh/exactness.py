@@ -17,6 +17,10 @@ the middle space.
 
 ``DifferenceComplexBase`` is the complex engine of both theories; a
 theory subclass supplies its cochain spaces and the faces of d, d_D, K.
+The cochain values of both theories are written once here too:
+``Cochain`` (storage, validation, arithmetic), ``CochainPair`` (an
+element of the pair complex) and ``CochainSpaceBase`` (coordinates); a
+theory subclass supplies its tuple rule, its error type and evaluation.
 
 Degrees are 1-based; every complex here starts in degree 1 (there are
 no degree-0 cochains in the normalized theory).
@@ -25,7 +29,7 @@ no degree-0 cochains in the normalized theory).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .linalg import Matrix, SparseMatrix, column_space_basis, kernel_basis, rank, rref
 
@@ -287,29 +291,160 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     return nodes
 
 
-class CochainSpaceBase:
-    """Coordinates on the degree-n cochains of a theory stored on
-    ``tuples``: the basis is indexed by (tuple, coordinate), tuples in
-    the given order, coordinates innermost.
+class Cochain:
+    """A cochain of either theory with values in field^dim.
 
-    A subclass sets ``error`` (the exception for a mismatched cochain or
-    vector) and supplies ``_cochain(values)``, the cochain with a
-    {tuple: value} dict, and ``_stored(a)``, the dict of a cochain.
+    ``values`` maps argument tuples (indices below ``points``, the order
+    of the group or the dimension of the Lie algebra) to value vectors;
+    a missing tuple means zero and zero values are not stored.  Every
+    cochain, arithmetic results included, is validated on construction.
+    Cochains in one space share ``over`` (the group or Lie algebra),
+    the field, the value dimension and the degree.
+
+    A subclass sets ``error`` (the exception for malformed cochains) and
+    supplies ``_check_args(args)``, the theory's rule for a stored
+    tuple, and ``_like(values)``, a cochain in the same space.
     """
 
-    def __init__(self, field: Any, dim: int, degree: int, tuples: list[tuple]) -> None:
+    error: type[Exception] = ValueError
+
+    def __init__(
+        self,
+        over: Any,
+        points: int,
+        field: Any,
+        dim: int,
+        degree: int,
+        values: Mapping[tuple, Sequence[Any]] | Iterable[tuple],
+    ) -> None:
+        error = self.error
+        if degree < 1:
+            raise error(f"cochain degree must be >= 1, got {degree}")
+        self.over = over
         self.field = field
         self.dim = dim
         self.degree = degree
+        self._zero = zero = (field.zero,) * dim
+        check = self._check_args
+        store: dict[tuple, tuple] = {}
+        items = values.items() if isinstance(values, Mapping) else values
+        for args, vec in items:
+            args = tuple(args)
+            if len(args) != degree:
+                raise error(f"argument tuple {args} has length != {degree}")
+            if any(not 0 <= i < points for i in args):
+                raise error(f"argument tuple {args} out of range")
+            check(args)
+            vec = tuple(vec)
+            if len(vec) != dim:
+                raise error(f"value at {args} has length {len(vec)} != {dim}")
+            if args in store:
+                raise error(f"duplicate argument tuple {args}")
+            if vec != zero:
+                store[args] = vec
+        self.values = store
+
+    def items(self) -> list[tuple[tuple, tuple]]:
+        return sorted(self.values.items())
+
+    def is_zero(self) -> bool:
+        return not self.values
+
+    def _same_space(self, other: "Cochain") -> bool:
+        return (
+            other.over is self.over
+            and other.field == self.field
+            and other.dim == self.dim
+            and other.degree == self.degree
+        )
+
+    def __add__(self, other: "Cochain") -> "Cochain":
+        if not self._same_space(other):
+            raise self.error("cochains live in different spaces")
+        add, zero = self.field.add, self._zero
+        mine, theirs = self.values, other.values
+        return self._like(
+            {
+                k: tuple(map(add, mine.get(k, zero), theirs.get(k, zero)))
+                for k in mine.keys() | theirs.keys()
+            }
+        )
+
+    def __sub__(self, other: "Cochain") -> "Cochain":
+        return self + (-other)
+
+    def __neg__(self) -> "Cochain":
+        neg = self.field.neg
+        return self._like({k: tuple(map(neg, v)) for k, v in self.values.items()})
+
+    def scale(self, c: Any) -> "Cochain":
+        mul = self.field.mul
+        return self._like(
+            {k: tuple(mul(c, x) for x in v) for k, v in self.values.items()}
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Cochain)
+            and self._same_space(other)
+            and other.values == self.values
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(degree={self.degree}, support={len(self.values)})"
+
+
+@dataclass(frozen=True)
+class CochainPair:
+    """An element (alpha, beta) of the pair complex C^n + C^{n-1} of
+    either theory; beta is absent in degree 1, where the complex is just
+    C^1.  A malformed pair raises the error of its cochains' theory."""
+
+    alpha: Cochain
+    beta: Cochain | None
+
+    def __post_init__(self) -> None:
+        alpha, beta, error = self.alpha, self.beta, self.alpha.error
+        if alpha.degree == 1:
+            if beta is not None:
+                raise error("degree-1 pairs have no second component")
+        else:
+            if beta is None:
+                raise error(f"degree-{alpha.degree} pairs need a second component")
+            if beta.degree != alpha.degree - 1:
+                raise error(
+                    f"second component has degree {beta.degree}, "
+                    f"expected {alpha.degree - 1}"
+                )
+            if beta.over is not alpha.over or beta.field != alpha.field or beta.dim != alpha.dim:
+                raise error("pair components live over different data")
+
+    @property
+    def degree(self) -> int:
+        return self.alpha.degree
+
+
+class CochainSpaceBase:
+    """Coordinates on the space of the cochain ``zero``, whose cochains
+    are stored on ``tuples``: the basis is indexed by (tuple,
+    coordinate), tuples in the given order, coordinates innermost.  A
+    mismatched cochain or vector raises the theory's error."""
+
+    def __init__(self, zero: Cochain, tuples: list[tuple]) -> None:
+        self.zero = zero
+        self.error = zero.error
+        self.field = zero.field
+        self.dim = zero.dim
+        self.degree = zero.degree
         self.tuples = tuples
         self.index = {t: i for i, t in enumerate(tuples)}
-        self.size = len(tuples) * dim
+        self.size = len(tuples) * zero.dim
 
     def to_vector(self, a: Any) -> list[Any]:
         if a.degree != self.degree:
             raise self.error(f"degree {a.degree} != space degree {self.degree}")
         vec = [self.field.zero] * self.size
-        for args, value in self._stored(a).items():
+        for args, value in a.values.items():
             base = self.index[args] * self.dim
             vec[base : base + self.dim] = value
         return vec
@@ -318,7 +453,7 @@ class CochainSpaceBase:
         if len(vec) != self.size:
             raise self.error(f"vector length {len(vec)} != {self.size}")
         dim = self.dim
-        return self._cochain(
+        return self.zero._like(
             {t: tuple(vec[i * dim : (i + 1) * dim]) for i, t in enumerate(self.tuples)}
         )
 

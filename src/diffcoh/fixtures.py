@@ -41,6 +41,7 @@ from .programs import (
     builtin_cochain_program,
     builtin_difference_program,
     builtin_rep_program,
+    max_input_index,
     parse_program,
 )
 from .vanest import VE_DEGREE_CAP, MatrixGroupSpec, VSpace
@@ -368,6 +369,14 @@ def _resolve_program(value: Any, field: Any, size: int, role: str, path: str, de
     raise FixtureError(path, f"expected a builtin name or a program tree, got {value!r}")
 
 
+def require_arity(prog: Node, arity: int, path: str, lead: str) -> None:
+    """Reject a program that reads an input at or beyond ``arity``; the
+    message is ``lead``, the arity and the number of inputs it reads."""
+    inputs = max_input_index(prog) + 1
+    if inputs > arity:
+        raise FixtureError(path, f"{lead} {arity} input(s), but it reads {inputs}")
+
+
 def parse_jet_fixture(data: dict, path: str = "$") -> JetFixture:
     size = _int_at(_require(data, "matrix-size", path), f"{path}.matrix-size")
     try:
@@ -375,10 +384,11 @@ def parse_jet_fixture(data: dict, path: str = "$") -> JetFixture:
     except ScalarError as exc:
         raise FixtureError(f"{path}.field", str(exc)) from exc
     spec = MatrixGroupSpec(field, size)
+    dpath = f"{path}.difference-program"
     dprog = _resolve_program(
-        _require(data, "difference-program", path), field, size, "difference",
-        f"{path}.difference-program",
+        _require(data, "difference-program", path), field, size, "difference", dpath
     )
+    require_arity(dprog, 1, dpath, "a difference-program takes")
     if "basis" in data:
         braw = data["basis"]
         if not isinstance(braw, list) or not braw:
@@ -394,9 +404,9 @@ def parse_jet_fixture(data: dict, path: str = "$") -> JetFixture:
     t = None
     vshape = None
     if "rep-program" in data:
-        theta_prog = _resolve_program(
-            data["rep-program"], field, size, "rep", f"{path}.rep-program"
-        )
+        rpath = f"{path}.rep-program"
+        theta_prog = _resolve_program(data["rep-program"], field, size, "rep", rpath)
+        require_arity(theta_prog, 2, rpath, "a rep-program takes")
         shape_raw = _require(data, "value-shape", path)
         if (
             not isinstance(shape_raw, list)

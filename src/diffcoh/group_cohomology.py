@@ -15,6 +15,10 @@ where K = pk + hk couples the two.  K anticommutes with the
 coboundaries, so delta squares to zero and the three complexes sit in a
 short exact sequence whose long exact sequence has connecting map [a]
 -> [K a].
+
+``GroupCochain`` adds to ``exactness.Cochain`` only what is particular
+to groups: identity-free tuples, ``CochainError`` and ``value_at``.
+Pairs are ``exactness.CochainPair``, re-exported here.
 """
 
 from __future__ import annotations
@@ -23,8 +27,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-# BudgetExceededError is re-exported for callers that import it from here
-from .exactness import BudgetExceededError, CochainSpaceBase, DifferenceComplexBase  # noqa: F401
+# BudgetExceededError and CochainPair are re-exported for callers that
+# import them from here
+from .exactness import (  # noqa: F401
+    BudgetExceededError,
+    Cochain,
+    CochainPair,
+    CochainSpaceBase,
+    DifferenceComplexBase,
+)
 from .groups import DifferenceRep, FiniteGroup
 from .linalg import Matrix, SparseMatrix, solve
 
@@ -39,7 +50,7 @@ class NotACocycleError(ValueError):
         self.witness = witness
 
 
-class GroupCochain:
+class GroupCochain(Cochain):
     """A normalized V-valued n-cochain on a finite group.
 
     ``values`` maps argument tuples (element indices, none equal to the
@@ -47,6 +58,8 @@ class GroupCochain:
     containing the identity are rejected at construction and evaluate
     to zero through ``value_at``.
     """
+
+    error = CochainError
 
     def __init__(
         self,
@@ -56,128 +69,23 @@ class GroupCochain:
         degree: int,
         values: Mapping[tuple, Sequence[Any]] | Iterable[tuple] = (),
     ) -> None:
-        if degree < 1:
-            raise CochainError(f"cochain degree must be >= 1, got {degree}")
         self.group = group
-        self.field = field
-        self.dim = dim
-        self.degree = degree
-        self._zero = (field.zero,) * dim
-        store: dict[tuple, tuple] = {}
-        items = values.items() if isinstance(values, Mapping) else values
-        for args, vec in items:
-            args = tuple(args)
-            if len(args) != degree:
-                raise CochainError(f"argument tuple {args} has length != {degree}")
-            if any(not 0 <= g < group.order for g in args):
-                raise CochainError(f"argument tuple {args} out of range")
-            if group.identity in args:
-                raise CochainError(
-                    f"normalized cochains store no tuples containing the identity: {args}"
-                )
-            vec = tuple(vec)
-            if len(vec) != dim:
-                raise CochainError(f"value at {args} has length {len(vec)} != {dim}")
-            if args in store:
-                raise CochainError(f"duplicate argument tuple {args}")
-            if vec != self._zero:
-                store[args] = vec
-        self.values = store
+        super().__init__(group, group.order, field, dim, degree, values)
+
+    def _check_args(self, args: tuple) -> None:
+        if self.group.identity in args:
+            raise CochainError(
+                f"normalized cochains store no tuples containing the identity: {args}"
+            )
+
+    def _like(self, values: Mapping[tuple, tuple]) -> "GroupCochain":
+        return GroupCochain(self.group, self.field, self.dim, self.degree, values)
 
     def value_at(self, args: Sequence[int]) -> tuple:
         args = tuple(args)
         if self.group.identity in args:
             return self._zero
         return self.values.get(args, self._zero)
-
-    def items(self) -> list[tuple[tuple, tuple]]:
-        return sorted(self.values.items())
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def _like(self, values: Mapping[tuple, tuple]) -> "GroupCochain":
-        return GroupCochain(self.group, self.field, self.dim, self.degree, values)
-
-    def _compatible(self, other: "GroupCochain") -> None:
-        if (
-            other.group is not self.group
-            or other.field != self.field
-            or other.dim != self.dim
-            or other.degree != self.degree
-        ):
-            raise CochainError("cochains live in different spaces")
-
-    def __add__(self, other: "GroupCochain") -> "GroupCochain":
-        self._compatible(other)
-        f = self.field
-        keys = set(self.values) | set(other.values)
-        return self._like(
-            {
-                k: tuple(map(f.add, self.value_at(k), other.value_at(k)))
-                for k in keys
-            }
-        )
-
-    def __sub__(self, other: "GroupCochain") -> "GroupCochain":
-        return self + (-other)
-
-    def __neg__(self) -> "GroupCochain":
-        f = self.field
-        return self._like({k: tuple(map(f.neg, v)) for k, v in self.values.items()})
-
-    def scale(self, c: Any) -> "GroupCochain":
-        f = self.field
-        return self._like(
-            {k: tuple(f.mul(c, x) for x in v) for k, v in self.values.items()}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupCochain)
-            and other.group is self.group
-            and other.field == self.field
-            and other.dim == self.dim
-            and other.degree == self.degree
-            and other.values == self.values
-        )
-
-    def __repr__(self) -> str:
-        return f"GroupCochain(degree={self.degree}, support={len(self.values)})"
-
-
-@dataclass(frozen=True)
-class CochainPair:
-    """An element (alpha, beta) of the pair complex; beta is absent in
-    degree 1, where the complex is just C^1(G, V)."""
-
-    alpha: GroupCochain
-    beta: GroupCochain | None
-
-    def __post_init__(self) -> None:
-        if self.alpha.degree == 1:
-            if self.beta is not None:
-                raise CochainError("degree-1 pairs have no second component")
-        else:
-            if self.beta is None:
-                raise CochainError(
-                    f"degree-{self.alpha.degree} pairs need a second component"
-                )
-            if self.beta.degree != self.alpha.degree - 1:
-                raise CochainError(
-                    f"second component has degree {self.beta.degree}, "
-                    f"expected {self.alpha.degree - 1}"
-                )
-            if (
-                self.beta.group is not self.alpha.group
-                or self.beta.field != self.alpha.field
-                or self.beta.dim != self.alpha.dim
-            ):
-                raise CochainError("pair components live over different data")
-
-    @property
-    def degree(self) -> int:
-        return self.alpha.degree
 
 
 def zero_cochain(group: FiniteGroup, field: Any, dim: int, degree: int) -> GroupCochain:
@@ -304,17 +212,8 @@ class CochainSpace(CochainSpaceBase):
     """Coordinates on the space of normalized n-cochains: identity-free
     tuples in lexicographic order of element indices."""
 
-    error = CochainError
-
     def __init__(self, group: FiniteGroup, field: Any, dim: int, degree: int) -> None:
-        super().__init__(field, dim, degree, _tuples(group, degree))
-        self.group = group
-
-    def _cochain(self, values: dict) -> GroupCochain:
-        return GroupCochain(self.group, self.field, self.dim, self.degree, values)
-
-    def _stored(self, a: GroupCochain) -> dict:
-        return a.values
+        super().__init__(GroupCochain(group, field, dim, degree), _tuples(group, degree))
 
 
 @dataclass

@@ -147,10 +147,6 @@ class FiniteGroup:
     def inv(self, g: int) -> int:
         return self._inverse[g]
 
-    def conjugate(self, g: int, h: int) -> int:
-        """g h g^{-1}."""
-        return self.mul(self.mul(g, h), self.inv(g))
-
     def label(self, g: int) -> str:
         return self.labels[g]
 

@@ -21,7 +21,10 @@ coupling them through the connecting cochain map
 
 which by multilinearity equals
 (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).  ``k_map`` evaluates
-both forms on a cochain and compares them.  ``LieDifferenceComplex``
+both forms on a cochain and compares them.  ``LieCochain`` adds to
+``exactness.Cochain`` only increasing tuples, ``LieError`` and
+evaluation by permutation sign; pairs are ``exactness.CochainPair``,
+with alpha = zeta and beta = xi.  ``LieDifferenceComplex``
 assembles d, d_D and K with the engine of ``exactness``, scattering the
 faces of each increasing tuple (sorted with their permutation sign; a
 repeated index vanishes); it scatters both forms of K and compares the
@@ -32,10 +35,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .exactness import CochainSpaceBase, DifferenceComplexBase, InternalCheckError
+from .exactness import (
+    Cochain,
+    CochainPair,
+    CochainSpaceBase,
+    DifferenceComplexBase,
+    InternalCheckError,
+)
 from .groups import ValidationError, ValidationReport
 from .linalg import Matrix, SparseMatrix, solve
 
@@ -253,42 +261,28 @@ def theta_d_matrices(rep: LieRep) -> tuple[Matrix, ...]:
     return out
 
 
-class LieCochain:
+class LieCochain(Cochain):
     """An alternating V-valued n-cochain, stored on increasing basis
     tuples and evaluated elsewhere by permutation sign."""
+
+    error = LieError
 
     def __init__(
         self,
         lie: LieAlgebra,
-        dimv: int,
+        dim: int,
         degree: int,
-        coeffs: Mapping[tuple, Sequence[Any]] | Iterable[tuple] = (),
+        values: Mapping[tuple, Sequence[Any]] | Iterable[tuple] = (),
     ) -> None:
-        if degree < 1:
-            raise LieError(f"cochain degree must be >= 1, got {degree}")
         self.lie = lie
-        self.field = lie.field
-        self.dimv = dimv
-        self.degree = degree
-        self._zero = (self.field.zero,) * dimv
-        store: dict[tuple, tuple] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for args, vec in items:
-            args = tuple(args)
-            if len(args) != degree:
-                raise LieError(f"argument tuple {args} has length != {degree}")
-            if any(not 0 <= i < lie.dim for i in args):
-                raise LieError(f"argument tuple {args} out of range")
-            if list(args) != sorted(set(args)):
-                raise LieError(f"coefficients are stored on increasing tuples: {args}")
-            vec = tuple(vec)
-            if len(vec) != dimv:
-                raise LieError(f"value at {args} has length {len(vec)} != {dimv}")
-            if args in store:
-                raise LieError(f"duplicate argument tuple {args}")
-            if vec != self._zero:
-                store[args] = vec
-        self.coeffs = store
+        super().__init__(lie, lie.dim, lie.field, dim, degree, values)
+
+    def _check_args(self, args: tuple) -> None:
+        if list(args) != sorted(set(args)):
+            raise LieError(f"coefficients are stored on increasing tuples: {args}")
+
+    def _like(self, values: Mapping[tuple, tuple]) -> "LieCochain":
+        return LieCochain(self.lie, self.dim, self.degree, values)
 
     def value_at_basis(self, args: Sequence[int]) -> tuple:
         args = tuple(args)
@@ -301,7 +295,7 @@ class LieCochain:
             for b in range(a + 1, len(order))
             if order[a] > order[b]
         )
-        value = self.coeffs.get(tuple(sorted(args)), self._zero)
+        value = self.values.get(tuple(sorted(args)), self._zero)
         if inversions % 2:
             return tuple(self.field.neg(x) for x in value)
         return value
@@ -323,97 +317,13 @@ class LieCochain:
             val = self.value_at_basis(combo)
             if val == self._zero:
                 continue
-            for m in range(self.dimv):
+            for m in range(self.dim):
                 out[m] = f.add(out[m], f.mul(c, val[m]))
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
-    def _like(self, coeffs: Mapping[tuple, tuple]) -> "LieCochain":
-        return LieCochain(self.lie, self.dimv, self.degree, coeffs)
-
-    def _compatible(self, other: "LieCochain") -> None:
-        if (
-            other.lie is not self.lie
-            or other.dimv != self.dimv
-            or other.degree != self.degree
-        ):
-            raise LieError("cochains live in different spaces")
-
-    def __add__(self, other: "LieCochain") -> "LieCochain":
-        self._compatible(other)
-        f = self.field
-        keys = set(self.coeffs) | set(other.coeffs)
-        return self._like(
-            {
-                k: tuple(
-                    map(
-                        f.add,
-                        self.coeffs.get(k, self._zero),
-                        other.coeffs.get(k, self._zero),
-                    )
-                )
-                for k in keys
-            }
-        )
-
-    def __neg__(self) -> "LieCochain":
-        f = self.field
-        return self._like({k: tuple(map(f.neg, v)) for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "LieCochain") -> "LieCochain":
-        return self + (-other)
-
-    def scale(self, c: Any) -> "LieCochain":
-        f = self.field
-        return self._like(
-            {k: tuple(f.mul(c, x) for x in v) for k, v in self.coeffs.items()}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LieCochain)
-            and other.lie is self.lie
-            and other.dimv == self.dimv
-            and other.degree == self.degree
-            and other.coeffs == self.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"LieCochain(degree={self.degree}, support={len(self.coeffs)})"
-
-
-@dataclass(frozen=True)
-class LieCochainPair:
-    """An element (zeta, xi) of the Lie pair complex; xi is absent in
-    degree 1."""
-
-    zeta: LieCochain
-    xi: LieCochain | None
-
-    def __post_init__(self) -> None:
-        if self.zeta.degree == 1:
-            if self.xi is not None:
-                raise LieError("degree-1 pairs have no second component")
-        else:
-            if self.xi is None:
-                raise LieError(f"degree-{self.zeta.degree} pairs need a second component")
-            if self.xi.degree != self.zeta.degree - 1:
-                raise LieError(
-                    f"second component has degree {self.xi.degree}, "
-                    f"expected {self.zeta.degree - 1}"
-                )
-            if self.xi.lie is not self.zeta.lie or self.xi.dimv != self.zeta.dimv:
-                raise LieError("pair components live over different data")
-
-    @property
-    def degree(self) -> int:
-        return self.zeta.degree
-
-
-def zero_lie_cochain(lie: LieAlgebra, dimv: int, degree: int) -> LieCochain:
-    return LieCochain(lie, dimv, degree)
+def zero_lie_cochain(lie: LieAlgebra, dim: int, degree: int) -> LieCochain:
+    return LieCochain(lie, dim, degree)
 
 
 def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
@@ -425,7 +335,7 @@ def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
     n = z.degree
     out: dict[tuple, tuple] = {}
     for args in itertools.combinations(range(lie.dim), n + 1):
-        acc = [f.zero] * z.dimv
+        acc = [f.zero] * z.dim
         for k in range(n + 1):
             rest = args[:k] + args[k + 1 :]
             term = theta[args[k]].matvec(list(z.value_at_basis(rest)))
@@ -436,7 +346,7 @@ def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
         for a, b in itertools.combinations(range(n + 1), 2):
             rest = tuple(args[m] for m in range(n + 1) if m not in (a, b))
             w = lie.bracket_basis(args[a], args[b])
-            term = [f.zero] * z.dimv
+            term = [f.zero] * z.dim
             for m, c in enumerate(w):
                 if c == f.zero:
                     continue
@@ -447,7 +357,7 @@ def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
             else:
                 acc = [f.add(x, y) for x, y in zip(acc, term)]
         out[args] = tuple(acc)
-    return LieCochain(lie, z.dimv, n + 1, out)
+    return LieCochain(lie, z.dim, n + 1, out)
 
 
 def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
@@ -461,8 +371,8 @@ def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
     lie = rep.lie
     f = rep.field
     n = z.degree
-    if z.dimv != rep.dimv:
-        raise LieError(f"cochain has values in dimension {z.dimv}, rep in {rep.dimv}")
+    if z.dim != rep.dimv:
+        raise LieError(f"cochain has values in dimension {z.dim}, rep in {rep.dimv}")
     d = rep.dop.d
     d_plus = rep.dop.d_plus
     negate = n % 2 == 1
@@ -473,7 +383,7 @@ def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
         zx = z.value_at_basis(args)
         tzx = rep.t.matvec(list(zx))
 
-        subset_sum = [f.zero] * z.dimv
+        subset_sum = [f.zero] * z.dim
         for r in range(1, n + 1):
             for positions in itertools.combinations(range(n), r):
                 vecs = [
@@ -496,35 +406,26 @@ def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
         if negate:
             subset_val = [f.neg(x) for x in subset_val]
         out[args] = tuple(subset_val)
-    return LieCochain(lie, z.dimv, n, out)
+    return LieCochain(lie, z.dim, n, out)
 
 
-def delta_theta(rep: LieRep, pair: LieCochainPair) -> LieCochainPair:
+def delta_theta(rep: LieRep, pair: CochainPair) -> CochainPair:
     """Differential of the Lie pair complex:
     delta(zeta, xi) = (d^theta zeta, d^{theta_D} xi + K zeta)."""
-    zeta = ce_coboundary(rep.theta, pair.zeta)
-    xi = k_map(rep, pair.zeta)
-    if pair.xi is not None:
-        xi = xi + ce_coboundary(theta_d_matrices(rep), pair.xi)
-    return LieCochainPair(zeta, xi)
+    zeta = ce_coboundary(rep.theta, pair.alpha)
+    xi = k_map(rep, pair.alpha)
+    if pair.beta is not None:
+        xi = xi + ce_coboundary(theta_d_matrices(rep), pair.beta)
+    return CochainPair(zeta, xi)
 
 
 class LieCochainSpace(CochainSpaceBase):
     """Coordinates on Hom(wedge^n g, V): increasing tuples ordered
     lexicographically."""
 
-    error = LieError
-
-    def __init__(self, lie: LieAlgebra, dimv: int, degree: int) -> None:
+    def __init__(self, lie: LieAlgebra, dim: int, degree: int) -> None:
         tuples = list(itertools.combinations(range(lie.dim), degree))
-        super().__init__(lie.field, dimv, degree, tuples)
-        self.lie = lie
-
-    def _cochain(self, values: dict) -> LieCochain:
-        return LieCochain(self.lie, self.dim, self.degree, values)
-
-    def _stored(self, z: LieCochain) -> dict:
-        return z.coeffs
+        super().__init__(LieCochain(lie, dim, degree), tuples)
 
 
 def _sorted_with_sign(args: tuple) -> tuple[tuple, bool]:

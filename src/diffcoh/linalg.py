@@ -63,10 +63,6 @@ class Matrix:
         return cls(ring, nrows, ncols, (ring.zero,) * (nrows * ncols))
 
     @classmethod
-    def column(cls, ring: Any, values: Sequence[Any]) -> "Matrix":
-        return cls(ring, len(values), 1, tuple(values))
-
-    @classmethod
     def from_columns(cls, ring: Any, columns: Sequence[Sequence[Any]], nrows: int) -> "Matrix":
         for col in columns:
             if len(col) != nrows:
@@ -86,9 +82,6 @@ class Matrix:
 
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.ncols + j] for i in range(self.nrows))
-
-    def rows(self) -> list[tuple]:
-        return [self.row(i) for i in range(self.nrows)]
 
     def to_lists(self) -> list[list[Any]]:
         return [list(self.row(i)) for i in range(self.nrows)]

@@ -243,7 +243,9 @@ def parse_program(data: Any, field: Any) -> Node:
 
     The wire format is {"op": ..., "args": [...]} with payload fields
     "index" (input), "value" (const rows / scalar), "i"/"j" (entry),
-    and "matrix" (linmap).
+    and "matrix" (linmap).  Indices are ints >= 0 and matrices are
+    nonempty lists of equal-length nonempty rows; a missing or malformed
+    payload raises ``ProgramError`` naming the op and the field.
     """
     if not isinstance(data, dict) or "op" not in data:
         raise ProgramError(f"program node must be an object with an 'op': {data!r}")
@@ -253,18 +255,44 @@ def parse_program(data: Any, field: Any) -> Node:
         raise ProgramError(f"'args' must be a list at op {op!r}")
     args = tuple(parse_program(a, field) for a in raw_args)
     if op == "input":
-        return Node("input", payload=int(data["index"]))
+        return Node("input", payload=_index_field(data, op, "index"))
     if op == "const":
-        rows = [[field.parse(x) for x in row] for row in data["value"]]
-        return Node("const", payload=Matrix.from_rows(field, rows))
+        return Node("const", payload=_matrix_field(data, op, "value", field))
     if op == "scalar":
-        return Node("scalar", payload=field.parse(data["value"]))
+        return Node("scalar", payload=field.parse(_payload(data, op, "value")))
     if op == "entry":
-        return Node("entry", args, payload=(int(data["i"]), int(data["j"])))
+        i, j = _index_field(data, op, "i"), _index_field(data, op, "j")
+        return Node("entry", args, payload=(i, j))
     if op == "linmap":
-        rows = [[field.parse(x) for x in row] for row in data["matrix"]]
-        return Node("linmap", args, payload=Matrix.from_rows(field, rows))
+        return Node("linmap", args, payload=_matrix_field(data, op, "matrix", field))
     return Node(op, args)
+
+
+def _payload(data: dict, op: Any, key: str) -> Any:
+    if key not in data:
+        raise ProgramError(f"op {op!r} needs a {key!r} field")
+    return data[key]
+
+
+def _index_field(data: dict, op: Any, key: str) -> int:
+    value = _payload(data, op, key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProgramError(f"op {op!r}: {key!r} must be an int >= 0, got {value!r}")
+    return value
+
+
+def _matrix_field(data: dict, op: Any, key: str, field: Any) -> Matrix:
+    rows = _payload(data, op, key)
+    if (
+        not isinstance(rows, list)
+        or not rows
+        or not all(isinstance(row, list) and row for row in rows)
+        or any(len(row) != len(rows[0]) for row in rows)
+    ):
+        raise ProgramError(
+            f"op {op!r}: {key!r} must be a nonempty list of equal-length nonempty rows"
+        )
+    return Matrix.from_rows(field, [[field.parse(x) for x in row] for row in rows])
 
 
 def format_program(node: Node, field: Any) -> dict:

@@ -102,9 +102,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * self.inv(b)
-
     def conj(self, a: Fraction) -> Fraction:
         return a
 
@@ -172,9 +169,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def conj(self, a: int) -> int:
         return a
@@ -254,9 +248,6 @@ class QuadraticField:
         if norm == 0:
             raise ZeroDivisionError("inverse of zero")
         return QuadScalar(x.a / norm, -x.b / norm)
-
-    def div(self, x: QuadScalar, y: QuadScalar) -> QuadScalar:
-        return self.mul(x, self.inv(y))
 
     def conj(self, x: QuadScalar) -> QuadScalar:
         return QuadScalar(x.a, -x.b)
@@ -476,9 +467,6 @@ class JetRing:
             term = self.neg(self.mul(term, nilpotent))
             acc = self.add(acc, term)
         return self.mul(acc, c0inv)
-
-    def div(self, x: Jet, y: Jet) -> Jet:
-        return self.mul(x, self.inv(y))
 
     def conj(self, x: Jet) -> Jet:
         return Jet(

@@ -29,7 +29,6 @@ from typing import Any, Sequence
 from .lie import (
     LieAlgebra,
     LieCochain,
-    LieCochainPair,
     LieDifferenceOp,
     LieRep,
     ce_coboundary,
@@ -38,6 +37,7 @@ from .lie import (
     matrix_coords,
     matrix_lie_algebra,
 )
+from .exactness import CochainPair
 from .linalg import Matrix, det, jet_part
 from .programs import (
     Node,
@@ -90,16 +90,7 @@ class MatrixGroupSpec:
 
     def standard_basis(self) -> list[Matrix]:
         """The full matrix algebra basis E_ij in row-major order."""
-        f = self.field
-        out = []
-        for i in range(self.size):
-            for j in range(self.size):
-                rows = [
-                    [f.one if (a, b) == (i, j) else f.zero for b in range(self.size)]
-                    for a in range(self.size)
-                ]
-                out.append(Matrix.from_rows(f, rows))
-        return out
+        return VSpace(self.size, self.size).basis(self.field)
 
 
 @dataclass
@@ -127,7 +118,6 @@ def differentiate_difference_operator(
     spec: MatrixGroupSpec,
     dprog: Node,
     basis: Sequence[Matrix],
-    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> DifferentiatedOperator:
     """Differentiate a difference-operator program at the identity.
@@ -143,7 +133,7 @@ def differentiate_difference_operator(
     pairs = [(ident, ident)]
     pairs += [
         (spec.sample_invertible(rng), spec.sample_invertible(rng))
-        for _ in range(samples)
+        for _ in range(DEFAULT_SAMPLES)
     ]
     from .linalg import matrix_inverse
 
@@ -220,7 +210,6 @@ def differentiate_representation(
     theta_prog: Node,
     t: Matrix,
     vshape: VSpace,
-    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> LieRep:
     """Differentiate a representation action program.
@@ -249,7 +238,7 @@ def differentiate_representation(
     for u in vbasis:
         if act(ident, u, f) != u:
             raise SampledPreconditionError("representation program has Theta(I) != id")
-    for _ in range(samples):
+    for _ in range(DEFAULT_SAMPLES):
         g = spec.sample_invertible(rng)
         h = spec.sample_invertible(rng)
         d_g = evaluate(dprog, [g], f)
@@ -316,7 +305,6 @@ def van_est(
     prog: Node,
     degree: int,
     vshape: VSpace,
-    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     check_normalized: bool = True,
 ) -> LieCochain:
@@ -336,7 +324,7 @@ def van_est(
         rng = random.Random(seed)
         ident = diff.spec.identity()
         zero = Matrix.zeros(f, vshape.rows, vshape.cols)
-        for s in range(samples):
+        for s in range(DEFAULT_SAMPLES):
             slot = s % degree
             args = [
                 ident if j == slot else diff.spec.sample_invertible(rng)
@@ -352,10 +340,10 @@ def van_est(
     jet_args = [
         [_jet_arg(ring, diff.spec, x, j) for x in diff.basis] for j in range(degree)
     ]
-    coeffs = {}
+    values = {}
     for tup in itertools.combinations(range(diff.lie.dim), degree):
-        coeffs[tup] = _signed_jet_value(ring, jet_args, prog, tup, vshape)
-    out = LieCochain(diff.lie, vshape.dim, degree, coeffs)
+        values[tup] = _signed_jet_value(ring, jet_args, prog, tup, vshape)
+    out = LieCochain(diff.lie, vshape.dim, degree, values)
 
     if degree >= 2:
         for tup in itertools.combinations(range(diff.lie.dim), degree):
@@ -458,7 +446,7 @@ class VanEstReport:
 
 
 def _mismatch_witness(lhs: LieCochain, rhs: LieCochain) -> str:
-    keys = sorted(set(lhs.coeffs) | set(rhs.coeffs))
+    keys = sorted(set(lhs.values) | set(rhs.values))
     for k in keys:
         if lhs.value_at_basis(k) != rhs.value_at_basis(k):
             return (
@@ -469,7 +457,6 @@ def _mismatch_witness(lhs: LieCochain, rhs: LieCochain) -> str:
 
 
 def verify_van_est_cochain_map(
-    spec: MatrixGroupSpec,
     diff: DifferentiatedOperator,
     lierep: LieRep,
     dprog: Node,
@@ -479,7 +466,6 @@ def verify_van_est_cochain_map(
     alpha_prog: Node,
     degree: int,
     beta_prog: Node | None = None,
-    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> VanEstReport:
     """Verify that differentiation intertwines the group-level and
@@ -493,10 +479,7 @@ def verify_van_est_cochain_map(
     report = VanEstReport(degree=degree)
 
     def ve(prog: Node, n: int, check_normalized: bool = False) -> LieCochain:
-        return van_est(
-            diff, prog, n, vshape,
-            samples=samples, seed=seed, check_normalized=check_normalized,
-        )
+        return van_est(diff, prog, n, vshape, seed=seed, check_normalized=check_normalized)
 
     ve_alpha = ve(alpha_prog, degree, check_normalized=True)
 
@@ -534,7 +517,7 @@ def verify_van_est_cochain_map(
         report.add(
             "pk-differentiates-to-zero",
             ok,
-            "VE(pk a) = 0" if ok else f"nonzero at {sorted(lhs.coeffs)[0]}",
+            "VE(pk a) = 0" if ok else f"nonzero at {sorted(lhs.values)[0]}",
         )
 
     ve_beta = None
@@ -543,7 +526,7 @@ def verify_van_est_cochain_map(
             raise ValueError("a second component needs degree >= 2")
         ve_beta = ve(beta_prog, degree - 1, check_normalized=True)
     lie_pair = delta_theta(
-        lierep, LieCochainPair(ve_alpha, ve_beta)
+        lierep, CochainPair(ve_alpha, ve_beta)
     )
     group_second = ve(kk_program(dprog, theta_prog, t, alpha_prog, degree), degree)
     if beta_prog is not None:
@@ -552,17 +535,17 @@ def verify_van_est_cochain_map(
         )
         group_second = group_second + ve(dd_beta, degree)
     if ve_d_alpha is not None:
-        ok_first = ve_d_alpha == lie_pair.zeta
-        detail_first = "" if ok_first else _mismatch_witness(ve_d_alpha, lie_pair.zeta)
+        ok_first = ve_d_alpha == lie_pair.alpha
+        detail_first = "" if ok_first else _mismatch_witness(ve_d_alpha, lie_pair.alpha)
     else:
         ok_first = True
         detail_first = f"first component skipped above the jet cap {VE_DEGREE_CAP}; "
-    ok_second = group_second == lie_pair.xi
+    ok_second = group_second == lie_pair.beta
     ok = ok_first and ok_second
     report.add(
         "pair-differential-intertwines",
         ok,
         ("VE(delta(a,b)) = delta_theta(VE a, VE b)" if ok else detail_first +
-         ("" if ok_second else _mismatch_witness(group_second, lie_pair.xi))),
+         ("" if ok_second else _mismatch_witness(group_second, lie_pair.beta))),
     )
     return report

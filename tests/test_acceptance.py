@@ -372,7 +372,7 @@ def test_criterion_07_van_est_cochain_map():
         alpha2 = mul(alpha1, sub(trace_of(inp(1)), scalar(Fraction(2))))
         for degree, alpha, beta in ((1, alpha1, None), (2, alpha2, alpha1)):
             report = verify_van_est_cochain_map(
-                spec, diff, lierep, dprog, theta_prog, t, vshape,
+                diff, lierep, dprog, theta_prog, t, vshape,
                 alpha, degree, beta_prog=beta,
             )
             assert report.ok, [c.detail for c in report.checks if not c.ok]

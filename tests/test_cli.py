@@ -333,3 +333,62 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "internal consistency failure: the two routes disagree at degree 1\n"
+
+
+_G = {"op": "input", "index": 0}
+_MALFORMED_PROGRAMS = {
+    "input-without-index": {"op": "input"},
+    "input-index-string": {"op": "input", "index": "zero"},
+    "input-index-bool": {"op": "input", "index": True},
+    "input-index-negative": {"op": "input", "index": -1},
+    "entry-i-string": {"op": "entry", "args": [_G], "i": "x", "j": 0},
+    "entry-j-negative": {"op": "entry", "args": [_G], "i": 0, "j": -1},
+    "linmap-without-matrix": {"op": "linmap", "args": [_G]},
+    "linmap-empty-row": {"op": "linmap", "args": [_G], "matrix": [[]]},
+    "const-factor-not-a-matrix": {"op": "mul", "args": [{"op": "const", "value": 5}, _G]},
+    "const-factor-ragged": {
+        "op": "mul",
+        "args": [{"op": "const", "value": [["1"], ["1", "2"]]}, _G],
+    },
+    "scalar-factor-without-value": {"op": "mul", "args": [{"op": "scalar"}, _G]},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "vanest"])
+@pytest.mark.parametrize("name", sorted(_MALFORMED_PROGRAMS))
+def test_malformed_program_tree_is_a_fixture_error(name, command, tmp_path, capsys):
+    prog = _MALFORMED_PROGRAMS[name]
+    path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"difference-program": prog})
+    code, out, err = run([command, path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: $.difference-program: op ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "vanest"])
+def test_negative_alpha_input_is_a_fixture_error(command, tmp_path, capsys):
+    alpha = {"op": "trace", "args": [{"op": "input", "index": -1}]}
+    path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"alpha-program": alpha})
+    code, out, err = run([command, path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: $.alpha-program: op 'input': 'index' must be an int >= 0, got -1\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "vanest"])
+@pytest.mark.parametrize(
+    "field, index, arity",
+    [("difference-program", 1, 1), ("rep-program", 2, 2)],
+)
+def test_jet_program_arity_is_checked(field, index, arity, command, tmp_path, capsys):
+    prog = {"op": "mul", "args": [_G, {"op": "input", "index": index}]}
+    path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{field: prog})
+    code, out, err = run([command, path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: $.{field}: a {field} takes {arity} input(s), but it reads {index + 1}\n"
+    )

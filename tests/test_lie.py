@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from diffcoh.exactness import CochainPair
 from diffcoh.groups import ValidationError
 from diffcoh.lie import (
     LieAlgebra,
     LieCochain,
-    LieCochainPair,
     LieDifferenceComplex,
     LieDifferenceOp,
     LieError,
@@ -258,12 +258,12 @@ def test_delta_theta_pair_shapes():
     dop = LieDifferenceOp(lie, -Matrix.identity(Q, 2))
     rep = trivial_rep(dop)
     z = LieCochain(lie, 1, 1, {(0,): (Fraction(1),)})
-    out = delta_theta(rep, LieCochainPair(z, None))
+    out = delta_theta(rep, CochainPair(z, None))
     assert out.degree == 2
-    assert out.zeta == ce_coboundary(rep.theta, z)
-    assert out.xi == k_map(rep, z)
+    assert out.alpha == ce_coboundary(rep.theta, z)
+    assert out.beta == k_map(rep, z)
     with pytest.raises(LieError):
-        LieCochainPair(z, z)
+        CochainPair(z, z)
 
 
 def test_lie_complex_dimensions():

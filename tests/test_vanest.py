@@ -194,7 +194,7 @@ def test_van_est_degree_cap():
 def test_van_est_is_a_cochain_map_in_degree_one():
     spec, dprog, diff, rep = adjugate_setup()
     report = verify_van_est_cochain_map(
-        spec, diff, rep, dprog, builtin_rep_program("det", Q, 2),
+        diff, rep, dprog, builtin_rep_program("det", Q, 2),
         qmat([[-1]]), VSpace(1, 1), trace_shift(), 1,
     )
     names = [c.name for c in report.checks]
@@ -214,7 +214,7 @@ def test_van_est_is_a_cochain_map_in_degree_two():
     spec, dprog, diff, rep = inverse_setup()
     alpha2 = mul(trace_shift(), sub(trace_of(inp(1)), scalar(Fraction(2))))
     report = verify_van_est_cochain_map(
-        spec, diff, rep, dprog, builtin_rep_program("det", Q, 2),
+        diff, rep, dprog, builtin_rep_program("det", Q, 2),
         qmat([[-1]]), VSpace(1, 1), alpha2, 2, beta_prog=trace_shift(),
     )
     assert report.ok, [c for c in report.checks if not c.ok]
@@ -225,7 +225,7 @@ def test_pair_component_needs_degree_two():
     spec, dprog, diff, rep = adjugate_setup()
     with pytest.raises(ValueError):
         verify_van_est_cochain_map(
-            spec, diff, rep, dprog, builtin_rep_program("det", Q, 2),
+            diff, rep, dprog, builtin_rep_program("det", Q, 2),
             qmat([[-1]]), VSpace(1, 1), trace_shift(), 1,
             beta_prog=trace_shift(),
         )
