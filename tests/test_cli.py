@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from diffcoh.catalog import cyclic, inverse_map, klein_four
 from diffcoh.cli import main
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -126,6 +127,55 @@ def test_classify_semidirect_report(capsys):
     assert "direct-classes: 3" in out
     assert "direct-valid-operators: 3" in out
     assert "total-order: 9" in out
+
+
+def _group_fixture(tmp_path, group, p, t, dim=1):
+    """A fixture for ``group`` with D = inversion, trivial Theta and
+    T = t * identity on F_p^dim."""
+
+    def diagonal(x):
+        return [[x if i == j else 0 for j in range(dim)] for i in range(dim)]
+
+    data = {
+        "group": {
+            "order": group.order,
+            "identity": group.identity,
+            "table": [list(row) for row in group.table],
+        },
+        "difference": inverse_map(group),
+        "rep": {
+            "field": {"kind": "Fp", "p": p},
+            "dim": dim,
+            "theta": {str(g): diagonal(1) for g in group.elements},
+            "T": diagonal(t),
+        },
+    }
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "group, dim", [(klein_four(), 1), (cyclic(2), 2)], ids=["v4_f2", "c2_f2sq"]
+)
+def test_classify_semidirect_on_catalog_groups(group, dim, tmp_path, capsys):
+    path = _group_fixture(tmp_path, group, 2, 1, dim)
+    code, out, err = run(["classify", path, "--mode", "semidirect-ops"], capsys)
+    assert code == 0
+    assert err == ""
+    table = json.loads(run(
+        ["classify", path, "--mode", "semidirect-ops", "--format", "json"], capsys
+    )[1])["tables"]["classification"]
+    assert table == {
+        "cocycle-space-dim": 2,
+        "connecting-rank": 0,
+        "count-by-rank": 4,
+        "count-by-census": 4,
+        "direct-valid-operators": 4,
+        "direct-classes": 4,
+        "total-order": 8,
+    }
+    assert "check quotient-vs-census: ok" in out
 
 
 def test_classify_budget_failure_is_a_verdict(capsys):
