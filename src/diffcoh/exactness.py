@@ -44,11 +44,19 @@ class InternalCheckError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    def __init__(self, degree: int, required: int, budget: int) -> None:
-        super().__init__(
-            f"cochain space in degree {degree} needs {required} basis elements, "
-            f"budget is {budget}"
-        )
+    """``what`` (by default the cochain space in ``degree``) needs
+    ``required`` of ``counted`` (by default basis elements)."""
+
+    def __init__(
+        self,
+        degree: int,
+        required: int,
+        budget: int,
+        what: str = "",
+        counted: str = "basis elements",
+    ) -> None:
+        what = what or f"cochain space in degree {degree}"
+        super().__init__(f"{what} needs {required} {counted}, budget is {budget}")
         self.degree = degree
         self.required = required
         self.budget = budget

@@ -12,9 +12,15 @@ changing the section shifts the pair by a pair-complex coboundary.
 Isomorphisms of extensions that fix G and V are shears
 (g, u) -> (g, u + eta(g)); two extensions are isomorphic exactly when
 their cocycle pairs are cohomologous, so isomorphism classes are
-counted by the pair cohomology in degree 2.  Classification here runs
-both routes (coset decomposition and explicit shear search) and insists
-they agree.
+counted by the pair cohomology in degree 2.
+
+One ``census`` serves both classifications: it builds the extension of
+every cocycle pair in a given span and insists that the coset
+decomposition modulo coboundaries and the explicit shear search give the
+same partition.  ``classify_extensions`` runs it on all cocycle pairs.
+The difference operators on the semidirect product G x| V are the
+extensions with alpha = 0, so ``classify_semidirect_difference_ops``
+runs it on the pairs (0, beta).
 """
 
 from __future__ import annotations
@@ -309,7 +315,9 @@ def are_isomorphic(
     nonid = [g for g in group.elements if g != group.identity]
     n_candidates = e1.nv ** len(nonid)
     if n_candidates > budget:
-        raise BudgetExceededError(1, n_candidates, budget)
+        raise BudgetExceededError(
+            1, n_candidates, budget, "shear isomorphism search", "candidate shears"
+        )
 
     t1, t2 = e1.total, e2.total
     order = t1.group.order
@@ -349,7 +357,8 @@ def are_isomorphic(
 
 def _span(field: PrimeField, basis: list[list[Any]], length: int) -> list[list[Any]]:
     """Every F_p-linear combination of ``basis`` (vectors of ``length``),
-    coefficient tuples in ``itertools.product`` order."""
+    coefficient tuples in ``itertools.product`` order, so the zero
+    vector comes first."""
     out = []
     for coeffs in itertools.product(range(field.p), repeat=len(basis)):
         vec = [field.zero] * length
@@ -362,14 +371,60 @@ def _span(field: PrimeField, basis: list[list[Any]], length: int) -> list[list[A
     return out
 
 
-def _reduce_mod(field: Any, rows: list[dict], pivots: list[int], vec: list[Any]) -> tuple:
-    out = list(vec)
-    for row, p in zip(rows, pivots):
-        c = out[p]
-        if c != field.zero:
-            for j, y in row.items():
-                out[j] = field.sub(out[j], field.mul(c, y))
-    return tuple(out)
+def census(
+    cx: DifferenceComplex, z_basis: list[list[Any]]
+) -> tuple[list[list[AbelianExtension]], int]:
+    """Build the extension of every cocycle pair in the F_p-span of
+    ``z_basis`` (pair coordinates, alpha first, then beta) and group them
+    two independent ways: by coset modulo B^2 = im delta(1), and by
+    explicit shear-isomorphism search.
+
+    Returns the isomorphism classes in span order, each with its first
+    member as representative, and the number of cosets.  The zero pair
+    comes first, so ``classes[0][0]`` is the split extension.  Raises
+    ``InternalCheckError`` unless the two partitions agree member for
+    member.
+    """
+    rep, f, budget = cx.rep, cx.field, cx.budget
+    n_cocycles = f.p ** len(z_basis)
+    if n_cocycles > budget:
+        raise BudgetExceededError(2, n_cocycles, budget, "extension census", "cocycle pairs")
+    b_basis = column_space_basis(cx.les_data().d_b(1))
+    rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in b_basis]))
+    c2, c1 = cx.space(2), cx.space(1)
+
+    classes: list[list[AbelianExtension]] = []
+    keys: list[set[tuple]] = []
+    for vec in _span(f, z_basis, c2.size + c1.size):
+        reduced = list(vec)
+        for row, p in zip(rows, pivots):
+            c = reduced[p]
+            if c != f.zero:
+                for j, y in row.items():
+                    reduced[j] = f.sub(reduced[j], f.mul(c, y))
+        key = tuple(reduced)
+        pair = CochainPair(c2.from_vector(vec[: c2.size]), c1.from_vector(vec[c2.size :]))
+        ext = AbelianExtension(rep, pair)
+        for members, class_keys in zip(classes, keys):
+            if are_isomorphic(members[0], ext, budget=budget) is not None:
+                members.append(ext)
+                class_keys.add(key)
+                break
+        else:
+            classes.append([ext])
+            keys.append({key})
+
+    # each class must be one coset, and no coset may meet two classes
+    if any(len(class_keys) > 1 for class_keys in keys):
+        raise InternalCheckError(
+            "isomorphic extensions came from non-cohomologous cocycles"
+        )
+    n_cosets = len(set().union(*keys))
+    if n_cosets != len(classes):
+        raise InternalCheckError(
+            "cohomologous cocycles produced non-isomorphic extensions"
+        )
+    return classes, n_cosets
 
 
 @dataclass
@@ -398,92 +453,31 @@ class ExtensionClassification:
 
 
 def classify_extensions(rep: DifferenceRep, budget: int = 60000) -> ExtensionClassification:
-    """Enumerate all cocycle pairs, group them into isomorphism classes
-    two independent ways, and compare with the cohomological count.
-
-    Route one partitions cocycles by their coset modulo pair
-    coboundaries.  Route two builds every extension and groups them by
-    explicit shear-isomorphism search.  The routes must produce the
-    same partition, with p^(dim H^2) classes.
-    """
+    """Run the census on all cocycle pairs (the kernel of delta(2)) and
+    compare its class count with p^(dim H^2) of the pair complex; every
+    class representative must come back from its canonical section."""
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
-    f = rep.field
-    p = f.p
+    p = rep.field.p
     cx = DifferenceComplex(rep, budget=budget)
     data = cx.les_data()
-    delta2 = data.d_b(2)
-    delta1 = data.d_b(1)
-    z_basis = kernel_basis(delta2)
-    b_basis = column_space_basis(delta1)
-    n_cocycles = p ** len(z_basis)
-    if n_cocycles > budget:
-        raise BudgetExceededError(2, n_cocycles, budget)
+    classes, n_cosets = census(cx, kernel_basis(data.d_b(2)))
 
-    c2 = cx.space(2)
-    c1 = cx.space(1)
-
-    def vector_to_pair(vec: list[Any]) -> CochainPair:
-        alpha = c2.from_vector(vec[: c2.size])
-        beta = c1.from_vector(vec[c2.size :])
-        return CochainPair(alpha, beta)
-
-    rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in b_basis]))
-
-    cocycles = _span(f, z_basis, delta2.ncols)
-
-    coset_key = [_reduce_mod(f, rows, pivots, v) for v in cocycles]
-    coset_classes: dict[tuple, list[int]] = {}
-    for i, key in enumerate(coset_key):
-        coset_classes.setdefault(key, []).append(i)
-
-    extensions = [AbelianExtension(rep, vector_to_pair(v)) for v in cocycles]
-    class_reps: list[int] = []
-    class_members: list[list[int]] = []
-    assignment = [-1] * len(cocycles)
-    for i, ext in enumerate(extensions):
-        for ci, r in enumerate(class_reps):
-            if are_isomorphic(extensions[r], ext, budget=budget) is not None:
-                assignment[i] = ci
-                class_members[ci].append(i)
-                break
-        else:
-            assignment[i] = len(class_reps)
-            class_reps.append(i)
-            class_members.append([i])
-
-    # the two partitions must coincide member for member
-    key_to_class: dict[tuple, int] = {}
-    for i, key in enumerate(coset_key):
-        if key in key_to_class:
-            if key_to_class[key] != assignment[i]:
-                raise InternalCheckError(
-                    "cohomologous cocycles produced non-isomorphic extensions"
-                )
-        else:
-            key_to_class[key] = assignment[i]
-    if len(key_to_class) != len(class_reps):
-        raise InternalCheckError(
-            "isomorphic extensions came from non-cohomologous cocycles"
-        )
-
-    # canonical-section round trip on every representative
-    for r in class_reps:
-        back = cocycle_from_section(extensions[r], canonical_section(extensions[r]))
-        if back != extensions[r].pair:
+    for members in classes:
+        ext = members[0]
+        if cocycle_from_section(ext, canonical_section(ext)) != ext.pair:
             raise InternalCheckError("canonical section does not return its cocycle")
 
     h2 = cx.cohomology_dims(2).degrees[2].h_pair
     return ExtensionClassification(
-        cocycle_count=len(cocycles),
-        coboundary_count=p ** len(b_basis),
-        class_count=len(class_reps),
-        class_count_by_cosets=len(coset_classes),
+        cocycle_count=sum(len(members) for members in classes),
+        coboundary_count=p ** rank(data.d_b(1)),
+        class_count=len(classes),
+        class_count_by_cosets=n_cosets,
         expected_from_cohomology=p**h2,
         h2_pair_dim=h2,
         classes=[
-            ExtensionClass(extensions[r].pair, len(class_members[ci]))
-            for ci, r in enumerate(class_reps)
+            ExtensionClass(members[0].pair, len(members)) for members in classes
         ],
     )
 
@@ -509,98 +503,79 @@ class SemidirectOpsClassification:
 
 
 def classify_semidirect_difference_ops(
-    rep: DifferenceRep, budget: int = 60000, direct_limit: int = 18
+    rep: DifferenceRep, budget: int = 60000
 ) -> SemidirectOpsClassification:
     """Count difference operators on G x| V extending (D, T) and fixing
     the projection, up to shear equivalence.
 
-    Such operators correspond to cocycles beta (degree-1 kernels of the
-    Theta_D coboundary); shears by ordinary 1-cocycles eta shift beta by
-    K(eta).  Three routes: rank arithmetic p^(dim Z - rank K|Z1), an
-    explicit coset census of beta space, and (for total order <=
-    ``direct_limit``) brute enumeration of all candidate operators on
-    the semidirect product with shear grouping.
+    These are the extensions with alpha = 0: (0, beta) is a cocycle iff
+    d_D beta = 0, and two are cohomologous iff beta - beta' lies in
+    K(Z^1).  Three routes: rank arithmetic p^(dim Z - rank K|Z1), the
+    census of the pairs (0, beta), and, when its candidate count
+    (p^dim)^((|G|-1) p^dim) fits the budget, brute enumeration of all
+    candidate operators on the semidirect product, every one of which
+    must be a census member.
     """
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
     f = rep.field
     p = f.p
-    dg = rep.dg
-    group = dg.group
+    group = rep.dg.group
     cx = DifferenceComplex(rep, budget=budget)
 
-    d_dd_1 = cx.d_difference(1)
-    z_beta = kernel_basis(d_dd_1)
-    d_ord_1 = cx.d_ordinary(1)
-    z_eta = kernel_basis(d_ord_1)
+    z_beta = kernel_basis(cx.d_difference(1))
     kmat = cx.k_matrix(1)
-    k_images = [kmat.matvec(v) for v in z_eta]
+    k_images = [kmat.matvec(v) for v in kernel_basis(cx.d_ordinary(1))]
     k_rank = rank(Matrix.from_columns(f, k_images, kmat.nrows)) if k_images else 0
-    count_rank = p ** (len(z_beta) - k_rank)
 
-    # census: reduce every beta cocycle modulo the image of K on eta cocycles
-    rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in k_images]))
-    n_betas = p ** len(z_beta)
-    if n_betas > budget:
-        raise BudgetExceededError(1, n_betas, budget)
-    betas = _span(f, z_beta, d_dd_1.ncols)
-    census_keys = {_reduce_mod(f, rows, pivots, v) for v in betas}
-    count_census = len(census_keys)
+    alpha_zero = [f.zero] * cx.space(2).size
+    classes, n_cosets = census(cx, [alpha_zero + list(v) for v in z_beta])
 
     notes: list[str] = []
     direct_valid: int | None = None
     direct_classes: int | None = None
-    total_order = group.order * (p**rep.dim)
-    if total_order <= direct_limit:
-        direct_valid, direct_classes = _direct_ops_census(rep, cx, betas, z_eta, budget)
+    nv = p**rep.dim
+    n_candidates = nv ** ((group.order - 1) * nv)
+    if n_candidates <= budget:
+        valid = _valid_operators(classes[0][0])
+        class_of = {
+            ext.total.d: ci for ci, members in enumerate(classes) for ext in members
+        }
+        if set(valid) != set(class_of):
+            raise InternalCheckError(
+                "direct enumeration found operators outside the cocycle family"
+            )
+        direct_valid = len(valid)
+        direct_classes = len({class_of[op] for op in valid})
     else:
         notes.append(
-            f"direct enumeration skipped: total order {total_order} exceeds "
-            f"{direct_limit}"
+            f"direct enumeration skipped: {n_candidates} candidate operators "
+            f"exceed the budget of {budget}"
         )
     return SemidirectOpsClassification(
         z_dim=len(z_beta),
         connecting_rank=k_rank,
-        count_by_rank=count_rank,
-        count_by_census=count_census,
+        count_by_rank=p ** (len(z_beta) - k_rank),
+        count_by_census=n_cosets,
         direct_valid_count=direct_valid,
         direct_class_count=direct_classes,
-        total_order=total_order,
+        total_order=group.order * nv,
         notes=notes,
     )
 
 
-def _direct_ops_census(
-    rep: DifferenceRep,
-    cx: DifferenceComplex,
-    betas: list[list[Any]],
-    z_eta: list[list[Any]],
-    budget: int,
-) -> tuple[int, int]:
-    """Enumerate all maps on the semidirect product compatible with the
-    projection and restricting to T on the module; check the twisted
-    cocycle rule directly; group the valid ones by shear conjugation."""
-    f = rep.field
-    p = f.p
-    dg = rep.dg
+def _valid_operators(sd: AbelianExtension) -> list[tuple[int, ...]]:
+    """Enumerate all maps on the semidirect product ``sd`` compatible
+    with the projection and restricting to T on the module, and keep
+    those satisfying the twisted cocycle rule, checked directly."""
+    rep, dg = sd.rep, sd.base
     group = dg.group
-    c1 = cx.space(1)
-
-    zero_pair = CochainPair(
-        GroupCochain(group, f, rep.dim, 2),
-        GroupCochain(group, f, rep.dim, 1),
-    )
-    sd = AbelianExtension(rep, zero_pair)
     total = sd.total.group
     order = total.order
 
     slots = [
         (g, u) for g in group.elements if g != group.identity for u in sd.vectors
     ]
-    n_candidates = (p**rep.dim) ** len(slots)
-    if n_candidates > budget:
-        raise BudgetExceededError(1, n_candidates, budget)
-
     base_images = {}
     for u in sd.vectors:
         tu = tuple(rep.t.matvec(list(u)))
@@ -627,34 +602,4 @@ def _direct_ops_census(
                 break
         if ok:
             valid.append(tuple(d_arr))
-
-    # every valid operator must be the one induced by some beta cocycle
-    beta_ops = {tuple(sd._operator_table(c1.from_vector(vec))) for vec in betas}
-    if set(valid) != beta_ops:
-        raise InternalCheckError(
-            "direct enumeration found operators outside the cocycle family"
-        )
-
-    shears = []
-    for vec in _span(f, z_eta, c1.size):
-        eta = c1.from_vector(vec)
-        sigma = [0] * order
-        for idx in range(order):
-            g, u = sd.split(idx)
-            shifted = tuple(f.add(a, b) for a, b in zip(u, eta.value_at((g,))))
-            sigma[idx] = sd.index(g, shifted)
-        shears.append(tuple(sigma))
-
-    reps_list: list[tuple[int, ...]] = []
-    for op in valid:
-        found = False
-        for r in reps_list:
-            for sigma in shears:
-                if all(sigma[op[x]] == r[sigma[x]] for x in range(order)):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            reps_list.append(op)
-    return len(valid), len(reps_list)
+    return valid

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from diffcoh.catalog import cyclic, inverse_map, klein_four
+from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -176,6 +176,42 @@ def test_classify_semidirect_on_catalog_groups(group, dim, tmp_path, capsys):
         "total-order": 8,
     }
     assert "check quotient-vs-census: ok" in out
+
+
+def test_classify_semidirect_skips_direct_enumeration_over_budget(tmp_path, capsys):
+    path = _group_fixture(tmp_path, symmetric(3), 3, 1)
+    code, out, err = run(["classify", path, "--mode", "semidirect-ops"], capsys)
+    assert code == 0
+    assert err == ""
+    assert "count-by-rank: 1\n" in out
+    assert "count-by-census: 1\n" in out
+    assert "direct-classes: none\n" in out
+    assert (
+        "direct enumeration skipped: 14348907 candidate operators exceed "
+        "the budget of 60000" in out
+    )
+    assert out.endswith("ok: true\n")
+
+
+@pytest.mark.parametrize(
+    "mode, budget, detail",
+    [
+        ("extensions", "20", "extension census needs 27 cocycle pairs, budget is 20"),
+        (
+            "semidirect-ops",
+            "5",
+            "shear isomorphism search needs 9 candidate shears, budget is 5",
+        ),
+    ],
+    ids=["cocycle-pairs", "candidate-shears"],
+)
+def test_classify_budget_verdict_names_what_it_counted(mode, budget, detail, capsys):
+    code, out, _ = run(
+        ["classify", fx("z3_carry_extension.json"), "--mode", mode, "--budget", budget],
+        capsys,
+    )
+    assert code == 1
+    assert f"check budget: FAIL ({detail})\n" in out
 
 
 def test_classify_budget_failure_is_a_verdict(capsys):

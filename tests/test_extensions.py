@@ -269,10 +269,21 @@ def test_semidirect_operator_classification_both_signs():
 
 
 def test_semidirect_classification_respects_the_direct_limit():
-    out = classify_semidirect_difference_ops(z3_rep(), direct_limit=8)
+    out = classify_semidirect_difference_ops(z3_rep(), budget=100)
     assert out.direct_valid_count is None
     assert out.direct_class_count is None
     assert out.notes and "skipped" in out.notes[0]
     assert out.consistent
     with pytest.raises(BudgetExceededError):
         classify_semidirect_difference_ops(z3_rep(), budget=2)
+
+
+def test_census_insists_the_isomorphism_classes_are_the_cosets(monkeypatch):
+    import diffcoh.extensions as extensions
+    from diffcoh.exactness import InternalCheckError
+
+    monkeypatch.setattr(extensions, "are_isomorphic", lambda e1, e2, budget: None)
+    with pytest.raises(InternalCheckError, match="non-isomorphic"):
+        classify_extensions(z3_rep())
+    with pytest.raises(InternalCheckError, match="non-isomorphic"):
+        classify_semidirect_difference_ops(z3_rep(1))
