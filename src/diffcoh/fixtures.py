@@ -377,8 +377,19 @@ def require_arity(prog: Node, arity: int, path: str, lead: str) -> None:
         raise FixtureError(path, f"{lead} {arity} input(s), but it reads {inputs}")
 
 
+# the largest matrix size and value-shape entry a jet fixture may ask for
+MATRIX_SIZE_CAP = 6
+
+
+def _size_at(value: Any, path: str) -> int:
+    size = _int_at(value, path)
+    if not 1 <= size <= MATRIX_SIZE_CAP:
+        raise FixtureError(path, f"expected a size in 1..{MATRIX_SIZE_CAP}, got {size}")
+    return size
+
+
 def parse_jet_fixture(data: dict, path: str = "$") -> JetFixture:
-    size = _int_at(_require(data, "matrix-size", path), f"{path}.matrix-size")
+    size = _size_at(_require(data, "matrix-size", path), f"{path}.matrix-size")
     try:
         field = field_from_spec(_require(data, "field", path))
     except ScalarError as exc:
@@ -407,14 +418,11 @@ def parse_jet_fixture(data: dict, path: str = "$") -> JetFixture:
         rpath = f"{path}.rep-program"
         theta_prog = _resolve_program(data["rep-program"], field, size, "rep", rpath)
         require_arity(theta_prog, 2, rpath, "a rep-program takes")
+        spath = f"{path}.value-shape"
         shape_raw = _require(data, "value-shape", path)
-        if (
-            not isinstance(shape_raw, list)
-            or len(shape_raw) != 2
-            or not all(isinstance(x, int) and x > 0 for x in shape_raw)
-        ):
-            raise FixtureError(f"{path}.value-shape", "expected [rows, cols] positive ints")
-        vshape = VSpace(shape_raw[0], shape_raw[1])
+        if not isinstance(shape_raw, list) or len(shape_raw) != 2:
+            raise FixtureError(spath, "expected [rows, cols]")
+        vshape = VSpace(*(_size_at(x, spath) for x in shape_raw))
         t = parse_matrix(field, _require(data, "T", path), f"{path}.T", (vshape.dim, vshape.dim))
 
     degree = None
@@ -482,6 +490,8 @@ def load_fixture_data(path: str) -> dict:
         raise FixtureError(
             f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FixtureError("$", "JSON nesting is too deep to decode") from exc
 
 
 def fixture_digest(path: str) -> str:

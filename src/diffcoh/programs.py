@@ -20,12 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .linalg import Matrix, adjugate as _adjugate, det as _det, matrix_inverse
+from .linalg import LinAlgError, Matrix, adjugate as _adjugate, det as _det, matrix_inverse
 from .scalars import JetRing
 
 
 class ProgramError(ValueError):
     """Raised for malformed program trees or evaluation shape errors."""
+
+
+# the deepest program tree, in nodes on a root-to-leaf path, that
+# ``parse_program`` accepts; evaluation and the tree walks recurse per node
+PROGRAM_DEPTH_CAP = 100
 
 
 _NO_ARGS = ("input", "const", "scalar")
@@ -113,7 +118,8 @@ def evaluate(node: Node, inputs: Sequence[Matrix], ring: Any) -> Matrix:
 
     Constants and linmap payloads are stored over the base field and
     lifted when the evaluation ring is a jet ring.  Shared subtrees are
-    evaluated once.
+    evaluated once.  An op whose matrix operation fails (shape mismatch,
+    singular inverse) raises ``ProgramError`` naming the op.
     """
     cache: dict[int, Matrix] = {}
 
@@ -130,7 +136,10 @@ def evaluate(node: Node, inputs: Sequence[Matrix], ring: Any) -> Matrix:
         key = id(n)
         if key in cache:
             return cache[key]
-        out = _step(n)
+        try:
+            out = _step(n)
+        except LinAlgError as exc:
+            raise ProgramError(f"op {n.op!r}: {exc}") from exc
         cache[key] = out
         return out
 
@@ -238,22 +247,25 @@ def max_input_index(node: Node) -> int:
     return walk(node)
 
 
-def parse_program(data: Any, field: Any) -> Node:
-    """Parse a serialized program tree.
+def parse_program(data: Any, field: Any, depth: int = 1) -> Node:
+    """Parse a serialized program tree whose root sits at ``depth``.
 
     The wire format is {"op": ..., "args": [...]} with payload fields
     "index" (input), "value" (const rows / scalar), "i"/"j" (entry),
     and "matrix" (linmap).  Indices are ints >= 0 and matrices are
     nonempty lists of equal-length nonempty rows; a missing or malformed
-    payload raises ``ProgramError`` naming the op and the field.
+    payload raises ``ProgramError`` naming the op and the field, and so
+    does a tree deeper than ``PROGRAM_DEPTH_CAP`` nodes.
     """
+    if depth > PROGRAM_DEPTH_CAP:
+        raise ProgramError(f"program tree is deeper than {PROGRAM_DEPTH_CAP} nodes")
     if not isinstance(data, dict) or "op" not in data:
         raise ProgramError(f"program node must be an object with an 'op': {data!r}")
     op = data["op"]
     raw_args = data.get("args", [])
     if not isinstance(raw_args, list):
         raise ProgramError(f"'args' must be a list at op {op!r}")
-    args = tuple(parse_program(a, field) for a in raw_args)
+    args = tuple(parse_program(a, field, depth + 1) for a in raw_args)
     if op == "input":
         return Node("input", payload=_index_field(data, op, "index"))
     if op == "const":

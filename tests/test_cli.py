@@ -8,6 +8,8 @@ import pytest
 
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
+from diffcoh.fixtures import MATRIX_SIZE_CAP, load_fixture
+from diffcoh.programs import PROGRAM_DEPTH_CAP, format_program
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -478,3 +480,101 @@ def test_jet_program_arity_is_checked(field, index, arity, command, tmp_path, ca
     assert err == (
         f"error: $.{field}: a {field} takes {arity} input(s), but it reads {index + 1}\n"
     )
+
+
+def _padded(tree, depth):
+    """``tree`` under mul(scalar 1, .) wrappers until it is ``depth``
+    nodes deep; the program computes the same values."""
+
+    def depth_of(t):
+        return 1 + max((depth_of(a) for a in t.get("args", [])), default=0)
+
+    for _ in range(depth - depth_of(tree)):
+        tree = {"op": "mul", "args": [{"op": "scalar", "value": "1"}, tree]}
+    return tree
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "over-cap"])
+def test_program_depth_cap(extra, tmp_path, capsys):
+    jet = load_fixture(fx("gl2_inverse_det_deg2.json"))
+    programs = {
+        "difference-program": jet.dprog,
+        "rep-program": jet.theta_prog,
+        "alpha-program": jet.alpha_prog,
+        "beta-program": jet.beta_prog,
+    }
+    fields = {
+        name: _padded(format_program(prog, jet.spec.field), PROGRAM_DEPTH_CAP)
+        for name, prog in programs.items()
+    }
+    fields["beta-program"] = _padded(fields["beta-program"], PROGRAM_DEPTH_CAP + extra)
+    path = _jet_fixture(tmp_path, "gl2_inverse_det_deg2.json", **fields)
+    code, out, err = run(["vanest", path], capsys)
+    if extra:
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: $.beta-program: program tree is deeper than {PROGRAM_DEPTH_CAP} nodes\n"
+        )
+    else:
+        assert code == 0
+        assert err == ""
+        assert out.endswith("ok: true\n")
+
+
+@pytest.mark.parametrize("command", ["check", "vanest"])
+def test_json_nested_too_deep_is_a_fixture_error(command, tmp_path, capsys):
+    text = json.dumps(json.loads((FIXDIR / "gl2_adjugate_det.json").read_text()))
+    path = tmp_path / "deep.json"
+    path.write_text(text.replace('[["-1"]]', "[" * 1100 + '"-1"' + "]" * 1100))
+    code, out, err = run([command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: $: JSON nesting is too deep to decode\n"
+
+
+_CAP = f"expected a size in 1..{MATRIX_SIZE_CAP}, got"
+_BAD_SIZES = {
+    "size-negative": ("matrix-size", -1, f"{_CAP} -1"),
+    "size-zero": ("matrix-size", 0, f"{_CAP} 0"),
+    "size-over-cap": ("matrix-size", MATRIX_SIZE_CAP + 1, f"{_CAP} {MATRIX_SIZE_CAP + 1}"),
+    "size-3000": ("matrix-size", 3000, f"{_CAP} 3000"),
+    "shape-bool": ("value-shape", [True, True], "expected an integer, got True"),
+    "shape-over-cap": ("value-shape", [1, MATRIX_SIZE_CAP + 1], f"{_CAP} {MATRIX_SIZE_CAP + 1}"),
+    "shape-one-entry": ("value-shape", [1], "expected [rows, cols]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_SIZES))
+@pytest.mark.parametrize("command", ["check", "vanest"])
+def test_jet_fixture_sizes_are_capped(name, command, tmp_path, capsys):
+    field, value, message = _BAD_SIZES[name]
+    path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{field: value})
+    code, out, err = run([command, path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: $.{field}: {message}\n"
+
+
+_G0 = {"op": "input", "index": 0}
+_FAILING_OPS = {
+    "add": (
+        {"op": "add", "args": [_G0, {"op": "const", "value": [["1"]]}]},
+        "op 'add': shape mismatch 2x2 vs 1x1",
+    ),
+    "inverse": (
+        {"op": "inverse", "args": [{"op": "sub", "args": [_G0, _G0]}]},
+        "op 'inverse': matrix is singular",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "vanest"])
+@pytest.mark.parametrize("name", sorted(_FAILING_OPS))
+def test_program_evaluation_error_names_the_op(name, command, tmp_path, capsys):
+    prog, message = _FAILING_OPS[name]
+    path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"difference-program": prog})
+    code, out, err = run([command, path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
