@@ -306,14 +306,13 @@ def cmd_classify(args: argparse.Namespace, report: dict) -> None:
             "total-order": cls.total_order,
         }
         report["notes"].extend(cls.notes)
-        _add_check(
-            report,
-            "quotient-vs-census",
-            cls.consistent,
-            "rank formula, coset census, and direct enumeration agree"
-            if cls.consistent
-            else "the counting routes disagree",
-        )
+        if not cls.consistent:
+            detail = "the counting routes disagree"
+        elif cls.direct_class_count is None:
+            detail = "rank formula and coset census agree; direct enumeration skipped"
+        else:
+            detail = "rank formula, coset census, and direct enumeration agree"
+        _add_check(report, "quotient-vs-census", cls.consistent, detail)
 
 
 def cmd_vanest(args: argparse.Namespace, report: dict) -> None:

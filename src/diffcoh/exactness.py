@@ -44,18 +44,17 @@ class InternalCheckError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """``what`` (by default the cochain space in ``degree``) needs
-    ``required`` of ``counted`` (by default basis elements)."""
+    """``what`` needs ``required`` ``counted``, more than ``budget``.
+    ``degree`` is set only when a cochain space was counted."""
 
     def __init__(
         self,
-        degree: int,
+        what: str,
         required: int,
         budget: int,
-        what: str = "",
         counted: str = "basis elements",
+        degree: int | None = None,
     ) -> None:
-        what = what or f"cochain space in degree {degree}"
         super().__init__(f"{what} needs {required} {counted}, budget is {budget}")
         self.degree = degree
         self.required = required
@@ -534,7 +533,9 @@ class DifferenceComplexBase:
         if degree not in self._spaces:
             required = self._space_size(degree)
             if required > self.budget:
-                raise BudgetExceededError(degree, required, self.budget)
+                raise BudgetExceededError(
+                    f"cochain space in degree {degree}", required, self.budget, degree=degree
+                )
             self._spaces[degree] = self._new_space(degree)
         return self._spaces[degree]
 

@@ -295,6 +295,27 @@ def rep_from_section(ext: AbelianExtension, section: SectionMap) -> tuple[Matrix
     return tuple(mats)
 
 
+def _generation(group: FiniteGroup) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """A greedy generating set of ``group`` and a tree over it: steps
+    (x, s, y) with y = x s for a generator s, reaching every element but
+    the identity, each step after the one reaching x."""
+    gens: list[int] = []
+    steps: list[tuple[int, int, int]] = []
+    reached, seen = [group.identity], {group.identity}
+    for g in group.elements:
+        if g in seen:
+            continue
+        gens.append(g)
+        for x in reached:
+            for s in gens:
+                y = group.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    steps.append((x, s, y))
+                    reached.append(y)
+    return gens, steps
+
+
 def are_isomorphic(
     e1: AbelianExtension, e2: AbelianExtension, budget: int = 60000
 ) -> GroupCochain | None:
@@ -303,55 +324,47 @@ def are_isomorphic(
     1-cochain, or None.
 
     Isomorphisms of extensions inducing the identity on G and V are
-    exactly of this form, so the search is exhaustive over normalized
-    1-cochains eta.
+    exactly of this form.  Such a shear is a homomorphism fixing V, so
+    eta is determined by its values on a generating set of G: the search
+    runs over those values, extends each to all of G along a tree, and
+    checks the resulting map in full, so it stays exhaustive.
     """
     if e1.base is not e2.base:
         raise ValueError("extensions live over different difference groups")
     if e1.rep.theta != e2.rep.theta or e1.rep.t != e2.rep.t:
         raise ValueError("extensions have different modules")
     group = e1.base.group
-    f = e1.rep.field
-    nonid = [g for g in group.elements if g != group.identity]
-    n_candidates = e1.nv ** len(nonid)
+    gens, steps = _generation(group)
+    n_candidates = e1.nv ** len(gens)
     if n_candidates > budget:
         raise BudgetExceededError(
-            1, n_candidates, budget, "shear isomorphism search", "candidate shears"
+            "shear isomorphism search", n_candidates, budget, "candidate shears"
         )
 
-    t1, t2 = e1.total, e2.total
-    order = t1.group.order
-    vectors = e1.vectors
-    # coset[g][k]: the e2-indices of e1's coset g, in e1's order, sheared
-    # by vectors[k]; a candidate sigma is one slice of it per coset
-    coset = [
-        [
-            [e2.index(g, tuple(f.add(a, b) for a, b in zip(u, shift))) for u in vectors]
-            for shift in vectors
-        ]
-        for g in group.elements
+    # (g, vectors[k]) has index g * nv + k and equals (e, vectors[k]) (g, 0)
+    # in both extensions, so sigma sends it to (e, vectors[k]) (g, eta(g)).
+    # A step (x, s, y) with (x, 0)(s, 0) = (e, a)(y, 0) in e1 fixes eta(y):
+    # (y, eta(y)) = (e, a)^-1 sigma(x, 0) sigma(s, 0) in e2.
+    g1, g2 = e1.total.group, e2.total.group
+    d1, d2 = e1.total.d, e2.total.d
+    nv, e = e1.nv, group.identity
+    tree = [
+        (x, s, y, g2.table[g2.inv(e * nv + g1.mul(x * nv, s * nv) % nv)])
+        for x, s, y in steps
     ]
     shear = [0] * group.order
-    for combo in itertools.product(range(e1.nv), repeat=len(nonid)):
-        for g, k in zip(nonid, combo):
+    for combo in itertools.product(range(nv), repeat=len(gens)):
+        for g, k in zip(gens, combo):
             shear[g] = k
-        sigma = [i for g in group.elements for i in coset[g][shear[g]]]
-        ok = True
-        for x in range(order):
-            if sigma[t1.d_of(x)] != t2.d_of(sigma[x]):
-                ok = False
-                break
-            row = t1.group.table[x]
-            srow = t2.group.table[sigma[x]]
-            for y in range(order):
-                if sigma[row[y]] != srow[sigma[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            values = {(g,): vectors[k] for g, k in zip(nonid, combo)}
-            return GroupCochain(group, f, e1.rep.dim, 1, values)
+        for x, s, y, unshift in tree:
+            shear[y] = unshift[g2.mul(x * nv + shear[x], s * nv + shear[s])] % nv
+        sigma = [g2.mul(e * nv + k, g * nv + shear[g]) for g in group.elements for k in range(nv)]
+        if all(sigma[d1[x]] == d2[sigma[x]] for x in g1.elements) and all(
+            [sigma[z] for z in row] == [g2.table[sx][z] for z in sigma]
+            for row, sx in zip(g1.table, sigma)
+        ):
+            values = {(g,): e1.vectors[shear[g]] for g in group.elements if g != e}
+            return GroupCochain(group, e1.rep.field, e1.rep.dim, 1, values)
     return None
 
 
@@ -388,7 +401,7 @@ def census(
     rep, f, budget = cx.rep, cx.field, cx.budget
     n_cocycles = f.p ** len(z_basis)
     if n_cocycles > budget:
-        raise BudgetExceededError(2, n_cocycles, budget, "extension census", "cocycle pairs")
+        raise BudgetExceededError("extension census", n_cocycles, budget, "cocycle pairs")
     b_basis = column_space_basis(cx.les_data().d_b(1))
     rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in b_basis]))
     c2, c1 = cx.space(2), cx.space(1)
@@ -538,15 +551,12 @@ def classify_semidirect_difference_ops(
     n_candidates = nv ** ((group.order - 1) * nv)
     if n_candidates <= budget:
         valid = _valid_operators(classes[0][0])
-        class_of = {
-            ext.total.d: ci for ci, members in enumerate(classes) for ext in members
-        }
-        if set(valid) != set(class_of):
+        if set(valid) != {ext.total.d for members in classes for ext in members}:
             raise InternalCheckError(
                 "direct enumeration found operators outside the cocycle family"
             )
         direct_valid = len(valid)
-        direct_classes = len({class_of[op] for op in valid})
+        direct_classes = len(classes)
     else:
         notes.append(
             f"direct enumeration skipped: {n_candidates} candidate operators "

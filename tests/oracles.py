@@ -3,9 +3,12 @@
 The dense elimination (first nonzero row as pivot, full-row updates)
 and the per-basis-cochain operator assembly, for the group and the Lie
 complex alike, are the routes the library used before its sparse
-echelon and one-pass scatter assembly.  Tests compare the two routes
-exactly.
+echelon and one-pass scatter assembly; the shear search over every
+normalized 1-cochain is the one it used before searching on generators.
+Tests compare the two routes exactly.
 """
+
+import itertools
 
 from diffcoh.linalg import Matrix, LinAlgError
 
@@ -98,3 +101,32 @@ def per_basis_matrix(cx, fn, n, out_degree):
     cod = cx.space(out_degree)
     cols = [cod.to_vector(fn(dom.basis_cochain(k))) for k in range(dom.size)]
     return Matrix.from_columns(cx.field, cols, cod.size)
+
+
+def is_shear_isomorphism(e1, e2, eta):
+    """Whether (g, u) -> (g, u + eta[g]) is an isomorphism e1 -> e2 of
+    difference groups; ``eta`` maps every base element to a vector."""
+    f = e1.rep.field
+    sigma = {}
+    for x in e1.total.group.elements:
+        g, u = e1.split(x)
+        sigma[x] = e2.index(g, tuple(f.add(a, b) for a, b in zip(u, eta[g])))
+    t1, t2 = e1.total, e2.total
+    return all(sigma[t1.d_of(x)] == t2.d_of(sigma[x]) for x in sigma) and all(
+        sigma[t1.group.mul(x, y)] == t2.group.mul(sigma[x], sigma[y])
+        for x in sigma
+        for y in sigma
+    )
+
+
+def all_cochains_isomorphic(e1, e2):
+    """Whether some shear carries e1 to e2, searched over every
+    normalized 1-cochain eta."""
+    group = e1.base.group
+    nonid = [g for g in group.elements if g != group.identity]
+    for combo in itertools.product(e1.vectors, repeat=len(nonid)):
+        eta = dict(zip(nonid, combo))
+        eta[group.identity] = e1.vectors[0]
+        if is_shear_isomorphism(e1, e2, eta):
+            return True
+    return False

@@ -192,28 +192,62 @@ def test_classify_semidirect_skips_direct_enumeration_over_budget(tmp_path, caps
         "direct enumeration skipped: 14348907 candidate operators exceed "
         "the budget of 60000" in out
     )
+    assert (
+        "check quotient-vs-census: ok (rank formula and coset census agree; "
+        "direct enumeration skipped)\n" in out
+    )
     assert out.endswith("ok: true\n")
 
 
-@pytest.mark.parametrize(
-    "mode, budget, detail",
-    [
-        ("extensions", "20", "extension census needs 27 cocycle pairs, budget is 20"),
-        (
-            "semidirect-ops",
-            "5",
-            "shear isomorphism search needs 9 candidate shears, budget is 5",
-        ),
-    ],
-    ids=["cocycle-pairs", "candidate-shears"],
-)
-def test_classify_budget_verdict_names_what_it_counted(mode, budget, detail, capsys):
+def test_classify_semidirect_searches_shears_on_generators_only(tmp_path, capsys):
+    # S4 has 23 non-identity elements but 2 greedy generators, so the
+    # shear search of the census has 2^2 candidates, not 2^23
+    path = _group_fixture(tmp_path, symmetric(4), 2, 1)
+    code, out, err = run(["classify", path, "--mode", "semidirect-ops"], capsys)
+    assert code == 0
+    assert err == ""
+    assert "count-by-rank: 2\n" in out
+    assert "count-by-census: 2\n" in out
+    assert out.endswith("ok: true\n")
+
+
+def test_classify_budget_verdict_counts_cocycle_pairs(capsys):
     code, out, _ = run(
-        ["classify", fx("z3_carry_extension.json"), "--mode", mode, "--budget", budget],
-        capsys,
+        ["classify", fx("z3_carry_extension.json"), "--budget", "20"], capsys
     )
     assert code == 1
-    assert f"check budget: FAIL ({detail})\n" in out
+    assert (
+        "check budget: FAIL (extension census needs 27 cocycle pairs, budget is 20)\n"
+        in out
+    )
+
+
+def test_classify_budget_verdict_counts_candidate_shears(tmp_path, capsys):
+    # C2 with D = e swapping the coordinates of F_3^2, T = 0: every cochain
+    # space has 2 basis elements and the census 3 cocycle pairs, but a shear
+    # is free on the generator, so the search has 3^2 candidates
+    data = {
+        "group": {"order": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+        "difference": [0, 0],
+        "rep": {
+            "field": {"kind": "Fp", "p": 3},
+            "dim": 2,
+            "theta": {"0": [[1, 0], [0, 1]], "1": [[0, 1], [1, 0]]},
+            "T": [[0, 0], [0, 0]],
+        },
+    }
+    path = tmp_path / "c2_swap.json"
+    path.write_text(json.dumps(data))
+    args = ["classify", str(path), "--mode", "semidirect-ops"]
+    code, out, _ = run(args + ["--budget", "5"], capsys)
+    assert code == 1
+    assert (
+        "check budget: FAIL (shear isomorphism search needs 9 candidate shears, "
+        "budget is 5)\n" in out
+    )
+    code, out, _ = run(args + ["--budget", "9"], capsys)
+    assert code == 0
+    assert "count-by-census: 3\n" in out
 
 
 def test_classify_budget_failure_is_a_verdict(capsys):

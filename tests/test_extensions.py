@@ -3,12 +3,13 @@ shear isomorphisms, and the two classification routines."""
 
 import pytest
 
-from diffcoh.catalog import cyclic, inverse_map
+from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.extensions import (
     AbelianExtension,
     all_sections,
     are_isomorphic,
     canonical_section,
+    census,
     classify_extensions,
     classify_semidirect_difference_ops,
     cocycle_from_section,
@@ -19,14 +20,17 @@ from diffcoh.extensions import (
 from diffcoh.group_cohomology import (
     BudgetExceededError,
     CochainPair,
+    DifferenceComplex,
     GroupCochain,
     NotACocycleError,
     delta,
     zero_cochain,
 )
 from diffcoh.groups import DifferenceGroup, DifferenceRep, semidirect_product
-from diffcoh.linalg import Matrix
+from diffcoh.linalg import Matrix, kernel_basis
 from diffcoh.scalars import PrimeField, Rationals
+
+from oracles import all_cochains_isomorphic, is_shear_isomorphism
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -203,12 +207,38 @@ def test_shear_isomorphism_found_for_cohomologous_pairs():
     assert are_isomorphic(e0, e1) is None
 
 
+def _trivial_rep(group, field, t):
+    dg = DifferenceGroup(group, inverse_map(group))
+    theta = [Matrix.identity(field, 1)] * group.order
+    return DifferenceRep(dg, theta, Matrix.from_rows(field, [[t]]))
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [z3_rep(), _trivial_rep(klein_four(), F2, 1), _trivial_rep(symmetric(3), F2, 1)],
+    ids=["z3", "v4_f2", "s3_f2"],
+)
+def test_generator_shear_search_matches_the_search_over_all_cochains(rep):
+    # three extensions from each of the first four classes of the census
+    cx = DifferenceComplex(rep)
+    classes, _ = census(cx, kernel_basis(cx.les_data().d_b(2)))
+    exts = [ext for members in classes[:4] for ext in members[:3]]
+    group = rep.dg.group
+    for e1 in exts:
+        for e2 in exts:
+            shear = are_isomorphic(e1, e2)
+            assert (shear is not None) == all_cochains_isomorphic(e1, e2)
+            if shear is not None:
+                eta = {g: shear.value_at((g,)) for g in group.elements}
+                assert is_shear_isomorphism(e1, e2, eta)
+
+
 def test_isomorphism_search_guards():
     rep = z3_rep()
     e1 = extension_from_cocycle(rep, zero_pair(rep))
     e2 = extension_from_cocycle(rep, carry_pair(rep))
     with pytest.raises(BudgetExceededError):
-        are_isomorphic(e1, e2, budget=3)
+        are_isomorphic(e1, e2, budget=2)
     other_base = z3_rep()
     e3 = extension_from_cocycle(other_base, zero_pair(other_base))
     with pytest.raises(ValueError):
@@ -245,6 +275,13 @@ def test_classification_of_z2_extensions():
 def test_classification_budget():
     with pytest.raises(BudgetExceededError):
         classify_extensions(z3_rep(), budget=10)
+
+
+def test_census_budget_error_counts_cocycle_pairs_not_a_space():
+    with pytest.raises(BudgetExceededError) as exc:
+        classify_extensions(z3_rep(), budget=10)
+    assert (exc.value.degree, exc.value.required, exc.value.budget) == (None, 27, 10)
+    assert str(exc.value) == "extension census needs 27 cocycle pairs, budget is 10"
 
 
 def test_semidirect_operator_classification_both_signs():
