@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Any
 
-from .exactness import InternalCheckError
+from .exactness import DEFAULT_BUDGET, InternalCheckError
 from .extensions import (
     classify_extensions,
     classify_semidirect_difference_ops,
@@ -407,12 +407,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         common(p)
         p.add_argument("--max-degree", type=_positive_degree, default=2)
-        p.add_argument("--budget", type=int, default=60000)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("classify", help="classify extensions or semidirect operators")
     common(p)
     p.add_argument("--mode", choices=("extensions", "semidirect-ops"), default="extensions")
-    p.add_argument("--budget", type=int, default=60000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("vanest", help="verify the differentiation cochain map")
     common(p)

@@ -43,6 +43,9 @@ class InternalCheckError(RuntimeError):
     """
 
 
+DEFAULT_BUDGET = 60000
+
+
 class BudgetExceededError(RuntimeError):
     """``what`` needs ``required`` ``counted``, more than ``budget``.
     ``degree`` is set only when a cochain space was counted."""

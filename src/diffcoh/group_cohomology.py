@@ -30,6 +30,7 @@ from typing import Any, Iterable, Mapping, Sequence
 # BudgetExceededError and CochainPair are re-exported for callers that
 # import them from here
 from .exactness import (  # noqa: F401
+    DEFAULT_BUDGET,
     BudgetExceededError,
     Cochain,
     CochainPair,
@@ -234,7 +235,7 @@ class DifferenceComplex(DifferenceComplexBase):
     are outside the normalized space and vanish.
     """
 
-    def __init__(self, rep: DifferenceRep, budget: int = 60000) -> None:
+    def __init__(self, rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> None:
         from .groups import induced_rep_theta_d
 
         super().__init__(rep.field, rep.dim, budget)

@@ -38,6 +38,7 @@ import math
 from typing import Any, Iterable, Mapping, Sequence
 
 from .exactness import (
+    DEFAULT_BUDGET,
     Cochain,
     CochainPair,
     CochainSpaceBase,
@@ -443,7 +444,7 @@ class LieDifferenceComplex(DifferenceComplexBase):
     repeated index is outside the space and vanishes.
     """
 
-    def __init__(self, rep: LieRep, budget: int = 60000) -> None:
+    def __init__(self, rep: LieRep, budget: int = DEFAULT_BUDGET) -> None:
         super().__init__(rep.field, rep.dimv, budget)
         self.rep = rep
         self.lie = rep.lie

@@ -9,10 +9,11 @@ Differentiation is exact jet arithmetic: evaluating a program at
 I + e*x over a one-generator jet ring and extracting the e-coefficient.
 The van Est map evaluates an n-cochain program at I + e_j * x_{s(j)}
 over an n-generator jet ring for every permutation s, extracts the
-coefficient of e_1...e_n, and sums with signs.  Each call builds the
-jet ring and the table of arguments I + e_j * x_i once, and the
-cochain-map verification computes each VE once, sharing VE(d a)
-between the coboundary check and the pair-differential check.
+coefficient of e_1...e_n, and sums with signs, so its output is
+alternating by construction and is stored on increasing tuples only.
+Each call builds the jet ring and the table of arguments I + e_j * x_i
+once, and the cochain-map verification computes each VE once, sharing
+VE(d a) between the coboundary check and the pair-differential check.
 
 Program preconditions (the group-level identities) hold on sampled
 invertible matrices with a fixed seed; everything after sampling is an
@@ -290,10 +291,7 @@ def _signed_jet_value(
         args = [jet_args[j][indices[sigma[j]]] for j in range(n)]
         value = evaluate(prog, args, ring)
         coeff = vshape.flatten(jet_part(value, range(n)))
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if sigma[a] > sigma[b]
-        )
-        if inversions % 2:
+        if sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2:
             total = [f.sub(x, y) for x, y in zip(total, coeff)]
         else:
             total = [f.add(x, y) for x, y in zip(total, coeff)]
@@ -312,10 +310,10 @@ def van_est(
     alternating Lie n-cochain.
 
     Normalization (the program vanishes when any argument is the
-    identity) is checked on sampled invertible matrices; alternation of
-    the output is re-verified by evaluating transposed argument tuples.
-    One n-generator jet ring and one table of jet arguments
-    I + e_j * x_i serve every evaluation of the call.
+    identity) is checked on sampled invertible matrices; the output is
+    alternating by construction, a signed sum over permutations stored on
+    increasing tuples.  One n-generator jet ring and one table of jet
+    arguments I + e_j * x_i serve every evaluation of the call.
     """
     if not 1 <= degree <= VE_DEGREE_CAP:
         raise ValueError(f"van Est degree must be in 1..{VE_DEGREE_CAP}, got {degree}")
@@ -343,18 +341,7 @@ def van_est(
     values = {}
     for tup in itertools.combinations(range(diff.lie.dim), degree):
         values[tup] = _signed_jet_value(ring, jet_args, prog, tup, vshape)
-    out = LieCochain(diff.lie, vshape.dim, degree, values)
-
-    if degree >= 2:
-        for tup in itertools.combinations(range(diff.lie.dim), degree):
-            swapped = (tup[1], tup[0]) + tup[2:]
-            direct = _signed_jet_value(ring, jet_args, prog, swapped, vshape)
-            expected = tuple(f.neg(x) for x in out.value_at_basis(tup))
-            if direct != expected:
-                raise SampledPreconditionError(
-                    f"van Est output is not alternating at {tup}"
-                )
-    return out
+    return LieCochain(diff.lie, vshape.dim, degree, values)
 
 
 def coboundary_program(theta_prog: Node, alpha_prog: Node, degree: int) -> Node:

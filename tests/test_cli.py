@@ -457,6 +457,26 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     assert err == "internal consistency failure: the two routes disagree at degree 1\n"
 
 
+def test_failing_section_round_trip_exits_three(monkeypatch, capsys):
+    import diffcoh.extensions as extensions
+    from diffcoh.group_cohomology import CochainPair, GroupCochain
+
+    real_delta = extensions.delta
+
+    def broken(rep, pair):
+        image = real_delta(rep, pair)
+        bump = GroupCochain(rep.dg.group, rep.field, rep.dim, 3, {(1, 1, 1): (1,)})
+        return CochainPair(image.alpha + bump, image.beta)
+
+    monkeypatch.setattr(extensions, "delta", broken)
+    code, out, err = run(["classify", fx("z3_carry_extension.json")], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "internal consistency failure: section pair has d alpha nonzero at (1, 1, 1)\n"
+    )
+
+
 _G = {"op": "input", "index": 0}
 _MALFORMED_PROGRAMS = {
     "input-without-index": {"op": "input"},

@@ -1,6 +1,9 @@
 """Abelian extensions: construction from cocycle pairs, sections,
 shear isomorphisms, and the two classification routines."""
 
+import random
+import time
+
 import pytest
 
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
@@ -324,3 +327,103 @@ def test_census_insists_the_isomorphism_classes_are_the_cosets(monkeypatch):
         classify_extensions(z3_rep())
     with pytest.raises(InternalCheckError, match="non-isomorphic"):
         classify_semidirect_difference_ops(z3_rep(1))
+
+
+def _swap_rep():
+    """C2 acting on F3^2 by swapping coordinates, D = e, T = 0."""
+    c2 = cyclic(2)
+    swap = Matrix.from_rows(F3, [[0, 1], [1, 0]])
+    dg = DifferenceGroup(c2, [0, 0])
+    return DifferenceRep(dg, [Matrix.identity(F3, 2), swap], Matrix.zeros(F3, 2, 2))
+
+
+def _s3_sign_rep(t):
+    """The sign representation of S3 over F3, D = e, T = t."""
+    s3 = symmetric(3)
+    dg = DifferenceGroup(s3, [s3.identity] * s3.order)
+    theta = [
+        Matrix.from_rows(F3, [[2 if s3.element_order(g) == 2 else 1]])
+        for g in s3.elements
+    ]
+    return DifferenceRep(dg, theta, Matrix.from_rows(F3, [[t]]))
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        z3_rep(),
+        _trivial_rep(symmetric(3), F3, 1),
+        _s3_sign_rep(0),
+        _s3_sign_rep(1),
+        _s3_sign_rep(2),
+        _swap_rep(),
+    ],
+    ids=["c3_f3", "s3_f3_trivial", "s3_sign_t0", "s3_sign_t1", "s3_sign_t2", "c2_swap_f3sq"],
+)
+def test_carrier_laws_decide_the_cocycle_conditions(rep):
+    # seeded cocycles, and cocycles with alpha or beta perturbed at random:
+    # the extension is rejected exactly when delta(rep, pair) is nonzero,
+    # with the first tuple of its first nonzero component as witness
+    cx = DifferenceComplex(rep)
+    z_basis = kernel_basis(cx.les_data().d_b(2))
+    c2, c1 = cx.space(2), cx.space(1)
+    details = {
+        0: "the associativity (ordinary 2-cocycle) condition fails",
+        1: "the operator-compatibility condition fails",
+    }
+    seen = {kind: set() for kind in ("valid", "alpha", "beta")}
+    for seed in range(6):
+        rng = random.Random(seed)
+        vec = [F3.zero] * (c2.size + c1.size)
+        for basis_vec in z_basis:
+            c = F3.from_int(rng.randrange(3))
+            vec = [F3.add(x, F3.mul(c, y)) for x, y in zip(vec, basis_vec)]
+        spans = {"valid": (0, 0), "alpha": (0, c2.size), "beta": (c2.size, len(vec))}
+        for kind, (lo, hi) in spans.items():
+            pert = list(vec)
+            for i in range(lo, hi):
+                pert[i] = F3.add(pert[i], F3.from_int(rng.randrange(3)))
+            pair = CochainPair(
+                c2.from_vector(pert[: c2.size]), c1.from_vector(pert[c2.size :])
+            )
+            image = delta(rep, pair)
+            parts = (image.alpha, image.beta)
+            failing = [i for i, part in enumerate(parts) if not part.is_zero()]
+            if not failing:
+                assert AbelianExtension(rep, pair).pair == pair
+                seen[kind].add(None)
+                continue
+            with pytest.raises(NotACocycleError) as exc:
+                AbelianExtension(rep, pair)
+            first = failing[0]
+            assert exc.value.witness == parts[first].items()[0][0]
+            assert details[first] in str(exc.value)
+            seen[kind].add(first)
+    assert seen["valid"] == {None}
+    assert 0 in seen["alpha"]
+    assert 1 in seen["beta"] and 0 not in seen["beta"]
+
+
+def test_census_of_c6_over_f3_is_timed():
+    rep = _trivial_rep(cyclic(6), F3, 2)
+    start = time.monotonic()
+    cls = classify_extensions(rep)
+    elapsed = time.monotonic() - start
+    assert (cls.cocycle_count, cls.coboundary_count) == (729, 81)
+    assert (cls.class_count, cls.class_count_by_cosets) == (9, 9)
+    assert cls.h2_pair_dim == 2
+    assert cls.consistent
+    assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
+
+
+def test_pair_must_live_over_the_module():
+    rep = z3_rep()
+    group = rep.dg.group
+    wide = CochainPair(
+        GroupCochain(group, F3, 2, 2, {(1, 2): (0, 1)}), zero_cochain(group, F3, 2, 1)
+    )
+    other = cyclic(3)
+    elsewhere = CochainPair(zero_cochain(other, F3, 1, 2), zero_cochain(other, F3, 1, 1))
+    for pair in (wide, elsewhere):
+        with pytest.raises(ValueError, match="other data than the module"):
+            AbelianExtension(rep, pair)

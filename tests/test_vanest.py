@@ -1,6 +1,7 @@
 """Differentiating matrix-group programs into difference Lie algebra
 data, and the van Est map on cochain programs."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from diffcoh.programs import (
     builtin_cochain_program,
     builtin_difference_program,
     builtin_rep_program,
+    const,
     det_of,
     entry,
     inp,
@@ -20,11 +22,13 @@ from diffcoh.programs import (
     sub,
     trace_of,
 )
-from diffcoh.scalars import QuadraticField, Rationals
+from diffcoh.scalars import JetRing, QuadraticField, Rationals
 from diffcoh.vanest import (
     MatrixGroupSpec,
     SampledPreconditionError,
     VSpace,
+    _jet_arg,
+    _signed_jet_value,
     apply_t,
     differentiate_difference_operator,
     differentiate_representation,
@@ -229,3 +233,24 @@ def test_pair_component_needs_degree_two():
             qmat([[-1]]), VSpace(1, 1), trace_shift(), 1,
             beta_prog=trace_shift(),
         )
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_van_est_output_is_alternating_by_construction(degree):
+    # (g1 - I) ... (gn - I) is normalized and not symmetric in its inputs;
+    # the signed jet value of every permutation of a tuple is the stored
+    # value with the permutation's sign
+    spec, _, diff, _ = inverse_setup()
+    ident = const(Matrix.identity(Q, 2))
+    prog = sub(inp(0), ident)
+    for j in range(1, degree):
+        prog = mul(prog, sub(inp(j), ident))
+    vshape = VSpace(2, 2)
+    out = van_est(diff, prog, degree, vshape)
+    assert not out.is_zero()
+    ring = JetRing(Q, degree)
+    jet_args = [[_jet_arg(ring, spec, x, j) for x in diff.basis] for j in range(degree)]
+    for tup in itertools.combinations(range(diff.lie.dim), degree):
+        for perm in itertools.permutations(tup):
+            value = _signed_jet_value(ring, jet_args, prog, perm, vshape)
+            assert value == out.value_at_basis(perm)
