@@ -178,6 +178,10 @@ def parse_group_fixture(data: dict, path: str = "$") -> GroupFixture:
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise FixtureError(f"{gpath}.table", "expected a list of rows")
     order = len(table)
+    if order > GROUP_ORDER_CAP:
+        raise FixtureError(
+            f"{gpath}.table", f"order {order} exceeds the group order cap {GROUP_ORDER_CAP}"
+        )
     table = [
         [_int_at(x, f"{gpath}.table[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(table)
@@ -379,6 +383,8 @@ def require_arity(prog: Node, arity: int, path: str, lead: str) -> None:
 
 # the largest matrix size and value-shape entry a jet fixture may ask for
 MATRIX_SIZE_CAP = 6
+# the largest group order a fixture may give; validating the table is O(order^3)
+GROUP_ORDER_CAP = 128
 
 
 def _size_at(value: Any, path: str) -> int:

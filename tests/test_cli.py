@@ -632,3 +632,27 @@ def test_program_evaluation_error_names_the_op(name, command, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def _cyclic_fixture(tmp_path, order, rows=None):
+    table = rows if rows is not None else [
+        [(i + j) % order for j in range(order)] for i in range(order)
+    ]
+    data = {"group": {"table": table, "identity": 0}, "difference": list(range(order))}
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_group_order_cap(tmp_path, capsys):
+    from diffcoh.fixtures import GROUP_ORDER_CAP
+
+    too_long = GROUP_ORDER_CAP + 1
+    message = f"error: $.group.table: order {too_long} exceeds the group order cap {GROUP_ORDER_CAP}\n"
+    for rows in (None, [["x"]] * too_long):
+        # the row count is checked before any entry is read
+        code, out, err = run(["check", _cyclic_fixture(tmp_path, too_long, rows)], capsys)
+        assert (code, out, err) == (2, "", message)
+    code, out, err = run(["check", _cyclic_fixture(tmp_path, GROUP_ORDER_CAP)], capsys)
+    assert code == 0
+    assert err == ""

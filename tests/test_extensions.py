@@ -427,3 +427,45 @@ def test_pair_must_live_over_the_module():
     for pair in (wide, elsewhere):
         with pytest.raises(ValueError, match="other data than the module"):
             AbelianExtension(rep, pair)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        z3_rep(),
+        _trivial_rep(symmetric(3), F3, 1),
+        _s3_sign_rep(0),
+        _s3_sign_rep(1),
+        _s3_sign_rep(2),
+        _swap_rep(),
+    ],
+    ids=["c3_f3", "s3_f3_trivial", "s3_sign_t0", "s3_sign_t1", "s3_sign_t2", "c2_swap_f3sq"],
+)
+def test_extension_sits_between_module_and_base(rep):
+    # V -> E -> G on seeded cocycle pairs: the injection is a homomorphism
+    # on which the operator restricts to T, and the projection is a
+    # homomorphism intertwining the operators; the constructor does not
+    # check these, since validated base data forces them
+    cx = DifferenceComplex(rep)
+    z_basis = kernel_basis(cx.les_data().d_b(2))
+    c2, c1 = cx.space(2), cx.space(1)
+    group, d_base = rep.dg.group, rep.dg.d_of
+    for seed in range(3):
+        rng = random.Random(seed)
+        vec = [F3.zero] * (c2.size + c1.size)
+        for basis_vec in z_basis:
+            c = F3.from_int(rng.randrange(3))
+            vec = [F3.add(x, F3.mul(c, y)) for x, y in zip(vec, basis_vec)]
+        ext = AbelianExtension(
+            rep, CochainPair(c2.from_vector(vec[: c2.size]), c1.from_vector(vec[c2.size :]))
+        )
+        total, d_total = ext.total.group, ext.total.d_of
+        for u in ext.vectors:
+            for v in ext.vectors:
+                s = tuple(F3.add(a, b) for a, b in zip(u, v))
+                assert total.mul(ext.inject(u), ext.inject(v)) == ext.inject(s)
+            assert d_total(ext.inject(u)) == ext.inject(tuple(rep.t.matvec(list(u))))
+        for x in total.elements:
+            assert ext.project(d_total(x)) == d_base(ext.project(x))
+            for y in total.elements:
+                assert ext.project(total.mul(x, y)) == group.mul(ext.project(x), ext.project(y))
