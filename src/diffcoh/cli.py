@@ -45,7 +45,7 @@ from .group_cohomology import (
 )
 from .groups import ValidationError
 from .lie import LieDifferenceComplex, LieError
-from .programs import ProgramError
+from .programs import ProgramError, max_input_index
 from .scalars import ScalarError
 from .vanest import (
     DEFAULT_SAMPLES,
@@ -329,9 +329,14 @@ def cmd_vanest(args: argparse.Namespace, report: dict) -> None:
     report["arguments"]["degree"] = degree
     source = "$.degree" if args.degree is None else "--degree"
     require_arity(fx.alpha_prog, degree, source, f"degree {degree} gives the alpha-program")
-    if fx.beta_prog is not None:
-        if degree < 2:
-            raise FixtureError(source, f"a beta-program needs degree >= 2, got {degree}")
+    if fx.beta_prog is None:
+        # an alpha-program reading fewer inputs than the degree is left to
+        # the sampled normalization check, which reports it as a verdict
+        if degree >= 2 and max_input_index(fx.alpha_prog) + 1 == degree:
+            raise FixtureError(source, f"degree {degree} needs a beta-program, got none")
+    elif degree < 2:
+        raise FixtureError(source, f"a beta-program needs degree >= 2, got {degree}")
+    else:
         require_arity(
             fx.beta_prog, degree - 1, source, f"degree {degree} gives the beta-program"
         )

@@ -13,6 +13,13 @@ automorphism applied entrywise).
 
 Programs compose by substitution, which is how coboundary and
 connecting-map combinators are built from cochain programs.
+
+One evaluation computes each subtree once.  Several evaluations of one
+program over one ring can share a ``ValueStore``: it keeps the value of
+each subtree that reads fewer inputs than the evaluation has and that a
+later evaluation can look up, keyed by the input objects that subtree
+reads, for as long as its owner keeps it (the van Est map keeps one for
+the duration of one call).
 """
 
 from __future__ import annotations
@@ -113,15 +120,45 @@ def conj(a: Node) -> Node:
     return Node("conj", (a,))
 
 
-def evaluate(node: Node, inputs: Sequence[Matrix], ring: Any) -> Matrix:
+class ValueStore:
+    """Values of one program's subtrees, shared by several evaluations of
+    that program.
+
+    A value is keyed by the subtree and the identities of the input
+    objects the subtree reads, so an evaluation that passes the same
+    objects in those slots reuses it.  Identity keys are valid only while
+    the tree and those input objects are alive: the store's owner must
+    keep both for as long as the store, and evaluate over one ring only.
+    The store keeps only values of subtrees that read fewer inputs than
+    the evaluation has (a subtree reading all of them is keyed by the
+    whole assignment) and that a later evaluation can look up (see
+    ``subtree_reads``); any other value is kept for one evaluation alone.
+    """
+
+    def __init__(self, node: Node) -> None:
+        self.reads, self.looked_up = subtree_reads(node)
+        self.values: dict[tuple, Matrix] = {}
+
+
+def evaluate(
+    node: Node, inputs: Sequence[Matrix], ring: Any, store: ValueStore | None = None
+) -> Matrix:
     """Evaluate a program on input matrices over ``ring``.
 
     Constants and linmap payloads are stored over the base field and
-    lifted when the evaluation ring is a jet ring.  Shared subtrees are
-    evaluated once.  An op whose matrix operation fails (shape mismatch,
-    singular inverse) raises ``ProgramError`` naming the op.
+    lifted when the evaluation ring is a jet ring.  Values live in a
+    ``ValueStore`` built for ``node``: a fresh one per call unless
+    ``store`` is given, in which case values of subtrees reading fewer
+    inputs than ``inputs`` has are shared with the other evaluations on
+    that store.  Either way a shared subtree is evaluated once per call.
+    An op whose matrix operation fails (shape mismatch, singular inverse)
+    raises ``ProgramError`` naming the op.
     """
-    cache: dict[int, Matrix] = {}
+    if store is None:
+        store = ValueStore(node)
+    reads, looked_up, shared = store.reads, store.looked_up, store.values
+    arity = len(inputs)
+    local: dict[tuple, Matrix] = {}
 
     def lift(m: Matrix) -> Matrix:
         if isinstance(ring, JetRing):
@@ -133,14 +170,18 @@ def evaluate(node: Node, inputs: Sequence[Matrix], ring: Any) -> Matrix:
         return m
 
     def run(n: Node) -> Matrix:
-        key = id(n)
-        if key in cache:
-            return cache[key]
+        read = reads[id(n)]
+        if read and read[-1] >= arity:
+            return _step(n)  # an input leaf raises, naming the missing input
+        key = (id(n), *[id(inputs[i]) for i in read])
+        table = shared if len(read) < arity and id(n) in looked_up else local
+        if key in table:
+            return table[key]
         try:
             out = _step(n)
         except LinAlgError as exc:
             raise ProgramError(f"op {n.op!r}: {exc}") from exc
-        cache[key] = out
+        table[key] = out
         return out
 
     def _step(n: Node) -> Matrix:
@@ -227,24 +268,39 @@ def substitute(node: Node, replacements: Sequence[Node]) -> Node:
     return walk(node)
 
 
-def max_input_index(node: Node) -> int:
-    """Largest input index used, or -1 for a closed program."""
-    seen: dict[int, int] = {}
+def subtree_reads(node: Node) -> tuple[dict[int, tuple[int, ...]], set[int]]:
+    """The increasing input indices each subtree of ``node`` reads, keyed
+    by the subtree's id, and the ids of the subtrees a later evaluation
+    can look up: the root and each subtree with a parent that reads more
+    inputs.  A subtree whose parents all read its inputs is looked up
+    only when one of them is computed, and that one is looked up under
+    the same inputs first."""
+    reads: dict[int, tuple[int, ...]] = {}
+    looked_up = {id(node)}
 
-    def walk(n: Node) -> int:
+    def walk(n: Node) -> tuple[int, ...]:
         key = id(n)
-        if key in seen:
-            return seen[key]
+        if key in reads:
+            return reads[key]
         if n.op == "input":
-            out = n.payload
-        elif n.args:
-            out = max(walk(a) for a in n.args)
+            out = (n.payload,)
         else:
-            out = -1
-        seen[key] = out
+            arg_reads = [walk(a) for a in n.args]
+            out = tuple(sorted(set().union(*arg_reads)))
+            looked_up.update(
+                id(a) for a, read in zip(n.args, arg_reads) if len(read) < len(out)
+            )
+        reads[key] = out
         return out
 
-    return walk(node)
+    walk(node)
+    return reads, looked_up
+
+
+def max_input_index(node: Node) -> int:
+    """Largest input index used, or -1 for a closed program."""
+    read = subtree_reads(node)[0][id(node)]
+    return read[-1] if read else -1
 
 
 def parse_program(data: Any, field: Any, depth: int = 1) -> Node:

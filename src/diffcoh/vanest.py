@@ -12,9 +12,13 @@ over an n-generator jet ring for every permutation s, extracts the
 coefficient of e_1...e_n, and sums with signs, so its output is
 alternating by construction and is stored on increasing tuples only.
 Each call builds the jet ring and the table of arguments I + e_j * x_i
-once.  The cochain-map verification computes each VE image and each
-Lie-side image once and assembles the pair-differential check from them
-by linearity of VE.
+once, and one ``ValueStore`` that its jet evaluations share for the
+duration of the call: a subtree reading fewer inputs than the program
+(inverse(x_j), tr(x_j) - k, a constant, in degree 3 a two-input term)
+is evaluated once per assignment of the arguments it reads, not once
+per tuple and permutation.  The cochain-map verification computes each
+VE image and each Lie-side image once and assembles the
+pair-differential check from them by linearity of VE.
 
 Program preconditions (the group-level identities) hold on sampled
 invertible matrices with a fixed seed; everything after sampling is an
@@ -43,6 +47,7 @@ from .exactness import CochainPair
 from .linalg import Matrix, det, jet_part
 from .programs import (
     Node,
+    ValueStore,
     add,
     evaluate,
     inp,
@@ -281,16 +286,18 @@ def _signed_jet_value(
     prog: Node,
     indices: Sequence[int],
     vshape: VSpace,
+    store: ValueStore | None = None,
 ) -> tuple:
     """The alternating-sum jet evaluation of a cochain program on basis
     elements x_{indices}; ``jet_args[j][i]`` is I + e_j * x_i over
-    ``ring``."""
+    ``ring``.  Each permutation is one ``evaluate`` on ``store``, if
+    given."""
     f = ring.base
     n = len(indices)
     total = [f.zero] * vshape.dim
     for sigma in itertools.permutations(range(n)):
         args = [jet_args[j][indices[sigma[j]]] for j in range(n)]
-        value = evaluate(prog, args, ring)
+        value = evaluate(prog, args, ring, store)
         coeff = vshape.flatten(jet_part(value, range(n)))
         if sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2:
             total = [f.sub(x, y) for x, y in zip(total, coeff)]
@@ -314,7 +321,11 @@ def van_est(
     identity) is checked on sampled invertible matrices; the output is
     alternating by construction, a signed sum over permutations stored on
     increasing tuples.  One n-generator jet ring and one table of jet
-    arguments I + e_j * x_i serve every evaluation of the call.
+    arguments I + e_j * x_i serve every evaluation of the call, and the
+    evaluations share one ``ValueStore`` that lives as long as the call:
+    each value of a subtree reading fewer than n inputs is computed once
+    per assignment of the arguments it reads.  ``evaluate`` runs once
+    per (tuple, permutation).
     """
     if not 1 <= degree <= VE_DEGREE_CAP:
         raise ValueError(f"van Est degree must be in 1..{VE_DEGREE_CAP}, got {degree}")
@@ -339,9 +350,10 @@ def van_est(
     jet_args = [
         [_jet_arg(ring, diff.spec, x, j) for x in diff.basis] for j in range(degree)
     ]
+    store = ValueStore(prog)
     values = {}
     for tup in itertools.combinations(range(diff.lie.dim), degree):
-        values[tup] = _signed_jet_value(ring, jet_args, prog, tup, vshape)
+        values[tup] = _signed_jet_value(ring, jet_args, prog, tup, vshape, store)
     return LieCochain(diff.lie, vshape.dim, degree, values)
 
 

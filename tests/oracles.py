@@ -4,13 +4,19 @@ The dense elimination (first nonzero row as pivot, full-row updates)
 and the per-basis-cochain operator assembly, for the group and the Lie
 complex alike, are the routes the library used before its sparse
 echelon and one-pass scatter assembly; the shear search over every
-normalized 1-cochain is the one it used before searching on generators.
-Tests compare the two routes exactly.
+normalized 1-cochain is the one it used before searching on generators;
+the van Est loop with one plain evaluation per tuple and permutation is
+the one it used before its evaluations shared a value store.  Tests
+compare the two routes exactly.
 """
 
 import itertools
 
-from diffcoh.linalg import Matrix, LinAlgError
+from diffcoh.lie import LieCochain
+from diffcoh.linalg import Matrix, LinAlgError, jet_part
+from diffcoh.programs import evaluate
+from diffcoh.scalars import JetRing
+from diffcoh.vanest import _jet_arg
 
 
 def dense_echelon(m):
@@ -130,3 +136,24 @@ def all_cochains_isomorphic(e1, e2):
         if is_shear_isomorphism(e1, e2, eta):
             return True
     return False
+
+
+def per_evaluation_van_est(diff, prog, degree, vshape):
+    """The van Est map of a cochain program, without the normalization
+    check: one plain ``evaluate`` per increasing tuple and permutation, so
+    no value is shared between two evaluations."""
+    f = diff.spec.field
+    ring = JetRing(f, degree)
+    jet_args = [[_jet_arg(ring, diff.spec, x, j) for x in diff.basis] for j in range(degree)]
+    values = {}
+    for tup in itertools.combinations(range(diff.lie.dim), degree):
+        total = [f.zero] * vshape.dim
+        for sigma in itertools.permutations(range(degree)):
+            args = [jet_args[j][tup[sigma[j]]] for j in range(degree)]
+            value = evaluate(prog, args, ring)
+            coeff = vshape.flatten(jet_part(value, range(degree)))
+            odd = sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2
+            step = f.sub if odd else f.add
+            total = [step(x, y) for x, y in zip(total, coeff)]
+        values[tup] = tuple(total)
+    return LieCochain(diff.lie, vshape.dim, degree, values)

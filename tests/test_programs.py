@@ -30,6 +30,7 @@ from diffcoh.programs import (
     scalar,
     sub,
     substitute,
+    subtree_reads,
     trace_of,
 )
 from diffcoh.scalars import JetRing, QuadraticField, Rationals
@@ -82,6 +83,12 @@ def test_evaluate_shape_errors():
         evaluate(entry(inp(0), 2, 0), [g], Q)
     with pytest.raises(ProgramError):
         evaluate(linmap(qmat([[1, 0, 0]]), inp(0)), [g], Q)
+
+
+def test_a_missing_input_below_an_op_is_named():
+    g = qmat([[1, 2], [3, 4]])
+    with pytest.raises(ProgramError, match="^program wants input 2, got 2$"):
+        evaluate(mul(inverse(inp(0)), det_of(inp(2))), [g, g], Q)
 
 
 def test_linmap_acts_on_flattened_entries():
@@ -137,6 +144,20 @@ def test_max_input_index():
     assert max_input_index(scalar(Fraction(1))) == -1
     assert max_input_index(mul(inp(0), inp(3))) == 3
     assert max_input_index(builtin_rep_program("det", Q, 2)) == 1
+
+
+def test_subtree_reads_and_the_values_a_later_evaluation_looks_up():
+    trace = trace_of(inp(0))
+    shifted = sub(trace, scalar(Fraction(2)))
+    second = inp(1)
+    prog = mul(shifted, second)
+    reads, looked_up = subtree_reads(prog)
+    assert reads[id(prog)] == (0, 1)
+    assert reads[id(trace)] == reads[id(shifted)] == (0,)
+    assert reads[id(shifted.args[1])] == ()
+    # the trace is needed only when tr(x0) - 2, which reads the same
+    # input, is computed, and that value is looked up first
+    assert looked_up == {id(prog), id(shifted), id(second), id(shifted.args[1])}
 
 
 def test_parse_format_round_trip():

@@ -193,7 +193,7 @@ def test_pair_check_computes_each_image_once(degree, monkeypatch):
 
 
 def test_a_degree_two_fixture_without_beta_is_rejected(tmp_path, capsys):
-    # the Lie pair validates its shape after the first three checks ran
+    # rejected with the fixture checks, before anything is differentiated
     data = json.loads((FIXDIR / "gl2_inverse_det_deg2.json").read_text())
     del data["beta-program"]
     path = tmp_path / "no_beta.json"
@@ -201,4 +201,4 @@ def test_a_degree_two_fixture_without_beta_is_rejected(tmp_path, capsys):
     code = main(["vanest", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: degree-2 pairs need a second component\n"
+    assert captured.err == "error: $.degree: degree 2 needs a beta-program, got none\n"
