@@ -15,9 +15,11 @@ their cocycle pairs are cohomologous, so isomorphism classes are
 counted by the pair cohomology in degree 2.
 
 One ``census`` serves both classifications: it builds the extension of
-every cocycle pair in a given span and insists that the coset
-decomposition modulo coboundaries and the explicit shear search give the
-same partition.  ``classify_extensions`` runs it on all cocycle pairs.
+every cocycle pair in a given span, keys it by its coset modulo
+coboundaries, and shows with the explicit shear search that each member
+is isomorphic to its coset's first member and that these first members
+are pairwise non-isomorphic, so the isomorphism classes are the cosets.
+``classify_extensions`` runs it on all cocycle pairs.
 The difference operators on the semidirect product G x| V are the
 extensions with alpha = 0, so ``classify_semidirect_difference_ops``
 runs it on the pairs (0, beta).
@@ -354,19 +356,21 @@ def _span(field: PrimeField, basis: list[list[Any]], length: int) -> list[list[A
     return out
 
 
-def census(
-    cx: DifferenceComplex, z_basis: list[list[Any]]
-) -> tuple[list[list[AbelianExtension]], int]:
+def census(cx: DifferenceComplex, z_basis: list[list[Any]]) -> list[list[AbelianExtension]]:
     """Build the extension of every cocycle pair in the F_p-span of
-    ``z_basis`` (pair coordinates, alpha first, then beta) and group them
-    two independent ways: by coset modulo B^2 = im delta(1), and by
-    explicit shear-isomorphism search.
+    ``z_basis`` (pair coordinates, alpha first, then beta) and show that
+    its shear-isomorphism classes are its cosets modulo B^2 = im delta(1).
 
-    Returns the isomorphism classes in span order, each with its first
-    member as representative, and the number of cosets.  The zero pair
-    comes first, so ``classes[0][0]`` is the split extension.  Raises
-    ``InternalCheckError`` unless the two partitions agree member for
-    member.
+    One pass keys each member by its coset.  A member of a known coset
+    must be shear-isomorphic to that coset's representative, its first
+    member; a member of a new coset must be isomorphic to no earlier
+    representative, and becomes one.  So every member is shown
+    isomorphic to its representative and the representatives pairwise
+    non-isomorphic by the exhaustive search, and the two partitions are
+    equal; either failure raises ``InternalCheckError``.
+
+    Returns the classes, one per coset, in span order.  The zero pair
+    comes first, so ``classes[0][0]`` is the split extension.
     """
     rep, f, budget = cx.rep, cx.field, cx.budget
     n_cocycles = f.p ** len(z_basis)
@@ -376,8 +380,7 @@ def census(
     rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in b_basis]))
     c2, c1 = cx.space(2), cx.space(1)
 
-    classes: list[list[AbelianExtension]] = []
-    keys: list[set[tuple]] = []
+    cosets: dict[tuple, list[AbelianExtension]] = {}
     for vec in _span(f, z_basis, c2.size + c1.size):
         reduced = list(vec)
         for row, p in zip(rows, pivots):
@@ -388,26 +391,19 @@ def census(
         key = tuple(reduced)
         pair = CochainPair(c2.from_vector(vec[: c2.size]), c1.from_vector(vec[c2.size :]))
         ext = AbelianExtension(rep, pair)
-        for members, class_keys in zip(classes, keys):
-            if are_isomorphic(members[0], ext, budget=budget) is not None:
-                members.append(ext)
-                class_keys.add(key)
-                break
+        if key in cosets:
+            if are_isomorphic(cosets[key][0], ext, budget=budget) is None:
+                raise InternalCheckError(
+                    "cohomologous cocycles produced non-isomorphic extensions"
+                )
+            cosets[key].append(ext)
+        elif any(are_isomorphic(m[0], ext, budget=budget) is not None for m in cosets.values()):
+            raise InternalCheckError(
+                "isomorphic extensions came from non-cohomologous cocycles"
+            )
         else:
-            classes.append([ext])
-            keys.append({key})
-
-    # each class must be one coset, and no coset may meet two classes
-    if any(len(class_keys) > 1 for class_keys in keys):
-        raise InternalCheckError(
-            "isomorphic extensions came from non-cohomologous cocycles"
-        )
-    n_cosets = len(set().union(*keys))
-    if n_cosets != len(classes):
-        raise InternalCheckError(
-            "cohomologous cocycles produced non-isomorphic extensions"
-        )
-    return classes, n_cosets
+            cosets[key] = [ext]
+    return list(cosets.values())
 
 
 @dataclass
@@ -444,7 +440,7 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
     p = rep.field.p
     cx = DifferenceComplex(rep, budget=budget)
     data = cx.les_data()
-    classes, n_cosets = census(cx, kernel_basis(data.d_b(2)))
+    classes = census(cx, kernel_basis(data.d_b(2)))
 
     for members in classes:
         ext = members[0]
@@ -456,7 +452,7 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
         cocycle_count=sum(len(members) for members in classes),
         coboundary_count=p ** rank(data.d_b(1)),
         class_count=len(classes),
-        class_count_by_cosets=n_cosets,
+        class_count_by_cosets=len(classes),
         expected_from_cohomology=p**h2,
         h2_pair_dim=h2,
         classes=[
@@ -512,7 +508,7 @@ def classify_semidirect_difference_ops(
     k_rank = rank(Matrix.from_columns(f, k_images, kmat.nrows)) if k_images else 0
 
     alpha_zero = [f.zero] * cx.space(2).size
-    classes, n_cosets = census(cx, [alpha_zero + list(v) for v in z_beta])
+    classes = census(cx, [alpha_zero + list(v) for v in z_beta])
 
     notes: list[str] = []
     direct_valid: int | None = None
@@ -536,7 +532,7 @@ def classify_semidirect_difference_ops(
         z_dim=len(z_beta),
         connecting_rank=k_rank,
         count_by_rank=p ** (len(z_beta) - k_rank),
-        count_by_census=n_cosets,
+        count_by_census=len(classes),
         direct_valid_count=direct_valid,
         direct_class_count=direct_classes,
         total_order=group.order * nv,

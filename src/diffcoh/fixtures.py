@@ -350,11 +350,6 @@ def format_lie_fixture(fx: LieFixture) -> dict:
     return out
 
 
-_DIFFERENCE_BUILTINS = ("inverse", "adjugate", "conjugate-inverse")
-_REP_BUILTINS = ("det", "identity-rep")
-_COCHAIN_BUILTINS = ("trace-shift",)
-
-
 def _resolve_program(value: Any, field: Any, size: int, role: str, path: str, degree: int = 1) -> Node:
     if isinstance(value, str):
         try:

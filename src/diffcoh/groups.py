@@ -170,7 +170,8 @@ class FiniteGroup:
 
 def check_difference_operator(group: FiniteGroup, d: Sequence[int]) -> ValidationReport:
     """Check the twisted cocycle rule D(gh) = D(g) g D(h) g^{-1} on all
-    pairs; on success also confirm the two consequences D(e) = e and
+    pairs.  Its consequences need no check of their own: the rule at
+    (e, e) gives D(e) = e, and at (g, g^{-1}) it gives
     D(g^{-1}) = (D(g) g)^{-1} g."""
     report = ValidationReport("difference operator")
     n = group.order
@@ -191,18 +192,6 @@ def check_difference_operator(group: FiniteGroup, d: Sequence[int]) -> Validatio
                     (g, h),
                     f"D({group.label(g)}*{group.label(h)}) = {group.label(lhs)} "
                     f"but D(g) g D(h) g^-1 = {group.label(rhs)}",
-                )
-    if report.ok:
-        e = group.identity
-        if d[e] != e:
-            report.add("identity-value", (e,), f"D(e) = {group.label(d[e])} != e")
-        for g in range(n):
-            expected = group.mul(group.inv(group.mul(d[g], g)), g)
-            if d[group.inv(g)] != expected:
-                report.add(
-                    "inverse-value",
-                    (g,),
-                    f"D(g^-1) = {group.label(d[group.inv(g)])} != (D(g) g)^-1 g",
                 )
     return report
 

@@ -210,10 +210,12 @@ def test_shear_isomorphism_found_for_cohomologous_pairs():
     assert are_isomorphic(e0, e1) is None
 
 
-def _trivial_rep(group, field, t):
+def _trivial_rep(group, field, t, dim=1):
+    """Trivial action on field^dim, D = inversion and T = t * identity."""
     dg = DifferenceGroup(group, inverse_map(group))
-    theta = [Matrix.identity(field, 1)] * group.order
-    return DifferenceRep(dg, theta, Matrix.from_rows(field, [[t]]))
+    theta = [Matrix.identity(field, dim)] * group.order
+    t_rows = [[t if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return DifferenceRep(dg, theta, Matrix.from_rows(field, t_rows))
 
 
 @pytest.mark.parametrize(
@@ -224,7 +226,7 @@ def _trivial_rep(group, field, t):
 def test_generator_shear_search_matches_the_search_over_all_cochains(rep):
     # three extensions from each of the first four classes of the census
     cx = DifferenceComplex(rep)
-    classes, _ = census(cx, kernel_basis(cx.les_data().d_b(2)))
+    classes = census(cx, kernel_basis(cx.les_data().d_b(2)))
     exts = [ext for members in classes[:4] for ext in members[:3]]
     group = rep.dg.group
     for e1 in exts:
@@ -329,6 +331,40 @@ def test_census_insists_the_isomorphism_classes_are_the_cosets(monkeypatch):
         classify_semidirect_difference_ops(z3_rep(1))
 
 
+def test_census_insists_the_cosets_are_pairwise_non_isomorphic(monkeypatch):
+    # a search that always finds a shear merges the first two cosets; both
+    # reps have more than one class in their mode (9 and 3)
+    import diffcoh.extensions as extensions
+    from diffcoh.exactness import InternalCheckError
+
+    def always_a_shear(e1, e2, budget):
+        return zero_cochain(e1.base.group, e1.rep.field, e1.rep.dim, 1)
+
+    monkeypatch.setattr(extensions, "are_isomorphic", always_a_shear)
+    with pytest.raises(InternalCheckError, match="non-cohomologous"):
+        classify_extensions(z3_rep())
+    with pytest.raises(InternalCheckError, match="non-cohomologous"):
+        classify_semidirect_difference_ops(z3_rep(2))
+
+
+def test_census_searches_each_member_once_and_each_pair_of_representatives(monkeypatch):
+    # (members - classes) + classes (classes - 1) / 2 = 32 + 496 searches;
+    # comparing each member with every representative until one matches
+    # takes 1024
+    import diffcoh.extensions as extensions
+
+    calls = []
+
+    def counted(e1, e2, budget):
+        calls.append(None)
+        return are_isomorphic(e1, e2, budget)
+
+    monkeypatch.setattr(extensions, "are_isomorphic", counted)
+    cls = classify_extensions(_trivial_rep(klein_four(), F2, 1))
+    assert (cls.cocycle_count, cls.class_count) == (64, 32)
+    assert len(calls) == 528
+
+
 def _swap_rep():
     """C2 acting on F3^2 by swapping coordinates, D = e, T = 0."""
     c2 = cyclic(2)
@@ -412,6 +448,18 @@ def test_census_of_c6_over_f3_is_timed():
     assert (cls.cocycle_count, cls.coboundary_count) == (729, 81)
     assert (cls.class_count, cls.class_count_by_cosets) == (9, 9)
     assert cls.h2_pair_dim == 2
+    assert cls.consistent
+    assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
+
+
+def test_census_of_c3_over_f3_squared_is_timed():
+    rep = _trivial_rep(cyclic(3), F3, 2, dim=2)
+    start = time.monotonic()
+    cls = classify_extensions(rep)
+    elapsed = time.monotonic() - start
+    assert cls.cocycle_count == 729
+    assert (cls.class_count, cls.class_count_by_cosets) == (81, 81)
+    assert cls.h2_pair_dim == 4
     assert cls.consistent
     assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
 
