@@ -23,9 +23,9 @@ from typing import Any
 
 from .exactness import DEFAULT_BUDGET, InternalCheckError
 from .extensions import (
+    AbelianExtension,
     classify_extensions,
     classify_semidirect_difference_ops,
-    extension_from_cocycle,
 )
 from .fixtures import (
     FixtureError,
@@ -166,7 +166,7 @@ def cmd_check(args: argparse.Namespace, report: dict) -> None:
             _add_check(report, "representation", True, "validated")
         if fx.pair is not None:
             try:
-                ext = extension_from_cocycle(fx.rep, fx.pair)
+                ext = AbelianExtension(fx.rep, fx.pair)
             except NotACocycleError as exc:
                 _add_check(report, "cocycle-pair", False, str(exc))
             else:

@@ -36,6 +36,7 @@ from .groups import (
     DifferenceRep,
     FiniteGroup,
     ValidationError,
+    generation,
     vector_enumeration,
 )
 from .group_cohomology import (
@@ -144,12 +145,6 @@ class AbelianExtension:
             f"AbelianExtension(base order {self.base.group.order}, "
             f"total order {self.total.group.order})"
         )
-
-
-def extension_from_cocycle(rep: DifferenceRep, pair: CochainPair) -> AbelianExtension:
-    """Build the extension defined by a cocycle pair; the laws of its total
-    group and difference operator decide the cocycle conditions."""
-    return AbelianExtension(rep, pair)
 
 
 class SectionMap:
@@ -267,27 +262,6 @@ def rep_from_section(ext: AbelianExtension, section: SectionMap) -> tuple[Matrix
     return tuple(mats)
 
 
-def _generation(group: FiniteGroup) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """A greedy generating set of ``group`` and a tree over it: steps
-    (x, s, y) with y = x s for a generator s, reaching every element but
-    the identity, each step after the one reaching x."""
-    gens: list[int] = []
-    steps: list[tuple[int, int, int]] = []
-    reached, seen = [group.identity], {group.identity}
-    for g in group.elements:
-        if g in seen:
-            continue
-        gens.append(g)
-        for x in reached:
-            for s in gens:
-                y = group.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    steps.append((x, s, y))
-                    reached.append(y)
-    return gens, steps
-
-
 def are_isomorphic(
     e1: AbelianExtension, e2: AbelianExtension, budget: int = DEFAULT_BUDGET
 ) -> GroupCochain | None:
@@ -306,7 +280,7 @@ def are_isomorphic(
     if e1.rep.theta != e2.rep.theta or e1.rep.t != e2.rep.t:
         raise ValueError("extensions have different modules")
     group = e1.base.group
-    gens, steps = _generation(group)
+    gens, steps = generation(group.table, group.identity)
     n_candidates = e1.nv ** len(gens)
     if n_candidates > budget:
         raise BudgetExceededError(
@@ -433,14 +407,17 @@ class ExtensionClassification:
 
 def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> ExtensionClassification:
     """Run the census on all cocycle pairs (the kernel of delta(2)) and
-    compare its class count with p^(dim H^2) of the pair complex; every
-    class representative must come back from its canonical section."""
+    set its class count beside the coset count p^(dim Z^2 - rank B^2)
+    and p^(dim H^2) of the pair complex; every class representative must
+    come back from its canonical section."""
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
     p = rep.field.p
     cx = DifferenceComplex(rep, budget=budget)
     data = cx.les_data()
-    classes = census(cx, kernel_basis(data.d_b(2)))
+    z_basis = kernel_basis(data.d_b(2))
+    classes = census(cx, z_basis)
+    b_rank = rank(data.d_b(1))
 
     for members in classes:
         ext = members[0]
@@ -450,9 +427,9 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
     h2 = cx.cohomology_dims(2).degrees[2].h_pair
     return ExtensionClassification(
         cocycle_count=sum(len(members) for members in classes),
-        coboundary_count=p ** rank(data.d_b(1)),
+        coboundary_count=p**b_rank,
         class_count=len(classes),
-        class_count_by_cosets=len(classes),
+        class_count_by_cosets=p ** (len(z_basis) - b_rank),
         expected_from_cohomology=p**h2,
         h2_pair_dim=h2,
         classes=[

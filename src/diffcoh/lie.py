@@ -46,7 +46,7 @@ from .exactness import (
     InternalCheckError,
 )
 from .groups import ValidationError, ValidationReport
-from .linalg import Matrix, SparseMatrix, solve
+from .linalg import Matrix, SparseMatrix, rref
 
 
 class LieError(ValueError):
@@ -56,9 +56,20 @@ class LieError(ValueError):
 class LieAlgebra:
     """A finite-dimensional Lie algebra over a field, given by structure
     constants; antisymmetry is built in, the Jacobi identity is checked
-    on all basis triples at construction."""
+    on all basis triples at construction.  ``MatrixLieAlgebra`` skips
+    that check: its bracket is the commutator, which satisfies Jacobi
+    because the matrix product is associative, and its basis is
+    independent, so the structure constants are those of that bracket."""
 
     def __init__(
+        self, field: Any, dim: int, brackets: Mapping[tuple[int, int], Sequence[Any]]
+    ) -> None:
+        self._set_brackets(field, dim, brackets)
+        report = self._check_jacobi()
+        if not report.ok:
+            raise ValidationError(report)
+
+    def _set_brackets(
         self, field: Any, dim: int, brackets: Mapping[tuple[int, int], Sequence[Any]]
     ) -> None:
         self.field = field
@@ -72,9 +83,6 @@ class LieAlgebra:
                 raise LieError(f"bracket [e{i},e{j}] has {len(vec)} coordinates != {dim}")
             table[(i, j)] = vec
         self._table = table
-        report = self._check_jacobi()
-        if not report.ok:
-            raise ValidationError(report)
 
     def bracket_basis(self, i: int, j: int) -> tuple:
         f = self.field
@@ -127,23 +135,25 @@ class LieAlgebra:
 
 
 def check_lie_difference(lie: LieAlgebra, d: Matrix) -> ValidationReport:
-    """Check D[x,y] = [Dx,y] + [x,Dy] + [Dx,Dy] on all basis pairs."""
+    """Check that D_+ = id + D is a Lie homomorphism on all basis pairs,
+    D_+[e_i, e_j] = [D_+ e_i, D_+ e_j].  Expanding both sides, a pair
+    fails it exactly when it fails D[x,y] = [Dx,y] + [x,Dy] + [Dx,Dy],
+    so the witnesses are those of the difference identity, at one
+    bracket per pair instead of three; bilinearity carries the basis
+    pairs to all pairs."""
     report = ValidationReport("Lie difference operator")
     f = lie.field
     if d.nrows != lie.dim or d.ncols != lie.dim or d.ring != f:
         report.add("shape", (d.nrows, d.ncols), f"expected {lie.dim}x{lie.dim} over {f!r}")
         return report
+    d_plus = Matrix.identity(f, lie.dim) + d
+    images = [d_plus.col(i) for i in range(lie.dim)]
     for i, j in itertools.combinations(range(lie.dim), 2):
-        ei, ej = lie.basis_vector(i), lie.basis_vector(j)
-        dei, dej = d.matvec(ei), d.matvec(ej)
-        lhs = d.matvec(lie.bracket(ei, ej))
-        rhs = [
-            f.add(f.add(a, b), c)
-            for a, b, c in zip(
-                lie.bracket(dei, ej), lie.bracket(ei, dej), lie.bracket(dei, dej)
-            )
-        ]
-        if lhs != rhs:
+        lhs = [f.zero] * lie.dim  # D_+ of the sparse [e_i, e_j], column by column
+        for m, c in enumerate(lie.bracket_basis(i, j)):
+            if c != f.zero:
+                lhs = [f.add(x, f.mul(c, y)) for x, y in zip(lhs, images[m])]
+        if lhs != lie.bracket(images[i], images[j]):
             report.add(
                 "difference-identity",
                 (i, j),
@@ -522,30 +532,62 @@ class LieDifferenceComplex(DifferenceComplexBase):
         return subset, closed
 
 
-def matrix_lie_algebra(field: Any, basis: Sequence[Matrix]) -> LieAlgebra:
-    """The Lie algebra spanned by matrices, with brackets expressed in
-    the given basis.  Raises when a commutator leaves the span."""
-    if not basis:
-        raise LieError("empty basis")
-    k = basis[0].nrows
-    for b in basis:
-        if b.nrows != k or b.ncols != k or b.ring != field:
-            raise LieError("basis matrices must be square, equal-size, same field")
-    flat = Matrix.from_columns(field, [list(b.entries) for b in basis], k * k)
-    brackets = {}
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        comm = (basis[i] @ basis[j]) - (basis[j] @ basis[i])
-        coords = solve(flat, list(comm.entries))
+class MatrixLieAlgebra(LieAlgebra):
+    """The Lie algebra spanned by linearly independent square matrices,
+    with the commutator bracket in coordinates of the given basis.
+
+    The flattened basis is eliminated once: with B its rows, the reduced
+    echelon form of [B | I] is [R | E] with E B = R, and R has its pivots
+    at dim entry positions P, where R is the identity.  So a matrix m in
+    the span has coordinates m[P] E; whether m is in the span is checked
+    by recombining the basis with them.  Raises ``LieError`` when the
+    basis is dependent or a commutator leaves the span."""
+
+    def __init__(self, field: Any, basis: Sequence[Matrix]) -> None:
+        if not basis:
+            raise LieError("empty basis")
+        k = basis[0].nrows
+        for b in basis:
+            if b.nrows != k or b.ncols != k or b.ring != field:
+                raise LieError("basis matrices must be square, equal-size, same field")
+        self.field = field
+        self.basis = tuple(basis)
+        dim, size = len(basis), k * k
+        augmented = [
+            [*b.entries, *(field.one if c == i else field.zero for c in range(dim))]
+            for i, b in enumerate(basis)
+        ]
+        rows, pivots = rref(Matrix.from_rows(field, augmented))
+        if pivots[-1] >= size:
+            raise LieError("basis matrices are linearly dependent")
+        self._pivot_rows = [
+            (p, [(j - size, x) for j, x in row.items() if j >= size])
+            for p, row in zip(pivots, rows)
+        ]
+        brackets = {}
+        for i, j in itertools.combinations(range(dim), 2):
+            coords = self._solve((basis[i] @ basis[j]) - (basis[j] @ basis[i]))
+            if coords is None:
+                raise LieError(f"[b{i},b{j}] is outside the span of the basis")
+            brackets[(i, j)] = tuple(coords)
+        self._set_brackets(field, dim, brackets)
+
+    def _solve(self, m: Matrix) -> list[Any] | None:
+        f = self.field
+        coords = [f.zero] * len(self.basis)
+        for p, row in self._pivot_rows:
+            c = m.entries[p]
+            if c != f.zero:
+                for i, x in row:
+                    coords[i] = f.add(coords[i], f.mul(c, x))
+        return coords if theta_of(self.basis, coords) == m else None
+
+    def coords(self, m: Matrix) -> list[Any]:
+        """Coordinates of a matrix in the basis; raises ``LieError`` for a
+        matrix outside the span."""
+        if (m.nrows, m.ncols, m.ring) != (self.basis[0].nrows, self.basis[0].ncols, self.field):
+            raise LieError("matrix has another shape or field than the basis")
+        coords = self._solve(m)
         if coords is None:
-            raise LieError(f"[b{i},b{j}] is outside the span of the basis")
-        brackets[(i, j)] = tuple(coords)
-    return LieAlgebra(field, len(basis), brackets)
-
-
-def matrix_coords(field: Any, basis: Sequence[Matrix], m: Matrix) -> list[Any]:
-    """Coordinates of a matrix in a spanning basis; None is an error."""
-    flat = Matrix.from_columns(field, [list(b.entries) for b in basis], len(basis[0].entries))
-    coords = solve(flat, list(m.entries))
-    if coords is None:
-        raise LieError("matrix is outside the span of the basis")
-    return coords
+            raise LieError("matrix is outside the span of the basis")
+        return coords

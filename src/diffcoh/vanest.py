@@ -33,14 +33,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Sequence
 
 from .lie import (
-    LieAlgebra,
     LieCochain,
     LieDifferenceOp,
     LieRep,
+    MatrixLieAlgebra,
     ce_coboundary,
     k_map,
-    matrix_coords,
-    matrix_lie_algebra,
     theta_d_matrices,
 )
 from .exactness import CochainPair
@@ -108,7 +106,7 @@ class DifferentiatedOperator:
 
     spec: MatrixGroupSpec
     basis: list[Matrix]
-    lie: LieAlgebra
+    lie: MatrixLieAlgebra
     dop: LieDifferenceOp
 
 
@@ -157,7 +155,7 @@ def differentiate_difference_operator(
     if evaluate(dprog, [ident], f) != ident:
         raise SampledPreconditionError("difference-operator program has D(I) != I")
 
-    lie = matrix_lie_algebra(f, list(basis))
+    lie = MatrixLieAlgebra(f, list(basis))
     ring = JetRing(f, 1)
     cols = []
     for x in basis:
@@ -166,7 +164,7 @@ def differentiate_difference_operator(
             raise SampledPreconditionError(
                 "difference-operator program is not I + O(e) at I + e x"
             )
-        cols.append(matrix_coords(f, list(basis), jet_part(value, (0,))))
+        cols.append(lie.coords(jet_part(value, (0,))))
     dmat = Matrix.from_columns(f, cols, lie.dim)
     return DifferentiatedOperator(
         spec=spec, basis=list(basis), lie=lie, dop=LieDifferenceOp(lie, dmat)

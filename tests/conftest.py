@@ -1,4 +1,13 @@
+import functools
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from diffcoh import groups, lie
+from diffcoh.groups import FiniteGroup, ValidationError
+from diffcoh.lie import LieAlgebra, LieError, MatrixLieAlgebra
+
+import oracles
 
 settings.register_profile(
     "exact",
@@ -7,3 +16,98 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+
+
+def issues(report):
+    return [(i.check, i.witness, i.detail) for i in report.issues]
+
+
+def _compared(check, oracle):
+    @functools.wraps(check)
+    def compared(*args):
+        report = check(*args)
+        assert issues(report) == issues(oracle(*args)), args
+        return report
+
+    return compared
+
+
+def _induced_compared(induced):
+    @functools.wraps(induced)
+    def compared(rep):
+        group = rep.dg.group
+        theta_d = [rep.theta[rep.dg.d_plus_of(g)] for g in group.elements]
+        failures = oracles.homomorphism_failures(group, theta_d)
+        try:
+            out = induced(rep)
+        except ValidationError as exc:
+            assert failures and exc.report.issues[0].witness == failures[0]
+            raise
+        assert not failures
+        return out
+
+    return compared
+
+
+def _jacobi_compared(check_jacobi):
+    @functools.wraps(check_jacobi)
+    def compared(self):
+        report = check_jacobi(self)
+        assert [i.witness for i in report.issues] == oracles.jacobi_failures(self)
+        return report
+
+    return compared
+
+
+def _matrix_algebra_compared(init):
+    @functools.wraps(init)
+    def compared(self, field, basis):
+        init(self, field, basis)
+        # Jacobi is not checked at construction; the structure constants
+        # are those of one solve per commutator
+        assert oracles.jacobi_failures(self) == []
+        solved = oracles.solved_brackets(field, basis)
+        assert self._table == {key: tuple(v) for key, v in solved.items()}
+
+    return compared
+
+
+def _coords_compared(coords):
+    @functools.wraps(coords)
+    def compared(self, m):
+        solved = oracles.solved_coords(self.field, self.basis, m)
+        try:
+            out = coords(self, m)
+        except LieError:
+            assert solved is None
+            raise
+        assert out == solved
+        return out
+
+    return compared
+
+
+@pytest.fixture(autouse=True, scope="session")
+def law_checks_match_their_oracles():
+    """Every law check the suite runs on generators is compared with the
+    full scan kept in ``oracles``: the same issues in the same order, so
+    the same verdict, witnesses and violation count."""
+    patches = [
+        (FiniteGroup, "check", _compared(FiniteGroup.check, oracles.group_table_report)),
+        (groups, "check_difference_operator",
+         _compared(groups.check_difference_operator, oracles.twisted_rule_report)),
+        (groups, "check_representation",
+         _compared(groups.check_representation, oracles.representation_report)),
+        (groups, "induced_rep_theta_d", _induced_compared(groups.induced_rep_theta_d)),
+        (lie, "check_lie_difference",
+         _compared(lie.check_lie_difference, oracles.lie_difference_report)),
+        (LieAlgebra, "_check_jacobi", _jacobi_compared(LieAlgebra._check_jacobi)),
+        (MatrixLieAlgebra, "__init__", _matrix_algebra_compared(MatrixLieAlgebra.__init__)),
+        (MatrixLieAlgebra, "coords", _coords_compared(MatrixLieAlgebra.coords)),
+    ]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for owner, name, wrapper in patches:
+        setattr(owner, name, wrapper)
+    yield
+    for owner, name, original in originals:
+        setattr(owner, name, original)

@@ -6,12 +6,16 @@ complex alike, are the routes the library used before its sparse
 echelon and one-pass scatter assembly; the shear search over every
 normalized 1-cochain is the one it used before searching on generators;
 the van Est loop with one plain evaluation per tuple and permutation is
-the one it used before its evaluations shared a value store.  Tests
-compare the two routes exactly.
+the one it used before its evaluations shared a value store.  The full
+scans of the group and Lie laws (associativity over all triples, the
+twisted rule and Theta over all pairs, the three-bracket difference
+identity, Jacobi, one solve per commutator) are those it ran before it
+checked each law on generators.  Tests compare the two routes exactly.
 """
 
 import itertools
 
+from diffcoh.groups import ValidationReport
 from diffcoh.lie import LieCochain
 from diffcoh.linalg import Matrix, LinAlgError, jet_part
 from diffcoh.programs import evaluate
@@ -157,3 +161,165 @@ def per_evaluation_van_est(diff, prog, degree, vshape):
             total = [step(x, y) for x, y in zip(total, coeff)]
         values[tup] = tuple(total)
     return LieCochain(diff.lie, vshape.dim, degree, values)
+
+
+def group_table_report(group):
+    """The group-table report with associativity scanned over all n^3
+    triples; stops at the first failing triple, like the package."""
+    report = ValidationReport("group table")
+    table, n, e = group.table, group.order, group.identity
+    if n == 0:
+        report.add("nonempty", (), "a group has at least the identity")
+        return report
+    if not 0 <= e < n:
+        report.add("identity-range", (e,), "identity index out of range")
+        return report
+    if len(group.labels) != n:
+        report.add("labels", (len(group.labels),), f"expected {n} labels")
+    for g in range(n):
+        if len(table[g]) != n:
+            report.add("shape", (g,), f"row {g} has length {len(table[g])}")
+            return report
+        for h in range(n):
+            if not 0 <= table[g][h] < n:
+                report.add("closure", (g, h), f"entry {table[g][h]} out of range")
+                return report
+    for g in range(n):
+        if table[e][g] != g:
+            report.add("identity", (e, g), f"e*{g} = {table[e][g]}")
+        if table[g][e] != g:
+            report.add("identity", (g, e), f"{g}*e = {table[g][e]}")
+    for g in range(n):
+        if all(table[g][h] != e for h in range(n)):
+            report.add("inverses", (g,), "no right inverse")
+    for g, h, k in itertools.product(range(n), repeat=3):
+        left, right = table[table[g][h]][k], table[g][table[h][k]]
+        if left != right:
+            report.add("associativity", (g, h, k), f"(g h) k = {left} but g (h k) = {right}")
+            return report
+    return report
+
+
+def twisted_rule_report(group, d):
+    """The difference-operator report with D(gh) = D(g) g D(h) g^-1
+    checked on all pairs."""
+    report = ValidationReport("difference operator")
+    n = group.order
+    if len(d) != n:
+        report.add("shape", (len(d),), f"expected {n} values")
+        return report
+    for g in range(n):
+        if not 0 <= d[g] < n:
+            report.add("range", (g,), f"D({group.label(g)}) = {d[g]} out of range")
+            return report
+    mul, label = group.mul, group.label
+    for g, h in itertools.product(range(n), repeat=2):
+        lhs = d[mul(g, h)]
+        rhs = mul(mul(d[g], g), mul(d[h], group.inv(g)))
+        if lhs != rhs:
+            report.add(
+                "twisted-cocycle",
+                (g, h),
+                f"D({label(g)}*{label(h)}) = {label(lhs)} but D(g) g D(h) g^-1 = {label(rhs)}",
+            )
+    return report
+
+
+def homomorphism_failures(group, theta):
+    """Every pair (g, h) with Theta(g h) != Theta(g) Theta(h)."""
+    return [
+        (g, h)
+        for g, h in itertools.product(group.elements, repeat=2)
+        if theta[group.mul(g, h)] != theta[g] @ theta[h]
+    ]
+
+
+def representation_report(dg, theta, t):
+    """The difference-representation report with Theta checked on all
+    pairs."""
+    report = ValidationReport("difference representation")
+    group = dg.group
+    n = group.order
+    if len(theta) != n:
+        report.add("shape", (len(theta),), f"expected {n} matrices")
+        return report
+    dim, ring = t.nrows, t.ring
+    if t.ncols != dim:
+        report.add("T-square", (t.nrows, t.ncols), "T must be square")
+        return report
+    for g in range(n):
+        if (theta[g].nrows, theta[g].ncols, theta[g].ring) != (dim, dim, ring):
+            report.add("theta-shape", (g,), "Theta(g) has wrong shape or ring")
+            return report
+    ident = Matrix.identity(ring, dim)
+    if theta[group.identity] != ident:
+        report.add("theta-identity", (group.identity,), "Theta(e) != I")
+    for g, h in homomorphism_failures(group, theta):
+        report.add(
+            "theta-homomorphism",
+            (g, h),
+            f"Theta({group.label(g)} {group.label(h)}) != "
+            f"Theta({group.label(g)}) Theta({group.label(h)})",
+        )
+    if not report.ok:
+        return report
+    for g in range(n):
+        if (t @ theta[g]) + theta[g] != theta[dg.d_plus_of(g)] @ (t + ident):
+            report.add(
+                "difference-compatibility",
+                (g,),
+                f"(T + id) Theta(g) != Theta(D(g) g) (T + id) at g = {group.label(g)}",
+            )
+    return report
+
+
+def lie_difference_report(lie, d):
+    """The Lie difference-operator report with
+    D[x,y] = [Dx,y] + [x,Dy] + [Dx,Dy] checked, three brackets per basis
+    pair."""
+    report = ValidationReport("Lie difference operator")
+    f = lie.field
+    if d.nrows != lie.dim or d.ncols != lie.dim or d.ring != f:
+        report.add("shape", (d.nrows, d.ncols), f"expected {lie.dim}x{lie.dim} over {f!r}")
+        return report
+    for i, j in itertools.combinations(range(lie.dim), 2):
+        ei, ej = lie.basis_vector(i), lie.basis_vector(j)
+        dei, dej = d.matvec(ei), d.matvec(ej)
+        terms = (lie.bracket(dei, ej), lie.bracket(ei, dej), lie.bracket(dei, dej))
+        if d.matvec(lie.bracket(ei, ej)) != [f.add(f.add(a, b), c) for a, b, c in zip(*terms)]:
+            report.add(
+                "difference-identity",
+                (i, j),
+                f"D[e{i},e{j}] != [De{i},e{j}] + [e{i},De{j}] + [De{i},De{j}]",
+            )
+    return report
+
+
+def jacobi_failures(lie):
+    """Every basis triple i < j < k at which the Jacobi identity fails."""
+    f = lie.field
+    out = []
+    for i, j, k in itertools.combinations(range(lie.dim), 3):
+        acc = [f.zero] * lie.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            term = lie.bracket(lie.bracket_basis(a, b), lie.basis_vector(c))
+            acc = [f.add(x, y) for x, y in zip(acc, term)]
+        if any(x != f.zero for x in acc):
+            out.append((i, j, k))
+    return out
+
+
+def solved_coords(field, basis, m):
+    """Coordinates of m in a basis of matrices by one dense solve, or
+    None outside the span."""
+    flat = Matrix.from_columns(field, [list(b.entries) for b in basis], len(basis[0].entries))
+    return dense_solve(flat, list(m.entries))
+
+
+def solved_brackets(field, basis):
+    """The structure constants of the commutator bracket on a basis of
+    matrices, one dense solve per pair."""
+    return {
+        (i, j): solved_coords(field, basis, (basis[i] @ basis[j]) - (basis[j] @ basis[i]))
+        for i, j in itertools.combinations(range(len(basis)), 2)
+    }

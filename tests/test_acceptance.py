@@ -19,11 +19,11 @@ from diffcoh.catalog import (
     klein_four,
 )
 from diffcoh.extensions import (
+    AbelianExtension,
     canonical_section,
     classify_extensions,
     classify_semidirect_difference_ops,
     cocycle_from_section,
-    extension_from_cocycle,
 )
 from diffcoh.fixtures import load_fixture
 from diffcoh.group_cohomology import (
@@ -407,7 +407,7 @@ def test_criterion_08_extension_classification():
             ),
             GroupCochain(rep.dg.group, F3, 1, 1, {(2,): (1,)}),
         )
-        ext = extension_from_cocycle(rep, pair)
+        ext = AbelianExtension(rep, pair)
         back = cocycle_from_section(ext, canonical_section(ext))
         assert back.alpha == pair.alpha and back.beta == pair.beta
 

@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, report rendering, and
 determinism, exercised in-process on the shipped fixtures."""
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
+from diffcoh import cli
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
+from diffcoh.extensions import classify_extensions
 from diffcoh.fixtures import MATRIX_SIZE_CAP, load_fixture
 from diffcoh.programs import PROGRAM_DEPTH_CAP, format_program
 
@@ -116,6 +119,22 @@ def test_classify_extensions_report(capsys):
     assert "coboundaries: 3" in out
     assert "expected-from-cohomology: 9" in out
     assert "pair-h2-dim: 2" in out
+
+
+@pytest.mark.parametrize(
+    "count", ["class_count", "class_count_by_cosets", "expected_from_cohomology"]
+)
+def test_classify_fails_when_any_one_count_differs(count, monkeypatch, capsys):
+    # the three counts come from the census, the ranks of Z^2 and B^2, and
+    # dim H^2; each one alone can break the verdict
+    cls = classify_extensions(load_fixture(fx("z3_inverse.json")).rep)
+    assert cls.consistent
+    broken = dataclasses.replace(cls, **{count: getattr(cls, count) + 1})
+    assert not broken.consistent
+    monkeypatch.setattr(cli, "classify_extensions", lambda rep, budget: broken)
+    code, out, _ = run(["classify", fx("z3_inverse.json")], capsys)
+    assert code == 1
+    assert "check census-vs-cohomology: FAIL (the counting routes disagree)\n" in out
 
 
 def test_classify_semidirect_report(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from diffcoh.catalog import (
     cyclic,
-    dihedral,
     direct_product,
     groups_of_each_order,
     inverse_map,
@@ -21,7 +20,6 @@ from diffcoh.groups import (
     ValidationError,
     check_difference_operator,
     check_representation,
-    d_plus,
     induced_rep_theta_d,
     semidirect_product,
     vector_enumeration,
@@ -121,15 +119,6 @@ def test_difference_operators_are_endomorphisms_on_abelian_groups(make):
         if check_difference_operator(group, list(images)).ok
     }
     assert passing == {tuple(e) for e in endomorphisms(group)}
-
-
-def test_d_plus_is_a_homomorphism():
-    for group in (cyclic(5), symmetric(3), dihedral(4)):
-        dg = DifferenceGroup(group, inverse_map(group))
-        plus = d_plus(dg)
-        for g in group.elements:
-            for h in group.elements:
-                assert plus[group.mul(g, h)] == group.mul(plus[g], plus[h])
 
 
 def trivial_rep(dg, field, t_scalar):

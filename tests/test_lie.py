@@ -15,13 +15,12 @@ from diffcoh.lie import (
     LieDifferenceOp,
     LieError,
     LieRep,
+    MatrixLieAlgebra,
     ce_coboundary,
     check_lie_difference,
     check_lie_rep,
     delta_theta,
     k_map,
-    matrix_coords,
-    matrix_lie_algebra,
     theta_d_matrices,
     zero_lie_cochain,
 )
@@ -134,7 +133,7 @@ def gl2_with_trace_data():
         qmat([[0, 0], [1, 0]]),
         qmat([[0, 0], [0, 1]]),
     ]
-    lie = matrix_lie_algebra(Q, basis)
+    lie = MatrixLieAlgebra(Q, basis)
     d = qmat([[0, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]])
     dop = LieDifferenceOp(lie, d)
     theta = [qmat([[1]]), qmat([[0]]), qmat([[0]]), qmat([[1]])]
@@ -151,16 +150,27 @@ def test_matrix_lie_algebra_structure_constants():
 
 
 def test_matrix_lie_algebra_rejects_non_closed_spans():
-    with pytest.raises(LieError):
-        matrix_lie_algebra(Q, [qmat([[0, 1], [0, 0]]), qmat([[0, 0], [1, 0]])])
+    with pytest.raises(LieError, match="outside the span"):
+        MatrixLieAlgebra(Q, [qmat([[0, 1], [0, 0]]), qmat([[0, 0], [1, 0]])])
+
+
+def test_matrix_lie_algebra_rejects_a_dependent_basis():
+    # [E11, E22, E11 + E22] spans an abelian algebra, but its structure
+    # constants would not be unique, and Jacobi is not checked on it
+    basis = [qmat([[1, 0], [0, 0]]), qmat([[0, 0], [0, 1]]), qmat([[1, 0], [0, 1]])]
+    with pytest.raises(LieError, match="linearly dependent"):
+        MatrixLieAlgebra(Q, basis)
+    with pytest.raises(LieError, match="linearly dependent"):
+        MatrixLieAlgebra(Q, [qmat([[0, 1], [0, 0]]), qmat([[0, 2], [0, 0]])])
 
 
 def test_matrix_coords():
     basis = [qmat([[1, 0], [0, 1]]), qmat([[0, 1], [0, 0]])]
-    coords = matrix_coords(Q, basis, qmat([[3, 2], [0, 3]]))
+    lie = MatrixLieAlgebra(Q, basis)
+    coords = lie.coords(qmat([[3, 2], [0, 3]]))
     assert coords == [Fraction(3), Fraction(2)]
     with pytest.raises(LieError):
-        matrix_coords(Q, basis, qmat([[0, 0], [1, 0]]))
+        lie.coords(qmat([[0, 0], [1, 0]]))
 
 
 def test_trace_shift_operator_validates_on_gl2():
