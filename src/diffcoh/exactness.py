@@ -17,10 +17,13 @@ the middle space.
 
 ``DifferenceComplexBase`` is the complex engine of both theories; a
 theory subclass supplies its cochain spaces and the faces of d, d_D, K.
-The cochain values of both theories are written once here too:
-``Cochain`` (storage, validation, arithmetic), ``CochainPair`` (an
-element of the pair complex) and ``CochainSpaceBase`` (coordinates); a
-theory subclass supplies its tuple rule, its error type and evaluation.
+The faces are the only definition of each operator: ``operator_matrix``
+scatters them into its matrix, which the complex caches and which also
+applies the operator to a single cochain.  The cochain values of both
+theories are written once here too: ``Cochain`` (storage, validation,
+arithmetic), ``CochainPair`` (an element of the pair complex) and
+``CochainSpaceBase`` (coordinates); a theory subclass supplies its tuple
+rule, its error type and evaluation.
 
 Degrees are 1-based; every complex here starts in degree 1 (there are
 no degree-0 cochains in the normalized theory).
@@ -503,6 +506,29 @@ def scatter(dom: CochainSpaceBase, tuples: Iterable[tuple], faces_of) -> list[di
     return rows
 
 
+def operator_matrix(
+    key: str, dom: CochainSpaceBase, cod: CochainSpaceBase, *forms
+) -> SparseMatrix:
+    """The matrix of the operator ``key`` from ``dom`` to ``cod``.
+
+    Each form is a ``faces_of`` for ``scatter``, and the faces are the
+    one definition of each operator of both theories: the complex caches
+    these matrices, and a single cochain a goes through the same matrix,
+    as ``cod.from_vector(operator_matrix(...).matvec(dom.to_vector(a)))``.
+    Several forms of one operator must give the same matrix, else the
+    first tuple where they differ is named.
+    """
+    first, *others = (scatter(dom, cod.tuples, faces) for faces in forms)
+    for rows in others:
+        if rows != first:
+            i = next(i for i, (a, b) in enumerate(zip(first, rows)) if a != b)
+            raise InternalCheckError(
+                f"the forms of {key} in degree {dom.degree} disagree at "
+                f"{cod.tuples[i // dom.dim]}"
+            )
+    return SparseMatrix(dom.field, cod.size, dom.size, first)
+
+
 @dataclass
 class DegreeDims:
     h_ordinary: int
@@ -522,7 +548,7 @@ class DifferenceComplexBase:
 
     A subclass supplies ``_space_size(n)`` and ``_new_space(n)`` (a
     ``CochainSpaceBase``), and ``d_ordinary``, ``d_difference`` and
-    ``k_matrix`` through ``_operator_matrix``.
+    ``k_matrix`` through ``_operator_matrix`` from the theory's faces.
     """
 
     def __init__(self, field: Any, dim: int, budget: int) -> None:
@@ -543,21 +569,11 @@ class DifferenceComplexBase:
         return self._spaces[degree]
 
     def _operator_matrix(self, key: str, n: int, out_degree: int, *forms) -> SparseMatrix:
-        """The matrix of an operator from degree n to ``out_degree``,
-        scattered once and cached.  Each form is a ``faces_of`` for
-        ``scatter``; several forms of one operator must give the same
-        matrix, else the first tuple where they differ is named."""
+        """``operator_matrix`` from degree n to ``out_degree``, cached."""
         if (key, n) not in self._matrices:
-            dom, cod = self.space(n), self.space(out_degree)
-            first, *others = (scatter(dom, cod.tuples, faces) for faces in forms)
-            for rows in others:
-                if rows != first:
-                    i = next(i for i, (a, b) in enumerate(zip(first, rows)) if a != b)
-                    raise InternalCheckError(
-                        f"the forms of {key} in degree {n} disagree at "
-                        f"{cod.tuples[i // self.dim]}"
-                    )
-            self._matrices[(key, n)] = SparseMatrix(self.field, cod.size, dom.size, first)
+            self._matrices[(key, n)] = operator_matrix(
+                key, self.space(n), self.space(out_degree), *forms
+            )
         return self._matrices[(key, n)]
 
     def les_data(self) -> LESData:

@@ -178,20 +178,6 @@ def canonical_section(ext: AbelianExtension) -> SectionMap:
     )
 
 
-def all_sections(ext: AbelianExtension) -> list[SectionMap]:
-    """Every section of the extension (the identity's lift is fixed)."""
-    group = ext.base.group
-    nonid = [g for g in group.elements if g != group.identity]
-    out = []
-    for combo in itertools.product(range(ext.nv), repeat=len(nonid)):
-        values = [0] * group.order
-        values[group.identity] = ext.total.group.identity
-        for g, k in zip(nonid, combo):
-            values[g] = ext.index(g, ext.vectors[k])
-        out.append(SectionMap(ext, values))
-    return out
-
-
 def cocycle_from_section(ext: AbelianExtension, section: SectionMap) -> CochainPair:
     """Read off the cocycle pair of a section; delta must vanish on it,
     since the extension's laws hold."""
@@ -232,34 +218,6 @@ def cocycle_from_section(ext: AbelianExtension, section: SectionMap) -> CochainP
         if not part.is_zero():
             raise InternalCheckError(f"section pair has {name} nonzero at {part.items()[0][0]}")
     return pair
-
-
-def rep_from_section(ext: AbelianExtension, section: SectionMap) -> tuple[Matrix, ...]:
-    """Recover Theta from conjugation by section values:
-    Theta(g) u = s(g) u s(g)^{-1}.  The result must not depend on the
-    section and must equal the representation the extension carries."""
-    group = ext.base.group
-    total = ext.total.group
-    f = ext.rep.field
-    unit = [tuple(f.one if i == j else f.zero for i in range(ext.rep.dim))
-            for j in range(ext.rep.dim)]
-    mats = []
-    for g in group.elements:
-        cols = []
-        for e_j in unit:
-            conj = total.mul(
-                total.mul(section(g), ext.inject(e_j)), total.inv(section(g))
-            )
-            base_part, vec = ext.split(conj)
-            if base_part != group.identity:
-                raise InternalCheckError("conjugation left the module")
-            cols.append(list(vec))
-        mats.append(Matrix.from_columns(f, cols, ext.rep.dim))
-    if tuple(mats) != ext.rep.theta:
-        raise InternalCheckError(
-            "section conjugation disagrees with the extension's representation"
-        )
-    return tuple(mats)
 
 
 def are_isomorphic(
@@ -470,7 +428,7 @@ def classify_semidirect_difference_ops(
     census of the pairs (0, beta), and, when its candidate count
     (p^dim)^((|G|-1) p^dim) fits the budget, brute enumeration of all
     candidate operators on the semidirect product, every one of which
-    must be a census member.
+    must be a census member, counted up to shears without the census.
     """
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
@@ -499,7 +457,7 @@ def classify_semidirect_difference_ops(
                 "direct enumeration found operators outside the cocycle family"
             )
         direct_valid = len(valid)
-        direct_classes = len(classes)
+        direct_classes = _shear_orbit_count(classes[0][0], valid)
     else:
         notes.append(
             f"direct enumeration skipped: {n_candidates} candidate operators "
@@ -556,3 +514,38 @@ def _valid_operators(sd: AbelianExtension) -> list[tuple[int, ...]]:
         if ok:
             valid.append(tuple(d_arr))
     return valid
+
+
+def _shear_orbit_count(sd: AbelianExtension, valid: list[tuple[int, ...]]) -> int:
+    """The number of orbits of the operators ``valid`` on the semidirect
+    product ``sd`` under conjugation by the shears (g, u) -> (g, u + eta(g))
+    that are automorphisms, that is eta in Z^1.  Z^1 is found by brute
+    force, without the census or the complex: eta runs over every
+    normalized 1-cochain and is kept when its shear respects the product
+    table."""
+    group, total, f = sd.base.group, sd.total.group, sd.rep.field
+    nonid = [g for g in group.elements if g != group.identity]
+    shears = []
+    for combo in itertools.product(sd.vectors, repeat=len(nonid)):
+        eta = dict(zip(nonid, combo))
+        sigma = [
+            sd.index(g, tuple(map(f.add, u, eta.get(g, sd.vectors[0]))))
+            for g in group.elements
+            for u in sd.vectors
+        ]
+        if all(
+            sigma[z] == total.mul(sigma[x], sigma[y])
+            for x, row in enumerate(total.table)
+            for y, z in enumerate(row)
+        ):
+            shears.append(sigma)
+    remaining, orbits = set(valid), 0
+    while remaining:
+        d = remaining.pop()
+        for sigma in shears:
+            conj = [0] * len(d)
+            for x, dx in enumerate(d):
+                conj[sigma[x]] = sigma[dx]
+            remaining.discard(tuple(conj))
+        orbits += 1
+    return orbits

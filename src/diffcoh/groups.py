@@ -203,20 +203,6 @@ class FiniteGroup:
     def label(self, g: int) -> str:
         return self.labels[g]
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[g][h] == self.table[h][g]
-            for g in range(self.order)
-            for h in range(g)
-        )
-
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = self.mul(x, g)
-            k += 1
-        return k
-
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 

@@ -20,15 +20,20 @@ coupling them through the connecting cochain map
                               - T z(x_1..x_n) ),
 
 which by multilinearity equals
-(-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).  ``k_map`` evaluates
-both forms on a cochain and compares them.  ``LieCochain`` adds to
-``exactness.Cochain`` only increasing tuples, ``LieError`` and
+(-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).  ``LieCochain``
+adds to ``exactness.Cochain`` only increasing tuples, ``LieError`` and
 evaluation by permutation sign; pairs are ``exactness.CochainPair``,
-with alpha = zeta and beta = xi.  ``LieDifferenceComplex``
-assembles d, d_D and K with the engine of ``exactness``, scattering the
-faces of each increasing tuple (sorted with their permutation sign; a
-repeated index vanishes); it scatters both forms of K and compares the
-two matrices.  Disagreement aborts either way.
+with alpha = zeta and beta = xi.
+
+The faces define each operator once: ``_ce_faces`` and
+``_connecting_faces`` yield the faces of an increasing tuple, each
+sorted with its permutation sign (a repeated index vanishes), and K has
+two forms of faces, the subset form and the closed form.
+``LieDifferenceComplex`` scatters them into its matrices, and
+``ce_coboundary`` and ``k_map`` apply the same matrices to a single
+cochain (``exactness.operator_matrix``).  Every matrix of K is
+scattered from both forms and the two are compared; a disagreement
+aborts.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ from typing import Any, Iterable, Mapping, Sequence
 from .exactness import (
     DEFAULT_BUDGET,
     Cochain,
-    CochainPair,
     CochainSpaceBase,
     DifferenceComplexBase,
     InternalCheckError,
+    operator_matrix,
 )
 from .groups import ValidationError, ValidationReport
 from .linalg import Matrix, SparseMatrix, rref
@@ -299,135 +304,9 @@ class LieCochain(Cochain):
         args = tuple(args)
         if len(set(args)) != len(args):
             return self._zero
-        order = sorted(range(len(args)), key=lambda k: args[k])
-        inversions = sum(
-            1
-            for a in range(len(order))
-            for b in range(a + 1, len(order))
-            if order[a] > order[b]
-        )
-        value = self.values.get(tuple(sorted(args)), self._zero)
-        if inversions % 2:
-            return tuple(self.field.neg(x) for x in value)
-        return value
-
-    def value_on_vectors(self, vectors: Sequence[Sequence[Any]]) -> tuple:
-        """Full multilinear evaluation on coordinate vectors."""
-        if len(vectors) != self.degree:
-            raise LieError(f"expected {self.degree} arguments, got {len(vectors)}")
-        f = self.field
-        out = list(self._zero)
-        for combo in itertools.product(range(self.lie.dim), repeat=self.degree):
-            c = f.one
-            for v, i in zip(vectors, combo):
-                c = f.mul(c, v[i])
-                if c == f.zero:
-                    break
-            if c == f.zero:
-                continue
-            val = self.value_at_basis(combo)
-            if val == self._zero:
-                continue
-            for m in range(self.dim):
-                out[m] = f.add(out[m], f.mul(c, val[m]))
-        return tuple(out)
-
-
-def zero_lie_cochain(lie: LieAlgebra, dim: int, degree: int) -> LieCochain:
-    return LieCochain(lie, dim, degree)
-
-
-def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
-    """The Chevalley-Eilenberg coboundary twisted by a representation
-    given on basis elements.  Degrees above dim(g) are zero spaces, so
-    the result is then the zero cochain."""
-    lie = z.lie
-    f = z.field
-    n = z.degree
-    out: dict[tuple, tuple] = {}
-    for args in itertools.combinations(range(lie.dim), n + 1):
-        acc = [f.zero] * z.dim
-        for k in range(n + 1):
-            rest = args[:k] + args[k + 1 :]
-            term = theta[args[k]].matvec(list(z.value_at_basis(rest)))
-            if k % 2:
-                acc = [f.sub(x, y) for x, y in zip(acc, term)]
-            else:
-                acc = [f.add(x, y) for x, y in zip(acc, term)]
-        for a, b in itertools.combinations(range(n + 1), 2):
-            rest = tuple(args[m] for m in range(n + 1) if m not in (a, b))
-            w = lie.bracket_basis(args[a], args[b])
-            term = [f.zero] * z.dim
-            for m, c in enumerate(w):
-                if c == f.zero:
-                    continue
-                val = z.value_at_basis((m,) + rest)
-                term = [f.add(x, f.mul(c, y)) for x, y in zip(term, val)]
-            if (a + b) % 2:
-                acc = [f.sub(x, y) for x, y in zip(acc, term)]
-            else:
-                acc = [f.add(x, y) for x, y in zip(acc, term)]
-        out[args] = tuple(acc)
-    return LieCochain(lie, z.dim, n + 1, out)
-
-
-def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
-    """The connecting cochain map on the Lie side, computed two ways.
-
-    Subset form: (-1)^n ( sum over nonempty S of z(.. D at S ..) - T z ).
-    Closed form: (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).
-    The forms agree by multilinearity; they are compared on every
-    increasing tuple and any mismatch aborts with an internal error.
-    """
-    lie = rep.lie
-    f = rep.field
-    n = z.degree
-    if z.dim != rep.dimv:
-        raise LieError(f"cochain has values in dimension {z.dim}, rep in {rep.dimv}")
-    d = rep.dop.d
-    d_plus = rep.dop.d_plus
-    negate = n % 2 == 1
-    out: dict[tuple, tuple] = {}
-    for args in itertools.combinations(range(lie.dim), n):
-        basis_vecs = [lie.basis_vector(i) for i in args]
-        d_vecs = [d.matvec(v) for v in basis_vecs]
-        zx = z.value_at_basis(args)
-        tzx = rep.t.matvec(list(zx))
-
-        subset_sum = [f.zero] * z.dim
-        for r in range(1, n + 1):
-            for positions in itertools.combinations(range(n), r):
-                vecs = [
-                    d_vecs[k] if k in positions else basis_vecs[k] for k in range(n)
-                ]
-                term = z.value_on_vectors(vecs)
-                subset_sum = [f.add(x, y) for x, y in zip(subset_sum, term)]
-        subset_val = [f.sub(x, y) for x, y in zip(subset_sum, tzx)]
-
-        closed = z.value_on_vectors([d_plus.matvec(v) for v in basis_vecs])
-        closed_val = [
-            f.sub(f.sub(x, y), w) for x, y, w in zip(closed, zx, tzx)
-        ]
-
-        if subset_val != closed_val:
-            raise InternalCheckError(
-                f"connecting map forms disagree at {args}: subset {subset_val} "
-                f"vs closed {closed_val}"
-            )
-        if negate:
-            subset_val = [f.neg(x) for x in subset_val]
-        out[args] = tuple(subset_val)
-    return LieCochain(lie, z.dim, n, out)
-
-
-def delta_theta(rep: LieRep, pair: CochainPair) -> CochainPair:
-    """Differential of the Lie pair complex:
-    delta(zeta, xi) = (d^theta zeta, d^{theta_D} xi + K zeta)."""
-    zeta = ce_coboundary(rep.theta, pair.alpha)
-    xi = k_map(rep, pair.alpha)
-    if pair.beta is not None:
-        xi = xi + ce_coboundary(theta_d_matrices(rep), pair.beta)
-    return CochainPair(zeta, xi)
+        face, odd = _sorted_with_sign(args)
+        value = self.values.get(face, self._zero)
+        return tuple(map(self.field.neg, value)) if odd else value
 
 
 class LieCochainSpace(CochainSpaceBase):
@@ -446,12 +325,90 @@ def _sorted_with_sign(args: tuple) -> tuple[tuple, bool]:
     return tuple(sorted(args)), inversions % 2 == 1
 
 
-class LieDifferenceComplex(DifferenceComplexBase):
-    """Matrix-level view of the three complexes attached to (g, D, V, T).
+def _ce_faces(lie: LieAlgebra, theta: Sequence[Matrix]):
+    """Faces of the Chevalley-Eilenberg coboundary at an increasing
+    tuple: (-1)^k theta(x_k) z(.. no x_k ..) and
+    (-1)^(a+b) z([x_a, x_b], .. no x_a, x_b ..)."""
+    f = lie.field
+    minus_theta = [-m for m in theta]
 
-    The faces scattered are those ``ce_coboundary`` and ``k_map``
-    evaluate, each sorted with its permutation sign; a face with a
-    repeated index is outside the space and vanishes.
+    def faces(args: tuple):
+        for k, i in enumerate(args):
+            yield args[:k] + args[k + 1 :], minus_theta[i] if k % 2 else theta[i]
+        for a, b in itertools.combinations(range(len(args)), 2):
+            rest = args[:a] + args[a + 1 : b] + args[b + 1 :]
+            for m, c in enumerate(lie.bracket_basis(args[a], args[b])):
+                if c != f.zero:
+                    face, odd = _sorted_with_sign((m,) + rest)
+                    yield face, f.neg(c) if odd != (a + b) % 2 else c
+
+    return faces
+
+
+def _connecting_faces(rep: LieRep, n: int):
+    """Faces of K at an increasing n-tuple in the subset form
+    (-1)^n ( sum over nonempty S of z(.. D at S ..) - T z ) and in
+    the closed form (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z - T z )."""
+    f = rep.field
+    sign = f.neg(f.one) if n % 2 else f.one
+    minus_t = rep.t.scale(f.neg(sign))
+
+    d_cols, plus_cols = (
+        [[(r, x) for r, x in enumerate(m.col(i)) if x != f.zero] for i in range(m.ncols)]
+        for m in (rep.dop.d, rep.dop.d_plus)
+    )
+
+    def expand(cols: list[list[tuple]]):
+        """Faces of z(v_1, .., v_n), v_k = sum of c e_r over cols[k]."""
+        for combo in itertools.product(*cols):
+            c = sign
+            for _, x in combo:
+                c = f.mul(c, x)
+            face, odd = _sorted_with_sign(tuple(r for r, _ in combo))
+            yield face, f.neg(c) if odd else c
+
+    def subset(args: tuple):
+        yield args, minus_t
+        for size in range(1, n + 1):
+            for moved in itertools.combinations(range(n), size):
+                yield from expand(
+                    [d_cols[i] if k in moved else [(i, f.one)] for k, i in enumerate(args)]
+                )
+
+    def closed(args: tuple):
+        yield args, minus_t
+        yield args, f.neg(sign)
+        yield from expand([plus_cols[i] for i in args])
+
+    return subset, closed
+
+
+def _apply(key: str, z: LieCochain, out_degree: int, *forms) -> LieCochain:
+    """The operator with these forms of faces applied to z, through its
+    matrix."""
+    dom, cod = (LieCochainSpace(z.lie, z.dim, n) for n in (z.degree, out_degree))
+    return cod.from_vector(operator_matrix(key, dom, cod, *forms).matvec(dom.to_vector(z)))
+
+
+def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
+    """The Chevalley-Eilenberg coboundary twisted by a representation
+    given on basis elements.  Degrees above dim(g) are zero spaces, so
+    the result is then the zero cochain."""
+    return _apply("d", z, z.degree + 1, _ce_faces(z.lie, theta))
+
+
+def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
+    """The connecting cochain map on the Lie side.  Its matrix is
+    scattered from both forms of its faces, which must agree (else
+    ``InternalCheckError``), and applied to z."""
+    if z.dim != rep.dimv:
+        raise LieError(f"cochain has values in dimension {z.dim}, rep in {rep.dimv}")
+    return _apply("K", z, z.degree, *_connecting_faces(rep, z.degree))
+
+
+class LieDifferenceComplex(DifferenceComplexBase):
+    """Matrix-level view of the three complexes attached to (g, D, V, T),
+    scattered from the faces of d, d_D and both forms of K.
     """
 
     def __init__(self, rep: LieRep, budget: int = DEFAULT_BUDGET) -> None:
@@ -467,69 +424,13 @@ class LieDifferenceComplex(DifferenceComplexBase):
         return LieCochainSpace(self.lie, self.dim, degree)
 
     def d_ordinary(self, n: int) -> SparseMatrix:
-        return self._operator_matrix("d", n, n + 1, self._ce_faces(self.rep.theta))
+        return self._operator_matrix("d", n, n + 1, _ce_faces(self.lie, self.rep.theta))
 
     def d_difference(self, n: int) -> SparseMatrix:
-        return self._operator_matrix("dD", n, n + 1, self._ce_faces(self.theta_d))
+        return self._operator_matrix("dD", n, n + 1, _ce_faces(self.lie, self.theta_d))
 
     def k_matrix(self, n: int) -> SparseMatrix:
-        return self._operator_matrix("K", n, n, *self._connecting_faces(n))
-
-    def _ce_faces(self, theta: Sequence[Matrix]):
-        """Faces of the Chevalley-Eilenberg coboundary at an increasing
-        tuple: (-1)^k theta(x_k) z(.. no x_k ..) and
-        (-1)^(a+b) z([x_a, x_b], .. no x_a, x_b ..)."""
-        f, lie = self.field, self.lie
-        minus_theta = [-m for m in theta]
-
-        def faces(args: tuple):
-            for k, i in enumerate(args):
-                yield args[:k] + args[k + 1 :], minus_theta[i] if k % 2 else theta[i]
-            for a, b in itertools.combinations(range(len(args)), 2):
-                rest = args[:a] + args[a + 1 : b] + args[b + 1 :]
-                for m, c in enumerate(lie.bracket_basis(args[a], args[b])):
-                    if c != f.zero:
-                        face, odd = _sorted_with_sign((m,) + rest)
-                        yield face, f.neg(c) if odd != (a + b) % 2 else c
-
-        return faces
-
-    def _connecting_faces(self, n: int):
-        """Faces of K at an increasing n-tuple in the subset form
-        (-1)^n ( sum over nonempty S of z(.. D at S ..) - T z ) and in
-        the closed form (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z - T z )."""
-        f = self.field
-        sign = f.neg(f.one) if n % 2 else f.one
-        minus_t = self.rep.t.scale(f.neg(sign))
-
-        d_cols, plus_cols = (
-            [[(r, x) for r, x in enumerate(m.col(i)) if x != f.zero] for i in range(m.ncols)]
-            for m in (self.rep.dop.d, self.rep.dop.d_plus)
-        )
-
-        def expand(cols: list[list[tuple]]):
-            """Faces of z(v_1, .., v_n), v_k = sum of c e_r over cols[k]."""
-            for combo in itertools.product(*cols):
-                c = sign
-                for _, x in combo:
-                    c = f.mul(c, x)
-                face, odd = _sorted_with_sign(tuple(r for r, _ in combo))
-                yield face, f.neg(c) if odd else c
-
-        def subset(args: tuple):
-            yield args, minus_t
-            for size in range(1, n + 1):
-                for moved in itertools.combinations(range(n), size):
-                    yield from expand(
-                        [d_cols[i] if k in moved else [(i, f.one)] for k, i in enumerate(args)]
-                    )
-
-        def closed(args: tuple):
-            yield args, minus_t
-            yield args, f.neg(sign)
-            yield from expand([plus_cols[i] for i in args])
-
-        return subset, closed
+        return self._operator_matrix("K", n, n, *_connecting_faces(self.rep, n))
 
 
 class MatrixLieAlgebra(LieAlgebra):

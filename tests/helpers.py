@@ -1,0 +1,105 @@
+"""Constructions only the tests need: the zero cochain, every section
+of an extension and Theta read back from one, group-element facts, and
+the connecting class of an ordinary cocycle."""
+
+import itertools
+from dataclasses import dataclass
+
+from diffcoh.exactness import InternalCheckError
+from diffcoh.extensions import SectionMap
+from diffcoh.group_cohomology import GroupCochain, NotACocycleError, coboundary, kk
+from diffcoh.linalg import Matrix, solve
+
+
+def zero_cochain(group, field, dim, degree):
+    return GroupCochain(group, field, dim, degree)
+
+
+def is_abelian(group):
+    return all(
+        group.table[g][h] == group.table[h][g]
+        for g in range(group.order)
+        for h in range(g)
+    )
+
+
+def element_order(group, g):
+    k, x = 1, g
+    while x != group.identity:
+        x = group.mul(x, g)
+        k += 1
+    return k
+
+
+def all_sections(ext):
+    """Every section of the extension (the identity's lift is fixed)."""
+    group = ext.base.group
+    nonid = [g for g in group.elements if g != group.identity]
+    out = []
+    for combo in itertools.product(range(ext.nv), repeat=len(nonid)):
+        values = [0] * group.order
+        values[group.identity] = ext.total.group.identity
+        for g, k in zip(nonid, combo):
+            values[g] = ext.index(g, ext.vectors[k])
+        out.append(SectionMap(ext, values))
+    return out
+
+
+def rep_from_section(ext, section):
+    """Recover Theta from conjugation by section values:
+    Theta(g) u = s(g) u s(g)^{-1}.  The result must not depend on the
+    section and must equal the representation the extension carries."""
+    group = ext.base.group
+    total = ext.total.group
+    f = ext.rep.field
+    unit = [tuple(f.one if i == j else f.zero for i in range(ext.rep.dim))
+            for j in range(ext.rep.dim)]
+    mats = []
+    for g in group.elements:
+        cols = []
+        for e_j in unit:
+            conj = total.mul(
+                total.mul(section(g), ext.inject(e_j)), total.inv(section(g))
+            )
+            base_part, vec = ext.split(conj)
+            if base_part != group.identity:
+                raise InternalCheckError("conjugation left the module")
+            cols.append(list(vec))
+        mats.append(Matrix.from_columns(f, cols, ext.rep.dim))
+    if tuple(mats) != ext.rep.theta:
+        raise InternalCheckError(
+            "section conjugation disagrees with the extension's representation"
+        )
+    return tuple(mats)
+
+
+@dataclass
+class ConnectingClass:
+    """The value of the connecting map on a cocycle: the cochain K a,
+    together with whether its class vanishes and a preimage when it does."""
+
+    cochain: GroupCochain
+    is_zero_class: bool
+    preimage: GroupCochain | None
+
+
+def connecting_class(cx, a):
+    """Apply the connecting map of the complex ``cx`` to an ordinary
+    cocycle and decide whether the resulting difference-complex class
+    vanishes."""
+    da = coboundary(cx.rep.theta, a)
+    if not da.is_zero():
+        witness = next(args for args, _ in da.items())
+        raise NotACocycleError(witness, "ordinary coboundary is nonzero")
+    image = kk(cx.rep, a)
+    n = a.degree
+    if n == 1:
+        # the difference complex is zero in degree 1: no coboundaries
+        return ConnectingClass(image, image.is_zero(), None)
+    dom = cx.space(n - 1)
+    cod = cx.space(n)
+    mat = cx.d_difference(n - 1)
+    x = solve(mat, cod.to_vector(image))
+    if x is None:
+        return ConnectingClass(image, False, None)
+    return ConnectingClass(image, True, dom.from_vector(x))

@@ -10,13 +10,19 @@ the one it used before its evaluations shared a value store.  The full
 scans of the group and Lie laws (associativity over all triples, the
 twisted rule and Theta over all pairs, the three-bracket difference
 identity, Jacobi, one solve per commutator) are those it ran before it
-checked each law on generators.  Tests compare the two routes exactly.
+checked each law on generators.  The per-cochain loops for d, d_D and
+K of both theories (``coboundary``, ``pk``, ``hk``, ``kk``, ``delta``,
+``ce_coboundary``, ``k_map`` with ``value_on_vectors``, ``delta_theta``)
+are the ones it used before each operator was defined once, by its
+faces.  Tests compare the two routes exactly.
 """
 
 import itertools
 
-from diffcoh.groups import ValidationReport
-from diffcoh.lie import LieCochain
+from diffcoh.exactness import CochainPair, InternalCheckError
+from diffcoh.group_cohomology import GroupCochain
+from diffcoh.groups import ValidationReport, induced_rep_theta_d
+from diffcoh.lie import LieCochain, LieError, theta_d_matrices
 from diffcoh.linalg import Matrix, LinAlgError, jet_part
 from diffcoh.programs import evaluate
 from diffcoh.scalars import JetRing
@@ -323,3 +329,232 @@ def solved_brackets(field, basis):
         (i, j): solved_coords(field, basis, (basis[i] @ basis[j]) - (basis[j] @ basis[i]))
         for i, j in itertools.combinations(range(len(basis)), 2)
     }
+
+
+# ------------------------------------------- per-cochain d, d_D and K
+
+
+def _nonidentity_tuples(group, degree):
+    nonid = [g for g in group.elements if g != group.identity]
+    return list(itertools.product(nonid, repeat=degree))
+
+
+def coboundary(theta, a):
+    """The twisted coboundary d^Theta, raising degree by one.
+
+    Normalized cochains have normalized coboundaries, so only
+    identity-free tuples are evaluated and stored.
+    """
+    group = a.group
+    f = a.field
+    n = a.degree
+    out = {}
+    for args in _nonidentity_tuples(group, n + 1):
+        acc = list(theta[args[0]].matvec(list(a.value_at(args[1:]))))
+        sign_pos = True  # tracks (-1)^i for i = 1..n
+        for i in range(n):
+            sign_pos = not sign_pos
+            merged = args[:i] + (group.mul(args[i], args[i + 1]),) + args[i + 2 :]
+            term = a.value_at(merged)
+            acc = [
+                f.add(x, y) if sign_pos else f.sub(x, y) for x, y in zip(acc, term)
+            ]
+        sign_pos = not sign_pos  # (-1)^{n+1}
+        term = a.value_at(args[:n])
+        acc = [f.add(x, y) if sign_pos else f.sub(x, y) for x, y in zip(acc, term)]
+        out[args] = tuple(acc)
+    return GroupCochain(group, f, a.dim, n + 1, out)
+
+
+def pk(rep, a):
+    """The degree-sensitive part of the connecting cochain map.
+
+    Nonzero only in degrees 1 and 2:
+
+        n=1:  -Theta(D g) a(g) + a(D(g) g) - a(D g)
+        n=2:  a(D g1, g1) - a(D(g1 g2), g1 g2) + Theta(D(g1) g1) a(D g2, g2)
+    """
+    dg = rep.dg
+    group = dg.group
+    f = rep.field
+    n = a.degree
+    if n >= 3:
+        return GroupCochain(group, f, a.dim, n)
+    out = {}
+    if n == 1:
+        for (g,) in _nonidentity_tuples(group, 1):
+            d_g = dg.d_of(g)
+            first = rep.theta[d_g].matvec(list(a.value_at((g,))))
+            second = a.value_at((dg.d_plus_of(g),))
+            third = a.value_at((d_g,))
+            out[(g,)] = tuple(
+                f.sub(f.sub(y, x), z) for x, y, z in zip(first, second, third)
+            )
+    else:
+        for g1, g2 in _nonidentity_tuples(group, 2):
+            g12 = group.mul(g1, g2)
+            first = a.value_at((dg.d_of(g1), g1))
+            second = a.value_at((dg.d_of(g12), g12))
+            third = rep.theta[dg.d_plus_of(g1)].matvec(
+                list(a.value_at((dg.d_of(g2), g2)))
+            )
+            out[(g1, g2)] = tuple(
+                f.add(f.sub(x, y), z) for x, y, z in zip(first, second, third)
+            )
+    return GroupCochain(group, f, a.dim, n, out)
+
+
+def hk(rep, a):
+    """The homomorphism part of the connecting cochain map:
+
+        (-1)^n ( a(D(g1) g1, ..., D(gn) gn) - T(a(g)) - a(g) ).
+    """
+    dg = rep.dg
+    group = dg.group
+    f = rep.field
+    n = a.degree
+    negate = n % 2 == 1
+    out = {}
+    for args in _nonidentity_tuples(group, n):
+        plus = tuple(dg.d_plus_of(g) for g in args)
+        v = a.value_at(args)
+        tv = rep.t.matvec(list(v))
+        acc = [
+            f.sub(f.sub(x, y), z) for x, y, z in zip(a.value_at(plus), tv, v)
+        ]
+        if negate:
+            acc = [f.neg(x) for x in acc]
+        out[args] = tuple(acc)
+    return GroupCochain(group, f, a.dim, n, out)
+
+
+def kk(rep, a):
+    """The connecting cochain map K = pk + hk; it anticommutes with the
+    twisted coboundaries and induces the connecting homomorphism."""
+    return pk(rep, a) + hk(rep, a)
+
+
+def delta(rep, pair):
+    """Differential of the pair complex:
+    delta(a, b) = (d^Theta a, d^{Theta_D} b + K a)."""
+    alpha = coboundary(rep.theta, pair.alpha)
+    beta = kk(rep, pair.alpha)
+    if pair.beta is not None:
+        theta_d = induced_rep_theta_d(rep)
+        beta = beta + coboundary(theta_d, pair.beta)
+    return CochainPair(alpha, beta)
+
+
+def value_on_vectors(z, vectors):
+    """Full multilinear evaluation on coordinate vectors."""
+    if len(vectors) != z.degree:
+        raise LieError(f"expected {z.degree} arguments, got {len(vectors)}")
+    f = z.field
+    out = list(z._zero)
+    for combo in itertools.product(range(z.lie.dim), repeat=z.degree):
+        c = f.one
+        for v, i in zip(vectors, combo):
+            c = f.mul(c, v[i])
+            if c == f.zero:
+                break
+        if c == f.zero:
+            continue
+        val = z.value_at_basis(combo)
+        if val == z._zero:
+            continue
+        for m in range(z.dim):
+            out[m] = f.add(out[m], f.mul(c, val[m]))
+    return tuple(out)
+
+
+def ce_coboundary(theta, z):
+    """The Chevalley-Eilenberg coboundary twisted by a representation
+    given on basis elements.  Degrees above dim(g) are zero spaces, so
+    the result is then the zero cochain."""
+    lie = z.lie
+    f = z.field
+    n = z.degree
+    out = {}
+    for args in itertools.combinations(range(lie.dim), n + 1):
+        acc = [f.zero] * z.dim
+        for k in range(n + 1):
+            rest = args[:k] + args[k + 1 :]
+            term = theta[args[k]].matvec(list(z.value_at_basis(rest)))
+            if k % 2:
+                acc = [f.sub(x, y) for x, y in zip(acc, term)]
+            else:
+                acc = [f.add(x, y) for x, y in zip(acc, term)]
+        for a, b in itertools.combinations(range(n + 1), 2):
+            rest = tuple(args[m] for m in range(n + 1) if m not in (a, b))
+            w = lie.bracket_basis(args[a], args[b])
+            term = [f.zero] * z.dim
+            for m, c in enumerate(w):
+                if c == f.zero:
+                    continue
+                val = z.value_at_basis((m,) + rest)
+                term = [f.add(x, f.mul(c, y)) for x, y in zip(term, val)]
+            if (a + b) % 2:
+                acc = [f.sub(x, y) for x, y in zip(acc, term)]
+            else:
+                acc = [f.add(x, y) for x, y in zip(acc, term)]
+        out[args] = tuple(acc)
+    return LieCochain(lie, z.dim, n + 1, out)
+
+
+def k_map(rep, z):
+    """The connecting cochain map on the Lie side, computed two ways.
+
+    Subset form: (-1)^n ( sum over nonempty S of z(.. D at S ..) - T z ).
+    Closed form: (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).
+    The forms agree by multilinearity; they are compared on every
+    increasing tuple and any mismatch aborts with an internal error.
+    """
+    lie = rep.lie
+    f = rep.field
+    n = z.degree
+    if z.dim != rep.dimv:
+        raise LieError(f"cochain has values in dimension {z.dim}, rep in {rep.dimv}")
+    d = rep.dop.d
+    d_plus = rep.dop.d_plus
+    negate = n % 2 == 1
+    out = {}
+    for args in itertools.combinations(range(lie.dim), n):
+        basis_vecs = [lie.basis_vector(i) for i in args]
+        d_vecs = [d.matvec(v) for v in basis_vecs]
+        zx = z.value_at_basis(args)
+        tzx = rep.t.matvec(list(zx))
+
+        subset_sum = [f.zero] * z.dim
+        for r in range(1, n + 1):
+            for positions in itertools.combinations(range(n), r):
+                vecs = [
+                    d_vecs[k] if k in positions else basis_vecs[k] for k in range(n)
+                ]
+                term = value_on_vectors(z, vecs)
+                subset_sum = [f.add(x, y) for x, y in zip(subset_sum, term)]
+        subset_val = [f.sub(x, y) for x, y in zip(subset_sum, tzx)]
+
+        closed = value_on_vectors(z, [d_plus.matvec(v) for v in basis_vecs])
+        closed_val = [
+            f.sub(f.sub(x, y), w) for x, y, w in zip(closed, zx, tzx)
+        ]
+
+        if subset_val != closed_val:
+            raise InternalCheckError(
+                f"connecting map forms disagree at {args}: subset {subset_val} "
+                f"vs closed {closed_val}"
+            )
+        if negate:
+            subset_val = [f.neg(x) for x in subset_val]
+        out[args] = tuple(subset_val)
+    return LieCochain(lie, z.dim, n, out)
+
+
+def delta_theta(rep, pair):
+    """Differential of the Lie pair complex:
+    delta(zeta, xi) = (d^theta zeta, d^{theta_D} xi + K zeta)."""
+    zeta = ce_coboundary(rep.theta, pair.alpha)
+    xi = k_map(rep, pair.alpha)
+    if pair.beta is not None:
+        xi = xi + ce_coboundary(theta_d_matrices(rep), pair.beta)
+    return CochainPair(zeta, xi)

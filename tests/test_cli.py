@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from diffcoh import cli
+from diffcoh import cli, extensions
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
 from diffcoh.extensions import classify_extensions
@@ -135,6 +135,32 @@ def test_classify_fails_when_any_one_count_differs(count, monkeypatch, capsys):
     code, out, _ = run(["classify", fx("z3_inverse.json")], capsys)
     assert code == 1
     assert "check census-vs-cohomology: FAIL (the counting routes disagree)\n" in out
+
+
+def _semidirect(name, capsys):
+    return run(["classify", fx(name), "--mode", "semidirect-ops"], capsys)
+
+
+def test_semidirect_rank_route_can_fail_the_verdict(monkeypatch, capsys):
+    # a connecting rank one too high gives 3^(1 - 1) = 1 class by rank
+    # against 3 in the census
+    real_rank = extensions.rank
+    monkeypatch.setattr(extensions, "rank", lambda m: real_rank(m) + 1)
+    code, out, _ = _semidirect("z3_inverse.json", capsys)
+    assert code == 1
+    assert "  count-by-census: 3\n  count-by-rank: 1\n" in out
+    assert "check quotient-vs-census: FAIL (the counting routes disagree)\n" in out
+
+
+def test_semidirect_direct_route_can_fail_the_verdict(monkeypatch, capsys):
+    # on z2_endo the two valid operators form one shear orbit; a direct
+    # route that forgot the shears counts 2 classes against 1 by rank and
+    # by the census, which still agree with each other
+    monkeypatch.setattr(extensions, "_shear_orbit_count", lambda sd, valid: len(valid))
+    code, out, _ = _semidirect("z2_endo.json", capsys)
+    assert code == 1
+    assert "  count-by-census: 1\n  count-by-rank: 1\n  direct-classes: 2\n" in out
+    assert "check quotient-vs-census: FAIL (the counting routes disagree)\n" in out
 
 
 def test_classify_semidirect_report(capsys):

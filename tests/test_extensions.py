@@ -10,14 +10,12 @@ from diffcoh import extensions
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.extensions import (
     AbelianExtension,
-    all_sections,
     are_isomorphic,
     canonical_section,
     census,
     classify_extensions,
     classify_semidirect_difference_ops,
     cocycle_from_section,
-    rep_from_section,
     SectionMap,
 )
 from diffcoh.group_cohomology import (
@@ -27,12 +25,12 @@ from diffcoh.group_cohomology import (
     GroupCochain,
     NotACocycleError,
     delta,
-    zero_cochain,
 )
 from diffcoh.groups import DifferenceGroup, DifferenceRep, semidirect_product
 from diffcoh.linalg import Matrix, kernel_basis
 from diffcoh.scalars import PrimeField, Rationals
 
+from helpers import all_sections, element_order, rep_from_section, zero_cochain
 from oracles import all_cochains_isomorphic, is_shear_isomorphism
 
 F2 = PrimeField(2)
@@ -85,13 +83,13 @@ def test_carry_extension_is_cyclic_of_order_nine():
     ext = AbelianExtension(rep, carry_pair(rep))
     total = ext.total.group
     assert total.order == 9
-    assert sorted(total.element_order(g) for g in total.elements) == [
+    assert sorted(element_order(total, g) for g in total.elements) == [
         1, 3, 3, 9, 9, 9, 9, 9, 9,
     ]
     # the split extension stays elementary abelian
     split = AbelianExtension(rep, zero_pair(rep))
     assert sorted(
-        split.total.group.element_order(g) for g in split.total.group.elements
+        element_order(split.total.group, g) for g in split.total.group.elements
     ) == [1, 3, 3, 3, 3, 3, 3, 3, 3]
 
 
@@ -378,7 +376,7 @@ def _s3_sign_rep(t):
     s3 = symmetric(3)
     dg = DifferenceGroup(s3, [s3.identity] * s3.order)
     theta = [
-        Matrix.from_rows(F3, [[2 if s3.element_order(g) == 2 else 1]])
+        Matrix.from_rows(F3, [[2 if element_order(s3, g) == 2 else 1]])
         for g in s3.elements
     ]
     return DifferenceRep(dg, theta, Matrix.from_rows(F3, [[t]]))

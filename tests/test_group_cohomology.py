@@ -22,14 +22,14 @@ from diffcoh.group_cohomology import (
     NotACocycleError,
     coboundary,
     delta,
-    hk,
     kk,
-    pk,
-    zero_cochain,
 )
 from diffcoh.groups import DifferenceGroup, DifferenceRep
 from diffcoh.linalg import Matrix
 from diffcoh.scalars import PrimeField
+
+from helpers import connecting_class, zero_cochain
+from oracles import hk, pk
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -268,7 +268,7 @@ def test_dimensions_match_enumeration_oracle():
 def test_connecting_class_zero_with_preimage():
     rep = z3_rep()
     cx = DifferenceComplex(rep)
-    cls = cx.connecting_class(carry_cocycle(rep))
+    cls = connecting_class(cx, carry_cocycle(rep))
     assert cls.cochain == kk(rep, carry_cocycle(rep))
     assert cls.is_zero_class
     from diffcoh.groups import induced_rep_theta_d
@@ -281,7 +281,7 @@ def test_connecting_class_nonzero_in_degree_one():
     cx = DifferenceComplex(rep)
     hom = cochain(rep, 1, {(1,): 1})
     assert coboundary(rep.theta, hom).is_zero()
-    cls = cx.connecting_class(hom)
+    cls = connecting_class(cx, hom)
     assert not cls.is_zero_class
     assert cls.preimage is None
     assert cls.cochain.value_at((1,)) == (1,)
@@ -291,7 +291,7 @@ def test_connecting_class_rejects_non_cocycles():
     rep = z3_rep()
     cx = DifferenceComplex(rep)
     with pytest.raises(NotACocycleError):
-        cx.connecting_class(cochain(rep, 1, {(1,): 1}))
+        connecting_class(cx, cochain(rep, 1, {(1,): 1}))
 
 
 def test_budget_limits_space_construction():

@@ -1,9 +1,13 @@
 """Every name a ``diffcoh`` module imports is used there, or is a
 re-export that another module imports from it; every private name a
-module binds at top level is read there."""
+module binds at top level is read there; every public one is read by
+some module or is on the API list, which is the README's Library
+section plus every function the benchmark tracer patches by name."""
 
 import ast
+import importlib
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "diffcoh"
@@ -58,10 +62,12 @@ def test_the_scan_sees_an_unused_import():
     assert [n for n in _imports(tree) if n not in used] == ["Matrix"]
 
 
-def _dead_private_names(tree: ast.Module) -> list[tuple[str, int]]:
-    """Private (single-underscore) names bound at module level by an
-    assignment, ``def`` or ``class`` and never read in the module."""
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+def _read_names(tree: ast.Module) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """Names bound at module level by an assignment, ``def`` or ``class``."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -71,12 +77,19 @@ def _dead_private_names(tree: ast.Module) -> list[tuple[str, int]]:
             bound = [node.name]
         else:
             continue
-        out += [
-            (name, node.lineno)
-            for name in bound
-            if name.startswith("_") and not name.startswith("__") and name not in read
-        ]
+        out += [(name, node.lineno) for name in bound]
     return out
+
+
+def _dead_private_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """Private (single-underscore) names bound at module level by an
+    assignment, ``def`` or ``class`` and never read in the module."""
+    read = _read_names(tree)
+    return [
+        (name, line)
+        for name, line in _module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
 
 
 def test_no_dead_private_names_in_src():
@@ -94,3 +107,101 @@ def test_the_scan_sees_a_dead_private_name():
         "def _helper():\n    return _USED\n\ndef _unused():\n    pass\n\n_helper()\n"
     )
     assert _dead_private_names(tree) == [("_DEAD", 2), ("_ALSO", 2), ("_NOTED", 3), ("_unused", 8)]
+
+
+# public names the package itself does not read; README.md's Library
+# section names each of them
+LIBRARY_API = {
+    ("catalog", "cyclic"),
+    ("catalog", "inverse_map"),
+    ("catalog", "klein_four"),
+    ("catalog", "groups_of_each_order"),
+    ("group_cohomology", "DifferenceComplex"),
+    ("groups", "DifferenceGroup"),
+    ("groups", "DifferenceRep"),
+    ("groups", "semidirect_product"),
+    ("fixtures", "format_group_fixture"),
+    ("fixtures", "format_lie_fixture"),
+    ("linalg", "Matrix"),
+    ("linalg", "embed_matrix"),
+    ("programs", "const"),
+    ("scalars", "PrimeField"),
+}
+
+
+def _readme_library_names() -> set[tuple[str, str]]:
+    """(module, name) for every name the README's Library section imports
+    from ``diffcoh`` or writes as `module.name`."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n")[1].split("\n## ")[0]
+    out = {
+        (module, name.strip())
+        for module, names in re.findall(r"from diffcoh\.(\w+) import ([\w, ]+)", section)
+        for name in names.split(",")
+    }
+    stems = {p.stem for p in SRC.glob("*.py")}
+    out |= {(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", section) if m in stems}
+    return out
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    """(module, attribute) of every ``SPANS`` entry of the benchmark
+    tracer, read from its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    spans = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]
+    )
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in spans.elts]
+
+
+def test_readme_library_section_is_the_api_list():
+    assert _readme_library_names() == LIBRARY_API
+    for module, name in LIBRARY_API:
+        assert hasattr(importlib.import_module(f"diffcoh.{module}"), name), (module, name)
+
+
+def _dead_public_names(modules: dict[str, ast.Module], api: set) -> list[str]:
+    """Public names bound at module level that no module reads or
+    imports and that are not on ``api``, a set of (module, name)."""
+    read = set()
+    for tree in modules.values():
+        read |= _read_names(tree)
+        read |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+    return [
+        f"{stem}.py:{line} {name}"
+        for stem, tree in modules.items()
+        for name, line in _module_level_names(tree)
+        if not name.startswith("_") and name not in read and (stem, name) not in api
+    ]
+
+
+def test_no_dead_public_names_in_src():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    api = LIBRARY_API | {(m, attr.split(".")[0]) for m, attr in _traced_names()}
+    assert _dead_public_names(modules, api) == []
+
+
+def test_the_scan_sees_a_dead_public_name():
+    modules = {
+        "a": ast.parse("def used():\n    pass\n\ndef listed():\n    pass\n\nDEAD = 1\n"),
+        "b": ast.parse("from .a import used as _used\n\n_used()\n"),
+    }
+    assert _dead_public_names(modules, {("a", "listed")}) == ["a.py:7 DEAD"]
+
+
+def test_every_traced_name_resolves():
+    # Tracer.install patches these by name; a missing one would raise
+    # AttributeError in the traced benchmark run
+    for module, attr in _traced_names():
+        owner = importlib.import_module(f"diffcoh.{module}")
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert name in vars(owner), f"{module}.{attr}"

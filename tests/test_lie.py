@@ -19,13 +19,13 @@ from diffcoh.lie import (
     ce_coboundary,
     check_lie_difference,
     check_lie_rep,
-    delta_theta,
     k_map,
     theta_d_matrices,
-    zero_lie_cochain,
 )
 from diffcoh.linalg import Matrix
 from diffcoh.scalars import Rationals
+
+from oracles import delta_theta, value_on_vectors
 
 Q = Rationals()
 
@@ -216,9 +216,9 @@ def test_lie_cochain_multilinear_evaluation():
     z = LieCochain(lie, 1, 2, {(0, 1): (Fraction(1),)})
     x = [Fraction(2), Fraction(0)]
     y = [Fraction(1), Fraction(3)]
-    assert z.value_on_vectors([x, y]) == (Fraction(6),)
-    assert z.value_on_vectors([y, x]) == (Fraction(-6),)
-    assert z.value_on_vectors([x, x]) == (Fraction(0),)
+    assert value_on_vectors(z, [x, y]) == (Fraction(6),)
+    assert value_on_vectors(z, [y, x]) == (Fraction(-6),)
+    assert value_on_vectors(z, [x, x]) == (Fraction(0),)
 
 
 def test_ce_coboundary_worked_example():
@@ -316,7 +316,7 @@ def test_lie_cochain_space_round_trip():
 
 def test_zero_cochain_and_degree_guards():
     lie = solvable2()
-    assert zero_lie_cochain(lie, 1, 2).is_zero()
+    assert LieCochain(lie, 1, 2).is_zero()
     with pytest.raises(LieError):
         LieCochain(lie, 1, 0, {})
     with pytest.raises(LieError):

@@ -8,7 +8,9 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from diffcoh import group_cohomology, lie as lie_module
 
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
@@ -20,15 +22,16 @@ from diffcoh.exactness import (
     cohomology_space,
 )
 from diffcoh.fixtures import GroupFixture, LieFixture, load_fixture
-from diffcoh.group_cohomology import DifferenceComplex, coboundary, kk
-from diffcoh.groups import DifferenceGroup, DifferenceRep
+from diffcoh.group_cohomology import CochainPair, CochainSpace, DifferenceComplex
+from diffcoh.groups import DifferenceGroup, DifferenceRep, induced_rep_theta_d
 from diffcoh.lie import (
     LieAlgebra,
+    LieCochain,
+    LieCochainSpace,
     LieDifferenceComplex,
     LieDifferenceOp,
     LieRep,
-    ce_coboundary,
-    k_map,
+    theta_d_matrices,
 )
 from diffcoh.linalg import (
     Matrix,
@@ -42,11 +45,16 @@ from diffcoh.linalg import (
 from diffcoh.scalars import PrimeField, QuadraticField, Rationals
 
 from oracles import (
+    ce_coboundary,
+    coboundary,
+    delta,
     dense_column_space_basis,
     dense_echelon,
     dense_kernel_basis,
     dense_rank,
     dense_solve,
+    k_map,
+    kk,
     per_basis_matrix,
     to_dense,
 )
@@ -305,12 +313,69 @@ def test_lie_scatter_assembly_matches_per_basis_cochain_assembly(rep):
         assert to_dense(cx.k_matrix(n)) == k, n
 
 
-def test_lie_k_matrix_compares_its_two_forms():
+def _corrupted_k_rep():
     rep = _adjoint_rep(_sl2(Q), [Q.one, Q.from_int(2), Fraction(1, 2)])
     rep.dop.d_plus = Matrix.identity(Q, 3)  # D_+ no longer equals id + D
-    cx = LieDifferenceComplex(rep)
+    return rep
+
+
+def test_lie_k_matrix_compares_its_two_forms():
+    cx = LieDifferenceComplex(_corrupted_k_rep())
     with pytest.raises(InternalCheckError, match=r"forms of K in degree 1 disagree at \(\d"):
         cx.k_matrix(1)
+
+
+def test_k_map_compares_its_two_forms():
+    rep = _corrupted_k_rep()
+    z = LieCochain(rep.lie, rep.dimv, 1, {(0,): (Q.one,) * rep.dimv})
+    with pytest.raises(InternalCheckError, match=r"forms of K in degree 1 disagree at \(\d"):
+        lie_module.k_map(rep, z)
+
+
+# ------------------------------------------ per-cochain entry points
+
+
+def _random_cochain(data, space):
+    """A cochain of ``space`` with small, mostly zero coordinates."""
+    f = space.field
+    return space.from_vector(
+        [_scalar(f, data.draw(small), data.draw(small)) for _ in range(space.size)]
+    )
+
+
+@pytest.mark.parametrize("rep,max_degree", ASSEMBLY_CASES)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_group_entry_points_match_their_oracles(rep, max_degree, data):
+    """coboundary, kk and delta against the per-cochain loops on random
+    cochains.  Every case has tuples (g, g^-1) whose merged face is the
+    identity, and with D = inversion every D_+ face is the identity."""
+    group, f = rep.dg.group, rep.field
+    n = data.draw(st.integers(1, max_degree))
+    a = _random_cochain(data, CochainSpace(group, f, rep.dim, n))
+    b = _random_cochain(data, CochainSpace(group, f, rep.dim, n - 1)) if n > 1 else None
+    theta_d = induced_rep_theta_d(rep)
+    assert group_cohomology.coboundary(rep.theta, a) == coboundary(rep.theta, a)
+    assert group_cohomology.coboundary(theta_d, a) == coboundary(theta_d, a)
+    assert group_cohomology.kk(rep, a) == kk(rep, a)
+    pair = CochainPair(a, b)
+    assert group_cohomology.delta(rep, pair) == delta(rep, pair)
+
+
+@pytest.mark.parametrize("rep", LIE_ASSEMBLY_CASES)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_lie_entry_points_match_their_oracles(rep, data):
+    """ce_coboundary and k_map against the per-cochain loops on random
+    cochains, in every degree up to one above dim g, whose space and
+    image are zero."""
+    lie = rep.lie
+    n = data.draw(st.integers(1, lie.dim + 1))
+    z = _random_cochain(data, LieCochainSpace(lie, rep.dimv, n))
+    theta_d = theta_d_matrices(rep)
+    assert lie_module.ce_coboundary(rep.theta, z) == ce_coboundary(rep.theta, z)
+    assert lie_module.ce_coboundary(theta_d, z) == ce_coboundary(theta_d, z)
+    assert lie_module.k_map(rep, z) == k_map(rep, z)
 
 
 def test_lie_space_respects_the_budget():
