@@ -31,6 +31,7 @@ no degree-0 cochains in the normalized theory).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -557,6 +558,7 @@ class DifferenceComplexBase:
         self.budget = budget
         self._spaces: dict[int, Any] = {}
         self._matrices: dict[tuple[str, int], SparseMatrix] = {}
+        self._les: weakref.ref[LESData] | None = None
 
     def space(self, degree: int) -> Any:
         if degree not in self._spaces:
@@ -577,6 +579,13 @@ class DifferenceComplexBase:
         return self._matrices[(key, n)]
 
     def les_data(self) -> LESData:
+        """One ``LESData`` per complex while a caller holds it, so each
+        d_b(n) is assembled once.  It is held weakly: a strong reference
+        would make a cycle with the complex, which keeps both, and all
+        their matrices, until a full garbage collection."""
+        data = self._les() if self._les is not None else None
+        if data is not None:
+            return data
         f = self.field
 
         def dim_a(n: int) -> int:
@@ -590,7 +599,7 @@ class DifferenceComplexBase:
                 return SparseMatrix.zeros(f, dim_a(n + 1), 0)
             return self.d_difference(n - 1)
 
-        return LESData(
+        data = LESData(
             field=f,
             dim_a=dim_a,
             dim_c=dim_c,
@@ -598,6 +607,8 @@ class DifferenceComplexBase:
             d_c=self.d_ordinary,
             k=self.k_matrix,
         )
+        self._les = weakref.ref(data)
+        return data
 
     def cohomology_dims(self, max_degree: int) -> CohomologyReport:
         dims = cohomology_dims(self.les_data(), max_degree)

@@ -31,14 +31,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Sequence
 
-from .groups import (
-    DifferenceGroup,
-    DifferenceRep,
-    FiniteGroup,
-    ValidationError,
-    generation,
-    vector_enumeration,
-)
+from .groups import DifferenceRep, ValidationError, carrier, generation
 from .group_cohomology import (
     BudgetExceededError,
     CochainPair,
@@ -66,38 +59,14 @@ class AbelianExtension:
         self.rep = rep
         self.base = rep.dg
         self.pair = pair
-        group = self.base.group
-        f = rep.field
-        self.vectors = vector_enumeration(f, rep.dim)
-        self.nv = len(self.vectors)
-        self._vec_index = {v: i for i, v in enumerate(self.vectors)}
-        alpha, beta = pair.alpha, pair.beta
-
-        table = []
-        for g in group.elements:
-            theta_g = rep.theta[g]
-            theta_vs = [theta_g.matvec(list(v)) for v in self.vectors]
-            for u in self.vectors:
-                row = []
-                for h in group.elements:
-                    a = alpha.value_at((g, h))
-                    gh = group.mul(g, h)
-                    for theta_v in theta_vs:
-                        w = tuple(
-                            f.add(f.add(u[i], x), a[i]) for i, x in enumerate(theta_v)
-                        )
-                        row.append(self.index(gh, w))
-                table.append(row)
-        labels = [
-            f"({group.label(g)},{','.join(map(str, u))})"
-            for g in group.elements
-            for u in self.vectors
-        ]
+        self.vectors, index = rep.module.vectors, rep.module.index
+        self.nv, elements = len(self.vectors), self.base.group.elements
         try:
-            total_group = FiniteGroup(
-                table, identity=self.index(group.identity, self.vectors[0]), labels=labels
+            self.total = carrier(
+                rep,
+                [[index[pair.alpha.value_at((g, h))] for h in elements] for g in elements],
+                [index[pair.beta.value_at((g,))] for g in elements],
             )
-            self.total = DifferenceGroup(total_group, self._operator_table(beta))
         except ValidationError as exc:
             # each law's defect at a carrier tuple is a half of delta at its projection
             issue = exc.report.issues[0]
@@ -109,27 +78,8 @@ class AbelianExtension:
                 raise InternalCheckError(f"extension carrier: {exc}") from exc
             raise NotACocycleError(tuple(map(self.project, issue.witness)), detail) from exc
 
-    def _operator_table(self, beta: GroupCochain) -> list[int]:
-        """D(g, u) = (D g, T u + u - Theta(D g) u + beta(g)) on the
-        carrier, as a list in total-group index order."""
-        rep, f = self.rep, self.rep.field
-        table = []
-        for g in self.base.group.elements:
-            d_g = self.base.d_of(g)
-            theta_dg = rep.theta[d_g]
-            b = beta.value_at((g,))
-            for u in self.vectors:
-                tu = rep.t.matvec(list(u))
-                thu = theta_dg.matvec(list(u))
-                w = tuple(
-                    f.add(f.sub(f.add(tu[i], u[i]), thu[i]), b[i])
-                    for i in range(rep.dim)
-                )
-                table.append(self.index(d_g, w))
-        return table
-
     def index(self, g: int, u: tuple) -> int:
-        return g * self.nv + self._vec_index[u]
+        return g * self.nv + self.rep.module.index[u]
 
     def split(self, idx: int) -> tuple[int, tuple]:
         return idx // self.nv, self.vectors[idx % self.nv]
@@ -479,39 +429,22 @@ def _valid_operators(sd: AbelianExtension) -> list[tuple[int, ...]]:
     """Enumerate all maps on the semidirect product ``sd`` compatible
     with the projection and restricting to T on the module, and keep
     those satisfying the twisted cocycle rule, checked directly."""
-    rep, dg = sd.rep, sd.base
-    group = dg.group
-    total = sd.total.group
-    order = total.order
+    dg, nv, total = sd.base, sd.nv, sd.total.group
+    group, e = dg.group, dg.group.identity
+    t = sd.rep.module.shift[e]  # T + id - Theta(D e) = T
 
-    slots = [
-        (g, u) for g in group.elements if g != group.identity for u in sd.vectors
-    ]
-    base_images = {}
-    for u in sd.vectors:
-        tu = tuple(rep.t.matvec(list(u)))
-        base_images[sd.index(group.identity, u)] = sd.index(group.identity, tu)
-
+    slots = [g * nv + u for g in group.elements if g != e for u in range(nv)]
     valid: list[tuple[int, ...]] = []
-    for combo in itertools.product(sd.vectors, repeat=len(slots)):
-        d_arr = [0] * order
-        for idx in base_images:
-            d_arr[idx] = base_images[idx]
-        for (g, u), w in zip(slots, combo):
-            d_arr[sd.index(g, u)] = sd.index(dg.d_of(g), w)
-        ok = True
-        for x in range(order):
-            dx = d_arr[x]
-            row = total.table[x]
-            for y in range(order):
-                if d_arr[row[y]] != total.mul(
-                    total.mul(dx, x), total.mul(d_arr[y], total.inv(x))
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for combo in itertools.product(range(nv), repeat=len(slots)):
+        d_arr = [0] * total.order
+        d_arr[e * nv : (e + 1) * nv] = [e * nv + w for w in t]
+        for x, w in zip(slots, combo):
+            d_arr[x] = dg.d_of(x // nv) * nv + w
+        if all(
+            d_arr[z] == total.mul(total.mul(d_arr[x], x), total.mul(d_arr[y], total.inv(x)))
+            for x, row in enumerate(total.table)
+            for y, z in enumerate(row)
+        ):
             valid.append(tuple(d_arr))
     return valid
 
@@ -523,15 +456,13 @@ def _shear_orbit_count(sd: AbelianExtension, valid: list[tuple[int, ...]]) -> in
     force, without the census or the complex: eta runs over every
     normalized 1-cochain and is kept when its shear respects the product
     table."""
-    group, total, f = sd.base.group, sd.total.group, sd.rep.field
+    group, total, nv, add = sd.base.group, sd.total.group, sd.nv, sd.rep.module.add
     nonid = [g for g in group.elements if g != group.identity]
     shears = []
-    for combo in itertools.product(sd.vectors, repeat=len(nonid)):
+    for combo in itertools.product(range(nv), repeat=len(nonid)):
         eta = dict(zip(nonid, combo))
         sigma = [
-            sd.index(g, tuple(map(f.add, u, eta.get(g, sd.vectors[0]))))
-            for g in group.elements
-            for u in sd.vectors
+            g * nv + add[u][eta.get(g, 0)] for g in group.elements for u in range(nv)
         ]
         if all(
             sigma[z] == total.mul(sigma[x], sigma[y])

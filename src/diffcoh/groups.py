@@ -319,6 +319,20 @@ def check_representation(
     return report
 
 
+@dataclass(frozen=True)
+class ModuleTable:
+    """F_p^dim on vector indices: ``vectors`` in ``vector_enumeration``
+    order, ``index`` inverting it, ``add[i][j]``, and for each g the
+    images of every vector under Theta(g) (``theta[g]``) and under
+    T + id - Theta(D g) (``shift[g]``; ``shift[e]`` is T)."""
+
+    vectors: list[tuple[int, ...]]
+    index: dict[tuple[int, ...], int]
+    add: list[list[int]]
+    theta: list[list[int]]
+    shift: list[list[int]]
+
+
 class DifferenceRep:
     """A validated representation (V, T, Theta) of a difference group."""
 
@@ -329,6 +343,27 @@ class DifferenceRep:
         self.t = t
         self.field = t.ring
         self.dim = t.nrows
+
+    @functools.cached_property
+    def module(self) -> ModuleTable:
+        """The module table, built once; prime-field representations only."""
+        f = self.field
+        if not isinstance(f, PrimeField):
+            raise ValueError("a module table needs a finite (prime-field) module")
+        vectors = vector_enumeration(f, self.dim)
+        index = {v: i for i, v in enumerate(vectors)}
+
+        def images(m: Matrix) -> list[int]:
+            return [index[tuple(m.matvec(list(v)))] for v in vectors]
+
+        plus = self.t + Matrix.identity(f, self.dim)
+        return ModuleTable(
+            vectors,
+            index,
+            [[index[tuple(map(f.add, u, v))] for v in vectors] for u in vectors],
+            [images(m) for m in self.theta],
+            [images(plus - self.theta[x]) for x in self.dg.d],
+        )
 
     def __repr__(self) -> str:
         return f"DifferenceRep(dim={self.dim}, field={self.field!r})"
@@ -362,52 +397,56 @@ def vector_enumeration(field: PrimeField, dim: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(field.p), repeat=dim))
 
 
+def carrier_tables(
+    rep: DifferenceRep, alpha: Sequence[Sequence[int]], beta: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """The unvalidated multiplication table and operator of the carrier
+    G x V of a pair on vector indices, ``alpha[g][h]`` and ``beta[g]``,
+    with (g, vectors[k]) at index g nv + k:
+
+        (g, u) (h, v) = (gh, u + Theta(g) v + alpha(g, h))
+        D(g, u)       = (D g, T u + u - Theta(D g) u + beta(g))"""
+    module = rep.module
+    nv, add = len(module.vectors), module.add
+    table = []
+    for g, row_g in enumerate(rep.dg.group.table):
+        theta_g, alpha_g = module.theta[g], alpha[g]
+        for u in range(nv):
+            moved = [add[u][w] for w in theta_g]  # u + Theta(g) v, for each v
+            row = []
+            for gh, a in zip(row_g, alpha_g):
+                add_a, base = add[a], gh * nv
+                row.extend([base + add_a[x] for x in moved])
+            table.append(row)
+    per_g = zip(rep.dg.d, beta, module.shift)
+    d = [d_g * nv + add[b][x] for d_g, b, shift_g in per_g for x in shift_g]
+    return table, d
+
+
+def carrier(
+    rep: DifferenceRep, alpha: Sequence[Sequence[int]], beta: Sequence[int]
+) -> DifferenceGroup:
+    """The carrier of ``carrier_tables`` as a difference group, its laws
+    checked on construction: a non-cocycle raises ``ValidationError``."""
+    table, d = carrier_tables(rep, alpha, beta)
+    group, vectors = rep.dg.group, rep.module.vectors
+    labels = [
+        f"({group.label(g)},{','.join(map(str, u))})" for g in group.elements for u in vectors
+    ]
+    return DifferenceGroup(FiniteGroup(table, group.identity * len(vectors), labels), d)
+
+
 def semidirect_product(dg: DifferenceGroup, rep: DifferenceRep) -> DifferenceGroup:
     """The difference group G x V with (g, u)(h, v) = (gh, u + Theta(g) v)
-    and D(g, u) = (D(g), T(u) + u - Theta(D(g)) u).
-
-    Requires a prime-field representation so the product stays finite.
-    The returned operator is re-validated exhaustively, which replays the
-    proof that the formula satisfies the twisted cocycle rule.
-    """
+    and D(g, u) = (D(g), T(u) + u - Theta(D(g)) u), the carrier of the
+    zero pair.  Requires a prime-field representation of ``dg`` so the
+    product stays finite.  The returned operator is re-validated on
+    generators, which replays the proof of the twisted cocycle rule."""
     if not isinstance(rep.field, PrimeField):
         raise ValueError("semidirect product needs a finite (prime-field) module")
+    if dg is not rep.dg:
+        raise ValueError("the representation is of another difference group")
     if rep.dim == 0:
         return dg
-    group = dg.group
-    f = rep.field
-    vectors = vector_enumeration(f, rep.dim)
-    index_of = {v: i for i, v in enumerate(vectors)}
-    nv = len(vectors)
-
-    def idx(g: int, u: tuple[int, ...]) -> int:
-        return g * nv + index_of[u]
-
-    table = []
-    for g in group.elements:
-        for u in vectors:
-            row = []
-            for h in group.elements:
-                theta_g = rep.theta[g]
-                for v in vectors:
-                    w = tuple(
-                        f.add(u[i], x) for i, x in enumerate(theta_g.matvec(list(v)))
-                    )
-                    row.append(idx(group.mul(g, h), w))
-            table.append(row)
-    labels = [
-        f"({group.label(g)},{','.join(map(str, u))})"
-        for g in group.elements
-        for u in vectors
-    ]
-    product = FiniteGroup(table, identity=idx(group.identity, vectors[0]), labels=labels)
-
-    d_total = []
-    for g in group.elements:
-        theta_dg = rep.theta[dg.d_of(g)]
-        for u in vectors:
-            tu = rep.t.matvec(list(u))
-            thu = theta_dg.matvec(list(u))
-            w = tuple(f.sub(f.add(tu[i], u[i]), thu[i]) for i in range(rep.dim))
-            d_total.append(idx(dg.d_of(g), w))
-    return DifferenceGroup(product, d_total)
+    zeros = [0] * dg.group.order
+    return carrier(rep, [zeros] * dg.group.order, zeros)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -87,11 +88,27 @@ def _coords_compared(coords):
     return compared
 
 
+def _carrier_compared(carrier_tables):
+    @functools.wraps(carrier_tables)
+    def compared(rep, alpha, beta):
+        out = carrier_tables(rep, alpha, beta)
+        vectors = list(itertools.product(range(rep.field.p), repeat=rep.dim))
+        expected = oracles.carrier_tables(
+            rep, lambda g, h: vectors[alpha[g][h]], lambda g: vectors[beta[g]]
+        )
+        assert out == expected, (rep, alpha, beta)
+        return out
+
+    return compared
+
+
 @pytest.fixture(autouse=True, scope="session")
 def law_checks_match_their_oracles():
     """Every law check the suite runs on generators is compared with the
     full scan kept in ``oracles``: the same issues in the same order, so
-    the same verdict, witnesses and violation count."""
+    the same verdict, witnesses and violation count.  Every carrier the
+    suite builds on vector indices, valid or not, is compared entry by
+    entry with the tuple loop kept there."""
     patches = [
         (FiniteGroup, "check", _compared(FiniteGroup.check, oracles.group_table_report)),
         (groups, "check_difference_operator",
@@ -99,6 +116,7 @@ def law_checks_match_their_oracles():
         (groups, "check_representation",
          _compared(groups.check_representation, oracles.representation_report)),
         (groups, "induced_rep_theta_d", _induced_compared(groups.induced_rep_theta_d)),
+        (groups, "carrier_tables", _carrier_compared(groups.carrier_tables)),
         (lie, "check_lie_difference",
          _compared(lie.check_lie_difference, oracles.lie_difference_report)),
         (LieAlgebra, "_check_jacobi", _jacobi_compared(LieAlgebra._check_jacobi)),

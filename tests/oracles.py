@@ -14,7 +14,9 @@ checked each law on generators.  The per-cochain loops for d, d_D and
 K of both theories (``coboundary``, ``pk``, ``hk``, ``kk``, ``delta``,
 ``ce_coboundary``, ``k_map`` with ``value_on_vectors``, ``delta_theta``)
 are the ones it used before each operator was defined once, by its
-faces.  Tests compare the two routes exactly.
+faces.  ``carrier_tables`` is the tuple loop that built the carrier of
+an extension and of a semidirect product before the carrier was built
+once, on vector indices.  Tests compare the two routes exactly.
 """
 
 import itertools
@@ -133,6 +135,50 @@ def is_shear_isomorphism(e1, e2, eta):
         for x in sigma
         for y in sigma
     )
+
+
+def carrier_tables(rep, alpha, beta):
+    """The unvalidated multiplication table and operator of the carrier
+    G x V of a pair, built entry by entry from vector tuples; alpha(g, h)
+    and beta(g) return vectors, and (g, vectors[k]) has index g nv + k."""
+    group = rep.dg.group
+    f = rep.field
+    vectors = list(itertools.product(range(f.p), repeat=rep.dim))
+    nv = len(vectors)
+    vec_index = {v: i for i, v in enumerate(vectors)}
+
+    def index(g, u):
+        return g * nv + vec_index[u]
+
+    table = []
+    for g in group.elements:
+        theta_g = rep.theta[g]
+        theta_vs = [theta_g.matvec(list(v)) for v in vectors]
+        for u in vectors:
+            row = []
+            for h in group.elements:
+                a = alpha(g, h)
+                gh = group.mul(g, h)
+                for theta_v in theta_vs:
+                    w = tuple(
+                        f.add(f.add(u[i], x), a[i]) for i, x in enumerate(theta_v)
+                    )
+                    row.append(index(gh, w))
+            table.append(row)
+    operator = []
+    for g in group.elements:
+        d_g = rep.dg.d_of(g)
+        theta_dg = rep.theta[d_g]
+        b = beta(g)
+        for u in vectors:
+            tu = rep.t.matvec(list(u))
+            thu = theta_dg.matvec(list(u))
+            w = tuple(
+                f.add(f.sub(f.add(tu[i], u[i]), thu[i]), b[i])
+                for i in range(rep.dim)
+            )
+            operator.append(index(d_g, w))
+    return table, operator
 
 
 def all_cochains_isomorphic(e1, e2):

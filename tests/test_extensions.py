@@ -1,12 +1,18 @@
 """Abelian extensions: construction from cocycle pairs, sections,
 shear isomorphisms, and the two classification routines."""
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
+from collections import Counter
 
 import pytest
 
-from diffcoh import extensions
+from diffcoh import exactness, extensions
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.extensions import (
     AbelianExtension,
@@ -31,7 +37,9 @@ from diffcoh.linalg import Matrix, kernel_basis
 from diffcoh.scalars import PrimeField, Rationals
 
 from helpers import all_sections, element_order, rep_from_section, zero_cochain
-from oracles import all_cochains_isomorphic, is_shear_isomorphism
+from oracles import all_cochains_isomorphic, carrier_tables, is_shear_isomorphism
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -71,11 +79,16 @@ def carry_pair(rep):
 
 
 def test_zero_pair_reproduces_the_semidirect_product():
-    rep = z3_rep()
-    ext = AbelianExtension(rep, zero_pair(rep))
-    sd = semidirect_product(rep.dg, rep)
-    assert ext.total.group.table == sd.group.table
-    assert list(ext.total.d) == list(sd.d)
+    # both go through one carrier builder, so each is compared with the
+    # tuple loop of the zero pair
+    for rep in (z3_rep(), _swap_rep()):
+        zero = (rep.field.zero,) * rep.dim
+        table, d = carrier_tables(rep, lambda g, h: zero, lambda g: zero)
+        ext = AbelianExtension(rep, zero_pair(rep))
+        sd = semidirect_product(rep.dg, rep)
+        for total in (ext.total, sd):
+            assert [list(row) for row in total.group.table] == table
+            assert list(total.d) == d
 
 
 def test_carry_extension_is_cyclic_of_order_nine():
@@ -469,6 +482,66 @@ def test_census_of_c3_over_f3_squared_is_timed():
     assert cls.h2_pair_dim == 4
     assert cls.consistent
     assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
+
+
+def test_census_of_c5_over_f5_is_timed(tmp_path):
+    # in a fresh process, so the law checks are not compared with their
+    # oracles and the bound times the program alone
+    group = cyclic(5)
+    data = {
+        "group": {
+            "order": group.order,
+            "identity": group.identity,
+            "table": [list(row) for row in group.table],
+        },
+        "difference": inverse_map(group),
+        "rep": {
+            "field": {"kind": "Fp", "p": 5},
+            "dim": 1,
+            "theta": {str(g): [[1]] for g in group.elements},
+            "T": [[4]],
+        },
+    }
+    path = tmp_path / "c5_f5.json"
+    path.write_text(json.dumps(data))
+    program = "import sys; from diffcoh.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.monotonic()
+    out = subprocess.run(
+        [sys.executable, "-c", program, "classify", str(path), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert out.returncode == 0, out.stderr
+    cls = json.loads(out.stdout)["tables"]["classification"]
+    assert (cls["cocycles"], cls["coboundaries"]) == (3125, 125)
+    assert (cls["classes-by-isomorphism"], cls["classes-by-cosets"]) == (25, 25)
+    assert (cls["pair-h2-dim"], cls["expected-from-cohomology"]) == (2, 25)
+    assert json.loads(out.stdout)["ok"] is True
+    assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
+
+
+def test_one_les_data_per_complex():
+    cx = DifferenceComplex(z3_rep())
+    data = cx.les_data()
+    cx.cohomology_dims(2)
+    assert cx.les_data() is data is cx.les_data()
+
+
+def test_classification_assembles_each_total_differential_once(monkeypatch):
+    assembled = []
+    real = exactness.LESData.d_b
+
+    def counted(data, n):
+        if n not in data._d_b:
+            assembled.append(n)
+        return real(data, n)
+
+    monkeypatch.setattr(exactness.LESData, "d_b", counted)
+    assert classify_extensions(z3_rep()).consistent
+    counts = Counter(assembled)
+    assert counts[1] == counts[2] == 1
+    assert max(counts.values()) == 1
 
 
 def test_pair_must_live_over_the_module():

@@ -212,7 +212,8 @@ def test_semidirect_product_with_nontrivial_action():
     total = semidirect_product(dg, rep)
     assert total.group.order == 6
     assert not is_abelian(total.group)
-    # the construction re-validates the twisted cocycle rule exhaustively
+    # the construction re-validates the twisted cocycle rule on generators;
+    # the full check agrees
     assert check_difference_operator(total.group, list(total.d)).ok
 
 
@@ -223,6 +224,13 @@ def test_semidirect_product_requires_prime_field():
     rep = DifferenceRep(dg, [Matrix.identity(q, 1)] * 3, Matrix.zeros(q, 1, 1))
     with pytest.raises(ValueError):
         semidirect_product(dg, rep)
+
+
+def test_semidirect_product_needs_the_representations_own_group():
+    rep = z3_inverse_rep()
+    other = DifferenceGroup(rep.dg.group, list(rep.dg.d))
+    with pytest.raises(ValueError, match="another difference group"):
+        semidirect_product(other, rep)
 
 
 def test_direct_product_is_componentwise():
