@@ -13,7 +13,10 @@ whose connecting map is induced by K.  This module computes cohomology
 dimensions from ranks alone, computes explicit bases for cohomology
 spaces, and verifies exactness at every node by two criteria:
 consecutive maps compose to zero, and ranks add up to the dimension of
-the middle space.
+the middle space.  The total differential is block lower-triangular, so
+one echelon of it per degree gives the ranks of d_C, d_A and d_B
+(``linalg.triangular_ranks``); over F_p that echelon reduces its rows
+with inlined integer arithmetic modulo p.
 
 ``DifferenceComplexBase`` is the complex engine of both theories; a
 theory subclass supplies its cochain spaces and the faces of d, d_D, K.
@@ -35,7 +38,16 @@ import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .linalg import Matrix, SparseMatrix, column_space_basis, kernel_basis, rank, rref
+from .linalg import (
+    Matrix,
+    SparseMatrix,
+    column_space_basis,
+    kernel_basis,
+    rank,
+    rref,
+    triangular_ranks,
+)
+from .scalars import PrimeField
 
 
 class InternalCheckError(RuntimeError):
@@ -205,20 +217,26 @@ def cohomology_dims(data: LESData, max_degree: int) -> dict[int, tuple[int, int,
     """dim H^n of the quotient, sub and total complexes, n = 1..max_degree.
 
     Uses ranks only: dim H^n = (dim X_n - rank d_n) - rank d_{n-1}.  The
-    count is valid for complexes only, so the total differential is
-    checked to square to zero with a sparse product; the diagonal blocks
-    of d_B d_B are d_C d_C and d_A d_A, so this checks all three.
+    total differential d_B = [[d_C, 0], [K, d_A]] is block
+    lower-triangular, so one echelon of it per degree gives all three
+    ranks (``triangular_ranks``): the rows of d_C go in first, the
+    columns of d_A come first, and the pivots they make number rank d_C
+    and rank d_A.  The count is valid for complexes only, so the total
+    differential is checked to square to zero with a sparse product; the
+    diagonal blocks of d_B d_B are d_C d_C and d_A d_A, so this checks
+    all three.
     """
     dims = {}
-    prev: tuple = ()
+    prev = None
     prev_ranks = (0, 0, 0)
     for n in range(1, max_degree + 1):
-        mats = (data.d_c(n), data.d_a(n), data.d_b(n))
-        if prev and not (mats[2] @ prev[2]).is_zero():
+        d_b = data.d_b(n)
+        if prev is not None and not (d_b @ prev).is_zero():
             raise InternalCheckError(_NOT_A_COMPLEX)
-        ranks = tuple(rank(m) for m in mats)
-        dims[n] = tuple(m.ncols - r - pr for m, r, pr in zip(mats, ranks, prev_ranks))
-        prev, prev_ranks = mats, ranks
+        ranks = triangular_ranks(d_b, data.dim_c(n + 1), data.dim_c(n))
+        sizes = (data.dim_c(n), data.dim_a(n), d_b.ncols)
+        dims[n] = tuple(size - r - pr for size, r, pr in zip(sizes, ranks, prev_ranks))
+        prev, prev_ranks = d_b, ranks
     return dims
 
 
@@ -310,8 +328,9 @@ class Cochain:
 
     ``values`` maps argument tuples (indices below ``points``, the order
     of the group or the dimension of the Lie algebra) to value vectors;
-    a missing tuple means zero and zero values are not stored.  Every
-    cochain, arithmetic results included, is validated on construction.
+    a missing tuple means zero and zero values are not stored; over F_p
+    an entry must be an int in [0, p).  Every cochain, arithmetic
+    results included, is validated on construction.
     Cochains in one space share ``over`` (the group or Lie algebra),
     the field, the value dimension and the degree.
 
@@ -339,6 +358,7 @@ class Cochain:
         self.dim = dim
         self.degree = degree
         self._zero = zero = (field.zero,) * dim
+        p = field.p if isinstance(field, PrimeField) else None
         check = self._check_args
         store: dict[tuple, tuple] = {}
         items = values.items() if isinstance(values, Mapping) else values
@@ -355,6 +375,10 @@ class Cochain:
             if args in store:
                 raise error(f"duplicate argument tuple {args}")
             if vec != zero:
+                if p is not None:
+                    for x in vec:
+                        if type(x) is not int or not 0 <= x < p:
+                            raise error(f"value {vec} at {args} is not in F_{p}^{dim}")
                 store[args] = vec
         self.values = store
 

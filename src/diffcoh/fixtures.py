@@ -378,7 +378,8 @@ def require_arity(prog: Node, arity: int, path: str, lead: str) -> None:
 
 # the largest matrix size and value-shape entry a jet fixture may ask for
 MATRIX_SIZE_CAP = 6
-# the largest group order a fixture may give; validating the table is O(order^3)
+# the largest group order a fixture may give; validating the table is
+# O(order^2 * #generators) (Light's test on a generating set)
 GROUP_ORDER_CAP = 128
 
 

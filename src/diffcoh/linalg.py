@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .scalars import JetRing, Rationals
+from .scalars import JetRing, PrimeField, Rationals
 
 
 class LinAlgError(ValueError):
@@ -328,20 +328,22 @@ def _require_field(ring: Any, what: str) -> None:
 # ------------------------------------------------------------ elimination
 #
 # One sparse echelon serves every elimination.  Rows are inserted one at
-# a time, fewest nonzeros first, and each is reduced against the pivot
-# rows found so far, leftmost column first; a row whose leftmost
-# surviving column has no pivot yet becomes the pivot row there.  The
-# pivot columns are therefore those of the reduced row echelon form, and
-# back substitution yields that form itself, which is unique: it does not
-# depend on which rows were chosen as pivots, so kernels, solutions and
-# column-space bases are the same as with any other pivot rule.
+# a time, band by band and fewest nonzeros first within a band (a plain
+# matrix is one band), and each is reduced against the pivot rows found
+# so far, leftmost column first; a row whose leftmost surviving column
+# has no pivot yet becomes the pivot row there.  The pivot columns are
+# therefore those of the reduced row echelon form, and back substitution
+# yields that form itself, which is unique: it does not depend on which
+# rows were chosen as pivots, so kernels, solutions and column-space
+# bases are the same as with any other pivot rule.
 #
 # A row reduction ``combine(row, c, prow)`` removes column c from row
 # using the pivot row prow, in place, and returns the columns it added.
-# Over a field the pivot rows are scaled to a leading one.  Over Q the
-# rows are integers after clearing denominators and are combined
-# fraction-free, a * row - b * prow divided by its content; the entries
-# become fractions again only in the reduced form.
+# Over a field the pivot rows are scaled to a leading one; over F_p the
+# entries are ints in [0, p) and the update is inlined modular integer
+# arithmetic.  Over Q the rows are integers after clearing denominators
+# and are combined fraction-free, a * row - b * prow divided by its
+# content; the entries become fractions again only in the reduced form.
 
 
 def _combine_field(f: Any, row: dict, c: int, prow: dict) -> list[int]:
@@ -361,6 +363,25 @@ def _combine_field(f: Any, row: dict, c: int, prow: dict) -> list[int]:
                 del row[j]
             else:
                 row[j] = v
+    return added
+
+
+def _combine_mod(p: int, row: dict, c: int, prow: dict) -> list[int]:
+    x = p - row.pop(c)
+    added = []
+    for j, y in prow.items():
+        if j == c:
+            continue
+        v = row.get(j)
+        if v is None:
+            row[j] = x * y % p
+            added.append(j)
+        else:
+            v = (v + x * y) % p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
     return added
 
 
@@ -403,42 +424,53 @@ def _integer_row(row: dict) -> dict:
     return {j: v // g for j, v in ints.items()}
 
 
-def _echelon_rows(m: Any, reduced: bool) -> dict[int, dict]:
-    """Pivot column -> pivot row of an echelon form of m (a ``Matrix``
-    or ``SparseMatrix``); with ``reduced``, of its reduced row echelon
-    form, whose pivot rows have a leading one."""
-    f = m.ring
+def _sparse(m: Any) -> SparseMatrix:
+    return m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
+
+
+def _echelon_rows(
+    f: Any, bands: Sequence[Sequence[dict]], reduced: bool
+) -> tuple[dict[int, dict], list[int]]:
+    """Pivot column -> pivot row of an echelon form of the matrix over f
+    whose ``{column: value}`` rows are those of ``bands``, inserted band
+    by band; with ``reduced``, of its reduced row echelon form, whose
+    pivot rows have a leading one.  Also the number of pivot rows each
+    band made.  The given rows are not modified."""
     _require_field(f, "elimination")
-    if isinstance(m, SparseMatrix):
-        rows = [dict(row) for row in m.rows if row]
-    else:
-        rows = [row for row in SparseMatrix.from_dense(m).rows if row]
     if isinstance(f, Rationals):
-        rows = [_integer_row(row) for row in rows]
+        fresh = _integer_row
         combine = _combine_int
     else:
-        combine = functools.partial(_combine_field, f)
+        fresh = dict
+        if isinstance(f, PrimeField):
+            combine = functools.partial(_combine_mod, f.p)
+        else:
+            combine = functools.partial(_combine_field, f)
     scaled = not isinstance(f, Rationals)
 
     pivots: dict[int, dict] = {}
-    for row in sorted(rows, key=len):
-        heap = list(row)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            if c not in row:
-                continue
-            prow = pivots.get(c)
-            if prow is None:
-                if scaled and row[c] != f.one:
-                    s = f.inv(row[c])
-                    row = {j: f.mul(s, x) for j, x in row.items()}
-                pivots[c] = row
-                break
-            for j in combine(row, c, prow):
-                heapq.heappush(heap, j)
+    made = []
+    for band in bands:
+        before = len(pivots)
+        for row in sorted((fresh(row) for row in band if row), key=len):
+            heap = list(row)
+            heapq.heapify(heap)
+            while heap:
+                c = heapq.heappop(heap)
+                if c not in row:
+                    continue
+                prow = pivots.get(c)
+                if prow is None:
+                    if scaled and row[c] != f.one:
+                        s = f.inv(row[c])
+                        row = {j: f.mul(s, x) for j, x in row.items()}
+                    pivots[c] = row
+                    break
+                for j in combine(row, c, prow):
+                    heapq.heappush(heap, j)
+        made.append(len(pivots) - before)
     if not reduced:
-        return pivots
+        return pivots, made
     # back substitution, rightmost pivot first: a pivot row that is
     # already reduced has no entry in any other pivot column
     for c in sorted(pivots, reverse=True):
@@ -449,19 +481,50 @@ def _echelon_rows(m: Any, reduced: bool) -> dict[int, dict]:
         for c, row in pivots.items():
             lead = row[c]
             pivots[c] = {j: Fraction(x, lead) for j, x in row.items()}
-    return pivots
+    return pivots, made
 
 
 def rref(m: Any) -> tuple[list[dict[int, Any]], list[int]]:
     """Reduced row echelon form of m: its nonzero rows as ``{column:
     value}`` dicts in pivot order, and the pivot columns."""
-    pivots = _echelon_rows(m, reduced=True)
+    pivots, _ = _echelon_rows(m.ring, [_sparse(m).rows], reduced=True)
     order = sorted(pivots)
     return [pivots[c] for c in order], order
 
 
 def rank(m: Any) -> int:
-    return len(_echelon_rows(m, reduced=False))
+    pivots, _ = _echelon_rows(m.ring, [_sparse(m).rows], reduced=False)
+    return len(pivots)
+
+
+def triangular_ranks(m: Any, top: int, left: int) -> tuple[int, int, int]:
+    """(rank X, rank Y, rank m) of a block lower-triangular matrix
+    m = [[X, 0], [K, Y]], X its first ``top`` rows and ``left`` columns,
+    from one echelon.
+
+    The rows of X go in as the first band, and they reduce only against
+    each other, so the pivots they make number rank X.  The columns are
+    rotated by ``left``, so those of Y come first; the pivot columns are
+    those of the reduced row echelon form, so the pivots among them
+    number rank Y.  A nonzero entry of the top-right block raises
+    ``LinAlgError``.
+    """
+    if not (0 <= top <= m.nrows and 0 <= left <= m.ncols):
+        raise LinAlgError(f"block corner ({top}, {left}) outside {m.nrows}x{m.ncols}")
+    width = m.ncols - left
+    rows = _sparse(m).rows
+    for i in range(top):
+        if rows[i] and max(rows[i]) >= left:
+            raise LinAlgError(f"entry ({i}, {max(rows[i])}) of the top-right block is not zero")
+    bands = (
+        [{j + width: x for j, x in row.items()} for row in rows[:top]],
+        [
+            {j - left if j >= left else j + width: x for j, x in row.items()}
+            for row in rows[top:]
+        ],
+    )
+    pivots, made = _echelon_rows(m.ring, bands, reduced=False)
+    return made[0], sum(1 for c in pivots if c < width), len(pivots)
 
 
 def kernel_basis(m: Any) -> list[list[Any]]:
@@ -492,12 +555,11 @@ def solve(m: Any, b: Sequence[Any]) -> list[Any] | None:
         raise LinAlgError(f"rhs length {len(b)} != {m.nrows} rows")
     f = m.ring
     _require_field(f, "solve")
-    sparse = m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
     aug = SparseMatrix(
         f,
         m.nrows,
         m.ncols + 1,
-        [{**row, m.ncols: x} if x != f.zero else row for row, x in zip(sparse.rows, b)],
+        [{**row, m.ncols: x} if x != f.zero else row for row, x in zip(_sparse(m).rows, b)],
     )
     rows, pivots = rref(aug)
     if pivots and pivots[-1] == m.ncols:
@@ -510,8 +572,8 @@ def solve(m: Any, b: Sequence[Any]) -> list[Any] | None:
 
 def column_space_basis(m: Any) -> list[list[Any]]:
     """The pivot columns of m, a deterministic basis of the column space."""
-    pivots = sorted(_echelon_rows(m, reduced=False))
-    return [list(m.col(j)) for j in pivots]
+    pivots, _ = _echelon_rows(m.ring, [_sparse(m).rows], reduced=False)
+    return [list(m.col(j)) for j in sorted(pivots)]
 
 
 def field_matrix_inverse(m: Matrix) -> Matrix:

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, settings
 
-from diffcoh import groups, lie
+from diffcoh import exactness, groups, lie
 from diffcoh.groups import FiniteGroup, ValidationError
 from diffcoh.lie import LieAlgebra, LieError, MatrixLieAlgebra
 
@@ -102,13 +102,30 @@ def _carrier_compared(carrier_tables):
     return compared
 
 
+def _dims_compared(cohomology_dims):
+    @functools.wraps(cohomology_dims)
+    def compared(data, max_degree):
+        try:
+            dims = cohomology_dims(data, max_degree)
+        except exactness.InternalCheckError:
+            with pytest.raises(exactness.InternalCheckError):
+                oracles.three_rank_dims(data, max_degree)
+            raise
+        assert dims == oracles.three_rank_dims(data, max_degree)
+        return dims
+
+    return compared
+
+
 @pytest.fixture(autouse=True, scope="session")
 def law_checks_match_their_oracles():
     """Every law check the suite runs on generators is compared with the
     full scan kept in ``oracles``: the same issues in the same order, so
     the same verdict, witnesses and violation count.  Every carrier the
     suite builds on vector indices, valid or not, is compared entry by
-    entry with the tuple loop kept there."""
+    entry with the tuple loop kept there, and every count of cohomology
+    dimensions from one echelon per degree with the three ranks kept
+    there."""
     patches = [
         (FiniteGroup, "check", _compared(FiniteGroup.check, oracles.group_table_report)),
         (groups, "check_difference_operator",
@@ -117,6 +134,7 @@ def law_checks_match_their_oracles():
          _compared(groups.check_representation, oracles.representation_report)),
         (groups, "induced_rep_theta_d", _induced_compared(groups.induced_rep_theta_d)),
         (groups, "carrier_tables", _carrier_compared(groups.carrier_tables)),
+        (exactness, "cohomology_dims", _dims_compared(exactness.cohomology_dims)),
         (lie, "check_lie_difference",
          _compared(lie.check_lie_difference, oracles.lie_difference_report)),
         (LieAlgebra, "_check_jacobi", _jacobi_compared(LieAlgebra._check_jacobi)),

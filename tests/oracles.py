@@ -16,7 +16,10 @@ K of both theories (``coboundary``, ``pk``, ``hk``, ``kk``, ``delta``,
 are the ones it used before each operator was defined once, by its
 faces.  ``carrier_tables`` is the tuple loop that built the carrier of
 an extension and of a semidirect product before the carrier was built
-once, on vector indices.  Tests compare the two routes exactly.
+once, on vector indices.  ``three_rank_dims`` is the cohomology count
+from three separate ranks per degree, as it was before one echelon of
+the total differential gave all three.  Tests compare the two routes
+exactly.
 """
 
 import itertools
@@ -25,7 +28,7 @@ from diffcoh.exactness import CochainPair, InternalCheckError
 from diffcoh.group_cohomology import GroupCochain
 from diffcoh.groups import ValidationReport, induced_rep_theta_d
 from diffcoh.lie import LieCochain, LieError, theta_d_matrices
-from diffcoh.linalg import Matrix, LinAlgError, jet_part
+from diffcoh.linalg import Matrix, LinAlgError, jet_part, rank
 from diffcoh.programs import evaluate
 from diffcoh.scalars import JetRing
 from diffcoh.vanest import _jet_arg
@@ -110,6 +113,22 @@ def to_dense(s):
         s.ncols,
         tuple(row.get(j, zero) for row in s.rows for j in range(s.ncols)),
     )
+
+
+def three_rank_dims(data, max_degree):
+    """dim H^n of the quotient, sub and total complexes from rank d_C,
+    rank d_A and rank d_B, one elimination each."""
+    dims = {}
+    prev = ()
+    prev_ranks = (0, 0, 0)
+    for n in range(1, max_degree + 1):
+        mats = (data.d_c(n), data.d_a(n), data.d_b(n))
+        if prev and not (mats[2] @ prev[2]).is_zero():
+            raise InternalCheckError("the differentials do not compose to zero")
+        ranks = tuple(rank(m) for m in mats)
+        dims[n] = tuple(m.ncols - r - pr for m, r, pr in zip(mats, ranks, prev_ranks))
+        prev, prev_ranks = mats, ranks
+    return dims
 
 
 def per_basis_matrix(cx, fn, n, out_degree):

@@ -79,6 +79,14 @@ def test_cochain_normalization_rules():
         GroupCochain(rep.dg.group, F3, 1, 0, {})
 
 
+@pytest.mark.parametrize("entry", [3, -1])
+def test_prime_field_cochain_entries_are_residues(entry):
+    # an unreduced entry is neither zero nor equal to its residue, so it
+    # must not be stored
+    with pytest.raises(CochainError, match=r"at \(1, 2\) is not in F_3"):
+        GroupCochain(cyclic(3), F3, 1, 2, {(1, 2): (entry,)})
+
+
 def test_cochain_arithmetic():
     rep = z3_rep()
     a = cochain(rep, 1, {(1,): 1, (2,): 2})

@@ -23,7 +23,7 @@ from diffcoh.lie import (
     theta_d_matrices,
 )
 from diffcoh.linalg import Matrix
-from diffcoh.scalars import Rationals
+from diffcoh.scalars import PrimeField, Rationals
 
 from oracles import delta_theta, value_on_vectors
 
@@ -209,6 +209,13 @@ def test_lie_cochain_alternation():
     assert z.value_at_basis((1, 1)) == (Fraction(0),)
     with pytest.raises(LieError):
         LieCochain(lie, 1, 2, {(1, 0): (Fraction(1),)})
+
+
+def test_prime_field_lie_cochain_entries_are_residues():
+    lie = LieAlgebra(PrimeField(3), 2, {})
+    for entry in (3, -1):
+        with pytest.raises(LieError, match=r"at \(0, 1\) is not in F_3"):
+            LieCochain(lie, 1, 2, {(0, 1): (entry,)})
 
 
 def test_lie_cochain_multilinear_evaluation():

@@ -2,6 +2,7 @@
 the dense routes they replaced (``oracles.py``), and the rank route for
 cohomology dimensions against explicit cohomology spaces."""
 
+import inspect
 import json
 import pathlib
 import time
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffcoh import group_cohomology, lie as lie_module
+from diffcoh import exactness, group_cohomology, lie as lie_module, linalg
 
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
@@ -18,7 +19,6 @@ from diffcoh.exactness import (
     BudgetExceededError,
     InternalCheckError,
     LESData,
-    cohomology_dims,
     cohomology_space,
 )
 from diffcoh.fixtures import GroupFixture, LieFixture, load_fixture
@@ -34,6 +34,7 @@ from diffcoh.lie import (
     theta_d_matrices,
 )
 from diffcoh.linalg import (
+    LinAlgError,
     Matrix,
     SparseMatrix,
     column_space_basis,
@@ -41,6 +42,7 @@ from diffcoh.linalg import (
     rank,
     rref,
     solve,
+    triangular_ranks,
 )
 from diffcoh.scalars import PrimeField, QuadraticField, Rationals
 
@@ -56,6 +58,7 @@ from oracles import (
     k_map,
     kk,
     per_basis_matrix,
+    three_rank_dims,
     to_dense,
 )
 
@@ -65,6 +68,8 @@ Q = Rationals()
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+# a Mersenne prime whose products overflow 64 bits
+F_BIG = PrimeField(2**61 - 1)
 Q2 = QuadraticField(2)
 
 # ------------------------------------------------------------ elimination
@@ -94,7 +99,7 @@ def matrices(draw, field):
     return Matrix(field, nrows, ncols, tuple(x for row in rows for x in row))
 
 
-FIELDS = [F2, F3, Q, Q2]
+FIELDS = [F2, F3, F_BIG, Q, Q2]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -132,6 +137,54 @@ def test_sparse_matrix_arithmetic_matches_dense(field, data):
         assert to_dense(sa @ sb) == a @ b
     v = [_scalar(field, data.draw(small), data.draw(small)) for _ in range(a.ncols)]
     assert sa.matvec(v) == a.matvec(v)
+
+
+@st.composite
+def lower_triangular(draw, field):
+    """(m, top, left): m = [[X, 0], [K, Y]] with X of size top x left;
+    any block may be empty."""
+    top, bottom = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    left, right = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = []
+    for i in range(top + bottom):
+        row = {}
+        for j in range(left if i < top else left + right):
+            x = _scalar(field, draw(small), draw(small))
+            if x != field.zero:
+                row[j] = x
+        rows.append(row)
+    return SparseMatrix(field, top + bottom, left + right, rows), top, left
+
+
+def _block(m, rows, cols):
+    return Matrix.from_rows(m.ring, [[m.rows[i].get(j, m.ring.zero) for j in cols] for i in rows])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@given(data=st.data())
+def test_triangular_ranks_are_the_ranks_of_the_blocks(field, data):
+    m, top, left = data.draw(lower_triangular(field))
+    x = _block(m, range(top), range(left))
+    y = _block(m, range(top, m.nrows), range(left, m.ncols))
+    assert triangular_ranks(m, top, left) == (rank(x), rank(y), rank(m))
+    assert triangular_ranks(to_dense(m), top, left) == (rank(x), rank(y), rank(m))
+
+
+def test_triangular_ranks_of_a_degree_one_shape():
+    # d_B(1) = [[d_C], [K]]: the sub complex has no degree-1 cochains
+    m = SparseMatrix.from_dense(Matrix.from_rows(F3, [[1, 2], [2, 1], [0, 1]]))
+    assert triangular_ranks(m, 2, 2) == (1, 0, 2)
+    assert triangular_ranks(m, 0, 2) == (0, 0, 2)
+    assert triangular_ranks(m, 3, 2) == (2, 0, 2)
+
+
+def test_triangular_ranks_reject_a_nonzero_top_right_entry():
+    m = SparseMatrix.from_dense(Matrix.from_rows(F3, [[1, 0, 0], [0, 0, 2], [1, 1, 1]]))
+    assert triangular_ranks(m, 1, 2) == (1, 1, 3)
+    with pytest.raises(LinAlgError, match=r"entry \(1, 2\) of the top-right block"):
+        triangular_ranks(m, 2, 2)
+    with pytest.raises(LinAlgError, match="block corner"):
+        triangular_ranks(m, 4, 0)
 
 
 def test_entries_are_the_stored_nonzeros():
@@ -410,7 +463,7 @@ def _shipped_complexes():
 @pytest.mark.parametrize("cx", _shipped_complexes())
 def test_rank_route_equals_cohomology_spaces(cx):
     data = cx.les_data()
-    dims = cohomology_dims(data, 3)
+    dims = exactness.cohomology_dims(data, 3)
     for n in range(1, 4):
         by_space = tuple(
             cohomology_space(data.field, d(n), d(n - 1) if n > 1 else None).dim
@@ -429,9 +482,25 @@ def test_rank_route_rejects_a_non_complex():
         d_c=lambda n: one,
         k=lambda n: SparseMatrix.zeros(F2, 0, 1),
     )
-    assert cohomology_dims(data, 1) == {1: (0, 0, 0)}
+    assert exactness.cohomology_dims(data, 1) == {1: (0, 0, 0)}
     with pytest.raises(InternalCheckError):
-        cohomology_dims(data, 2)
+        exactness.cohomology_dims(data, 2)
+
+
+def test_cohomology_dims_make_one_echelon_per_degree(monkeypatch):
+    data = DifferenceComplex(_trivial(symmetric(3), F3)).les_data()
+    calls = []
+    echelon = linalg._echelon_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return echelon(*args, **kwargs)
+
+    expected = three_rank_dims(data, 3)
+    monkeypatch.setattr(linalg, "_echelon_rows", counted)
+    # the routine itself, without the comparison with its oracle
+    assert inspect.unwrap(exactness.cohomology_dims)(data, 3) == expected
+    assert len(calls) == 3
 
 
 def test_d_b_is_assembled_once_per_degree():
