@@ -1,7 +1,7 @@
 """Constructors for the small groups used in fixtures and tests.
 
-All constructors put the identity at index 0, matching the fixture file
-convention.
+All constructors put the identity at index 0, as ``FiniteGroup``
+requires.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .groups import FiniteGroup
 def cyclic(n: int) -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
-    return FiniteGroup(table, identity=0, labels=labels)
+    return FiniteGroup(table, labels=labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -25,7 +25,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         for (g1, h1) in pairs
     ]
     labels = [f"({a.label(g)},{b.label(h)})" for (g, h) in pairs]
-    return FiniteGroup(table, identity=index[(a.identity, b.identity)], labels=labels)
+    return FiniteGroup(table, labels=labels)
 
 
 def klein_four() -> FiniteGroup:
@@ -46,12 +46,12 @@ def dihedral(n: int) -> FiniteGroup:
 
     table = [[index[mul(x, y)] for y in elems] for x in elems]
     labels = [f"r{r}" + ("s" if s else "") for (s, r) in elems]
-    return FiniteGroup(table, identity=index[(0, 0)], labels=labels)
+    return FiniteGroup(table, labels=labels)
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """S_n on {0, ..., n-1}; permutations in lexicographic order except
-    that the identity permutation is moved to index 0 (it already is)."""
+    """S_n on {0, ..., n-1}; permutations in lexicographic order, so
+    the identity permutation comes first."""
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
 
@@ -61,7 +61,7 @@ def symmetric(n: int) -> FiniteGroup:
 
     table = [[index[compose(p, q)] for q in perms] for p in perms]
     labels = ["".join(map(str, p)) for p in perms]
-    return FiniteGroup(table, identity=index[tuple(range(n))], labels=labels)
+    return FiniteGroup(table, labels=labels)
 
 
 def quaternion8() -> FiniteGroup:
@@ -89,7 +89,7 @@ def quaternion8() -> FiniteGroup:
         return join((sx + sy + sz) % 2, az)
 
     table = [[mul(x, y) for y in range(8)] for x in range(8)]
-    return FiniteGroup(table, identity=0, labels=names)
+    return FiniteGroup(table, labels=names)
 
 
 def alternating4() -> FiniteGroup:
@@ -104,7 +104,7 @@ def alternating4() -> FiniteGroup:
 
     table = [[index[compose(p, q)] for q in perms] for p in perms]
     labels = ["".join(map(str, p)) for p in perms]
-    return FiniteGroup(table, identity=0, labels=labels)
+    return FiniteGroup(table, labels=labels)
 
 
 def _parity(p) -> int:

@@ -18,15 +18,15 @@ one echelon of it per degree gives the ranks of d_C, d_A and d_B
 (``linalg.triangular_ranks``); over F_p that echelon reduces its rows
 with inlined integer arithmetic modulo p.
 
-``DifferenceComplexBase`` is the complex engine of both theories; a
-theory subclass supplies its cochain spaces and the faces of d, d_D, K.
-The faces are the only definition of each operator: ``operator_matrix``
-scatters them into its matrix, which the complex caches and which also
-applies the operator to a single cochain.  The cochain values of both
-theories are written once here too: ``Cochain`` (storage, validation,
-arithmetic), ``CochainPair`` (an element of the pair complex) and
-``CochainSpaceBase`` (coordinates); a theory subclass supplies its tuple
-rule, its error type and evaluation.
+``DifferenceComplexBase``, an ``LESData``, is the complex engine of
+both theories; a theory subclass supplies its cochain spaces and the
+faces of d, d_D, K.  The faces are the only definition of each operator:
+``operator_matrix`` scatters them into its matrix, which the complex
+caches and which also applies the operator to a single cochain.  The
+cochain values of both theories are written once here too: ``Cochain``
+(storage, validation, arithmetic), ``CochainPair`` (an element of the
+pair complex) and ``CochainSpaceBase`` (coordinates); a theory subclass
+supplies its tuple rule, its error type and evaluation.
 
 Degrees are 1-based; every complex here starts in degree 1 (there are
 no degree-0 cochains in the normalized theory).
@@ -34,9 +34,8 @@ no degree-0 cochains in the normalized theory).
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -161,25 +160,15 @@ def induced_map(
     )
 
 
-@dataclass
 class LESData:
     """The three complexes of a difference theory, as matrix providers.
 
-    ``dim_a(n)`` / ``dim_c(n)`` give space dimensions; ``d_a(n)`` /
-    ``d_c(n)`` the differentials X_n -> X_{n+1}; ``k(n)`` the
-    anticommuting map C_n -> A_{n+1}.  The total differential ``d_b(n)``
-    is assembled once per degree.
+    A subclass supplies ``field``, ``dim_a(n)`` / ``dim_c(n)`` (space
+    dimensions), ``d_a(n)`` / ``d_c(n)`` (the differentials X_n ->
+    X_{n+1}), ``k(n)`` (the anticommuting map C_n -> A_{n+1}) and an
+    empty dict ``_d_b``, where the total differential ``d_b(n)`` is kept
+    once assembled.
     """
-
-    field: Any
-    dim_a: Callable[[int], int]
-    dim_c: Callable[[int], int]
-    d_a: Callable[[int], SparseMatrix]
-    d_c: Callable[[int], SparseMatrix]
-    k: Callable[[int], SparseMatrix]
-    _d_b: dict[int, SparseMatrix] = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def d_b(self, n: int) -> SparseMatrix:
         if n not in self._d_b:
@@ -238,41 +227,6 @@ def cohomology_dims(data: LESData, max_degree: int) -> dict[int, tuple[int, int,
         dims[n] = tuple(size - r - pr for size, r, pr in zip(sizes, ranks, prev_ranks))
         prev, prev_ranks = d_b, ranks
     return dims
-
-
-def verify_anticommutation(data: LESData, max_degree: int) -> list[LESNode]:
-    """Check d_A K + K d_C = 0 degreewise, the identity that makes the
-    total differential square to zero."""
-    out = []
-    for n in range(1, max_degree + 1):
-        lhs = data.d_a(n + 1) @ data.k(n)
-        rhs = data.k(n + 1) @ data.d_c(n)
-        ok = (lhs + rhs).is_zero()
-        out.append(
-            LESNode(
-                degree=n,
-                node="anticommutation",
-                ok=ok,
-                detail="d_A K + K d_C = 0" if ok else "d_A K + K d_C != 0",
-            )
-        )
-    return out
-
-
-def verify_delta_squared(data: LESData, max_degree: int) -> list[LESNode]:
-    """The anticommutation nodes, then delta delta = 0 degreewise."""
-    nodes = verify_anticommutation(data, max_degree)
-    for n in range(1, max_degree + 1):
-        ok = (data.d_b(n + 1) @ data.d_b(n)).is_zero()
-        nodes.append(
-            LESNode(
-                degree=n,
-                node="delta-squared",
-                ok=ok,
-                detail="delta delta = 0" if ok else "delta delta != 0",
-            )
-        )
-    return nodes
 
 
 def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
@@ -567,7 +521,7 @@ class CohomologyReport:
     notes: list[str]
 
 
-class DifferenceComplexBase:
+class DifferenceComplexBase(LESData):
     """Matrix-level view of the ordinary, difference and pair complexes
     of a difference theory with coefficients of dimension ``dim``.
 
@@ -582,7 +536,7 @@ class DifferenceComplexBase:
         self.budget = budget
         self._spaces: dict[int, Any] = {}
         self._matrices: dict[tuple[str, int], SparseMatrix] = {}
-        self._les: weakref.ref[LESData] | None = None
+        self._d_b: dict[int, SparseMatrix] = {}
 
     def space(self, degree: int) -> Any:
         if degree not in self._spaces:
@@ -594,48 +548,35 @@ class DifferenceComplexBase:
             self._spaces[degree] = self._new_space(degree)
         return self._spaces[degree]
 
-    def _operator_matrix(self, key: str, n: int, out_degree: int, *forms) -> SparseMatrix:
-        """``operator_matrix`` from degree n to ``out_degree``, cached."""
+    def _operator_matrix(self, key: str, n: int, out_degree: int, build, *args) -> SparseMatrix:
+        """``operator_matrix`` from degree n to ``out_degree`` of the
+        forms of faces ``build(*args)``, cached; the forms are built
+        only for a matrix not cached yet."""
         if (key, n) not in self._matrices:
             self._matrices[(key, n)] = operator_matrix(
-                key, self.space(n), self.space(out_degree), *forms
+                key, self.space(n), self.space(out_degree), *build(*args)
             )
         return self._matrices[(key, n)]
 
-    def les_data(self) -> LESData:
-        """One ``LESData`` per complex while a caller holds it, so each
-        d_b(n) is assembled once.  It is held weakly: a strong reference
-        would make a cycle with the complex, which keeps both, and all
-        their matrices, until a full garbage collection."""
-        data = self._les() if self._les is not None else None
-        if data is not None:
-            return data
-        f = self.field
+    def dim_a(self, n: int) -> int:
+        return 0 if n <= 1 else self.space(n - 1).size
 
-        def dim_a(n: int) -> int:
-            return 0 if n <= 1 else self.space(n - 1).size
+    def dim_c(self, n: int) -> int:
+        return self.space(n).size
 
-        def dim_c(n: int) -> int:
-            return self.space(n).size
+    def d_a(self, n: int) -> SparseMatrix:
+        if n <= 1:
+            return SparseMatrix.zeros(self.field, self.dim_a(n + 1), 0)
+        return self.d_difference(n - 1)
 
-        def d_a(n: int) -> SparseMatrix:
-            if n <= 1:
-                return SparseMatrix.zeros(f, dim_a(n + 1), 0)
-            return self.d_difference(n - 1)
+    def d_c(self, n: int) -> SparseMatrix:
+        return self.d_ordinary(n)
 
-        data = LESData(
-            field=f,
-            dim_a=dim_a,
-            dim_c=dim_c,
-            d_a=d_a,
-            d_c=self.d_ordinary,
-            k=self.k_matrix,
-        )
-        self._les = weakref.ref(data)
-        return data
+    def k(self, n: int) -> SparseMatrix:
+        return self.k_matrix(n)
 
     def cohomology_dims(self, max_degree: int) -> CohomologyReport:
-        dims = cohomology_dims(self.les_data(), max_degree)
+        dims = cohomology_dims(self, max_degree)
         degrees = {n: DegreeDims(*d) for n, d in dims.items()}
         notes = []
         if getattr(self.field, "kind", "") == "prime-field":
@@ -645,8 +586,5 @@ class DifferenceComplexBase:
             )
         return CohomologyReport(degrees=degrees, notes=notes)
 
-    def verify_delta_squared(self, max_degree: int) -> list[LESNode]:
-        return verify_delta_squared(self.les_data(), max_degree)
-
     def verify_les(self, max_degree: int) -> list[LESNode]:
-        return verify_les(self.les_data(), max_degree)
+        return verify_les(self, max_degree)

@@ -188,7 +188,7 @@ def are_isomorphic(
     if e1.rep.theta != e2.rep.theta or e1.rep.t != e2.rep.t:
         raise ValueError("extensions have different modules")
     group = e1.base.group
-    gens, steps = generation(group.table, group.identity)
+    gens, steps = generation(group.table)
     n_candidates = e1.nv ** len(gens)
     if n_candidates > budget:
         raise BudgetExceededError(
@@ -258,7 +258,7 @@ def census(cx: DifferenceComplex, z_basis: list[list[Any]]) -> list[list[Abelian
     n_cocycles = f.p ** len(z_basis)
     if n_cocycles > budget:
         raise BudgetExceededError("extension census", n_cocycles, budget, "cocycle pairs")
-    b_basis = column_space_basis(cx.les_data().d_b(1))
+    b_basis = column_space_basis(cx.d_b(1))
     rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in b_basis]))
     c2, c1 = cx.space(2), cx.space(1)
 
@@ -322,10 +322,9 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
         raise ValueError("classification needs a finite (prime-field) module")
     p = rep.field.p
     cx = DifferenceComplex(rep, budget=budget)
-    data = cx.les_data()
-    z_basis = kernel_basis(data.d_b(2))
+    z_basis = kernel_basis(cx.d_b(2))
     classes = census(cx, z_basis)
-    b_rank = rank(data.d_b(1))
+    b_rank = rank(cx.d_b(1))
 
     for members in classes:
         ext = members[0]

@@ -67,6 +67,25 @@ def _int_at(value: Any, path: str) -> int:
     return value
 
 
+def _scalars_at(field: Any, values: list, path: str) -> list[Any]:
+    """Each entry parsed as a scalar of ``field``; a bad entry i is
+    reported at ``path[i]``."""
+    out = []
+    for i, x in enumerate(values):
+        try:
+            out.append(field.parse(x))
+        except ScalarError as exc:
+            raise FixtureError(f"{path}[{i}]", str(exc)) from exc
+    return out
+
+
+def _field_at(spec: Any, path: str) -> Any:
+    try:
+        return field_from_spec(spec)
+    except ScalarError as exc:
+        raise FixtureError(path, str(exc)) from exc
+
+
 def parse_matrix(field: Any, data: Any, path: str, shape: tuple[int, int] | None = None) -> Matrix:
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise FixtureError(path, "matrix must be a list of rows")
@@ -76,15 +95,7 @@ def parse_matrix(field: Any, data: Any, path: str, shape: tuple[int, int] | None
         raise FixtureError(path, "matrix rows have unequal lengths")
     if shape is not None and (nrows, ncols) != shape:
         raise FixtureError(path, f"matrix is {nrows}x{ncols}, expected {shape[0]}x{shape[1]}")
-    rows = []
-    for i, r in enumerate(data):
-        row = []
-        for j, x in enumerate(r):
-            try:
-                row.append(field.parse(x))
-            except ScalarError as exc:
-                raise FixtureError(f"{path}[{i}][{j}]", str(exc)) from exc
-        rows.append(row)
+    rows = [_scalars_at(field, r, f"{path}[{i}]") for i, r in enumerate(data)]
     if nrows == 0 or ncols == 0:
         return Matrix.zeros(field, nrows, ncols)
     return Matrix.from_rows(field, rows)
@@ -111,15 +122,10 @@ def parse_cochain(
         vec = _require(entry, "value", epath)
         if not isinstance(vec, list) or len(vec) != dim:
             raise FixtureError(f"{epath}.value", f"expected a vector of length {dim}")
-        parsed = []
-        for i, x in enumerate(vec):
-            try:
-                parsed.append(field.parse(x))
-            except ScalarError as exc:
-                raise FixtureError(f"{epath}.value[{i}]", str(exc)) from exc
+        parsed = tuple(_scalars_at(field, vec, f"{epath}.value"))
         if args in values:
             raise FixtureError(f"{epath}.args", f"duplicate argument tuple {list(args)}")
-        values[args] = tuple(parsed)
+        values[args] = parsed
     try:
         return GroupCochain(group, field, dim, degree, values)
     except CochainError as exc:
@@ -196,7 +202,7 @@ def parse_group_fixture(data: dict, path: str = "$") -> GroupFixture:
         if not isinstance(labels, list) or len(labels) != order:
             raise FixtureError(f"{gpath}.labels", f"expected {order} labels")
         labels = [str(x) for x in labels]
-    group = FiniteGroup(table, identity=0, labels=labels)
+    group = FiniteGroup(table, labels=labels)
 
     draw = _require(data, "difference", path)
     if not isinstance(draw, list) or len(draw) != order:
@@ -208,10 +214,7 @@ def parse_group_fixture(data: dict, path: str = "$") -> GroupFixture:
     if "rep" in data:
         rpath = f"{path}.rep"
         rblock = data["rep"]
-        try:
-            field = field_from_spec(_require(rblock, "field", rpath))
-        except ScalarError as exc:
-            raise FixtureError(f"{rpath}.field", str(exc)) from exc
+        field = _field_at(_require(rblock, "field", rpath), f"{rpath}.field")
         dim = _int_at(_require(rblock, "dim", rpath), f"{rpath}.dim")
         traw = _require(rblock, "theta", rpath)
         if not isinstance(traw, dict):
@@ -272,13 +275,7 @@ def format_group_fixture(fx: GroupFixture) -> dict:
 
 
 def parse_lie_fixture(data: dict, path: str = "$") -> LieFixture:
-    if "field" in data:
-        try:
-            field = field_from_spec(data["field"])
-        except ScalarError as exc:
-            raise FixtureError(f"{path}.field", str(exc)) from exc
-    else:
-        field = Rationals()
+    field = _field_at(data["field"], f"{path}.field") if "field" in data else Rationals()
     dim = _int_at(_require(data, "dim", path), f"{path}.dim")
     braw = _require(data, "brackets", path)
     if not isinstance(braw, dict):
@@ -297,13 +294,7 @@ def parse_lie_fixture(data: dict, path: str = "$") -> LieFixture:
             raise FixtureError(bpath, f"bracket keys need i < j, got {key!r}")
         if not isinstance(coords, list) or len(coords) != dim:
             raise FixtureError(bpath, f"expected a coordinate vector of length {dim}")
-        vec = []
-        for k, x in enumerate(coords):
-            try:
-                vec.append(field.parse(x))
-            except ScalarError as exc:
-                raise FixtureError(f"{bpath}[{k}]", str(exc)) from exc
-        brackets[(i, j)] = tuple(vec)
+        brackets[(i, j)] = tuple(_scalars_at(field, coords, bpath))
     lie = LieAlgebra(field, dim, brackets)
     d = parse_matrix(field, _require(data, "D", path), f"{path}.D", (dim, dim))
     dop = LieDifferenceOp(lie, d)
@@ -392,10 +383,7 @@ def _size_at(value: Any, path: str) -> int:
 
 def parse_jet_fixture(data: dict, path: str = "$") -> JetFixture:
     size = _size_at(_require(data, "matrix-size", path), f"{path}.matrix-size")
-    try:
-        field = field_from_spec(_require(data, "field", path))
-    except ScalarError as exc:
-        raise FixtureError(f"{path}.field", str(exc)) from exc
+    field = _field_at(_require(data, "field", path), f"{path}.field")
     spec = MatrixGroupSpec(field, size)
     dpath = f"{path}.difference-program"
     dprog = _resolve_program(

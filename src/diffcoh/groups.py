@@ -83,17 +83,15 @@ def _raise_if_bad(report: ValidationReport) -> None:
         raise ValidationError(report)
 
 
-def generation(
-    table: Sequence[Sequence[int]], identity: int
-) -> tuple[list[int], list[tuple[int, int, int]]]:
+def generation(table: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, int, int]]]:
     """A greedy generating set of a multiplication table and a tree over
     it: steps (x, s, y) with y = x s for a generator s, reaching every
-    element but the identity, each step after the one reaching x.  Each
+    element but the identity 0, each step after the one reaching x.  Each
     element not reached by the earlier generators becomes the next one.
     Only closure is assumed, so it also serves the checks of the laws."""
     gens: list[int] = []
     steps: list[tuple[int, int, int]] = []
-    reached, seen = [identity], {identity}
+    reached, seen = [0], {0}
     for g in range(len(table)):
         if g in seen:
             continue
@@ -112,33 +110,29 @@ def generation(
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    ``table[g][h]`` is the index of the product g*h.  Closure,
-    associativity, identity, and inverses are checked at construction.
+    ``table[g][h]`` is the index of the product g*h, and index 0 is the
+    identity.  Closure, associativity, identity, and inverses are
+    checked at construction.
     """
 
+    identity = 0
+
     def __init__(
-        self,
-        table: Sequence[Sequence[int]],
-        identity: int = 0,
-        labels: Sequence[str] | None = None,
+        self, table: Sequence[Sequence[int]], labels: Sequence[str] | None = None
     ) -> None:
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
-        self.identity = identity
         if labels is None:
             labels = [f"g{i}" for i in range(self.order)]
         self.labels = tuple(labels)
         _raise_if_bad(self.check())
-        self._inverse = tuple(row.index(identity) for row in self.table)
+        self._inverse = tuple(row.index(self.identity) for row in self.table)
 
     def check(self) -> ValidationReport:
         report = ValidationReport("group table")
         n = self.order
         if n == 0:
             report.add("nonempty", (), "a group has at least the identity")
-            return report
-        if not 0 <= self.identity < n:
-            report.add("identity-range", (self.identity,), "identity index out of range")
             return report
         if len(self.labels) != n:
             report.add("labels", (len(self.labels),), f"expected {n} labels")
@@ -188,7 +182,7 @@ class FiniteGroup:
 
     @functools.cached_property
     def generators(self) -> list[int]:
-        return generation(self.table, self.identity)[0]
+        return generation(self.table)[0]
 
     @property
     def elements(self) -> range:
@@ -433,7 +427,7 @@ def carrier(
     labels = [
         f"({group.label(g)},{','.join(map(str, u))})" for g in group.elements for u in vectors
     ]
-    return DifferenceGroup(FiniteGroup(table, group.identity * len(vectors), labels), d)
+    return DifferenceGroup(FiniteGroup(table, labels), d)
 
 
 def semidirect_product(dg: DifferenceGroup, rep: DifferenceRep) -> DifferenceGroup:

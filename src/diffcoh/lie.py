@@ -26,10 +26,11 @@ evaluation by permutation sign; pairs are ``exactness.CochainPair``,
 with alpha = zeta and beta = xi.
 
 The faces define each operator once: ``_ce_faces`` and
-``_connecting_faces`` yield the faces of an increasing tuple, each
-sorted with its permutation sign (a repeated index vanishes), and K has
-two forms of faces, the subset form and the closed form.
-``LieDifferenceComplex`` scatters them into its matrices, and
+``_connecting_faces`` return the forms of an operator's faces, each
+yielding the faces of an increasing tuple sorted with their permutation
+signs (a repeated index vanishes); d has one form and K two, the subset
+form and the closed form.  ``LieDifferenceComplex`` scatters them into
+its matrices, building them only for a matrix it has not cached, and
 ``ce_coboundary`` and ``k_map`` apply the same matrices to a single
 cochain (``exactness.operator_matrix``).  Every matrix of K is
 scattered from both forms and the two are compared; a disagreement
@@ -327,7 +328,7 @@ def _sorted_with_sign(args: tuple) -> tuple[tuple, bool]:
 
 def _ce_faces(lie: LieAlgebra, theta: Sequence[Matrix]):
     """Faces of the Chevalley-Eilenberg coboundary at an increasing
-    tuple: (-1)^k theta(x_k) z(.. no x_k ..) and
+    tuple, one form: (-1)^k theta(x_k) z(.. no x_k ..) and
     (-1)^(a+b) z([x_a, x_b], .. no x_a, x_b ..)."""
     f = lie.field
     minus_theta = [-m for m in theta]
@@ -342,7 +343,7 @@ def _ce_faces(lie: LieAlgebra, theta: Sequence[Matrix]):
                     face, odd = _sorted_with_sign((m,) + rest)
                     yield face, f.neg(c) if odd != (a + b) % 2 else c
 
-    return faces
+    return (faces,)
 
 
 def _connecting_faces(rep: LieRep, n: int):
@@ -394,7 +395,7 @@ def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
     """The Chevalley-Eilenberg coboundary twisted by a representation
     given on basis elements.  Degrees above dim(g) are zero spaces, so
     the result is then the zero cochain."""
-    return _apply("d", z, z.degree + 1, _ce_faces(z.lie, theta))
+    return _apply("d", z, z.degree + 1, *_ce_faces(z.lie, theta))
 
 
 def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
@@ -424,13 +425,13 @@ class LieDifferenceComplex(DifferenceComplexBase):
         return LieCochainSpace(self.lie, self.dim, degree)
 
     def d_ordinary(self, n: int) -> SparseMatrix:
-        return self._operator_matrix("d", n, n + 1, _ce_faces(self.lie, self.rep.theta))
+        return self._operator_matrix("d", n, n + 1, _ce_faces, self.lie, self.rep.theta)
 
     def d_difference(self, n: int) -> SparseMatrix:
-        return self._operator_matrix("dD", n, n + 1, _ce_faces(self.lie, self.theta_d))
+        return self._operator_matrix("dD", n, n + 1, _ce_faces, self.lie, self.theta_d)
 
     def k_matrix(self, n: int) -> SparseMatrix:
-        return self._operator_matrix("K", n, n, *_connecting_faces(self.rep, n))
+        return self._operator_matrix("K", n, n, _connecting_faces, self.rep, n)
 
 
 class MatrixLieAlgebra(LieAlgebra):

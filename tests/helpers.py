@@ -1,11 +1,12 @@
 """Constructions only the tests need: the zero cochain, every section
-of an extension and Theta read back from one, group-element facts, and
-the connecting class of an ordinary cocycle."""
+of an extension and Theta read back from one, group-element facts, the
+connecting class of an ordinary cocycle, and the d_A K + K d_C = 0 and
+delta delta = 0 nodes of a complex."""
 
 import itertools
 from dataclasses import dataclass
 
-from diffcoh.exactness import InternalCheckError
+from diffcoh.exactness import InternalCheckError, LESNode
 from diffcoh.extensions import SectionMap
 from diffcoh.group_cohomology import GroupCochain, NotACocycleError, coboundary, kk
 from diffcoh.linalg import Matrix, solve
@@ -103,3 +104,38 @@ def connecting_class(cx, a):
     if x is None:
         return ConnectingClass(image, False, None)
     return ConnectingClass(image, True, dom.from_vector(x))
+
+
+def verify_anticommutation(cx, max_degree: int) -> list[LESNode]:
+    """Check d_A K + K d_C = 0 degreewise on the complex ``cx``, the
+    identity that makes the total differential square to zero."""
+    out = []
+    for n in range(1, max_degree + 1):
+        lhs = cx.d_a(n + 1) @ cx.k(n)
+        rhs = cx.k(n + 1) @ cx.d_c(n)
+        ok = (lhs + rhs).is_zero()
+        out.append(
+            LESNode(
+                degree=n,
+                node="anticommutation",
+                ok=ok,
+                detail="d_A K + K d_C = 0" if ok else "d_A K + K d_C != 0",
+            )
+        )
+    return out
+
+
+def verify_delta_squared(cx, max_degree: int) -> list[LESNode]:
+    """The anticommutation nodes, then delta delta = 0 degreewise."""
+    nodes = verify_anticommutation(cx, max_degree)
+    for n in range(1, max_degree + 1):
+        ok = (cx.d_b(n + 1) @ cx.d_b(n)).is_zero()
+        nodes.append(
+            LESNode(
+                degree=n,
+                node="delta-squared",
+                ok=ok,
+                detail="delta delta = 0" if ok else "delta delta != 0",
+            )
+        )
+    return nodes

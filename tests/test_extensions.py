@@ -237,7 +237,7 @@ def _trivial_rep(group, field, t, dim=1):
 def test_generator_shear_search_matches_the_search_over_all_cochains(rep):
     # three extensions from each of the first four classes of the census
     cx = DifferenceComplex(rep)
-    classes = census(cx, kernel_basis(cx.les_data().d_b(2)))
+    classes = census(cx, kernel_basis(cx.d_b(2)))
     exts = [ext for members in classes[:4] for ext in members[:3]]
     group = rep.dg.group
     for e1 in exts:
@@ -412,7 +412,7 @@ def test_carrier_laws_decide_the_cocycle_conditions(rep):
     # the extension is rejected exactly when delta(rep, pair) is nonzero,
     # with the first tuple of its first nonzero component as witness
     cx = DifferenceComplex(rep)
-    z_basis = kernel_basis(cx.les_data().d_b(2))
+    z_basis = kernel_basis(cx.d_b(2))
     c2, c1 = cx.space(2), cx.space(1)
     details = {
         0: "the associativity (ordinary 2-cocycle) condition fails",
@@ -521,13 +521,6 @@ def test_census_of_c5_over_f5_is_timed(tmp_path):
     assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
 
 
-def test_one_les_data_per_complex():
-    cx = DifferenceComplex(z3_rep())
-    data = cx.les_data()
-    cx.cohomology_dims(2)
-    assert cx.les_data() is data is cx.les_data()
-
-
 def test_classification_assembles_each_total_differential_once(monkeypatch):
     assembled = []
     real = exactness.LESData.d_b
@@ -575,7 +568,7 @@ def test_extension_sits_between_module_and_base(rep):
     # homomorphism intertwining the operators; the constructor does not
     # check these, since validated base data forces them
     cx = DifferenceComplex(rep)
-    z_basis = kernel_basis(cx.les_data().d_b(2))
+    z_basis = kernel_basis(cx.d_b(2))
     c2, c1 = cx.space(2), cx.space(1)
     group, d_base = rep.dg.group, rep.dg.d_of
     for seed in range(3):

@@ -28,7 +28,7 @@ from diffcoh.groups import DifferenceGroup, DifferenceRep
 from diffcoh.linalg import Matrix
 from diffcoh.scalars import PrimeField
 
-from helpers import connecting_class, zero_cochain
+from helpers import connecting_class, verify_delta_squared, zero_cochain
 from oracles import hk, pk
 
 F2 = PrimeField(2)
@@ -195,7 +195,7 @@ def test_delta_squared_is_zero_on_every_pair_basis_element():
 def test_complex_verification_nodes():
     for rep in (z3_rep(), z2_rep()):
         cx = DifferenceComplex(rep)
-        assert all(node.ok for node in cx.verify_delta_squared(3))
+        assert all(node.ok for node in verify_delta_squared(cx, 3))
         assert all(node.ok for node in cx.verify_les(2))
 
 
@@ -315,10 +315,9 @@ def test_budget_limits_space_construction():
 def test_anticommutation_as_matrices():
     for rep in (z3_rep(), z2_rep()):
         cx = DifferenceComplex(rep)
-        data = cx.les_data()
         for n in (1, 2):
-            lhs = data.d_a(n + 1) @ data.k(n)
-            rhs = data.k(n + 1) @ data.d_c(n)
+            lhs = cx.d_a(n + 1) @ cx.k(n)
+            rhs = cx.k(n + 1) @ cx.d_c(n)
             assert (lhs + rhs).is_zero()
 
 

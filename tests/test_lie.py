@@ -25,6 +25,7 @@ from diffcoh.lie import (
 from diffcoh.linalg import Matrix
 from diffcoh.scalars import PrimeField, Rationals
 
+from helpers import verify_delta_squared
 from oracles import delta_theta, value_on_vectors
 
 Q = Rationals()
@@ -307,7 +308,7 @@ def test_lie_complex_verification_nodes():
     ):
         rep = trivial_rep(LieDifferenceOp(lie, d))
         cx = LieDifferenceComplex(rep)
-        assert all(node.ok for node in cx.verify_delta_squared(3))
+        assert all(node.ok for node in verify_delta_squared(cx, 3))
         assert all(node.ok for node in cx.verify_les(3))
 
 

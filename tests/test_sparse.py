@@ -2,16 +2,19 @@
 the dense routes they replaced (``oracles.py``), and the rank route for
 cohomology dimensions against explicit cohomology spaces."""
 
+import gc
 import inspect
 import json
 import pathlib
 import time
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffcoh import exactness, group_cohomology, lie as lie_module, linalg
+from diffcoh import exactness, extensions, group_cohomology, lie as lie_module, linalg
 
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
@@ -462,33 +465,48 @@ def _shipped_complexes():
 
 @pytest.mark.parametrize("cx", _shipped_complexes())
 def test_rank_route_equals_cohomology_spaces(cx):
-    data = cx.les_data()
-    dims = exactness.cohomology_dims(data, 3)
+    dims = exactness.cohomology_dims(cx, 3)
     for n in range(1, 4):
         by_space = tuple(
-            cohomology_space(data.field, d(n), d(n - 1) if n > 1 else None).dim
-            for d in (data.d_c, data.d_a, data.d_b)
+            cohomology_space(cx.field, d(n), d(n - 1) if n > 1 else None).dim
+            for d in (cx.d_c, cx.d_a, cx.d_b)
         )
         assert dims[n] == by_space, n
 
 
+class _NotAComplex(LESData):
+    """C_n = F_2 in every degree with d_C = 1, A = 0."""
+
+    field = F2
+
+    def __init__(self):
+        self._d_b = {}
+
+    def dim_a(self, n):
+        return 0
+
+    def dim_c(self, n):
+        return 1
+
+    def d_a(self, n):
+        return SparseMatrix.zeros(F2, 0, 0)
+
+    def d_c(self, n):
+        return SparseMatrix.identity(F2, 1)
+
+    def k(self, n):
+        return SparseMatrix.zeros(F2, 0, 1)
+
+
 def test_rank_route_rejects_a_non_complex():
-    one = SparseMatrix.identity(F2, 1)
-    data = LESData(
-        field=F2,
-        dim_a=lambda n: 0,
-        dim_c=lambda n: 1,
-        d_a=lambda n: SparseMatrix.zeros(F2, 0, 0),
-        d_c=lambda n: one,
-        k=lambda n: SparseMatrix.zeros(F2, 0, 1),
-    )
+    data = _NotAComplex()
     assert exactness.cohomology_dims(data, 1) == {1: (0, 0, 0)}
     with pytest.raises(InternalCheckError):
         exactness.cohomology_dims(data, 2)
 
 
 def test_cohomology_dims_make_one_echelon_per_degree(monkeypatch):
-    data = DifferenceComplex(_trivial(symmetric(3), F3)).les_data()
+    data = DifferenceComplex(_trivial(symmetric(3), F3))
     calls = []
     echelon = linalg._echelon_rows
 
@@ -503,9 +521,69 @@ def test_cohomology_dims_make_one_echelon_per_degree(monkeypatch):
     assert len(calls) == 3
 
 
+def _c3_complex():
+    return DifferenceComplex(_trivial(cyclic(3), F3))
+
+
+def _h3_complex():
+    return LieDifferenceComplex(_trivial_lie_rep(_h3_plus(Q, 4), Matrix.zeros(Q, 4, 4)))
+
+
 def test_d_b_is_assembled_once_per_degree():
-    data = DifferenceComplex(_trivial(cyclic(3), F3)).les_data()
-    assert data.d_b(2) is data.d_b(2)
+    cx = _c3_complex()
+    assert cx.d_b(2) is cx.d_b(2)
+
+
+@pytest.mark.parametrize(
+    "module, coboundary_faces, make",
+    [
+        (group_cohomology, "_coboundary_faces", _c3_complex),
+        (lie_module, "_ce_faces", _h3_complex),
+    ],
+    ids=["group", "lie"],
+)
+def test_faces_are_built_only_for_an_uncached_matrix(monkeypatch, module, coboundary_faces, make):
+    builds = Counter()
+    for name in (coboundary_faces, "_connecting_faces"):
+        def counted(*args, _name=name, _build=getattr(module, name)):
+            builds[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    cx = make()
+    for _ in range(3):
+        cx.d_ordinary(1)
+        cx.d_difference(1)
+        cx.k_matrix(1)
+    # d and d_D share a face builder; K has its own
+    assert builds == {coboundary_faces: 2, "_connecting_faces": 1}
+
+
+def test_no_reference_cycle_keeps_a_complex_alive(monkeypatch):
+    """Reference counting alone frees a complex, with its cached
+    matrices, once its last caller drops it: a reference cycle would
+    keep them all until a full garbage collection."""
+    refs = []
+
+    def recorded(rep, budget):
+        cx = DifferenceComplex(rep, budget)
+        refs.append(weakref.ref(cx))
+        return cx
+
+    monkeypatch.setattr(extensions, "DifferenceComplex", recorded)
+    gc.disable()
+    try:
+        for make in (_c3_complex, _h3_complex):
+            cx = make()
+            cx.cohomology_dims(3)
+            assert all(node.ok for node in cx.verify_les(2))
+            refs.append(weakref.ref(cx))
+            del cx
+        assert extensions.classify_extensions(_trivial(cyclic(3), F3)).consistent
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def _s3_fixture():
