@@ -46,7 +46,7 @@ from .group_cohomology import (
 from .groups import ValidationError
 from .lie import LieDifferenceComplex, LieError
 from .programs import ProgramError, max_input_index
-from .scalars import ScalarError
+from .scalars import PrimeField, ScalarError
 from .vanest import (
     DEFAULT_SAMPLES,
     VE_DEGREE_CAP,
@@ -165,6 +165,8 @@ def cmd_check(args: argparse.Namespace, report: dict) -> None:
         if fx.rep is not None:
             _add_check(report, "representation", True, "validated")
         if fx.pair is not None:
+            if not isinstance(fx.rep.field, PrimeField):
+                raise FixtureError("$.cocycle", "extensions need a finite (prime-field) module")
             try:
                 ext = AbelianExtension(fx.rep, fx.pair)
             except NotACocycleError as exc:
@@ -276,6 +278,8 @@ def cmd_classify(args: argparse.Namespace, report: dict) -> None:
     fx = load_fixture(args.fixture)
     if not isinstance(fx, GroupFixture) or fx.rep is None:
         raise FixtureError("$", "classification needs a group fixture with a rep block")
+    if not isinstance(fx.rep.field, PrimeField):
+        raise FixtureError("$.rep.field", "classification needs a finite (prime-field) module")
     if args.mode == "extensions":
         cls = classify_extensions(fx.rep, budget=args.budget)
         report["tables"]["classification"] = {

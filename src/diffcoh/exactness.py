@@ -20,13 +20,15 @@ with inlined integer arithmetic modulo p.
 
 ``DifferenceComplexBase``, an ``LESData``, is the complex engine of
 both theories; a theory subclass supplies its cochain spaces and the
-faces of d, d_D, K.  The faces are the only definition of each operator:
-``operator_matrix`` scatters them into its matrix, which the complex
-caches and which also applies the operator to a single cochain.  The
-cochain values of both theories are written once here too: ``Cochain``
-(storage, validation, arithmetic), ``CochainPair`` (an element of the
-pair complex) and ``CochainSpaceBase`` (coordinates); a theory subclass
-supplies its tuple rule, its error type and evaluation.
+faces of d, d_D, K.  The faces, one form per operator, are the only
+definition of each operator: ``operator_matrix`` scatters them into its
+matrix, which the complex caches, and ``apply_faces`` applies the
+operator to a single cochain through the same matrix, given the
+theory's cochain-space constructor.  The cochain values of both
+theories are written once here too: ``Cochain`` (storage, validation,
+arithmetic), ``CochainPair`` (an element of the pair complex) and
+``CochainSpaceBase`` (coordinates); a theory subclass supplies its tuple
+rule, its error type and evaluation.
 
 Degrees are 1-based; every complex here starts in degree 1 (there are
 no degree-0 cochains in the normalized theory).
@@ -134,13 +136,14 @@ def induced_map(
     chain_map: SparseMatrix,
     dom: CohomologySpace,
     cod: CohomologySpace,
-) -> Matrix:
+) -> SparseMatrix:
     """Matrix of the map induced on cohomology by a cocycle-preserving map.
 
     The images of the representatives of ``dom`` are written in the basis
     reps + boundaries of the target cocycles by one elimination of
     [reps | boundaries | images]; the coordinates on reps are the
-    matrix columns.
+    matrix columns, read off the first ``cod.dim`` rows of its reduced
+    form.
     """
     basis = cod.reps + cod.boundaries
     images = [chain_map.matvec(rep) for rep in dom.reps]
@@ -148,15 +151,11 @@ def induced_map(
     if len(pivots) != len(basis):
         raise InternalCheckError("vector is not a cocycle of the target complex")
     width = len(basis)
-    return Matrix(
+    return SparseMatrix(
         field,
         cod.dim,
         dom.dim,
-        tuple(
-            rows[i].get(width + j, field.zero)
-            for i in range(cod.dim)
-            for j in range(dom.dim)
-        ),
+        [{j - width: x for j, x in row.items() if j >= width} for row in rows[: cod.dim]],
     )
 
 
@@ -212,8 +211,9 @@ def cohomology_dims(data: LESData, max_degree: int) -> dict[int, tuple[int, int,
     columns of d_A come first, and the pivots they make number rank d_C
     and rank d_A.  The count is valid for complexes only, so the total
     differential is checked to square to zero with a sparse product; the
-    diagonal blocks of d_B d_B are d_C d_C and d_A d_A, so this checks
-    all three.
+    diagonal blocks of d_B d_B are d_C d_C and d_A d_A and its
+    off-diagonal block is K d_C + d_A K, so this checks all three
+    complexes and that K anticommutes with the differentials.
     """
     dims = {}
     prev = None
@@ -235,7 +235,9 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     Checks the three node types for each degree n <= max_degree:
     at H^n(B) (image of inclusion = kernel of projection), at H^n(C)
     (image of projection = kernel of connecting map), and at H^{n+1}(A)
-    (image of connecting map = kernel of inclusion).
+    (image of connecting map = kernel of inclusion).  Each cohomology
+    space checks that its boundaries are cocycles, for d_B too, whose
+    square has K d_C + d_A K as its off-diagonal block.
     """
     f = data.field
     top = max_degree + 1
@@ -256,7 +258,9 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
 
     nodes = []
 
-    def check(degree: int, node: str, first: Matrix, second: Matrix, middle_dim: int) -> None:
+    def check(
+        degree: int, node: str, first: SparseMatrix, second: SparseMatrix, middle_dim: int
+    ) -> None:
         composes = (second @ first).is_zero()
         ranks = rank(first) + rank(second) == middle_dim
         ok = composes and ranks
@@ -455,21 +459,23 @@ class CochainSpaceBase:
         return self.from_vector(vec)
 
 
-def scatter(dom: CochainSpaceBase, tuples: Iterable[tuple], faces_of) -> list[dict]:
-    """Rows of a linear map into cochains on ``tuples`` whose value at
-    each tuple is a sum of faces of the argument cochain in ``dom``.
+def operator_matrix(dom: CochainSpaceBase, cod: CochainSpaceBase, faces) -> SparseMatrix:
+    """The matrix from ``dom`` to ``cod`` of the operator whose value at
+    each tuple of ``cod`` is a sum of faces of the argument cochain.
 
-    ``faces_of(args)`` yields (face, coefficient) pairs standing for the
+    ``faces(args)`` yields (face, coefficient) pairs standing for the
     term coefficient * a(face); the coefficient is a scalar or a
     dim x dim matrix.  A face outside ``dom.index`` vanishes.  Row
-    (args, r) of the result maps basis vector (face, c) of ``dom`` to
-    its coefficient, as ``dom`` orders coordinates.
+    (args, r) maps basis vector (face, c) of ``dom`` to its coefficient,
+    as ``dom`` orders coordinates.  The faces are the one definition of
+    each operator of both theories: the complex caches these matrices,
+    and ``apply_faces`` sends a single cochain through the same matrix.
     """
     dim, index, zero, add = dom.dim, dom.index, dom.field.zero, dom.field.add
     rows: list[dict] = []
-    for args in tuples:
+    for args in cod.tuples:
         block: list[dict] = [{} for _ in range(dim)]
-        for face, coeff in faces_of(args):
+        for face, coeff in faces(args):
             k = index.get(face)
             if k is None:
                 continue
@@ -482,30 +488,15 @@ def scatter(dom: CochainSpaceBase, tuples: Iterable[tuple], faces_of) -> list[di
                 row = block[r]
                 row[col] = add(row[col], x) if col in row else x
         rows.extend({j: x for j, x in row.items() if x != zero} for row in block)
-    return rows
+    return SparseMatrix(dom.field, cod.size, dom.size, rows)
 
 
-def operator_matrix(
-    key: str, dom: CochainSpaceBase, cod: CochainSpaceBase, *forms
-) -> SparseMatrix:
-    """The matrix of the operator ``key`` from ``dom`` to ``cod``.
-
-    Each form is a ``faces_of`` for ``scatter``, and the faces are the
-    one definition of each operator of both theories: the complex caches
-    these matrices, and a single cochain a goes through the same matrix,
-    as ``cod.from_vector(operator_matrix(...).matvec(dom.to_vector(a)))``.
-    Several forms of one operator must give the same matrix, else the
-    first tuple where they differ is named.
-    """
-    first, *others = (scatter(dom, cod.tuples, faces) for faces in forms)
-    for rows in others:
-        if rows != first:
-            i = next(i for i, (a, b) in enumerate(zip(first, rows)) if a != b)
-            raise InternalCheckError(
-                f"the forms of {key} in degree {dom.degree} disagree at "
-                f"{cod.tuples[i // dom.dim]}"
-            )
-    return SparseMatrix(dom.field, cod.size, dom.size, first)
+def apply_faces(space, a: Cochain, out_degree: int, faces) -> Cochain:
+    """The operator with these faces applied to the cochain a, through
+    its matrix; ``space(a, n)`` is the theory's space of cochains like a
+    in degree n."""
+    dom, cod = space(a, a.degree), space(a, out_degree)
+    return cod.from_vector(operator_matrix(dom, cod, faces).matvec(dom.to_vector(a)))
 
 
 @dataclass
@@ -550,11 +541,11 @@ class DifferenceComplexBase(LESData):
 
     def _operator_matrix(self, key: str, n: int, out_degree: int, build, *args) -> SparseMatrix:
         """``operator_matrix`` from degree n to ``out_degree`` of the
-        forms of faces ``build(*args)``, cached; the forms are built
+        faces ``build(*args)``, cached under ``key``; the faces are built
         only for a matrix not cached yet."""
         if (key, n) not in self._matrices:
             self._matrices[(key, n)] = operator_matrix(
-                key, self.space(n), self.space(out_degree), *build(*args)
+                self.space(n), self.space(out_degree), build(*args)
             )
         return self._matrices[(key, n)]
 

@@ -17,12 +17,12 @@ sit in a short exact sequence whose long exact sequence has connecting
 map [a] -> [K a].
 
 The faces define each operator once: ``_coboundary_faces`` and
-``_connecting_faces`` return the forms of an operator's faces (here
-one form each), a function yielding, at an argument tuple, the faces
-of the argument cochain with their coefficients.  ``DifferenceComplex``
-scatters them into its matrices, building them only for a matrix it
-has not cached, and ``coboundary``, ``kk`` and ``delta`` apply the
-same matrices to a single cochain (``exactness.operator_matrix``).
+``_connecting_faces`` return a function yielding, at an argument tuple,
+the faces of the argument cochain with their coefficients.
+``DifferenceComplex`` scatters them into its matrices
+(``exactness.operator_matrix``), building them only for a matrix it has
+not cached, and ``coboundary``, ``kk`` and ``delta`` apply the same
+matrices to a single cochain (``exactness.apply_faces``).
 
 ``GroupCochain`` adds to ``exactness.Cochain`` only what is particular
 to groups: identity-free tuples, ``CochainError`` and ``value_at``.
@@ -43,7 +43,7 @@ from .exactness import (  # noqa: F401
     CochainPair,
     CochainSpaceBase,
     DifferenceComplexBase,
-    operator_matrix,
+    apply_faces,
 )
 from .groups import DifferenceRep, FiniteGroup
 from .linalg import Matrix, SparseMatrix
@@ -108,7 +108,7 @@ class CochainSpace(CochainSpaceBase):
 
 
 def _coboundary_faces(group: FiniteGroup, theta: Sequence[Matrix]):
-    """Faces of d^Theta at an (n+1)-tuple, one form: Theta(g1) a(g2..),
+    """Faces of d^Theta at an (n+1)-tuple: Theta(g1) a(g2..),
     (-1)^i a(.., g_i g_{i+1}, ..) and (-1)^{n+1} a(g1..gn)."""
     f, mul = theta[0].ring, group.mul
     one, minus = f.one, f.neg(f.one)
@@ -121,11 +121,11 @@ def _coboundary_faces(group: FiniteGroup, theta: Sequence[Matrix]):
             yield merged, one if i % 2 else minus
         yield args[:n], one if n % 2 else minus
 
-    return (faces,)
+    return faces
 
 
 def _connecting_faces(rep: DifferenceRep, n: int):
-    """Faces of K at an n-tuple, one form: in every degree the homomorphism part
+    """Faces of K at an n-tuple: in every degree the homomorphism part
 
         (-1)^n ( a(D(g1) g1, ..., D(gn) gn) - T a(g) - a(g) ),
 
@@ -156,25 +156,22 @@ def _connecting_faces(rep: DifferenceRep, n: int):
             yield (dg.d_of(g12), g12), minus
             yield (dg.d_of(g2), g2), rep.theta[dg.d_plus_of(g1)]
 
-    return (faces,)
+    return faces
 
 
-def _apply(key: str, a: GroupCochain, out_degree: int, *forms) -> GroupCochain:
-    """The operator with these forms of faces applied to a, through its
-    matrix."""
-    dom, cod = (CochainSpace(a.group, a.field, a.dim, n) for n in (a.degree, out_degree))
-    return cod.from_vector(operator_matrix(key, dom, cod, *forms).matvec(dom.to_vector(a)))
+def _space(a: GroupCochain, degree: int) -> CochainSpace:
+    return CochainSpace(a.group, a.field, a.dim, degree)
 
 
 def coboundary(theta: Sequence[Matrix], a: GroupCochain) -> GroupCochain:
     """The twisted coboundary d^Theta, raising degree by one."""
-    return _apply("d", a, a.degree + 1, *_coboundary_faces(a.group, theta))
+    return apply_faces(_space, a, a.degree + 1, _coboundary_faces(a.group, theta))
 
 
 def kk(rep: DifferenceRep, a: GroupCochain) -> GroupCochain:
     """The connecting cochain map K; it anticommutes with the twisted
     coboundaries and induces the connecting homomorphism."""
-    return _apply("K", a, a.degree, *_connecting_faces(rep, a.degree))
+    return apply_faces(_space, a, a.degree, _connecting_faces(rep, a.degree))
 
 
 def delta(rep: DifferenceRep, pair: CochainPair) -> CochainPair:

@@ -19,22 +19,22 @@ coupling them through the connecting cochain map
                               z(.. D at positions in S ..)
                               - T z(x_1..x_n) ),
 
-which by multilinearity equals
+which by multilinearity equals the closed form
 (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).  ``LieCochain``
 adds to ``exactness.Cochain`` only increasing tuples, ``LieError`` and
 evaluation by permutation sign; pairs are ``exactness.CochainPair``,
 with alpha = zeta and beta = xi.
 
 The faces define each operator once: ``_ce_faces`` and
-``_connecting_faces`` return the forms of an operator's faces, each
-yielding the faces of an increasing tuple sorted with their permutation
-signs (a repeated index vanishes); d has one form and K two, the subset
-form and the closed form.  ``LieDifferenceComplex`` scatters them into
-its matrices, building them only for a matrix it has not cached, and
-``ce_coboundary`` and ``k_map`` apply the same matrices to a single
-cochain (``exactness.operator_matrix``).  Every matrix of K is
-scattered from both forms and the two are compared; a disagreement
-aborts.
+``_connecting_faces`` (the closed form of K) return a function yielding
+the faces of an increasing tuple sorted with their permutation signs (a
+repeated index vanishes).  ``LieDifferenceComplex`` scatters them into
+its matrices (``exactness.operator_matrix``), building them only for a
+matrix it has not cached, and ``ce_coboundary`` and ``k_map`` apply the
+same matrices to a single cochain (``exactness.apply_faces``).  K stays
+checked at run time by the square of the total differential, whose
+off-diagonal block is K d + d_D K (``exactness.cohomology_dims`` and
+``exactness.verify_les``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .exactness import (
     CochainSpaceBase,
     DifferenceComplexBase,
     InternalCheckError,
-    operator_matrix,
+    apply_faces,
 )
 from .groups import ValidationError, ValidationReport
 from .linalg import Matrix, SparseMatrix, rref
@@ -328,7 +328,7 @@ def _sorted_with_sign(args: tuple) -> tuple[tuple, bool]:
 
 def _ce_faces(lie: LieAlgebra, theta: Sequence[Matrix]):
     """Faces of the Chevalley-Eilenberg coboundary at an increasing
-    tuple, one form: (-1)^k theta(x_k) z(.. no x_k ..) and
+    tuple: (-1)^k theta(x_k) z(.. no x_k ..) and
     (-1)^(a+b) z([x_a, x_b], .. no x_a, x_b ..)."""
     f = lie.field
     minus_theta = [-m for m in theta]
@@ -343,73 +343,55 @@ def _ce_faces(lie: LieAlgebra, theta: Sequence[Matrix]):
                     face, odd = _sorted_with_sign((m,) + rest)
                     yield face, f.neg(c) if odd != (a + b) % 2 else c
 
-    return (faces,)
+    return faces
 
 
 def _connecting_faces(rep: LieRep, n: int):
-    """Faces of K at an increasing n-tuple in the subset form
-    (-1)^n ( sum over nonempty S of z(.. D at S ..) - T z ) and in
-    the closed form (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z - T z )."""
+    """Faces of K at an increasing n-tuple in the closed form
+    (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z - T z )."""
     f = rep.field
     sign = f.neg(f.one) if n % 2 else f.one
     minus_t = rep.t.scale(f.neg(sign))
+    d_plus = rep.dop.d_plus
+    plus_cols = [
+        [(r, x) for r, x in enumerate(d_plus.col(i)) if x != f.zero] for i in range(d_plus.ncols)
+    ]
 
-    d_cols, plus_cols = (
-        [[(r, x) for r, x in enumerate(m.col(i)) if x != f.zero] for i in range(m.ncols)]
-        for m in (rep.dop.d, rep.dop.d_plus)
-    )
-
-    def expand(cols: list[list[tuple]]):
-        """Faces of z(v_1, .., v_n), v_k = sum of c e_r over cols[k]."""
-        for combo in itertools.product(*cols):
+    def faces(args: tuple):
+        yield args, minus_t
+        yield args, f.neg(sign)
+        for combo in itertools.product(*(plus_cols[i] for i in args)):
             c = sign
             for _, x in combo:
                 c = f.mul(c, x)
             face, odd = _sorted_with_sign(tuple(r for r, _ in combo))
             yield face, f.neg(c) if odd else c
 
-    def subset(args: tuple):
-        yield args, minus_t
-        for size in range(1, n + 1):
-            for moved in itertools.combinations(range(n), size):
-                yield from expand(
-                    [d_cols[i] if k in moved else [(i, f.one)] for k, i in enumerate(args)]
-                )
-
-    def closed(args: tuple):
-        yield args, minus_t
-        yield args, f.neg(sign)
-        yield from expand([plus_cols[i] for i in args])
-
-    return subset, closed
+    return faces
 
 
-def _apply(key: str, z: LieCochain, out_degree: int, *forms) -> LieCochain:
-    """The operator with these forms of faces applied to z, through its
-    matrix."""
-    dom, cod = (LieCochainSpace(z.lie, z.dim, n) for n in (z.degree, out_degree))
-    return cod.from_vector(operator_matrix(key, dom, cod, *forms).matvec(dom.to_vector(z)))
+def _space(z: LieCochain, degree: int) -> LieCochainSpace:
+    return LieCochainSpace(z.lie, z.dim, degree)
 
 
 def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
     """The Chevalley-Eilenberg coboundary twisted by a representation
     given on basis elements.  Degrees above dim(g) are zero spaces, so
     the result is then the zero cochain."""
-    return _apply("d", z, z.degree + 1, *_ce_faces(z.lie, theta))
+    return apply_faces(_space, z, z.degree + 1, _ce_faces(z.lie, theta))
 
 
 def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
-    """The connecting cochain map on the Lie side.  Its matrix is
-    scattered from both forms of its faces, which must agree (else
-    ``InternalCheckError``), and applied to z."""
+    """The connecting cochain map on the Lie side, applied to z through
+    the matrix scattered from its closed-form faces."""
     if z.dim != rep.dimv:
         raise LieError(f"cochain has values in dimension {z.dim}, rep in {rep.dimv}")
-    return _apply("K", z, z.degree, *_connecting_faces(rep, z.degree))
+    return apply_faces(_space, z, z.degree, _connecting_faces(rep, z.degree))
 
 
 class LieDifferenceComplex(DifferenceComplexBase):
     """Matrix-level view of the three complexes attached to (g, D, V, T),
-    scattered from the faces of d, d_D and both forms of K.
+    scattered from the faces of d, d_D and K.
     """
 
     def __init__(self, rep: LieRep, budget: int = DEFAULT_BUDGET) -> None:

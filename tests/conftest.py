@@ -117,6 +117,33 @@ def _dims_compared(cohomology_dims):
     return compared
 
 
+def _lie_k_tagged(connecting_faces):
+    @functools.wraps(connecting_faces)
+    def tagged(rep, n):
+        faces = connecting_faces(rep, n)
+        faces.subset_form = oracles.lie_k_subset_faces(rep, n)
+        return faces
+
+    return tagged
+
+
+def _k_compared(operator_matrix):
+    @functools.wraps(operator_matrix)
+    def compared(dom, cod, faces):
+        out = operator_matrix(dom, cod, faces)
+        subset_form = getattr(faces, "subset_form", None)
+        if subset_form is not None:
+            expected = operator_matrix(dom, cod, subset_form)
+            for i, (row, want) in enumerate(zip(out.rows, expected.rows)):
+                assert row == want, (
+                    f"K in degree {dom.degree} differs from its subset expansion "
+                    f"at {cod.tuples[i // cod.dim]}"
+                )
+        return out
+
+    return compared
+
+
 @pytest.fixture(autouse=True, scope="session")
 def law_checks_match_their_oracles():
     """Every law check the suite runs on generators is compared with the
@@ -125,7 +152,9 @@ def law_checks_match_their_oracles():
     suite builds on vector indices, valid or not, is compared entry by
     entry with the tuple loop kept there, and every count of cohomology
     dimensions from one echelon per degree with the three ranks kept
-    there."""
+    there.  Every matrix of the Lie K, in a complex or applied by
+    ``lie.k_map``, is compared row by row with the one scattered from
+    the subset expansion kept there."""
     patches = [
         (FiniteGroup, "check", _compared(FiniteGroup.check, oracles.group_table_report)),
         (groups, "check_difference_operator",
@@ -135,6 +164,8 @@ def law_checks_match_their_oracles():
         (groups, "induced_rep_theta_d", _induced_compared(groups.induced_rep_theta_d)),
         (groups, "carrier_tables", _carrier_compared(groups.carrier_tables)),
         (exactness, "cohomology_dims", _dims_compared(exactness.cohomology_dims)),
+        (exactness, "operator_matrix", _k_compared(exactness.operator_matrix)),
+        (lie, "_connecting_faces", _lie_k_tagged(lie._connecting_faces)),
         (lie, "check_lie_difference",
          _compared(lie.check_lie_difference, oracles.lie_difference_report)),
         (LieAlgebra, "_check_jacobi", _jacobi_compared(LieAlgebra._check_jacobi)),

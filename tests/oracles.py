@@ -18,8 +18,10 @@ faces.  ``carrier_tables`` is the tuple loop that built the carrier of
 an extension and of a semidirect product before the carrier was built
 once, on vector indices.  ``three_rank_dims`` is the cohomology count
 from three separate ranks per degree, as it was before one echelon of
-the total differential gave all three.  Tests compare the two routes
-exactly.
+the total differential gave all three.  ``lie_k_subset_faces`` is the
+subset expansion of the Lie K, scattered beside its closed form on every
+matrix of K before the closed form alone defined it.  Tests compare the
+two routes exactly.
 """
 
 import itertools
@@ -27,7 +29,7 @@ import itertools
 from diffcoh.exactness import CochainPair, InternalCheckError
 from diffcoh.group_cohomology import GroupCochain
 from diffcoh.groups import ValidationReport, induced_rep_theta_d
-from diffcoh.lie import LieCochain, LieError, theta_d_matrices
+from diffcoh.lie import LieCochain, LieError, _sorted_with_sign, theta_d_matrices
 from diffcoh.linalg import Matrix, LinAlgError, jet_part, rank
 from diffcoh.programs import evaluate
 from diffcoh.scalars import JetRing
@@ -613,6 +615,37 @@ def k_map(rep, z):
             subset_val = [f.neg(x) for x in subset_val]
         out[args] = tuple(subset_val)
     return LieCochain(lie, z.dim, n, out)
+
+
+def lie_k_subset_faces(rep, n):
+    """Faces of the Lie K at an increasing n-tuple in the subset form
+    (-1)^n ( sum over nonempty S of z(.. D at S ..) - T z ), the form
+    that was scattered and compared with the closed D_+ form on every
+    matrix of K before the closed form alone defined K."""
+    f = rep.field
+    sign = f.neg(f.one) if n % 2 else f.one
+    minus_t = rep.t.scale(f.neg(sign))
+    d = rep.dop.d
+    d_cols = [[(r, x) for r, x in enumerate(d.col(i)) if x != f.zero] for i in range(d.ncols)]
+
+    def expand(cols):
+        """Faces of z(v_1, .., v_n), v_k = sum of c e_r over cols[k]."""
+        for combo in itertools.product(*cols):
+            c = sign
+            for _, x in combo:
+                c = f.mul(c, x)
+            face, odd = _sorted_with_sign(tuple(r for r, _ in combo))
+            yield face, f.neg(c) if odd else c
+
+    def subset(args):
+        yield args, minus_t
+        for size in range(1, n + 1):
+            for moved in itertools.combinations(range(n), size):
+                yield from expand(
+                    [d_cols[i] if k in moved else [(i, f.one)] for k, i in enumerate(args)]
+                )
+
+    return subset
 
 
 def delta_theta(rep, pair):

@@ -313,8 +313,9 @@ def test_criterion_05_lie_side():
             assert nodes and all(n.ok for n in nodes)
             nodes = cx.verify_les(3)
             assert nodes and all(n.ok for n in nodes)
-            # k_map scatters K from the subset expansion and from the
-            # D_+ closed form, raising on any mismatch
+            # k_map scatters K from the D_+ closed form; the conftest
+            # hook compares each matrix with the subset expansion kept
+            # in oracles, failing on any mismatch
             for degree in (1, 2):
                 for tup in itertools.combinations(range(rep.lie.dim), degree):
                     z = LieCochain(rep.lie, 1, degree, {tup: (Fraction(1),)})

@@ -378,6 +378,41 @@ def test_wrong_fixture_kind_exits_two(capsys):
     assert "jet fixture" in err
 
 
+def _over_q(tmp_path, name):
+    data = json.loads((FIXDIR / name).read_text())
+    data["rep"]["field"] = {"kind": "Q"}
+    p = tmp_path / name
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+@pytest.mark.parametrize("mode", ["extensions", "semidirect-ops"])
+@pytest.mark.parametrize("name", ["z3_inverse.json", "z3_carry_extension.json"])
+def test_classify_rejects_a_module_over_q(name, mode, tmp_path, capsys):
+    # the censuses enumerate a finite module, so a rep over Q is a
+    # fixture error, not a traceback
+    code, out, err = run(["classify", "--mode", mode, _over_q(tmp_path, name)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: $.rep.field: classification needs a finite (prime-field) module\n"
+
+
+def test_check_rejects_a_cocycle_over_q(tmp_path, capsys):
+    code, out, err = run(["check", _over_q(tmp_path, "z3_carry_extension.json")], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: $.cocycle: extensions need a finite (prime-field) module\n"
+
+
+@pytest.mark.parametrize("command", ["cohomology", "les"])
+@pytest.mark.parametrize("name", ["z3_inverse.json", "z3_carry_extension.json"])
+def test_complexes_still_run_on_a_module_over_q(name, command, tmp_path, capsys):
+    code, out, err = run([command, _over_q(tmp_path, name)], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.endswith("ok: true\n")
+
+
 def test_lie_fixture_check(capsys):
     code, out, _ = run(["check", fx("lie_solvable.json")], capsys)
     assert code == 0

@@ -261,9 +261,10 @@ def test_k_map_frozen_value_on_gl2_trace():
 
 
 def test_k_map_runs_both_forms_on_full_bases():
-    # k_map recomputes every value from the subset expansion and the
-    # D_+ closed form and aborts on mismatch; a clean pass over entire
-    # bases in degrees 1 and 2 is the dual-route check
+    # k_map applies the closed D_+ form; the session-wide hook in
+    # conftest compares each of its matrices with the subset expansion
+    # kept in oracles, so a clean pass over entire bases in degrees 1
+    # and 2 is the dual-route check
     lie, dop, rep = gl2_with_trace_data()
     for degree in (1, 2):
         for tup in itertools.combinations(range(lie.dim), degree):

@@ -375,17 +375,25 @@ def _corrupted_k_rep():
     return rep
 
 
-def test_lie_k_matrix_compares_its_two_forms():
-    cx = LieDifferenceComplex(_corrupted_k_rep())
-    with pytest.raises(InternalCheckError, match=r"forms of K in degree 1 disagree at \(\d"):
-        cx.k_matrix(1)
-
-
-def test_k_map_compares_its_two_forms():
+def test_k_oracle_flags_a_corrupted_k():
+    # the session-wide hook in conftest compares every matrix of the Lie
+    # K with the subset expansion kept in oracles
     rep = _corrupted_k_rep()
+    with pytest.raises(AssertionError, match=r"K in degree 1 differs from its subset expansion"):
+        LieDifferenceComplex(rep).k_matrix(1)
     z = LieCochain(rep.lie, rep.dimv, 1, {(0,): (Q.one,) * rep.dimv})
-    with pytest.raises(InternalCheckError, match=r"forms of K in degree 1 disagree at \(\d"):
+    with pytest.raises(AssertionError, match=r"K in degree 1 differs from its subset expansion"):
         lie_module.k_map(rep, z)
+
+
+def test_a_corrupted_k_breaks_the_square_of_the_total_differential(monkeypatch):
+    # without the oracle, K is guarded at run time by d_B d_B = 0, whose
+    # off-diagonal block is K d_C + d_A K
+    monkeypatch.setattr(exactness, "operator_matrix", inspect.unwrap(exactness.operator_matrix))
+    for check, max_degree in (("cohomology_dims", 3), ("verify_les", 2)):
+        cx = LieDifferenceComplex(_corrupted_k_rep())
+        with pytest.raises(InternalCheckError, match="do not compose to zero"):
+            getattr(cx, check)(max_degree)
 
 
 # ------------------------------------------ per-cochain entry points
