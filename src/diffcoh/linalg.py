@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .scalars import JetRing, PrimeField, Rationals
+from .scalars import JetRing, PrimeField, Rationals, rational
 
 
 class LinAlgError(ValueError):
@@ -343,7 +343,8 @@ def _require_field(ring: Any, what: str) -> None:
 # entries are ints in [0, p) and the update is inlined modular integer
 # arithmetic.  Over Q the rows are integers after clearing denominators
 # and are combined fraction-free, a * row - b * prow divided by its
-# content; the entries become fractions again only in the reduced form.
+# content; the entries become rationals again, in canonical form, only in
+# the reduced form.
 
 
 def _combine_field(f: Any, row: dict, c: int, prow: dict) -> list[int]:
@@ -480,7 +481,7 @@ def _echelon_rows(
     if not scaled:
         for c, row in pivots.items():
             lead = row[c]
-            pivots[c] = {j: Fraction(x, lead) for j, x in row.items()}
+            pivots[c] = {j: rational(Fraction(x, lead)) for j, x in row.items()}
     return pivots, made
 
 

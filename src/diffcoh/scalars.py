@@ -1,15 +1,16 @@
 """Exact scalar arithmetic: rationals, prime fields, quadratic extensions, jet rings.
 
 Every computation in this package runs over one of the coefficient rings
-defined here.  There is no floating point anywhere: rationals are stdlib
-``Fraction`` objects, prime-field elements are canonical residues in
+defined here.  There is no floating point anywhere: a rational is an
+``int`` when it is integral and a stdlib ``Fraction`` with denominator
+> 1 otherwise, prime-field elements are canonical residues in
 ``[0, p)``, and first-order jets are finitely supported maps from subsets
 of generators to base-field scalars.
 
 A "ring object" bundles the operations on its scalars (``add``, ``mul``,
 ``inv``, ...) so that matrices and cochains can stay generic over the
-coefficient ring.  Scalars themselves are plain values (``Fraction``,
-``int``, ``QuadScalar``, ``Jet``) compared with ``==``.
+coefficient ring.  Scalars themselves are plain values (``int``,
+``Fraction``, ``QuadScalar``, ``Jet``) compared with ``==``.
 """
 
 from __future__ import annotations
@@ -63,15 +64,30 @@ def _is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def rational(x: int | Fraction) -> int | Fraction:
+    """The canonical form of a rational: an ``int`` when x is integral,
+    x itself otherwise."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
 class Rationals:
-    """The field of rational numbers, elements are ``fractions.Fraction``."""
+    """The field of rational numbers.
+
+    Each value has one canonical form: an ``int`` when it is integral and
+    a ``Fraction`` with denominator > 1 otherwise.  The paper's objects
+    over Q are almost all integral, so most arithmetic stays on ints.
+    Every operation returns the canonical form (``neg`` and ``conj``
+    keep the form they are given) and accepts integral ``Fraction``
+    inputs too; the two forms of a value are equal, hash equal and
+    format the same.
+    """
 
     kind = "rationals"
     is_field = True
 
     def __init__(self) -> None:
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Rationals)
@@ -82,42 +98,42 @@ class Rationals:
     def __repr__(self) -> str:
         return "Rationals()"
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
+    def add(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
+        return rational(a + b)
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
+    def sub(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
+        return rational(a - b)
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: int | Fraction) -> int | Fraction:
         return -a
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
+    def mul(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
+        return rational(a * b)
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: int | Fraction) -> int | Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return rational(Fraction(a.denominator, a.numerator))
 
-    def conj(self, a: Fraction) -> Fraction:
+    def conj(self, a: int | Fraction) -> int | Fraction:
         return a
 
-    def parse(self, text: Any) -> Fraction:
+    def parse(self, text: Any) -> int | Fraction:
         if isinstance(text, bool):
             raise ScalarError(f"not a rational scalar: {text!r}")
         if isinstance(text, int):
-            return Fraction(text)
+            return int(text)
         if isinstance(text, str):
             try:
-                return Fraction(text)
+                return rational(Fraction(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ScalarError(f"not a rational scalar: {text!r}") from exc
         raise ScalarError(f"not a rational scalar: {text!r}")
 
-    def format(self, a: Fraction) -> str:
+    def format(self, a: int | Fraction) -> str:
         return str(a)
 
 

@@ -28,6 +28,7 @@ exact identity of jets.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Sequence
@@ -437,12 +438,16 @@ class VanEstReport:
 
 
 def _mismatch_witness(lhs: LieCochain, rhs: LieCochain) -> str:
+    """The first basis tuple where lhs and rhs differ, with both values
+    in the field's fixture format, e.g. ``["1"] vs ["0"]``."""
+    fmt = lhs.field.format
     keys = sorted(set(lhs.values) | set(rhs.values))
     for k in keys:
-        if lhs.value_at_basis(k) != rhs.value_at_basis(k):
+        a, b = lhs.value_at_basis(k), rhs.value_at_basis(k)
+        if a != b:
             return (
-                f"first mismatch at {k}: {lhs.value_at_basis(k)} vs "
-                f"{rhs.value_at_basis(k)}"
+                f"first mismatch at {k}: {json.dumps([fmt(x) for x in a])} vs "
+                f"{json.dumps([fmt(x) for x in b])}"
             )
     return "equal"
 

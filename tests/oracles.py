@@ -20,11 +20,14 @@ once, on vector indices.  ``three_rank_dims`` is the cohomology count
 from three separate ranks per degree, as it was before one echelon of
 the total differential gave all three.  ``lie_k_subset_faces`` is the
 subset expansion of the Lie K, scattered beside its closed form on every
-matrix of K before the closed form alone defined it.  Tests compare the
+matrix of K before the closed form alone defined it.  ``FractionRationals``
+is the field of rationals as it was before integral values became
+plain ints: every value it makes is a ``Fraction``.  Tests compare the
 two routes exactly.
 """
 
 import itertools
+from fractions import Fraction
 
 from diffcoh.exactness import CochainPair, InternalCheckError
 from diffcoh.group_cohomology import GroupCochain
@@ -32,7 +35,7 @@ from diffcoh.groups import ValidationReport, induced_rep_theta_d
 from diffcoh.lie import LieCochain, LieError, _sorted_with_sign, theta_d_matrices
 from diffcoh.linalg import Matrix, LinAlgError, jet_part, rank
 from diffcoh.programs import evaluate
-from diffcoh.scalars import JetRing
+from diffcoh.scalars import JetRing, Rationals, ScalarError
 from diffcoh.vanest import _jet_arg
 
 
@@ -656,3 +659,48 @@ def delta_theta(rep, pair):
     if pair.beta is not None:
         xi = xi + ce_coboundary(theta_d_matrices(rep), pair.beta)
     return CochainPair(zeta, xi)
+
+
+class FractionRationals(Rationals):
+    """The rationals with every value a ``Fraction``, integral or not.
+    A subclass, so that code dispatching on ``Rationals`` takes the
+    same route as with the canonical ring."""
+
+    def __init__(self):
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
+
+    def conj(self, a):
+        return a
+
+    def parse(self, text):
+        if isinstance(text, bool):
+            raise ScalarError(f"not a rational scalar: {text!r}")
+        if isinstance(text, int):
+            return Fraction(text)
+        if isinstance(text, str):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ScalarError(f"not a rational scalar: {text!r}") from exc
+        raise ScalarError(f"not a rational scalar: {text!r}")

@@ -7,12 +7,15 @@ import pathlib
 
 import pytest
 
-from diffcoh import cli, extensions
+from diffcoh import cli, extensions, fixtures, linalg
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
 from diffcoh.extensions import classify_extensions
 from diffcoh.fixtures import MATRIX_SIZE_CAP, load_fixture
 from diffcoh.programs import PROGRAM_DEPTH_CAP, format_program
+from diffcoh.scalars import Rationals
+
+from oracles import FractionRationals
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -736,3 +739,38 @@ def test_group_order_cap(tmp_path, capsys):
     code, out, err = run(["check", _cyclic_fixture(tmp_path, GROUP_ORDER_CAP)], capsys)
     assert code == 0
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [cmd, f"lie_{name}.json", "--max-degree", "3"]
+        for cmd in ("cohomology", "les")
+        for name in ("abelian", "solvable")
+    ]
+    + [["vanest", "gl2_adjugate_det.json"], ["vanest", "gl2_inverse_det_deg2.json"]],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_reports_are_the_same_with_fractions_everywhere(argv, monkeypatch, capsys):
+    """Integral rationals are ints in the canonical ring; a run whose
+    fixture field makes every value a Fraction reports the same bytes."""
+    cmd, name, *rest = argv
+    argv = [cmd, fx(name), *rest, "--format", "json"]
+    expected = run(argv, capsys)
+
+    made = []
+    field_from_spec = fixtures.field_from_spec
+
+    def fraction_field(spec):
+        field = field_from_spec(spec)
+        if isinstance(field, Rationals):
+            field = FractionRationals()
+            made.append(field)
+        return field
+
+    monkeypatch.setattr(fixtures, "field_from_spec", fraction_field)
+    monkeypatch.setattr(fixtures, "Rationals", lambda: fraction_field({"kind": "rationals"}))
+    # back substitution makes its quotients Fractions too
+    monkeypatch.setattr(linalg, "rational", lambda x: x)
+    assert run(argv, capsys) == expected
+    assert made and expected[0] == 0

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from diffcoh.linalg import LinAlgError, Matrix, field_matrix_inverse, kernel_basis, rref
 from diffcoh.scalars import (
     PRIME_CAP,
     Jet,
@@ -95,9 +96,76 @@ def test_prime_field_parse_is_strict():
 def test_rational_parse():
     assert Q.parse("2/3") == Fraction(2, 3)
     assert Q.parse(-4) == Fraction(-4)
+    for text, want in (("4/2", 2), ("-0", 0), ("0/7", 0), ("-6/3", -2), (" 5 ", 5)):
+        got = Q.parse(text)
+        assert got == want and type(got) is int
     for bad in ("x", "1/0", True, 1.5):
         with pytest.raises(ScalarError):
             Q.parse(bad)
+
+
+def is_canonical(x):
+    """An int when integral, a Fraction with denominator > 1 otherwise."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+# integral Fractions too: callers may pass them
+q_inputs = st.one_of(st.integers(-50, 50), rationals)
+
+
+def _same(got, want):
+    return got == want and is_canonical(got) and str(got) == str(want)
+
+
+@given(a=q_inputs, b=q_inputs)
+def test_rational_operations_return_the_canonical_form(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert _same(Q.add(a, b), fa + fb)
+    assert _same(Q.sub(a, b), fa - fb)
+    assert _same(Q.mul(a, b), fa * fb)
+    if a != 0:
+        assert _same(Q.inv(a), 1 / fa)
+    c = Q.add(a, Q.zero)
+    assert _same(Q.neg(c), -fa)
+    assert _same(Q.conj(c), fa)
+    # neg and conj keep the form they are given
+    assert type(Q.neg(a)) is type(a) and type(Q.conj(a)) is type(a)
+    assert hash(c) == hash(fa) and Q.format(c) == Q.format(fa) == str(fa)
+
+
+@given(n=st.integers(-(2**70), 2**70))
+def test_rational_ints_are_ints(n):
+    assert _same(Q.from_int(n), Fraction(n))
+    assert _same(Q.parse(n), Fraction(n))
+    assert _same(Q.parse(str(n)), Fraction(n))
+    assert is_canonical(Q.zero) and is_canonical(Q.one)
+
+
+@given(n=st.integers(-50, 50), d=st.integers(1, 50))
+def test_rational_parse_is_canonical(n, d):
+    assert _same(Q.parse(f"{n}/{d}"), Fraction(n, d))
+
+
+q_matrices = st.integers(1, 4).flatmap(
+    lambda ncols: st.lists(
+        st.lists(q_inputs, min_size=ncols, max_size=ncols), min_size=1, max_size=4
+    )
+)
+
+
+@given(rows=q_matrices)
+def test_elimination_over_q_returns_the_canonical_form(rows):
+    m = Matrix.from_rows(Q, rows)
+    reduced, _ = rref(m)
+    assert all(is_canonical(x) for row in reduced for x in row.values())
+    assert all(is_canonical(x) for v in kernel_basis(m) for x in v)
+    if m.nrows == m.ncols:
+        try:
+            inverse = field_matrix_inverse(m)
+        except LinAlgError:
+            return
+        assert all(is_canonical(x) for x in inverse.entries)
+        assert inverse @ m == Matrix.identity(Q, m.nrows)
 
 
 def test_quadratic_field_rejects_squares():
