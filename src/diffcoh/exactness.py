@@ -15,8 +15,11 @@ spaces, and verifies exactness at every node by two criteria:
 consecutive maps compose to zero, and ranks add up to the dimension of
 the middle space.  The total differential is block lower-triangular, so
 one echelon of it per degree gives the ranks of d_C, d_A and d_B
-(``linalg.triangular_ranks``); over F_p that echelon reduces its rows
-with inlined integer arithmetic modulo p.
+(``linalg.triangular_ranks``).  Once d_B d_B = 0 has been checked, the
+ranks of the previous degree bound those of this one, and the echelon
+stops inserting rows when its pivots reach those bounds; over F_p it
+reduces its rows with inlined integer arithmetic modulo p, and over F_2
+as int bitsets.
 
 ``DifferenceComplexBase``, an ``LESData``, is the complex engine of
 both theories; a theory subclass supplies its cochain spaces and the
@@ -214,6 +217,14 @@ def cohomology_dims(data: LESData, max_degree: int) -> dict[int, tuple[int, int,
     diagonal blocks of d_B d_B are d_C d_C and d_A d_A and its
     off-diagonal block is K d_C + d_A K, so this checks all three
     complexes and that K anticommutes with the differentials.
+
+    Only after that check do the ranks of degree n - 1 bound those of
+    degree n: the image of d_{n-1} lies in the kernel of d_n, so
+    rank d_n <= dim X_n - rank d_{n-1}, for X = C and for X = B.  The
+    echelon stops inserting the rows of d_C, and then those of d_B,
+    once its pivots reach these bounds, which leaves out only dependent
+    rows, so the ranks stay exact.  A bound exceeds its rank by dim H^n,
+    so the stop fires exactly where H^n = 0.
     """
     dims = {}
     prev = None
@@ -222,8 +233,9 @@ def cohomology_dims(data: LESData, max_degree: int) -> dict[int, tuple[int, int,
         d_b = data.d_b(n)
         if prev is not None and not (d_b @ prev).is_zero():
             raise InternalCheckError(_NOT_A_COMPLEX)
-        ranks = triangular_ranks(d_b, data.dim_c(n + 1), data.dim_c(n))
         sizes = (data.dim_c(n), data.dim_a(n), d_b.ncols)
+        bounds = (sizes[0] - prev_ranks[0], sizes[2] - prev_ranks[2])
+        ranks = triangular_ranks(d_b, data.dim_c(n + 1), data.dim_c(n), bounds)
         dims[n] = tuple(size - r - pr for size, r, pr in zip(sizes, ranks, prev_ranks))
         prev, prev_ranks = d_b, ranks
     return dims

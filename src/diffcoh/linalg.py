@@ -331,11 +331,21 @@ def _require_field(ring: Any, what: str) -> None:
 # a time, band by band and fewest nonzeros first within a band (a plain
 # matrix is one band), and each is reduced against the pivot rows found
 # so far, leftmost column first; a row whose leftmost surviving column
-# has no pivot yet becomes the pivot row there.  The pivot columns are
-# therefore those of the reduced row echelon form, and back substitution
-# yields that form itself, which is unique: it does not depend on which
-# rows were chosen as pivots, so kernels, solutions and column-space
-# bases are the same as with any other pivot rule.
+# has no pivot yet becomes the pivot row there.  The pivot rows are an
+# echelon basis of the rows inserted so far, and the leading columns of
+# any echelon basis of a row space are those of its reduced row echelon
+# form; back substitution yields that form itself, which is unique: it
+# does not depend on which rows were chosen as pivots, so kernels,
+# solutions and column-space bases are the same as with any other pivot
+# rule.
+#
+# A band may carry an upper bound on the rank of the rows through it,
+# such as rank d_n <= dim C^n - rank d_{n-1} for a differential with
+# d_n d_{n-1} = 0.  The pivots never outnumber that rank, so once they
+# reach the bound they span every row through the band: its remaining
+# rows are dependent and are not inserted, and the pivot columns, with
+# every count read off them, are those of the full echelon.  A bound
+# that is not reached stops nothing.
 #
 # A row reduction ``combine(row, c, prow)`` removes column c from row
 # using the pivot row prow, in place, and returns the columns it added.
@@ -344,7 +354,10 @@ def _require_field(ring: Any, what: str) -> None:
 # arithmetic.  Over Q the rows are integers after clearing denominators
 # and are combined fraction-free, a * row - b * prow divided by its
 # content; the entries become rationals again, in canonical form, only in
-# the reduced form.
+# the reduced form.  Over F_2 a row is a Python int with bit j set for
+# each nonzero column j: its leftmost column is the lowest set bit, a
+# reduction is ``row ^ prow``, and rows become ``{column: 1}`` dicts
+# again only in the reduced form.
 
 
 def _combine_field(f: Any, row: dict, c: int, prow: dict) -> list[int]:
@@ -430,14 +443,28 @@ def _sparse(m: Any) -> SparseMatrix:
 
 
 def _echelon_rows(
-    f: Any, bands: Sequence[Sequence[dict]], reduced: bool
-) -> tuple[dict[int, dict], list[int]]:
+    f: Any,
+    bands: Sequence[Sequence[dict]],
+    reduced: bool,
+    bounds: Sequence[float] | None = None,
+) -> tuple[dict[int, Any], list[int]]:
     """Pivot column -> pivot row of an echelon form of the matrix over f
     whose ``{column: value}`` rows are those of ``bands``, inserted band
-    by band; with ``reduced``, of its reduced row echelon form, whose
-    pivot rows have a leading one.  Also the number of pivot rows each
-    band made.  The given rows are not modified."""
+    by band, and the number of pivot rows each band made.
+
+    With ``reduced``, the pivot rows are those of the reduced row echelon
+    form, ``{column: value}`` dicts with a leading one.  Without it they
+    stay in the echelon's working form (integer rows over Q, int bitsets
+    over F_2), and only the pivot columns are meant to be read.
+    ``bounds``, one per band, are upper bounds on the rank of the rows
+    through each band: a band stops inserting its rows once the pivots
+    number its bound, which leaves out only dependent rows.  The given
+    rows are not modified."""
     _require_field(f, "elimination")
+    if bounds is None:
+        bounds = [math.inf] * len(bands)
+    if isinstance(f, PrimeField) and f.p == 2:
+        return _echelon_bits(bands, reduced, bounds)
     if isinstance(f, Rationals):
         fresh = _integer_row
         combine = _combine_int
@@ -451,9 +478,12 @@ def _echelon_rows(
 
     pivots: dict[int, dict] = {}
     made = []
-    for band in bands:
+    for band, bound in zip(bands, bounds):
         before = len(pivots)
-        for row in sorted((fresh(row) for row in band if row), key=len):
+        for row in sorted((row for row in band if row), key=len):
+            if len(pivots) >= bound:
+                break
+            row = fresh(row)
             heap = list(row)
             heapq.heapify(heap)
             while heap:
@@ -485,6 +515,48 @@ def _echelon_rows(
     return pivots, made
 
 
+def _echelon_bits(
+    bands: Sequence[Sequence[dict]], reduced: bool, bounds: Sequence[float]
+) -> tuple[dict[int, Any], list[int]]:
+    """``_echelon_rows`` over F_2, on rows packed as int bitsets."""
+    pivots: dict[int, int] = {}
+    made = []
+    for band, bound in zip(bands, bounds):
+        before = len(pivots)
+        for row in sorted((row for row in band if row), key=len):
+            if len(pivots) >= bound:
+                break
+            r = sum(1 << j for j in row)
+            while r:
+                c = (r & -r).bit_length() - 1
+                prow = pivots.get(c)
+                if prow is None:
+                    pivots[c] = r
+                    break
+                r ^= prow
+        made.append(len(pivots) - before)
+    if not reduced:
+        return pivots, made
+    # back substitution, rightmost pivot first: the pivot rows to the
+    # right are reduced, so clearing one pivot column sets no other
+    done = 0
+    for c in sorted(pivots, reverse=True):
+        for j in _bit_columns(pivots[c] & done):
+            pivots[c] ^= pivots[j]
+        done |= 1 << c
+    return {c: dict.fromkeys(_bit_columns(r), 1) for c, r in pivots.items()}, made
+
+
+def _bit_columns(r: int) -> list[int]:
+    """The set bits of r, lowest first."""
+    out = []
+    while r:
+        low = r & -r
+        out.append(low.bit_length() - 1)
+        r ^= low
+    return out
+
+
 def rref(m: Any) -> tuple[list[dict[int, Any]], list[int]]:
     """Reduced row echelon form of m: its nonzero rows as ``{column:
     value}`` dicts in pivot order, and the pivot columns."""
@@ -498,7 +570,9 @@ def rank(m: Any) -> int:
     return len(pivots)
 
 
-def triangular_ranks(m: Any, top: int, left: int) -> tuple[int, int, int]:
+def triangular_ranks(
+    m: Any, top: int, left: int, bounds: tuple[int, int] | None = None
+) -> tuple[int, int, int]:
     """(rank X, rank Y, rank m) of a block lower-triangular matrix
     m = [[X, 0], [K, Y]], X its first ``top`` rows and ``left`` columns,
     from one echelon.
@@ -507,8 +581,13 @@ def triangular_ranks(m: Any, top: int, left: int) -> tuple[int, int, int]:
     each other, so the pivots they make number rank X.  The columns are
     rotated by ``left``, so those of Y come first; the pivot columns are
     those of the reduced row echelon form, so the pivots among them
-    number rank Y.  A nonzero entry of the top-right block raises
-    ``LinAlgError``.
+    number rank Y.  ``bounds``, when given, are upper bounds on rank X
+    and on rank m: the rows of X stop going in once their pivots reach
+    the first, and the rest once all pivots reach the second.  At a
+    bound the pivots span the row space of the band so far, so the rows
+    left out are dependent and all three ranks are exact; a bound below
+    the true rank gives wrong ranks.  A nonzero entry of the top-right
+    block raises ``LinAlgError``.
     """
     if not (0 <= top <= m.nrows and 0 <= left <= m.ncols):
         raise LinAlgError(f"block corner ({top}, {left}) outside {m.nrows}x{m.ncols}")
@@ -524,7 +603,7 @@ def triangular_ranks(m: Any, top: int, left: int) -> tuple[int, int, int]:
             for row in rows[top:]
         ],
     )
-    pivots, made = _echelon_rows(m.ring, bands, reduced=False)
+    pivots, made = _echelon_rows(m.ring, bands, reduced=False, bounds=bounds)
     return made[0], sum(1 for c in pivots if c < width), len(pivots)
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import itertools
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,6 +11,22 @@ from diffcoh.groups import FiniteGroup, ValidationError
 from diffcoh.lie import LieAlgebra, LieError, MatrixLieAlgebra
 
 import oracles
+
+pytest_plugins = ["pytester"]
+
+# hypothesis imports its failing-example patch writer, and with it libcst,
+# only when a test fails, inside pytest's report hook; under warnings as
+# errors, libcst's import of mypy_extensions.TypedDict raises there and
+# buries the falsifying example under an INTERNALERROR.  Importing it
+# once here, with only that third-party deprecation ignored, keeps every
+# other warning an error.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings(
+        "ignore",
+        message=r"mypy_extensions\.TypedDict is deprecated",
+        category=DeprecationWarning,
+    )
+    import hypothesis.extra._patching  # noqa: F401
 
 settings.register_profile(
     "exact",

@@ -1,11 +1,13 @@
-"""Constructions only the tests need: the zero cochain, every section
-of an extension and Theta read back from one, group-element facts, the
-connecting class of an ordinary cocycle, and the d_A K + K d_C = 0 and
-delta delta = 0 nodes of a complex."""
+"""Constructions only the tests need: the zero cochain, a fixture of a
+catalog group with trivial action, every section of an extension and
+Theta read back from one, group-element facts, the connecting class of
+an ordinary cocycle, and the d_A K + K d_C = 0 and delta delta = 0 nodes
+of a complex."""
 
 import itertools
 from dataclasses import dataclass
 
+from diffcoh.catalog import inverse_map
 from diffcoh.exactness import InternalCheckError, LESNode
 from diffcoh.extensions import SectionMap
 from diffcoh.group_cohomology import GroupCochain, NotACocycleError, coboundary, kk
@@ -14,6 +16,26 @@ from diffcoh.linalg import Matrix, solve
 
 def zero_cochain(group, field, dim, degree):
     return GroupCochain(group, field, dim, degree)
+
+
+def trivial_fixture(group, field):
+    """The fixture JSON of ``group`` acting trivially on the field of the
+    spec ``field`` (an F_p spec), with D = inversion and T = 0."""
+    n = group.order
+    return {
+        "group": {
+            "order": n,
+            "identity": group.identity,
+            "table": [[group.mul(a, b) for b in range(n)] for a in range(n)],
+        },
+        "difference": inverse_map(group),
+        "rep": {
+            "field": field,
+            "dim": 1,
+            "theta": {str(g): [[1]] for g in range(n)},
+            "T": [[0]],
+        },
+    }
 
 
 def is_abelian(group):

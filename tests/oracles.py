@@ -18,14 +18,18 @@ faces.  ``carrier_tables`` is the tuple loop that built the carrier of
 an extension and of a semidirect product before the carrier was built
 once, on vector indices.  ``three_rank_dims`` is the cohomology count
 from three separate ranks per degree, as it was before one echelon of
-the total differential gave all three.  ``lie_k_subset_faces`` is the
-subset expansion of the Lie K, scattered beside its closed form on every
-matrix of K before the closed form alone defined it.  ``FractionRationals``
-is the field of rationals as it was before integral values became
-plain ints: every value it makes is a ``Fraction``.  Tests compare the
-two routes exactly.
+the total differential gave all three; over F_p it ranks with
+``modular_rank``, the sparse echelon on ``{column: value}`` dict rows
+that the library ran over F_2 before its F_2 rows became bitsets, so
+it shares neither that kernel nor the rank bounds.
+``lie_k_subset_faces`` is the subset expansion of the Lie K, scattered
+beside its closed form on every matrix of K before the closed form
+alone defined it.  ``FractionRationals`` is the field of rationals as it
+was before integral values became plain ints: every value it makes is a
+``Fraction``.  Tests compare the two routes exactly.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -35,7 +39,7 @@ from diffcoh.groups import ValidationReport, induced_rep_theta_d
 from diffcoh.lie import LieCochain, LieError, _sorted_with_sign, theta_d_matrices
 from diffcoh.linalg import Matrix, LinAlgError, jet_part, rank
 from diffcoh.programs import evaluate
-from diffcoh.scalars import JetRing, Rationals, ScalarError
+from diffcoh.scalars import JetRing, PrimeField, Rationals, ScalarError
 from diffcoh.vanest import _jet_arg
 
 
@@ -120,9 +124,42 @@ def to_dense(s):
     )
 
 
+def modular_rank(m):
+    """Rank of a ``SparseMatrix`` over F_p: every row, fewest nonzeros first, is reduced to a
+    new pivot row or to zero, leftmost column first by a heap of its
+    columns, with a modular update of its ``{column: value}`` dict."""
+    p = m.ring.p
+    pivots = {}
+    for row in sorted((dict(row) for row in m.rows if row), key=len):
+        heap = list(row)
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            if c not in row:
+                continue
+            prow = pivots.get(c)
+            if prow is None:
+                s = pow(row[c], -1, p)
+                pivots[c] = {j: s * x % p for j, x in row.items()}
+                break
+            x = p - row.pop(c)
+            for j, y in prow.items():
+                if j == c:
+                    continue
+                v = (row.get(j, 0) + x * y) % p
+                if not v:
+                    del row[j]
+                    continue
+                if j not in row:
+                    heapq.heappush(heap, j)
+                row[j] = v
+    return len(pivots)
+
+
 def three_rank_dims(data, max_degree):
     """dim H^n of the quotient, sub and total complexes from rank d_C,
-    rank d_A and rank d_B, one elimination each."""
+    rank d_A and rank d_B, one full elimination each."""
+    rank_of = modular_rank if isinstance(data.field, PrimeField) else rank
     dims = {}
     prev = ()
     prev_ranks = (0, 0, 0)
@@ -130,7 +167,7 @@ def three_rank_dims(data, max_degree):
         mats = (data.d_c(n), data.d_a(n), data.d_b(n))
         if prev and not (mats[2] @ prev[2]).is_zero():
             raise InternalCheckError("the differentials do not compose to zero")
-        ranks = tuple(rank(m) for m in mats)
+        ranks = tuple(rank_of(m) for m in mats)
         dims[n] = tuple(m.ncols - r - pr for m, r, pr in zip(mats, ranks, prev_ranks))
         prev, prev_ranks = mats, ranks
     return dims
