@@ -159,36 +159,30 @@ def cmd_check(args: argparse.Namespace, report: dict) -> None:
         stages = _GROUP_STAGES if "group" in data else _LIE_STAGES
         _validation_failure(report, exc, stages)
         return
-    if isinstance(fx, GroupFixture):
-        _add_check(report, "group-table", True, "validated")
-        _add_check(report, "difference-operator", True, "validated")
-        if fx.rep is not None:
-            _add_check(report, "representation", True, "validated")
-        if fx.pair is not None:
-            if not isinstance(fx.rep.field, PrimeField):
-                raise FixtureError("$.cocycle", "extensions need a finite (prime-field) module")
-            try:
-                ext = AbelianExtension(fx.rep, fx.pair)
-            except NotACocycleError as exc:
-                _add_check(report, "cocycle-pair", False, str(exc))
-            else:
-                _add_check(
-                    report,
-                    "cocycle-pair",
-                    True,
-                    "cocycle conditions hold; extension rebuilt and revalidated",
-                )
-                report["tables"]["extension"] = {
-                    "base-order": fx.dg.group.order,
-                    "total-order": ext.total.group.order,
-                }
-    elif isinstance(fx, LieFixture):
-        _add_check(report, "jacobi", True, "validated")
-        _add_check(report, "difference-identity", True, "validated")
-        if fx.rep is not None:
-            _add_check(report, "representation", True, "validated")
-    else:
+    if isinstance(fx, JetFixture):
         _check_jet_fixture(report, fx, args.seed)
+        return
+    stages = _GROUP_STAGES if isinstance(fx, GroupFixture) else _LIE_STAGES
+    for stage in stages if fx.rep is not None else stages[:2]:
+        _add_check(report, stage, True, "validated")
+    if isinstance(fx, GroupFixture) and fx.pair is not None:
+        if not isinstance(fx.rep.field, PrimeField):
+            raise FixtureError("$.cocycle", "extensions need a finite (prime-field) module")
+        try:
+            ext = AbelianExtension(fx.rep, fx.pair)
+        except NotACocycleError as exc:
+            _add_check(report, "cocycle-pair", False, str(exc))
+        else:
+            _add_check(
+                report,
+                "cocycle-pair",
+                True,
+                "cocycle conditions hold; extension rebuilt and revalidated",
+            )
+            report["tables"]["extension"] = {
+                "base-order": fx.dg.group.order,
+                "total-order": ext.total.group.order,
+            }
 
 
 def _check_jet_fixture(report: dict, fx: JetFixture, seed: int) -> None:

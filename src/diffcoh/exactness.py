@@ -11,15 +11,16 @@ where K anticommutes with the differentials.  The short exact sequence
 0 -> A -> B -> C -> 0 then yields a long exact sequence in cohomology
 whose connecting map is induced by K.  This module computes cohomology
 dimensions from ranks alone, computes explicit bases for cohomology
-spaces, and verifies exactness at every node by two criteria:
-consecutive maps compose to zero, and ranks add up to the dimension of
-the middle space.  The total differential is block lower-triangular, so
-one echelon of it per degree gives the ranks of d_C, d_A and d_B
-(``linalg.triangular_ranks``).  Once d_B d_B = 0 has been checked, the
-ranks of the previous degree bound those of this one, and the echelon
-stops inserting rows when its pivots reach those bounds; over F_p it
-reduces its rows with inlined integer arithmetic modulo p, and over F_2
-as int bitsets.
+spaces (``cohomology_space``, the one rule for cosets modulo boundaries,
+which the extension census reads too), and verifies exactness at every
+node by two criteria: consecutive maps compose to zero, and ranks add up
+to the dimension of the middle space.  The total differential is block
+lower-triangular, so one echelon of it per degree gives the ranks of
+d_C, d_A and d_B (``linalg.triangular_ranks``).  Once d_B d_B = 0 has
+been checked, the ranks of the previous degree bound those of this one,
+and the echelon stops inserting rows when its pivots reach those bounds;
+over F_p it reduces its rows with inlined integer arithmetic modulo p,
+and over F_2 as int bitsets.
 
 ``DifferenceComplexBase``, an ``LESData``, is the complex engine of
 both theories; a theory subclass supplies its cochain spaces and the
@@ -134,22 +135,16 @@ def cohomology_space(
     return CohomologySpace(dim_total=n, reps=reps, boundaries=boundaries)
 
 
-def induced_map(
-    field: Any,
-    chain_map: SparseMatrix,
-    dom: CohomologySpace,
-    cod: CohomologySpace,
-) -> SparseMatrix:
-    """Matrix of the map induced on cohomology by a cocycle-preserving map.
+def induced_map(field: Any, images: list[list[Any]], cod: CohomologySpace) -> SparseMatrix:
+    """Matrix of the map induced on cohomology by a cocycle-preserving
+    map, given the ``images`` of the domain's representatives.
 
-    The images of the representatives of ``dom`` are written in the basis
-    reps + boundaries of the target cocycles by one elimination of
-    [reps | boundaries | images]; the coordinates on reps are the
-    matrix columns, read off the first ``cod.dim`` rows of its reduced
-    form.
+    The images are written in the basis reps + boundaries of the target
+    cocycles by one elimination of [reps | boundaries | images]; the
+    coordinates on reps are the matrix columns, read off the first
+    ``cod.dim`` rows of its reduced form.
     """
     basis = cod.reps + cod.boundaries
-    images = [chain_map.matvec(rep) for rep in dom.reps]
     rows, pivots = rref(SparseMatrix.from_columns(field, basis + images, cod.dim_total))
     if len(pivots) != len(basis):
         raise InternalCheckError("vector is not a cocycle of the target complex")
@@ -157,7 +152,7 @@ def induced_map(
     return SparseMatrix(
         field,
         cod.dim,
-        dom.dim,
+        len(images),
         [{j - width: x for j, x in row.items() if j >= width} for row in rows[: cod.dim]],
     )
 
@@ -169,7 +164,8 @@ class LESData:
     dimensions), ``d_a(n)`` / ``d_c(n)`` (the differentials X_n ->
     X_{n+1}), ``k(n)`` (the anticommuting map C_n -> A_{n+1}) and an
     empty dict ``_d_b``, where the total differential ``d_b(n)`` is kept
-    once assembled.
+    once assembled.  B_n = C_n + A_n in coordinates, C first, so the
+    inclusion of A and the projection onto C are slices.
     """
 
     def d_b(self, n: int) -> SparseMatrix:
@@ -180,28 +176,6 @@ class LESData:
                 f, [[self.d_c(n), zero], [self.k(n), self.d_a(n)]]
             )
         return self._d_b[n]
-
-    def inclusion(self, n: int) -> SparseMatrix:
-        f = self.field
-        return SparseMatrix.block(
-            f,
-            [
-                [SparseMatrix.zeros(f, self.dim_c(n), self.dim_a(n))],
-                [SparseMatrix.identity(f, self.dim_a(n))],
-            ],
-        )
-
-    def projection(self, n: int) -> SparseMatrix:
-        f = self.field
-        return SparseMatrix.block(
-            f,
-            [
-                [
-                    SparseMatrix.identity(f, self.dim_c(n)),
-                    SparseMatrix.zeros(f, self.dim_c(n), self.dim_a(n)),
-                ]
-            ],
-        )
 
 
 def cohomology_dims(data: LESData, max_degree: int) -> dict[int, tuple[int, int, int]]:
@@ -264,9 +238,14 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     hb = {n: h(d_b, n) for n in range(1, top + 1)}
     hc = {n: h(d_c, n) for n in range(1, max_degree + 1)}
 
-    i_star = {n: induced_map(f, data.inclusion(n), ha[n], hb[n]) for n in ha}
-    p_star = {n: induced_map(f, data.projection(n), hb[n], hc[n]) for n in hc}
-    k_star = {n: induced_map(f, data.k(n), hc[n], ha[n + 1]) for n in hc}
+    # B_n = C_n + A_n, so i pads a cochain of A with dim C_n zeros in
+    # front and p keeps the first dim C_n coordinates
+    i_star = {
+        n: induced_map(f, [[f.zero] * data.dim_c(n) + r for r in ha[n].reps], hb[n])
+        for n in ha
+    }
+    p_star = {n: induced_map(f, [r[: data.dim_c(n)] for r in hb[n].reps], hc[n]) for n in hc}
+    k_star = {n: induced_map(f, list(map(data.k(n).matvec, hc[n].reps)), ha[n + 1]) for n in hc}
 
     nodes = []
 

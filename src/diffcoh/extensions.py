@@ -14,12 +14,15 @@ Isomorphisms of extensions that fix G and V are shears
 their cocycle pairs are cohomologous, so isomorphism classes are
 counted by the pair cohomology in degree 2.
 
-One ``census`` serves both classifications: it builds the extension of
-every cocycle pair in a given span, keys it by its coset modulo
-coboundaries, and shows with the explicit shear search that each member
-is isomorphic to its coset's first member and that these first members
-are pairwise non-isomorphic, so the isomorphism classes are the cosets.
-``classify_extensions`` runs it on all cocycle pairs.
+One ``census`` serves both classifications.  ``exactness.cohomology_space``
+splits the cocycles into coboundaries and H^2 representatives; the
+census builds the extension of every cocycle pair, keys it by its
+coefficients on those representatives, so that two pairs share a key
+exactly when they differ by a coboundary, and shows with the explicit
+shear search that each member is isomorphic to its coset's first member
+and that these first members are pairwise non-isomorphic, so the
+isomorphism classes are the cosets.  ``classify_extensions`` runs it on
+all cocycle pairs.
 The difference operators on the semidirect product G x| V are the
 extensions with alpha = 0, so ``classify_semidirect_difference_ops``
 runs it on the pairs (0, beta).
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .groups import DifferenceRep, ValidationError, carrier, generation
 from .group_cohomology import (
@@ -40,8 +43,8 @@ from .group_cohomology import (
     NotACocycleError,
     delta,
 )
-from .exactness import DEFAULT_BUDGET, InternalCheckError
-from .linalg import Matrix, column_space_basis, kernel_basis, rank, rref
+from .exactness import DEFAULT_BUDGET, CohomologySpace, InternalCheckError, cohomology_space
+from .linalg import SparseMatrix, kernel_basis, rank
 from .scalars import PrimeField
 
 
@@ -222,11 +225,12 @@ def are_isomorphic(
     return None
 
 
-def _span(field: PrimeField, basis: list[list[Any]], length: int) -> list[list[Any]]:
-    """Every F_p-linear combination of ``basis`` (vectors of ``length``),
-    coefficient tuples in ``itertools.product`` order, so the zero
-    vector comes first."""
-    out = []
+def _span(
+    field: PrimeField, basis: list[list[Any]], length: int
+) -> Iterator[tuple[tuple[int, ...], list[Any]]]:
+    """Every F_p-linear combination of ``basis`` (vectors of ``length``)
+    beside its coefficient tuple, in ``itertools.product`` order, so the
+    zero vector comes first."""
     for coeffs in itertools.product(range(field.p), repeat=len(basis)):
         vec = [field.zero] * length
         for c, basis_vec in zip(coeffs, basis):
@@ -234,43 +238,39 @@ def _span(field: PrimeField, basis: list[list[Any]], length: int) -> list[list[A
                 continue
             cf = field.from_int(c)
             vec = [field.add(x, field.mul(cf, y)) for x, y in zip(vec, basis_vec)]
-        out.append(vec)
-    return out
+        yield coeffs, vec
 
 
-def census(cx: DifferenceComplex, z_basis: list[list[Any]]) -> list[list[AbelianExtension]]:
+def census(cx: DifferenceComplex, space: CohomologySpace) -> list[list[AbelianExtension]]:
     """Build the extension of every cocycle pair in the F_p-span of
-    ``z_basis`` (pair coordinates, alpha first, then beta) and show that
-    its shear-isomorphism classes are its cosets modulo B^2 = im delta(1).
+    ``space.boundaries + space.reps``, a ``cohomology_space`` in pair
+    coordinates (alpha first, then beta), and show that its
+    shear-isomorphism classes are its cosets modulo the span of
+    ``space.boundaries``.
 
-    One pass keys each member by its coset.  A member of a known coset
-    must be shear-isomorphic to that coset's representative, its first
-    member; a member of a new coset must be isomorphic to no earlier
-    representative, and becomes one.  So every member is shown
-    isomorphic to its representative and the representatives pairwise
-    non-isomorphic by the exhaustive search, and the two partitions are
-    equal; either failure raises ``InternalCheckError``.
+    One pass keys each member by its coefficients on ``space.reps``, its
+    coordinates in H; two members share a key exactly when they differ
+    by a boundary.  A member of a known coset must be shear-isomorphic
+    to that coset's representative, its first member; a member of a new
+    coset must be isomorphic to no earlier representative, and becomes
+    one.  So every member is shown isomorphic to its representative and
+    the representatives pairwise non-isomorphic by the exhaustive
+    search, and the two partitions are equal; either failure raises
+    ``InternalCheckError``.
 
     Returns the classes, one per coset, in span order.  The zero pair
     comes first, so ``classes[0][0]`` is the split extension.
     """
     rep, f, budget = cx.rep, cx.field, cx.budget
-    n_cocycles = f.p ** len(z_basis)
+    basis = space.boundaries + space.reps
+    n_cocycles = f.p ** len(basis)
     if n_cocycles > budget:
         raise BudgetExceededError("extension census", n_cocycles, budget, "cocycle pairs")
-    b_basis = column_space_basis(cx.d_b(1))
-    rows, pivots = rref(Matrix.from_rows(f, [list(v) for v in b_basis]))
-    c2, c1 = cx.space(2), cx.space(1)
+    c2, c1, n_b = cx.space(2), cx.space(1), len(space.boundaries)
 
     cosets: dict[tuple, list[AbelianExtension]] = {}
-    for vec in _span(f, z_basis, c2.size + c1.size):
-        reduced = list(vec)
-        for row, p in zip(rows, pivots):
-            c = reduced[p]
-            if c != f.zero:
-                for j, y in row.items():
-                    reduced[j] = f.sub(reduced[j], f.mul(c, y))
-        key = tuple(reduced)
+    for coeffs, vec in _span(f, basis, space.dim_total):
+        key = coeffs[n_b:]
         pair = CochainPair(c2.from_vector(vec[: c2.size]), c1.from_vector(vec[c2.size :]))
         ext = AbelianExtension(rep, pair)
         if key in cosets:
@@ -314,16 +314,17 @@ class ExtensionClassification:
 
 
 def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> ExtensionClassification:
-    """Run the census on all cocycle pairs (the kernel of delta(2)) and
-    set its class count beside the coset count p^(dim Z^2 - rank B^2)
-    and p^(dim H^2) of the pair complex; every class representative must
+    """Run the census on all cocycle pairs (the kernel of delta(2)),
+    keyed by the H^2 space of the pair complex, and set its class count
+    beside the coset count p^(dim Z^2 - rank B^2) and p^(dim H^2) from
+    the ranks of ``cohomology_dims``; every class representative must
     come back from its canonical section."""
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
     p = rep.field.p
     cx = DifferenceComplex(rep, budget=budget)
-    z_basis = kernel_basis(cx.d_b(2))
-    classes = census(cx, z_basis)
+    space = cohomology_space(rep.field, cx.d_b(2), cx.d_b(1))
+    classes = census(cx, space)
     b_rank = rank(cx.d_b(1))
 
     for members in classes:
@@ -336,7 +337,7 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
         cocycle_count=sum(len(members) for members in classes),
         coboundary_count=p**b_rank,
         class_count=len(classes),
-        class_count_by_cosets=p ** (len(z_basis) - b_rank),
+        class_count_by_cosets=p ** (len(space.boundaries) + space.dim - b_rank),
         expected_from_cohomology=p**h2,
         h2_pair_dim=h2,
         classes=[
@@ -374,10 +375,12 @@ def classify_semidirect_difference_ops(
     These are the extensions with alpha = 0: (0, beta) is a cocycle iff
     d_D beta = 0, and two are cohomologous iff beta - beta' lies in
     K(Z^1).  Three routes: rank arithmetic p^(dim Z - rank K|Z1), the
-    census of the pairs (0, beta), and, when its candidate count
-    (p^dim)^((|G|-1) p^dim) fits the budget, brute enumeration of all
-    candidate operators on the semidirect product, every one of which
-    must be a census member, counted up to shears without the census.
+    census of the pairs (0, beta), keyed by the quotient
+    ker d_D(1) / K(Z^1) from ``cohomology_space``, and, when its
+    candidate count (p^dim)^((|G|-1) p^dim) fits the budget, brute
+    enumeration of all candidate operators on the semidirect product,
+    every one of which must be a census member, counted up to shears
+    without the census.
     """
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
@@ -386,13 +389,23 @@ def classify_semidirect_difference_ops(
     group = rep.dg.group
     cx = DifferenceComplex(rep, budget=budget)
 
-    z_beta = kernel_basis(cx.d_difference(1))
     kmat = cx.k_matrix(1)
-    k_images = [kmat.matvec(v) for v in kernel_basis(cx.d_ordinary(1))]
-    k_rank = rank(Matrix.from_columns(f, k_images, kmat.nrows)) if k_images else 0
+    k_on_z1 = SparseMatrix.from_columns(
+        f, [kmat.matvec(v) for v in kernel_basis(cx.d_ordinary(1))], kmat.nrows
+    )
+    k_rank = rank(k_on_z1)
+    betas = cohomology_space(f, cx.d_difference(1), k_on_z1)
+    z_dim = len(betas.boundaries) + betas.dim
 
     alpha_zero = [f.zero] * cx.space(2).size
-    classes = census(cx, [alpha_zero + list(v) for v in z_beta])
+    classes = census(
+        cx,
+        CohomologySpace(
+            dim_total=len(alpha_zero) + betas.dim_total,
+            reps=[alpha_zero + v for v in betas.reps],
+            boundaries=[alpha_zero + v for v in betas.boundaries],
+        ),
+    )
 
     notes: list[str] = []
     direct_valid: int | None = None
@@ -413,9 +426,9 @@ def classify_semidirect_difference_ops(
             f"exceed the budget of {budget}"
         )
     return SemidirectOpsClassification(
-        z_dim=len(z_beta),
+        z_dim=z_dim,
         connecting_rank=k_rank,
-        count_by_rank=p ** (len(z_beta) - k_rank),
+        count_by_rank=p ** (z_dim - k_rank),
         count_by_census=len(classes),
         direct_valid_count=direct_valid,
         direct_class_count=direct_classes,

@@ -488,24 +488,3 @@ class JetRing:
         return Jet(
             self.base, self.ngens, {s: self.base.conj(c) for s, c in x.coeffs.items()}
         )
-
-    def parse(self, data: Any) -> Jet:
-        if not isinstance(data, list):
-            raise ScalarError(f"jet must be a list of terms, got {data!r}")
-        coeffs: dict[frozenset, Any] = {}
-        for term in data:
-            if not isinstance(term, dict) or set(term) != {"subset", "value"}:
-                raise ScalarError(f"jet term must have 'subset' and 'value': {term!r}")
-            subset = frozenset(term["subset"])
-            if len(subset) != len(term["subset"]):
-                raise ScalarError(f"jet term subset has repeats: {term['subset']!r}")
-            if subset in coeffs:
-                raise ScalarError(f"duplicate jet subset {sorted(subset)}")
-            coeffs[subset] = self.base.parse(term["value"])
-        return Jet(self.base, self.ngens, coeffs)
-
-    def format(self, x: Jet) -> list:
-        return [
-            {"subset": sorted(s), "value": self.base.format(c)}
-            for s, c in sorted(x.coeffs.items(), key=lambda item: sorted(item[0]))
-        ]

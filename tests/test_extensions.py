@@ -37,7 +37,13 @@ from diffcoh.linalg import Matrix, kernel_basis
 from diffcoh.scalars import PrimeField, Rationals
 
 from helpers import all_sections, element_order, rep_from_section, zero_cochain
-from oracles import all_cochains_isomorphic, carrier_tables, is_shear_isomorphism
+from oracles import (
+    all_cochains_isomorphic,
+    carrier_tables,
+    dense_solve,
+    is_shear_isomorphism,
+    to_dense,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -237,7 +243,7 @@ def _trivial_rep(group, field, t, dim=1):
 def test_generator_shear_search_matches_the_search_over_all_cochains(rep):
     # three extensions from each of the first four classes of the census
     cx = DifferenceComplex(rep)
-    classes = census(cx, kernel_basis(cx.d_b(2)))
+    classes = census(cx, exactness.cohomology_space(rep.field, cx.d_b(2), cx.d_b(1)))
     exts = [ext for members in classes[:4] for ext in members[:3]]
     group = rep.dg.group
     for e1 in exts:
@@ -376,6 +382,48 @@ def test_census_searches_each_member_once_and_each_pair_of_representatives(monke
     assert len(calls) == 528
 
 
+@pytest.mark.parametrize(
+    "classify, rep",
+    [
+        (classify_extensions, z3_rep()),
+        (classify_extensions, _trivial_rep(klein_four(), F2, 1)),
+        (classify_semidirect_difference_ops, z3_rep(1)),
+        (classify_semidirect_difference_ops, z3_rep(2)),
+    ],
+    ids=["z3", "v4_f2", "z3_t1_ops", "z3_t2_ops"],
+)
+def test_census_classes_are_the_cosets_by_dense_solves(monkeypatch, classify, rep):
+    # the coset rule checked without cohomology_space: two members are in
+    # one class exactly when their pairs differ by d_B(1) z for some
+    # 1-cochain z.  d_B(1) z = (d z, K z), so with alpha = 0 throughout
+    # (semidirect mode) the difference is a K image of a z in Z^1.
+    seen = []
+    real = extensions.census
+
+    def recorded(cx, space):
+        classes = real(cx, space)
+        seen.append((cx, classes))
+        return classes
+
+    monkeypatch.setattr(extensions, "census", recorded)
+    classify(rep)
+    [(cx, classes)] = seen
+    f, c2, c1, d_b1 = cx.field, cx.space(2), cx.space(1), to_dense(cx.d_b(1))
+
+    def vec(ext):
+        return c2.to_vector(ext.pair.alpha) + c1.to_vector(ext.pair.beta)
+
+    def cohomologous(e1, e2):
+        return dense_solve(d_b1, [f.sub(x, y) for x, y in zip(vec(e1), vec(e2))]) is not None
+
+    firsts = [members[0] for members in classes]
+    assert sum(map(len, classes)) > 1  # one class of 3 on z3_t1_ops, 3 of 1 on z3_t2_ops
+    for members in classes:
+        assert all(cohomologous(members[0], ext) for ext in members[1:])
+    for i, e1 in enumerate(firsts):
+        assert not any(cohomologous(e1, e2) for e2 in firsts[i + 1 :])
+
+
 def _swap_rep():
     """C2 acting on F3^2 by swapping coordinates, D = e, T = 0."""
     c2 = cyclic(2)
@@ -454,7 +502,7 @@ def test_carrier_laws_decide_the_cocycle_conditions(rep):
 def test_coset_count_comes_from_ranks_not_from_the_census(monkeypatch):
     # a census that lost a class no longer matches the coset count
     real = extensions.census
-    monkeypatch.setattr(extensions, "census", lambda cx, z_basis: real(cx, z_basis)[:-1])
+    monkeypatch.setattr(extensions, "census", lambda cx, space: real(cx, space)[:-1])
     cls = classify_extensions(z3_rep())
     assert (cls.class_count, cls.class_count_by_cosets, cls.expected_from_cohomology) == (8, 9, 9)
     assert not cls.consistent
