@@ -16,16 +16,19 @@ counted by the pair cohomology in degree 2.
 
 One ``census`` serves both classifications.  ``exactness.cohomology_space``
 splits the cocycles into coboundaries and H^2 representatives; the
-census builds the extension of every cocycle pair, keys it by its
-coefficients on those representatives, so that two pairs share a key
-exactly when they differ by a coboundary, and shows with the explicit
-shear search that each member is isomorphic to its coset's first member
-and that these first members are pairwise non-isomorphic, so the
-isomorphism classes are the cosets.  ``classify_extensions`` runs it on
-all cocycle pairs.
-The difference operators on the semidirect product G x| V are the
-extensions with alpha = 0, so ``classify_semidirect_difference_ops``
-runs it on the pairs (0, beta).
+census builds the extension of each combination of the representatives
+only, p^(dim H^2) of them, and shows that the isomorphism classes are
+the cosets of the coboundaries by two explicit checks.  One shear check
+per boundary generator, with the linearity of the shear formula in the
+pair, makes every member of every coset isomorphic to its
+representative; a search between the representatives that share a key
+preserved by shears (``shear_key``) shows the representatives pairwise
+non-isomorphic.  The census names no group: it takes the extension of a
+cocycle, the shear check, the search and the key from a theory,
+``GroupExtensionTheory`` here.  ``classify_extensions`` runs it on all
+cocycle pairs.  The difference operators on the semidirect product
+G x| V are the extensions with alpha = 0, so
+``classify_semidirect_difference_ops`` runs it on the pairs (0, beta).
 """
 
 from __future__ import annotations
@@ -174,11 +177,14 @@ def cocycle_from_section(ext: AbelianExtension, section: SectionMap) -> CochainP
 
 
 def are_isomorphic(
-    e1: AbelianExtension, e2: AbelianExtension, budget: int = DEFAULT_BUDGET
+    e1: AbelianExtension,
+    e2: AbelianExtension,
+    budget: int = DEFAULT_BUDGET,
+    eta: GroupCochain | None = None,
 ) -> GroupCochain | None:
     """Search for a shear isomorphism (g, u) -> (g, u + eta(g)) carrying
     e1 to e2 and commuting with the operators; returns the shear as a
-    1-cochain, or None.
+    1-cochain, or None.  Given ``eta``, only the shear by eta is tried.
 
     Isomorphisms of extensions inducing the identity on G and V are
     exactly of this form.  Such a shear is a homomorphism fixing V, so
@@ -191,31 +197,39 @@ def are_isomorphic(
     if e1.rep.theta != e2.rep.theta or e1.rep.t != e2.rep.t:
         raise ValueError("extensions have different modules")
     group = e1.base.group
-    gens, steps = generation(group.table)
-    n_candidates = e1.nv ** len(gens)
-    if n_candidates > budget:
-        raise BudgetExceededError(
-            "shear isomorphism search", n_candidates, budget, "candidate shears"
-        )
-
-    # (g, vectors[k]) has index g * nv + k and equals (e, vectors[k]) (g, 0)
-    # in both extensions, so sigma sends it to (e, vectors[k]) (g, eta(g)).
-    # A step (x, s, y) with (x, 0)(s, 0) = (e, a)(y, 0) in e1 fixes eta(y):
-    # (y, eta(y)) = (e, a)^-1 sigma(x, 0) sigma(s, 0) in e2.
     g1, g2 = e1.total.group, e2.total.group
     d1, d2 = e1.total.d, e2.total.d
-    nv, e = e1.nv, group.identity
-    tree = [
-        (x, s, y, g2.table[g2.inv(e * nv + g1.mul(x * nv, s * nv) % nv)])
-        for x, s, y in steps
-    ]
-    shear = [0] * group.order
-    for combo in itertools.product(range(nv), repeat=len(gens)):
-        for g, k in zip(gens, combo):
-            shear[g] = k
-        for x, s, y, unshift in tree:
-            shear[y] = unshift[g2.mul(x * nv + shear[x], s * nv + shear[s])] % nv
-        sigma = [g2.mul(e * nv + k, g * nv + shear[g]) for g in group.elements for k in range(nv)]
+    nv, add, e = e1.nv, e1.rep.module.add, group.identity
+
+    def shears() -> Iterator[list[int]]:
+        if eta is not None:
+            index = e1.rep.module.index
+            yield [index[eta.value_at((g,))] for g in group.elements]
+            return
+        gens, steps = generation(group.table)
+        n_candidates = nv ** len(gens)
+        if n_candidates > budget:
+            raise BudgetExceededError(
+                "shear isomorphism search", n_candidates, budget, "candidate shears"
+            )
+        # sigma fixes (e, a), so a step (x, s, y) with (x, 0)(s, 0) =
+        # (e, a)(y, 0) in e1 fixes eta(y): (y, eta(y)) = (e, a)^-1 sigma(x, 0)
+        # sigma(s, 0) in e2, with sigma(x, 0) = (x, eta(x)).
+        tree = [
+            (x, s, y, g2.table[g2.inv(e * nv + g1.mul(x * nv, s * nv) % nv)])
+            for x, s, y in steps
+        ]
+        shear = [0] * group.order
+        for combo in itertools.product(range(nv), repeat=len(gens)):
+            for g, k in zip(gens, combo):
+                shear[g] = k
+            for x, s, y, unshift in tree:
+                shear[y] = unshift[g2.mul(x * nv + shear[x], s * nv + shear[s])] % nv
+            yield shear
+
+    for shear in shears():
+        # (g, vectors[k]) has index g * nv + k, and sigma adds eta(g) to it
+        sigma = [g * nv + add[k][shear[g]] for g in group.elements for k in range(nv)]
         if all(sigma[d1[x]] == d2[sigma[x]] for x in g1.elements) and all(
             [sigma[z] for z in row] == [g2.table[sx][z] for z in sigma]
             for row, sx in zip(g1.table, sigma)
@@ -225,12 +239,69 @@ def are_isomorphic(
     return None
 
 
-def _span(
-    field: PrimeField, basis: list[list[Any]], length: int
-) -> Iterator[tuple[tuple[int, ...], list[Any]]]:
-    """Every F_p-linear combination of ``basis`` (vectors of ``length``)
-    beside its coefficient tuple, in ``itertools.product`` order, so the
-    zero vector comes first."""
+def shear_key(ext: AbelianExtension) -> tuple:
+    """A key that shears preserve, read off the carrier: for each base
+    element g of order n, the sorted n-th powers of the fiber above g
+    and, where D(g) g = e, the sorted products D(x) x over that fiber.
+
+    Both land in V, the fiber above e (indices below nv), which a shear
+    sigma fixes pointwise.  sigma maps each fiber onto itself and is a
+    homomorphism commuting with the operators, so sigma(x^n) =
+    sigma(x)^n and sigma(D(x) x) = D(sigma x) sigma x: shear-isomorphic
+    extensions have equal keys, and extensions with different keys are
+    not isomorphic."""
+    table, d, nv = ext.total.group.table, ext.total.d, ext.nv
+    base = ext.base
+    key = []
+    for g in base.group.elements:
+        fiber = range(g * nv, (g + 1) * nv)
+        powers = []
+        for x in fiber:
+            y = x
+            while y >= nv:  # x^k lies in V exactly when n divides k
+                y = table[y][x]
+            powers.append(y)
+        plus = None
+        if base.d_plus_of(g) == base.group.identity:
+            plus = tuple(sorted(table[d[x]][x] for x in fiber))
+        key.append((tuple(sorted(powers)), plus))
+    return tuple(key)
+
+
+class GroupExtensionTheory:
+    """The hooks of the group theory for ``census`` over the complex
+    ``cx``.  A cocycle vector (alpha, then beta, in the coordinates of
+    ``cx.space(2)`` and ``cx.space(1)``) builds an ``AbelianExtension``;
+    a 1-cochain vector eta is the shear (g, u) -> (g, u + eta(g)), which
+    ``shears`` checks as the one candidate of ``are_isomorphic``;
+    ``isomorphic`` is its exhaustive search and ``key`` is ``shear_key``.
+    Each hook looks its function up when it is called, so one patched by
+    name is seen."""
+
+    def __init__(self, cx: DifferenceComplex) -> None:
+        self.rep, self.field, self.budget = cx.rep, cx.field, cx.budget
+        self.c2, self.c1 = cx.space(2), cx.space(1)
+
+    def build(self, vec: Sequence[Any]) -> AbelianExtension:
+        size = self.c2.size
+        pair = CochainPair(self.c2.from_vector(vec[:size]), self.c1.from_vector(vec[size:]))
+        return AbelianExtension(self.rep, pair)
+
+    def shears(self, e1: AbelianExtension, e2: AbelianExtension, eta: Sequence[Any]) -> bool:
+        cochain = self.c1.from_vector(eta)
+        return are_isomorphic(e1, e2, budget=self.budget, eta=cochain) is not None
+
+    def isomorphic(self, e1: AbelianExtension, e2: AbelianExtension) -> bool:
+        return are_isomorphic(e1, e2, budget=self.budget) is not None
+
+    def key(self, ext: AbelianExtension) -> tuple:
+        return shear_key(ext)
+
+
+def _span(field: PrimeField, basis: list[list[Any]], length: int) -> Iterator[list[Any]]:
+    """Every F_p-linear combination of ``basis`` (vectors of ``length``),
+    in ``itertools.product`` order of the coefficients, so the zero
+    vector comes first."""
     for coeffs in itertools.product(range(field.p), repeat=len(basis)):
         vec = [field.zero] * length
         for c, basis_vec in zip(coeffs, basis):
@@ -238,54 +309,85 @@ def _span(
                 continue
             cf = field.from_int(c)
             vec = [field.add(x, field.mul(cf, y)) for x, y in zip(vec, basis_vec)]
-        yield coeffs, vec
+        yield vec
 
 
-def census(cx: DifferenceComplex, space: CohomologySpace) -> list[list[AbelianExtension]]:
-    """Build the extension of every cocycle pair in the F_p-span of
-    ``space.boundaries + space.reps``, a ``cohomology_space`` in pair
-    coordinates (alpha first, then beta), and show that its
-    shear-isomorphism classes are its cosets modulo the span of
-    ``space.boundaries``.
+def _pivot_columns(d_in: SparseMatrix, boundaries: list[list[Any]]) -> list[int]:
+    """The column of ``d_in`` that each of ``boundaries``, its pivot
+    columns (``cohomology_space``), is: the first column equal to it,
+    since an earlier equal column would make it dependent."""
+    first: dict[tuple, int] = {}
+    for j in range(d_in.ncols):
+        first.setdefault(d_in.col(j), j)
+    return [first[tuple(b)] for b in boundaries]
 
-    One pass keys each member by its coefficients on ``space.reps``, its
-    coordinates in H; two members share a key exactly when they differ
-    by a boundary.  A member of a known coset must be shear-isomorphic
-    to that coset's representative, its first member; a member of a new
-    coset must be isomorphic to no earlier representative, and becomes
-    one.  So every member is shown isomorphic to its representative and
-    the representatives pairwise non-isomorphic by the exhaustive
-    search, and the two partitions are equal; either failure raises
-    ``InternalCheckError``.
 
-    Returns the classes, one per coset, in span order.  The zero pair
-    comes first, so ``classes[0][0]`` is the split extension.
+def census(space: CohomologySpace, preimages: Sequence[list[Any]], theory: Any) -> list[Any]:
+    """One extension of each isomorphism class of the extensions of the
+    cocycles in the span of ``space.boundaries + space.reps`` (a
+    ``cohomology_space``).  The classes are the cosets of the
+    boundaries, each with p^len(boundaries) members, and this is shown
+    while building only the p^dim representatives, the combinations of
+    ``space.reps``.
+
+    ``theory`` supplies ``field``, ``budget``, ``build(vector)`` (the
+    extension of a cocycle), ``shears(e1, e2, eta)`` (whether the shear
+    by the 1-cochain eta carries e1 onto e2), ``isomorphic(e1, e2)`` (an
+    exhaustive search) and ``key(e)`` (a key that shears preserve).
+    ``preimages[i]`` is an eta with d_B eta = ``space.boundaries[i]``.
+
+    Same coset, isomorphic.  The shear s_eta: (g, u) -> (g, u + eta(g))
+    carries E(a) onto E(a') exactly when a - a' = d_B eta: expanding
+    both laws at (g, u) and (h, v), s_eta respects the products iff
+    alpha - alpha' = d eta and the operators iff beta - beta' = K eta,
+    for every u and v.  So Delta(eta) = a - a' is linear in eta and does
+    not depend on a.  The census checks, once per boundary b_i, that
+    s_{eta_i} carries E(b_i) onto E(0): then Delta(eta_i) = b_i for the
+    shear formula itself, not only for the matrix d_B.  By linearity,
+    eta = sum c_i eta_i has Delta(eta) = sum c_i b_i, and since Delta
+    does not depend on a, s_eta carries E(r + sum c_i b_i) onto E(r) for
+    every representative r.  Those are all the members of all the
+    cosets, as the b_i span the boundaries, so each member is isomorphic
+    to its representative without a search of its own.  The same check
+    compares the keys of E(b_i) and E(0), which catches a key that a
+    shear does not preserve.
+
+    Different cosets, non-isomorphic.  Isomorphisms fixing G and V are
+    shears, which preserve the key, so only representatives that share
+    a key are searched, pairwise; any search that succeeds raises.
+
+    The budget counts the p^dim representatives before any is built,
+    and the same-key pairs before any search.  Either failed check
+    raises ``InternalCheckError``.  Returns the representatives in
+    ``itertools.product`` order of their coefficients on ``space.reps``,
+    so the zero cocycle, the split extension, comes first.
     """
-    rep, f, budget = cx.rep, cx.field, cx.budget
-    basis = space.boundaries + space.reps
-    n_cocycles = f.p ** len(basis)
-    if n_cocycles > budget:
-        raise BudgetExceededError("extension census", n_cocycles, budget, "cocycle pairs")
-    c2, c1, n_b = cx.space(2), cx.space(1), len(space.boundaries)
+    f, budget = theory.field, theory.budget
+    n_reps = f.p ** space.dim
+    if n_reps > budget:
+        raise BudgetExceededError("extension census", n_reps, budget, "coset representatives")
+    reps = [theory.build(vec) for vec in _span(f, space.reps, space.dim_total)]
+    keys = [theory.key(ext) for ext in reps]
+    for b, eta in zip(space.boundaries, preimages):
+        sheared = theory.build(b)
+        if not theory.shears(sheared, reps[0], eta):
+            raise InternalCheckError("cohomologous cocycles produced non-isomorphic extensions")
+        if theory.key(sheared) != keys[0]:
+            raise InternalCheckError("the census key is not preserved by a shear")
 
-    cosets: dict[tuple, list[AbelianExtension]] = {}
-    for coeffs, vec in _span(f, basis, space.dim_total):
-        key = coeffs[n_b:]
-        pair = CochainPair(c2.from_vector(vec[: c2.size]), c1.from_vector(vec[c2.size :]))
-        ext = AbelianExtension(rep, pair)
-        if key in cosets:
-            if are_isomorphic(cosets[key][0], ext, budget=budget) is None:
+    by_key: dict[Any, list[Any]] = {}
+    for ext, key in zip(reps, keys):
+        by_key.setdefault(key, []).append(ext)
+    n_searches = sum(len(same) * (len(same) - 1) // 2 for same in by_key.values())
+    if n_searches > budget:
+        raise BudgetExceededError("extension census", n_searches, budget, "shear searches")
+    for same in by_key.values():
+        for i, e1 in enumerate(same):
+            if any(theory.isomorphic(e1, e2) for e2 in same[i + 1 :]):
                 raise InternalCheckError(
-                    "cohomologous cocycles produced non-isomorphic extensions"
+                    "isomorphic extensions came from non-cohomologous cocycles"
                 )
-            cosets[key].append(ext)
-        elif any(are_isomorphic(m[0], ext, budget=budget) is not None for m in cosets.values()):
-            raise InternalCheckError(
-                "isomorphic extensions came from non-cohomologous cocycles"
-            )
-        else:
-            cosets[key] = [ext]
-    return list(cosets.values())
+    return reps
 
 
 @dataclass
@@ -317,32 +419,38 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
     """Run the census on all cocycle pairs (the kernel of delta(2)),
     keyed by the H^2 space of the pair complex, and set its class count
     beside the coset count p^(dim Z^2 - rank B^2) and p^(dim H^2) from
-    the ranks of ``cohomology_dims``; every class representative must
+    the ranks of ``cohomology_dims``.  Boundary i of the space is the
+    pivot column of d_B(1) at some 1-cochain coordinate j, so its
+    preimage is the unit cochain at j.  Every class representative must
     come back from its canonical section."""
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
-    p = rep.field.p
+    f = rep.field
+    p = f.p
     cx = DifferenceComplex(rep, budget=budget)
-    space = cohomology_space(rep.field, cx.d_b(2), cx.d_b(1))
-    classes = census(cx, space)
-    b_rank = rank(cx.d_b(1))
+    space = cohomology_space(f, cx.d_b(2), cx.d_b(1))
+    d_b1 = cx.d_b(1)
+    units = [
+        [f.one if i == j else f.zero for i in range(d_b1.ncols)]
+        for j in _pivot_columns(d_b1, space.boundaries)
+    ]
+    reps = census(space, units, GroupExtensionTheory(cx))
+    b_rank = rank(d_b1)
 
-    for members in classes:
-        ext = members[0]
+    for ext in reps:
         if cocycle_from_section(ext, canonical_section(ext)) != ext.pair:
             raise InternalCheckError("canonical section does not return its cocycle")
 
     h2 = cx.cohomology_dims(2).degrees[2].h_pair
+    n_b = len(space.boundaries)
     return ExtensionClassification(
-        cocycle_count=sum(len(members) for members in classes),
+        cocycle_count=p ** (n_b + space.dim),
         coboundary_count=p**b_rank,
-        class_count=len(classes),
-        class_count_by_cosets=p ** (len(space.boundaries) + space.dim - b_rank),
+        class_count=len(reps),
+        class_count_by_cosets=p ** (n_b + space.dim - b_rank),
         expected_from_cohomology=p**h2,
         h2_pair_dim=h2,
-        classes=[
-            ExtensionClass(members[0].pair, len(members)) for members in classes
-        ],
+        classes=[ExtensionClass(ext.pair, p**n_b) for ext in reps],
     )
 
 
@@ -376,11 +484,13 @@ def classify_semidirect_difference_ops(
     d_D beta = 0, and two are cohomologous iff beta - beta' lies in
     K(Z^1).  Three routes: rank arithmetic p^(dim Z - rank K|Z1), the
     census of the pairs (0, beta), keyed by the quotient
-    ker d_D(1) / K(Z^1) from ``cohomology_space``, and, when its
-    candidate count (p^dim)^((|G|-1) p^dim) fits the budget, brute
-    enumeration of all candidate operators on the semidirect product,
-    every one of which must be a census member, counted up to shears
-    without the census.
+    ker d_D(1) / K(Z^1) from ``cohomology_space`` (boundary i is the
+    pivot column K z_j of K|Z^1, so its preimage is the 1-cocycle z_j),
+    and, when its candidate count (p^dim)^((|G|-1) p^dim) fits the
+    budget, brute enumeration of all candidate operators on the
+    semidirect product, counted up to shears without the census.  The
+    valid ones must be exactly the operators of all the pairs (0, beta),
+    every member of every class, which are built for this comparison.
     """
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
@@ -390,22 +500,20 @@ def classify_semidirect_difference_ops(
     cx = DifferenceComplex(rep, budget=budget)
 
     kmat = cx.k_matrix(1)
-    k_on_z1 = SparseMatrix.from_columns(
-        f, [kmat.matvec(v) for v in kernel_basis(cx.d_ordinary(1))], kmat.nrows
-    )
+    z1 = kernel_basis(cx.d_ordinary(1))
+    k_on_z1 = SparseMatrix.from_columns(f, [kmat.matvec(v) for v in z1], kmat.nrows)
     k_rank = rank(k_on_z1)
     betas = cohomology_space(f, cx.d_difference(1), k_on_z1)
     z_dim = len(betas.boundaries) + betas.dim
 
     alpha_zero = [f.zero] * cx.space(2).size
-    classes = census(
-        cx,
-        CohomologySpace(
-            dim_total=len(alpha_zero) + betas.dim_total,
-            reps=[alpha_zero + v for v in betas.reps],
-            boundaries=[alpha_zero + v for v in betas.boundaries],
-        ),
+    space = CohomologySpace(
+        dim_total=len(alpha_zero) + betas.dim_total,
+        reps=[alpha_zero + v for v in betas.reps],
+        boundaries=[alpha_zero + v for v in betas.boundaries],
     )
+    theory = GroupExtensionTheory(cx)
+    reps = census(space, [z1[j] for j in _pivot_columns(k_on_z1, betas.boundaries)], theory)
 
     notes: list[str] = []
     direct_valid: int | None = None
@@ -413,13 +521,14 @@ def classify_semidirect_difference_ops(
     nv = p**rep.dim
     n_candidates = nv ** ((group.order - 1) * nv)
     if n_candidates <= budget:
-        valid = _valid_operators(classes[0][0])
-        if set(valid) != {ext.total.d for members in classes for ext in members}:
+        valid = _valid_operators(reps[0])
+        members = _span(f, space.boundaries + space.reps, space.dim_total)
+        if set(valid) != {theory.build(vec).total.d for vec in members}:
             raise InternalCheckError(
                 "direct enumeration found operators outside the cocycle family"
             )
         direct_valid = len(valid)
-        direct_classes = _shear_orbit_count(classes[0][0], valid)
+        direct_classes = _shear_orbit_count(reps[0], valid)
     else:
         notes.append(
             f"direct enumeration skipped: {n_candidates} candidate operators "
@@ -429,7 +538,7 @@ def classify_semidirect_difference_ops(
         z_dim=z_dim,
         connecting_rank=k_rank,
         count_by_rank=p ** (z_dim - k_rank),
-        count_by_census=len(classes),
+        count_by_census=len(reps),
         direct_valid_count=direct_valid,
         direct_class_count=direct_classes,
         total_order=group.order * nv,

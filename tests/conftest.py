@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, settings
 
-from diffcoh import exactness, groups, lie
+from diffcoh import exactness, extensions, groups, lie
 from diffcoh.groups import FiniteGroup, ValidationError
 from diffcoh.lie import LieAlgebra, LieError, MatrixLieAlgebra
 
@@ -135,6 +135,20 @@ def _dims_compared(cohomology_dims):
     return compared
 
 
+def _census_compared(census):
+    @functools.wraps(census)
+    def compared(space, preimages, theory):
+        reps = census(space, preimages, theory)
+        p, n_b = theory.field.p, len(space.boundaries)
+        if p ** (n_b + space.dim) <= exactness.DEFAULT_BUDGET:
+            classes = oracles.full_member_census(space, theory)
+            assert [members[0].pair for members in classes] == [ext.pair for ext in reps]
+            assert [len(members) for members in classes] == [p**n_b] * len(reps)
+        return reps
+
+    return compared
+
+
 def _lie_k_tagged(connecting_faces):
     @functools.wraps(connecting_faces)
     def tagged(rep, n):
@@ -170,7 +184,10 @@ def law_checks_match_their_oracles():
     suite builds on vector indices, valid or not, is compared entry by
     entry with the tuple loop kept there, and every count of cohomology
     dimensions from one echelon per degree with the three ranks kept
-    there.  Every matrix of the Lie K, in a complex or applied by
+    there.  Every extension census of at most ``DEFAULT_BUDGET`` cocycles
+    is compared with the full-member census kept there: the same
+    representatives in the same order, and classes of p^len(boundaries)
+    members.  Every matrix of the Lie K, in a complex or applied by
     ``lie.k_map``, is compared row by row with the one scattered from
     the subset expansion kept there."""
     patches = [
@@ -182,6 +199,7 @@ def law_checks_match_their_oracles():
         (groups, "induced_rep_theta_d", _induced_compared(groups.induced_rep_theta_d)),
         (groups, "carrier_tables", _carrier_compared(groups.carrier_tables)),
         (exactness, "cohomology_dims", _dims_compared(exactness.cohomology_dims)),
+        (extensions, "census", _census_compared(extensions.census)),
         (exactness, "operator_matrix", _k_compared(exactness.operator_matrix)),
         (lie, "_connecting_faces", _lie_k_tagged(lie._connecting_faces)),
         (lie, "check_lie_difference",

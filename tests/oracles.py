@@ -16,7 +16,11 @@ K of both theories (``coboundary``, ``pk``, ``hk``, ``kk``, ``delta``,
 are the ones it used before each operator was defined once, by its
 faces.  ``carrier_tables`` is the tuple loop that built the carrier of
 an extension and of a semidirect product before the carrier was built
-once, on vector indices.  ``three_rank_dims`` is the cohomology count
+once, on vector indices.  ``full_member_census`` is the extension
+census as it was before it built only one representative per class:
+every cocycle of the span is built and searched against its coset's
+first member, and the first members are searched pairwise.
+``three_rank_dims`` is the cohomology count
 from three separate ranks per degree, as it was before one echelon of
 the total differential gave all three; over F_p it ranks with
 ``modular_rank``, the sparse echelon on ``{column: value}`` dict rows
@@ -33,7 +37,8 @@ import heapq
 import itertools
 from fractions import Fraction
 
-from diffcoh.exactness import CochainPair, InternalCheckError
+from diffcoh.exactness import DEFAULT_BUDGET, CochainPair, InternalCheckError
+from diffcoh.extensions import are_isomorphic
 from diffcoh.group_cohomology import GroupCochain
 from diffcoh.groups import ValidationReport, induced_rep_theta_d
 from diffcoh.lie import LieCochain, LieError, _sorted_with_sign, theta_d_matrices
@@ -196,6 +201,36 @@ def is_shear_isomorphism(e1, e2, eta):
         for x in sigma
         for y in sigma
     )
+
+
+def full_member_census(space, theory):
+    """The shear-isomorphism classes of the extensions of every cocycle in
+    the span of ``space.boundaries + space.reps``, built by
+    ``theory.build`` and keyed by their coefficients on ``space.reps``.
+    Each member must be isomorphic to its coset's first member and the
+    first members pairwise non-isomorphic, by the exhaustive search
+    ``are_isomorphic`` (bound here, so a test that patches it in
+    ``extensions`` does not reach this one); returns the classes in
+    span order, so the zero cocycle comes first."""
+    f = theory.field
+    basis = space.boundaries + space.reps
+    n_b = len(space.boundaries)
+    cosets = {}
+    for coeffs in itertools.product(range(f.p), repeat=len(basis)):
+        vec = [f.zero] * space.dim_total
+        for c, basis_vec in zip(coeffs, basis):
+            vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, basis_vec)]
+        ext = theory.build(vec)
+        key = coeffs[n_b:]
+        if key in cosets:
+            if are_isomorphic(cosets[key][0], ext, DEFAULT_BUDGET) is None:
+                raise InternalCheckError("cohomologous cocycles, non-isomorphic extensions")
+            cosets[key].append(ext)
+        elif any(are_isomorphic(m[0], ext, DEFAULT_BUDGET) is not None for m in cosets.values()):
+            raise InternalCheckError("non-cohomologous cocycles, isomorphic extensions")
+        else:
+            cosets[key] = [ext]
+    return list(cosets.values())
 
 
 def carrier_tables(rep, alpha, beta):

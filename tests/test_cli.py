@@ -259,21 +259,27 @@ def test_classify_semidirect_searches_shears_on_generators_only(tmp_path, capsys
     assert out.endswith("ok: true\n")
 
 
-def test_classify_budget_verdict_counts_cocycle_pairs(capsys):
+def test_classify_budget_verdict_counts_coset_representatives(capsys):
+    # 27 cocycle pairs in 9 classes: the census builds one representative
+    # of each
     code, out, _ = run(
-        ["classify", fx("z3_carry_extension.json"), "--budget", "20"], capsys
+        ["classify", fx("z3_carry_extension.json"), "--budget", "8"], capsys
     )
     assert code == 1
     assert (
-        "check budget: FAIL (extension census needs 27 cocycle pairs, budget is 20)\n"
-        in out
+        "check budget: FAIL (extension census needs 9 coset representatives, "
+        "budget is 8)\n" in out
     )
+    code, out, _ = run(["classify", fx("z3_carry_extension.json"), "--budget", "9"], capsys)
+    assert code == 0
+    assert "classes-by-isomorphism: 9\n" in out
 
 
 def test_classify_budget_verdict_counts_candidate_shears(tmp_path, capsys):
     # C2 with D = e swapping the coordinates of F_3^2, T = 0: every cochain
-    # space has 2 basis elements and the census 3 cocycle pairs, but a shear
-    # is free on the generator, so the search has 3^2 candidates
+    # space has 2 basis elements and the census 3 representatives, which
+    # share a key, so 3 searches; but a shear is free on the generator,
+    # so each search has 3^2 candidates
     data = {
         "group": {"order": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
         "difference": [0, 0],
@@ -300,7 +306,7 @@ def test_classify_budget_verdict_counts_candidate_shears(tmp_path, capsys):
 
 def test_classify_budget_failure_is_a_verdict(capsys):
     code, out, _ = run(
-        ["classify", fx("z3_inverse.json"), "--budget", "10"], capsys
+        ["classify", fx("z3_inverse.json"), "--budget", "8"], capsys
     )
     assert code == 1
     assert "check budget: FAIL" in out

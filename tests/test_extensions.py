@@ -13,16 +13,17 @@ from collections import Counter
 import pytest
 
 from diffcoh import exactness, extensions
-from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
+from diffcoh.catalog import alternating4, cyclic, inverse_map, klein_four, symmetric
 from diffcoh.extensions import (
     AbelianExtension,
+    GroupExtensionTheory,
     are_isomorphic,
     canonical_section,
-    census,
     classify_extensions,
     classify_semidirect_difference_ops,
     cocycle_from_section,
     SectionMap,
+    shear_key,
 )
 from diffcoh.group_cohomology import (
     BudgetExceededError,
@@ -41,6 +42,7 @@ from oracles import (
     all_cochains_isomorphic,
     carrier_tables,
     dense_solve,
+    full_member_census,
     is_shear_isomorphism,
     to_dense,
 )
@@ -235,15 +237,36 @@ def _trivial_rep(group, field, t, dim=1):
     return DifferenceRep(dg, theta, Matrix.from_rows(field, t_rows))
 
 
+def _swap_rep():
+    """C2 acting on F3^2 by swapping coordinates, D = e, T = 0."""
+    c2 = cyclic(2)
+    swap = Matrix.from_rows(F3, [[0, 1], [1, 0]])
+    dg = DifferenceGroup(c2, [0, 0])
+    return DifferenceRep(dg, [Matrix.identity(F3, 2), swap], Matrix.zeros(F3, 2, 2))
+
+
+def _s3_sign_rep(t):
+    """The sign representation of S3 over F3, D = e, T = t."""
+    s3 = symmetric(3)
+    dg = DifferenceGroup(s3, [s3.identity] * s3.order)
+    theta = [
+        Matrix.from_rows(F3, [[2 if element_order(s3, g) == 2 else 1]])
+        for g in s3.elements
+    ]
+    return DifferenceRep(dg, theta, Matrix.from_rows(F3, [[t]]))
+
+
 @pytest.mark.parametrize(
     "rep",
     [z3_rep(), _trivial_rep(klein_four(), F2, 1), _trivial_rep(symmetric(3), F2, 1)],
     ids=["z3", "v4_f2", "s3_f2"],
 )
 def test_generator_shear_search_matches_the_search_over_all_cochains(rep):
-    # three extensions from each of the first four classes of the census
+    # three extensions from each of the first four classes of the
+    # full-member census
     cx = DifferenceComplex(rep)
-    classes = census(cx, exactness.cohomology_space(rep.field, cx.d_b(2), cx.d_b(1)))
+    space = exactness.cohomology_space(rep.field, cx.d_b(2), cx.d_b(1))
+    classes = full_member_census(space, GroupExtensionTheory(cx))
     exts = [ext for members in classes[:4] for ext in members[:3]]
     group = rep.dg.group
     for e1 in exts:
@@ -295,15 +318,36 @@ def test_classification_of_z2_extensions():
 
 
 def test_classification_budget():
+    # 27 cocycle pairs but 9 classes: the census builds 9 representatives
     with pytest.raises(BudgetExceededError):
-        classify_extensions(z3_rep(), budget=10)
+        classify_extensions(z3_rep(), budget=8)
+    assert classify_extensions(z3_rep(), budget=9).class_count == 9
 
 
-def test_census_budget_error_counts_cocycle_pairs_not_a_space():
+def test_census_budget_error_counts_representatives_not_a_space():
     with pytest.raises(BudgetExceededError) as exc:
-        classify_extensions(z3_rep(), budget=10)
-    assert (exc.value.degree, exc.value.required, exc.value.budget) == (None, 27, 10)
-    assert str(exc.value) == "extension census needs 27 cocycle pairs, budget is 10"
+        classify_extensions(z3_rep(), budget=8)
+    assert (exc.value.degree, exc.value.required, exc.value.budget) == (None, 9, 8)
+    assert str(exc.value) == "extension census needs 9 coset representatives, budget is 8"
+
+
+def test_census_budget_counts_the_searches_between_representatives_that_share_a_key():
+    # the sign representation of S3 with T = 0 has 27 classes, whose keys
+    # leave 108 pairs to search; its cochain spaces need a budget of 125,
+    # so the census alone gets the smaller one
+    cx = DifferenceComplex(_s3_sign_rep(0))
+    d_b1 = cx.d_b(1)
+    space = exactness.cohomology_space(F3, cx.d_b(2), d_b1)
+    pivots = extensions._pivot_columns(d_b1, space.boundaries)
+    units = [[int(i == j) for i in range(d_b1.ncols)] for j in pivots]
+    theory = GroupExtensionTheory(cx)
+    for budget in (100, 107):
+        theory.budget = budget
+        with pytest.raises(BudgetExceededError) as exc:
+            extensions.census(space, units, theory)
+        assert str(exc.value) == f"extension census needs 108 shear searches, budget is {budget}"
+    theory.budget = 108
+    assert len(extensions.census(space, units, theory)) == 27
 
 
 def test_semidirect_operator_classification_both_signs():
@@ -341,7 +385,7 @@ def test_census_insists_the_isomorphism_classes_are_the_cosets(monkeypatch):
     import diffcoh.extensions as extensions
     from diffcoh.exactness import InternalCheckError
 
-    monkeypatch.setattr(extensions, "are_isomorphic", lambda e1, e2, budget: None)
+    monkeypatch.setattr(extensions, "are_isomorphic", lambda e1, e2, budget, eta=None: None)
     with pytest.raises(InternalCheckError, match="non-isomorphic"):
         classify_extensions(z3_rep())
     with pytest.raises(InternalCheckError, match="non-isomorphic"):
@@ -349,37 +393,121 @@ def test_census_insists_the_isomorphism_classes_are_the_cosets(monkeypatch):
 
 
 def test_census_insists_the_cosets_are_pairwise_non_isomorphic(monkeypatch):
-    # a search that always finds a shear merges the first two cosets; both
-    # reps have more than one class in their mode (9 and 3)
+    # a search that always finds a shear merges the first two cosets that
+    # share a key; on the swap representation all 3 classes do, in both
+    # modes
     import diffcoh.extensions as extensions
     from diffcoh.exactness import InternalCheckError
 
-    def always_a_shear(e1, e2, budget):
+    def always_a_shear(e1, e2, budget, eta=None):
         return zero_cochain(e1.base.group, e1.rep.field, e1.rep.dim, 1)
 
     monkeypatch.setattr(extensions, "are_isomorphic", always_a_shear)
     with pytest.raises(InternalCheckError, match="non-cohomologous"):
-        classify_extensions(z3_rep())
+        classify_extensions(_swap_rep())
     with pytest.raises(InternalCheckError, match="non-cohomologous"):
-        classify_semidirect_difference_ops(z3_rep(2))
+        classify_semidirect_difference_ops(_swap_rep())
 
 
-def test_census_searches_each_member_once_and_each_pair_of_representatives(monkeypatch):
-    # (members - classes) + classes (classes - 1) / 2 = 32 + 496 searches;
-    # comparing each member with every representative until one matches
-    # takes 1024
+@pytest.mark.parametrize(
+    "rep, counts",
+    [
+        # 64 cocycle pairs, 32 classes with pairwise different keys, 1 boundary
+        (_trivial_rep(klein_four(), F2, 1), (64, 32, {("check", True): 1})),
+        # 729 pairs, 27 classes, 3 boundaries; the keys leave 108 pairs
+        (_s3_sign_rep(0), (729, 27, {("check", True): 3, ("search", False): 108})),
+    ],
+    ids=["v4_f2", "s3_sign_t0"],
+)
+def test_census_checks_each_boundary_once_and_searches_only_same_key_pairs(
+    monkeypatch, rep, counts
+):
+    # the full-member census made (members - classes) + classes (classes - 1) / 2
+    # searches, 528 on v4_f2; now each boundary is one check of a given
+    # shear (a one-candidate search that succeeds) and the rest are the
+    # pairwise searches between representatives that share a key, none of
+    # which succeeds
     import diffcoh.extensions as extensions
 
-    calls = []
+    calls = Counter()
 
-    def counted(e1, e2, budget):
-        calls.append(None)
-        return are_isomorphic(e1, e2, budget)
+    def counted(e1, e2, budget, eta=None):
+        found = are_isomorphic(e1, e2, budget, eta)
+        calls["search" if eta is None else "check", found is not None] += 1
+        return found
 
     monkeypatch.setattr(extensions, "are_isomorphic", counted)
-    cls = classify_extensions(_trivial_rep(klein_four(), F2, 1))
-    assert (cls.cocycle_count, cls.class_count) == (64, 32)
-    assert len(calls) == 528
+    cls = classify_extensions(rep)
+    assert (cls.cocycle_count, cls.class_count, dict(calls)) == counts
+
+
+@pytest.mark.parametrize("corrupted", ["shear", "preimage", "key", "search"])
+def test_census_fails_when_one_of_its_checks_is_corrupted(monkeypatch, corrupted):
+    # the swap representation has 3 classes of 3 pairs: 1 boundary, and
+    # keys that leave all 3 pairs of representatives to search, so each
+    # check runs; corrupting any one of them must raise, and the
+    # uncorrupted census passes
+    import diffcoh.extensions as extensions
+    from diffcoh.exactness import InternalCheckError
+
+    assert classify_extensions(_swap_rep()).consistent
+    real_census, real_search = extensions.census, extensions.are_isomorphic
+
+    def search_always_finds(e1, e2, budget, eta=None):
+        if eta is not None:
+            return real_search(e1, e2, budget, eta)
+        return zero_cochain(e1.base.group, e1.rep.field, e1.rep.dim, 1)
+
+    def doubled_preimages(space, etas, theory):
+        # d_B (2 eta) = 2 b, not b, over F_3
+        return real_census(space, [[2 * x % 3 for x in eta] for eta in etas], theory)
+
+    def pair_key(ext):  # not preserved by shears
+        return str(sorted(ext.pair.alpha.values.items()) + sorted(ext.pair.beta.values.items()))
+
+    patch, message = {
+        "shear": (
+            (GroupExtensionTheory, "shears", lambda self, e1, e2, eta: False),
+            "non-isomorphic",
+        ),
+        "preimage": ((extensions, "census", doubled_preimages), "non-isomorphic"),
+        "key": ((extensions, "shear_key", pair_key), "not preserved by a shear"),
+        "search": ((extensions, "are_isomorphic", search_always_finds), "non-cohomologous"),
+    }[corrupted]
+    monkeypatch.setattr(*patch)
+    with pytest.raises(InternalCheckError, match=message):
+        classify_extensions(_swap_rep())
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [z3_rep(), _s3_sign_rep(1), _swap_rep(), _trivial_rep(klein_four(), F2, 1)],
+    ids=["c3_f3", "s3_sign_t1", "c2_swap_f3sq", "v4_f2"],
+)
+def test_shear_by_eta_carries_the_cocycle_plus_d_b_eta_onto_the_cocycle(rep):
+    # seeded cocycles a and 1-cochains eta: (g, u) -> (g, u + eta(g)) is
+    # an isomorphism E(a + d_B eta) -> E(a), by the oracle's full check and
+    # by the one-candidate search, and the census key agrees on both sides
+    cx = DifferenceComplex(rep)
+    f, c2, c1 = rep.field, cx.space(2), cx.space(1)
+    theory = GroupExtensionTheory(cx)
+    z_basis, d_b1 = kernel_basis(cx.d_b(2)), cx.d_b(1)
+    group = rep.dg.group
+    for seed in range(4):
+        rng = random.Random(seed)
+        a = [f.zero] * (c2.size + c1.size)
+        for basis_vec in z_basis:
+            c = rng.randrange(f.p)
+            a = [f.add(x, f.mul(c, y)) for x, y in zip(a, basis_vec)]
+        eta = [rng.randrange(f.p) for _ in range(c1.size)]
+        moved = [f.add(x, y) for x, y in zip(a, d_b1.matvec(eta))]
+        e_moved, e_a = theory.build(moved), theory.build(a)
+        cochain = c1.from_vector(eta)
+        values = {g: cochain.value_at((g,)) for g in group.elements}
+        assert is_shear_isomorphism(e_moved, e_a, values)
+        assert are_isomorphic(e_moved, e_a, eta=cochain) == cochain
+        assert theory.shears(e_moved, e_a, eta)
+        assert shear_key(e_moved) == shear_key(e_a)
 
 
 @pytest.mark.parametrize(
@@ -396,18 +524,21 @@ def test_census_classes_are_the_cosets_by_dense_solves(monkeypatch, classify, re
     # the coset rule checked without cohomology_space: two members are in
     # one class exactly when their pairs differ by d_B(1) z for some
     # 1-cochain z.  d_B(1) z = (d z, K z), so with alpha = 0 throughout
-    # (semidirect mode) the difference is a K image of a z in Z^1.
+    # (semidirect mode) the difference is a K image of a z in Z^1.  So
+    # each boundary must be d_B(1) of its preimage, and the
+    # representatives pairwise not cohomologous.
     seen = []
     real = extensions.census
 
-    def recorded(cx, space):
-        classes = real(cx, space)
-        seen.append((cx, classes))
-        return classes
+    def recorded(space, preimages, theory):
+        reps = real(space, preimages, theory)
+        seen.append((space, preimages, reps))
+        return reps
 
     monkeypatch.setattr(extensions, "census", recorded)
     classify(rep)
-    [(cx, classes)] = seen
+    [(space, preimages, reps)] = seen
+    cx = DifferenceComplex(rep)
     f, c2, c1, d_b1 = cx.field, cx.space(2), cx.space(1), to_dense(cx.d_b(1))
 
     def vec(ext):
@@ -416,31 +547,12 @@ def test_census_classes_are_the_cosets_by_dense_solves(monkeypatch, classify, re
     def cohomologous(e1, e2):
         return dense_solve(d_b1, [f.sub(x, y) for x, y in zip(vec(e1), vec(e2))]) is not None
 
-    firsts = [members[0] for members in classes]
-    assert sum(map(len, classes)) > 1  # one class of 3 on z3_t1_ops, 3 of 1 on z3_t2_ops
-    for members in classes:
-        assert all(cohomologous(members[0], ext) for ext in members[1:])
-    for i, e1 in enumerate(firsts):
-        assert not any(cohomologous(e1, e2) for e2 in firsts[i + 1 :])
-
-
-def _swap_rep():
-    """C2 acting on F3^2 by swapping coordinates, D = e, T = 0."""
-    c2 = cyclic(2)
-    swap = Matrix.from_rows(F3, [[0, 1], [1, 0]])
-    dg = DifferenceGroup(c2, [0, 0])
-    return DifferenceRep(dg, [Matrix.identity(F3, 2), swap], Matrix.zeros(F3, 2, 2))
-
-
-def _s3_sign_rep(t):
-    """The sign representation of S3 over F3, D = e, T = t."""
-    s3 = symmetric(3)
-    dg = DifferenceGroup(s3, [s3.identity] * s3.order)
-    theta = [
-        Matrix.from_rows(F3, [[2 if element_order(s3, g) == 2 else 1]])
-        for g in s3.elements
-    ]
-    return DifferenceRep(dg, theta, Matrix.from_rows(F3, [[t]]))
+    # one class of 3 on z3_t1_ops, 3 of 1 on z3_t2_ops
+    assert len(reps) * f.p ** len(space.boundaries) > 1
+    for b, eta in zip(space.boundaries, preimages):
+        assert list(d_b1.matvec(eta)) == b
+    for i, e1 in enumerate(reps):
+        assert not any(cohomologous(e1, e2) for e2 in reps[i + 1 :])
 
 
 @pytest.mark.parametrize(
@@ -502,7 +614,7 @@ def test_carrier_laws_decide_the_cocycle_conditions(rep):
 def test_coset_count_comes_from_ranks_not_from_the_census(monkeypatch):
     # a census that lost a class no longer matches the coset count
     real = extensions.census
-    monkeypatch.setattr(extensions, "census", lambda cx, space: real(cx, space)[:-1])
+    monkeypatch.setattr(extensions, "census", lambda *args: real(*args)[:-1])
     cls = classify_extensions(z3_rep())
     assert (cls.class_count, cls.class_count_by_cosets, cls.expected_from_cohomology) == (8, 9, 9)
     assert not cls.consistent
@@ -532,10 +644,14 @@ def test_census_of_c3_over_f3_squared_is_timed():
     assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
 
 
-def test_census_of_c5_over_f5_is_timed(tmp_path):
-    # in a fresh process, so the law checks are not compared with their
-    # oracles and the bound times the program alone
-    group = cyclic(5)
+def _classify_in_a_fresh_process(tmp_path, group, p, t, dim=1):
+    """``classify --format json`` through ``cli.main`` on ``group`` with
+    D = inversion, trivial Theta and T = t * identity on F_p^dim, at the
+    default budget, in a fresh process, so that neither the law checks
+    nor the census are compared with their oracles and the time is the
+    program's alone.  Returns the report and the seconds it took."""
+    diagonal = [[t if i == j else 0 for j in range(dim)] for i in range(dim)]
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
     data = {
         "group": {
             "order": group.order,
@@ -544,13 +660,13 @@ def test_census_of_c5_over_f5_is_timed(tmp_path):
         },
         "difference": inverse_map(group),
         "rep": {
-            "field": {"kind": "Fp", "p": 5},
-            "dim": 1,
-            "theta": {str(g): [[1]] for g in group.elements},
-            "T": [[4]],
+            "field": {"kind": "Fp", "p": p},
+            "dim": dim,
+            "theta": {str(g): identity for g in group.elements},
+            "T": diagonal,
         },
     }
-    path = tmp_path / "c5_f5.json"
+    path = tmp_path / "fixture.json"
     path.write_text(json.dumps(data))
     program = "import sys; from diffcoh.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -560,12 +676,42 @@ def test_census_of_c5_over_f5_is_timed(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     elapsed = time.monotonic() - start
-    assert out.returncode == 0, out.stderr
-    cls = json.loads(out.stdout)["tables"]["classification"]
+    assert out.returncode == 0, (out.stdout, out.stderr)
+    return json.loads(out.stdout), elapsed
+
+
+def test_census_of_c5_over_f5_is_timed(tmp_path):
+    report, elapsed = _classify_in_a_fresh_process(tmp_path, cyclic(5), 5, 4)
+    cls = report["tables"]["classification"]
     assert (cls["cocycles"], cls["coboundaries"]) == (3125, 125)
     assert (cls["classes-by-isomorphism"], cls["classes-by-cosets"]) == (25, 25)
     assert (cls["pair-h2-dim"], cls["expected-from-cohomology"]) == (2, 25)
-    assert json.loads(out.stdout)["ok"] is True
+    assert report["ok"] is True
+    assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
+
+
+@pytest.mark.parametrize(
+    "group, p, t, dim, cocycles, classes",
+    [
+        (cyclic(7), 7, 6, 1, 7**7, 49),
+        (alternating4(), 3, 2, 1, 3**12, 9),
+        (symmetric(4), 2, 1, 1, 2**25, 8),
+        (klein_four(), 2, 1, 2, 2**12, 1024),
+    ],
+    ids=["c7_f7", "a4_f3", "s4_f2", "v4_f2sq"],
+)
+def test_census_walls_classify_at_the_default_budget_within_15s(
+    tmp_path, group, p, t, dim, cocycles, classes
+):
+    # the full-member census refused the first three at the default
+    # budget (its cocycle pairs exceed 60000) and took over a minute on
+    # V4/F2^2, with 526848 shear searches
+    report, elapsed = _classify_in_a_fresh_process(tmp_path, group, p, t, dim)
+    cls = report["tables"]["classification"]
+    assert cls["cocycles"] == cocycles
+    assert cls["classes-by-isomorphism"] == cls["classes-by-cosets"] == classes
+    assert cls["expected-from-cohomology"] == classes
+    assert report["ok"] is True
     assert elapsed < 15, f"time bound: {elapsed:.2f}s >= 15s"
 
 
