@@ -26,9 +26,9 @@ and over F_2 as int bitsets.
 both theories; a theory subclass supplies its cochain spaces and the
 faces of d, d_D, K.  The faces, one form per operator, are the only
 definition of each operator: ``operator_matrix`` scatters them into its
-matrix, which the complex caches, and ``apply_faces`` applies the
-operator to a single cochain through the same matrix, given the
-theory's cochain-space constructor.  The cochain values of both
+matrix, which the complex caches and applies to single cochains too
+(``coboundary``, ``connecting``, and ``delta``, which reads the pair
+differential off d_B).  The cochain values of both
 theories are written once here too: ``Cochain`` (storage, validation,
 arithmetic), ``CochainPair`` (an element of the pair complex) and
 ``CochainSpaceBase`` (coordinates); a theory subclass supplies its tuple
@@ -428,8 +428,8 @@ class CochainSpaceBase:
         self.size = len(tuples) * zero.dim
 
     def to_vector(self, a: Any) -> list[Any]:
-        if a.degree != self.degree:
-            raise self.error(f"degree {a.degree} != space degree {self.degree}")
+        if not self.zero._same_space(a):
+            raise self.error("cochain lives in another space")
         vec = [self.field.zero] * self.size
         for args, value in a.values.items():
             base = self.index[args] * self.dim
@@ -459,8 +459,8 @@ def operator_matrix(dom: CochainSpaceBase, cod: CochainSpaceBase, faces) -> Spar
     dim x dim matrix.  A face outside ``dom.index`` vanishes.  Row
     (args, r) maps basis vector (face, c) of ``dom`` to its coefficient,
     as ``dom`` orders coordinates.  The faces are the one definition of
-    each operator of both theories: the complex caches these matrices,
-    and ``apply_faces`` sends a single cochain through the same matrix.
+    each operator of both theories, and the complex caches these
+    matrices.
     """
     dim, index, zero, add = dom.dim, dom.index, dom.field.zero, dom.field.add
     rows: list[dict] = []
@@ -480,14 +480,6 @@ def operator_matrix(dom: CochainSpaceBase, cod: CochainSpaceBase, faces) -> Spar
                 row[col] = add(row[col], x) if col in row else x
         rows.extend({j: x for j, x in row.items() if x != zero} for row in block)
     return SparseMatrix(dom.field, cod.size, dom.size, rows)
-
-
-def apply_faces(space, a: Cochain, out_degree: int, faces) -> Cochain:
-    """The operator with these faces applied to the cochain a, through
-    its matrix; ``space(a, n)`` is the theory's space of cochains like a
-    in degree n."""
-    dom, cod = space(a, a.degree), space(a, out_degree)
-    return cod.from_vector(operator_matrix(dom, cod, faces).matvec(dom.to_vector(a)))
 
 
 @dataclass
@@ -570,3 +562,27 @@ class DifferenceComplexBase(LESData):
 
     def verify_les(self, max_degree: int) -> list[LESNode]:
         return verify_les(self, max_degree)
+
+    def _apply(self, operator, a: Cochain, out_degree: int) -> Cochain:
+        vec = self.space(a.degree).to_vector(a)
+        return self.space(out_degree).from_vector(operator(a.degree).matvec(vec))
+
+    def coboundary(self, a: Cochain) -> Cochain:
+        """The ordinary coboundary d applied to the cochain a."""
+        return self._apply(self.d_ordinary, a, a.degree + 1)
+
+    def connecting(self, a: Cochain) -> Cochain:
+        """The connecting cochain map K applied to the cochain a."""
+        return self._apply(self.k_matrix, a, a.degree)
+
+    def delta(self, pair: CochainPair) -> CochainPair:
+        """delta(a, b) = (d a, d_D b + K a) off d_B(n): B_n = C_n + A_n,
+        C first and A_n = C_{n-1}, so (a, b) are the pair's coordinates."""
+        n = pair.degree
+        vec = self.space(n).to_vector(pair.alpha)
+        if pair.beta is not None:
+            vec += self.space(n - 1).to_vector(pair.beta)
+        image, cut = self.d_b(n).matvec(vec), self.dim_c(n + 1)
+        return CochainPair(
+            self.space(n + 1).from_vector(image[:cut]), self.space(n).from_vector(image[cut:])
+        )

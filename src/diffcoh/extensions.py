@@ -134,11 +134,15 @@ def canonical_section(ext: AbelianExtension) -> SectionMap:
     )
 
 
-def cocycle_from_section(ext: AbelianExtension, section: SectionMap) -> CochainPair:
-    """Read off the cocycle pair of a section; delta must vanish on it,
-    since the extension's laws hold."""
+def cocycle_from_section(
+    cx: DifferenceComplex, ext: AbelianExtension, section: SectionMap
+) -> CochainPair:
+    """Read off the cocycle pair of a section; delta of ``cx``, the
+    module's complex, must vanish on it, since the extension's laws hold."""
     if section.ext is not ext:
         raise ValueError("section belongs to a different extension")
+    if cx.rep is not ext.rep:
+        raise ValueError("complex belongs to a different module")
     group = ext.base.group
     total = ext.total
     f = ext.rep.field
@@ -169,7 +173,7 @@ def cocycle_from_section(ext: AbelianExtension, section: SectionMap) -> CochainP
     beta = GroupCochain(group, f, ext.rep.dim, 1, beta_values)
 
     pair = CochainPair(alpha, beta)
-    image = delta(ext.rep, pair)
+    image = delta(cx, pair)
     for name, part in (("d alpha", image.alpha), ("d_D beta + K alpha", image.beta)):
         if not part.is_zero():
             raise InternalCheckError(f"section pair has {name} nonzero at {part.items()[0][0]}")
@@ -241,15 +245,15 @@ def are_isomorphic(
 
 def shear_key(ext: AbelianExtension) -> tuple:
     """A key that shears preserve, read off the carrier: for each base
-    element g of order n, the sorted n-th powers of the fiber above g
-    and, where D(g) g = e, the sorted products D(x) x over that fiber.
+    element g of order n, the sorted n-th powers of the fiber above g,
+    and where D(g) g = e, or D(g) = e, the sorted D(x) x, or D(x), over it.
 
-    Both land in V, the fiber above e (indices below nv), which a shear
+    All land in V, the fiber above e (indices below nv), which a shear
     sigma fixes pointwise.  sigma maps each fiber onto itself and is a
     homomorphism commuting with the operators, so sigma(x^n) =
-    sigma(x)^n and sigma(D(x) x) = D(sigma x) sigma x: shear-isomorphic
-    extensions have equal keys, and extensions with different keys are
-    not isomorphic."""
+    sigma(x)^n, sigma(D(x) x) = D(sigma x) sigma x and sigma(D x) =
+    D(sigma x): shear-isomorphic extensions have equal keys, and
+    extensions with different keys are not isomorphic."""
     table, d, nv = ext.total.group.table, ext.total.d, ext.nv
     base = ext.base
     key = []
@@ -261,10 +265,12 @@ def shear_key(ext: AbelianExtension) -> tuple:
             while y >= nv:  # x^k lies in V exactly when n divides k
                 y = table[y][x]
             powers.append(y)
-        plus = None
+        plus = images = None
         if base.d_plus_of(g) == base.group.identity:
             plus = tuple(sorted(table[d[x]][x] for x in fiber))
-        key.append((tuple(sorted(powers)), plus))
+        if base.d_of(g) == base.group.identity:
+            images = tuple(sorted(d[x] for x in fiber))
+        key.append((tuple(sorted(powers)), plus, images))
     return tuple(key)
 
 
@@ -438,7 +444,7 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
     b_rank = rank(d_b1)
 
     for ext in reps:
-        if cocycle_from_section(ext, canonical_section(ext)) != ext.pair:
+        if cocycle_from_section(cx, ext, canonical_section(ext)) != ext.pair:
             raise InternalCheckError("canonical section does not return its cocycle")
 
     h2 = cx.cohomology_dims(2).degrees[2].h_pair

@@ -21,8 +21,8 @@ The faces define each operator once: ``_coboundary_faces`` and
 the faces of the argument cochain with their coefficients.
 ``DifferenceComplex`` scatters them into its matrices
 (``exactness.operator_matrix``), building them only for a matrix it has
-not cached, and ``coboundary``, ``kk`` and ``delta`` apply the same
-matrices to a single cochain (``exactness.apply_faces``).
+not cached; ``coboundary``, ``kk`` and ``delta`` take the complex and
+apply its cached matrices to a single cochain.
 
 ``GroupCochain`` adds to ``exactness.Cochain`` only what is particular
 to groups: identity-free tuples, ``CochainError`` and ``value_at``.
@@ -43,7 +43,6 @@ from .exactness import (  # noqa: F401
     CochainPair,
     CochainSpaceBase,
     DifferenceComplexBase,
-    apply_faces,
 )
 from .groups import DifferenceRep, FiniteGroup
 from .linalg import Matrix, SparseMatrix
@@ -159,33 +158,6 @@ def _connecting_faces(rep: DifferenceRep, n: int):
     return faces
 
 
-def _space(a: GroupCochain, degree: int) -> CochainSpace:
-    return CochainSpace(a.group, a.field, a.dim, degree)
-
-
-def coboundary(theta: Sequence[Matrix], a: GroupCochain) -> GroupCochain:
-    """The twisted coboundary d^Theta, raising degree by one."""
-    return apply_faces(_space, a, a.degree + 1, _coboundary_faces(a.group, theta))
-
-
-def kk(rep: DifferenceRep, a: GroupCochain) -> GroupCochain:
-    """The connecting cochain map K; it anticommutes with the twisted
-    coboundaries and induces the connecting homomorphism."""
-    return apply_faces(_space, a, a.degree, _connecting_faces(rep, a.degree))
-
-
-def delta(rep: DifferenceRep, pair: CochainPair) -> CochainPair:
-    """Differential of the pair complex:
-    delta(a, b) = (d^Theta a, d^{Theta_D} b + K a)."""
-    from .groups import induced_rep_theta_d
-
-    alpha = coboundary(rep.theta, pair.alpha)
-    beta = kk(rep, pair.alpha)
-    if pair.beta is not None:
-        beta = beta + coboundary(induced_rep_theta_d(rep), pair.beta)
-    return CochainPair(alpha, beta)
-
-
 class DifferenceComplex(DifferenceComplexBase):
     """Matrix-level view of the three complexes attached to (G, D, V, T).
 
@@ -216,3 +188,18 @@ class DifferenceComplex(DifferenceComplexBase):
 
     def k_matrix(self, n: int) -> SparseMatrix:
         return self._operator_matrix("K", n, n, _connecting_faces, self.rep, n)
+
+
+def coboundary(cx: DifferenceComplex, a: GroupCochain) -> GroupCochain:
+    """The twisted coboundary d^Theta of ``cx``, raising degree by one."""
+    return cx.coboundary(a)
+
+
+def kk(cx: DifferenceComplex, a: GroupCochain) -> GroupCochain:
+    """The connecting cochain map K of ``cx``."""
+    return cx.connecting(a)
+
+
+def delta(cx: DifferenceComplex, pair: CochainPair) -> CochainPair:
+    """delta(a, b) = (d^Theta a, d^{Theta_D} b + K a) of ``cx``."""
+    return cx.delta(pair)

@@ -30,8 +30,8 @@ The faces define each operator once: ``_ce_faces`` and
 the faces of an increasing tuple sorted with their permutation signs (a
 repeated index vanishes).  ``LieDifferenceComplex`` scatters them into
 its matrices (``exactness.operator_matrix``), building them only for a
-matrix it has not cached, and ``ce_coboundary`` and ``k_map`` apply the
-same matrices to a single cochain (``exactness.apply_faces``).  K stays
+matrix it has not cached; ``ce_coboundary`` and ``k_map`` take the
+complex and apply its cached matrices to a single cochain.  K stays
 checked at run time by the square of the total differential, whose
 off-diagonal block is K d + d_D K (``exactness.cohomology_dims`` and
 ``exactness.verify_les``).
@@ -49,7 +49,6 @@ from .exactness import (
     CochainSpaceBase,
     DifferenceComplexBase,
     InternalCheckError,
-    apply_faces,
 )
 from .groups import ValidationError, ValidationReport
 from .linalg import Matrix, SparseMatrix, rref
@@ -370,25 +369,6 @@ def _connecting_faces(rep: LieRep, n: int):
     return faces
 
 
-def _space(z: LieCochain, degree: int) -> LieCochainSpace:
-    return LieCochainSpace(z.lie, z.dim, degree)
-
-
-def ce_coboundary(theta: Sequence[Matrix], z: LieCochain) -> LieCochain:
-    """The Chevalley-Eilenberg coboundary twisted by a representation
-    given on basis elements.  Degrees above dim(g) are zero spaces, so
-    the result is then the zero cochain."""
-    return apply_faces(_space, z, z.degree + 1, _ce_faces(z.lie, theta))
-
-
-def k_map(rep: LieRep, z: LieCochain) -> LieCochain:
-    """The connecting cochain map on the Lie side, applied to z through
-    the matrix scattered from its closed-form faces."""
-    if z.dim != rep.dimv:
-        raise LieError(f"cochain has values in dimension {z.dim}, rep in {rep.dimv}")
-    return apply_faces(_space, z, z.degree, _connecting_faces(rep, z.degree))
-
-
 class LieDifferenceComplex(DifferenceComplexBase):
     """Matrix-level view of the three complexes attached to (g, D, V, T),
     scattered from the faces of d, d_D and K.
@@ -414,6 +394,16 @@ class LieDifferenceComplex(DifferenceComplexBase):
 
     def k_matrix(self, n: int) -> SparseMatrix:
         return self._operator_matrix("K", n, n, _connecting_faces, self.rep, n)
+
+
+def ce_coboundary(cx: LieDifferenceComplex, z: LieCochain) -> LieCochain:
+    """The Chevalley-Eilenberg coboundary of ``cx``; zero above dim g."""
+    return cx.coboundary(z)
+
+
+def k_map(cx: LieDifferenceComplex, z: LieCochain) -> LieCochain:
+    """The connecting cochain map K of ``cx`` on the Lie side."""
+    return cx.connecting(z)
 
 
 class MatrixLieAlgebra(LieAlgebra):

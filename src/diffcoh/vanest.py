@@ -17,8 +17,9 @@ duration of the call: a subtree reading fewer inputs than the program
 (inverse(x_j), tr(x_j) - k, a constant, in degree 3 a two-input term)
 is evaluated once per assignment of the arguments it reads, not once
 per tuple and permutation.  The cochain-map verification computes each
-VE image and each Lie-side image once and assembles the
-pair-differential check from them by linearity of VE.
+VE image once, takes every Lie-side image from one
+``LieDifferenceComplex`` and assembles the pair-differential check by
+linearity of VE.
 
 Program preconditions (the group-level identities) hold on sampled
 invertible matrices with a fixed seed; everything after sampling is an
@@ -35,12 +36,12 @@ from typing import Any, Sequence
 
 from .lie import (
     LieCochain,
+    LieDifferenceComplex,
     LieDifferenceOp,
     LieRep,
     MatrixLieAlgebra,
     ce_coboundary,
     k_map,
-    theta_d_matrices,
 )
 from .exactness import CochainPair
 from .linalg import Matrix, det, jet_part
@@ -472,12 +473,14 @@ def verify_van_est_cochain_map(
     (c) VE(pk a) = 0                           [degrees 1 and 2]
     (d) VE(delta(a, b)) = delta_theta(VE a, VE b), componentwise.
 
-    Each VE image and each Lie-side image is computed once.  (d) is
-    assembled from them: its first component is (a), and by linearity of
-    VE its second compares VE(hk a) + VE(pk a) + VE(d_D b) with
-    K(VE a) + d^{theta_D} VE(b).
+    Each VE image is computed once, and every Lie-side image comes
+    from one ``LieDifferenceComplex``.  (d) is assembled from them: its
+    first component is (a), and by linearity of VE its second compares
+    VE(hk a) + VE(pk a) + VE(d_D b) with the second component of
+    delta_theta(VE a, VE b), read off the complex's d_B.
     """
     report = VanEstReport(degree=degree)
+    cx = LieDifferenceComplex(lierep)
 
     def ve(prog: Node, n: int, check_normalized: bool = False) -> LieCochain:
         return van_est(diff, prog, n, vshape, seed=seed, check_normalized=check_normalized)
@@ -488,7 +491,7 @@ def verify_van_est_cochain_map(
     detail_first = f"first component skipped above the jet cap {VE_DEGREE_CAP}; "
     if degree + 1 <= VE_DEGREE_CAP:
         ve_d_alpha = ve(coboundary_program(theta_prog, alpha_prog, degree), degree + 1)
-        lie_d_alpha = ce_coboundary(lierep.theta, ve_alpha)
+        lie_d_alpha = ce_coboundary(cx, ve_alpha)
         ok_first = ve_d_alpha == lie_d_alpha
         detail_first = "" if ok_first else _mismatch_witness(ve_d_alpha, lie_d_alpha)
         report.add(
@@ -504,12 +507,12 @@ def verify_van_est_cochain_map(
         )
 
     group_second = ve(hk_program(dprog, t, alpha_prog, degree), degree)
-    lie_second = k_map(lierep, ve_alpha)
-    ok = group_second == lie_second
+    lie_k = k_map(cx, ve_alpha)
+    ok = group_second == lie_k
     report.add(
         "hk-differentiates-to-K",
         ok,
-        "VE(hk a) = K(VE a)" if ok else _mismatch_witness(group_second, lie_second),
+        "VE(hk a) = K(VE a)" if ok else _mismatch_witness(group_second, lie_k),
     )
 
     if degree <= 2:
@@ -527,14 +530,10 @@ def verify_van_est_cochain_map(
         if degree < 2:
             raise ValueError("a second component needs degree >= 2")
         ve_beta = ve(beta_prog, degree - 1, check_normalized=True)
-    # the pair checks its shape: from degree 2 on it needs a second component
-    pair = CochainPair(ve_alpha, ve_beta)
-    if pair.beta is not None:
-        lie_second = lie_second + ce_coboundary(theta_d_matrices(lierep), pair.beta)
-        dd_beta = coboundary_program(
-            theta_d_action(dprog, theta_prog), beta_prog, degree - 1
-        )
+        dd_beta = coboundary_program(theta_d_action(dprog, theta_prog), beta_prog, degree - 1)
         group_second = group_second + ve(dd_beta, degree)
+    # the pair checks its shape: from degree 2 on it needs a second component
+    lie_second = cx.delta(CochainPair(ve_alpha, ve_beta)).beta
     ok_second = group_second == lie_second
     ok = ok_first and ok_second
     report.add(

@@ -187,9 +187,9 @@ def law_checks_match_their_oracles():
     there.  Every extension census of at most ``DEFAULT_BUDGET`` cocycles
     is compared with the full-member census kept there: the same
     representatives in the same order, and classes of p^len(boundaries)
-    members.  Every matrix of the Lie K, in a complex or applied by
-    ``lie.k_map``, is compared row by row with the one scattered from
-    the subset expansion kept there."""
+    members.  Every matrix of the Lie K that a complex scatters, for
+    ``lie.k_map`` too, is compared row by row with the one scattered
+    from the subset expansion kept there."""
     patches = [
         (FiniteGroup, "check", _compared(FiniteGroup.check, oracles.group_table_report)),
         (groups, "check_difference_operator",

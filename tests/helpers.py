@@ -110,11 +110,11 @@ def connecting_class(cx, a):
     """Apply the connecting map of the complex ``cx`` to an ordinary
     cocycle and decide whether the resulting difference-complex class
     vanishes."""
-    da = coboundary(cx.rep.theta, a)
+    da = coboundary(cx, a)
     if not da.is_zero():
         witness = next(args for args, _ in da.items())
         raise NotACocycleError(witness, "ordinary coboundary is nonzero")
-    image = kk(cx.rep, a)
+    image = kk(cx, a)
     n = a.degree
     if n == 1:
         # the difference complex is zero in degree 1: no coboundaries

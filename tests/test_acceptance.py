@@ -319,7 +319,7 @@ def test_criterion_05_lie_side():
             for degree in (1, 2):
                 for tup in itertools.combinations(range(rep.lie.dim), degree):
                     z = LieCochain(rep.lie, 1, degree, {tup: (Fraction(1),)})
-                    k_map(rep, z)
+                    k_map(cx, z)
 
     _run(5, "Lie complex, LES, and dual-form connecting map", 5, body)
 
@@ -410,7 +410,7 @@ def test_criterion_08_extension_classification():
             GroupCochain(rep.dg.group, F3, 1, 1, {(2,): (1,)}),
         )
         ext = AbelianExtension(rep, pair)
-        back = cocycle_from_section(ext, canonical_section(ext))
+        back = cocycle_from_section(DifferenceComplex(rep), ext, canonical_section(ext))
         assert back.alpha == pair.alpha and back.beta == pair.beta
 
     _run(8, "extension classes counted two ways", 60, body)

@@ -275,11 +275,13 @@ def test_classify_budget_verdict_counts_coset_representatives(capsys):
     assert "classes-by-isomorphism: 9\n" in out
 
 
-def test_classify_budget_verdict_counts_candidate_shears(tmp_path, capsys):
+def test_classify_budget_verdict_counts_candidate_shears(tmp_path, capsys, monkeypatch):
     # C2 with D = e swapping the coordinates of F_3^2, T = 0: every cochain
-    # space has 2 basis elements and the census 3 representatives, which
-    # share a key, so 3 searches; but a shear is free on the generator,
-    # so each search has 3^2 candidates
+    # space has 2 basis elements and the census 3 representatives, whose
+    # keys differ, so no search runs and a budget of 5 passes; under one
+    # key, which shears trivially preserve, they are searched pairwise,
+    # and a shear is free on the generator, so each search has 3^2
+    # candidates
     data = {
         "group": {"order": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
         "difference": [0, 0],
@@ -293,6 +295,10 @@ def test_classify_budget_verdict_counts_candidate_shears(tmp_path, capsys):
     path = tmp_path / "c2_swap.json"
     path.write_text(json.dumps(data))
     args = ["classify", str(path), "--mode", "semidirect-ops"]
+    code, out, _ = run(args + ["--budget", "5"], capsys)
+    assert code == 0
+    assert "count-by-census: 3\n" in out
+    monkeypatch.setattr(extensions, "shear_key", lambda ext: ())
     code, out, _ = run(args + ["--budget", "5"], capsys)
     assert code == 1
     assert (
@@ -552,9 +558,9 @@ def test_failing_section_round_trip_exits_three(monkeypatch, capsys):
 
     real_delta = extensions.delta
 
-    def broken(rep, pair):
-        image = real_delta(rep, pair)
-        bump = GroupCochain(rep.dg.group, rep.field, rep.dim, 3, {(1, 1, 1): (1,)})
+    def broken(cx, pair):
+        image = real_delta(cx, pair)
+        bump = GroupCochain(cx.group, cx.field, cx.dim, 3, {(1, 1, 1): (1,)})
         return CochainPair(image.alpha + bump, image.beta)
 
     monkeypatch.setattr(extensions, "delta", broken)

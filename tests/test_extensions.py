@@ -167,7 +167,7 @@ def test_canonical_section_recovers_the_defining_pair():
     rep = z3_rep()
     pair = carry_pair(rep)
     ext = AbelianExtension(rep, pair)
-    back = cocycle_from_section(ext, canonical_section(ext))
+    back = cocycle_from_section(DifferenceComplex(rep), ext, canonical_section(ext))
     assert back.alpha == pair.alpha
     assert back.beta == pair.beta
 
@@ -179,6 +179,7 @@ def test_every_section_shifts_the_pair_by_a_coboundary():
     sections = all_sections(ext)
     assert len(sections) == 9
     group = rep.dg.group
+    cx = DifferenceComplex(rep)
     for section in sections:
         offsets = {
             (g,): ext.split(section(g))[1]
@@ -186,8 +187,8 @@ def test_every_section_shifts_the_pair_by_a_coboundary():
             if g != group.identity
         }
         eta = GroupCochain(group, F3, 1, 1, offsets)
-        shift = delta(rep, CochainPair(eta, None))
-        got = cocycle_from_section(ext, section)
+        shift = delta(cx, CochainPair(eta, None))
+        got = cocycle_from_section(cx, ext, section)
         assert got.alpha == pair.alpha + shift.alpha
         assert got.beta == pair.beta + shift.beta
 
@@ -209,8 +210,11 @@ def test_section_validation():
     with pytest.raises(ValueError):
         SectionMap(ext, [1, 3, 6])  # identity must lift to the identity
     other = AbelianExtension(rep, carry_pair(rep))
-    with pytest.raises(ValueError):
-        cocycle_from_section(ext, canonical_section(other))
+    cx = DifferenceComplex(rep)
+    with pytest.raises(ValueError, match="different extension"):
+        cocycle_from_section(cx, ext, canonical_section(other))
+    with pytest.raises(ValueError, match="different module"):
+        cocycle_from_section(DifferenceComplex(z3_rep(1)), ext, canonical_section(ext))
 
 
 def test_shear_isomorphism_found_for_cohomologous_pairs():
@@ -218,7 +222,7 @@ def test_shear_isomorphism_found_for_cohomologous_pairs():
     pair = carry_pair(rep)
     group = rep.dg.group
     eta = GroupCochain(group, F3, 1, 1, {(1,): (1,), (2,): (2,)})
-    shift = delta(rep, CochainPair(eta, None))
+    shift = delta(DifferenceComplex(rep), CochainPair(eta, None))
     shifted = CochainPair(pair.alpha + shift.alpha, pair.beta + shift.beta)
     e1 = AbelianExtension(rep, pair)
     e2 = AbelianExtension(rep, shifted)
@@ -331,22 +335,32 @@ def test_census_budget_error_counts_representatives_not_a_space():
     assert str(exc.value) == "extension census needs 9 coset representatives, budget is 8"
 
 
-def test_census_budget_counts_the_searches_between_representatives_that_share_a_key():
-    # the sign representation of S3 with T = 0 has 27 classes, whose keys
-    # leave 108 pairs to search; its cochain spaces need a budget of 125,
-    # so the census alone gets the smaller one
+def one_key(ext):
+    """A constant census key: shears preserve it trivially, and every
+    pair of representatives shares it, so the census searches them all."""
+    return ()
+
+
+def test_census_budget_counts_the_searches_between_representatives_that_share_a_key(
+    monkeypatch,
+):
+    # the sign representation of S3 with T = 0 has 27 classes, whose
+    # keys differ; under one key all 351 pairs are left to search.  Its
+    # cochain spaces need a budget of 125, so the census alone gets the
+    # smaller one
+    monkeypatch.setattr(extensions, "shear_key", one_key)
     cx = DifferenceComplex(_s3_sign_rep(0))
     d_b1 = cx.d_b(1)
     space = exactness.cohomology_space(F3, cx.d_b(2), d_b1)
     pivots = extensions._pivot_columns(d_b1, space.boundaries)
     units = [[int(i == j) for i in range(d_b1.ncols)] for j in pivots]
     theory = GroupExtensionTheory(cx)
-    for budget in (100, 107):
+    for budget in (100, 350):
         theory.budget = budget
         with pytest.raises(BudgetExceededError) as exc:
             extensions.census(space, units, theory)
-        assert str(exc.value) == f"extension census needs 108 shear searches, budget is {budget}"
-    theory.budget = 108
+        assert str(exc.value) == f"extension census needs 351 shear searches, budget is {budget}"
+    theory.budget = 351
     assert len(extensions.census(space, units, theory)) == 27
 
 
@@ -394,14 +408,15 @@ def test_census_insists_the_isomorphism_classes_are_the_cosets(monkeypatch):
 
 def test_census_insists_the_cosets_are_pairwise_non_isomorphic(monkeypatch):
     # a search that always finds a shear merges the first two cosets that
-    # share a key; on the swap representation all 3 classes do, in both
-    # modes
+    # share a key; under one key all 3 classes of the swap representation
+    # do, in both modes
     import diffcoh.extensions as extensions
     from diffcoh.exactness import InternalCheckError
 
     def always_a_shear(e1, e2, budget, eta=None):
         return zero_cochain(e1.base.group, e1.rep.field, e1.rep.dim, 1)
 
+    monkeypatch.setattr(extensions, "shear_key", one_key)
     monkeypatch.setattr(extensions, "are_isomorphic", always_a_shear)
     with pytest.raises(InternalCheckError, match="non-cohomologous"):
         classify_extensions(_swap_rep())
@@ -410,17 +425,21 @@ def test_census_insists_the_cosets_are_pairwise_non_isomorphic(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rep, counts",
+    "rep, key, counts",
     [
         # 64 cocycle pairs, 32 classes with pairwise different keys, 1 boundary
-        (_trivial_rep(klein_four(), F2, 1), (64, 32, {("check", True): 1})),
-        # 729 pairs, 27 classes, 3 boundaries; the keys leave 108 pairs
-        (_s3_sign_rep(0), (729, 27, {("check", True): 3, ("search", False): 108})),
+        (_trivial_rep(klein_four(), F2, 1), shear_key, (64, 32, {("check", True): 1})),
+        # 729 pairs, 27 classes with pairwise different keys, 3 boundaries
+        (_s3_sign_rep(0), shear_key, (729, 27, {("check", True): 3})),
+        # the same under one key, which leaves all 351 pairs
+        (_s3_sign_rep(0), one_key, (729, 27, {("check", True): 3, ("search", False): 351})),
+        # 9 pairs, 3 classes with pairwise different keys, 1 boundary
+        (_swap_rep(), shear_key, (9, 3, {("check", True): 1})),
     ],
-    ids=["v4_f2", "s3_sign_t0"],
+    ids=["v4_f2", "s3_sign_t0", "s3_sign_t0_one_key", "c2_swap_f3sq"],
 )
 def test_census_checks_each_boundary_once_and_searches_only_same_key_pairs(
-    monkeypatch, rep, counts
+    monkeypatch, rep, key, counts
 ):
     # the full-member census made (members - classes) + classes (classes - 1) / 2
     # searches, 528 on v4_f2; now each boundary is one check of a given
@@ -429,6 +448,7 @@ def test_census_checks_each_boundary_once_and_searches_only_same_key_pairs(
     # which succeeds
     import diffcoh.extensions as extensions
 
+    monkeypatch.setattr(extensions, "shear_key", key)
     calls = Counter()
 
     def counted(e1, e2, budget, eta=None):
@@ -444,12 +464,13 @@ def test_census_checks_each_boundary_once_and_searches_only_same_key_pairs(
 @pytest.mark.parametrize("corrupted", ["shear", "preimage", "key", "search"])
 def test_census_fails_when_one_of_its_checks_is_corrupted(monkeypatch, corrupted):
     # the swap representation has 3 classes of 3 pairs: 1 boundary, and
-    # keys that leave all 3 pairs of representatives to search, so each
-    # check runs; corrupting any one of them must raise, and the
+    # under one key all 3 pairs of representatives are left to search, so
+    # each check runs; corrupting any one of them must raise, and the
     # uncorrupted census passes
     import diffcoh.extensions as extensions
     from diffcoh.exactness import InternalCheckError
 
+    monkeypatch.setattr(extensions, "shear_key", one_key)
     assert classify_extensions(_swap_rep()).consistent
     real_census, real_search = extensions.census, extensions.are_isomorphic
 
@@ -569,7 +590,7 @@ def test_census_classes_are_the_cosets_by_dense_solves(monkeypatch, classify, re
 )
 def test_carrier_laws_decide_the_cocycle_conditions(rep):
     # seeded cocycles, and cocycles with alpha or beta perturbed at random:
-    # the extension is rejected exactly when delta(rep, pair) is nonzero,
+    # the extension is rejected exactly when delta(cx, pair) is nonzero,
     # with the first tuple of its first nonzero component as witness
     cx = DifferenceComplex(rep)
     z_basis = kernel_basis(cx.d_b(2))
@@ -593,7 +614,7 @@ def test_carrier_laws_decide_the_cocycle_conditions(rep):
             pair = CochainPair(
                 c2.from_vector(pert[: c2.size]), c1.from_vector(pert[c2.size :])
             )
-            image = delta(rep, pair)
+            image = delta(cx, pair)
             parts = (image.alpha, image.beta)
             failing = [i for i, part in enumerate(parts) if not part.is_zero()]
             if not failing:
@@ -729,6 +750,39 @@ def test_classification_assembles_each_total_differential_once(monkeypatch):
     counts = Counter(assembled)
     assert counts[1] == counts[2] == 1
     assert max(counts.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "rep, matrices",
+    [(_trivial_rep(alternating4(), F3, 2), 5), (_trivial_rep(symmetric(4), F2, 1), 5)],
+    ids=["a4_f3", "s4_f2"],
+)
+def test_classification_scatters_each_operator_matrix_once(monkeypatch, rep, matrices):
+    # every scatter runs on a miss of a complex's matrix cache, once per
+    # (operator, degree): d_B(1) and d_B(2) need d(1), d(2), K(1), K(2)
+    # and d_D(1), and every section round trip reads the cached d_B(2)
+    scattered, open_keys = [], [None]
+    real_scatter = exactness.operator_matrix
+    real_cached = exactness.DifferenceComplexBase._operator_matrix
+
+    def cached(self, key, n, *args):
+        open_keys.append((key, n))
+        try:
+            return real_cached(self, key, n, *args)
+        finally:
+            open_keys.pop()
+
+    def scatter(dom, cod, faces):
+        scattered.append(open_keys[-1])
+        return real_scatter(dom, cod, faces)
+
+    monkeypatch.setattr(exactness, "operator_matrix", scatter)
+    monkeypatch.setattr(exactness.DifferenceComplexBase, "_operator_matrix", cached)
+    assert classify_extensions(rep).consistent
+    assert sorted(Counter(scattered).items()) == [
+        (("K", 1), 1), (("K", 2), 1), (("d", 1), 1), (("d", 2), 1), (("dD", 1), 1)
+    ]
+    assert len(scattered) == matrices
 
 
 def test_pair_must_live_over_the_module():

@@ -29,7 +29,7 @@ from diffcoh.linalg import Matrix
 from diffcoh.scalars import PrimeField
 
 from helpers import connecting_class, verify_delta_squared, zero_cochain
-from oracles import hk, pk
+from oracles import coboundary as pointwise_coboundary, hk, pk
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -102,7 +102,7 @@ def test_cochain_arithmetic():
 def test_coboundary_worked_example():
     rep = z3_rep()
     eta = cochain(rep, 1, {(1,): 1})
-    d_eta = coboundary(rep.theta, eta)
+    d_eta = coboundary(DifferenceComplex(rep), eta)
     # trivial action: (d eta)(g, h) = eta(g) - eta(gh) + eta(h)
     assert d_eta.value_at((1, 1)) == (2,)
     assert d_eta.value_at((1, 2)) == (1,)
@@ -112,9 +112,10 @@ def test_coboundary_worked_example():
 
 def test_coboundary_squares_to_zero_pointwise():
     rep = z3_rep()
+    cx = DifferenceComplex(rep)
     for support in itertools.product(range(3), repeat=2):
         eta = cochain(rep, 1, {(1,): support[0], (2,): support[1]})
-        dd = coboundary(rep.theta, coboundary(rep.theta, eta))
+        dd = coboundary(cx, coboundary(cx, eta))
         assert dd.is_zero()
 
 
@@ -145,16 +146,35 @@ def test_hk_worked_example_with_identity_endomorphism():
     # hk(eta)(g) = -(eta(g^2) - T eta(g) - eta(g)) = eta(g) over F_2
     image = hk(rep, eta)
     assert image.value_at((1,)) == (1,)
-    assert kk(rep, eta) == pk(rep, eta) + hk(rep, eta)
+    assert kk(DifferenceComplex(rep), eta) == pk(rep, eta) + hk(rep, eta)
 
 
 def test_delta_in_degree_one_is_the_pair_of_maps():
     rep = z3_rep()
+    cx = DifferenceComplex(rep)
     alpha = cochain(rep, 1, {(1,): 1, (2,): 1})
-    out = delta(rep, CochainPair(alpha, None))
-    assert out.alpha == coboundary(rep.theta, alpha)
-    assert out.beta == kk(rep, alpha)
+    out = delta(cx, CochainPair(alpha, None))
+    assert out.alpha == coboundary(cx, alpha)
+    assert out.beta == kk(cx, alpha)
     assert out.degree == 2
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [coboundary, kk, lambda cx, a: delta(cx, CochainPair(a, None))],
+    ids=["coboundary", "kk", "delta"],
+)
+def test_operators_reject_a_cochain_over_other_data(apply):
+    # another group object of the same order, another field, another
+    # value dimension
+    cx = DifferenceComplex(z3_rep())
+    for other in (
+        GroupCochain(cyclic(3), F3, 1, 1, {(1,): (1,)}),
+        GroupCochain(cx.group, F2, 1, 1, {(1,): (1,)}),
+        GroupCochain(cx.group, F3, 2, 1, {(1,): (1, 0)}),
+    ):
+        with pytest.raises(CochainError, match="another space"):
+            apply(cx, other)
 
 
 def test_pair_component_degrees_are_enforced():
@@ -170,6 +190,7 @@ def test_pair_component_degrees_are_enforced():
 def test_delta_squared_is_zero_on_every_pair_basis_element():
     for rep in (z3_rep(), z2_rep()):
         group = rep.dg.group
+        cx = DifferenceComplex(rep)
         for degree in (1, 2):
             c_n = CochainSpace(group, rep.field, 1, degree)
             zero_b = (
@@ -187,7 +208,7 @@ def test_delta_squared_is_zero_on_every_pair_basis_element():
                     for k in range(c_prev.size)
                 ]
             for pair in pairs:
-                twice = delta(rep, delta(rep, pair))
+                twice = delta(cx, delta(cx, pair))
                 assert twice.alpha.is_zero()
                 assert twice.beta.is_zero()
 
@@ -230,11 +251,11 @@ def oracle_dims(rep, theta):
     """(dim H^1, dim H^2) for the coboundary twisted by ``theta``, found
     by counting cocycles and coboundaries one cochain at a time."""
     p = rep.field.p
-    z1 = sum(1 for a in enumerate_cochains(rep, 1) if coboundary(theta, a).is_zero())
-    z2 = sum(1 for a in enumerate_cochains(rep, 2) if coboundary(theta, a).is_zero())
+    z1 = sum(1 for a in enumerate_cochains(rep, 1) if pointwise_coboundary(theta, a).is_zero())
+    z2 = sum(1 for a in enumerate_cochains(rep, 2) if pointwise_coboundary(theta, a).is_zero())
     b2 = len(
         {
-            tuple(sorted(coboundary(theta, a).items()))
+            tuple(sorted(pointwise_coboundary(theta, a).items()))
             for a in enumerate_cochains(rep, 1)
         }
     )
@@ -277,18 +298,18 @@ def test_connecting_class_zero_with_preimage():
     rep = z3_rep()
     cx = DifferenceComplex(rep)
     cls = connecting_class(cx, carry_cocycle(rep))
-    assert cls.cochain == kk(rep, carry_cocycle(rep))
+    assert cls.cochain == kk(cx, carry_cocycle(rep))
     assert cls.is_zero_class
-    from diffcoh.groups import induced_rep_theta_d
-
-    assert coboundary(induced_rep_theta_d(rep), cls.preimage) == cls.cochain
+    # d_D of the preimage is the second component of delta(0, preimage)
+    zero = zero_cochain(rep.dg.group, F3, 1, 2)
+    assert delta(cx, CochainPair(zero, cls.preimage)).beta == cls.cochain
 
 
 def test_connecting_class_nonzero_in_degree_one():
     rep = z2_rep()
     cx = DifferenceComplex(rep)
     hom = cochain(rep, 1, {(1,): 1})
-    assert coboundary(rep.theta, hom).is_zero()
+    assert coboundary(cx, hom).is_zero()
     cls = connecting_class(cx, hom)
     assert not cls.is_zero_class
     assert cls.preimage is None

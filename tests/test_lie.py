@@ -233,30 +233,31 @@ def test_ce_coboundary_worked_example():
     lie = solvable2()
     dop = LieDifferenceOp(lie, -Matrix.identity(Q, 2))
     rep = trivial_rep(dop)
+    cx = LieDifferenceComplex(rep)
     z = LieCochain(lie, 1, 1, {(1,): (Fraction(1),)})
-    dz = ce_coboundary(rep.theta, z)
+    dz = ce_coboundary(cx, z)
     # trivial action: (d z)(x, y) = -z([x, y]); [e0, e1] = e1
     assert dz.value_at_basis((0, 1)) == (Fraction(-1),)
-    top = ce_coboundary(rep.theta, dz)
+    top = ce_coboundary(cx, dz)
     assert top.is_zero()  # degree 3 on a 2-dimensional algebra
 
 
 def test_k_map_closed_form_on_solvable():
     lie = solvable2()
     dop = LieDifferenceOp(lie, -Matrix.identity(Q, 2))
-    rep = trivial_rep(dop)
+    cx = LieDifferenceComplex(trivial_rep(dop))
     # D_+ = 0 and T = 0, so K(z) = (-1)^n (z(0,..) - z) = -(-1)^n z
     for degree, sign in ((1, 1), (2, -1)):
         space_tuples = list(itertools.combinations(range(2), degree))
         for tup in space_tuples:
             z = LieCochain(lie, 1, degree, {tup: (Fraction(1),)})
-            assert k_map(rep, z) == z.scale(Fraction(sign))
+            assert k_map(cx, z) == z.scale(Fraction(sign))
 
 
 def test_k_map_frozen_value_on_gl2_trace():
     _, _, rep = gl2_with_trace_data()
     tr = LieCochain(rep.lie, 1, 1, {(0,): (Fraction(1),), (3,): (Fraction(1),)})
-    image = k_map(rep, tr)
+    image = k_map(LieDifferenceComplex(rep), tr)
     assert image == tr.scale(Fraction(-2))
 
 
@@ -266,10 +267,31 @@ def test_k_map_runs_both_forms_on_full_bases():
     # kept in oracles, so a clean pass over entire bases in degrees 1
     # and 2 is the dual-route check
     lie, dop, rep = gl2_with_trace_data()
+    cx = LieDifferenceComplex(rep)
     for degree in (1, 2):
         for tup in itertools.combinations(range(lie.dim), degree):
             z = LieCochain(lie, 1, degree, {tup: (Fraction(1),)})
-            k_map(rep, z)  # InternalCheckError would fail the test
+            k_map(cx, z)  # InternalCheckError would fail the test
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [ce_coboundary, k_map, lambda cx, z: cx.delta(CochainPair(z, None))],
+    ids=["ce_coboundary", "k_map", "delta"],
+)
+def test_operators_reject_a_cochain_over_other_data(apply):
+    # another algebra object with the same brackets, another field,
+    # another value dimension
+    lie = solvable2()
+    cx = LieDifferenceComplex(trivial_rep(LieDifferenceOp(lie, -Matrix.identity(Q, 2))))
+    f3 = PrimeField(3)
+    for other in (
+        LieCochain(solvable2(), 1, 1, {(1,): (Fraction(1),)}),
+        LieCochain(LieAlgebra(f3, 2, {(0, 1): (0, 1)}), 1, 1, {(1,): (1,)}),
+        LieCochain(lie, 2, 1, {(1,): (Fraction(1), Fraction(0))}),
+    ):
+        with pytest.raises(LieError, match="another space"):
+            apply(cx, other)
 
 
 def test_delta_theta_pair_shapes():
@@ -277,10 +299,12 @@ def test_delta_theta_pair_shapes():
     dop = LieDifferenceOp(lie, -Matrix.identity(Q, 2))
     rep = trivial_rep(dop)
     z = LieCochain(lie, 1, 1, {(0,): (Fraction(1),)})
+    cx = LieDifferenceComplex(rep)
     out = delta_theta(rep, CochainPair(z, None))
     assert out.degree == 2
-    assert out.alpha == ce_coboundary(rep.theta, z)
-    assert out.beta == k_map(rep, z)
+    assert out.alpha == ce_coboundary(cx, z)
+    assert out.beta == k_map(cx, z)
+    assert cx.delta(CochainPair(z, None)) == out
     with pytest.raises(LieError):
         CochainPair(z, z)
 

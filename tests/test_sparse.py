@@ -25,16 +25,14 @@ from diffcoh.exactness import (
     cohomology_space,
 )
 from diffcoh.fixtures import GroupFixture, LieFixture, load_fixture
-from diffcoh.group_cohomology import CochainPair, CochainSpace, DifferenceComplex
-from diffcoh.groups import DifferenceGroup, DifferenceRep, induced_rep_theta_d
+from diffcoh.group_cohomology import CochainPair, DifferenceComplex
+from diffcoh.groups import DifferenceGroup, DifferenceRep
 from diffcoh.lie import (
     LieAlgebra,
     LieCochain,
-    LieCochainSpace,
     LieDifferenceComplex,
     LieDifferenceOp,
     LieRep,
-    theta_d_matrices,
 )
 from diffcoh.linalg import (
     LinAlgError,
@@ -53,6 +51,7 @@ from oracles import (
     ce_coboundary,
     coboundary,
     delta,
+    delta_theta,
     dense_column_space_basis,
     dense_echelon,
     dense_kernel_basis,
@@ -434,7 +433,7 @@ def test_k_oracle_flags_a_corrupted_k():
         LieDifferenceComplex(rep).k_matrix(1)
     z = LieCochain(rep.lie, rep.dimv, 1, {(0,): (Q.one,) * rep.dimv})
     with pytest.raises(AssertionError, match=r"K in degree 1 differs from its subset expansion"):
-        lie_module.k_map(rep, z)
+        lie_module.k_map(LieDifferenceComplex(rep), z)
 
 
 def test_a_corrupted_k_breaks_the_square_of_the_total_differential(monkeypatch):
@@ -458,39 +457,58 @@ def _random_cochain(data, space):
     )
 
 
+def _random_nonzero_cochain(data, space):
+    """A cochain of ``space`` like ``_random_cochain``, with a one at a
+    drawn coordinate unless the space is zero (the trivial group's)."""
+    vec = space.to_vector(_random_cochain(data, space))
+    if vec:
+        vec[data.draw(st.integers(0, space.size - 1))] = space.field.one
+    return space.from_vector(vec)
+
+
 @pytest.mark.parametrize("rep,max_degree", ASSEMBLY_CASES)
 @settings(max_examples=6)
 @given(data=st.data())
 def test_group_entry_points_match_their_oracles(rep, max_degree, data):
-    """coboundary, kk and delta against the per-cochain loops on random
-    cochains.  Every case has tuples (g, g^-1) whose merged face is the
-    identity, and with D = inversion every D_+ face is the identity."""
-    group, f = rep.dg.group, rep.field
+    """coboundary(cx, a), kk(cx, a) and delta(cx, pair) against the
+    per-cochain loops on random cochains; d_D is reached through delta
+    with a nonzero second component, beside alpha and alone.  Every
+    case has tuples (g, g^-1) whose merged face is the identity, and
+    with D = inversion every D_+ face is the identity."""
+    cx = DifferenceComplex(rep)
     n = data.draw(st.integers(1, max_degree))
-    a = _random_cochain(data, CochainSpace(group, f, rep.dim, n))
-    b = _random_cochain(data, CochainSpace(group, f, rep.dim, n - 1)) if n > 1 else None
-    theta_d = induced_rep_theta_d(rep)
-    assert group_cohomology.coboundary(rep.theta, a) == coboundary(rep.theta, a)
-    assert group_cohomology.coboundary(theta_d, a) == coboundary(theta_d, a)
-    assert group_cohomology.kk(rep, a) == kk(rep, a)
+    a = _random_cochain(data, cx.space(n))
+    assert group_cohomology.coboundary(cx, a) == coboundary(rep.theta, a)
+    assert group_cohomology.kk(cx, a) == kk(rep, a)
+    b = _random_nonzero_cochain(data, cx.space(n - 1)) if n > 1 else None
     pair = CochainPair(a, b)
-    assert group_cohomology.delta(rep, pair) == delta(rep, pair)
+    assert group_cohomology.delta(cx, pair) == delta(rep, pair)
+    if b is not None:
+        alone = group_cohomology.delta(cx, CochainPair(cx.space(n).zero, b))
+        assert alone.alpha.is_zero()
+        assert alone.beta == coboundary(cx.theta_d, b)
 
 
 @pytest.mark.parametrize("rep", LIE_ASSEMBLY_CASES)
 @settings(max_examples=6)
 @given(data=st.data())
 def test_lie_entry_points_match_their_oracles(rep, data):
-    """ce_coboundary and k_map against the per-cochain loops on random
-    cochains, in every degree up to one above dim g, whose space and
-    image are zero."""
-    lie = rep.lie
-    n = data.draw(st.integers(1, lie.dim + 1))
-    z = _random_cochain(data, LieCochainSpace(lie, rep.dimv, n))
-    theta_d = theta_d_matrices(rep)
-    assert lie_module.ce_coboundary(rep.theta, z) == ce_coboundary(rep.theta, z)
-    assert lie_module.ce_coboundary(theta_d, z) == ce_coboundary(theta_d, z)
-    assert lie_module.k_map(rep, z) == k_map(rep, z)
+    """ce_coboundary(cx, z), k_map(cx, z) and cx.delta(pair) against
+    the per-cochain loops on random cochains, in every degree up to one
+    above dim g, whose space and image are zero; d_D is reached through
+    delta with a nonzero second component, beside zeta and alone."""
+    cx = LieDifferenceComplex(rep)
+    n = data.draw(st.integers(1, rep.lie.dim + 1))
+    z = _random_cochain(data, cx.space(n))
+    assert lie_module.ce_coboundary(cx, z) == ce_coboundary(rep.theta, z)
+    assert lie_module.k_map(cx, z) == k_map(rep, z)
+    xi = _random_nonzero_cochain(data, cx.space(n - 1)) if n > 1 else None
+    pair = CochainPair(z, xi)
+    assert cx.delta(pair) == delta_theta(rep, pair)
+    if xi is not None:
+        alone = cx.delta(CochainPair(cx.space(n).zero, xi))
+        assert alone.alpha.is_zero()
+        assert alone.beta == ce_coboundary(cx.theta_d, xi)
 
 
 def test_lie_space_respects_the_budget():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffcoh.lie import LieCochain, k_map, theta_d_matrices
+from diffcoh.lie import LieCochain, LieDifferenceComplex, k_map, theta_d_matrices
 from diffcoh.linalg import Matrix
 from diffcoh.programs import (
     builtin_cochain_program,
@@ -211,7 +211,7 @@ def test_van_est_is_a_cochain_map_in_degree_one():
     assert report.ok, [c for c in report.checks if not c.ok]
     # the frozen degree-1 image: K(VE(tr - 2)) = -2 tr
     ve = van_est(diff, trace_shift(), 1, VSpace(1, 1))
-    assert k_map(rep, ve) == ve.scale(Fraction(-2))
+    assert k_map(LieDifferenceComplex(rep), ve) == ve.scale(Fraction(-2))
 
 
 def test_van_est_is_a_cochain_map_in_degree_two():

@@ -10,8 +10,8 @@ import pytest
 
 from diffcoh import vanest
 from diffcoh.cli import main
-from diffcoh.exactness import CochainPair
-from diffcoh.lie import ce_coboundary, k_map, theta_d_matrices
+from diffcoh.exactness import CochainPair, DifferenceComplexBase
+from diffcoh.lie import LieDifferenceComplex, ce_coboundary, k_map
 from diffcoh.linalg import Matrix
 from diffcoh.programs import (
     add,
@@ -61,6 +61,11 @@ def gaussian_setup():
     return diff, rep, dprog, theta_prog, t, alpha, beta
 
 
+def d_d(cx, xi):
+    """d^{theta_D} xi, the second component of delta(0, xi)."""
+    return cx.delta(CochainPair(cx.space(xi.degree + 1).zero, xi)).beta
+
+
 def corner_beta():
     """beta = (g - I)_01; unlike tr g - 2, its image is not a
     theta_D-cocycle, so d_D beta enters the pair check."""
@@ -72,11 +77,12 @@ def test_degree_two_van_est_with_nonzero_images(corner):
     diff, rep, dprog, theta_prog, t, alpha, beta = gaussian_setup()
     if corner:
         beta = corner_beta()
+    cx = LieDifferenceComplex(rep)
     ve_alpha = van_est(diff, alpha, 2, VSHAPE)
     assert not ve_alpha.is_zero()
-    assert not k_map(rep, ve_alpha).is_zero()
-    assert not ce_coboundary(rep.theta, ve_alpha).is_zero()
-    d_ve_beta = ce_coboundary(theta_d_matrices(rep), van_est(diff, beta, 1, VSHAPE))
+    assert not k_map(cx, ve_alpha).is_zero()
+    assert not ce_coboundary(cx, ve_alpha).is_zero()
+    d_ve_beta = d_d(cx, van_est(diff, beta, 1, VSHAPE))
     assert d_ve_beta.is_zero() != corner
     report = verify_van_est_cochain_map(
         diff, rep, dprog, theta_prog, t, VSHAPE, alpha, 2, beta_prog=beta
@@ -102,16 +108,19 @@ def test_van_est_is_additive_on_the_connecting_program():
 
 
 def test_lie_pair_differential_matches_the_group_side():
-    # delta_theta(VE a, VE b) against VE of the whole group-side second
-    # component: VE(pk a + hk a) + VE(d_D b)
+    # delta_theta(VE a, VE b) against the complex's delta, read off its
+    # d_B, and against VE of the whole group-side second component:
+    # VE(pk a + hk a) + VE(d_D b)
     diff, rep, dprog, theta_prog, t, alpha, _ = gaussian_setup()
     beta = corner_beta()
+    cx = LieDifferenceComplex(rep)
     ve_alpha = van_est(diff, alpha, 2, VSHAPE)
     ve_beta = van_est(diff, beta, 1, VSHAPE)
-    lie_pair = delta_theta(rep, CochainPair(ve_alpha, ve_beta))
-    assert lie_pair.alpha == ce_coboundary(rep.theta, ve_alpha)
-    assembled = k_map(rep, ve_alpha) + ce_coboundary(theta_d_matrices(rep), ve_beta)
-    assert lie_pair.beta == assembled
+    pair = CochainPair(ve_alpha, ve_beta)
+    lie_pair = delta_theta(rep, pair)
+    assert cx.delta(pair) == lie_pair
+    assert lie_pair.alpha == ce_coboundary(cx, ve_alpha)
+    assert lie_pair.beta == k_map(cx, ve_alpha) + d_d(cx, ve_beta)
     connecting = add(pk_program(dprog, theta_prog, alpha, 2), hk_program(dprog, t, alpha, 2))
     dd_beta = coboundary_program(theta_d_action(dprog, theta_prog), beta, 1)
     group_second = van_est(diff, connecting, 2, VSHAPE, check_normalized=False) + van_est(
@@ -164,9 +173,9 @@ def test_a_nonzero_pk_image_fails_the_pair_check(monkeypatch):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_pair_check_computes_each_image_once(degree, monkeypatch):
-    # one van Est call per distinct program, one K and at most two
-    # coboundaries on the Lie side
-    calls = {"van_est": 0, "k_map": 0, "ce_coboundary": 0}
+    # one van Est call per distinct program; on the Lie side one K, one
+    # coboundary and one pair differential, which covers d_D of beta
+    calls = {"van_est": 0, "k_map": 0, "ce_coboundary": 0, "delta": 0}
 
     def counted(name):
         real = getattr(vanest, name)
@@ -177,8 +186,15 @@ def test_pair_check_computes_each_image_once(degree, monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in ("van_est", "k_map", "ce_coboundary"):
         monkeypatch.setattr(vanest, name, counted(name))
+    real_delta = DifferenceComplexBase.delta
+
+    def counted_delta(self, pair):
+        calls["delta"] += 1
+        return real_delta(self, pair)
+
+    monkeypatch.setattr(DifferenceComplexBase, "delta", counted_delta)
     diff, rep, dprog, theta_prog, t, alpha, beta = gaussian_setup()
     if degree == 1:
         alpha, beta = beta, None
@@ -190,7 +206,8 @@ def test_pair_check_computes_each_image_once(degree, monkeypatch):
     assert calls == {
         "van_est": 4 + (2 if beta is not None else 0),
         "k_map": 1,
-        "ce_coboundary": 1 + (1 if beta is not None else 0),
+        "ce_coboundary": 1,
+        "delta": 1,
     }
 
 
