@@ -11,11 +11,15 @@ the text and JSON formats render exactly the same fields, object keys
 sort alphabetically, and check lists keep execution order.  Timing is
 therefore excluded unless ``--timing`` is passed, which adds a single
 elapsed-seconds field (and gives up byte determinism).
+
+``main`` parses its arguments with one parser per process, built on its
+first call and reused by every later one (``_build_parser`` is cached).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -383,7 +387,10 @@ def _positive_degree(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call of
+    ``main``; parsing leaves it as it was, so every call reuses it."""
     parser = argparse.ArgumentParser(
         prog="diffcoh",
         description="exact checks for difference-group and difference-Lie cohomology",
@@ -427,8 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         report = _new_report(args, argv)

@@ -14,7 +14,9 @@ dimensions from ranks alone, computes explicit bases for cohomology
 spaces (``cohomology_space``, the one rule for cosets modulo boundaries,
 which the extension census reads too), and verifies exactness at every
 node by two criteria: consecutive maps compose to zero, and ranks add up
-to the dimension of the middle space.  The total differential is block
+to the dimension of the middle space; it builds each cohomology space
+once per pair of differentials, so where d_D is d, H^{n+1}(A) is H^n(C),
+and ranks each induced map once.  The total differential is block
 lower-triangular, so one echelon of it per degree gives the ranks of
 d_C, d_A and d_B (``linalg.triangular_ranks``).  Once d_B d_B = 0 has
 been checked, the ranks of the previous degree bound those of this one,
@@ -26,7 +28,8 @@ and over F_2 as int bitsets.
 both theories; a theory subclass supplies its cochain spaces and the
 faces of d, d_D, K.  The faces, one form per operator, are the only
 definition of each operator: ``operator_matrix`` scatters them into its
-matrix, which the complex caches and applies to single cochains too
+matrix, which the complex caches (d_D is the matrix of d where the two
+twists are equal) and applies to single cochains too
 (``coboundary``, ``connecting``, and ``delta``, which reads the pair
 differential off d_B).  The cochain values of both
 theories are written once here too: ``Cochain`` (storage, validation,
@@ -224,15 +227,25 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     (image of connecting map = kernel of inclusion).  Each cohomology
     space checks that its boundaries are cocycles, for d_B too, whose
     square has K d_C + d_A K as its off-diagonal block.
+
+    Each space is built once per pair (d_out, d_in) of matrix objects,
+    a d_in without columns counting as none: where d_D is d, A_{n+1} =
+    C_n has the same differentials, so H^{n+1}(A) is H^n(C).  Each
+    induced map is ranked once, though it enters two nodes.
     """
     f = data.field
     top = max_degree + 1
     d_a = {n: data.d_a(n) for n in range(1, top + 1)}
     d_b = {n: data.d_b(n) for n in range(1, top + 1)}
     d_c = {n: data.d_c(n) for n in range(1, max_degree + 1)}
+    spaces: dict[tuple[int, int | None], CohomologySpace] = {}
 
     def h(d: dict, n: int) -> CohomologySpace:
-        return cohomology_space(f, d[n], d.get(n - 1))
+        d_in = d.get(n - 1)
+        key = (id(d[n]), id(d_in) if d_in is not None and d_in.ncols else None)
+        if key not in spaces:
+            spaces[key] = cohomology_space(f, d[n], d_in)
+        return spaces[key]
 
     ha = {n: h(d_a, n) for n in range(1, top + 1)}
     hb = {n: h(d_b, n) for n in range(1, top + 1)}
@@ -247,22 +260,21 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     p_star = {n: induced_map(f, [r[: data.dim_c(n)] for r in hb[n].reps], hc[n]) for n in hc}
     k_star = {n: induced_map(f, list(map(data.k(n).matvec, hc[n].reps)), ha[n + 1]) for n in hc}
 
+    ranks = {id(m): rank(m) for maps in (i_star, p_star, k_star) for m in maps.values()}
     nodes = []
 
     def check(
         degree: int, node: str, first: SparseMatrix, second: SparseMatrix, middle_dim: int
     ) -> None:
         composes = (second @ first).is_zero()
-        ranks = rank(first) + rank(second) == middle_dim
-        ok = composes and ranks
+        r1, r2 = ranks[id(first)], ranks[id(second)]
+        ok = composes and r1 + r2 == middle_dim
         if ok:
             detail = "exact"
         elif not composes:
             detail = "consecutive maps do not compose to zero"
         else:
-            detail = (
-                f"rank {rank(first)} + rank {rank(second)} != dim {middle_dim}"
-            )
+            detail = f"rank {r1} + rank {r2} != dim {middle_dim}"
         nodes.append(LESNode(degree=degree, node=node, ok=ok, detail=detail))
 
     for n in range(1, max_degree + 1):
@@ -437,12 +449,14 @@ class CochainSpaceBase:
         return vec
 
     def from_vector(self, vec: Sequence[Any]) -> Any:
+        """The cochain with coordinates ``vec``; only the tuples with a
+        nonzero value reach the cochain's validation, since zero values
+        are not stored."""
         if len(vec) != self.size:
             raise self.error(f"vector length {len(vec)} != {self.size}")
-        dim = self.dim
-        return self.zero._like(
-            {t: tuple(vec[i * dim : (i + 1) * dim]) for i, t in enumerate(self.tuples)}
-        )
+        dim, zero, tuples = self.dim, self.field.zero, self.tuples
+        support = dict.fromkeys(j // dim for j, x in enumerate(vec) if x != zero)
+        return self.zero._like({tuples[i]: tuple(vec[i * dim : (i + 1) * dim]) for i in support})
 
     def basis_cochain(self, k: int) -> Any:
         vec = [self.field.zero] * self.size
@@ -501,13 +515,20 @@ class DifferenceComplexBase(LESData):
 
     A subclass supplies ``_space_size(n)`` and ``_new_space(n)`` (a
     ``CochainSpaceBase``), and ``d_ordinary``, ``d_difference`` and
-    ``k_matrix`` through ``_operator_matrix`` from the theory's faces.
+    ``k_matrix`` through ``_operator_matrix`` from the theory's faces,
+    under the keys "d", "dD" and "K".  ``theta`` and ``theta_d`` are the
+    twists of d and d_D, compared once here: when they are equal, d_D is
+    d, and "dD" reads the matrix cached under "d".
     """
 
-    def __init__(self, field: Any, dim: int, budget: int) -> None:
+    def __init__(
+        self, field: Any, dim: int, budget: int, theta: tuple, theta_d: tuple
+    ) -> None:
         self.field = field
         self.dim = dim
         self.budget = budget
+        self.theta_d = theta_d
+        self._keys = {"dD": "d"} if theta_d == theta else {}
         self._spaces: dict[int, Any] = {}
         self._matrices: dict[tuple[str, int], SparseMatrix] = {}
         self._d_b: dict[int, SparseMatrix] = {}
@@ -524,13 +545,15 @@ class DifferenceComplexBase(LESData):
 
     def _operator_matrix(self, key: str, n: int, out_degree: int, build, *args) -> SparseMatrix:
         """``operator_matrix`` from degree n to ``out_degree`` of the
-        faces ``build(*args)``, cached under ``key``; the faces are built
-        only for a matrix not cached yet."""
-        if (key, n) not in self._matrices:
-            self._matrices[(key, n)] = operator_matrix(
+        faces ``build(*args)``, cached under ``key`` (under "d" for a d_D
+        that is d); the faces are built only for a matrix not cached
+        yet."""
+        key = (self._keys.get(key, key), n)
+        if key not in self._matrices:
+            self._matrices[key] = operator_matrix(
                 self.space(n), self.space(out_degree), build(*args)
             )
-        return self._matrices[(key, n)]
+        return self._matrices[key]
 
     def dim_a(self, n: int) -> int:
         return 0 if n <= 1 else self.space(n - 1).size

@@ -22,7 +22,9 @@ the faces of the argument cochain with their coefficients.
 ``DifferenceComplex`` scatters them into its matrices
 (``exactness.operator_matrix``), building them only for a matrix it has
 not cached; ``coboundary``, ``kk`` and ``delta`` take the complex and
-apply its cached matrices to a single cochain.
+apply its cached matrices to a single cochain.  Where Theta_D = Theta,
+as for a trivial action or for D = e, d_D is d: the complex compares
+the two once and then returns the matrix of d for d_D.
 
 ``GroupCochain`` adds to ``exactness.Cochain`` only what is particular
 to groups: identity-free tuples, ``CochainError`` and ``value_at``.
@@ -169,10 +171,9 @@ class DifferenceComplex(DifferenceComplexBase):
     def __init__(self, rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> None:
         from .groups import induced_rep_theta_d
 
-        super().__init__(rep.field, rep.dim, budget)
+        super().__init__(rep.field, rep.dim, budget, rep.theta, induced_rep_theta_d(rep))
         self.rep = rep
         self.group = rep.dg.group
-        self.theta_d = induced_rep_theta_d(rep)
 
     def _space_size(self, degree: int) -> int:
         return (self.group.order - 1) ** degree * self.dim

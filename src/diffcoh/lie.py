@@ -31,7 +31,10 @@ the faces of an increasing tuple sorted with their permutation signs (a
 repeated index vanishes).  ``LieDifferenceComplex`` scatters them into
 its matrices (``exactness.operator_matrix``), building them only for a
 matrix it has not cached; ``ce_coboundary`` and ``k_map`` take the
-complex and apply its cached matrices to a single cochain.  K stays
+complex and apply its cached matrices to a single cochain.  Where
+theta_D = theta, that is theta(Dx) = 0 for all x (as for D = 0 or
+theta = 0), d_D is d: the complex compares the two once and then returns the matrix
+of d for d_D.  K stays
 checked at run time by the square of the total differential, whose
 off-diagonal block is K d + d_D K (``exactness.cohomology_dims`` and
 ``exactness.verify_les``).
@@ -375,10 +378,9 @@ class LieDifferenceComplex(DifferenceComplexBase):
     """
 
     def __init__(self, rep: LieRep, budget: int = DEFAULT_BUDGET) -> None:
-        super().__init__(rep.field, rep.dimv, budget)
+        super().__init__(rep.field, rep.dimv, budget, rep.theta, theta_d_matrices(rep))
         self.rep = rep
         self.lie = rep.lie
-        self.theta_d = theta_d_matrices(rep)
 
     def _space_size(self, degree: int) -> int:
         return math.comb(self.lie.dim, degree) * self.dim

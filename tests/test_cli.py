@@ -3,7 +3,10 @@ determinism, exercised in-process on the shipped fixtures."""
 
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +21,7 @@ from diffcoh.scalars import Rationals
 from oracles import FractionRationals
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def fx(name):
@@ -786,3 +790,42 @@ def test_reports_are_the_same_with_fractions_everywhere(argv, monkeypatch, capsy
     monkeypatch.setattr(linalg, "rational", lambda x: x)
     assert run(argv, capsys) == expected
     assert made and expected[0] == 0
+
+
+def test_one_parser_serves_every_call_as_a_fresh_interpreter_would(monkeypatch, capsys):
+    """``main`` builds its parser on its first call and reuses it: a usage
+    error, --help and reports after them print what the same argv prints
+    in a fresh interpreter, with the same exit code."""
+    runs = [
+        ["cohomology", fx("z3_inverse.json"), "--max-degree", "0"],
+        ["--help"],
+    ] + [
+        argv + ["--format", form]
+        for argv in (
+            ["les", fx("z3_inverse.json"), "--max-degree", "2"],
+            ["vanest", fx("gl2_adjugate_det.json")],
+            ["classify", fx("z3_inverse.json")],
+        )
+        for form in ("text", "json")
+    ]
+    # help text wraps at the terminal width, so both sides get the same
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    program = "import sys; from diffcoh.cli import main; sys.exit(main(sys.argv[1:]))"
+    cli._build_parser.cache_clear()
+    codes = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 0, 0, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1

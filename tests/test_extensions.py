@@ -249,10 +249,11 @@ def _swap_rep():
     return DifferenceRep(dg, [Matrix.identity(F3, 2), swap], Matrix.zeros(F3, 2, 2))
 
 
-def _s3_sign_rep(t):
-    """The sign representation of S3 over F3, D = e, T = t."""
+def _s3_sign_rep(t, d=None):
+    """The sign representation of S3 over F3, D = e unless the map ``d``
+    is given, T = t."""
     s3 = symmetric(3)
-    dg = DifferenceGroup(s3, [s3.identity] * s3.order)
+    dg = DifferenceGroup(s3, [s3.identity] * s3.order if d is None else d)
     theta = [
         Matrix.from_rows(F3, [[2 if element_order(s3, g) == 2 else 1]])
         for g in s3.elements
@@ -752,15 +753,27 @@ def test_classification_assembles_each_total_differential_once(monkeypatch):
     assert max(counts.values()) == 1
 
 
+# d_B(2) asks first, so d_D(1) is requested before d(1); where
+# Theta_D = Theta it is d(1), and d_B(1) reads d(1) from the cache
+SHARED = [("K", 1), ("K", 2), ("d", 2), ("dD", 1)]
+
+
 @pytest.mark.parametrize(
-    "rep, matrices",
-    [(_trivial_rep(alternating4(), F3, 2), 5), (_trivial_rep(symmetric(4), F2, 1), 5)],
-    ids=["a4_f3", "s4_f2"],
+    "rep, scatters",
+    [
+        (_trivial_rep(alternating4(), F3, 2), SHARED),
+        (_trivial_rep(symmetric(4), F2, 1), SHARED),
+        # D = inversion: D(g) g = e, so Theta_D is trivial, not the sign,
+        # and the law forces T = -1
+        (_s3_sign_rep(2, inverse_map(symmetric(3))), sorted(SHARED + [("d", 1)])),
+    ],
+    ids=["a4_f3", "s4_f2", "s3_sign_inversion"],
 )
-def test_classification_scatters_each_operator_matrix_once(monkeypatch, rep, matrices):
+def test_classification_scatters_each_operator_matrix_once(monkeypatch, rep, scatters):
     # every scatter runs on a miss of a complex's matrix cache, once per
     # (operator, degree): d_B(1) and d_B(2) need d(1), d(2), K(1), K(2)
-    # and d_D(1), and every section round trip reads the cached d_B(2)
+    # and d_D(1), which is d(1) where Theta_D = Theta, and every section
+    # round trip reads the cached d_B(2)
     scattered, open_keys = [], [None]
     real_scatter = exactness.operator_matrix
     real_cached = exactness.DifferenceComplexBase._operator_matrix
@@ -779,10 +792,7 @@ def test_classification_scatters_each_operator_matrix_once(monkeypatch, rep, mat
     monkeypatch.setattr(exactness, "operator_matrix", scatter)
     monkeypatch.setattr(exactness.DifferenceComplexBase, "_operator_matrix", cached)
     assert classify_extensions(rep).consistent
-    assert sorted(Counter(scattered).items()) == [
-        (("K", 1), 1), (("K", 2), 1), (("d", 1), 1), (("d", 2), 1), (("dD", 1), 1)
-    ]
-    assert len(scattered) == matrices
+    assert sorted(scattered) == scatters
 
 
 def test_pair_must_live_over_the_module():

@@ -232,6 +232,25 @@ def test_cochain_space_round_trip():
         space.from_vector([0])
 
 
+def test_from_vector_validates_the_stored_values_only(monkeypatch):
+    # zero values are not stored, so only the support reaches validation;
+    # a stored value out of F_3 still raises
+    space = CochainSpace(cyclic(3), F3, 1, 2)
+    checked = []
+    check_args = GroupCochain._check_args
+
+    def counted(self, args):
+        checked.append(args)
+        return check_args(self, args)
+
+    monkeypatch.setattr(GroupCochain, "_check_args", counted)
+    assert space.from_vector([0, 0, 0, 0]).is_zero()
+    assert space.from_vector([0, 2, 0, 1]).values == {(1, 2): (2,), (2, 2): (1,)}
+    assert checked == [(1, 2), (2, 2)]
+    with pytest.raises(CochainError, match="not in F_3"):
+        space.from_vector([0, 0, 3, 0])
+
+
 # --- dimension oracle by direct enumeration ------------------------------
 
 

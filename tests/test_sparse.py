@@ -276,13 +276,15 @@ def _swap_rep():
     return _rep(c2, F3, inverse_map(c2), [ident, swap], swap)
 
 
-def _sign_rep():
-    # S3 acting on Q by the sign; D = inversion forces T = -1
-    # the squares of S3 form its alternating subgroup, where the sign is +1
+def _sign_rep(field=Q):
+    # S3 acting on the field by the sign; D = inversion forces T = -1
+    # the squares of S3 form its alternating subgroup, where the sign is +1;
+    # D(g) g = e, so Theta_D is trivial, not the sign
     s3 = symmetric(3)
     squares = {s3.mul(h, h) for h in s3.elements}
-    theta = [[[Fraction(1 if g in squares else -1)]] for g in s3.elements]
-    return _rep(s3, Q, inverse_map(s3), theta, [[Fraction(-1)]])
+    minus = field.neg(field.one)
+    theta = [[[field.one if g in squares else minus]] for g in s3.elements]
+    return _rep(s3, field, inverse_map(s3), theta, [[minus]])
 
 
 def _constant_d_rep():
@@ -657,20 +659,107 @@ def _h3_complex():
     return LieDifferenceComplex(_trivial_lie_rep(_h3_plus(Q, 4), Matrix.zeros(Q, 4, 4)))
 
 
+def _s3_sign_f3_complex():
+    return DifferenceComplex(_sign_rep(F3))
+
+
+def _sl2_adjoint_minus_i_complex():
+    # D = -I, so D_+ = 0 and theta_D = theta + theta D = 0, not ad
+    return LieDifferenceComplex(_adjoint_rep(_sl2(Q), [Q.zero] * 3))
+
+
 def test_d_b_is_assembled_once_per_degree():
     cx = _c3_complex()
     assert cx.d_b(2) is cx.d_b(2)
 
 
 @pytest.mark.parametrize(
-    "module, coboundary_faces, make",
+    "make, shared",
     [
-        (group_cohomology, "_coboundary_faces", _c3_complex),
-        (lie_module, "_ce_faces", _h3_complex),
+        (_c3_complex, True),
+        (lambda: DifferenceComplex(_constant_d_rep()), True),
+        (lambda: DifferenceComplex(_trivial(klein_four(), F2, t=1)), True),
+        (_s3_sign_f3_complex, False),
+        (lambda: DifferenceComplex(_sign_rep()), False),
+        (lambda: DifferenceComplex(_swap_rep()), False),
+        (_h3_complex, True),
+        (lambda: LieDifferenceComplex(_adjoint_rep(_sl2(F5), [F5.one] * 3)), True),
+        (lambda: LieDifferenceComplex(_trivial_lie_rep(_h3_plus(Q, 5), -Matrix.identity(Q, 5))),
+         True),
+        (_sl2_adjoint_minus_i_complex, False),
+        (lambda: LieDifferenceComplex(
+            _adjoint_rep(_h3_plus(F3, 4), [F3.from_int(x) for x in (2, 1, 2, 2)])
+        ), False),
     ],
-    ids=["group", "lie"],
+    ids=[
+        "C3/F3", "C3/F2,D=e", "V4/F2,T=1", "S3/F3,sign", "S3/Q,sign", "C2/F3^2,swap",
+        "h3+Q/trivial,D=0", "sl2/F5,ad,D=0", "h3+Q^2/trivial,D=-I", "sl2/Q,ad,D=-I",
+        "h3+F3/ad,D+diag",
+    ],
 )
-def test_faces_are_built_only_for_an_uncached_matrix(monkeypatch, module, coboundary_faces, make):
+def test_d_difference_is_d_exactly_when_the_twists_agree(make, shared):
+    """Where Theta_D = Theta, d_D is the very matrix of d; either way it
+    equals the scatter of the faces twisted by theta_D."""
+    cx = make()
+    assert (cx.theta_d == cx.rep.theta) is shared
+    faces = (
+        group_cohomology._coboundary_faces
+        if isinstance(cx, DifferenceComplex)
+        else lie_module._ce_faces
+    )
+    over = cx.group if isinstance(cx, DifferenceComplex) else cx.lie
+    for n in (1, 2):
+        oracle = exactness.operator_matrix(cx.space(n), cx.space(n + 1), faces(over, cx.theta_d))
+        assert (cx.d_difference(n) is cx.d_ordinary(n)) is shared
+        assert to_dense(cx.d_difference(n)) == to_dense(oracle)
+
+
+@pytest.mark.parametrize(
+    "make, shared",
+    [
+        (_c3_complex, True),
+        (_s3_sign_f3_complex, False),
+        (_h3_complex, True),
+        (_sl2_adjoint_minus_i_complex, False),
+    ],
+    ids=["group", "group,Theta_D!=Theta", "lie", "lie,theta_D!=theta"],
+)
+def test_les_builds_each_space_and_ranks_each_induced_map_once(monkeypatch, make, shared):
+    # to degree m the LES has m + 1 spaces of A and of B and m of C;
+    # where d_D is d, H^{n+1}(A) is H^n(C) for n = 1..m.  Of the m + 1
+    # maps i, m maps p and m maps K, each enters two nodes
+    built, ranked = [], []
+    space, rank_of = exactness.cohomology_space, exactness.rank
+
+    def counted_space(field, d_out, d_in):
+        built.append(d_out)
+        return space(field, d_out, d_in)
+
+    def counted_rank(m):
+        ranked.append(m)
+        return rank_of(m)
+
+    monkeypatch.setattr(exactness, "cohomology_space", counted_space)
+    monkeypatch.setattr(exactness, "rank", counted_rank)
+    m = 2
+    assert all(node.ok for node in make().verify_les(m))
+    assert len(built) == (2 * m + 2 if shared else 3 * m + 2)
+    assert len(ranked) == 3 * m + 1 == len(set(map(id, ranked)))
+
+
+@pytest.mark.parametrize(
+    "module, coboundary_faces, make, coboundary_builds",
+    [
+        (group_cohomology, "_coboundary_faces", _c3_complex, 1),
+        (group_cohomology, "_coboundary_faces", _s3_sign_f3_complex, 2),
+        (lie_module, "_ce_faces", _h3_complex, 1),
+        (lie_module, "_ce_faces", _sl2_adjoint_minus_i_complex, 2),
+    ],
+    ids=["group", "group,Theta_D!=Theta", "lie", "lie,theta_D!=theta"],
+)
+def test_faces_are_built_only_for_an_uncached_matrix(
+    monkeypatch, module, coboundary_faces, make, coboundary_builds
+):
     builds = Counter()
     for name in (coboundary_faces, "_connecting_faces"):
         def counted(*args, _name=name, _build=getattr(module, name)):
@@ -683,8 +772,9 @@ def test_faces_are_built_only_for_an_uncached_matrix(monkeypatch, module, coboun
         cx.d_ordinary(1)
         cx.d_difference(1)
         cx.k_matrix(1)
-    # d and d_D share a face builder; K has its own
-    assert builds == {coboundary_faces: 2, "_connecting_faces": 1}
+    # d and d_D share a face builder, which d_D calls only where its
+    # twist differs from that of d; K has its own
+    assert builds == {coboundary_faces: coboundary_builds, "_connecting_faces": 1}
 
 
 def test_no_reference_cycle_keeps_a_complex_alive(monkeypatch):
