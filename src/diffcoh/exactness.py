@@ -48,7 +48,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .linalg import (
     Matrix,
-    SparseMatrix,
     column_space_basis,
     kernel_basis,
     rank,
@@ -115,9 +114,7 @@ class CohomologySpace:
         return len(self.reps)
 
 
-def cohomology_space(
-    field: Any, d_out: SparseMatrix, d_in: SparseMatrix | None
-) -> CohomologySpace:
+def cohomology_space(field: Any, d_out: Matrix, d_in: Matrix | None) -> CohomologySpace:
     """H = ker(d_out) / im(d_in) with deterministic representative choice.
 
     Representatives are the kernel-basis vectors that are independent
@@ -131,14 +128,14 @@ def cohomology_space(
     n = d_out.ncols
     reps: list[list[Any]] = []
     if cocycles:
-        stacked = SparseMatrix.from_columns(field, boundaries + cocycles, n)
+        stacked = Matrix.from_columns(field, boundaries + cocycles, n)
         reps = column_space_basis(stacked)[len(boundaries) :]
     if len(reps) != len(cocycles) - len(boundaries):
         raise InternalCheckError(_NOT_A_COMPLEX)
     return CohomologySpace(dim_total=n, reps=reps, boundaries=boundaries)
 
 
-def induced_map(field: Any, images: list[list[Any]], cod: CohomologySpace) -> SparseMatrix:
+def induced_map(field: Any, images: list[list[Any]], cod: CohomologySpace) -> Matrix:
     """Matrix of the map induced on cohomology by a cocycle-preserving
     map, given the ``images`` of the domain's representatives.
 
@@ -148,11 +145,11 @@ def induced_map(field: Any, images: list[list[Any]], cod: CohomologySpace) -> Sp
     ``cod.dim`` rows of its reduced form.
     """
     basis = cod.reps + cod.boundaries
-    rows, pivots = rref(SparseMatrix.from_columns(field, basis + images, cod.dim_total))
+    rows, pivots = rref(Matrix.from_columns(field, basis + images, cod.dim_total))
     if len(pivots) != len(basis):
         raise InternalCheckError("vector is not a cocycle of the target complex")
     width = len(basis)
-    return SparseMatrix(
+    return Matrix(
         field,
         cod.dim,
         len(images),
@@ -171,13 +168,11 @@ class LESData:
     inclusion of A and the projection onto C are slices.
     """
 
-    def d_b(self, n: int) -> SparseMatrix:
+    def d_b(self, n: int) -> Matrix:
         if n not in self._d_b:
             f = self.field
-            zero = SparseMatrix.zeros(f, self.dim_c(n + 1), self.dim_a(n))
-            self._d_b[n] = SparseMatrix.block(
-                f, [[self.d_c(n), zero], [self.k(n), self.d_a(n)]]
-            )
+            zero = Matrix.zeros(f, self.dim_c(n + 1), self.dim_a(n))
+            self._d_b[n] = Matrix.block(f, [[self.d_c(n), zero], [self.k(n), self.d_a(n)]])
         return self._d_b[n]
 
 
@@ -263,9 +258,7 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     ranks = {id(m): rank(m) for maps in (i_star, p_star, k_star) for m in maps.values()}
     nodes = []
 
-    def check(
-        degree: int, node: str, first: SparseMatrix, second: SparseMatrix, middle_dim: int
-    ) -> None:
+    def check(degree: int, node: str, first: Matrix, second: Matrix, middle_dim: int) -> None:
         composes = (second @ first).is_zero()
         r1, r2 = ranks[id(first)], ranks[id(second)]
         ok = composes and r1 + r2 == middle_dim
@@ -464,7 +457,7 @@ class CochainSpaceBase:
         return self.from_vector(vec)
 
 
-def operator_matrix(dom: CochainSpaceBase, cod: CochainSpaceBase, faces) -> SparseMatrix:
+def operator_matrix(dom: CochainSpaceBase, cod: CochainSpaceBase, faces) -> Matrix:
     """The matrix from ``dom`` to ``cod`` of the operator whose value at
     each tuple of ``cod`` is a sum of faces of the argument cochain.
 
@@ -486,14 +479,16 @@ def operator_matrix(dom: CochainSpaceBase, cod: CochainSpaceBase, faces) -> Spar
                 continue
             base = k * dim
             if isinstance(coeff, Matrix):
-                terms = [(r, base + c, coeff.at(r, c)) for r in range(dim) for c in range(dim)]
+                terms = [
+                    (r, base + c, x) for r, crow in enumerate(coeff.rows) for c, x in crow.items()
+                ]
             else:
                 terms = [(r, base + r, coeff) for r in range(dim)]
             for r, col, x in terms:
                 row = block[r]
                 row[col] = add(row[col], x) if col in row else x
         rows.extend({j: x for j, x in row.items() if x != zero} for row in block)
-    return SparseMatrix(dom.field, cod.size, dom.size, rows)
+    return Matrix(dom.field, cod.size, dom.size, rows)
 
 
 @dataclass
@@ -530,8 +525,8 @@ class DifferenceComplexBase(LESData):
         self.theta_d = theta_d
         self._keys = {"dD": "d"} if theta_d == theta else {}
         self._spaces: dict[int, Any] = {}
-        self._matrices: dict[tuple[str, int], SparseMatrix] = {}
-        self._d_b: dict[int, SparseMatrix] = {}
+        self._matrices: dict[tuple[str, int], Matrix] = {}
+        self._d_b: dict[int, Matrix] = {}
 
     def space(self, degree: int) -> Any:
         if degree not in self._spaces:
@@ -543,7 +538,7 @@ class DifferenceComplexBase(LESData):
             self._spaces[degree] = self._new_space(degree)
         return self._spaces[degree]
 
-    def _operator_matrix(self, key: str, n: int, out_degree: int, build, *args) -> SparseMatrix:
+    def _operator_matrix(self, key: str, n: int, out_degree: int, build, *args) -> Matrix:
         """``operator_matrix`` from degree n to ``out_degree`` of the
         faces ``build(*args)``, cached under ``key`` (under "d" for a d_D
         that is d); the faces are built only for a matrix not cached
@@ -561,15 +556,15 @@ class DifferenceComplexBase(LESData):
     def dim_c(self, n: int) -> int:
         return self.space(n).size
 
-    def d_a(self, n: int) -> SparseMatrix:
+    def d_a(self, n: int) -> Matrix:
         if n <= 1:
-            return SparseMatrix.zeros(self.field, self.dim_a(n + 1), 0)
+            return Matrix.zeros(self.field, self.dim_a(n + 1), 0)
         return self.d_difference(n - 1)
 
-    def d_c(self, n: int) -> SparseMatrix:
+    def d_c(self, n: int) -> Matrix:
         return self.d_ordinary(n)
 
-    def k(self, n: int) -> SparseMatrix:
+    def k(self, n: int) -> Matrix:
         return self.k_matrix(n)
 
     def cohomology_dims(self, max_degree: int) -> CohomologyReport:

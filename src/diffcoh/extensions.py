@@ -47,7 +47,7 @@ from .group_cohomology import (
     delta,
 )
 from .exactness import DEFAULT_BUDGET, CohomologySpace, InternalCheckError, cohomology_space
-from .linalg import SparseMatrix, kernel_basis, rank
+from .linalg import Matrix, kernel_basis, rank
 from .scalars import PrimeField
 
 
@@ -318,7 +318,7 @@ def _span(field: PrimeField, basis: list[list[Any]], length: int) -> Iterator[li
         yield vec
 
 
-def _pivot_columns(d_in: SparseMatrix, boundaries: list[list[Any]]) -> list[int]:
+def _pivot_columns(d_in: Matrix, boundaries: list[list[Any]]) -> list[int]:
     """The column of ``d_in`` that each of ``boundaries``, its pivot
     columns (``cohomology_space``), is: the first column equal to it,
     since an earlier equal column would make it dependent."""
@@ -507,7 +507,7 @@ def classify_semidirect_difference_ops(
 
     kmat = cx.k_matrix(1)
     z1 = kernel_basis(cx.d_ordinary(1))
-    k_on_z1 = SparseMatrix.from_columns(f, [kmat.matvec(v) for v in z1], kmat.nrows)
+    k_on_z1 = Matrix.from_columns(f, [kmat.matvec(v) for v in z1], kmat.nrows)
     k_rank = rank(k_on_z1)
     betas = cohomology_space(f, cx.d_difference(1), k_on_z1)
     z_dim = len(betas.boundaries) + betas.dim

@@ -47,7 +47,7 @@ from .exactness import (  # noqa: F401
     DifferenceComplexBase,
 )
 from .groups import DifferenceRep, FiniteGroup
-from .linalg import Matrix, SparseMatrix
+from .linalg import Matrix
 
 
 class CochainError(ValueError):
@@ -181,13 +181,13 @@ class DifferenceComplex(DifferenceComplexBase):
     def _new_space(self, degree: int) -> CochainSpace:
         return CochainSpace(self.group, self.field, self.dim, degree)
 
-    def d_ordinary(self, n: int) -> SparseMatrix:
+    def d_ordinary(self, n: int) -> Matrix:
         return self._operator_matrix("d", n, n + 1, _coboundary_faces, self.group, self.rep.theta)
 
-    def d_difference(self, n: int) -> SparseMatrix:
+    def d_difference(self, n: int) -> Matrix:
         return self._operator_matrix("dD", n, n + 1, _coboundary_faces, self.group, self.theta_d)
 
-    def k_matrix(self, n: int) -> SparseMatrix:
+    def k_matrix(self, n: int) -> Matrix:
         return self._operator_matrix("K", n, n, _connecting_faces, self.rep, n)
 
 

@@ -54,7 +54,7 @@ from .exactness import (
     InternalCheckError,
 )
 from .groups import ValidationError, ValidationReport
-from .linalg import Matrix, SparseMatrix, rref
+from .linalg import Matrix, rref
 
 
 class LieError(ValueError):
@@ -115,17 +115,18 @@ class LieAlgebra:
         return out
 
     def _check_jacobi(self) -> ValidationReport:
+        """Jacobi on every basis triple, from the structure constants:
+        [[e_a, e_b], e_c] is the sum of c * [e_m, e_c] over the nonzero
+        coordinates c = c_ab^m of [e_a, e_b]."""
         report = ValidationReport("Lie algebra")
         f = self.field
-        basis = [
-            [f.one if m == i else f.zero for m in range(self.dim)]
-            for i in range(self.dim)
-        ]
         for i, j, k in itertools.combinations(range(self.dim), 3):
             acc = [f.zero] * self.dim
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                term = self.bracket(self.bracket(basis[a], basis[b]), basis[c])
-                acc = [f.add(x, y) for x, y in zip(acc, term)]
+                for m, coeff in enumerate(self.bracket_basis(a, b)):
+                    if coeff != f.zero:
+                        term = self.bracket_basis(m, c)
+                        acc = [f.add(x, f.mul(coeff, y)) for x, y in zip(acc, term)]
             if any(x != f.zero for x in acc):
                 report.add(
                     "jacobi",
@@ -388,13 +389,13 @@ class LieDifferenceComplex(DifferenceComplexBase):
     def _new_space(self, degree: int) -> LieCochainSpace:
         return LieCochainSpace(self.lie, self.dim, degree)
 
-    def d_ordinary(self, n: int) -> SparseMatrix:
+    def d_ordinary(self, n: int) -> Matrix:
         return self._operator_matrix("d", n, n + 1, _ce_faces, self.lie, self.rep.theta)
 
-    def d_difference(self, n: int) -> SparseMatrix:
+    def d_difference(self, n: int) -> Matrix:
         return self._operator_matrix("dD", n, n + 1, _ce_faces, self.lie, self.theta_d)
 
-    def k_matrix(self, n: int) -> SparseMatrix:
+    def k_matrix(self, n: int) -> Matrix:
         return self._operator_matrix("K", n, n, _connecting_faces, self.rep, n)
 
 
@@ -452,7 +453,7 @@ class MatrixLieAlgebra(LieAlgebra):
         f = self.field
         coords = [f.zero] * len(self.basis)
         for p, row in self._pivot_rows:
-            c = m.entries[p]
+            c = m.at(*divmod(p, m.ncols))
             if c != f.zero:
                 for i, x in row:
                     coords[i] = f.add(coords[i], f.mul(c, x))

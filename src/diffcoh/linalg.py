@@ -1,15 +1,15 @@
 """Exact linear algebra over the scalar rings.
 
-Matrices are immutable and generic over a ring object from ``scalars``:
-``Matrix`` is dense and row-major, ``SparseMatrix`` keeps one
-``{column: value}`` dict of nonzeros per row.  Elimination (rank,
-kernel, solve, column space, inverse, ``rref``) is restricted to fields
-and runs one sparse echelon for both kinds; its results are those of the
-reduced row echelon form, which is unique, so they do not depend on the
-pivot rows it picks.  Determinant and adjugate are cofactor expansions
-and work over any commutative ring, including jet rings; jet matrices
-are inverted by eliminating the base part and summing the finite
-geometric series of the nilpotent remainder.
+Matrices are immutable and generic over a ring object from ``scalars``;
+``Matrix`` keeps one ``{column: value}`` dict of nonzeros per row.
+Elimination (rank, kernel, solve, column space, inverse, ``rref``) is
+restricted to fields and runs one sparse echelon on those rows; its
+results are those of the reduced row echelon form, which is unique, so
+they do not depend on the pivot rows it picks.  Determinant and
+adjugate are cofactor expansions and work over any commutative ring,
+including jet rings; jet matrices are inverted by eliminating the base
+part and summing the finite geometric series of the nilpotent
+remainder.
 """
 
 from __future__ import annotations
@@ -28,184 +28,20 @@ class LinAlgError(ValueError):
 
 
 class Matrix:
-    """An immutable exact matrix over a ring object."""
-
-    __slots__ = ("ring", "nrows", "ncols", "entries")
-
-    def __init__(self, ring: Any, nrows: int, ncols: int, entries: tuple) -> None:
-        if nrows < 0 or ncols < 0 or len(entries) != nrows * ncols:
-            raise LinAlgError(f"entry count {len(entries)} != {nrows}x{ncols}")
-        self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, ring: Any, rows: Sequence[Sequence[Any]]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        for row in rows:
-            if len(row) != ncols:
-                raise LinAlgError("ragged rows")
-        return cls(ring, nrows, ncols, tuple(x for row in rows for x in row))
-
-    @classmethod
-    def identity(cls, ring: Any, n: int) -> "Matrix":
-        return cls(
-            ring,
-            n,
-            n,
-            tuple(ring.one if i == j else ring.zero for i in range(n) for j in range(n)),
-        )
-
-    @classmethod
-    def zeros(cls, ring: Any, nrows: int, ncols: int) -> "Matrix":
-        return cls(ring, nrows, ncols, (ring.zero,) * (nrows * ncols))
-
-    @classmethod
-    def from_columns(cls, ring: Any, columns: Sequence[Sequence[Any]], nrows: int) -> "Matrix":
-        for col in columns:
-            if len(col) != nrows:
-                raise LinAlgError("column length mismatch")
-        return cls(
-            ring,
-            nrows,
-            len(columns),
-            tuple(columns[j][i] for i in range(nrows) for j in range(len(columns))),
-        )
-
-    def at(self, i: int, j: int) -> Any:
-        return self.entries[i * self.ncols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.ncols : (i + 1) * self.ncols]
-
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.ncols + j] for i in range(self.nrows))
-
-    def to_lists(self) -> list[list[Any]]:
-        return [list(self.row(i)) for i in range(self.nrows)]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and other.nrows == self.nrows
-            and other.ncols == self.ncols
-            and other.entries == self.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.nrows}x{self.ncols}, {self.to_lists()!r})"
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise LinAlgError(
-                f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        r = self.ring
-        return Matrix(
-            r,
-            self.nrows,
-            self.ncols,
-            tuple(r.add(a, b) for a, b in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        r = self.ring
-        return Matrix(
-            r,
-            self.nrows,
-            self.ncols,
-            tuple(r.sub(a, b) for a, b in zip(self.entries, other.entries)),
-        )
-
-    def __neg__(self) -> "Matrix":
-        r = self.ring
-        return Matrix(r, self.nrows, self.ncols, tuple(r.neg(a) for a in self.entries))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise LinAlgError(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        r = self.ring
-        out = []
-        for i in range(self.nrows):
-            left = self.row(i)
-            for j in range(other.ncols):
-                acc = r.zero
-                for k in range(self.ncols):
-                    acc = r.add(acc, r.mul(left[k], other.entries[k * other.ncols + j]))
-                out.append(acc)
-        return Matrix(r, self.nrows, other.ncols, tuple(out))
-
-    def scale(self, c: Any) -> "Matrix":
-        r = self.ring
-        return Matrix(r, self.nrows, self.ncols, tuple(r.mul(c, a) for a in self.entries))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring,
-            self.ncols,
-            self.nrows,
-            tuple(self.at(i, j) for j in range(self.ncols) for i in range(self.nrows)),
-        )
-
-    def matvec(self, v: Sequence[Any]) -> list[Any]:
-        if len(v) != self.ncols:
-            raise LinAlgError(f"vector length {len(v)} != {self.ncols} columns")
-        r = self.ring
-        out = []
-        for i in range(self.nrows):
-            acc = r.zero
-            row = self.row(i)
-            for k in range(self.ncols):
-                acc = r.add(acc, r.mul(row[k], v[k]))
-            out.append(acc)
-        return out
-
-    def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(a == z for a in self.entries)
-
-    def trace(self) -> Any:
-        if self.nrows != self.ncols:
-            raise LinAlgError("trace of a non-square matrix")
-        r = self.ring
-        acc = r.zero
-        for i in range(self.nrows):
-            acc = r.add(acc, self.at(i, i))
-        return acc
-
-    def map_entries(self, fn: Callable[[Any], Any], ring: Any = None) -> "Matrix":
-        return Matrix(
-            ring if ring is not None else self.ring,
-            self.nrows,
-            self.ncols,
-            tuple(fn(a) for a in self.entries),
-        )
-
-
-class SparseMatrix:
-    """An immutable exact matrix stored by rows, each row a
-    ``{column: value}`` dict of its nonzero entries.
+    """An immutable exact matrix over a ring object, stored by rows: each
+    row is a ``{column: value}`` dict of its nonzero entries.
 
     The operator matrices of the difference complexes have a handful of
-    nonzeros per row, so they are built, multiplied and eliminated in
-    this form.  ``entries`` holds only the stored (nonzero) values, row
-    by row.
+    nonzeros per row, and products of jets vanish (e_i e_i = 0), so every
+    operation visits stored entries only and drops any entry that becomes
+    zero.  No row stores a zero, so ``==`` compares rows.  ``entries`` is
+    every entry, zeros included, row by row.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "rows")
 
     def __init__(self, ring: Any, nrows: int, ncols: int, rows: Sequence[dict]) -> None:
+        """``rows`` are ``{column: value}`` dicts that store no zero."""
         if nrows < 0 or ncols < 0 or len(rows) != nrows:
             raise LinAlgError(f"row count {len(rows)} != {nrows}")
         self.ring = ring
@@ -214,34 +50,38 @@ class SparseMatrix:
         self.rows = tuple(rows)
 
     @classmethod
-    def zeros(cls, ring: Any, nrows: int, ncols: int) -> "SparseMatrix":
-        return cls(ring, nrows, ncols, [{} for _ in range(nrows)])
+    def from_rows(cls, ring: Any, rows: Sequence[Sequence[Any]]) -> "Matrix":
+        ncols = len(rows[0]) if rows else 0
+        zero = ring.zero
+        out = []
+        for row in rows:
+            if len(row) != ncols:
+                raise LinAlgError("ragged rows")
+            out.append({j: x for j, x in enumerate(row) if x != zero})
+        return cls(ring, len(rows), ncols, out)
 
     @classmethod
-    def identity(cls, ring: Any, n: int) -> "SparseMatrix":
+    def identity(cls, ring: Any, n: int) -> "Matrix":
         return cls(ring, n, n, [{i: ring.one} for i in range(n)])
 
     @classmethod
-    def from_dense(cls, m: Matrix) -> "SparseMatrix":
-        zero = m.ring.zero
-        rows = [{j: x for j, x in enumerate(m.row(i)) if x != zero} for i in range(m.nrows)]
-        return cls(m.ring, m.nrows, m.ncols, rows)
+    def zeros(cls, ring: Any, nrows: int, ncols: int) -> "Matrix":
+        return cls(ring, nrows, ncols, [{} for _ in range(nrows)])
 
     @classmethod
-    def from_columns(
-        cls, ring: Any, columns: Sequence[Sequence[Any]], nrows: int
-    ) -> "SparseMatrix":
+    def from_columns(cls, ring: Any, columns: Sequence[Sequence[Any]], nrows: int) -> "Matrix":
+        zero = ring.zero
         rows: list[dict] = [{} for _ in range(nrows)]
         for j, col in enumerate(columns):
             if len(col) != nrows:
                 raise LinAlgError("column length mismatch")
             for i, x in enumerate(col):
-                if x != ring.zero:
+                if x != zero:
                     rows[i][j] = x
         return cls(ring, nrows, len(columns), rows)
 
     @classmethod
-    def block(cls, ring: Any, blocks: list[list["SparseMatrix"]]) -> "SparseMatrix":
+    def block(cls, ring: Any, blocks: list[list["Matrix"]]) -> "Matrix":
         """Assemble a matrix from a grid of blocks with consistent shapes."""
         col_widths = [b.ncols for b in blocks[0]]
         offsets = [sum(col_widths[:j]) for j in range(len(col_widths))]
@@ -257,38 +97,71 @@ class SparseMatrix:
                 rows.append(row)
         return cls(ring, len(rows), sum(col_widths), rows)
 
-    @property
-    def entries(self) -> tuple:
-        return tuple(x for row in self.rows for x in row.values())
+    def at(self, i: int, j: int) -> Any:
+        return self.rows[i].get(j, self.ring.zero)
+
+    def row(self, i: int) -> tuple:
+        zero, row = self.ring.zero, self.rows[i]
+        return tuple(row.get(j, zero) for j in range(self.ncols))
 
     def col(self, j: int) -> tuple:
         zero = self.ring.zero
         return tuple(row.get(j, zero) for row in self.rows)
 
-    def _strip(self, rows: list[dict], ncols: int) -> "SparseMatrix":
+    @property
+    def entries(self) -> tuple:
         zero = self.ring.zero
-        return SparseMatrix(
-            self.ring,
-            len(rows),
-            ncols,
-            [{j: x for j, x in row.items() if x != zero} for row in rows],
+        return tuple(row.get(j, zero) for row in self.rows for j in range(self.ncols))
+
+    def to_lists(self) -> list[list[Any]]:
+        return [list(self.row(i)) for i in range(self.nrows)]
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Matrix)
+            and other.nrows == self.nrows
+            and other.ncols == self.ncols
+            and other.rows == self.rows
         )
 
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+    def __hash__(self) -> int:
+        return hash((self.nrows, self.ncols, tuple(frozenset(row.items()) for row in self.rows)))
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.nrows}x{self.ncols}, {self.to_lists()!r})"
+
+    def _nonzero(self, rows: list[dict], ncols: int, ring: Any = None) -> "Matrix":
+        """The matrix of ``rows``, less the entries that are zero."""
+        ring = self.ring if ring is None else ring
+        zero = ring.zero
+        return Matrix(
+            ring, len(rows), ncols, [{j: x for j, x in row.items() if x != zero} for row in rows]
+        )
+
+    def _merge(self, other: "Matrix", both: Callable, alone: Callable) -> "Matrix":
+        """Entrywise ``both(a, b)``, or ``alone(b)`` where self stores no a."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise LinAlgError(
                 f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
-        add = self.ring.add
         out = []
         for mine, theirs in zip(self.rows, other.rows):
             row = dict(mine)
-            for j, x in theirs.items():
-                row[j] = add(row[j], x) if j in row else x
+            for j, y in theirs.items():
+                row[j] = both(row[j], y) if j in row else alone(y)
             out.append(row)
-        return self._strip(out, self.ncols)
+        return self._nonzero(out, self.ncols)
 
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._merge(other, self.ring.add, lambda y: y)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._merge(other, self.ring.sub, self.ring.neg)
+
+    def __neg__(self) -> "Matrix":
+        return self.map_entries(self.ring.neg)
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise LinAlgError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
@@ -301,7 +174,17 @@ class SparseMatrix:
                 for j, y in other.rows[k].items():
                     row[j] = add(row[j], mul(x, y)) if j in row else mul(x, y)
             out.append(row)
-        return self._strip(out, other.ncols)
+        return self._nonzero(out, other.ncols)
+
+    def scale(self, c: Any) -> "Matrix":
+        return self.map_entries(functools.partial(self.ring.mul, c))
+
+    def transpose(self) -> "Matrix":
+        rows: list[dict] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                rows[j][i] = x
+        return Matrix(self.ring, self.ncols, self.nrows, rows)
 
     def matvec(self, v: Sequence[Any]) -> list[Any]:
         if len(v) != self.ncols:
@@ -316,8 +199,24 @@ class SparseMatrix:
         return out
 
     def is_zero(self) -> bool:
-        zero = self.ring.zero
-        return all(x == zero for row in self.rows for x in row.values())
+        return not any(self.rows)
+
+    def trace(self) -> Any:
+        if self.nrows != self.ncols:
+            raise LinAlgError("trace of a non-square matrix")
+        r = self.ring
+        acc = r.zero
+        for i, row in enumerate(self.rows):
+            if i in row:
+                acc = r.add(acc, row[i])
+        return acc
+
+    def map_entries(self, fn: Callable[[Any], Any], ring: Any = None) -> "Matrix":
+        """fn applied to every stored entry, into ``ring`` (default: this
+        one); fn must send zero to zero, as the entries it skips are."""
+        return self._nonzero(
+            [{j: fn(x) for j, x in row.items()} for row in self.rows], self.ncols, ring
+        )
 
 
 def _require_field(ring: Any, what: str) -> None:
@@ -327,11 +226,12 @@ def _require_field(ring: Any, what: str) -> None:
 
 # ------------------------------------------------------------ elimination
 #
-# One sparse echelon serves every elimination.  Rows are inserted one at
-# a time, band by band and fewest nonzeros first within a band (a plain
-# matrix is one band), and each is reduced against the pivot rows found
-# so far, leftmost column first; a row whose leftmost surviving column
-# has no pivot yet becomes the pivot row there.  The pivot rows are an
+# One sparse echelon serves every elimination; it reads the
+# ``{column: value}`` rows of a ``Matrix`` as they are stored.  Rows are
+# inserted one at a time, band by band and fewest nonzeros first within
+# a band (a plain matrix is one band), and each is reduced against the
+# pivot rows found so far, leftmost column first; a row whose leftmost
+# surviving column has no pivot yet becomes the pivot row there.  The pivot rows are an
 # echelon basis of the rows inserted so far, and the leading columns of
 # any echelon basis of a row space are those of its reduced row echelon
 # form; back substitution yields that form itself, which is unique: it
@@ -436,10 +336,6 @@ def _integer_row(row: dict) -> dict:
     ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
     g = math.gcd(*ints.values())
     return {j: v // g for j, v in ints.items()}
-
-
-def _sparse(m: Any) -> SparseMatrix:
-    return m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
 
 
 def _echelon_rows(
@@ -557,21 +453,21 @@ def _bit_columns(r: int) -> list[int]:
     return out
 
 
-def rref(m: Any) -> tuple[list[dict[int, Any]], list[int]]:
+def rref(m: Matrix) -> tuple[list[dict[int, Any]], list[int]]:
     """Reduced row echelon form of m: its nonzero rows as ``{column:
     value}`` dicts in pivot order, and the pivot columns."""
-    pivots, _ = _echelon_rows(m.ring, [_sparse(m).rows], reduced=True)
+    pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=True)
     order = sorted(pivots)
     return [pivots[c] for c in order], order
 
 
-def rank(m: Any) -> int:
-    pivots, _ = _echelon_rows(m.ring, [_sparse(m).rows], reduced=False)
+def rank(m: Matrix) -> int:
+    pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=False)
     return len(pivots)
 
 
 def triangular_ranks(
-    m: Any, top: int, left: int, bounds: tuple[int, int] | None = None
+    m: Matrix, top: int, left: int, bounds: tuple[int, int] | None = None
 ) -> tuple[int, int, int]:
     """(rank X, rank Y, rank m) of a block lower-triangular matrix
     m = [[X, 0], [K, Y]], X its first ``top`` rows and ``left`` columns,
@@ -592,7 +488,7 @@ def triangular_ranks(
     if not (0 <= top <= m.nrows and 0 <= left <= m.ncols):
         raise LinAlgError(f"block corner ({top}, {left}) outside {m.nrows}x{m.ncols}")
     width = m.ncols - left
-    rows = _sparse(m).rows
+    rows = m.rows
     for i in range(top):
         if rows[i] and max(rows[i]) >= left:
             raise LinAlgError(f"entry ({i}, {max(rows[i])}) of the top-right block is not zero")
@@ -607,7 +503,7 @@ def triangular_ranks(
     return made[0], sum(1 for c in pivots if c < width), len(pivots)
 
 
-def kernel_basis(m: Any) -> list[list[Any]]:
+def kernel_basis(m: Matrix) -> list[list[Any]]:
     """Basis of the right kernel, one vector per free column, in
     increasing free-column order; the free coordinate is set to one."""
     f = m.ring
@@ -626,7 +522,7 @@ def kernel_basis(m: Any) -> list[list[Any]]:
     return list(basis.values())
 
 
-def solve(m: Any, b: Sequence[Any]) -> list[Any] | None:
+def solve(m: Matrix, b: Sequence[Any]) -> list[Any] | None:
     """One solution of m x = b, or None when the system is inconsistent.
 
     Free coordinates are set to zero, so the answer is deterministic.
@@ -635,11 +531,11 @@ def solve(m: Any, b: Sequence[Any]) -> list[Any] | None:
         raise LinAlgError(f"rhs length {len(b)} != {m.nrows} rows")
     f = m.ring
     _require_field(f, "solve")
-    aug = SparseMatrix(
+    aug = Matrix(
         f,
         m.nrows,
         m.ncols + 1,
-        [{**row, m.ncols: x} if x != f.zero else row for row, x in zip(_sparse(m).rows, b)],
+        [{**row, m.ncols: x} if x != f.zero else row for row, x in zip(m.rows, b)],
     )
     rows, pivots = rref(aug)
     if pivots and pivots[-1] == m.ncols:
@@ -650,9 +546,9 @@ def solve(m: Any, b: Sequence[Any]) -> list[Any] | None:
     return x
 
 
-def column_space_basis(m: Any) -> list[list[Any]]:
+def column_space_basis(m: Matrix) -> list[list[Any]]:
     """The pivot columns of m, a deterministic basis of the column space."""
-    pivots, _ = _echelon_rows(m.ring, [_sparse(m).rows], reduced=False)
+    pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=False)
     return [list(m.col(j)) for j in sorted(pivots)]
 
 
@@ -662,15 +558,10 @@ def field_matrix_inverse(m: Matrix) -> Matrix:
     f = m.ring
     _require_field(f, "matrix inverse")
     n = m.nrows
-    aug = SparseMatrix.block(
-        f, [[SparseMatrix.from_dense(m), SparseMatrix.identity(f, n)]]
-    )
-    rows, pivots = rref(aug)
+    rows, pivots = rref(Matrix.block(f, [[m, Matrix.identity(f, n)]]))
     if pivots != list(range(n)):
         raise LinAlgError("matrix is singular")
-    return Matrix(
-        f, n, n, tuple(rows[i].get(n + j, f.zero) for i in range(n) for j in range(n))
-    )
+    return Matrix(f, n, n, [{j - n: x for j, x in row.items() if j >= n} for row in rows])
 
 
 def det(m: Matrix) -> Any:
@@ -706,7 +597,7 @@ def adjugate(m: Matrix) -> Matrix:
     if n == 0:
         return m
     if n == 1:
-        return Matrix(r, 1, 1, (r.one,))
+        return Matrix.identity(r, 1)
     out = [[r.zero] * n for _ in range(n)]
     indices = list(range(n))
     for i in range(n):

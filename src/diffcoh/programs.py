@@ -212,15 +212,15 @@ def evaluate(
         if n.op == "adjugate":
             return _adjugate(run(n.args[0]))
         if n.op == "det":
-            return Matrix(ring, 1, 1, (_det(run(n.args[0])),))
+            return Matrix.from_rows(ring, [[_det(run(n.args[0]))]])
         if n.op == "trace":
-            return Matrix(ring, 1, 1, (run(n.args[0]).trace(),))
+            return Matrix.from_rows(ring, [[run(n.args[0]).trace()]])
         if n.op == "entry":
             i, j = n.payload
             m = run(n.args[0])
             if not (0 <= i < m.nrows and 0 <= j < m.ncols):
                 raise ProgramError(f"entry ({i},{j}) outside a {m.nrows}x{m.ncols} value")
-            return Matrix(ring, 1, 1, (m.at(i, j),))
+            return Matrix.from_rows(ring, [[m.at(i, j)]])
         if n.op == "linmap":
             m = run(n.args[0])
             lmat = lift(n.payload)
@@ -229,8 +229,10 @@ def evaluate(
                     f"linear map expects {lmat.ncols} coordinates, value has "
                     f"{m.nrows * m.ncols}"
                 )
-            coords = lmat.matvec(list(m.entries))
-            return Matrix(ring, m.nrows, m.ncols, tuple(coords))
+            coords = lmat.matvec(m.entries)
+            return Matrix.from_rows(
+                ring, [coords[i * m.ncols : (i + 1) * m.ncols] for i in range(m.nrows)]
+            )
         if n.op == "conj":
             m = run(n.args[0])
             return m.map_entries(ring.conj, ring)
@@ -241,8 +243,8 @@ def evaluate(
 
 def _scalar_matrix(c: Any, ring: Any) -> Matrix:
     if isinstance(ring, JetRing):
-        return Matrix(ring, 1, 1, (ring.embed(c),))
-    return Matrix(ring, 1, 1, (c,))
+        return Matrix.from_rows(ring, [[ring.embed(c)]])
+    return Matrix.from_rows(ring, [[c]])
 
 
 def substitute(node: Node, replacements: Sequence[Node]) -> Node:

@@ -206,8 +206,10 @@ class VSpace:
 
 def apply_t(t: Matrix, value: Matrix) -> Matrix:
     """Apply a coordinate linear map to a matrix-shaped value."""
-    coords = t.matvec(list(value.entries))
-    return Matrix(value.ring, value.nrows, value.ncols, tuple(coords))
+    coords, width = t.matvec(value.entries), value.ncols
+    return Matrix.from_rows(
+        value.ring, [coords[i * width : (i + 1) * width] for i in range(value.nrows)]
+    )
 
 
 def differentiate_representation(

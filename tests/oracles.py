@@ -1,9 +1,12 @@
 """Reference implementations kept as test oracles.
 
-The dense elimination (first nonzero row as pivot, full-row updates)
-and the per-basis-cochain operator assembly, for the group and the Lie
-complex alike, are the routes the library used before its sparse
-echelon and one-pass scatter assembly; the shear search over every
+The dense matrix arithmetic (``dense_add`` to ``dense_transpose``, loops
+over every entry of ``to_lists()``) is the one the library ran before a
+``Matrix`` stored only its nonzeros.  The dense elimination (first
+nonzero row as pivot, full-row updates) and the per-basis-cochain
+operator assembly, for the group and the Lie complex alike, are the
+routes the library used before its sparse echelon and one-pass scatter
+assembly; the shear search over every
 normalized 1-cochain is the one it used before searching on generators;
 the van Est loop with one plain evaluation per tuple and permutation is
 the one it used before its evaluations shared a value store.  The full
@@ -118,21 +121,67 @@ def dense_column_space_basis(m):
     return [list(m.col(j)) for j in pivots]
 
 
-def to_dense(s):
-    """The dense ``Matrix`` equal to the ``SparseMatrix`` s."""
-    zero = s.ring.zero
-    return Matrix(
-        s.ring,
-        s.nrows,
-        s.ncols,
-        tuple(row.get(j, zero) for row in s.rows for j in range(s.ncols)),
-    )
+def dense_add(a, b):
+    f = a.ring
+    return [[f.add(x, y) for x, y in zip(r, s)] for r, s in zip(a.to_lists(), b.to_lists())]
+
+
+def dense_sub(a, b):
+    f = a.ring
+    return [[f.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a.to_lists(), b.to_lists())]
+
+
+def dense_neg(a):
+    return [[a.ring.neg(x) for x in row] for row in a.to_lists()]
+
+
+def dense_matmul(a, b):
+    f = a.ring
+    right = b.to_lists()
+    out = []
+    for left in a.to_lists():
+        row = []
+        for j in range(b.ncols):
+            acc = f.zero
+            for k in range(a.ncols):
+                acc = f.add(acc, f.mul(left[k], right[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def dense_scale(c, a):
+    return [[a.ring.mul(c, x) for x in row] for row in a.to_lists()]
+
+
+def dense_matvec(a, v):
+    f = a.ring
+    out = []
+    for row in a.to_lists():
+        acc = f.zero
+        for x, y in zip(row, v):
+            acc = f.add(acc, f.mul(x, y))
+        out.append(acc)
+    return out
+
+
+def dense_trace(a):
+    f = a.ring
+    acc = f.zero
+    for i, row in enumerate(a.to_lists()):
+        acc = f.add(acc, row[i])
+    return acc
+
+
+def dense_transpose(a):
+    rows = a.to_lists()
+    return [[row[j] for row in rows] for j in range(a.ncols)]
 
 
 def modular_rank(m):
-    """Rank of a ``SparseMatrix`` over F_p: every row, fewest nonzeros first, is reduced to a
-    new pivot row or to zero, leftmost column first by a heap of its
-    columns, with a modular update of its ``{column: value}`` dict."""
+    """Rank of a ``Matrix`` over F_p: every row, fewest nonzeros first, is
+    reduced to a new pivot row or to zero, leftmost column first by a heap
+    of its columns, with a modular update of its ``{column: value}`` dict."""
     p = m.ring.p
     pivots = {}
     for row in sorted((dict(row) for row in m.rows if row), key=len):

@@ -188,10 +188,10 @@ def test_one_corrupted_representation_entry(make, data):
     g = data.draw(st.integers(0, dg.group.order - 1))
     k = data.draw(st.integers(0, t.nrows * t.nrows - 1))
     value = data.draw(st.integers(0, 6))
-    entries = list(theta[g].entries)
-    entries[k] = F7.from_int(value)
+    rows = theta[g].to_lists()
+    rows[k // t.nrows][k % t.nrows] = F7.from_int(value)
     theta = list(theta)
-    theta[g] = Matrix(F7, t.nrows, t.nrows, tuple(entries))
+    theta[g] = Matrix.from_rows(F7, rows)
     assert issues(check_representation(dg, theta, t)) == issues(
         representation_report(dg, theta, t)
     )
@@ -243,10 +243,10 @@ def test_one_corrupted_bracket_coordinate(algebra, pair, coord, value):
 def test_one_corrupted_operator_coordinate(algebra, k, value):
     brackets, d_rows = algebra
     lie = LieAlgebra(Q, 3, brackets)
-    entries = [Fraction(x) for row in d_rows for x in row]
-    assert check_lie_difference(lie, Matrix(Q, 3, 3, tuple(entries))).ok
-    entries[k] = Fraction(value)
-    d = Matrix(Q, 3, 3, tuple(entries))
+    rows = [[Fraction(x) for x in row] for row in d_rows]
+    assert check_lie_difference(lie, Matrix.from_rows(Q, rows)).ok
+    rows[k // 3][k % 3] = Fraction(value)
+    d = Matrix.from_rows(Q, rows)
     assert issues(check_lie_difference(lie, d)) == issues(lie_difference_report(lie, d))
 
 
@@ -273,9 +273,9 @@ MATRIX_BASES = [
 def test_one_corrupted_matrix_basis_entry(basis, b, k, value):
     basis = list(basis)
     b %= len(basis)
-    entries = list(basis[b].entries)
-    entries[k] = Fraction(value)
-    basis[b] = Matrix(Q, 2, 2, tuple(entries))
+    rows = basis[b].to_lists()
+    rows[k // 2][k % 2] = Fraction(value)
+    basis[b] = Matrix.from_rows(Q, rows)
     flat = Matrix.from_columns(Q, [list(m.entries) for m in basis], 4)
     try:
         lie = MatrixLieAlgebra(Q, basis)

@@ -101,7 +101,7 @@ def test_linmap_acts_on_flattened_entries():
 def test_constants_lift_into_jet_rings():
     ring = JetRing(Q, 1)
     prog = mul(const(qmat([[2]])), inp(0))
-    x = Matrix(ring, 1, 1, (ring.generator(0),))
+    x = Matrix.from_rows(ring, [[ring.generator(0)]])
     out = evaluate(prog, [x], ring)
     assert jet_part(out, (0,)) == qmat([[2]])
     assert jet_part(out, ()) == qmat([[0]])

@@ -1,6 +1,7 @@
-"""The sparse elimination and the one-pass operator assembly against
-the dense routes they replaced (``oracles.py``), and the rank route for
-cohomology dimensions against explicit cohomology spaces."""
+"""The ``Matrix`` arithmetic, the sparse elimination and the one-pass
+operator assembly against the dense routes they replaced
+(``oracles.py``), and the rank route for cohomology dimensions against
+explicit cohomology spaces."""
 
 import gc
 import inspect
@@ -37,7 +38,6 @@ from diffcoh.lie import (
 from diffcoh.linalg import (
     LinAlgError,
     Matrix,
-    SparseMatrix,
     column_space_basis,
     kernel_basis,
     rank,
@@ -45,24 +45,31 @@ from diffcoh.linalg import (
     solve,
     triangular_ranks,
 )
-from diffcoh.scalars import PrimeField, QuadraticField, Rationals
+from diffcoh.scalars import JetRing, PrimeField, QuadraticField, Rationals
 
 from oracles import (
     ce_coboundary,
     coboundary,
     delta,
     delta_theta,
+    dense_add,
     dense_column_space_basis,
     dense_echelon,
     dense_kernel_basis,
+    dense_matmul,
+    dense_matvec,
+    dense_neg,
     dense_rank,
+    dense_scale,
     dense_solve,
+    dense_sub,
+    dense_trace,
+    dense_transpose,
     k_map,
     kk,
     modular_rank,
     per_basis_matrix,
     three_rank_dims,
-    to_dense,
 )
 
 from helpers import trivial_fixture
@@ -76,6 +83,7 @@ F5 = PrimeField(5)
 # a Mersenne prime whose products overflow 64 bits
 F_BIG = PrimeField(2**61 - 1)
 Q2 = QuadraticField(2)
+JET = JetRing(Q, 2)
 
 # ------------------------------------------------------------ elimination
 
@@ -85,23 +93,28 @@ small = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
 
 
 def _scalar(field, a, b):
-    """a / (1 + |b|) over Q, a + b sqrt(2) over Q(sqrt 2), a mod p over F_p."""
+    """a / (1 + |b|) over Q, a + b sqrt(2) over Q(sqrt 2), a mod p over F_p,
+    and the nilpotent a e_0 + b e_1 over the jet ring, so that products
+    of nonzero jets vanish (e_0 e_0 = 0)."""
     if field is Q:
         return Fraction(a, 1 + abs(b))
     if field is Q2:
         return Q2.from_parts(a, b)
+    if field is JET:
+        e0, e1 = JET.generator(0), JET.generator(1)
+        return JET.add(JET.mul(JET.from_int(a), e0), JET.mul(JET.from_int(b), e1))
     return field.from_int(a)
 
 
 @st.composite
-def matrices(draw, field):
-    nrows = draw(st.integers(0, 5))
-    ncols = draw(st.integers(1, 6))
+def matrices(draw, field, nrows=None, ncols=None):
+    nrows = draw(st.integers(0, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 6)) if ncols is None else ncols
     rows = [
         [_scalar(field, draw(small), draw(small)) for _ in range(ncols)]
         for _ in range(nrows)
     ]
-    return Matrix(field, nrows, ncols, tuple(x for row in rows for x in row))
+    return Matrix.from_columns(field, [[row[j] for row in rows] for j in range(ncols)], nrows)
 
 
 FIELDS = [F2, F3, F_BIG, Q, Q2]
@@ -112,36 +125,50 @@ FIELDS = [F2, F3, F_BIG, Q, Q2]
 def test_sparse_echelon_matches_dense_oracle(field, data):
     m = data.draw(matrices(field))
     f = m.ring
-    for arg in (m, SparseMatrix.from_dense(m)):
-        assert rank(arg) == dense_rank(m)
-        assert kernel_basis(arg) == dense_kernel_basis(m)
-        assert column_space_basis(arg) == dense_column_space_basis(m)
-        rows, pivots = rref(arg)
-        dense_rows, dense_pivots = dense_echelon(m)
-        assert pivots == dense_pivots
-        assert [[row.get(j, f.zero) for j in range(m.ncols)] for row in rows] == dense_rows[
-            : len(pivots)
-        ]
+    assert rank(m) == dense_rank(m)
+    assert kernel_basis(m) == dense_kernel_basis(m)
+    assert column_space_basis(m) == dense_column_space_basis(m)
+    rows, pivots = rref(m)
+    dense_rows, dense_pivots = dense_echelon(m)
+    assert pivots == dense_pivots
+    assert [[row.get(j, f.zero) for j in range(m.ncols)] for row in rows] == dense_rows[
+        : len(pivots)
+    ]
     b = [_scalar(field, data.draw(small), data.draw(small)) for _ in range(m.nrows)]
     x = [_scalar(field, data.draw(small), data.draw(small)) for _ in range(m.ncols)]
     for rhs in (b, m.matvec(x)):
         assert solve(m, rhs) == dense_solve(m, rhs)
-        assert solve(SparseMatrix.from_dense(m), rhs) == dense_solve(m, rhs)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("field", [*FIELDS, JET], ids=repr)
 @given(data=st.data())
 def test_sparse_matrix_arithmetic_matches_dense(field, data):
+    """Every ``Matrix`` operation equals the dense loop over its entries,
+    and no result stores a zero."""
     a = data.draw(matrices(field))
-    b = data.draw(matrices(field))
-    sa, sb = SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)
-    assert to_dense(sa) == a
-    assert to_dense(sa + sa) == a + a
-    assert sa.is_zero() == a.is_zero()
-    if a.ncols == b.nrows:
-        assert to_dense(sa @ sb) == a @ b
+    b = data.draw(matrices(field, a.nrows, a.ncols))
+    c = data.draw(matrices(field, a.ncols))
+    square = data.draw(matrices(field, a.nrows, a.nrows))
+    s = _scalar(field, data.draw(small), data.draw(small))
     v = [_scalar(field, data.draw(small), data.draw(small)) for _ in range(a.ncols)]
-    assert sa.matvec(v) == a.matvec(v)
+    results = [
+        (a + b, dense_add(a, b), a.ncols),
+        (a - b, dense_sub(a, b), a.ncols),
+        (-a, dense_neg(a), a.ncols),
+        (a @ c, dense_matmul(a, c), c.ncols),
+        (a.scale(s), dense_scale(s, a), a.ncols),
+        (a.transpose(), dense_transpose(a), a.nrows),
+        (a, a.to_lists(), a.ncols),
+    ]
+    for m, dense, ncols in results:
+        assert m.to_lists() == dense and (m.nrows, m.ncols) == (len(dense), ncols)
+        assert all(x != field.zero for row in m.rows for x in row.values())
+    if a.nrows:
+        assert Matrix.from_rows(field, a.to_lists()) == a
+    assert a.entries == tuple(x for row in a.to_lists() for x in row)
+    assert a.is_zero() == all(x == field.zero for x in a.entries)
+    assert a.matvec(v) == dense_matvec(a, v)
+    assert square.trace() == dense_trace(square)
 
 
 @st.composite
@@ -158,7 +185,7 @@ def lower_triangular(draw, field):
             if x != field.zero:
                 row[j] = x
         rows.append(row)
-    return SparseMatrix(field, top + bottom, left + right, rows), top, left
+    return Matrix(field, top + bottom, left + right, rows), top, left
 
 
 def _block(m, rows, cols):
@@ -171,9 +198,8 @@ def test_triangular_ranks_are_the_ranks_of_the_blocks(field, data):
     m, top, left = data.draw(lower_triangular(field))
     x = _block(m, range(top), range(left))
     y = _block(m, range(top, m.nrows), range(left, m.ncols))
-    ranks = (dense_rank(x), dense_rank(y), dense_rank(to_dense(m)))
+    ranks = (dense_rank(x), dense_rank(y), dense_rank(m))
     assert triangular_ranks(m, top, left) == ranks
-    assert triangular_ranks(to_dense(m), top, left) == ranks
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -191,14 +217,14 @@ def test_triangular_ranks_with_bounds_at_or_above_the_ranks(field, data):
 
 def test_triangular_ranks_of_a_degree_one_shape():
     # d_B(1) = [[d_C], [K]]: the sub complex has no degree-1 cochains
-    m = SparseMatrix.from_dense(Matrix.from_rows(F3, [[1, 2], [2, 1], [0, 1]]))
+    m = Matrix.from_rows(F3, [[1, 2], [2, 1], [0, 1]])
     assert triangular_ranks(m, 2, 2) == (1, 0, 2)
     assert triangular_ranks(m, 0, 2) == (0, 0, 2)
     assert triangular_ranks(m, 3, 2) == (2, 0, 2)
 
 
 def test_triangular_ranks_reject_a_nonzero_top_right_entry():
-    m = SparseMatrix.from_dense(Matrix.from_rows(F3, [[1, 0, 0], [0, 0, 2], [1, 1, 1]]))
+    m = Matrix.from_rows(F3, [[1, 0, 0], [0, 0, 2], [1, 1, 1]])
     assert triangular_ranks(m, 1, 2) == (1, 1, 3)
     with pytest.raises(LinAlgError, match=r"entry \(1, 2\) of the top-right block"):
         triangular_ranks(m, 2, 2)
@@ -218,17 +244,16 @@ def wide_f2_matrices(draw):
         dict.fromkeys(draw(st.lists(st.sampled_from(shared), max_size=5, unique=True)), 1)
         for _ in range(nrows)
     ]
-    return SparseMatrix(F2, nrows, ncols, rows)
+    return Matrix(F2, nrows, ncols, rows)
 
 
 @given(data=st.data())
 def test_f2_bitset_rows_match_dense_oracle_across_words(data):
-    s = data.draw(wide_f2_matrices())
-    m = to_dense(s)
-    assert rank(s) == dense_rank(m) == modular_rank(s)
-    assert kernel_basis(s) == dense_kernel_basis(m)
-    assert column_space_basis(s) == dense_column_space_basis(m)
-    rows, pivots = rref(s)
+    m = data.draw(wide_f2_matrices())
+    assert rank(m) == dense_rank(m) == modular_rank(m)
+    assert kernel_basis(m) == dense_kernel_basis(m)
+    assert column_space_basis(m) == dense_column_space_basis(m)
+    rows, pivots = rref(m)
     dense_rows, dense_pivots = dense_echelon(m)
     assert pivots == dense_pivots
     assert [[row.get(j, 0) for j in range(m.ncols)] for row in rows] == dense_rows[: len(pivots)]
@@ -237,13 +262,15 @@ def test_f2_bitset_rows_match_dense_oracle_across_words(data):
     x = [x_bits >> j & 1 for j in range(m.ncols)]
     b = [data.draw(st.integers(0, 1)) for _ in range(m.nrows)]
     for rhs in (b, m.matvec(x)):
-        assert solve(s, rhs) == dense_solve(m, rhs)
+        assert solve(m, rhs) == dense_solve(m, rhs)
 
 
 def test_entries_are_the_stored_nonzeros():
-    m = SparseMatrix.from_dense(Matrix.from_rows(F3, [[0, 1, 0], [2, 0, 0]]))
-    assert m.entries == (1, 2)
-    assert m.nrows * m.ncols == 6
+    # rows holds the nonzeros; entries is every entry, zeros included
+    m = Matrix.from_rows(F3, [[0, 1, 0], [2, 0, 0]])
+    assert m.rows == ({1: 1}, {0: 2})
+    assert m.entries == (0, 1, 0, 2, 0, 0)
+    assert (m - m).rows == ({}, {})
 
 
 def test_integer_rows_keep_rational_rank_exact():
@@ -321,9 +348,9 @@ def test_scatter_assembly_matches_per_basis_cochain_assembly(rep, max_degree):
         d = per_basis_matrix(cx, lambda a: coboundary(rep.theta, a), n, n + 1)
         d_d = per_basis_matrix(cx, lambda a: coboundary(cx.theta_d, a), n, n + 1)
         k = per_basis_matrix(cx, lambda a: kk(rep, a), n, n)
-        assert to_dense(cx.d_ordinary(n)) == d, n
-        assert to_dense(cx.d_difference(n)) == d_d, n
-        assert to_dense(cx.k_matrix(n)) == k, n
+        assert cx.d_ordinary(n) == d, n
+        assert cx.d_difference(n) == d_d, n
+        assert cx.k_matrix(n) == k, n
 
 
 # ------------------------------------------------------ Lie face scatter
@@ -416,9 +443,9 @@ def test_lie_scatter_assembly_matches_per_basis_cochain_assembly(rep):
         d = per_basis_matrix(cx, lambda z: ce_coboundary(rep.theta, z), n, n + 1)
         d_d = per_basis_matrix(cx, lambda z: ce_coboundary(cx.theta_d, z), n, n + 1)
         k = per_basis_matrix(cx, lambda z: k_map(rep, z), n, n)
-        assert to_dense(cx.d_ordinary(n)) == d, n
-        assert to_dense(cx.d_difference(n)) == d_d, n
-        assert to_dense(cx.k_matrix(n)) == k, n
+        assert cx.d_ordinary(n) == d, n
+        assert cx.d_difference(n) == d_d, n
+        assert cx.k_matrix(n) == k, n
 
 
 def _corrupted_k_rep():
@@ -568,13 +595,13 @@ class _NotAComplex(LESData):
         return 1
 
     def d_a(self, n):
-        return SparseMatrix.zeros(F2, 0, 0)
+        return Matrix.zeros(F2, 0, 0)
 
     def d_c(self, n):
-        return SparseMatrix.identity(F2, 1)
+        return Matrix.identity(F2, 1)
 
     def k(self, n):
-        return SparseMatrix.zeros(F2, 0, 1)
+        return Matrix.zeros(F2, 0, 1)
 
 
 def test_rank_route_rejects_a_non_complex():
@@ -711,7 +738,7 @@ def test_d_difference_is_d_exactly_when_the_twists_agree(make, shared):
     for n in (1, 2):
         oracle = exactness.operator_matrix(cx.space(n), cx.space(n + 1), faces(over, cx.theta_d))
         assert (cx.d_difference(n) is cx.d_ordinary(n)) is shared
-        assert to_dense(cx.d_difference(n)) == to_dense(oracle)
+        assert cx.d_difference(n) == oracle
 
 
 @pytest.mark.parametrize(
