@@ -219,7 +219,7 @@ def _check_jet_fixture(report: dict, fx: JetFixture, seed: int) -> None:
         return
     try:
         differentiate_representation(
-            fx.spec, diff, fx.dprog, fx.theta_prog, fx.t, fx.vshape, seed=seed
+            diff, fx.dprog, fx.theta_prog, fx.t, fx.vshape, seed=seed
         )
     except SampledPreconditionError as exc:
         _add_check(report, "rep-program", False, str(exc))
@@ -350,7 +350,7 @@ def cmd_vanest(args: argparse.Namespace, report: dict) -> None:
             fx.spec, fx.dprog, fx.basis, seed=args.seed
         )
         lierep = differentiate_representation(
-            fx.spec, diff, fx.dprog, fx.theta_prog, fx.t, fx.vshape, seed=args.seed
+            diff, fx.dprog, fx.theta_prog, fx.t, fx.vshape, seed=args.seed
         )
     except (SampledPreconditionError, ValidationError) as exc:
         _add_check(report, "differentiation", False, str(exc))
@@ -358,7 +358,7 @@ def cmd_vanest(args: argparse.Namespace, report: dict) -> None:
     _add_check(report, "differentiation", True, "operator and representation derived")
     try:
         ve = verify_van_est_cochain_map(
-            diff, lierep, fx.dprog, fx.theta_prog, fx.t, fx.vshape,
+            diff, lierep, fx.dprog, fx.theta_prog, fx.vshape,
             fx.alpha_prog, degree, beta_prog=fx.beta_prog, seed=args.seed,
         )
     except SampledPreconditionError as exc:

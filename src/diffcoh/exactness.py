@@ -12,7 +12,8 @@ where K anticommutes with the differentials.  The short exact sequence
 whose connecting map is induced by K.  This module computes cohomology
 dimensions from ranks alone, computes explicit bases for cohomology
 spaces (``cohomology_space``, the one rule for cosets modulo boundaries,
-which the extension census reads too), and verifies exactness at every
+which the extension census reads too, with the pivot columns of d_in
+that form its boundary basis), and verifies exactness at every
 node by two criteria: consecutive maps compose to zero, and ranks add up
 to the dimension of the middle space; it builds each cohomology space
 once per pair of differentials, so where d_D is d, H^{n+1}(A) is H^n(C),
@@ -31,7 +32,9 @@ definition of each operator: ``operator_matrix`` scatters them into its
 matrix, which the complex caches (d_D is the matrix of d where the two
 twists are equal) and applies to single cochains too
 (``coboundary``, ``connecting``, and ``delta``, which reads the pair
-differential off d_B).  The cochain values of both
+differential off d_B).  It owns the coordinates of the pair complex:
+``pair`` is the one split of a vector of B_n into (alpha, beta).  The
+cochain values of both
 theories are written once here too: ``Cochain`` (storage, validation,
 arithmetic), ``CochainPair`` (an element of the pair complex) and
 ``CochainSpaceBase`` (coordinates); a theory subclass supplies its tuple
@@ -103,11 +106,13 @@ class LESNode:
 
 @dataclass
 class CohomologySpace:
-    """Explicit basis data for one cohomology space H^n = Z / B."""
+    """Explicit basis data for one cohomology space H^n = Z / B: the
+    boundary basis is the columns ``pivots`` of d_in."""
 
     dim_total: int
     reps: list[list[Any]]
     boundaries: list[list[Any]]
+    pivots: list[int]
 
     @property
     def dim(self) -> int:
@@ -120,19 +125,20 @@ def cohomology_space(field: Any, d_out: Matrix, d_in: Matrix | None) -> Cohomolo
     Representatives are the kernel-basis vectors that are independent
     modulo the boundary space and the earlier representatives, in
     kernel-basis order.  Those are exactly the cocycle columns among the
-    pivot columns of [B | Z], B the boundary basis and Z the kernel
-    basis, so one elimination finds them all.
+    pivot columns of [B | Z], B the boundary basis (the pivot columns
+    of d_in) and Z the kernel basis, so one elimination finds them all.
     """
     cocycles = kernel_basis(d_out)
-    boundaries = column_space_basis(d_in) if d_in is not None else []
-    n = d_out.ncols
+    pivots = column_space_basis(d_in) if d_in is not None else []
+    boundaries = [list(d_in.col(j)) for j in pivots]
+    n_b, n = len(boundaries), d_out.ncols
     reps: list[list[Any]] = []
     if cocycles:
         stacked = Matrix.from_columns(field, boundaries + cocycles, n)
-        reps = column_space_basis(stacked)[len(boundaries) :]
-    if len(reps) != len(cocycles) - len(boundaries):
+        reps = [cocycles[j - n_b] for j in column_space_basis(stacked)[n_b:]]
+    if len(reps) != len(cocycles) - n_b:
         raise InternalCheckError(_NOT_A_COMPLEX)
-    return CohomologySpace(dim_total=n, reps=reps, boundaries=boundaries)
+    return CohomologySpace(dim_total=n, reps=reps, boundaries=boundaries, pivots=pivots)
 
 
 def induced_map(field: Any, images: list[list[Any]], cod: CohomologySpace) -> Matrix:
@@ -593,14 +599,18 @@ class DifferenceComplexBase(LESData):
         """The connecting cochain map K applied to the cochain a."""
         return self._apply(self.k_matrix, a, a.degree)
 
+    def pair(self, n: int, vec: Sequence[Any]) -> CochainPair:
+        """The element of B_n with coordinates ``vec``: B_n = C_n + A_n,
+        C first and A_n = C_{n-1}, so the first dim C_n are alpha's and
+        the rest beta's, which degree 1 has none of."""
+        cut = self.dim_c(n)
+        beta = self.space(n - 1).from_vector(vec[cut:]) if n > 1 else None
+        return CochainPair(self.space(n).from_vector(vec[:cut]), beta)
+
     def delta(self, pair: CochainPair) -> CochainPair:
-        """delta(a, b) = (d a, d_D b + K a) off d_B(n): B_n = C_n + A_n,
-        C first and A_n = C_{n-1}, so (a, b) are the pair's coordinates."""
+        """delta(a, b) = (d a, d_D b + K a) off d_B(n)."""
         n = pair.degree
         vec = self.space(n).to_vector(pair.alpha)
         if pair.beta is not None:
             vec += self.space(n - 1).to_vector(pair.beta)
-        image, cut = self.d_b(n).matvec(vec), self.dim_c(n + 1)
-        return CochainPair(
-            self.space(n + 1).from_vector(image[:cut]), self.space(n).from_vector(image[cut:])
-        )
+        return self.pair(n + 1, self.d_b(n).matvec(vec))

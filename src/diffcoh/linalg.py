@@ -546,10 +546,11 @@ def solve(m: Matrix, b: Sequence[Any]) -> list[Any] | None:
     return x
 
 
-def column_space_basis(m: Matrix) -> list[list[Any]]:
-    """The pivot columns of m, a deterministic basis of the column space."""
+def column_space_basis(m: Matrix) -> list[int]:
+    """The indices of the pivot columns of m, in increasing order: those
+    columns are a deterministic basis of the column space."""
     pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=False)
-    return [list(m.col(j)) for j in sorted(pivots)]
+    return sorted(pivots)
 
 
 def field_matrix_inverse(m: Matrix) -> Matrix:

@@ -120,6 +120,14 @@ def conj(a: Node) -> Node:
     return Node("conj", (a,))
 
 
+def apply_linmap(lmat: Matrix, m: Matrix) -> Matrix:
+    """The linear map ``lmat`` applied to the entries of m, row by row,
+    cut back into the rows of m."""
+    coords, width = lmat.matvec(m.entries), m.ncols
+    rows = [coords[i * width : (i + 1) * width] for i in range(m.nrows)]
+    return Matrix.from_rows(lmat.ring, rows)
+
+
 class ValueStore:
     """Values of one program's subtrees, shared by several evaluations of
     that program.
@@ -229,10 +237,7 @@ def evaluate(
                     f"linear map expects {lmat.ncols} coordinates, value has "
                     f"{m.nrows * m.ncols}"
                 )
-            coords = lmat.matvec(m.entries)
-            return Matrix.from_rows(
-                ring, [coords[i * m.ncols : (i + 1) * m.ncols] for i in range(m.nrows)]
-            )
+            return apply_linmap(lmat, m)
         if n.op == "conj":
             m = run(n.args[0])
             return m.map_entries(ring.conj, ring)

@@ -49,6 +49,7 @@ from .programs import (
     Node,
     ValueStore,
     add,
+    apply_linmap as apply_t,
     evaluate,
     inp,
     linmap,
@@ -204,16 +205,7 @@ class VSpace:
         return m.entries
 
 
-def apply_t(t: Matrix, value: Matrix) -> Matrix:
-    """Apply a coordinate linear map to a matrix-shaped value."""
-    coords, width = t.matvec(value.entries), value.ncols
-    return Matrix.from_rows(
-        value.ring, [coords[i * width : (i + 1) * width] for i in range(value.nrows)]
-    )
-
-
 def differentiate_representation(
-    spec: MatrixGroupSpec,
     diff: DifferentiatedOperator,
     dprog: Node,
     theta_prog: Node,
@@ -229,6 +221,7 @@ def differentiate_representation(
     theta(x) is the e-coefficient of Theta(I + e x) acting on the value
     basis, validated as a Lie representation of (g, D).
     """
+    spec = diff.spec
     f = spec.field
     rng = random.Random(seed)
     ident = spec.identity()
@@ -460,7 +453,6 @@ def verify_van_est_cochain_map(
     lierep: LieRep,
     dprog: Node,
     theta_prog: Node,
-    t: Matrix,
     vshape: VSpace,
     alpha_prog: Node,
     degree: int,
@@ -508,7 +500,7 @@ def verify_van_est_cochain_map(
             f"skipped: degree {degree + 1} exceeds the jet cap {VE_DEGREE_CAP}",
         )
 
-    group_second = ve(hk_program(dprog, t, alpha_prog, degree), degree)
+    group_second = ve(hk_program(dprog, lierep.t, alpha_prog, degree), degree)
     lie_k = k_map(cx, ve_alpha)
     ok = group_second == lie_k
     report.add(

@@ -367,14 +367,12 @@ def test_criterion_07_van_est_cochain_map():
         t = Matrix.from_rows(Q, [[Fraction(-1)]])
         vshape = VSpace(1, 1)
         diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
-        lierep = differentiate_representation(
-            spec, diff, dprog, theta_prog, t, vshape
-        )
+        lierep = differentiate_representation(diff, dprog, theta_prog, t, vshape)
         alpha1 = builtin_cochain_program("trace-shift", Q, 2, 1)
         alpha2 = mul(alpha1, sub(trace_of(inp(1)), scalar(Fraction(2))))
         for degree, alpha, beta in ((1, alpha1, None), (2, alpha2, alpha1)):
             report = verify_van_est_cochain_map(
-                diff, lierep, dprog, theta_prog, t, vshape,
+                diff, lierep, dprog, theta_prog, vshape,
                 alpha, degree, beta_prog=beta,
             )
             assert report.ok, [c.detail for c in report.checks if not c.ok]
@@ -410,7 +408,7 @@ def test_criterion_08_extension_classification():
             GroupCochain(rep.dg.group, F3, 1, 1, {(2,): (1,)}),
         )
         ext = AbelianExtension(rep, pair)
-        back = cocycle_from_section(DifferenceComplex(rep), ext, canonical_section(ext))
+        back = cocycle_from_section(ext, canonical_section(ext))
         assert back.alpha == pair.alpha and back.beta == pair.beta
 
     _run(8, "extension classes counted two ways", 60, body)

@@ -557,22 +557,24 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
 
 
 def test_failing_section_round_trip_exits_three(monkeypatch, capsys):
+    # a section pair that is not the extension's own fails the equality
+    # check of the round trip
     import diffcoh.extensions as extensions
     from diffcoh.group_cohomology import CochainPair, GroupCochain
 
-    real_delta = extensions.delta
+    real = extensions.cocycle_from_section
 
-    def broken(cx, pair):
-        image = real_delta(cx, pair)
-        bump = GroupCochain(cx.group, cx.field, cx.dim, 3, {(1, 1, 1): (1,)})
-        return CochainPair(image.alpha + bump, image.beta)
+    def broken(ext, section):
+        pair = real(ext, section)
+        bump = GroupCochain(ext.base.group, ext.rep.field, ext.rep.dim, 1, {(1,): (1,)})
+        return CochainPair(pair.alpha, pair.beta + bump)
 
-    monkeypatch.setattr(extensions, "delta", broken)
+    monkeypatch.setattr(extensions, "cocycle_from_section", broken)
     code, out, err = run(["classify", fx("z3_carry_extension.json")], capsys)
     assert code == 3
     assert out == ""
     assert err == (
-        "internal consistency failure: section pair has d alpha nonzero at (1, 1, 1)\n"
+        "internal consistency failure: canonical section does not return its cocycle\n"
     )
 
 

@@ -42,13 +42,14 @@ def minimal_group_data():
 
 def test_all_shipped_fixtures_parse():
     paths = sorted(FIXDIR.glob("*.json"))
-    assert len(paths) == 8
+    assert len(paths) == 9
     kinds = {}
     for p in paths:
         fx = load_fixture(str(p))
         kinds[p.name] = fx.kind
     assert kinds == {
         "gl2_adjugate_det.json": "jet",
+        "gl2_corner_deg2.json": "jet",
         "gl2_inverse_det_deg2.json": "jet",
         "lie_abelian.json": "lie",
         "lie_solvable.json": "lie",

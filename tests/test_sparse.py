@@ -127,7 +127,7 @@ def test_sparse_echelon_matches_dense_oracle(field, data):
     f = m.ring
     assert rank(m) == dense_rank(m)
     assert kernel_basis(m) == dense_kernel_basis(m)
-    assert column_space_basis(m) == dense_column_space_basis(m)
+    assert [list(m.col(j)) for j in column_space_basis(m)] == dense_column_space_basis(m)
     rows, pivots = rref(m)
     dense_rows, dense_pivots = dense_echelon(m)
     assert pivots == dense_pivots
@@ -252,7 +252,7 @@ def test_f2_bitset_rows_match_dense_oracle_across_words(data):
     m = data.draw(wide_f2_matrices())
     assert rank(m) == dense_rank(m) == modular_rank(m)
     assert kernel_basis(m) == dense_kernel_basis(m)
-    assert column_space_basis(m) == dense_column_space_basis(m)
+    assert [list(m.col(j)) for j in column_space_basis(m)] == dense_column_space_basis(m)
     rows, pivots = rref(m)
     dense_rows, dense_pivots = dense_echelon(m)
     assert pivots == dense_pivots

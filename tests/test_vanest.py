@@ -56,7 +56,7 @@ def adjugate_setup():
     dprog = builtin_difference_program("adjugate", Q, 2)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        spec, diff, dprog, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
+        diff, dprog, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
     )
     return spec, dprog, diff, rep
 
@@ -66,7 +66,7 @@ def inverse_setup():
     dprog = builtin_difference_program("inverse", Q, 2)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        spec, diff, dprog, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
+        diff, dprog, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
     )
     return spec, dprog, diff, rep
 
@@ -119,7 +119,6 @@ def test_identity_representation_differentiates_to_inclusion():
     dprog = builtin_difference_program("inverse", Q, 2)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        spec,
         diff,
         dprog,
         builtin_rep_program("identity-rep", Q, 2),
@@ -135,12 +134,12 @@ def test_wrong_t_fails_the_sampled_difference_law():
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     with pytest.raises(SampledPreconditionError):
         differentiate_representation(
-            spec, diff, dprog, builtin_rep_program("det", Q, 2),
+            diff, dprog, builtin_rep_program("det", Q, 2),
             Matrix.zeros(Q, 1, 1), VSpace(1, 1),
         )
     with pytest.raises(ValueError):
         differentiate_representation(
-            spec, diff, dprog, builtin_rep_program("det", Q, 2),
+            diff, dprog, builtin_rep_program("det", Q, 2),
             qmat([[1, 0]]), VSpace(1, 1),
         )
 
@@ -199,7 +198,7 @@ def test_van_est_is_a_cochain_map_in_degree_one():
     spec, dprog, diff, rep = adjugate_setup()
     report = verify_van_est_cochain_map(
         diff, rep, dprog, builtin_rep_program("det", Q, 2),
-        qmat([[-1]]), VSpace(1, 1), trace_shift(), 1,
+        VSpace(1, 1), trace_shift(), 1,
     )
     names = [c.name for c in report.checks]
     assert names == [
@@ -219,7 +218,7 @@ def test_van_est_is_a_cochain_map_in_degree_two():
     alpha2 = mul(trace_shift(), sub(trace_of(inp(1)), scalar(Fraction(2))))
     report = verify_van_est_cochain_map(
         diff, rep, dprog, builtin_rep_program("det", Q, 2),
-        qmat([[-1]]), VSpace(1, 1), alpha2, 2, beta_prog=trace_shift(),
+        VSpace(1, 1), alpha2, 2, beta_prog=trace_shift(),
     )
     assert report.ok, [c for c in report.checks if not c.ok]
     assert report.degree == 2
@@ -230,7 +229,7 @@ def test_pair_component_needs_degree_two():
     with pytest.raises(ValueError):
         verify_van_est_cochain_map(
             diff, rep, dprog, builtin_rep_program("det", Q, 2),
-            qmat([[-1]]), VSpace(1, 1), trace_shift(), 1,
+            VSpace(1, 1), trace_shift(), 1,
             beta_prog=trace_shift(),
         )
 

@@ -11,6 +11,7 @@ import pytest
 from diffcoh import vanest
 from diffcoh.cli import main
 from diffcoh.exactness import CochainPair, DifferenceComplexBase
+from diffcoh.fixtures import load_fixture
 from diffcoh.lie import LieDifferenceComplex, ce_coboundary, k_map
 from diffcoh.linalg import Matrix
 from diffcoh.programs import (
@@ -54,7 +55,7 @@ def gaussian_setup():
     theta_prog = builtin_rep_program("det", QI, 2)
     t = -Matrix.identity(QI, 1)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
-    rep = differentiate_representation(spec, diff, dprog, theta_prog, t, VSHAPE)
+    rep = differentiate_representation(diff, dprog, theta_prog, t, VSHAPE)
     ident = const(Matrix.identity(QI, 2))
     alpha = mul(entry(sub(inp(0), ident), 0, 1), entry(sub(inp(1), ident), 1, 0))
     beta = builtin_cochain_program("trace-shift", QI, 2, 1)
@@ -72,6 +73,22 @@ def corner_beta():
     return entry(sub(inp(0), const(Matrix.identity(QI, 2))), 0, 1)
 
 
+def test_shipped_corner_fixture_has_nonzero_alpha_images():
+    # fixtures/gl2_corner_deg2.json is the corner case of gaussian_setup,
+    # so its degree-2 van Est check compares nonzero images
+    fx = load_fixture(str(FIXDIR / "gl2_corner_deg2.json"))
+    _, _, dprog, theta_prog, t, alpha, _ = gaussian_setup()
+    assert (fx.dprog, fx.theta_prog, fx.t) == (dprog, theta_prog, t)
+    assert (fx.alpha_prog, fx.beta_prog, fx.degree) == (alpha, corner_beta(), 2)
+    diff = differentiate_difference_operator(fx.spec, fx.dprog, fx.basis)
+    rep = differentiate_representation(diff, fx.dprog, fx.theta_prog, fx.t, fx.vshape)
+    cx = LieDifferenceComplex(rep)
+    ve_alpha = van_est(diff, fx.alpha_prog, 2, fx.vshape)
+    assert not ve_alpha.is_zero()
+    assert not ce_coboundary(cx, ve_alpha).is_zero()
+    assert not k_map(cx, ve_alpha).is_zero()
+
+
 @pytest.mark.parametrize("corner", [False, True], ids=["trace_shift", "corner"])
 def test_degree_two_van_est_with_nonzero_images(corner):
     diff, rep, dprog, theta_prog, t, alpha, beta = gaussian_setup()
@@ -85,7 +102,7 @@ def test_degree_two_van_est_with_nonzero_images(corner):
     d_ve_beta = d_d(cx, van_est(diff, beta, 1, VSHAPE))
     assert d_ve_beta.is_zero() != corner
     report = verify_van_est_cochain_map(
-        diff, rep, dprog, theta_prog, t, VSHAPE, alpha, 2, beta_prog=beta
+        diff, rep, dprog, theta_prog, VSHAPE, alpha, 2, beta_prog=beta
     )
     assert [(c.name, c.ok) for c in report.checks] == [
         ("coboundary-intertwines", True),
@@ -159,7 +176,7 @@ def test_a_nonzero_pk_image_fails_the_pair_check(monkeypatch):
     )
     diff, rep, dprog, theta_prog, t, alpha, _ = gaussian_setup()
     report = verify_van_est_cochain_map(
-        diff, rep, dprog, theta_prog, t, VSHAPE, alpha, 2, beta_prog=corner_beta()
+        diff, rep, dprog, theta_prog, VSHAPE, alpha, 2, beta_prog=corner_beta()
     )
     assert [(c.name, c.ok, c.detail) for c in report.checks[2:]] == [
         ("pk-differentiates-to-zero", False, "nonzero at (1, 2)"),
@@ -199,7 +216,7 @@ def test_pair_check_computes_each_image_once(degree, monkeypatch):
     if degree == 1:
         alpha, beta = beta, None
     report = verify_van_est_cochain_map(
-        diff, rep, dprog, theta_prog, t, VSHAPE, alpha, degree, beta_prog=beta
+        diff, rep, dprog, theta_prog, VSHAPE, alpha, degree, beta_prog=beta
     )
     assert report.ok
     # alpha, d alpha, hk, pk, and beta with d_D beta when there is a beta

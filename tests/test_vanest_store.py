@@ -60,7 +60,7 @@ def setup(field):
     theta_prog = builtin_rep_program("det", field, 2)
     t = -Matrix.identity(field, 1)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
-    rep = differentiate_representation(spec, diff, dprog, theta_prog, t, VSHAPE)
+    rep = differentiate_representation(diff, dprog, theta_prog, t, VSHAPE)
     return diff, rep, dprog, theta_prog, t
 
 
