@@ -276,10 +276,12 @@ class GroupExtensionTheory:
     ``shears`` checks as the one candidate of ``are_isomorphic``;
     ``isomorphic`` is its exhaustive search and ``key`` is ``shear_key``.
     Each hook looks its function up when it is called, so one patched by
-    name is seen."""
+    name is seen.  ``carrier_size`` is |G| p^dim, the elements of the
+    carrier of each extension."""
 
     def __init__(self, cx: DifferenceComplex) -> None:
         self.cx, self.field, self.budget = cx, cx.field, cx.budget
+        self.carrier_size = cx.rep.dg.group.order * cx.field.p**cx.rep.dim
 
     def build(self, vec: Sequence[Any]) -> AbelianExtension:
         return AbelianExtension(self.cx.rep, self.cx.pair(2, vec))
@@ -317,7 +319,8 @@ def census(space: CohomologySpace, preimages: Sequence[list[Any]], theory: Any) 
     while building only the p^dim representatives, the combinations of
     ``space.reps``.
 
-    ``theory`` supplies ``field``, ``budget``, ``build(vector)`` (the
+    ``theory`` supplies ``field``, ``budget``, ``carrier_size`` (the
+    elements of an extension's carrier), ``build(vector)`` (the
     extension of a cocycle), ``shears(e1, e2, eta)`` (whether the shear
     by the 1-cochain eta carries e1 onto e2), ``isomorphic(e1, e2)`` (an
     exhaustive search) and ``key(e)`` (a key that shears preserve).
@@ -344,8 +347,12 @@ def census(space: CohomologySpace, preimages: Sequence[list[Any]], theory: Any) 
     a key are searched, pairwise; any search that succeeds raises.
 
     The budget counts the p^dim representatives before any is built,
-    and the same-key pairs before any search.  Either failed check
-    raises ``InternalCheckError``.  Returns the representatives in
+    then the carrier elements before any carrier is listed, and the
+    same-key pairs before any search.  The carrier is held to the budget
+    or ``DEFAULT_BUDGET``, whichever is larger, so a small budget that
+    bounds the representatives and searches still admits the small
+    carriers they are built on.  Either failed check raises
+    ``InternalCheckError``.  Returns the representatives in
     ``itertools.product`` order of their coefficients on ``space.reps``,
     so the zero cocycle, the split extension, comes first.
     """
@@ -353,6 +360,11 @@ def census(space: CohomologySpace, preimages: Sequence[list[Any]], theory: Any) 
     n_reps = f.p ** space.dim
     if n_reps > budget:
         raise BudgetExceededError("extension census", n_reps, budget, "coset representatives")
+    carrier_budget = max(budget, DEFAULT_BUDGET)
+    if theory.carrier_size > carrier_budget:
+        raise BudgetExceededError(
+            "extension census", theory.carrier_size, carrier_budget, "carrier elements"
+        )
     reps = [theory.build(vec) for vec in _span(f, space.reps, space.dim_total)]
     keys = [theory.key(ext) for ext in reps]
     for b, eta in zip(space.boundaries, preimages):

@@ -618,7 +618,8 @@ def jet_matrix_inverse(m: Matrix) -> Matrix:
     Writes m = M0 + N with M0 the base part and N nilpotent (entries
     have zero base coefficient), inverts M0 over the base field, and
     sums the geometric series of -M0^{-1} N, which terminates after
-    ``ngens`` steps because every product of ngens+1 generators dies.
+    ``nslots`` steps because every product of generators from more than
+    ``nslots`` slots dies.
     """
     ring = m.ring
     if not isinstance(ring, JetRing):
@@ -631,7 +632,7 @@ def jet_matrix_inverse(m: Matrix) -> Matrix:
     n = Matrix.identity(ring, m.nrows) - (base_inv @ m)  # nilpotent
     acc = Matrix.identity(ring, m.nrows)
     term = Matrix.identity(ring, m.nrows)
-    for _ in range(ring.ngens):
+    for _ in range(ring.nslots):
         term = term @ n
         if term.is_zero():
             break

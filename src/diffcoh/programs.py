@@ -14,12 +14,10 @@ automorphism applied entrywise).
 Programs compose by substitution, which is how coboundary and
 connecting-map combinators are built from cochain programs.
 
-One evaluation computes each subtree once.  Several evaluations of one
-program over one ring can share a ``ValueStore``: it keeps the value of
-each subtree that reads fewer inputs than the evaluation has and that a
-later evaluation can look up, keyed by the input objects that subtree
-reads, for as long as its owner keeps it (the van Est map keeps one for
-the duration of one call).
+One evaluation computes each subtree once and keeps nothing after it
+returns.  Over a slot-graded jet ring (see ``scalars.JetRing``) one
+evaluation carries every basis direction of an input at once, so a
+derivative, or a van Est image of degree 1 or 2, is one evaluation.
 """
 
 from __future__ import annotations
@@ -128,45 +126,16 @@ def apply_linmap(lmat: Matrix, m: Matrix) -> Matrix:
     return Matrix.from_rows(lmat.ring, rows)
 
 
-class ValueStore:
-    """Values of one program's subtrees, shared by several evaluations of
-    that program.
-
-    A value is keyed by the subtree and the identities of the input
-    objects the subtree reads, so an evaluation that passes the same
-    objects in those slots reuses it.  Identity keys are valid only while
-    the tree and those input objects are alive: the store's owner must
-    keep both for as long as the store, and evaluate over one ring only.
-    The store keeps only values of subtrees that read fewer inputs than
-    the evaluation has (a subtree reading all of them is keyed by the
-    whole assignment) and that a later evaluation can look up (see
-    ``subtree_reads``); any other value is kept for one evaluation alone.
-    """
-
-    def __init__(self, node: Node) -> None:
-        self.reads, self.looked_up = subtree_reads(node)
-        self.values: dict[tuple, Matrix] = {}
-
-
-def evaluate(
-    node: Node, inputs: Sequence[Matrix], ring: Any, store: ValueStore | None = None
-) -> Matrix:
+def evaluate(node: Node, inputs: Sequence[Matrix], ring: Any) -> Matrix:
     """Evaluate a program on input matrices over ``ring``.
 
     Constants and linmap payloads are stored over the base field and
-    lifted when the evaluation ring is a jet ring.  Values live in a
-    ``ValueStore`` built for ``node``: a fresh one per call unless
-    ``store`` is given, in which case values of subtrees reading fewer
-    inputs than ``inputs`` has are shared with the other evaluations on
-    that store.  Either way a shared subtree is evaluated once per call.
-    An op whose matrix operation fails (shape mismatch, singular inverse)
-    raises ``ProgramError`` naming the op.
+    lifted when the evaluation ring is a jet ring.  A subtree shared
+    within the tree is evaluated once per call.  An op whose matrix
+    operation fails (shape mismatch, singular inverse) raises
+    ``ProgramError`` naming the op.
     """
-    if store is None:
-        store = ValueStore(node)
-    reads, looked_up, shared = store.reads, store.looked_up, store.values
-    arity = len(inputs)
-    local: dict[tuple, Matrix] = {}
+    values: dict[int, Matrix] = {}
 
     def lift(m: Matrix) -> Matrix:
         if isinstance(ring, JetRing):
@@ -178,18 +147,14 @@ def evaluate(
         return m
 
     def run(n: Node) -> Matrix:
-        read = reads[id(n)]
-        if read and read[-1] >= arity:
-            return _step(n)  # an input leaf raises, naming the missing input
-        key = (id(n), *[id(inputs[i]) for i in read])
-        table = shared if len(read) < arity and id(n) in looked_up else local
-        if key in table:
-            return table[key]
+        key = id(n)
+        if key in values:
+            return values[key]
         try:
             out = _step(n)
         except LinAlgError as exc:
             raise ProgramError(f"op {n.op!r}: {exc}") from exc
-        table[key] = out
+        values[key] = out
         return out
 
     def _step(n: Node) -> Matrix:
@@ -243,7 +208,13 @@ def evaluate(
             return m.map_entries(ring.conj, ring)
         raise ProgramError(f"unknown program op {n.op!r}")
 
-    return run(node)
+    # run and _step refer to each other, so their closures form a cycle
+    # that lives until the cycle collector runs; emptying ``values``
+    # frees the subtree values when the call returns
+    try:
+        return run(node)
+    finally:
+        values.clear()
 
 
 def _scalar_matrix(c: Any, ring: Any) -> Matrix:
@@ -275,39 +246,17 @@ def substitute(node: Node, replacements: Sequence[Node]) -> Node:
     return walk(node)
 
 
-def subtree_reads(node: Node) -> tuple[dict[int, tuple[int, ...]], set[int]]:
-    """The increasing input indices each subtree of ``node`` reads, keyed
-    by the subtree's id, and the ids of the subtrees a later evaluation
-    can look up: the root and each subtree with a parent that reads more
-    inputs.  A subtree whose parents all read its inputs is looked up
-    only when one of them is computed, and that one is looked up under
-    the same inputs first."""
-    reads: dict[int, tuple[int, ...]] = {}
-    looked_up = {id(node)}
-
-    def walk(n: Node) -> tuple[int, ...]:
-        key = id(n)
-        if key in reads:
-            return reads[key]
-        if n.op == "input":
-            out = (n.payload,)
-        else:
-            arg_reads = [walk(a) for a in n.args]
-            out = tuple(sorted(set().union(*arg_reads)))
-            looked_up.update(
-                id(a) for a, read in zip(n.args, arg_reads) if len(read) < len(out)
-            )
-        reads[key] = out
-        return out
-
-    walk(node)
-    return reads, looked_up
-
-
 def max_input_index(node: Node) -> int:
     """Largest input index used, or -1 for a closed program."""
-    read = subtree_reads(node)[0][id(node)]
-    return read[-1] if read else -1
+    seen: dict[int, int] = {}
+
+    def walk(n: Node) -> int:
+        if id(n) not in seen:
+            args = [walk(a) for a in n.args]
+            seen[id(n)] = n.payload if n.op == "input" else max(args, default=-1)
+        return seen[id(n)]
+
+    return walk(node)
 
 
 def parse_program(data: Any, field: Any, depth: int = 1) -> Node:

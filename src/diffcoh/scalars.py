@@ -5,7 +5,8 @@ defined here.  There is no floating point anywhere: a rational is an
 ``int`` when it is integral and a stdlib ``Fraction`` with denominator
 > 1 otherwise, prime-field elements are canonical residues in
 ``[0, p)``, and first-order jets are finitely supported maps from subsets
-of generators to base-field scalars.
+of generators, at most one from each slot of a slot-graded jet ring, to
+base-field scalars.
 
 A "ring object" bundles the operations on its scalars (``add``, ``mul``,
 ``inv``, ...) so that matrices and cochains can stay generic over the
@@ -318,33 +319,42 @@ def field_to_spec(field: "Rationals | PrimeField | QuadraticField") -> dict:
 class Jet:
     """A first-order multi-parameter jet over a base field.
 
-    With generators e_1, ..., e_n satisfying e_i^2 = 0, a jet is the
-    finite sum of c_S * prod(e_i for i in S) over subsets S of the
-    generators.  ``coeffs`` maps each frozenset S with nonzero
-    coefficient to its scalar; the empty set holds the base part.
+    With generators e_0, ..., e_{n-1} in slots of ``width`` consecutive
+    generators (e_i in slot i // width), a jet is the finite sum of
+    c_S * prod(e_i for i in S) over the subsets S that hold at most one
+    generator of each slot: a product of two generators of one slot is
+    zero.  ``coeffs`` maps each frozenset S with nonzero coefficient to
+    its scalar; the empty set holds the base part.
     """
 
-    __slots__ = ("base", "ngens", "coeffs")
+    __slots__ = ("base", "ngens", "width", "coeffs")
 
-    def __init__(self, base: Any, ngens: int, coeffs: dict[frozenset, Any]) -> None:
+    def __init__(
+        self, base: Any, ngens: int, coeffs: dict[frozenset, Any], width: int = 1
+    ) -> None:
         self.base = base
         self.ngens = ngens
+        self.width = width
         clean = {}
         for subset, c in coeffs.items():
             subset = frozenset(subset)
             if any(not 0 <= i < ngens for i in subset):
                 raise ScalarError(f"jet subset {sorted(subset)} outside generator range")
+            if len({i // width for i in subset}) < len(subset):
+                raise ScalarError(f"jet subset {sorted(subset)} holds two generators of one slot")
             if c != base.zero:
                 clean[subset] = c
         self.coeffs = clean
 
     @classmethod
-    def _raw(cls, base: Any, ngens: int, coeffs: dict[frozenset, Any]) -> "Jet":
+    def _raw(cls, base: Any, ngens: int, width: int, coeffs: dict[frozenset, Any]) -> "Jet":
         """A jet over coefficients already known to be nonzero and keyed
-        by frozensets of generators below ``ngens``; no validation."""
+        by monomials of a ring with ``ngens`` generators in slots of
+        ``width``; no validation."""
         jet = cls.__new__(cls)
         jet.base = base
         jet.ngens = ngens
+        jet.width = width
         jet.coeffs = coeffs
         return jet
 
@@ -355,11 +365,12 @@ class Jet:
         return (
             isinstance(other, Jet)
             and other.ngens == self.ngens
+            and other.width == self.width
             and other.coeffs == self.coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.ngens, frozenset(self.coeffs.items())))
+        return hash((self.ngens, self.width, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -372,59 +383,78 @@ class Jet:
 
 
 class JetRing:
-    """Jets over ``base`` in ``ngens`` square-zero commuting generators."""
+    """Jets over ``base`` in ``ngens`` commuting generators, graded by
+    slots: generator i lies in slot i // ``width``, and a product of two
+    generators of one slot is zero.  With ``width`` 1 each generator
+    squares to zero.  A wider slot j carries a whole tangent direction:
+    sending its generators e_{jw+k} to c_k e_j, for one square-zero e_j,
+    is a ring homomorphism, so a program evaluated at
+    I + sum_k e_{jw+k} x_k gives its value at every I + e_j x_k at once.
+    A product of generators from more than ``nslots`` slots is zero.
+    """
 
     kind = "jet"
     is_field = False
 
-    def __init__(self, base: Any, ngens: int) -> None:
+    def __init__(self, base: Any, ngens: int, width: int = 1) -> None:
         if not base.is_field:
             raise ScalarError("jet ring base must be a field")
         if ngens < 0:
             raise ScalarError("number of jet generators must be nonnegative")
+        if width < 1:
+            raise ScalarError("jet slot width must be positive")
         self.base = base
         self.ngens = ngens
-        self.zero = Jet(base, ngens, {})
-        self.one = Jet(base, ngens, {frozenset(): base.one})
+        self.width = width
+        self.nslots = -(-ngens // width)
+        self._slot_bit = [1 << (i // width) for i in range(ngens)]
+        self.zero = Jet(base, ngens, {}, width)
+        self.one = Jet(base, ngens, {frozenset(): base.one}, width)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, JetRing)
             and other.base == self.base
             and other.ngens == self.ngens
+            and other.width == self.width
         )
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.base, self.ngens))
+        return hash((self.kind, self.base, self.ngens, self.width))
 
     def __repr__(self) -> str:
-        return f"JetRing({self.base!r}, {self.ngens})"
+        width = "" if self.width == 1 else f", {self.width}"
+        return f"JetRing({self.base!r}, {self.ngens}{width})"
 
     def embed(self, c: Any) -> Jet:
-        return Jet(self.base, self.ngens, {frozenset(): c})
+        return Jet(self.base, self.ngens, {frozenset(): c}, self.width)
 
     def generator(self, i: int) -> Jet:
         if not 0 <= i < self.ngens:
             raise ScalarError(f"no jet generator {i} in a ring with {self.ngens}")
-        return Jet(self.base, self.ngens, {frozenset([i]): self.base.one})
+        return Jet(self.base, self.ngens, {frozenset([i]): self.base.one}, self.width)
 
     def from_int(self, n: int) -> Jet:
         return self.embed(self.base.from_int(n))
 
     # add, neg and mul build their results with Jet._raw.  Operands come
-    # from this ring or a narrower one, so their keys are in range and
-    # their stored coefficients nonzero; over a field, a negative or a
-    # product of nonzero elements is nonzero, so only sums can vanish.
+    # from this ring or a narrower one of the same slot width, so their
+    # keys are in range and their stored coefficients nonzero; over a
+    # field, a negative or a product of nonzero elements is nonzero, so
+    # only sums can vanish.
 
-    def _too_wide(self, *jets: Jet) -> ScalarError:
-        wide = next(j for j in jets if j.ngens > self.ngens)
-        return ScalarError(
-            f"jet in {wide.ngens} generators used in a ring with {self.ngens}"
-        )
+    def _foreign(self, *jets: Jet) -> ScalarError:
+        bad = next(j for j in jets if j.ngens > self.ngens or j.width != self.width)
+        if bad.width != self.width:
+            return ScalarError(
+                f"jet with slot width {bad.width} used in a ring with slot width {self.width}"
+            )
+        return ScalarError(f"jet in {bad.ngens} generators used in a ring with {self.ngens}")
 
     def add(self, x: Jet, y: Jet) -> Jet:
-        if x.ngens > self.ngens or y.ngens > self.ngens:
-            raise self._too_wide(x, y)
+        n, w = self.ngens, self.width
+        if x.ngens > n or y.ngens > n or x.width != w or y.width != w:
+            raise self._foreign(x, y)
         add, zero = self.base.add, self.base.zero
         coeffs = dict(x.coeffs)
         for subset, c in y.coeffs.items():
@@ -436,42 +466,52 @@ class JetRing:
                     coeffs[subset] = total
             else:
                 coeffs[subset] = c
-        return Jet._raw(self.base, self.ngens, coeffs)
+        return Jet._raw(self.base, n, w, coeffs)
 
     def neg(self, x: Jet) -> Jet:
-        if x.ngens > self.ngens:
-            raise self._too_wide(x)
+        if x.ngens > self.ngens or x.width != self.width:
+            raise self._foreign(x)
         neg = self.base.neg
-        return Jet._raw(self.base, self.ngens, {s: neg(c) for s, c in x.coeffs.items()})
+        return Jet._raw(self.base, self.ngens, self.width, {s: neg(c) for s, c in x.coeffs.items()})
 
     def sub(self, x: Jet, y: Jet) -> Jet:
         return self.add(x, self.neg(y))
 
     def mul(self, x: Jet, y: Jet) -> Jet:
-        if x.ngens > self.ngens or y.ngens > self.ngens:
-            raise self._too_wide(x, y)
-        # e_i^2 = 0 kills any product of overlapping monomials.
+        n, w = self.ngens, self.width
+        if x.ngens > n or y.ngens > n or x.width != w or y.width != w:
+            raise self._foreign(x, y)
+        # monomials on a common slot multiply to zero, so the terms of y
+        # are grouped by the bit mask of their slots and a term of x
+        # skips each group whose mask meets its own
         add, mul, zero = self.base.add, self.base.mul, self.base.zero
+        bit = self._slot_bit
+        groups: dict[int, list] = {}
+        for t, d in y.coeffs.items():
+            groups.setdefault(sum([bit[i] for i in t]), []).append((t, d))
         coeffs: dict[frozenset, Any] = {}
         for s, c in x.coeffs.items():
-            for t, d in y.coeffs.items():
-                if s & t:
+            ms = sum([bit[i] for i in s])
+            for mt, terms in groups.items():
+                if ms & mt:
                     continue
-                u = s | t
-                term = mul(c, d)
-                if u in coeffs:
-                    total = add(coeffs[u], term)
-                    if total == zero:
-                        del coeffs[u]
+                for t, d in terms:
+                    u = s | t
+                    term = mul(c, d)
+                    if u in coeffs:
+                        total = add(coeffs[u], term)
+                        if total == zero:
+                            del coeffs[u]
+                        else:
+                            coeffs[u] = total
                     else:
-                        coeffs[u] = total
-                else:
-                    coeffs[u] = term
-        return Jet._raw(self.base, self.ngens, coeffs)
+                        coeffs[u] = term
+        return Jet._raw(self.base, n, w, coeffs)
 
     def inv(self, x: Jet) -> Jet:
         """Inverse of a unit jet (nonzero base part) via the finite
-        geometric series: (c + n)^-1 = c^-1 * sum((-n/c)^k)."""
+        geometric series: (c + n)^-1 = c^-1 * sum((-n/c)^k), where
+        n^k = 0 for k > ``nslots``."""
         c0 = x.coefficient(())
         if c0 == self.base.zero:
             raise ZeroDivisionError("jet with zero base part is not invertible")
@@ -479,12 +519,11 @@ class JetRing:
         nilpotent = self.mul(self.sub(x, self.embed(c0)), c0inv)
         acc = self.one
         term = self.one
-        for _ in range(self.ngens):
+        for _ in range(self.nslots):
             term = self.neg(self.mul(term, nilpotent))
             acc = self.add(acc, term)
         return self.mul(acc, c0inv)
 
     def conj(self, x: Jet) -> Jet:
-        return Jet(
-            self.base, self.ngens, {s: self.base.conj(c) for s, c in x.coeffs.items()}
-        )
+        coeffs = {s: self.base.conj(c) for s, c in x.coeffs.items()}
+        return Jet(self.base, self.ngens, coeffs, self.width)

@@ -5,21 +5,21 @@ difference operator as a one-input program g -> D(g), a representation
 as a two-input action program (g, u) -> Theta(g) u, and n-cochains as
 n-input programs with matrix values of a fixed shape.
 
-Differentiation is exact jet arithmetic: evaluating a program at
-I + e*x over a one-generator jet ring and extracting the e-coefficient.
-The van Est map evaluates an n-cochain program at I + e_j * x_{s(j)}
-over an n-generator jet ring for every permutation s, extracts the
-coefficient of e_1...e_n, and sums with signs, so its output is
-alternating by construction and is stored on increasing tuples only.
-Each call builds the jet ring and the table of arguments I + e_j * x_i
-once, and one ``ValueStore`` that its jet evaluations share for the
-duration of the call: a subtree reading fewer inputs than the program
-(inverse(x_j), tr(x_j) - k, a constant, in degree 3 a two-input term)
-is evaluated once per assignment of the arguments it reads, not once
-per tuple and permutation.  The cochain-map verification computes each
-VE image once, takes every Lie-side image from one
-``LieDifferenceComplex`` and assembles the pair-differential check by
-linearity of VE.
+Differentiation is exact jet arithmetic over a slot-graded jet ring
+(see ``scalars.JetRing``): an argument I + sum_k e_{j,k} x_k, with the
+generators e_{j,k} of slot j multiplying to zero, carries every basis
+direction x_k at once, and the value at I + e_j x_k is read off the
+monomials holding e_{j,k}.  A derivative is one evaluation in one slot.
+The van Est map reads c(x_{k_0}, ..., x_{k_{n-1}}) off the monomial
+e_{0,k_0} ... e_{n-1,k_{n-1}} and sums it with signs over the
+permutations of each increasing tuple, so its output is alternating by
+construction and is stored on increasing tuples only.  At most two
+slots are graded, which bounds the monomials of a jet by twice
+(1 + dim g)^2: an image of degree 1 or 2 is one evaluation, and one of
+degree 3 is one evaluation per basis element in the first argument.
+The cochain-map verification computes each VE image once, takes every
+Lie-side image from one ``LieDifferenceComplex`` and assembles the
+pair-differential check by linearity of VE.
 
 Program preconditions (the group-level identities) hold on sampled
 invertible matrices with a fixed seed; everything after sampling is an
@@ -47,7 +47,6 @@ from .exactness import CochainPair
 from .linalg import Matrix, det, jet_part
 from .programs import (
     Node,
-    ValueStore,
     add,
     apply_linmap as apply_t,
     evaluate,
@@ -58,7 +57,7 @@ from .programs import (
     sub,
     substitute,
 )
-from .scalars import JetRing, QuadraticField
+from .scalars import Jet, JetRing, QuadraticField
 
 VE_DEGREE_CAP = 3
 DEFAULT_SAMPLES = 20
@@ -113,13 +112,20 @@ class DifferentiatedOperator:
     dop: LieDifferenceOp
 
 
-def _jet_arg(ring: JetRing, spec: MatrixGroupSpec, x: Matrix, gen: int) -> Matrix:
-    """I + e_gen * x over the jet ring."""
-    ident = Matrix.identity(ring, spec.size)
-    lifted = x.map_entries(
-        lambda c: ring.mul(ring.generator(gen), ring.embed(c)), ring
-    )
-    return ident + lifted
+def _tangent_arg(
+    ring: JetRing, basis: Sequence[Matrix], slot: int, indices: Sequence[int]
+) -> Matrix:
+    """I + sum_k e_{slot, k} x_k over the k in ``indices``, where x_k is
+    ``basis[k]`` and e_{slot, k} the generator slot * width + k."""
+    base, width = ring.base, ring.width
+    size = basis[0].nrows
+    grid = [[{frozenset(): base.one} if a == b else {} for b in range(size)] for a in range(size)]
+    for k in indices:
+        gen = frozenset([slot * width + k])
+        for a, row in enumerate(basis[k].rows):
+            for b, c in row.items():
+                grid[a][b][gen] = c
+    return Matrix.from_rows(ring, [[Jet(base, ring.ngens, d, width) for d in row] for row in grid])
 
 
 def differentiate_difference_operator(
@@ -133,7 +139,9 @@ def differentiate_difference_operator(
     First the twisted cocycle rule D(gh) = D(g) g D(h) g^{-1} is checked
     on sampled invertible matrices (including the identity pair); then
     D(x) is read off as the e-coefficient of dprog(I + e x) and the
-    result is validated as a Lie-algebra difference operator.
+    result is validated as a Lie-algebra difference operator.  One
+    evaluation at I + sum_k e_k x_k, in one slot of width dim g, gives
+    every column.
     """
     f = spec.field
     rng = random.Random(seed)
@@ -159,15 +167,13 @@ def differentiate_difference_operator(
         raise SampledPreconditionError("difference-operator program has D(I) != I")
 
     lie = MatrixLieAlgebra(f, list(basis))
-    ring = JetRing(f, 1)
-    cols = []
-    for x in basis:
-        value = evaluate(dprog, [_jet_arg(ring, spec, x, 0)], ring)
-        if jet_part(value, ()) != ident:
-            raise SampledPreconditionError(
-                "difference-operator program is not I + O(e) at I + e x"
-            )
-        cols.append(lie.coords(jet_part(value, (0,))))
+    ring = JetRing(f, lie.dim, lie.dim)
+    value = evaluate(dprog, [_tangent_arg(ring, basis, 0, range(lie.dim))], ring)
+    if jet_part(value, ()) != ident:
+        raise SampledPreconditionError(
+            "difference-operator program is not I + O(e) at I + e x"
+        )
+    cols = [lie.coords(jet_part(value, (k,))) for k in range(lie.dim)]
     dmat = Matrix.from_columns(f, cols, lie.dim)
     return DifferentiatedOperator(
         spec=spec, basis=list(basis), lie=lie, dop=LieDifferenceOp(lie, dmat)
@@ -218,8 +224,9 @@ def differentiate_representation(
     Sampled preconditions: Theta(I) = id, multiplicativity, and the
     difference-representation law
     T(Theta(g) u) + Theta(g) u = Theta(D(g) g)(T(u) + u).  Then
-    theta(x) is the e-coefficient of Theta(I + e x) acting on the value
-    basis, validated as a Lie representation of (g, D).
+    theta(x_k) is the e_k-coefficient of Theta(I + sum_k e_k x_k), one
+    evaluation per value-basis vector, validated as a Lie representation
+    of (g, D).
     """
     spec = diff.spec
     f = spec.field
@@ -259,46 +266,22 @@ def differentiate_representation(
                     "representation law on a sampled element"
                 )
 
-    ring = JetRing(f, 1)
-    theta = []
-    for x in diff.basis:
-        gx = _jet_arg(ring, spec, x, 0)
-        cols = []
-        for u in vbasis:
-            w = act(gx, u.map_entries(ring.embed, ring), ring)
-            if jet_part(w, ()) != u:
-                raise SampledPreconditionError(
-                    "representation program is not id + O(e) at I + e x"
-                )
-            cols.append(list(jet_part(w, (0,)).entries))
-        theta.append(Matrix.from_columns(f, cols, vshape.dim))
+    dim = diff.lie.dim
+    ring = JetRing(f, dim, dim)
+    gx = _tangent_arg(ring, diff.basis, 0, range(dim))
+    images = []
+    for u in vbasis:
+        w = act(gx, u.map_entries(ring.embed, ring), ring)
+        if jet_part(w, ()) != u:
+            raise SampledPreconditionError(
+                "representation program is not id + O(e) at I + e x"
+            )
+        images.append(w)
+    theta = [
+        Matrix.from_columns(f, [list(jet_part(w, (k,)).entries) for w in images], vshape.dim)
+        for k in range(dim)
+    ]
     return LieRep(diff.dop, theta, t)
-
-
-def _signed_jet_value(
-    ring: JetRing,
-    jet_args: Sequence[Sequence[Matrix]],
-    prog: Node,
-    indices: Sequence[int],
-    vshape: VSpace,
-    store: ValueStore | None = None,
-) -> tuple:
-    """The alternating-sum jet evaluation of a cochain program on basis
-    elements x_{indices}; ``jet_args[j][i]`` is I + e_j * x_i over
-    ``ring``.  Each permutation is one ``evaluate`` on ``store``, if
-    given."""
-    f = ring.base
-    n = len(indices)
-    total = [f.zero] * vshape.dim
-    for sigma in itertools.permutations(range(n)):
-        args = [jet_args[j][indices[sigma[j]]] for j in range(n)]
-        value = evaluate(prog, args, ring, store)
-        coeff = vshape.flatten(jet_part(value, range(n)))
-        if sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2:
-            total = [f.sub(x, y) for x, y in zip(total, coeff)]
-        else:
-            total = [f.add(x, y) for x, y in zip(total, coeff)]
-    return tuple(total)
 
 
 def van_est(
@@ -313,14 +296,15 @@ def van_est(
     alternating Lie n-cochain.
 
     Normalization (the program vanishes when any argument is the
-    identity) is checked on sampled invertible matrices; the output is
-    alternating by construction, a signed sum over permutations stored on
-    increasing tuples.  One n-generator jet ring and one table of jet
-    arguments I + e_j * x_i serve every evaluation of the call, and the
-    evaluations share one ``ValueStore`` that lives as long as the call:
-    each value of a subtree reading fewer than n inputs is computed once
-    per assignment of the arguments it reads.  ``evaluate`` runs once
-    per (tuple, permutation).
+    identity) is checked on sampled invertible matrices.  The jet ring
+    has ``degree`` slots of width dim g.  The last two arguments are
+    graded, I + sum_k e_{j,k} x_k, and an argument before them (degree 3
+    only) is I + e_{0,k} x_k for one k per evaluation, so ``evaluate``
+    runs once per image of degree 1 or 2 and dim g times per image of
+    degree 3.  Each increasing tuple then sums, with signs, the
+    coefficients of e_{0,k_0} ... e_{n-1,k_{n-1}} over its
+    permutations (k_0, ..., k_{n-1}), so the output is alternating by
+    construction.
     """
     if not 1 <= degree <= VE_DEGREE_CAP:
         raise ValueError(f"van Est degree must be in 1..{VE_DEGREE_CAP}, got {degree}")
@@ -341,14 +325,25 @@ def van_est(
                     "containing the identity"
                 )
 
-    ring = JetRing(f, degree)
-    jet_args = [
-        [_jet_arg(ring, diff.spec, x, j) for x in diff.basis] for j in range(degree)
-    ]
-    store = ValueStore(prog)
+    dim = diff.lie.dim
+    tuples = list(itertools.combinations(range(dim), degree))
+    ring = JetRing(f, degree * dim, dim)
+    lead = max(degree - 2, 0)
+    graded = [_tangent_arg(ring, diff.basis, j, range(dim)) for j in range(lead, degree)]
+    images = {}
+    for head in itertools.product(range(dim), repeat=lead) if tuples else ():
+        args = [_tangent_arg(ring, diff.basis, j, [k]) for j, k in enumerate(head)]
+        images[head] = vshape.flatten(evaluate(prog, args + graded, ring))
     values = {}
-    for tup in itertools.combinations(range(diff.lie.dim), degree):
-        values[tup] = _signed_jet_value(ring, jet_args, prog, tup, vshape, store)
+    for tup in tuples:
+        total = [f.zero] * vshape.dim
+        for ks in itertools.permutations(tup):
+            monomial = frozenset(j * dim + k for j, k in enumerate(ks))
+            coeff = [x.coefficient(monomial) for x in images[ks[:lead]]]
+            odd = sum(a > b for a, b in itertools.combinations(ks, 2)) % 2
+            step = f.sub if odd else f.add
+            total = [step(x, y) for x, y in zip(total, coeff)]
+        values[tup] = tuple(total)
     return LieCochain(diff.lie, vshape.dim, degree, values)
 
 

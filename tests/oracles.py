@@ -8,9 +8,10 @@ operator assembly, for the group and the Lie complex alike, are the
 routes the library used before its sparse echelon and one-pass scatter
 assembly; the shear search over every
 normalized 1-cochain is the one it used before searching on generators;
-the van Est loop with one plain evaluation per tuple and permutation is
-the one it used before its evaluations shared a value store.  The full
-scans of the group and Lie laws (associativity over all triples, the
+the van Est loop with one plain evaluation per tuple and permutation,
+at I + e_j x over a jet ring with one generator per argument, is the one
+it used before one evaluation over slot-graded jets gave a whole image.
+The full scans of the group and Lie laws (associativity over all triples, the
 twisted rule and Theta over all pairs, the three-bracket difference
 identity, Jacobi, one solve per commutator) are those it ran before it
 checked each law on generators.  The per-cochain loops for d, d_D and
@@ -48,7 +49,6 @@ from diffcoh.lie import LieCochain, LieError, _sorted_with_sign, theta_d_matrice
 from diffcoh.linalg import Matrix, LinAlgError, jet_part, rank
 from diffcoh.programs import evaluate
 from diffcoh.scalars import JetRing, PrimeField, Rationals, ScalarError
-from diffcoh.vanest import _jet_arg
 
 
 def dense_echelon(m):
@@ -339,13 +339,19 @@ def all_cochains_isomorphic(e1, e2):
     return False
 
 
+def jet_arg(ring, x, gen):
+    """I + e_gen * x over the jet ring."""
+    lifted = x.map_entries(lambda c: ring.mul(ring.generator(gen), ring.embed(c)), ring)
+    return Matrix.identity(ring, x.nrows) + lifted
+
+
 def per_evaluation_van_est(diff, prog, degree, vshape):
     """The van Est map of a cochain program, without the normalization
-    check: one plain ``evaluate`` per increasing tuple and permutation, so
-    no value is shared between two evaluations."""
+    check: one plain ``evaluate`` per increasing tuple and permutation,
+    at I + e_j x_{k_j} over a jet ring with one generator per argument."""
     f = diff.spec.field
     ring = JetRing(f, degree)
-    jet_args = [[_jet_arg(ring, diff.spec, x, j) for x in diff.basis] for j in range(degree)]
+    jet_args = [[jet_arg(ring, x, j) for x in diff.basis] for j in range(degree)]
     values = {}
     for tup in itertools.combinations(range(diff.lie.dim), degree):
         total = [f.zero] * vshape.dim

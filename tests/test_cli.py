@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from diffcoh import cli, extensions, fixtures, linalg
+from diffcoh import cli, extensions, fixtures, groups, linalg
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
 from diffcoh.extensions import classify_extensions
@@ -320,6 +320,32 @@ def test_classify_budget_failure_is_a_verdict(capsys):
     )
     assert code == 1
     assert "check budget: FAIL" in out
+
+
+def test_classify_counts_the_carrier_before_the_module_is_listed(tmp_path, capsys, monkeypatch):
+    # Z3 over F_p with p = 2^61 - 1 and T = -2: the census has one
+    # representative, but its carrier has 3 p elements, so F_p must not
+    # be listed; the other commands never list it
+    p = 2**61 - 1
+    data = json.loads((FIXDIR / "z3_inverse.json").read_text())
+    data["rep"]["field"] = {"kind": "Fp", "p": p}
+    data["rep"]["T"] = [[p - 2]]
+    path = tmp_path / "z3_huge_p.json"
+    path.write_text(json.dumps(data))
+
+    def unreachable(field, dim):
+        raise AssertionError("F_p^dim was listed")
+
+    monkeypatch.setattr(groups, "vector_enumeration", unreachable)
+    for mode in ("extensions", "semidirect-ops"):
+        code, out, _ = run(["classify", str(path), "--mode", mode], capsys)
+        assert code == 1
+        assert (
+            f"check budget: FAIL (extension census needs {3 * p} carrier elements, "
+            "budget is 60000)\n" in out
+        )
+    for command in ("check", "cohomology", "les"):
+        assert run([command, str(path)], capsys)[0] == 0
 
 
 def test_vanest_command(capsys):

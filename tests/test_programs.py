@@ -30,7 +30,6 @@ from diffcoh.programs import (
     scalar,
     sub,
     substitute,
-    subtree_reads,
     trace_of,
 )
 from diffcoh.scalars import JetRing, QuadraticField, Rationals
@@ -144,20 +143,11 @@ def test_max_input_index():
     assert max_input_index(scalar(Fraction(1))) == -1
     assert max_input_index(mul(inp(0), inp(3))) == 3
     assert max_input_index(builtin_rep_program("det", Q, 2)) == 1
-
-
-def test_subtree_reads_and_the_values_a_later_evaluation_looks_up():
-    trace = trace_of(inp(0))
-    shifted = sub(trace, scalar(Fraction(2)))
-    second = inp(1)
-    prog = mul(shifted, second)
-    reads, looked_up = subtree_reads(prog)
-    assert reads[id(prog)] == (0, 1)
-    assert reads[id(trace)] == reads[id(shifted)] == (0,)
-    assert reads[id(shifted.args[1])] == ()
-    # the trace is needed only when tr(x0) - 2, which reads the same
-    # input, is computed, and that value is looked up first
-    assert looked_up == {id(prog), id(shifted), id(second), id(shifted.args[1])}
+    # a tree of 2^60 paths through 61 shared nodes is walked once per node
+    shared = inp(2)
+    for _ in range(60):
+        shared = mul(shared, shared)
+    assert max_input_index(shared) == 2
 
 
 def test_parse_format_round_trip():

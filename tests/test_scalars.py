@@ -371,6 +371,92 @@ def test_jet_units_invert(x):
         assert ring.mul(x, ring.inv(x)) == ring.one
 
 
+SLOTS, WIDTH = 3, 2
+GRADED_SUBSETS = [
+    frozenset(slot * WIDTH + k for slot, k in zip(slots, ks))
+    for r in range(SLOTS + 1)
+    for slots in itertools.combinations(range(SLOTS), r)
+    for ks in itertools.product(range(WIDTH), repeat=r)
+]
+
+
+@st.composite
+def graded_jets(draw, base, elements):
+    """A jet of JetRing(base, SLOTS * WIDTH, WIDTH), each of its
+    monomials zero or drawn from ``elements``."""
+    coeffs = {s: draw(st.one_of(st.just(base.zero), elements)) for s in GRADED_SUBSETS}
+    return Jet(base, SLOTS * WIDTH, coeffs, WIDTH)
+
+
+def collapse(x, ks):
+    """The image of x under e_{j,k} -> delta(k, ks[j]) e_j, a jet of
+    JetRing(base, SLOTS): the generator ks[j] of slot j goes to e_j and
+    the other generators of slot j to zero."""
+    out = {}
+    for subset, c in x.coeffs.items():
+        if all(i % WIDTH == ks[i // WIDTH] for i in subset):
+            out[frozenset(i // WIDTH for i in subset)] = c
+    return Jet(x.base, SLOTS, out)
+
+
+@pytest.mark.parametrize(
+    "base,elements",
+    [
+        (Q, rationals),
+        (F7, f7_elements),
+        (QI, quad_elements),
+    ],
+    ids=["Q", "F7", "Q(sqrt-1)"],
+)
+@given(data=st.data())
+def test_collapsing_the_slots_is_a_ring_homomorphism(base, elements, data):
+    x = data.draw(graded_jets(base, elements))
+    y = data.draw(graded_jets(base, elements))
+    ks = data.draw(st.tuples(*[st.integers(0, WIDTH - 1)] * SLOTS))
+    graded, plain = JetRing(base, SLOTS * WIDTH, WIDTH), JetRing(base, SLOTS)
+    for op in ("add", "mul"):
+        assert collapse(getattr(graded, op)(x, y), ks) == getattr(plain, op)(
+            collapse(x, ks), collapse(y, ks)
+        )
+    for op in ("neg", "conj"):
+        assert collapse(getattr(graded, op)(x), ks) == getattr(plain, op)(collapse(x, ks))
+    if x.coefficient(()) != base.zero:
+        assert collapse(graded.inv(x), ks) == plain.inv(collapse(x, ks))
+        assert graded.mul(x, graded.inv(x)) == graded.one
+
+
+def test_generators_of_one_slot_multiply_to_zero():
+    ring = JetRing(Q, 4, 2)
+    e = [ring.generator(i) for i in range(4)]
+    assert ring.nslots == 2
+    assert ring.mul(e[0], e[1]) == ring.zero
+    assert ring.mul(e[2], e[3]) == ring.zero
+    assert ring.mul(e[1], e[2]).coefficient((1, 2)) == Q.one
+    with pytest.raises(ScalarError, match="two generators of one slot"):
+        Jet(Q, 4, {frozenset([0, 1]): Q.one}, 2)
+    # the inverse sums one term per slot: (1 + e0 + e2)^-1 = 1 - e0 - e2 + 2 e0 e2
+    x = ring.add(ring.one, ring.add(e[0], e[2]))
+    assert ring.inv(x) == Jet(
+        Q, 4, {frozenset(): 1, frozenset([0]): -1, frozenset([2]): -1, frozenset([0, 2]): 2}, 2
+    )
+
+
+def test_jet_rings_of_another_width_differ_and_reject_each_others_jets():
+    narrow, wide = JetRing(Q, 4), JetRing(Q, 4, 2)
+    assert narrow != wide and hash(narrow) != hash(wide)
+    assert narrow.generator(0) != wide.generator(0)
+    for call in (
+        lambda: wide.add(narrow.generator(0), wide.one),
+        lambda: wide.mul(wide.one, narrow.generator(0)),
+        lambda: wide.neg(narrow.one),
+        lambda: narrow.sub(narrow.one, wide.generator(1)),
+    ):
+        with pytest.raises(ScalarError, match="slot width"):
+            call()
+    # a jet of a narrower ring of the same width is a jet of the wider one
+    assert JetRing(Q, 6, 2).add(wide.generator(3), wide.one).ngens == 6
+
+
 def test_jet_ring_needs_a_field_base():
     with pytest.raises(ScalarError):
         JetRing(JetRing(Q, 1), 1)

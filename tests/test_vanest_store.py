@@ -1,8 +1,7 @@
-"""The value store one van Est call shares between its jet evaluations:
-the same images as one plain evaluation per tuple and permutation, each
-value of a subtree computed once per assignment of the inputs it reads,
-no value of a subtree that reads every input kept, and failures raised
-as before."""
+"""The van Est map and the derivatives over slot-graded jets: the same
+images as one plain evaluation per tuple and permutation, one jet
+evaluation per image of degree 1 or 2 and dim g per image of degree 3,
+one per derivative, and failures raised as before."""
 
 import json
 import pathlib
@@ -64,8 +63,8 @@ def setup(field):
     return diff, rep, dprog, theta_prog, t
 
 
-def shifted(field, j):
-    return sub(inp(j), const(Matrix.identity(field, 2)))
+def shifted(field, j, size=2):
+    return sub(inp(j), const(Matrix.identity(field, size)))
 
 
 def corner_alpha(field):
@@ -131,10 +130,62 @@ def test_the_nonzero_degree_two_alpha_is_compared():
     assert ve == per_evaluation_van_est(diff, corner_alpha(QI), 2, VSHAPE)
 
 
+def dense_basis(field, size):
+    """b_k = sum over l >= k of (l - k + 1) E_l, for the row-major matrix
+    units E_l of gl_size: a basis in which every element but the last
+    has many nonzero entries."""
+    n = size * size
+    return [
+        Matrix.from_rows(
+            field,
+            [
+                [field.from_int(max(0, r * size + c - k + 1)) for c in range(size)]
+                for r in range(size)
+            ],
+        )
+        for k in range(n)
+    ]
+
+
+def dense_images(field, size):
+    """(program, degree) pairs for GL_size with D = g^-1 and Theta = det:
+    programs in degrees 1-3 that are not symmetric in their inputs, the
+    coboundary of the degree-2 one, and hk of it with T = 2 (with
+    T = -1, hk vanishes for D = g^-1)."""
+    x = [shifted(field, j, size) for j in range(2)]
+    prog1 = add(trace_of(mul(inverse(inp(0)), x[0])), entry(x[0], 0, size - 1))
+    prog2 = mul(entry(x[0], 0, 1), add(entry(x[1], 1, 0), scalar(field.from_int(2))))
+    prog3 = mul(mul(entry(x[0], 0, 1), entry(x[1], 1, size - 1)),
+                entry(inverse(inp(2)), size - 1, 0))
+    dprog = builtin_difference_program("inverse", field, size)
+    theta_prog = builtin_rep_program("det", field, size)
+    t = Matrix.identity(field, 1).scale(field.from_int(2))
+    return [
+        (prog1, 1),
+        (prog2, 2),
+        (prog3, 3),
+        (hk_program(dprog, t, prog2, 2), 2),
+        (coboundary_program(theta_prog, prog2, 2), 3),
+    ]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_van_est_equals_one_plain_evaluation_per_tuple_on_a_dense_basis(size):
+    spec = MatrixGroupSpec(Q, size)
+    dprog = builtin_difference_program("inverse", Q, size)
+    diff = differentiate_difference_operator(spec, dprog, dense_basis(Q, size))
+    assert diff.lie.dim == size * size
+    for prog, degree in dense_images(Q, size):
+        ve = van_est(diff, prog, degree, VSHAPE, check_normalized=False)
+        assert ve == per_evaluation_van_est(diff, prog, degree, VSHAPE)
+        assert not ve.is_zero()
+
+
 def test_each_shared_inverse_is_computed_once_per_argument(monkeypatch):
-    # hk with D = g^-1 reads inverse(x_j) in slot j only: 2 slots x 4
-    # basis elements, where one evaluation per tuple and permutation
-    # would invert 6 tuples x 2 permutations x 2 slots = 24 times
+    # hk with D = g^-1 reads inverse(x_j) in slot j only, and the degree-2
+    # image is one evaluation, so each of the 2 slots is inverted once;
+    # one evaluation per tuple and permutation would invert
+    # 6 tuples x 2 permutations x 2 slots = 24 times
     diff, _, dprog, _, t = setup(Q)
     real = programs.matrix_inverse
     jet_inverses = []
@@ -147,24 +198,60 @@ def test_each_shared_inverse_is_computed_once_per_argument(monkeypatch):
     monkeypatch.setattr(programs, "matrix_inverse", counted)
     assert diff.lie.dim == 4
     van_est(diff, hk_program(dprog, t, corner_alpha(Q), 2), 2, VSHAPE, check_normalized=False)
-    assert len(jet_inverses) == 2 * 4
+    assert len(jet_inverses) == 2
 
 
-def test_the_store_keeps_no_value_that_reads_every_input(monkeypatch):
-    stores = []
+def count_jet_evaluations(monkeypatch):
+    """Patch ``vanest.evaluate`` to count its evaluations over jet rings."""
+    calls = []
 
-    class Recorded(programs.ValueStore):
-        def __init__(self, node):
-            super().__init__(node)
-            stores.append(self)
+    def counted(node, inputs, ring):
+        if isinstance(ring, JetRing):
+            calls.append(ring)
+        return programs.evaluate(node, inputs, ring)
 
-    monkeypatch.setattr(vanest, "ValueStore", Recorded)
-    diff, _, _, theta_prog, _ = setup(QI)
-    prog = coboundary_program(theta_prog, corner_alpha(QI), 2)
-    van_est(diff, prog, 3, VSHAPE, check_normalized=False)
-    (store,) = stores
-    read_counts = {len(store.reads[key[0]]) for key in store.values}
-    assert read_counts == {0, 1, 2}
+    monkeypatch.setattr(vanest, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [Q, QI], ids=["Q", "Q(sqrt-1)"])
+def test_evaluate_runs_once_per_image_below_degree_three_and_dim_g_times_in_it(
+    field, monkeypatch
+):
+    diff = setup(field)[0]
+    calls = count_jet_evaluations(monkeypatch)
+    for prog, degree in images(field):
+        calls.clear()
+        van_est(diff, prog, degree, VSHAPE, check_normalized=False)
+        assert len(calls) == (1 if degree <= 2 else diff.lie.dim), (prog, degree)
+        (ring,) = set(calls)
+        assert (ring.ngens, ring.width, ring.nslots) == (degree * 4, 4, degree)
+
+
+def test_no_evaluation_when_the_degree_exceeds_the_dimension(monkeypatch):
+    spec = MatrixGroupSpec(Q, 2)
+    dprog = builtin_difference_program("inverse", Q, 2)
+    diff = differentiate_difference_operator(spec, dprog, [Matrix.identity(Q, 2)])
+    calls = count_jet_evaluations(monkeypatch)
+    out = van_est(diff, corner_alpha(Q), 2, VSHAPE, check_normalized=False)
+    assert out.is_zero() and calls == []
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2)])
+def test_each_derivative_is_one_jet_evaluation(shape, monkeypatch):
+    spec = MatrixGroupSpec(Q, 2)
+    dprog = builtin_difference_program("inverse", Q, 2)
+    vshape = VSpace(*shape)
+    theta_prog = builtin_rep_program("det" if shape == (1, 1) else "identity-rep", Q, 2)
+    t = -Matrix.identity(Q, vshape.dim)
+    calls = count_jet_evaluations(monkeypatch)
+    diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
+    assert len(calls) == 1
+    calls.clear()
+    differentiate_representation(diff, dprog, theta_prog, t, vshape)
+    # one evaluation per value-basis vector, whatever dim g is
+    assert len(calls) == vshape.dim
+    assert {(ring.ngens, ring.width) for ring in calls} == {(4, 4)}
 
 
 def square_norm(field, j):
