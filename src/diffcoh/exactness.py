@@ -11,19 +11,21 @@ where K anticommutes with the differentials.  The short exact sequence
 0 -> A -> B -> C -> 0 then yields a long exact sequence in cohomology
 whose connecting map is induced by K.  This module computes cohomology
 dimensions from ranks alone, computes explicit bases for cohomology
-spaces (``cohomology_space``, the one rule for cosets modulo boundaries,
-which the extension census reads too, with the pivot columns of d_in
-that form its boundary basis), and verifies exactness at every
-node by two criteria: consecutive maps compose to zero, and ranks add up
-to the dimension of the middle space; it builds each cohomology space
-once per pair of differentials, so where d_D is d, H^{n+1}(A) is H^n(C),
-and ranks each induced map once.  The total differential is block
-lower-triangular, so one echelon of it per degree gives the ranks of
-d_C, d_A and d_B (``linalg.triangular_ranks``).  Once d_B d_B = 0 has
-been checked, the ranks of the previous degree bound those of this one,
-and the echelon stops inserting rows when its pivots reach those bounds;
-over F_p it reduces its rows with inlined integer arithmetic modulo p,
-and over F_2 as int bitsets.
+spaces (``cohomology_space``, on ``span_modulo``, the one rule for
+cosets modulo boundaries, which the extension census reads too, with the
+pivot columns of d_in that form its boundary basis), and verifies
+exactness at every node by two criteria: consecutive maps compose to
+zero, and ranks add up to the dimension of the middle space.  It builds
+each cohomology space once per pair of differentials, so where d_D is d,
+H^{n+1}(A) is H^n(C), and stops at im d_B(m) for the top node (see
+``verify_les``); each matrix is eliminated once (``linalg.rref``).  The
+total differential is block lower-triangular, so one echelon of it per
+degree gives the ranks of d_C, d_A and d_B
+(``linalg.triangular_ranks``).  Once d_B d_B = 0 has been checked, the
+ranks of the previous degree bound those of this one, and the echelon
+stops inserting rows when its pivots reach those bounds; over F_p it
+reduces its rows with inlined integer arithmetic modulo p, and over F_2
+as int bitsets.
 
 ``DifferenceComplexBase``, an ``LESData``, is the complex engine of
 both theories; a theory subclass supplies its cochain spaces and the
@@ -120,24 +122,27 @@ class CohomologySpace:
 
 
 def cohomology_space(field: Any, d_out: Matrix, d_in: Matrix | None) -> CohomologySpace:
-    """H = ker(d_out) / im(d_in) with deterministic representative choice.
-
-    Representatives are the kernel-basis vectors that are independent
-    modulo the boundary space and the earlier representatives, in
-    kernel-basis order.  Those are exactly the cocycle columns among the
-    pivot columns of [B | Z], B the boundary basis (the pivot columns
-    of d_in) and Z the kernel basis, so one elimination finds them all.
-    """
+    """H = ker(d_out) / im(d_in): the span of the kernel basis modulo
+    im(d_in) (``span_modulo``), which must hold every boundary."""
     cocycles = kernel_basis(d_out)
-    pivots = column_space_basis(d_in) if d_in is not None else []
-    boundaries = [list(d_in.col(j)) for j in pivots]
-    n_b, n = len(boundaries), d_out.ncols
-    reps: list[list[Any]] = []
-    if cocycles:
-        stacked = Matrix.from_columns(field, boundaries + cocycles, n)
-        reps = [cocycles[j - n_b] for j in column_space_basis(stacked)[n_b:]]
-    if len(reps) != len(cocycles) - n_b:
+    space = span_modulo(field, cocycles, d_in, d_out.ncols)
+    if space.dim != len(cocycles) - len(space.boundaries):
         raise InternalCheckError(_NOT_A_COMPLEX)
+    return space
+
+
+def span_modulo(field: Any, vectors: list, d_in: Matrix | None, n: int) -> CohomologySpace:
+    """span(vectors) + im(d_in) modulo im(d_in), vectors of length n:
+    the reps are the vectors independent modulo the boundaries and the
+    earlier vectors, the vector columns among the pivot columns of
+    [B | V], B the pivot columns of d_in, read off its transpose."""
+    pivots = column_space_basis(d_in) if d_in is not None else []
+    columns = d_in.transpose() if pivots else None
+    boundaries = [list(columns.row(j)) for j in pivots]
+    reps: list[list[Any]] = []
+    if vectors:
+        stacked = Matrix.from_columns(field, boundaries + vectors, n)
+        reps = [vectors[j - len(pivots)] for j in column_space_basis(stacked)[len(pivots) :]]
     return CohomologySpace(dim_total=n, reps=reps, boundaries=boundaries, pivots=pivots)
 
 
@@ -229,16 +234,22 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     space checks that its boundaries are cocycles, for d_B too, whose
     square has K d_C + d_A K as its off-diagonal block.
 
+    The last node reads H^{m+1}(B), m = ``max_degree``, only as the
+    target of i_*, and i sends a cocycle a of A to (0, a), a cocycle of
+    B.  So the span of the images of H^{m+1}(A)'s reps modulo im d_B(m)
+    is target enough (``span_modulo``): a class vanishes there iff it
+    does in H^{m+1}(B).  So d_B(m+1) and C^{m+2} are never built.
+
     Each space is built once per pair (d_out, d_in) of matrix objects,
     a d_in without columns counting as none: where d_D is d, A_{n+1} =
     C_n has the same differentials, so H^{n+1}(A) is H^n(C).  Each
-    induced map is ranked once, though it enters two nodes.
+    induced map is eliminated once, though it enters two nodes.
     """
     f = data.field
     top = max_degree + 1
     d_a = {n: data.d_a(n) for n in range(1, top + 1)}
-    d_b = {n: data.d_b(n) for n in range(1, top + 1)}
-    d_c = {n: data.d_c(n) for n in range(1, max_degree + 1)}
+    d_b = {n: data.d_b(n) for n in range(1, top)}
+    d_c = {n: data.d_c(n) for n in range(1, top)}
     spaces: dict[tuple[int, int | None], CohomologySpace] = {}
 
     def h(d: dict, n: int) -> CohomologySpace:
@@ -249,24 +260,22 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
         return spaces[key]
 
     ha = {n: h(d_a, n) for n in range(1, top + 1)}
-    hb = {n: h(d_b, n) for n in range(1, top + 1)}
-    hc = {n: h(d_c, n) for n in range(1, max_degree + 1)}
+    hb = {n: h(d_b, n) for n in range(1, top)}
+    hc = {n: h(d_c, n) for n in range(1, top)}
 
     # B_n = C_n + A_n, so i pads a cochain of A with dim C_n zeros in
     # front and p keeps the first dim C_n coordinates
-    i_star = {
-        n: induced_map(f, [[f.zero] * data.dim_c(n) + r for r in ha[n].reps], hb[n])
-        for n in ha
-    }
+    i_images = {n: [[f.zero] * data.dim_c(n) + r for r in ha[n].reps] for n in ha}
+    hb[top] = span_modulo(f, i_images[top], d_b[max_degree], d_b[max_degree].nrows)
+    i_star = {n: induced_map(f, i_images[n], hb[n]) for n in ha}
     p_star = {n: induced_map(f, [r[: data.dim_c(n)] for r in hb[n].reps], hc[n]) for n in hc}
     k_star = {n: induced_map(f, list(map(data.k(n).matvec, hc[n].reps)), ha[n + 1]) for n in hc}
 
-    ranks = {id(m): rank(m) for maps in (i_star, p_star, k_star) for m in maps.values()}
     nodes = []
 
     def check(degree: int, node: str, first: Matrix, second: Matrix, middle_dim: int) -> None:
         composes = (second @ first).is_zero()
-        r1, r2 = ranks[id(first)], ranks[id(second)]
+        r1, r2 = rank(first), rank(second)
         ok = composes and r1 + r2 == middle_dim
         if ok:
             detail = "exact"

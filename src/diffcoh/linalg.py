@@ -5,11 +5,12 @@ Matrices are immutable and generic over a ring object from ``scalars``;
 Elimination (rank, kernel, solve, column space, inverse, ``rref``) is
 restricted to fields and runs one sparse echelon on those rows; its
 results are those of the reduced row echelon form, which is unique, so
-they do not depend on the pivot rows it picks.  Determinant and
-adjugate are cofactor expansions and work over any commutative ring,
-including jet rings; jet matrices are inverted by eliminating the base
-part and summing the finite geometric series of the nilpotent
-remainder.
+they do not depend on the pivot rows it picks.  A matrix keeps that
+form once computed, and its rank, kernel and pivot columns read it.
+Determinant and adjugate are cofactor expansions and work over any
+commutative ring, including jet rings; jet matrices are inverted by
+eliminating the base part and summing the finite geometric series of
+the nilpotent remainder.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Matrix:
     every entry, zeros included, row by row.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_rref")
 
     def __init__(self, ring: Any, nrows: int, ncols: int, rows: Sequence[dict]) -> None:
         """``rows`` are ``{column: value}`` dicts that store no zero."""
@@ -48,6 +49,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = tuple(rows)
+        self._rref: tuple[list[dict], list[int]] | None = None
 
     @classmethod
     def from_rows(cls, ring: Any, rows: Sequence[Sequence[Any]]) -> "Matrix":
@@ -101,8 +103,10 @@ class Matrix:
         return self.rows[i].get(j, self.ring.zero)
 
     def row(self, i: int) -> tuple:
-        zero, row = self.ring.zero, self.rows[i]
-        return tuple(row.get(j, zero) for j in range(self.ncols))
+        out = [self.ring.zero] * self.ncols
+        for j, x in self.rows[i].items():
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> tuple:
         zero = self.ring.zero
@@ -237,7 +241,8 @@ def _require_field(ring: Any, what: str) -> None:
 # form; back substitution yields that form itself, which is unique: it
 # does not depend on which rows were chosen as pivots, so kernels,
 # solutions and column-space bases are the same as with any other pivot
-# rule.
+# rule.  ``rref`` keeps that form on the matrix for rank, kernel and
+# pivot columns; only ``triangular_ranks`` runs its own banded echelon.
 #
 # A band may carry an upper bound on the rank of the rows through it,
 # such as rank d_n <= dim C^n - rank d_{n-1} for a differential with
@@ -455,15 +460,17 @@ def _bit_columns(r: int) -> list[int]:
 
 def rref(m: Matrix) -> tuple[list[dict[int, Any]], list[int]]:
     """Reduced row echelon form of m: its nonzero rows as ``{column:
-    value}`` dicts in pivot order, and the pivot columns."""
-    pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=True)
-    order = sorted(pivots)
-    return [pivots[c] for c in order], order
+    value}`` dicts in pivot order, and the pivot columns; kept on m
+    once computed, so callers share it and must not modify it."""
+    if m._rref is None:
+        pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=True)
+        order = sorted(pivots)
+        m._rref = ([pivots[c] for c in order], order)
+    return m._rref
 
 
 def rank(m: Matrix) -> int:
-    pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=False)
-    return len(pivots)
+    return len(rref(m)[1])
 
 
 def triangular_ranks(
@@ -549,8 +556,7 @@ def solve(m: Matrix, b: Sequence[Any]) -> list[Any] | None:
 def column_space_basis(m: Matrix) -> list[int]:
     """The indices of the pivot columns of m, in increasing order: those
     columns are a deterministic basis of the column space."""
-    pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=False)
-    return sorted(pivots)
+    return list(rref(m)[1])
 
 
 def field_matrix_inverse(m: Matrix) -> Matrix:

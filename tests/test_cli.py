@@ -114,6 +114,19 @@ def test_les_passes_on_shipped_fixtures(capsys):
         assert out.endswith("ok: true\n")
 
 
+def test_les_builds_no_space_above_the_top_degree(capsys):
+    # to degree 2 the LES reads C^3, 8 basis elements for Z3, and stops
+    # at im d_B(2) for the top node, so C^4 (16) is never counted
+    code, out, _ = run(
+        ["les", fx("z3_inverse.json"), "--max-degree", "2", "--budget", "8"], capsys
+    )
+    assert code == 0
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert len(checks) == 6
+    assert all(line.endswith(": ok (exact)") for line in checks)
+    assert out.endswith("ok: true\n")
+
+
 def test_classify_extensions_report(capsys):
     code, out, _ = run(
         ["classify", fx("z3_inverse.json"), "--mode", "extensions"], capsys

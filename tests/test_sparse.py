@@ -17,7 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 from diffcoh import exactness, extensions, group_cohomology, lie as lie_module, linalg
 
-from diffcoh.catalog import cyclic, dihedral, inverse_map, klein_four, quaternion8, symmetric
+from diffcoh.catalog import (
+    alternating4,
+    cyclic,
+    dihedral,
+    inverse_map,
+    klein_four,
+    quaternion8,
+    symmetric,
+)
 from diffcoh.cli import main
 from diffcoh.exactness import (
     BudgetExceededError,
@@ -753,25 +761,97 @@ def test_d_difference_is_d_exactly_when_the_twists_agree(make, shared):
 )
 def test_les_builds_each_space_and_ranks_each_induced_map_once(monkeypatch, make, shared):
     # to degree m the LES has m + 1 spaces of A and of B and m of C;
-    # where d_D is d, H^{n+1}(A) is H^n(C) for n = 1..m.  Of the m + 1
-    # maps i, m maps p and m maps K, each enters two nodes
-    built, ranked = [], []
-    space, rank_of = exactness.cohomology_space, exactness.rank
+    # where d_D is d, H^{n+1}(A) is H^n(C) for n = 1..m.  Each space is
+    # a span modulo the boundaries; all but the top space of B, the
+    # images of i modulo im d_B(m), are cohomology spaces.  Of the m + 1
+    # maps i, m maps p and m maps K, each enters two nodes and is
+    # eliminated once
+    built, spans, induced = [], [], []
+    space, span, induce = (
+        exactness.cohomology_space,
+        exactness.span_modulo,
+        exactness.induced_map,
+    )
 
     def counted_space(field, d_out, d_in):
         built.append(d_out)
         return space(field, d_out, d_in)
 
-    def counted_rank(m):
-        ranked.append(m)
-        return rank_of(m)
+    def counted_span(field, vectors, d_in, n):
+        spans.append(d_in)
+        return span(field, vectors, d_in, n)
+
+    def recorded(field, images, cod):
+        induced.append(induce(field, images, cod))
+        return induced[-1]
 
     monkeypatch.setattr(exactness, "cohomology_space", counted_space)
-    monkeypatch.setattr(exactness, "rank", counted_rank)
+    monkeypatch.setattr(exactness, "span_modulo", counted_span)
+    monkeypatch.setattr(exactness, "induced_map", recorded)
+    eliminated = _eliminations(monkeypatch)
     m = 2
-    assert all(node.ok for node in make().verify_les(m))
-    assert len(built) == (2 * m + 2 if shared else 3 * m + 2)
-    assert len(ranked) == 3 * m + 1 == len(set(map(id, ranked)))
+    cx = make()
+    assert all(node.ok for node in cx.verify_les(m))
+    assert len(spans) == (2 * m + 2 if shared else 3 * m + 2)
+    assert len(built) == len(spans) - 1
+    assert spans[-1] is cx.d_b(m)
+    assert len(induced) == 3 * m + 1
+    # a matrix without rows has the empty tuple, which all such share
+    for f in induced:
+        assert not f.rows or sum(rows is f.rows for rows in eliminated) == 1
+
+
+def _eliminations(monkeypatch):
+    """The rows of every matrix that ``linalg._echelon_rows`` eliminates
+    whole, one entry per call, kept alive so that no two rows tuples
+    share an id.  The banded calls of ``triangular_ranks`` pass rewritten
+    rows and are not recorded."""
+    eliminated = []
+    echelon = linalg._echelon_rows
+
+    def counted(f, bands, *args, **kwargs):
+        if len(bands) == 1:
+            eliminated.append(bands[0])
+        return echelon(f, bands, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon_rows", counted)
+    return eliminated
+
+
+@pytest.mark.parametrize(
+    "group, p, t, argv",
+    [
+        (alternating4, 3, 2, ["les", "--max-degree", "2"]),
+        (lambda: symmetric(4), 2, 0, ["classify"]),
+    ],
+    ids=["A4/F3 les", "S4/F2 classify"],
+)
+def test_no_matrix_is_eliminated_twice_in_one_command(
+    monkeypatch, tmp_path, capsys, group, p, t, argv
+):
+    # rank, kernel and pivot columns read the one reduced echelon a
+    # matrix keeps; F_p, because the dims oracle ranks matrices over Q
+    # through linalg.rank, which would fill that echelon first.  Every
+    # matrix without rows shares the empty tuple, and costs nothing
+    data = trivial_fixture(group(), {"kind": "Fp", "p": p})
+    data["rep"]["T"] = [[t]]
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(data))
+    eliminated = _eliminations(monkeypatch)
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    assert "ok: true" in capsys.readouterr().out
+    again = Counter(id(rows) for rows in eliminated if rows)
+    assert sum(n - 1 for n in again.values()) == 0
+
+
+@pytest.mark.parametrize("make", [_c3_complex, _h3_complex], ids=["group", "lie"])
+def test_les_builds_nothing_above_degree_m_plus_one(make):
+    # the top node H^{m+1}(sub) needs im d_B(m), not d_B(m + 1)
+    for m in (1, 2, 3):
+        cx = make()
+        cx.verify_les(m)
+        assert max(cx._spaces) == m + 1
+        assert max(cx._d_b) == m
 
 
 @pytest.mark.parametrize(
