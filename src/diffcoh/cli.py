@@ -194,9 +194,7 @@ def _check_jet_fixture(report: dict, fx: JetFixture, seed: int) -> None:
         f"program preconditions sampled on {DEFAULT_SAMPLES} matrices, seed {seed}"
     )
     try:
-        diff = differentiate_difference_operator(
-            fx.spec, fx.dprog, fx.basis, seed=seed
-        )
+        diff = differentiate_difference_operator(fx.spec, fx.dprog, fx.basis, seed=seed)
     except SampledPreconditionError as exc:
         _add_check(report, "difference-program", False, str(exc))
         return
@@ -218,9 +216,7 @@ def _check_jet_fixture(report: dict, fx: JetFixture, seed: int) -> None:
     if fx.theta_prog is None:
         return
     try:
-        differentiate_representation(
-            diff, fx.dprog, fx.theta_prog, fx.t, fx.vshape, seed=seed
-        )
+        differentiate_representation(diff, fx.theta_prog, fx.t, fx.vshape)
     except SampledPreconditionError as exc:
         _add_check(report, "rep-program", False, str(exc))
     except ValidationError as exc:
@@ -346,20 +342,16 @@ def cmd_vanest(args: argparse.Namespace, report: dict) -> None:
         f"program preconditions sampled on {DEFAULT_SAMPLES} matrices, seed {args.seed}"
     )
     try:
-        diff = differentiate_difference_operator(
-            fx.spec, fx.dprog, fx.basis, seed=args.seed
-        )
-        lierep = differentiate_representation(
-            diff, fx.dprog, fx.theta_prog, fx.t, fx.vshape, seed=args.seed
-        )
+        diff = differentiate_difference_operator(fx.spec, fx.dprog, fx.basis, seed=args.seed)
+        lierep = differentiate_representation(diff, fx.theta_prog, fx.t, fx.vshape)
     except (SampledPreconditionError, ValidationError) as exc:
         _add_check(report, "differentiation", False, str(exc))
         return
     _add_check(report, "differentiation", True, "operator and representation derived")
     try:
         ve = verify_van_est_cochain_map(
-            diff, lierep, fx.dprog, fx.theta_prog, fx.vshape,
-            fx.alpha_prog, degree, beta_prog=fx.beta_prog, seed=args.seed,
+            diff, lierep, fx.theta_prog, fx.vshape, fx.alpha_prog, degree,
+            beta_prog=fx.beta_prog,
         )
     except SampledPreconditionError as exc:
         _add_check(report, "cochain-program", False, str(exc))

@@ -51,7 +51,7 @@ from .group_cohomology import (
     NotACocycleError,
 )
 from .exactness import DEFAULT_BUDGET, CohomologySpace, InternalCheckError, cohomology_space
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import Matrix, kernel_basis
 from .scalars import PrimeField
 
 
@@ -418,10 +418,10 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
     """Run the census on all cocycle pairs (the kernel of delta(2)),
     keyed by the H^2 space of the pair complex, and set its class count
     beside the coset count p^(dim Z^2 - rank B^2) and p^(dim H^2) from
-    the ranks of ``cohomology_dims``.  Boundary i of the space is column
-    ``space.pivots[i]`` of d_B(1), so its preimage is the unit cochain
-    there.  Every class representative must come back from its
-    canonical section."""
+    ``cohomology_dims``: rank B^2 = rank d_B(1) = dim C^1 - dim H^1(B).
+    Boundary i of the space is column ``space.pivots[i]`` of d_B(1), so
+    its preimage is the unit cochain there.  Every class representative
+    must come back from its canonical section."""
     if not isinstance(rep.field, PrimeField):
         raise ValueError("classification needs a finite (prime-field) module")
     f = rep.field
@@ -431,13 +431,14 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
     d_b1 = cx.d_b(1)
     units = [[f.one if i == j else f.zero for i in range(d_b1.ncols)] for j in space.pivots]
     reps = census(space, units, GroupExtensionTheory(cx))
-    b_rank = rank(d_b1)
 
     for ext in reps:
         if cocycle_from_section(ext, canonical_section(ext)) != ext.pair:
             raise InternalCheckError("canonical section does not return its cocycle")
 
-    h2 = cx.cohomology_dims(2).degrees[2].h_pair
+    dims = cx.cohomology_dims(2).degrees
+    b_rank = cx.dim_c(1) - dims[1].h_pair
+    h2 = dims[2].h_pair
     n_b = len(space.boundaries)
     return ExtensionClassification(
         cocycle_count=p ** (n_b + space.dim),
@@ -478,8 +479,9 @@ def classify_semidirect_difference_ops(
 
     These are the extensions with alpha = 0: (0, beta) is a cocycle iff
     d_D beta = 0, and two are cohomologous iff beta - beta' lies in
-    K(Z^1).  Three routes: rank arithmetic p^(dim Z - rank K|Z1), the
-    census of the pairs (0, beta), keyed by the quotient
+    K(Z^1).  Three routes: rank arithmetic p^(dim Z - rank K|Z1), where
+    H^1(C) = Z^1 and H^1(B) = ker K|Z1 give rank K|Z1 from
+    ``cohomology_dims``; the census of the pairs (0, beta), keyed by the quotient
     ker d_D(1) / K(Z^1) from ``cohomology_space`` (boundary i is column
     j = ``pivots[i]`` of K|Z^1, K z_j, so its preimage is the 1-cocycle z_j),
     and, when its candidate count (p^dim)^((|G|-1) p^dim) fits the
@@ -498,9 +500,10 @@ def classify_semidirect_difference_ops(
     kmat = cx.k_matrix(1)
     z1 = kernel_basis(cx.d_ordinary(1))
     k_on_z1 = Matrix.from_columns(f, [kmat.matvec(v) for v in z1], kmat.nrows)
-    k_rank = rank(k_on_z1)
     betas = cohomology_space(f, cx.d_difference(1), k_on_z1)
     z_dim = len(betas.boundaries) + betas.dim
+    h1 = cx.cohomology_dims(1).degrees[1]
+    k_rank = h1.h_ordinary - h1.h_pair
 
     alpha_zero = [f.zero] * cx.space(2).size
     space = CohomologySpace(

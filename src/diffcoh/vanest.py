@@ -21,9 +21,10 @@ The cochain-map verification computes each VE image once, takes every
 Lie-side image from one ``LieDifferenceComplex`` and assembles the
 pair-differential check by linearity of VE.
 
-Program preconditions (the group-level identities) hold on sampled
-invertible matrices with a fixed seed; everything after sampling is an
-exact identity of jets.
+Program preconditions (the group-level identities) hold on invertible
+matrices sampled with a fixed seed, drawn once per differentiated
+operator and read by every sampled check; everything after sampling is
+an exact identity of jets.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .lie import (
     k_map,
 )
 from .exactness import CochainPair
-from .linalg import Matrix, det, jet_part
+from .linalg import Matrix, jet_part, matrix_inverse, rank
 from .programs import (
     Node,
     add,
@@ -89,7 +90,7 @@ class MatrixGroupSpec:
                     for _ in range(self.size)
                 ],
             )
-            if det(m) != self.field.zero:
+            if rank(m) == self.size:
                 return m
 
     def identity(self) -> Matrix:
@@ -104,12 +105,15 @@ class MatrixGroupSpec:
 class DifferentiatedOperator:
     """A difference operator program together with its derivative: the
     Lie algebra spanned by the chosen basis and the validated operator
-    matrix on it."""
+    matrix on it, and the sampled matrices g, with D(g), in the order
+    drawn."""
 
     spec: MatrixGroupSpec
     basis: list[Matrix]
     lie: MatrixLieAlgebra
     dop: LieDifferenceOp
+    dprog: Node
+    samples: list[tuple[Matrix, Matrix]]
 
 
 def _tangent_arg(
@@ -137,7 +141,7 @@ def differentiate_difference_operator(
     """Differentiate a difference-operator program at the identity.
 
     First the twisted cocycle rule D(gh) = D(g) g D(h) g^{-1} is checked
-    on sampled invertible matrices (including the identity pair); then
+    on sampled pairs and on the identity pair, which gives D(I); then
     D(x) is read off as the e-coefficient of dprog(I + e x) and the
     result is validated as a Lie-algebra difference operator.  One
     evaluation at I + sum_k e_k x_k, in one slot of width dim g, gives
@@ -146,24 +150,19 @@ def differentiate_difference_operator(
     f = spec.field
     rng = random.Random(seed)
     ident = spec.identity()
-    pairs = [(ident, ident)]
-    pairs += [
-        (spec.sample_invertible(rng), spec.sample_invertible(rng))
-        for _ in range(DEFAULT_SAMPLES)
-    ]
-    from .linalg import matrix_inverse
-
-    for g, h in pairs:
+    drawn = [spec.sample_invertible(rng) for _ in range(2 * DEFAULT_SAMPLES)]
+    samples = []
+    for g, h in [(ident, ident), *zip(drawn[::2], drawn[1::2])]:
         lhs = evaluate(dprog, [g @ h], f)
         dg = evaluate(dprog, [g], f)
         dh = evaluate(dprog, [h], f)
-        rhs = dg @ g @ dh @ matrix_inverse(g)
-        if lhs != rhs:
+        if lhs != dg @ g @ dh @ matrix_inverse(g):
             raise SampledPreconditionError(
                 "difference-operator program violates D(gh) = D(g) g D(h) g^-1 "
                 "on a sampled pair"
             )
-    if evaluate(dprog, [ident], f) != ident:
+        samples += [(g, dg), (h, dh)]
+    if samples[0][1] != ident:
         raise SampledPreconditionError("difference-operator program has D(I) != I")
 
     lie = MatrixLieAlgebra(f, list(basis))
@@ -176,7 +175,8 @@ def differentiate_difference_operator(
     cols = [lie.coords(jet_part(value, (k,))) for k in range(lie.dim)]
     dmat = Matrix.from_columns(f, cols, lie.dim)
     return DifferentiatedOperator(
-        spec=spec, basis=list(basis), lie=lie, dop=LieDifferenceOp(lie, dmat)
+        spec=spec, basis=list(basis), lie=lie, dop=LieDifferenceOp(lie, dmat),
+        dprog=dprog, samples=samples[2:],
     )
 
 
@@ -213,25 +213,21 @@ class VSpace:
 
 def differentiate_representation(
     diff: DifferentiatedOperator,
-    dprog: Node,
     theta_prog: Node,
     t: Matrix,
     vshape: VSpace,
-    seed: int = 0,
 ) -> LieRep:
     """Differentiate a representation action program.
 
-    Sampled preconditions: Theta(I) = id, multiplicativity, and the
-    difference-representation law
-    T(Theta(g) u) + Theta(g) u = Theta(D(g) g)(T(u) + u).  Then
+    Sampled preconditions, on the pairs (g, h) of ``diff.samples``:
+    Theta(I) = id, multiplicativity, and the difference-representation
+    law T(Theta(g) u) + Theta(g) u = Theta(D(g) g)(T(u) + u).  Then
     theta(x_k) is the e_k-coefficient of Theta(I + sum_k e_k x_k), one
     evaluation per value-basis vector, validated as a Lie representation
     of (g, D).
     """
-    spec = diff.spec
-    f = spec.field
-    rng = random.Random(seed)
-    ident = spec.identity()
+    f = diff.spec.field
+    ident = diff.spec.identity()
     vbasis = vshape.basis(f)
     if t.nrows != vshape.dim or t.ncols != vshape.dim or t.ring != f:
         raise ValueError(f"T must be {vshape.dim}x{vshape.dim} over the base field")
@@ -247,10 +243,7 @@ def differentiate_representation(
     for u in vbasis:
         if act(ident, u, f) != u:
             raise SampledPreconditionError("representation program has Theta(I) != id")
-    for _ in range(DEFAULT_SAMPLES):
-        g = spec.sample_invertible(rng)
-        h = spec.sample_invertible(rng)
-        d_g = evaluate(dprog, [g], f)
+    for (g, d_g), (h, _) in zip(diff.samples[::2], diff.samples[1::2]):
         for u in vbasis:
             if act(g, act(h, u, f), f) != act(g @ h, u, f):
                 raise SampledPreconditionError(
@@ -284,47 +277,48 @@ def differentiate_representation(
     return LieRep(diff.dop, theta, t)
 
 
-def van_est(
-    diff: DifferentiatedOperator,
-    prog: Node,
-    degree: int,
-    vshape: VSpace,
-    seed: int = 0,
-    check_normalized: bool = True,
-) -> LieCochain:
+def _require_degree(degree: int) -> None:
+    if not 1 <= degree <= VE_DEGREE_CAP:
+        raise ValueError(f"van Est degree must be in 1..{VE_DEGREE_CAP}, got {degree}")
+
+
+def check_normalized(
+    diff: DifferentiatedOperator, prog: Node, degree: int, vshape: VSpace
+) -> None:
+    """Check on samples that an n-cochain program is normalized: it
+    vanishes when any argument is the identity.  Tuple s puts I in slot
+    s mod n and the next matrices of ``diff.samples`` in the others;
+    at degree 1 the one tuple is (I)."""
+    _require_degree(degree)
+    f = diff.spec.field
+    ident = diff.spec.identity()
+    zero = Matrix.zeros(f, vshape.rows, vshape.cols)
+    drawn = (g for g, _ in diff.samples)
+    for s in range(DEFAULT_SAMPLES if degree > 1 else 1):
+        args = [ident if j == s % degree else next(drawn) for j in range(degree)]
+        if evaluate(prog, args, f) != zero:
+            raise SampledPreconditionError(
+                "cochain program is not normalized: nonzero on a tuple "
+                "containing the identity"
+            )
+
+
+def van_est(diff: DifferentiatedOperator, prog: Node, degree: int, vshape: VSpace) -> LieCochain:
     """The van Est map: differentiate an n-cochain program to an
     alternating Lie n-cochain.
 
-    Normalization (the program vanishes when any argument is the
-    identity) is checked on sampled invertible matrices.  The jet ring
-    has ``degree`` slots of width dim g.  The last two arguments are
-    graded, I + sum_k e_{j,k} x_k, and an argument before them (degree 3
-    only) is I + e_{0,k} x_k for one k per evaluation, so ``evaluate``
-    runs once per image of degree 1 or 2 and dim g times per image of
-    degree 3.  Each increasing tuple then sums, with signs, the
-    coefficients of e_{0,k_0} ... e_{n-1,k_{n-1}} over its
+    The program is taken to be normalized (``check_normalized``).  The
+    jet ring has ``degree`` slots of width dim g.  The last two
+    arguments are graded, I + sum_k e_{j,k} x_k, and an argument before
+    them (degree 3 only) is I + e_{0,k} x_k for one k per evaluation, so
+    ``evaluate`` runs once per image of degree 1 or 2 and dim g times
+    per image of degree 3.  Each increasing tuple then sums, with signs,
+    the coefficients of e_{0,k_0} ... e_{n-1,k_{n-1}} over its
     permutations (k_0, ..., k_{n-1}), so the output is alternating by
     construction.
     """
-    if not 1 <= degree <= VE_DEGREE_CAP:
-        raise ValueError(f"van Est degree must be in 1..{VE_DEGREE_CAP}, got {degree}")
+    _require_degree(degree)
     f = diff.spec.field
-    if check_normalized:
-        rng = random.Random(seed)
-        ident = diff.spec.identity()
-        zero = Matrix.zeros(f, vshape.rows, vshape.cols)
-        for s in range(DEFAULT_SAMPLES):
-            slot = s % degree
-            args = [
-                ident if j == slot else diff.spec.sample_invertible(rng)
-                for j in range(degree)
-            ]
-            if evaluate(prog, args, f) != zero:
-                raise SampledPreconditionError(
-                    "cochain program is not normalized: nonzero on a tuple "
-                    "containing the identity"
-                )
-
     dim = diff.lie.dim
     tuples = list(itertools.combinations(range(dim), degree))
     ring = JetRing(f, degree * dim, dim)
@@ -446,13 +440,11 @@ def _mismatch_witness(lhs: LieCochain, rhs: LieCochain) -> str:
 def verify_van_est_cochain_map(
     diff: DifferentiatedOperator,
     lierep: LieRep,
-    dprog: Node,
     theta_prog: Node,
     vshape: VSpace,
     alpha_prog: Node,
     degree: int,
     beta_prog: Node | None = None,
-    seed: int = 0,
 ) -> VanEstReport:
     """Verify that differentiation intertwines the group-level and
     Lie-level structure maps on an n-cochain program:
@@ -462,19 +454,22 @@ def verify_van_est_cochain_map(
     (c) VE(pk a) = 0                           [degrees 1 and 2]
     (d) VE(delta(a, b)) = delta_theta(VE a, VE b), componentwise.
 
-    Each VE image is computed once, and every Lie-side image comes
-    from one ``LieDifferenceComplex``.  (d) is assembled from them: its
-    first component is (a), and by linearity of VE its second compares
+    a and b are checked to be normalized first.  Each VE image is
+    computed once, and every Lie-side image comes from one
+    ``LieDifferenceComplex``.  (d) is assembled from them: its first
+    component is (a), and by linearity of VE its second compares
     VE(hk a) + VE(pk a) + VE(d_D b) with the second component of
     delta_theta(VE a, VE b), read off the complex's d_B.
     """
     report = VanEstReport(degree=degree)
     cx = LieDifferenceComplex(lierep)
+    dprog = diff.dprog
 
-    def ve(prog: Node, n: int, check_normalized: bool = False) -> LieCochain:
-        return van_est(diff, prog, n, vshape, seed=seed, check_normalized=check_normalized)
+    def ve(prog: Node, n: int) -> LieCochain:
+        return van_est(diff, prog, n, vshape)
 
-    ve_alpha = ve(alpha_prog, degree, check_normalized=True)
+    check_normalized(diff, alpha_prog, degree, vshape)
+    ve_alpha = ve(alpha_prog, degree)
 
     ok_first = True
     detail_first = f"first component skipped above the jet cap {VE_DEGREE_CAP}; "
@@ -518,7 +513,8 @@ def verify_van_est_cochain_map(
     if beta_prog is not None:
         if degree < 2:
             raise ValueError("a second component needs degree >= 2")
-        ve_beta = ve(beta_prog, degree - 1, check_normalized=True)
+        check_normalized(diff, beta_prog, degree - 1, vshape)
+        ve_beta = ve(beta_prog, degree - 1)
         dd_beta = coboundary_program(theta_d_action(dprog, theta_prog), beta_prog, degree - 1)
         group_second = group_second + ve(dd_beta, degree)
     # the pair checks its shape: from degree 2 on it needs a second component

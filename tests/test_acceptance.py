@@ -367,25 +367,19 @@ def test_criterion_07_van_est_cochain_map():
         t = Matrix.from_rows(Q, [[Fraction(-1)]])
         vshape = VSpace(1, 1)
         diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
-        lierep = differentiate_representation(diff, dprog, theta_prog, t, vshape)
+        lierep = differentiate_representation(diff, theta_prog, t, vshape)
         alpha1 = builtin_cochain_program("trace-shift", Q, 2, 1)
         alpha2 = mul(alpha1, sub(trace_of(inp(1)), scalar(Fraction(2))))
         for degree, alpha, beta in ((1, alpha1, None), (2, alpha2, alpha1)):
             report = verify_van_est_cochain_map(
-                diff, lierep, dprog, theta_prog, vshape,
+                diff, lierep, theta_prog, vshape,
                 alpha, degree, beta_prog=beta,
             )
             assert report.ok, [c.detail for c in report.checks if not c.ok]
             named = {c.name: c.ok for c in report.checks}
             assert named["pk-differentiates-to-zero"]
             # the proof computation replayed directly
-            ve_pk = van_est(
-                diff,
-                pk_program(dprog, theta_prog, alpha, degree),
-                degree,
-                vshape,
-                check_normalized=False,
-            )
+            ve_pk = van_est(diff, pk_program(dprog, theta_prog, alpha, degree), degree, vshape)
             assert ve_pk.is_zero()
 
     _run(7, "van Est differentiation is a cochain map", 10, body)

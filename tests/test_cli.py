@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from diffcoh import cli, extensions, fixtures, groups, linalg
+from diffcoh import cli, exactness, extensions, fixtures, groups, linalg
 from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
 from diffcoh.extensions import classify_extensions
@@ -161,11 +161,34 @@ def _semidirect(name, capsys):
     return run(["classify", fx(name), "--mode", "semidirect-ops"], capsys)
 
 
+def _lower_pair_h1(monkeypatch):
+    """Make ``cohomology_dims`` report dim H^1 of the pair complex one
+    too low, which raises a rank read off it by one."""
+    real = exactness.cohomology_dims
+
+    def perturbed(data, max_degree):
+        dims = real(data, max_degree)
+        h_ordinary, h_difference, h_pair = dims[1]
+        dims[1] = (h_ordinary, h_difference, h_pair - 1)
+        return dims
+
+    monkeypatch.setattr(exactness, "cohomology_dims", perturbed)
+
+
+def test_extensions_rank_route_can_fail_the_verdict(monkeypatch, capsys):
+    # rank d_B(1) = dim C^1 - dim H^1(B) one too high gives 3^(3 - 2) = 3
+    # classes by cosets against 9 in the census and from dim H^2
+    _lower_pair_h1(monkeypatch)
+    code, out, _ = run(["classify", fx("z3_inverse.json")], capsys)
+    assert code == 1
+    assert "  classes-by-cosets: 3\n  classes-by-isomorphism: 9\n  coboundaries: 9\n" in out
+    assert "check census-vs-cohomology: FAIL (the counting routes disagree)\n" in out
+
+
 def test_semidirect_rank_route_can_fail_the_verdict(monkeypatch, capsys):
-    # a connecting rank one too high gives 3^(1 - 1) = 1 class by rank
-    # against 3 in the census
-    real_rank = extensions.rank
-    monkeypatch.setattr(extensions, "rank", lambda m: real_rank(m) + 1)
+    # a connecting rank dim H^1(C) - dim H^1(B) one too high gives
+    # 3^(1 - 1) = 1 class by rank against 3 in the census
+    _lower_pair_h1(monkeypatch)
     code, out, _ = _semidirect("z3_inverse.json", capsys)
     assert code == 1
     assert "  count-by-census: 3\n  count-by-rank: 1\n" in out

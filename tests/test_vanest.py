@@ -2,10 +2,13 @@
 data, and the van Est map on cochain programs."""
 
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from diffcoh import vanest
+from diffcoh.cli import main
 from diffcoh.lie import LieCochain, LieDifferenceComplex, k_map, theta_d_matrices
 from diffcoh.linalg import Matrix, jet_part
 from diffcoh.programs import (
@@ -25,10 +28,12 @@ from diffcoh.programs import (
 )
 from diffcoh.scalars import JetRing, QuadraticField, Rationals
 from diffcoh.vanest import (
+    DEFAULT_SAMPLES,
     MatrixGroupSpec,
     SampledPreconditionError,
     VSpace,
     apply_t,
+    check_normalized,
     differentiate_difference_operator,
     differentiate_representation,
     van_est,
@@ -36,6 +41,7 @@ from diffcoh.vanest import (
 )
 from oracles import jet_arg
 
+FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Q = Rationals()
 
 
@@ -56,7 +62,7 @@ def adjugate_setup():
     dprog = builtin_difference_program("adjugate", Q, 2)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        diff, dprog, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
+        diff, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
     )
     return spec, dprog, diff, rep
 
@@ -66,7 +72,7 @@ def inverse_setup():
     dprog = builtin_difference_program("inverse", Q, 2)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        diff, dprog, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
+        diff, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
     )
     return spec, dprog, diff, rep
 
@@ -119,11 +125,7 @@ def test_identity_representation_differentiates_to_inclusion():
     dprog = builtin_difference_program("inverse", Q, 2)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        diff,
-        dprog,
-        builtin_rep_program("identity-rep", Q, 2),
-        -Matrix.identity(Q, 2),
-        VSpace(2, 1),
+        diff, builtin_rep_program("identity-rep", Q, 2), -Matrix.identity(Q, 2), VSpace(2, 1)
     )
     assert list(rep.theta) == spec.standard_basis()
 
@@ -134,12 +136,12 @@ def test_wrong_t_fails_the_sampled_difference_law():
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     with pytest.raises(SampledPreconditionError):
         differentiate_representation(
-            diff, dprog, builtin_rep_program("det", Q, 2),
+            diff, builtin_rep_program("det", Q, 2),
             Matrix.zeros(Q, 1, 1), VSpace(1, 1),
         )
     with pytest.raises(ValueError):
         differentiate_representation(
-            diff, dprog, builtin_rep_program("det", Q, 2),
+            diff, builtin_rep_program("det", Q, 2),
             qmat([[1, 0]]), VSpace(1, 1),
         )
 
@@ -180,24 +182,74 @@ def test_van_est_frozen_mixed_product():
 
 def test_van_est_requires_normalized_programs():
     _, _, diff, _ = adjugate_setup()
-    with pytest.raises(SampledPreconditionError):
-        van_est(diff, trace_of(inp(0)), 1, VSpace(1, 1))
-    # the same program sails through with the check disabled
-    van_est(diff, trace_of(inp(0)), 1, VSpace(1, 1), check_normalized=False)
+    with pytest.raises(
+        SampledPreconditionError,
+        match="^cochain program is not normalized: nonzero on a tuple containing the identity$",
+    ):
+        check_normalized(diff, trace_of(inp(0)), 1, VSpace(1, 1))
+    # van_est leaves the check to check_normalized, so the same program
+    # sails through it
+    van_est(diff, trace_of(inp(0)), 1, VSpace(1, 1))
 
 
 def test_van_est_degree_cap():
     _, _, diff, _ = adjugate_setup()
-    with pytest.raises(ValueError):
-        van_est(diff, trace_shift(), 0, VSpace(1, 1))
-    with pytest.raises(ValueError):
-        van_est(diff, trace_shift(), 4, VSpace(1, 1))
+    for degree in (0, 4):
+        with pytest.raises(ValueError, match="^van Est degree must be in 1..3"):
+            van_est(diff, trace_shift(), degree, VSpace(1, 1))
+        with pytest.raises(ValueError, match="^van Est degree must be in 1..3"):
+            check_normalized(diff, trace_shift(), degree, VSpace(1, 1))
+
+
+def test_the_differentiated_operator_keeps_its_samples_with_their_images():
+    spec, dprog, diff, _ = inverse_setup()
+    assert diff.dprog is dprog
+    assert len(diff.samples) == 2 * DEFAULT_SAMPLES
+    assert all(evaluate(dprog, [g], Q) == d_g for g, d_g in diff.samples)
+    assert all(g != spec.identity() for g, _ in diff.samples)
+
+
+@pytest.mark.parametrize("command", ["vanest", "check"])
+def test_one_run_draws_the_samples_once(command, monkeypatch, capsys):
+    # the twisted rule, the representation laws and the normalization of
+    # alpha and beta all read the draws of differentiate_difference_operator
+    draws = []
+    real = MatrixGroupSpec.sample_invertible
+
+    def counted(self, rng):
+        draws.append(1)
+        return real(self, rng)
+
+    monkeypatch.setattr(MatrixGroupSpec, "sample_invertible", counted)
+    assert main([command, str(FIXDIR / "gl2_inverse_det_deg2.json")]) == 0
+    capsys.readouterr()
+    assert len(draws) == 2 * DEFAULT_SAMPLES == 40
+
+
+def test_degree_one_normalization_evaluates_alpha_once(monkeypatch):
+    # every tuple of a degree-1 normalization check is (I)
+    spec, _, diff, rep = adjugate_setup()
+    alpha = trace_shift()
+    calls = []
+    real = vanest.evaluate
+
+    def counted(prog, args, ring):
+        if prog is alpha and ring == Q:
+            calls.append(args)
+        return real(prog, args, ring)
+
+    monkeypatch.setattr(vanest, "evaluate", counted)
+    report = verify_van_est_cochain_map(
+        diff, rep, builtin_rep_program("det", Q, 2), VSpace(1, 1), alpha, 1
+    )
+    assert report.ok
+    assert calls == [[spec.identity()]]
 
 
 def test_van_est_is_a_cochain_map_in_degree_one():
     spec, dprog, diff, rep = adjugate_setup()
     report = verify_van_est_cochain_map(
-        diff, rep, dprog, builtin_rep_program("det", Q, 2),
+        diff, rep, builtin_rep_program("det", Q, 2),
         VSpace(1, 1), trace_shift(), 1,
     )
     names = [c.name for c in report.checks]
@@ -217,7 +269,7 @@ def test_van_est_is_a_cochain_map_in_degree_two():
     spec, dprog, diff, rep = inverse_setup()
     alpha2 = mul(trace_shift(), sub(trace_of(inp(1)), scalar(Fraction(2))))
     report = verify_van_est_cochain_map(
-        diff, rep, dprog, builtin_rep_program("det", Q, 2),
+        diff, rep, builtin_rep_program("det", Q, 2),
         VSpace(1, 1), alpha2, 2, beta_prog=trace_shift(),
     )
     assert report.ok, [c for c in report.checks if not c.ok]
@@ -228,7 +280,7 @@ def test_pair_component_needs_degree_two():
     spec, dprog, diff, rep = adjugate_setup()
     with pytest.raises(ValueError):
         verify_van_est_cochain_map(
-            diff, rep, dprog, builtin_rep_program("det", Q, 2),
+            diff, rep, builtin_rep_program("det", Q, 2),
             VSpace(1, 1), trace_shift(), 1,
             beta_prog=trace_shift(),
         )

@@ -55,7 +55,7 @@ def gaussian_setup():
     theta_prog = builtin_rep_program("det", QI, 2)
     t = -Matrix.identity(QI, 1)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
-    rep = differentiate_representation(diff, dprog, theta_prog, t, VSHAPE)
+    rep = differentiate_representation(diff, theta_prog, t, VSHAPE)
     ident = const(Matrix.identity(QI, 2))
     alpha = mul(entry(sub(inp(0), ident), 0, 1), entry(sub(inp(1), ident), 1, 0))
     beta = builtin_cochain_program("trace-shift", QI, 2, 1)
@@ -81,7 +81,7 @@ def test_shipped_corner_fixture_has_nonzero_alpha_images():
     assert (fx.dprog, fx.theta_prog, fx.t) == (dprog, theta_prog, t)
     assert (fx.alpha_prog, fx.beta_prog, fx.degree) == (alpha, corner_beta(), 2)
     diff = differentiate_difference_operator(fx.spec, fx.dprog, fx.basis)
-    rep = differentiate_representation(diff, fx.dprog, fx.theta_prog, fx.t, fx.vshape)
+    rep = differentiate_representation(diff, fx.theta_prog, fx.t, fx.vshape)
     cx = LieDifferenceComplex(rep)
     ve_alpha = van_est(diff, fx.alpha_prog, 2, fx.vshape)
     assert not ve_alpha.is_zero()
@@ -102,7 +102,7 @@ def test_degree_two_van_est_with_nonzero_images(corner):
     d_ve_beta = d_d(cx, van_est(diff, beta, 1, VSHAPE))
     assert d_ve_beta.is_zero() != corner
     report = verify_van_est_cochain_map(
-        diff, rep, dprog, theta_prog, VSHAPE, alpha, 2, beta_prog=beta
+        diff, rep, theta_prog, VSHAPE, alpha, 2, beta_prog=beta
     )
     assert [(c.name, c.ok) for c in report.checks] == [
         ("coboundary-intertwines", True),
@@ -116,10 +116,8 @@ def test_van_est_is_additive_on_the_connecting_program():
     diff, _, dprog, theta_prog, t, alpha, _ = gaussian_setup()
     p = pk_program(dprog, theta_prog, alpha, 2)
     h = hk_program(dprog, t, alpha, 2)
-    whole = van_est(diff, add(p, h), 2, VSHAPE, check_normalized=False)
-    parts = van_est(diff, p, 2, VSHAPE, check_normalized=False) + van_est(
-        diff, h, 2, VSHAPE, check_normalized=False
-    )
+    whole = van_est(diff, add(p, h), 2, VSHAPE)
+    parts = van_est(diff, p, 2, VSHAPE) + van_est(diff, h, 2, VSHAPE)
     assert not whole.is_zero()
     assert whole == parts
 
@@ -140,9 +138,7 @@ def test_lie_pair_differential_matches_the_group_side():
     assert lie_pair.beta == k_map(cx, ve_alpha) + d_d(cx, ve_beta)
     connecting = add(pk_program(dprog, theta_prog, alpha, 2), hk_program(dprog, t, alpha, 2))
     dd_beta = coboundary_program(theta_d_action(dprog, theta_prog), beta, 1)
-    group_second = van_est(diff, connecting, 2, VSHAPE, check_normalized=False) + van_est(
-        diff, dd_beta, 2, VSHAPE, check_normalized=False
-    )
+    group_second = van_est(diff, connecting, 2, VSHAPE) + van_est(diff, dd_beta, 2, VSHAPE)
     assert not group_second.is_zero()
     assert group_second == lie_pair.beta
 
@@ -176,7 +172,7 @@ def test_a_nonzero_pk_image_fails_the_pair_check(monkeypatch):
     )
     diff, rep, dprog, theta_prog, t, alpha, _ = gaussian_setup()
     report = verify_van_est_cochain_map(
-        diff, rep, dprog, theta_prog, VSHAPE, alpha, 2, beta_prog=corner_beta()
+        diff, rep, theta_prog, VSHAPE, alpha, 2, beta_prog=corner_beta()
     )
     assert [(c.name, c.ok, c.detail) for c in report.checks[2:]] == [
         ("pk-differentiates-to-zero", False, "nonzero at (1, 2)"),
@@ -216,7 +212,7 @@ def test_pair_check_computes_each_image_once(degree, monkeypatch):
     if degree == 1:
         alpha, beta = beta, None
     report = verify_van_est_cochain_map(
-        diff, rep, dprog, theta_prog, VSHAPE, alpha, degree, beta_prog=beta
+        diff, rep, theta_prog, VSHAPE, alpha, degree, beta_prog=beta
     )
     assert report.ok
     # alpha, d alpha, hk, pk, and beta with d_D beta when there is a beta

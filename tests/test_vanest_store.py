@@ -59,7 +59,7 @@ def setup(field):
     theta_prog = builtin_rep_program("det", field, 2)
     t = -Matrix.identity(field, 1)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
-    rep = differentiate_representation(diff, dprog, theta_prog, t, VSHAPE)
+    rep = differentiate_representation(diff, theta_prog, t, VSHAPE)
     return diff, rep, dprog, theta_prog, t
 
 
@@ -117,7 +117,7 @@ def test_van_est_equals_one_plain_evaluation_per_tuple(field):
     diff = setup(field)[0]
     shared = []
     for prog, degree in images(field):
-        shared.append(van_est(diff, prog, degree, VSHAPE, check_normalized=False))
+        shared.append(van_est(diff, prog, degree, VSHAPE))
         assert shared[-1] == per_evaluation_van_est(diff, prog, degree, VSHAPE)
     # the mixed programs, alpha and d alpha have nonzero images
     assert not any(ve.is_zero() for ve in shared[:5])
@@ -176,7 +176,7 @@ def test_van_est_equals_one_plain_evaluation_per_tuple_on_a_dense_basis(size):
     diff = differentiate_difference_operator(spec, dprog, dense_basis(Q, size))
     assert diff.lie.dim == size * size
     for prog, degree in dense_images(Q, size):
-        ve = van_est(diff, prog, degree, VSHAPE, check_normalized=False)
+        ve = van_est(diff, prog, degree, VSHAPE)
         assert ve == per_evaluation_van_est(diff, prog, degree, VSHAPE)
         assert not ve.is_zero()
 
@@ -197,7 +197,7 @@ def test_each_shared_inverse_is_computed_once_per_argument(monkeypatch):
 
     monkeypatch.setattr(programs, "matrix_inverse", counted)
     assert diff.lie.dim == 4
-    van_est(diff, hk_program(dprog, t, corner_alpha(Q), 2), 2, VSHAPE, check_normalized=False)
+    van_est(diff, hk_program(dprog, t, corner_alpha(Q), 2), 2, VSHAPE)
     assert len(jet_inverses) == 2
 
 
@@ -222,7 +222,7 @@ def test_evaluate_runs_once_per_image_below_degree_three_and_dim_g_times_in_it(
     calls = count_jet_evaluations(monkeypatch)
     for prog, degree in images(field):
         calls.clear()
-        van_est(diff, prog, degree, VSHAPE, check_normalized=False)
+        van_est(diff, prog, degree, VSHAPE)
         assert len(calls) == (1 if degree <= 2 else diff.lie.dim), (prog, degree)
         (ring,) = set(calls)
         assert (ring.ngens, ring.width, ring.nslots) == (degree * 4, 4, degree)
@@ -233,7 +233,7 @@ def test_no_evaluation_when_the_degree_exceeds_the_dimension(monkeypatch):
     dprog = builtin_difference_program("inverse", Q, 2)
     diff = differentiate_difference_operator(spec, dprog, [Matrix.identity(Q, 2)])
     calls = count_jet_evaluations(monkeypatch)
-    out = van_est(diff, corner_alpha(Q), 2, VSHAPE, check_normalized=False)
+    out = van_est(diff, corner_alpha(Q), 2, VSHAPE)
     assert out.is_zero() and calls == []
 
 
@@ -248,7 +248,7 @@ def test_each_derivative_is_one_jet_evaluation(shape, monkeypatch):
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     assert len(calls) == 1
     calls.clear()
-    differentiate_representation(diff, dprog, theta_prog, t, vshape)
+    differentiate_representation(diff, theta_prog, t, vshape)
     # one evaluation per value-basis vector, whatever dim g is
     assert len(calls) == vshape.dim
     assert {(ring.ngens, ring.width) for ring in calls} == {(4, 4)}
