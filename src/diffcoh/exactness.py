@@ -9,13 +9,15 @@ differential is the block map
 
 where K anticommutes with the differentials.  The short exact sequence
 0 -> A -> B -> C -> 0 then yields a long exact sequence in cohomology
-whose connecting map is induced by K.  This module computes cohomology
-dimensions from ranks alone, computes explicit bases for cohomology
-spaces (``cohomology_space``, on ``span_modulo``, the one rule for
-cosets modulo boundaries, which the extension census reads too, with the
-pivot columns of d_in that form its boundary basis), and verifies
-exactness at every node by two criteria: consecutive maps compose to
-zero, and ranks add up to the dimension of the middle space.  It builds
+whose connecting map is induced by K.  A vector of these spaces is a
+``{coordinate: value}`` row, as a ``Matrix`` row.  This module computes
+cohomology dimensions from ranks alone, computes explicit bases for
+cohomology spaces (``cohomology_space``, on ``span_modulo``, the one
+rule for cosets modulo boundaries, which the extension census reads
+too, with the pivot columns of d_in, rows of its transpose, as boundary
+basis), and verifies exactness at every node by two criteria:
+consecutive maps compose to zero, and ranks add up to the dimension of
+the middle space.  It builds
 each cohomology space once per pair of differentials, so where d_D is d,
 H^{n+1}(A) is H^n(C), and stops at im d_B(m) for the top node (see
 ``verify_les``); each matrix is eliminated once (``linalg.rref``).  The
@@ -35,7 +37,7 @@ matrix, which the complex caches (d_D is the matrix of d where the two
 twists are equal) and applies to single cochains too
 (``coboundary``, ``connecting``, and ``delta``, which reads the pair
 differential off d_B).  It owns the coordinates of the pair complex:
-``pair`` is the one split of a vector of B_n into (alpha, beta).  The
+``pair`` is the one split of a row of B_n into (alpha, beta).  The
 cochain values of both
 theories are written once here too: ``Cochain`` (storage, validation,
 arithmetic), ``CochainPair`` (an element of the pair complex) and
@@ -108,12 +110,13 @@ class LESNode:
 
 @dataclass
 class CohomologySpace:
-    """Explicit basis data for one cohomology space H^n = Z / B: the
-    boundary basis is the columns ``pivots`` of d_in."""
+    """Explicit basis data for one cohomology space H^n = Z / B, rows of
+    length ``dim_total``: the boundary basis is the columns ``pivots`` of
+    d_in."""
 
     dim_total: int
-    reps: list[list[Any]]
-    boundaries: list[list[Any]]
+    reps: list[dict]
+    boundaries: list[dict]
     pivots: list[int]
 
     @property
@@ -131,22 +134,22 @@ def cohomology_space(field: Any, d_out: Matrix, d_in: Matrix | None) -> Cohomolo
     return space
 
 
-def span_modulo(field: Any, vectors: list, d_in: Matrix | None, n: int) -> CohomologySpace:
+def span_modulo(field: Any, vectors: list[dict], d_in: Matrix | None, n: int) -> CohomologySpace:
     """span(vectors) + im(d_in) modulo im(d_in), vectors of length n:
     the reps are the vectors independent modulo the boundaries and the
     earlier vectors, the vector columns among the pivot columns of
-    [B | V], B the pivot columns of d_in, read off its transpose."""
+    [B | V], B the pivot columns of d_in, rows of its transpose."""
     pivots = column_space_basis(d_in) if d_in is not None else []
-    columns = d_in.transpose() if pivots else None
-    boundaries = [list(columns.row(j)) for j in pivots]
-    reps: list[list[Any]] = []
+    columns = d_in.transpose().rows if pivots else ()
+    boundaries = [columns[j] for j in pivots]
+    reps: list[dict] = []
     if vectors:
-        stacked = Matrix.from_columns(field, boundaries + vectors, n)
+        stacked = Matrix(field, len(pivots) + len(vectors), n, boundaries + vectors).transpose()
         reps = [vectors[j - len(pivots)] for j in column_space_basis(stacked)[len(pivots) :]]
     return CohomologySpace(dim_total=n, reps=reps, boundaries=boundaries, pivots=pivots)
 
 
-def induced_map(field: Any, images: list[list[Any]], cod: CohomologySpace) -> Matrix:
+def induced_map(field: Any, images: list[dict], cod: CohomologySpace) -> Matrix:
     """Matrix of the map induced on cohomology by a cocycle-preserving
     map, given the ``images`` of the domain's representatives.
 
@@ -156,7 +159,8 @@ def induced_map(field: Any, images: list[list[Any]], cod: CohomologySpace) -> Ma
     ``cod.dim`` rows of its reduced form.
     """
     basis = cod.reps + cod.boundaries
-    rows, pivots = rref(Matrix.from_columns(field, basis + images, cod.dim_total))
+    stacked = Matrix(field, len(basis) + len(images), cod.dim_total, basis + images)
+    rows, pivots = rref(stacked.transpose())
     if len(pivots) != len(basis):
         raise InternalCheckError("vector is not a cocycle of the target complex")
     width = len(basis)
@@ -176,7 +180,8 @@ class LESData:
     X_{n+1}), ``k(n)`` (the anticommuting map C_n -> A_{n+1}) and an
     empty dict ``_d_b``, where the total differential ``d_b(n)`` is kept
     once assembled.  B_n = C_n + A_n in coordinates, C first, so the
-    inclusion of A and the projection onto C are slices.
+    inclusion of A shifts a coordinate by dim C_n and the projection
+    onto C keeps the coordinates below dim C_n.
     """
 
     def d_b(self, n: int) -> Matrix:
@@ -263,12 +268,14 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     hb = {n: h(d_b, n) for n in range(1, top)}
     hc = {n: h(d_c, n) for n in range(1, top)}
 
-    # B_n = C_n + A_n, so i pads a cochain of A with dim C_n zeros in
-    # front and p keeps the first dim C_n coordinates
-    i_images = {n: [[f.zero] * data.dim_c(n) + r for r in ha[n].reps] for n in ha}
+    # B_n = C_n + A_n, so i shifts the coordinates of a cochain of A by
+    # dim C_n and p keeps the coordinates below dim C_n
+    cut = {n: data.dim_c(n) for n in ha}
+    i_images = {n: [{j + cut[n]: x for j, x in r.items()} for r in ha[n].reps] for n in ha}
     hb[top] = span_modulo(f, i_images[top], d_b[max_degree], d_b[max_degree].nrows)
     i_star = {n: induced_map(f, i_images[n], hb[n]) for n in ha}
-    p_star = {n: induced_map(f, [r[: data.dim_c(n)] for r in hb[n].reps], hc[n]) for n in hc}
+    p_images = {n: [{j: x for j, x in r.items() if j < cut[n]} for r in hb[n].reps] for n in hc}
+    p_star = {n: induced_map(f, p_images[n], hc[n]) for n in hc}
     k_star = {n: induced_map(f, list(map(data.k(n).matvec, hc[n].reps)), ha[n + 1]) for n in hc}
 
     nodes = []
@@ -447,29 +454,28 @@ class CochainSpaceBase:
         self.index = {t: i for i, t in enumerate(tuples)}
         self.size = len(tuples) * zero.dim
 
-    def to_vector(self, a: Any) -> list[Any]:
+    def to_vector(self, a: Any) -> dict:
         if not self.zero._same_space(a):
             raise self.error("cochain lives in another space")
-        vec = [self.field.zero] * self.size
+        dim, zero, vec = self.dim, self.field.zero, {}
         for args, value in a.values.items():
-            base = self.index[args] * self.dim
-            vec[base : base + self.dim] = value
+            base = self.index[args] * dim
+            vec.update((base + r, x) for r, x in enumerate(value) if x != zero)
         return vec
 
-    def from_vector(self, vec: Sequence[Any]) -> Any:
-        """The cochain with coordinates ``vec``; only the tuples with a
-        nonzero value reach the cochain's validation, since zero values
-        are not stored."""
-        if len(vec) != self.size:
-            raise self.error(f"vector length {len(vec)} != {self.size}")
+    def from_vector(self, vec: dict) -> Any:
+        """The cochain with the row ``vec``, validated in coordinate order."""
+        if any(not 0 <= j < self.size for j in vec):
+            raise self.error(f"vector has a coordinate outside 0..{self.size - 1}")
         dim, zero, tuples = self.dim, self.field.zero, self.tuples
-        support = dict.fromkeys(j // dim for j, x in enumerate(vec) if x != zero)
-        return self.zero._like({tuples[i]: tuple(vec[i * dim : (i + 1) * dim]) for i in support})
+        values: dict[int, list] = {}
+        for j in sorted(vec):
+            i, r = divmod(j, dim)
+            values.setdefault(i, [zero] * dim)[r] = vec[j]
+        return self.zero._like({tuples[i]: tuple(v) for i, v in values.items()})
 
     def basis_cochain(self, k: int) -> Any:
-        vec = [self.field.zero] * self.size
-        vec[k] = self.field.one
-        return self.from_vector(vec)
+        return self.from_vector({k: self.field.one})
 
 
 def operator_matrix(dom: CochainSpaceBase, cod: CochainSpaceBase, faces) -> Matrix:
@@ -608,18 +614,20 @@ class DifferenceComplexBase(LESData):
         """The connecting cochain map K applied to the cochain a."""
         return self._apply(self.k_matrix, a, a.degree)
 
-    def pair(self, n: int, vec: Sequence[Any]) -> CochainPair:
-        """The element of B_n with coordinates ``vec``: B_n = C_n + A_n,
-        C first and A_n = C_{n-1}, so the first dim C_n are alpha's and
-        the rest beta's, which degree 1 has none of."""
+    def pair(self, n: int, vec: dict) -> CochainPair:
+        """The element of B_n with the row ``vec``: B_n = C_n + A_n, C
+        first and A_n = C_{n-1}, so the coordinates below dim C_n are
+        alpha's and the rest beta's, which degree 1 has none of."""
         cut = self.dim_c(n)
-        beta = self.space(n - 1).from_vector(vec[cut:]) if n > 1 else None
-        return CochainPair(self.space(n).from_vector(vec[:cut]), beta)
+        alpha = self.space(n).from_vector({j: x for j, x in vec.items() if j < cut})
+        beta = {j - cut: x for j, x in vec.items() if j >= cut}
+        return CochainPair(alpha, self.space(n - 1).from_vector(beta) if n > 1 else None)
 
     def delta(self, pair: CochainPair) -> CochainPair:
         """delta(a, b) = (d a, d_D b + K a) off d_B(n)."""
         n = pair.degree
         vec = self.space(n).to_vector(pair.alpha)
         if pair.beta is not None:
-            vec += self.space(n - 1).to_vector(pair.beta)
+            beta, cut = self.space(n - 1).to_vector(pair.beta), self.dim_c(n)
+            vec.update((j + cut, x) for j, x in beta.items())
         return self.pair(n + 1, self.d_b(n).matvec(vec))

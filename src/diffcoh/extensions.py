@@ -32,8 +32,10 @@ cocycle pairs.  The difference operators on the semidirect product
 G x| V are the extensions with alpha = 0, so
 ``classify_semidirect_difference_ops`` runs it on the pairs (0, beta).
 The pair complex's coordinates are the complex's (``pair`` splits a
-vector), and the section round trip compares the pair read off a
-section with the extension's own, which is a cocycle already.
+vector); cocycles, boundaries, preimages and their combinations are
+``{coordinate: value}`` rows, as everywhere in ``exactness``.  The
+section round trip compares the pair read off a section with the
+extension's own, which is a cocycle already.
 """
 
 from __future__ import annotations
@@ -283,10 +285,10 @@ class GroupExtensionTheory:
         self.cx, self.field, self.budget = cx, cx.field, cx.budget
         self.carrier_size = cx.rep.dg.group.order * cx.field.p**cx.rep.dim
 
-    def build(self, vec: Sequence[Any]) -> AbelianExtension:
+    def build(self, vec: dict) -> AbelianExtension:
         return AbelianExtension(self.cx.rep, self.cx.pair(2, vec))
 
-    def shears(self, e1: AbelianExtension, e2: AbelianExtension, eta: Sequence[Any]) -> bool:
+    def shears(self, e1: AbelianExtension, e2: AbelianExtension, eta: dict) -> bool:
         cochain = self.cx.space(1).from_vector(eta)
         return are_isomorphic(e1, e2, budget=self.budget, eta=cochain) is not None
 
@@ -297,21 +299,21 @@ class GroupExtensionTheory:
         return shear_key(ext)
 
 
-def _span(field: PrimeField, basis: list[list[Any]], length: int) -> Iterator[list[Any]]:
-    """Every F_p-linear combination of ``basis`` (vectors of ``length``),
-    in ``itertools.product`` order of the coefficients, so the zero
-    vector comes first."""
+def _span(field: PrimeField, basis: list[dict]) -> Iterator[dict]:
+    """Every F_p-linear combination of the rows ``basis``, in
+    ``itertools.product`` order of the coefficients, so the zero vector
+    comes first."""
     for coeffs in itertools.product(range(field.p), repeat=len(basis)):
-        vec = [field.zero] * length
+        vec: dict = {}
         for c, basis_vec in zip(coeffs, basis):
-            if c == 0:
-                continue
-            cf = field.from_int(c)
-            vec = [field.add(x, field.mul(cf, y)) for x, y in zip(vec, basis_vec)]
-        yield vec
+            if c:
+                cf = field.from_int(c)
+                for j, y in basis_vec.items():
+                    vec[j] = field.add(vec.get(j, field.zero), field.mul(cf, y))
+        yield {j: x for j, x in vec.items() if x != field.zero}
 
 
-def census(space: CohomologySpace, preimages: Sequence[list[Any]], theory: Any) -> list[Any]:
+def census(space: CohomologySpace, preimages: Sequence[dict], theory: Any) -> list[Any]:
     """One extension of each isomorphism class of the extensions of the
     cocycles in the span of ``space.boundaries + space.reps`` (a
     ``cohomology_space``).  The classes are the cosets of the
@@ -365,7 +367,7 @@ def census(space: CohomologySpace, preimages: Sequence[list[Any]], theory: Any) 
         raise BudgetExceededError(
             "extension census", theory.carrier_size, carrier_budget, "carrier elements"
         )
-    reps = [theory.build(vec) for vec in _span(f, space.reps, space.dim_total)]
+    reps = [theory.build(vec) for vec in _span(f, space.reps)]
     keys = [theory.key(ext) for ext in reps]
     for b, eta in zip(space.boundaries, preimages):
         sheared = theory.build(b)
@@ -428,8 +430,7 @@ def classify_extensions(rep: DifferenceRep, budget: int = DEFAULT_BUDGET) -> Ext
     p = f.p
     cx = DifferenceComplex(rep, budget=budget)
     space = cohomology_space(f, cx.d_b(2), cx.d_b(1))
-    d_b1 = cx.d_b(1)
-    units = [[f.one if i == j else f.zero for i in range(d_b1.ncols)] for j in space.pivots]
+    units = [{j: f.one} for j in space.pivots]
     reps = census(space, units, GroupExtensionTheory(cx))
 
     for ext in reps:
@@ -499,17 +500,17 @@ def classify_semidirect_difference_ops(
 
     kmat = cx.k_matrix(1)
     z1 = kernel_basis(cx.d_ordinary(1))
-    k_on_z1 = Matrix.from_columns(f, [kmat.matvec(v) for v in z1], kmat.nrows)
+    k_on_z1 = Matrix(f, len(z1), kmat.nrows, [kmat.matvec(v) for v in z1]).transpose()
     betas = cohomology_space(f, cx.d_difference(1), k_on_z1)
     z_dim = len(betas.boundaries) + betas.dim
     h1 = cx.cohomology_dims(1).degrees[1]
     k_rank = h1.h_ordinary - h1.h_pair
 
-    alpha_zero = [f.zero] * cx.space(2).size
+    cut = cx.dim_c(2)  # the pairs (0, beta) of B_2 = C_2 + C_1
     space = CohomologySpace(
-        dim_total=len(alpha_zero) + betas.dim_total,
-        reps=[alpha_zero + v for v in betas.reps],
-        boundaries=[alpha_zero + v for v in betas.boundaries],
+        dim_total=cut + betas.dim_total,
+        reps=[{j + cut: x for j, x in v.items()} for v in betas.reps],
+        boundaries=[{j + cut: x for j, x in v.items()} for v in betas.boundaries],
         pivots=betas.pivots,
     )
     theory = GroupExtensionTheory(cx)
@@ -522,7 +523,7 @@ def classify_semidirect_difference_ops(
     n_candidates = nv ** ((group.order - 1) * nv)
     if n_candidates <= budget:
         valid = _valid_operators(reps[0])
-        members = _span(f, space.boundaries + space.reps, space.dim_total)
+        members = _span(f, space.boundaries + space.reps)
         if set(valid) != {theory.build(vec).total.d for vec in members}:
             raise InternalCheckError(
                 "direct enumeration found operators outside the cocycle family"

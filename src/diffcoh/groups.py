@@ -348,7 +348,8 @@ class DifferenceRep:
         index = {v: i for i, v in enumerate(vectors)}
 
         def images(m: Matrix) -> list[int]:
-            return [index[tuple(m.matvec(list(v)))] for v in vectors]
+            rows = m.to_lists()
+            return [index[tuple(sum(map(operator.mul, r, v)) % f.p for r in rows)] for v in vectors]
 
         plus = self.t + Matrix.identity(f, self.dim)
         return ModuleTable(

@@ -135,10 +135,6 @@ class LieAlgebra:
                 )
         return report
 
-    def basis_vector(self, i: int) -> list[Any]:
-        f = self.field
-        return [f.one if m == i else f.zero for m in range(self.dim)]
-
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, field={self.field!r})"
 
@@ -230,7 +226,7 @@ def check_lie_rep(
     if not report.ok:
         return report
     for i in range(lie.dim):
-        th_dei = theta_of(theta, d.matvec(lie.basis_vector(i)))
+        th_dei = theta_of(theta, d.col(i))
         lhs = t @ theta[i]
         rhs = th_dei + (theta[i] @ t) + (th_dei @ t)
         if lhs != rhs:
@@ -267,7 +263,7 @@ def theta_d_matrices(rep: LieRep) -> tuple[Matrix, ...]:
     lie = rep.lie
     d = rep.dop.d
     out = tuple(
-        rep.theta[i] + theta_of(rep.theta, d.matvec(lie.basis_vector(i)))
+        rep.theta[i] + theta_of(rep.theta, d.col(i))
         for i in range(lie.dim)
     )
     for i, j in itertools.combinations(range(lie.dim), 2):
@@ -355,10 +351,7 @@ def _connecting_faces(rep: LieRep, n: int):
     f = rep.field
     sign = f.neg(f.one) if n % 2 else f.one
     minus_t = rep.t.scale(f.neg(sign))
-    d_plus = rep.dop.d_plus
-    plus_cols = [
-        [(r, x) for r, x in enumerate(d_plus.col(i)) if x != f.zero] for i in range(d_plus.ncols)
-    ]
+    plus_cols = [list(col.items()) for col in rep.dop.d_plus.transpose().rows]
 
     def faces(args: tuple):
         yield args, minus_t

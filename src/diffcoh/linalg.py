@@ -1,7 +1,8 @@
 """Exact linear algebra over the scalar rings.
 
 Matrices are immutable and generic over a ring object from ``scalars``;
-``Matrix`` keeps one ``{column: value}`` dict of nonzeros per row.
+``Matrix`` keeps one ``{column: value}`` dict of nonzeros per row, and
+a vector is such a row (k of them stack as a k x n ``Matrix``).
 Elimination (rank, kernel, solve, column space, inverse, ``rref``) is
 restricted to fields and runs one sparse echelon on those rows; its
 results are those of the reduced row echelon form, which is unique, so
@@ -71,18 +72,6 @@ class Matrix:
         return cls(ring, nrows, ncols, [{} for _ in range(nrows)])
 
     @classmethod
-    def from_columns(cls, ring: Any, columns: Sequence[Sequence[Any]], nrows: int) -> "Matrix":
-        zero = ring.zero
-        rows: list[dict] = [{} for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            if len(col) != nrows:
-                raise LinAlgError("column length mismatch")
-            for i, x in enumerate(col):
-                if x != zero:
-                    rows[i][j] = x
-        return cls(ring, nrows, len(columns), rows)
-
-    @classmethod
     def block(cls, ring: Any, blocks: list[list["Matrix"]]) -> "Matrix":
         """Assemble a matrix from a grid of blocks with consistent shapes."""
         col_widths = [b.ncols for b in blocks[0]]
@@ -102,12 +91,6 @@ class Matrix:
     def at(self, i: int, j: int) -> Any:
         return self.rows[i].get(j, self.ring.zero)
 
-    def row(self, i: int) -> tuple:
-        out = [self.ring.zero] * self.ncols
-        for j, x in self.rows[i].items():
-            out[j] = x
-        return tuple(out)
-
     def col(self, j: int) -> tuple:
         zero = self.ring.zero
         return tuple(row.get(j, zero) for row in self.rows)
@@ -118,7 +101,8 @@ class Matrix:
         return tuple(row.get(j, zero) for row in self.rows for j in range(self.ncols))
 
     def to_lists(self) -> list[list[Any]]:
-        return [list(self.row(i)) for i in range(self.nrows)]
+        zero = self.ring.zero
+        return [[row.get(j, zero) for j in range(self.ncols)] for row in self.rows]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -190,16 +174,18 @@ class Matrix:
                 rows[j][i] = x
         return Matrix(self.ring, self.ncols, self.nrows, rows)
 
-    def matvec(self, v: Sequence[Any]) -> list[Any]:
-        if len(v) != self.ncols:
-            raise LinAlgError(f"vector length {len(v)} != {self.ncols} columns")
-        r = self.ring
-        out = []
-        for row in self.rows:
-            acc = r.zero
+    def matvec(self, v: dict) -> dict:
+        """m v, for v and m v ``{coordinate: value}`` rows."""
+        _check_coordinates(v, self.ncols)
+        zero, add, mul = self.ring.zero, self.ring.add, self.ring.mul
+        out = {}
+        for i, row in enumerate(self.rows):
+            acc = zero
             for j, x in row.items():
-                acc = r.add(acc, r.mul(x, v[j]))
-            out.append(acc)
+                if j in v:
+                    acc = add(acc, mul(x, v[j]))
+            if acc != zero:
+                out[i] = acc
         return out
 
     def is_zero(self) -> bool:
@@ -221,6 +207,11 @@ class Matrix:
         return self._nonzero(
             [{j: fn(x) for j, x in row.items()} for row in self.rows], self.ncols, ring
         )
+
+
+def _check_coordinates(v: dict, n: int) -> None:
+    if any(not 0 <= j < n for j in v):
+        raise LinAlgError(f"vector has a coordinate outside 0..{n - 1}")
 
 
 def _require_field(ring: Any, what: str) -> None:
@@ -510,18 +501,13 @@ def triangular_ranks(
     return made[0], sum(1 for c in pivots if c < width), len(pivots)
 
 
-def kernel_basis(m: Matrix) -> list[list[Any]]:
-    """Basis of the right kernel, one vector per free column, in
-    increasing free-column order; the free coordinate is set to one."""
+def kernel_basis(m: Matrix) -> list[dict]:
+    """Basis of the right kernel, one row per free column, in increasing
+    free-column order; the free coordinate is set to one."""
     f = m.ring
     rows, pivots = rref(m)
     pivot_set = set(pivots)
-    basis = {}
-    for free in range(m.ncols):
-        if free not in pivot_set:
-            v = [f.zero] * m.ncols
-            v[free] = f.one
-            basis[free] = v
+    basis = {free: {free: f.one} for free in range(m.ncols) if free not in pivot_set}
     for row, p_col in zip(rows, pivots):
         for j, x in row.items():
             if j != p_col:
@@ -529,28 +515,21 @@ def kernel_basis(m: Matrix) -> list[list[Any]]:
     return list(basis.values())
 
 
-def solve(m: Matrix, b: Sequence[Any]) -> list[Any] | None:
-    """One solution of m x = b, or None when the system is inconsistent.
+def solve(m: Matrix, b: dict) -> dict | None:
+    """One solution of m x = b (rows), or None when the system is inconsistent.
 
     Free coordinates are set to zero, so the answer is deterministic.
     """
-    if len(b) != m.nrows:
-        raise LinAlgError(f"rhs length {len(b)} != {m.nrows} rows")
-    f = m.ring
+    _check_coordinates(b, m.nrows)
+    f, n = m.ring, m.ncols
     _require_field(f, "solve")
     aug = Matrix(
-        f,
-        m.nrows,
-        m.ncols + 1,
-        [{**row, m.ncols: x} if x != f.zero else row for row, x in zip(m.rows, b)],
+        f, m.nrows, n + 1, [{**row, n: b[i]} if i in b else row for i, row in enumerate(m.rows)]
     )
     rows, pivots = rref(aug)
-    if pivots and pivots[-1] == m.ncols:
+    if pivots and pivots[-1] == n:
         return None
-    x = [f.zero] * m.ncols
-    for row, p_col in zip(rows, pivots):
-        x[p_col] = row.get(m.ncols, f.zero)
-    return x
+    return {p_col: row[n] for row, p_col in zip(rows, pivots) if n in row}
 
 
 def column_space_basis(m: Matrix) -> list[int]:

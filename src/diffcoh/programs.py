@@ -121,9 +121,12 @@ def conj(a: Node) -> Node:
 def apply_linmap(lmat: Matrix, m: Matrix) -> Matrix:
     """The linear map ``lmat`` applied to the entries of m, row by row,
     cut back into the rows of m."""
-    coords, width = lmat.matvec(m.entries), m.ncols
-    rows = [coords[i * width : (i + 1) * width] for i in range(m.nrows)]
-    return Matrix.from_rows(lmat.ring, rows)
+    width = m.ncols
+    coords = lmat.matvec({i * width + j: x for i, row in enumerate(m.rows) for j, x in row.items()})
+    rows: list[dict] = [{} for _ in range(m.nrows)]
+    for k, x in coords.items():
+        rows[k // width][k % width] = x
+    return Matrix(lmat.ring, m.nrows, width, rows)
 
 
 def evaluate(node: Node, inputs: Sequence[Matrix], ring: Any) -> Matrix:
@@ -202,6 +205,8 @@ def evaluate(node: Node, inputs: Sequence[Matrix], ring: Any) -> Matrix:
                     f"linear map expects {lmat.ncols} coordinates, value has "
                     f"{m.nrows * m.ncols}"
                 )
+            if lmat.nrows != lmat.ncols:
+                raise ProgramError(f"linear map is {lmat.nrows}x{lmat.ncols}, not square")
             return apply_linmap(lmat, m)
         if n.op == "conj":
             m = run(n.args[0])

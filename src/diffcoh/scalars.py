@@ -224,7 +224,10 @@ class QuadraticField:
     is_field = True
 
     def __init__(self, d: int | Fraction) -> None:
-        d = Fraction(d)
+        try:  # a bool goes in as the word it prints as, which Fraction refuses
+            d = Fraction(str(d) if isinstance(d, bool) else d)
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ScalarError(f"quadratic field d must be a rational, got {d!r}") from exc
         if d == 0 or (
             _is_perfect_square(d.numerator) and _is_perfect_square(d.denominator)
         ):
@@ -270,10 +273,14 @@ class QuadraticField:
         return QuadScalar(x.a, -x.b)
 
     def parse(self, text: Any) -> QuadScalar:
-        if isinstance(text, (list, tuple)) and len(text) == 2:
-            return QuadScalar(Fraction(str(text[0])), Fraction(str(text[1])))
-        if isinstance(text, (int, str)):
-            return QuadScalar(Fraction(str(text)), Fraction(0))
+        # str() makes a bool the word True or False, which Fraction refuses
+        try:
+            if isinstance(text, (list, tuple)) and len(text) == 2:
+                return QuadScalar(Fraction(str(text[0])), Fraction(str(text[1])))
+            if isinstance(text, (int, str)):
+                return QuadScalar(Fraction(str(text)), Fraction(0))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ScalarError(f"not a quadratic scalar: {text!r}") from exc
         raise ScalarError(f"not a quadratic scalar: {text!r}")
 
     def format(self, x: QuadScalar) -> Any:

@@ -45,7 +45,7 @@ from .lie import (
     k_map,
 )
 from .exactness import CochainPair
-from .linalg import Matrix, jet_part, matrix_inverse, rank
+from .linalg import Matrix, jet_part, rank
 from .programs import (
     Node,
     add,
@@ -141,7 +141,8 @@ def differentiate_difference_operator(
     """Differentiate a difference-operator program at the identity.
 
     First the twisted cocycle rule D(gh) = D(g) g D(h) g^{-1} is checked
-    on sampled pairs and on the identity pair, which gives D(I); then
+    on sampled pairs and on the identity pair, which gives D(I), in the
+    form D(gh) g = D(g) g D(h), which needs no inverse; then
     D(x) is read off as the e-coefficient of dprog(I + e x) and the
     result is validated as a Lie-algebra difference operator.  One
     evaluation at I + sum_k e_k x_k, in one slot of width dim g, gives
@@ -156,7 +157,7 @@ def differentiate_difference_operator(
         lhs = evaluate(dprog, [g @ h], f)
         dg = evaluate(dprog, [g], f)
         dh = evaluate(dprog, [h], f)
-        if lhs != dg @ g @ dh @ matrix_inverse(g):
+        if lhs @ g != dg @ g @ dh:
             raise SampledPreconditionError(
                 "difference-operator program violates D(gh) = D(g) g D(h) g^-1 "
                 "on a sampled pair"
@@ -173,7 +174,7 @@ def differentiate_difference_operator(
             "difference-operator program is not I + O(e) at I + e x"
         )
     cols = [lie.coords(jet_part(value, (k,))) for k in range(lie.dim)]
-    dmat = Matrix.from_columns(f, cols, lie.dim)
+    dmat = Matrix.from_rows(f, cols).transpose()
     return DifferentiatedOperator(
         spec=spec, basis=list(basis), lie=lie, dop=LieDifferenceOp(lie, dmat),
         dprog=dprog, samples=samples[2:],
@@ -271,7 +272,7 @@ def differentiate_representation(
             )
         images.append(w)
     theta = [
-        Matrix.from_columns(f, [list(jet_part(w, (k,)).entries) for w in images], vshape.dim)
+        Matrix.from_rows(f, [jet_part(w, (k,)).entries for w in images]).transpose()
         for k in range(dim)
     ]
     return LieRep(diff.dop, theta, t)

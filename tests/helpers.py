@@ -88,7 +88,7 @@ def rep_from_section(ext, section):
             if base_part != group.identity:
                 raise InternalCheckError("conjugation left the module")
             cols.append(list(vec))
-        mats.append(Matrix.from_columns(f, cols, ext.rep.dim))
+        mats.append(Matrix.from_rows(f, cols).transpose())
     if tuple(mats) != ext.rep.theta:
         raise InternalCheckError(
             "section conjugation disagrees with the extension's representation"

@@ -34,7 +34,9 @@ it shares neither that kernel nor the rank bounds.
 beside its closed form on every matrix of K before the closed form
 alone defined it.  ``FractionRationals`` is the field of rationals as it
 was before integral values became plain ints: every value it makes is a
-``Fraction``.  Tests compare the two routes exactly.
+``Fraction``.  ``dense`` and ``sparse`` convert between the library's
+``{coordinate: value}`` vector rows and the dense lists these oracles
+use.  Tests compare the two routes exactly.
 """
 
 import heapq
@@ -60,7 +62,7 @@ def dense_echelon(m):
     if not getattr(m.ring, "is_field", False):
         raise LinAlgError(f"elimination requires a field, got {m.ring!r}")
     f = m.ring
-    rows = [list(m.row(i)) for i in range(m.nrows)]
+    rows = m.to_lists()
     pivots = []
     lead = 0
     for col in range(m.ncols):
@@ -85,6 +87,27 @@ def dense_echelon(m):
     return rows, pivots
 
 
+def dense(vec, n, zero=0):
+    """The ``{coordinate: value}`` row ``vec`` as a list of length n;
+    ``zero`` is the field's zero (0 over F_p and Q)."""
+    out = [zero] * n
+    for j, x in vec.items():
+        out[j] = x
+    return out
+
+
+def sparse(seq, zero=0):
+    """The dense sequence ``seq`` as a ``{coordinate: value}`` row that
+    stores no ``zero``."""
+    return {j: x for j, x in enumerate(seq) if x != zero}
+
+
+def basis_vector(lie, i):
+    """The coordinates of basis element i of a Lie algebra."""
+    f = lie.field
+    return [f.one if m == i else f.zero for m in range(lie.dim)]
+
+
 def dense_rank(m):
     return len(dense_echelon(m)[1])
 
@@ -106,7 +129,7 @@ def dense_kernel_basis(m):
 
 def dense_solve(m, b):
     f = m.ring
-    aug = Matrix.from_rows(f, [[*m.row(i), b[i]] for i in range(m.nrows)])
+    aug = Matrix.from_rows(f, [[*row, x] for row, x in zip(m.to_lists(), b)])
     rows, pivots = dense_echelon(aug)
     if m.ncols in pivots:
         return None
@@ -233,7 +256,7 @@ def per_basis_matrix(cx, fn, n, out_degree):
     dom = cx.space(n)
     cod = cx.space(out_degree)
     cols = [cod.to_vector(fn(dom.basis_cochain(k))) for k in range(dom.size)]
-    return Matrix.from_columns(cx.field, cols, cod.size)
+    return Matrix(cx.field, dom.size, cod.size, cols).transpose()
 
 
 def is_shear_isomorphism(e1, e2, eta):
@@ -262,14 +285,14 @@ def full_member_census(space, theory):
     ``extensions`` does not reach this one); returns the classes in
     span order, so the zero cocycle comes first."""
     f = theory.field
-    basis = space.boundaries + space.reps
+    basis = [dense(v, space.dim_total) for v in space.boundaries + space.reps]
     n_b = len(space.boundaries)
     cosets = {}
     for coeffs in itertools.product(range(f.p), repeat=len(basis)):
         vec = [f.zero] * space.dim_total
         for c, basis_vec in zip(coeffs, basis):
             vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, basis_vec)]
-        ext = theory.build(vec)
+        ext = theory.build(sparse(vec))
         key = coeffs[n_b:]
         if key in cosets:
             if are_isomorphic(cosets[key][0], ext, DEFAULT_BUDGET) is None:
@@ -298,7 +321,7 @@ def carrier_tables(rep, alpha, beta):
     table = []
     for g in group.elements:
         theta_g = rep.theta[g]
-        theta_vs = [theta_g.matvec(list(v)) for v in vectors]
+        theta_vs = [dense_matvec(theta_g, v) for v in vectors]
         for u in vectors:
             row = []
             for h in group.elements:
@@ -316,8 +339,8 @@ def carrier_tables(rep, alpha, beta):
         theta_dg = rep.theta[d_g]
         b = beta(g)
         for u in vectors:
-            tu = rep.t.matvec(list(u))
-            thu = theta_dg.matvec(list(u))
+            tu = dense_matvec(rep.t, u)
+            thu = dense_matvec(theta_dg, u)
             w = tuple(
                 f.add(f.sub(f.add(tu[i], u[i]), thu[i]), b[i])
                 for i in range(rep.dim)
@@ -486,10 +509,11 @@ def lie_difference_report(lie, d):
         report.add("shape", (d.nrows, d.ncols), f"expected {lie.dim}x{lie.dim} over {f!r}")
         return report
     for i, j in itertools.combinations(range(lie.dim), 2):
-        ei, ej = lie.basis_vector(i), lie.basis_vector(j)
-        dei, dej = d.matvec(ei), d.matvec(ej)
+        ei, ej = basis_vector(lie, i), basis_vector(lie, j)
+        dei, dej = dense_matvec(d, ei), dense_matvec(d, ej)
         terms = (lie.bracket(dei, ej), lie.bracket(ei, dej), lie.bracket(dei, dej))
-        if d.matvec(lie.bracket(ei, ej)) != [f.add(f.add(a, b), c) for a, b, c in zip(*terms)]:
+        lhs = dense_matvec(d, lie.bracket(ei, ej))
+        if lhs != [f.add(f.add(a, b), c) for a, b, c in zip(*terms)]:
             report.add(
                 "difference-identity",
                 (i, j),
@@ -505,7 +529,7 @@ def jacobi_failures(lie):
     for i, j, k in itertools.combinations(range(lie.dim), 3):
         acc = [f.zero] * lie.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            term = lie.bracket(lie.bracket_basis(a, b), lie.basis_vector(c))
+            term = lie.bracket(lie.bracket_basis(a, b), basis_vector(lie, c))
             acc = [f.add(x, y) for x, y in zip(acc, term)]
         if any(x != f.zero for x in acc):
             out.append((i, j, k))
@@ -515,7 +539,7 @@ def jacobi_failures(lie):
 def solved_coords(field, basis, m):
     """Coordinates of m in a basis of matrices by one dense solve, or
     None outside the span."""
-    flat = Matrix.from_columns(field, [list(b.entries) for b in basis], len(basis[0].entries))
+    flat = Matrix.from_rows(field, [b.entries for b in basis]).transpose()
     return dense_solve(flat, list(m.entries))
 
 
@@ -547,7 +571,7 @@ def coboundary(theta, a):
     n = a.degree
     out = {}
     for args in _nonidentity_tuples(group, n + 1):
-        acc = list(theta[args[0]].matvec(list(a.value_at(args[1:]))))
+        acc = dense_matvec(theta[args[0]], a.value_at(args[1:]))
         sign_pos = True  # tracks (-1)^i for i = 1..n
         for i in range(n):
             sign_pos = not sign_pos
@@ -581,7 +605,7 @@ def pk(rep, a):
     if n == 1:
         for (g,) in _nonidentity_tuples(group, 1):
             d_g = dg.d_of(g)
-            first = rep.theta[d_g].matvec(list(a.value_at((g,))))
+            first = dense_matvec(rep.theta[d_g], a.value_at((g,)))
             second = a.value_at((dg.d_plus_of(g),))
             third = a.value_at((d_g,))
             out[(g,)] = tuple(
@@ -592,9 +616,7 @@ def pk(rep, a):
             g12 = group.mul(g1, g2)
             first = a.value_at((dg.d_of(g1), g1))
             second = a.value_at((dg.d_of(g12), g12))
-            third = rep.theta[dg.d_plus_of(g1)].matvec(
-                list(a.value_at((dg.d_of(g2), g2)))
-            )
+            third = dense_matvec(rep.theta[dg.d_plus_of(g1)], a.value_at((dg.d_of(g2), g2)))
             out[(g1, g2)] = tuple(
                 f.add(f.sub(x, y), z) for x, y, z in zip(first, second, third)
             )
@@ -615,7 +637,7 @@ def hk(rep, a):
     for args in _nonidentity_tuples(group, n):
         plus = tuple(dg.d_plus_of(g) for g in args)
         v = a.value_at(args)
-        tv = rep.t.matvec(list(v))
+        tv = dense_matvec(rep.t, v)
         acc = [
             f.sub(f.sub(x, y), z) for x, y, z in zip(a.value_at(plus), tv, v)
         ]
@@ -676,7 +698,7 @@ def ce_coboundary(theta, z):
         acc = [f.zero] * z.dim
         for k in range(n + 1):
             rest = args[:k] + args[k + 1 :]
-            term = theta[args[k]].matvec(list(z.value_at_basis(rest)))
+            term = dense_matvec(theta[args[k]], z.value_at_basis(rest))
             if k % 2:
                 acc = [f.sub(x, y) for x, y in zip(acc, term)]
             else:
@@ -716,10 +738,10 @@ def k_map(rep, z):
     negate = n % 2 == 1
     out = {}
     for args in itertools.combinations(range(lie.dim), n):
-        basis_vecs = [lie.basis_vector(i) for i in args]
-        d_vecs = [d.matvec(v) for v in basis_vecs]
+        basis_vecs = [basis_vector(lie, i) for i in args]
+        d_vecs = [dense_matvec(d, v) for v in basis_vecs]
         zx = z.value_at_basis(args)
-        tzx = rep.t.matvec(list(zx))
+        tzx = dense_matvec(rep.t, zx)
 
         subset_sum = [f.zero] * z.dim
         for r in range(1, n + 1):
@@ -731,7 +753,7 @@ def k_map(rep, z):
                 subset_sum = [f.add(x, y) for x, y in zip(subset_sum, term)]
         subset_val = [f.sub(x, y) for x, y in zip(subset_sum, tzx)]
 
-        closed = value_on_vectors(z, [d_plus.matvec(v) for v in basis_vecs])
+        closed = value_on_vectors(z, [dense_matvec(d_plus, v) for v in basis_vecs])
         closed_val = [
             f.sub(f.sub(x, y), w) for x, y, w in zip(closed, zx, tzx)
         ]

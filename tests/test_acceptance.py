@@ -338,7 +338,7 @@ def test_criterion_06_jet_differentiation():
 
         # frozen derivative: D(x) = tr(x) I - x, column per basis element
         expected_cols = [list(d_of(x).entries) for x in basis]
-        assert adj.dop.d == Matrix.from_columns(Q, expected_cols, 4)
+        assert adj.dop.d == Matrix.from_rows(Q, expected_cols).transpose()
         assert check_lie_difference(adj.lie, adj.dop.d).ok
 
         def comm(a, b):

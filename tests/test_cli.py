@@ -783,6 +783,14 @@ _FAILING_OPS = {
         {"op": "inverse", "args": [{"op": "sub", "args": [_G0, _G0]}]},
         "op 'inverse': matrix is singular",
     ),
+    "linmap-tall": (
+        {"op": "linmap", "args": [_G0], "matrix": [["1", "0", "0", "0"]] * 8},
+        "linear map is 8x4, not square",
+    ),
+    "linmap-flat": (
+        {"op": "linmap", "args": [_G0], "matrix": [["1", "0", "0", "0"]] * 2},
+        "linear map is 2x4, not square",
+    ),
 }
 
 
@@ -792,6 +800,38 @@ def test_program_evaluation_error_names_the_op(name, command, tmp_path, capsys):
     prog, message = _FAILING_OPS[name]
     path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"difference-program": prog})
     code, out, err = run([command, path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+_NOT_RATIONAL = "quadratic field d must be a rational, got"
+_BAD_QUADRATIC = {
+    "T-word": ("T", [["abc"]], "$.T[0][0]: not a quadratic scalar: 'abc'"),
+    "T-over-zero": ("T", [["1/0"]], "$.T[0][0]: not a quadratic scalar: '1/0'"),
+    "T-bool": ("T", [[True]], "$.T[0][0]: not a quadratic scalar: True"),
+    "T-pair-word": ("T", [[["1", "x"]]], "$.T[0][0]: not a quadratic scalar: ['1', 'x']"),
+    "d-word": ("d", "x", f"$.field: {_NOT_RATIONAL} 'x'"),
+    "d-null": ("d", None, f"$.field: {_NOT_RATIONAL} None"),
+    "d-list": ("d", [1], f"$.field: {_NOT_RATIONAL} [1]"),
+    "d-over-zero": ("d", "1/0", f"$.field: {_NOT_RATIONAL} '1/0'"),
+    "d-bool": ("d", True, f"$.field: {_NOT_RATIONAL} True"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_QUADRATIC))
+def test_malformed_quadratic_scalar_is_a_fixture_error(name, tmp_path, capsys):
+    # Q(sqrt d) scalars and d itself are parsed into ScalarError, as over
+    # Q, so the command exits 2 with the path instead of a traceback
+    key, value, message = _BAD_QUADRATIC[name]
+    data = json.loads((FIXDIR / "gl2_corner_deg2.json").read_text())
+    if key == "d":
+        data["field"]["d"] = value
+    else:
+        data[key] = value
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["check", str(path)], capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"

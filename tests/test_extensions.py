@@ -41,9 +41,12 @@ from helpers import all_sections, element_order, rep_from_section, zero_cochain
 from oracles import (
     all_cochains_isomorphic,
     carrier_tables,
+    dense,
+    dense_matvec,
     dense_solve,
     full_member_census,
     is_shear_isomorphism,
+    sparse,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -351,7 +354,7 @@ def test_census_budget_counts_the_searches_between_representatives_that_share_a_
     cx = DifferenceComplex(_s3_sign_rep(0))
     d_b1 = cx.d_b(1)
     space = exactness.cohomology_space(F3, cx.d_b(2), d_b1)
-    units = [[int(i == j) for i in range(d_b1.ncols)] for j in space.pivots]
+    units = [sparse([int(i == j) for i in range(d_b1.ncols)]) for j in space.pivots]
     theory = GroupExtensionTheory(cx)
     for budget in (100, 350):
         theory.budget = budget
@@ -512,15 +515,16 @@ def test_shear_by_eta_carries_the_cocycle_plus_d_b_eta_onto_the_cocycle(rep):
     theory = GroupExtensionTheory(cx)
     z_basis, d_b1 = kernel_basis(cx.d_b(2)), cx.d_b(1)
     group = rep.dg.group
+    n = c2.size + c1.size
     for seed in range(4):
         rng = random.Random(seed)
-        a = [f.zero] * (c2.size + c1.size)
+        a = [f.zero] * n
         for basis_vec in z_basis:
             c = rng.randrange(f.p)
-            a = [f.add(x, f.mul(c, y)) for x, y in zip(a, basis_vec)]
-        eta = [rng.randrange(f.p) for _ in range(c1.size)]
-        moved = [f.add(x, y) for x, y in zip(a, d_b1.matvec(eta))]
-        e_moved, e_a = theory.build(moved), theory.build(a)
+            a = [f.add(x, f.mul(c, y)) for x, y in zip(a, dense(basis_vec, n))]
+        eta = sparse([rng.randrange(f.p) for _ in range(c1.size)])
+        moved = [f.add(x, y) for x, y in zip(a, dense(d_b1.matvec(eta), n))]
+        e_moved, e_a = theory.build(sparse(moved)), theory.build(sparse(a))
         cochain = c1.from_vector(eta)
         values = {g: cochain.value_at((g,)) for g in group.elements}
         assert is_shear_isomorphism(e_moved, e_a, values)
@@ -561,7 +565,9 @@ def test_census_classes_are_the_cosets_by_dense_solves(monkeypatch, classify, re
     f, c2, c1, d_b1 = cx.field, cx.space(2), cx.space(1), cx.d_b(1)
 
     def vec(ext):
-        return c2.to_vector(ext.pair.alpha) + c1.to_vector(ext.pair.beta)
+        return dense(c2.to_vector(ext.pair.alpha), c2.size) + dense(
+            c1.to_vector(ext.pair.beta), c1.size
+        )
 
     def cohomologous(e1, e2):
         return dense_solve(d_b1, [f.sub(x, y) for x, y in zip(vec(e1), vec(e2))]) is not None
@@ -569,7 +575,7 @@ def test_census_classes_are_the_cosets_by_dense_solves(monkeypatch, classify, re
     # one class of 3 on z3_t1_ops, 3 of 1 on z3_t2_ops
     assert len(reps) * f.p ** len(space.boundaries) > 1
     for b, eta in zip(space.boundaries, preimages):
-        assert list(d_b1.matvec(eta)) == b
+        assert dense(d_b1.matvec(eta), d_b1.nrows) == dense(b, space.dim_total)
     for i, e1 in enumerate(reps):
         assert not any(cohomologous(e1, e2) for e2 in reps[i + 1 :])
 
@@ -603,13 +609,13 @@ def test_carrier_laws_decide_the_cocycle_conditions(rep):
         vec = [F3.zero] * (c2.size + c1.size)
         for basis_vec in z_basis:
             c = F3.from_int(rng.randrange(3))
-            vec = [F3.add(x, F3.mul(c, y)) for x, y in zip(vec, basis_vec)]
+            vec = [F3.add(x, F3.mul(c, y)) for x, y in zip(vec, dense(basis_vec, len(vec)))]
         spans = {"valid": (0, 0), "alpha": (0, c2.size), "beta": (c2.size, len(vec))}
         for kind, (lo, hi) in spans.items():
             pert = list(vec)
             for i in range(lo, hi):
                 pert[i] = F3.add(pert[i], F3.from_int(rng.randrange(3)))
-            pair = cx.pair(2, pert)
+            pair = cx.pair(2, sparse(pert))
             image = delta(cx, pair)
             parts = (image.alpha, image.beta)
             failing = [i for i, part in enumerate(parts) if not part.is_zero()]
@@ -853,14 +859,14 @@ def test_extension_sits_between_module_and_base(rep):
         vec = [F3.zero] * (c2.size + c1.size)
         for basis_vec in z_basis:
             c = F3.from_int(rng.randrange(3))
-            vec = [F3.add(x, F3.mul(c, y)) for x, y in zip(vec, basis_vec)]
-        ext = AbelianExtension(rep, cx.pair(2, vec))
+            vec = [F3.add(x, F3.mul(c, y)) for x, y in zip(vec, dense(basis_vec, len(vec)))]
+        ext = AbelianExtension(rep, cx.pair(2, sparse(vec)))
         total, d_total = ext.total.group, ext.total.d_of
         for u in ext.vectors:
             for v in ext.vectors:
                 s = tuple(F3.add(a, b) for a, b in zip(u, v))
                 assert total.mul(ext.inject(u), ext.inject(v)) == ext.inject(s)
-            assert d_total(ext.inject(u)) == ext.inject(tuple(rep.t.matvec(list(u))))
+            assert d_total(ext.inject(u)) == ext.inject(tuple(dense_matvec(rep.t, u)))
         for x in total.elements:
             assert ext.project(d_total(x)) == d_base(ext.project(x))
             for y in total.elements:

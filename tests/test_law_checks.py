@@ -276,7 +276,7 @@ def test_one_corrupted_matrix_basis_entry(basis, b, k, value):
     rows = basis[b].to_lists()
     rows[k // 2][k % 2] = Fraction(value)
     basis[b] = Matrix.from_rows(Q, rows)
-    flat = Matrix.from_columns(Q, [list(m.entries) for m in basis], 4)
+    flat = Matrix.from_rows(Q, [m.entries for m in basis]).transpose()
     try:
         lie = MatrixLieAlgebra(Q, basis)
     except LieError as exc:

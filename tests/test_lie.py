@@ -26,7 +26,7 @@ from diffcoh.linalg import Matrix
 from diffcoh.scalars import PrimeField, Rationals
 
 from helpers import verify_delta_squared
-from oracles import delta_theta, value_on_vectors
+from oracles import basis_vector, delta_theta, value_on_vectors
 
 Q = Rationals()
 
@@ -92,7 +92,7 @@ def test_jacobi_violation_is_witnessed():
 
 def test_sl2_satisfies_jacobi():
     lie = sl2()
-    h, e, f = (lie.basis_vector(i) for i in range(3))
+    h, e, f = (basis_vector(lie, i) for i in range(3))
     assert lie.bracket(e, f) == h
 
 

@@ -158,7 +158,7 @@ def test_elimination_over_q_returns_the_canonical_form(rows):
     m = Matrix.from_rows(Q, rows)
     reduced, _ = rref(m)
     assert all(is_canonical(x) for row in reduced for x in row.values())
-    assert all(is_canonical(x) for v in kernel_basis(m) for x in v)
+    assert all(is_canonical(x) for v in kernel_basis(m) for x in v.values())
     if m.nrows == m.ncols:
         try:
             inverse = field_matrix_inverse(m)

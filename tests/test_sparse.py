@@ -8,6 +8,7 @@ import inspect
 import json
 import pathlib
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -73,10 +74,12 @@ from oracles import (
     dense_sub,
     dense_trace,
     dense_transpose,
+    dense,
     k_map,
     kk,
     modular_rank,
     per_basis_matrix,
+    sparse,
     three_rank_dims,
 )
 
@@ -122,7 +125,7 @@ def matrices(draw, field, nrows=None, ncols=None):
         [_scalar(field, draw(small), draw(small)) for _ in range(ncols)]
         for _ in range(nrows)
     ]
-    return Matrix.from_columns(field, [[row[j] for row in rows] for j in range(ncols)], nrows)
+    return Matrix(field, nrows, ncols, [sparse(row, field.zero) for row in rows])
 
 
 FIELDS = [F2, F3, F_BIG, Q, Q2]
@@ -134,7 +137,7 @@ def test_sparse_echelon_matches_dense_oracle(field, data):
     m = data.draw(matrices(field))
     f = m.ring
     assert rank(m) == dense_rank(m)
-    assert kernel_basis(m) == dense_kernel_basis(m)
+    assert [dense(v, m.ncols, f.zero) for v in kernel_basis(m)] == dense_kernel_basis(m)
     assert [list(m.col(j)) for j in column_space_basis(m)] == dense_column_space_basis(m)
     rows, pivots = rref(m)
     dense_rows, dense_pivots = dense_echelon(m)
@@ -144,8 +147,15 @@ def test_sparse_echelon_matches_dense_oracle(field, data):
     ]
     b = [_scalar(field, data.draw(small), data.draw(small)) for _ in range(m.nrows)]
     x = [_scalar(field, data.draw(small), data.draw(small)) for _ in range(m.ncols)]
-    for rhs in (b, m.matvec(x)):
-        assert solve(m, rhs) == dense_solve(m, rhs)
+    for rhs in (b, dense(m.matvec(sparse(x, f.zero)), m.nrows, f.zero)):
+        assert _dense_solution(m, rhs) == dense_solve(m, rhs)
+
+
+def _dense_solution(m, rhs):
+    """``solve`` on the dense right-hand side rhs, as a dense list."""
+    zero = m.ring.zero
+    x = solve(m, sparse(rhs, zero))
+    return None if x is None else dense(x, m.ncols, zero)
 
 
 @pytest.mark.parametrize("field", [*FIELDS, JET], ids=repr)
@@ -175,7 +185,10 @@ def test_sparse_matrix_arithmetic_matches_dense(field, data):
         assert Matrix.from_rows(field, a.to_lists()) == a
     assert a.entries == tuple(x for row in a.to_lists() for x in row)
     assert a.is_zero() == all(x == field.zero for x in a.entries)
-    assert a.matvec(v) == dense_matvec(a, v)
+    # matvec takes and returns {coordinate: value} rows that store no zero
+    assert a.matvec(sparse(v, field.zero)) == sparse(dense_matvec(a, v), field.zero)
+    with pytest.raises(LinAlgError):
+        a.matvec({a.ncols: field.one})
     assert square.trace() == dense_trace(square)
 
 
@@ -259,7 +272,7 @@ def wide_f2_matrices(draw):
 def test_f2_bitset_rows_match_dense_oracle_across_words(data):
     m = data.draw(wide_f2_matrices())
     assert rank(m) == dense_rank(m) == modular_rank(m)
-    assert kernel_basis(m) == dense_kernel_basis(m)
+    assert [dense(v, m.ncols) for v in kernel_basis(m)] == dense_kernel_basis(m)
     assert [list(m.col(j)) for j in column_space_basis(m)] == dense_column_space_basis(m)
     rows, pivots = rref(m)
     dense_rows, dense_pivots = dense_echelon(m)
@@ -269,8 +282,8 @@ def test_f2_bitset_rows_match_dense_oracle_across_words(data):
     x_bits = data.draw(st.integers(0, 2**m.ncols - 1))
     x = [x_bits >> j & 1 for j in range(m.ncols)]
     b = [data.draw(st.integers(0, 1)) for _ in range(m.nrows)]
-    for rhs in (b, m.matvec(x)):
-        assert solve(m, rhs) == dense_solve(m, rhs)
+    for rhs in (b, dense(m.matvec(sparse(x)), m.nrows)):
+        assert _dense_solution(m, rhs) == dense_solve(m, rhs)
 
 
 def test_entries_are_the_stored_nonzeros():
@@ -399,7 +412,7 @@ def _adjoint_rep(lie, d_plus_diagonal):
     f = lie.field
     d = _diagonal(f, [f.sub(x, f.one) for x in d_plus_diagonal])
     ad = [
-        Matrix.from_columns(f, [list(lie.bracket_basis(i, j)) for j in range(lie.dim)], lie.dim)
+        Matrix.from_rows(f, [lie.bracket_basis(i, j) for j in range(lie.dim)]).transpose()
         for i in range(lie.dim)
     ]
     return LieRep(LieDifferenceOp(lie, d), ad, d)
@@ -490,7 +503,7 @@ def _random_cochain(data, space):
     """A cochain of ``space`` with small, mostly zero coordinates."""
     f = space.field
     return space.from_vector(
-        [_scalar(f, data.draw(small), data.draw(small)) for _ in range(space.size)]
+        sparse([_scalar(f, data.draw(small), data.draw(small)) for _ in range(space.size)], f.zero)
     )
 
 
@@ -498,7 +511,7 @@ def _random_nonzero_cochain(data, space):
     """A cochain of ``space`` like ``_random_cochain``, with a one at a
     drawn coordinate unless the space is zero (the trivial group's)."""
     vec = space.to_vector(_random_cochain(data, space))
-    if vec:
+    if space.size:
         vec[data.draw(st.integers(0, space.size - 1))] = space.field.one
     return space.from_vector(vec)
 
@@ -799,6 +812,49 @@ def test_les_builds_each_space_and_ranks_each_induced_map_once(monkeypatch, make
     # a matrix without rows has the empty tuple, which all such share
     for f in induced:
         assert not f.rows or sum(rows is f.rows for rows in eliminated) == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_c3_complex, _s3_sign_f3_complex, _h3_complex, _sl2_adjoint_minus_i_complex],
+    ids=["group", "group,Theta_D!=Theta", "lie", "lie,theta_D!=theta"],
+)
+def test_span_boundaries_are_the_nonzeros_of_the_pivot_columns(monkeypatch, make):
+    # a boundary is the row of d_in's transpose at a pivot column, the
+    # column's nonzeros and nothing else
+    seen = []
+    span = exactness.span_modulo
+
+    def recorded(field, vectors, d_in, n):
+        space = span(field, vectors, d_in, n)
+        seen.append((d_in, space))
+        return space
+
+    monkeypatch.setattr(exactness, "span_modulo", recorded)
+    cx = make()
+    assert all(node.ok for node in cx.verify_les(2))
+    assert any(space.boundaries for _, space in seen)
+    zero = cx.field.zero
+    for d_in, space in seen:
+        assert space.pivots == (column_space_basis(d_in) if d_in is not None else [])
+        assert space.boundaries == [sparse(d_in.col(j), zero) for j in space.pivots]
+        assert all(0 <= j < space.dim_total for v in space.reps for j in v)
+
+
+def test_les_peak_memory_on_d8_f2_is_bounded():
+    # D8 over F_2 with D = inversion and T = 0: vectors of B_n are rows
+    # that hold their nonzeros only, so verify_les(3) peaks at about 4 MiB
+    # of Python allocations; with dense vectors of dim B_n and stacks
+    # scanned entry by entry it peaked at about 11 MiB
+    cx = DifferenceComplex(_trivial(dihedral(4), F2))
+    tracemalloc.start()
+    try:
+        nodes = cx.verify_les(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(node.ok for node in nodes)
+    assert peak < 6 * 2**20, f"verify_les(3) peaked at {peak / 2**20:.1f} MiB"
 
 
 def _eliminations(monkeypatch):

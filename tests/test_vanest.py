@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from diffcoh import vanest
+from diffcoh import linalg, vanest
 from diffcoh.cli import main
+from diffcoh.fixtures import load_fixture
 from diffcoh.lie import LieCochain, LieDifferenceComplex, k_map, theta_d_matrices
 from diffcoh.linalg import Matrix, jet_part
 from diffcoh.programs import (
@@ -93,6 +94,26 @@ def test_adjugate_differentiates_to_trace_times_identity_minus_x():
 def test_inverse_differentiates_to_minus_identity():
     _, _, diff, _ = inverse_setup()
     assert diff.dop.d == -Matrix.identity(Q, 4)
+
+
+@pytest.mark.parametrize(
+    "stem, inverses", [("gl2_adjugate_det", 0), ("gl2_inverse_det_deg2", 64)]
+)
+def test_twisted_rule_is_checked_without_inverting_the_samples(monkeypatch, stem, inverses):
+    # D(gh) g = D(g) g D(h) needs no g^-1, so the only inverses left are
+    # those the program's own inverse ops take, over the base field and
+    # for the base part of a jet matrix: none for the adjugate
+    fx = load_fixture(str(FIXDIR / f"{stem}.json"))
+    calls = []
+    real = linalg.field_matrix_inverse
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "field_matrix_inverse", counted)
+    differentiate_difference_operator(fx.spec, fx.dprog, fx.basis, seed=0)
+    assert len(calls) == inverses
 
 
 def test_conjugate_inverse_differentiates_to_zero_on_a_rational_basis():
