@@ -345,9 +345,9 @@ def _resolve_program(value: Any, field: Any, size: int, role: str, path: str, de
     if isinstance(value, str):
         try:
             if role == "difference":
-                return builtin_difference_program(value, field, size)
+                return builtin_difference_program(value)
             if role == "rep":
-                return builtin_rep_program(value, field, size)
+                return builtin_rep_program(value)
             return builtin_cochain_program(value, field, size, degree)
         except ProgramError as exc:
             raise FixtureError(path, str(exc)) from exc

@@ -8,8 +8,8 @@ restricted to fields and runs one sparse echelon on those rows; its
 results are those of the reduced row echelon form, which is unique, so
 they do not depend on the pivot rows it picks.  A matrix keeps that
 form once computed, and its rank, kernel and pivot columns read it.
-Determinant and adjugate are cofactor expansions and work over any
-commutative ring, including jet rings; jet matrices are inverted by
+Determinant and adjugate share one cofactor expansion and work over
+any commutative ring, including jet rings; jet matrices are inverted by
 eliminating the base part and summing the finite geometric series of
 the nilpotent remainder.
 """
@@ -17,7 +17,6 @@ the nilpotent remainder.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -225,8 +224,10 @@ def _require_field(ring: Any, what: str) -> None:
 # ``{column: value}`` rows of a ``Matrix`` as they are stored.  Rows are
 # inserted one at a time, band by band and fewest nonzeros first within
 # a band (a plain matrix is one band), and each is reduced against the
-# pivot rows found so far, leftmost column first; a row whose leftmost
-# surviving column has no pivot yet becomes the pivot row there.  The pivot rows are an
+# pivot rows found so far, leftmost column ``min(row)`` first; a row
+# whose leftmost surviving column has no pivot yet becomes the pivot row
+# there.  A pivot row has no column left of its pivot, so a reduction
+# only changes columns right of the one it clears.  The pivot rows are an
 # echelon basis of the rows inserted so far, and the leading columns of
 # any echelon basis of a row space are those of its reduced row echelon
 # form; back substitution yields that form itself, which is unique: it
@@ -244,7 +245,7 @@ def _require_field(ring: Any, what: str) -> None:
 # that is not reached stops nothing.
 #
 # A row reduction ``combine(row, c, prow)`` removes column c from row
-# using the pivot row prow, in place, and returns the columns it added.
+# using the pivot row prow, in place.
 # Over a field the pivot rows are scaled to a leading one; over F_p the
 # entries are ints in [0, p) and the update is inlined modular integer
 # arithmetic.  Over Q the rows are integers after clearing denominators
@@ -256,46 +257,40 @@ def _require_field(ring: Any, what: str) -> None:
 # again only in the reduced form.
 
 
-def _combine_field(f: Any, row: dict, c: int, prow: dict) -> list[int]:
+def _combine_field(f: Any, row: dict, c: int, prow: dict) -> None:
     x = row.pop(c)
     zero, sub, mul = f.zero, f.sub, f.mul
-    added = []
     for j, y in prow.items():
         if j == c:
             continue
         v = row.get(j)
         if v is None:
             row[j] = f.neg(mul(x, y))
-            added.append(j)
         else:
             v = sub(v, mul(x, y))
             if v == zero:
                 del row[j]
             else:
                 row[j] = v
-    return added
 
 
-def _combine_mod(p: int, row: dict, c: int, prow: dict) -> list[int]:
+def _combine_mod(p: int, row: dict, c: int, prow: dict) -> None:
     x = p - row.pop(c)
-    added = []
     for j, y in prow.items():
         if j == c:
             continue
         v = row.get(j)
         if v is None:
             row[j] = x * y % p
-            added.append(j)
         else:
             v = (v + x * y) % p
             if v:
                 row[j] = v
             else:
                 del row[j]
-    return added
 
 
-def _combine_int(row: dict, c: int, prow: dict) -> list[int]:
+def _combine_int(row: dict, c: int, prow: dict) -> None:
     b = row.pop(c)
     a = prow[c]
     g = math.gcd(a, b)
@@ -304,14 +299,12 @@ def _combine_int(row: dict, c: int, prow: dict) -> list[int]:
     if a != 1:
         for j in row:
             row[j] *= a
-    added = []
     for j, y in prow.items():
         if j == c:
             continue
         v = row.get(j)
         if v is None:
             row[j] = -b * y
-            added.append(j)
         else:
             v -= b * y
             if v:
@@ -323,7 +316,6 @@ def _combine_int(row: dict, c: int, prow: dict) -> list[int]:
         if g != 1:
             for j in row:
                 row[j] //= g
-    return added
 
 
 def _integer_row(row: dict) -> dict:
@@ -376,12 +368,8 @@ def _echelon_rows(
             if len(pivots) >= bound:
                 break
             row = fresh(row)
-            heap = list(row)
-            heapq.heapify(heap)
-            while heap:
-                c = heapq.heappop(heap)
-                if c not in row:
-                    continue
+            while row:
+                c = min(row)
                 prow = pivots.get(c)
                 if prow is None:
                     if scaled and row[c] != f.one:
@@ -389,8 +377,7 @@ def _echelon_rows(
                         row = {j: f.mul(s, x) for j, x in row.items()}
                     pivots[c] = row
                     break
-                for j in combine(row, c, prow):
-                    heapq.heappush(heap, j)
+                combine(row, c, prow)
         made.append(len(pivots) - before)
     if not reduced:
         return pivots, made
@@ -550,51 +537,44 @@ def field_matrix_inverse(m: Matrix) -> Matrix:
     return Matrix(f, n, n, [{j - n: x for j, x in row.items() if j >= n} for row in rows])
 
 
+def _minor(m: Matrix, rows: list[int], cols: list[int]) -> Any:
+    """The determinant of m restricted to ``rows`` and ``cols``, by
+    cofactor expansion along the first row, skipping its stored zeros."""
+    r = m.ring
+    if len(rows) <= 1:
+        return m.rows[rows[0]].get(cols[0], r.zero) if rows else r.one
+    top = m.rows[rows[0]]
+    rest = rows[1:]
+    acc = r.zero
+    for k, c in enumerate(cols):
+        if c in top:
+            term = r.mul(top[c], _minor(m, rest, cols[:k] + cols[k + 1 :]))
+            acc = r.add(acc, term) if k % 2 == 0 else r.sub(acc, term)
+    return acc
+
+
 def det(m: Matrix) -> Any:
     """Determinant by cofactor expansion; valid over any commutative ring."""
     if m.nrows != m.ncols:
         raise LinAlgError("determinant of a non-square matrix")
-    r = m.ring
-    n = m.nrows
-    if n == 0:
-        return r.one
-
-    def expand(rows: list[int], cols: list[int]) -> Any:
-        if len(rows) == 1:
-            return m.at(rows[0], cols[0])
-        acc = r.zero
-        top = rows[0]
-        rest = rows[1:]
-        for k, c in enumerate(cols):
-            minor = expand(rest, cols[:k] + cols[k + 1 :])
-            term = r.mul(m.at(top, c), minor)
-            acc = r.add(acc, term) if k % 2 == 0 else r.sub(acc, term)
-        return acc
-
-    return expand(list(range(n)), list(range(n)))
+    indices = list(range(m.nrows))
+    return _minor(m, indices, indices)
 
 
 def adjugate(m: Matrix) -> Matrix:
     """Adjugate (transposed cofactor matrix): m @ adjugate(m) = det(m) * I."""
     if m.nrows != m.ncols:
         raise LinAlgError("adjugate of a non-square matrix")
-    r = m.ring
-    n = m.nrows
-    if n == 0:
-        return m
-    if n == 1:
-        return Matrix.identity(r, 1)
-    out = [[r.zero] * n for _ in range(n)]
+    r, n = m.ring, m.nrows
     indices = list(range(n))
-    for i in range(n):
+    out: list[dict] = [{} for _ in range(n)]
+    for i in indices:
         rows = indices[:i] + indices[i + 1 :]
-        for j in range(n):
-            cols = indices[:j] + indices[j + 1 :]
-            sub = Matrix.from_rows(r, [[m.at(a, b) for b in cols] for a in rows])
-            minor = det(sub)
+        for j in indices:
+            minor = _minor(m, rows, indices[:j] + indices[j + 1 :])
             # adjugate is the transpose of the cofactor matrix
             out[j][i] = minor if (i + j) % 2 == 0 else r.neg(minor)
-    return Matrix.from_rows(r, out)
+    return m._nonzero(out, n)
 
 
 def jet_matrix_inverse(m: Matrix) -> Matrix:

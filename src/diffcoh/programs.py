@@ -348,7 +348,7 @@ def format_program(node: Node, field: Any) -> dict:
     return out
 
 
-def builtin_difference_program(name: str, field: Any, size: int) -> Node:
+def builtin_difference_program(name: str) -> Node:
     """Named one-input programs computing classical difference operators."""
     g = inp(0)
     if name == "inverse":
@@ -360,7 +360,7 @@ def builtin_difference_program(name: str, field: Any, size: int) -> Node:
     raise ProgramError(f"unknown difference-operator builtin {name!r}")
 
 
-def builtin_rep_program(name: str, field: Any, size: int) -> Node:
+def builtin_rep_program(name: str) -> Node:
     """Named two-input programs (g, u) -> Theta(g) u."""
     g, u = inp(0), inp(1)
     if name == "det":

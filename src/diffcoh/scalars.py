@@ -224,9 +224,11 @@ class QuadraticField:
     is_field = True
 
     def __init__(self, d: int | Fraction) -> None:
-        try:  # a bool goes in as the word it prints as, which Fraction refuses
-            d = Fraction(str(d) if isinstance(d, bool) else d)
-        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        try:  # Fraction would read a bool as 0 or 1 and a float as its binary value
+            if isinstance(d, (bool, float)):
+                raise TypeError(d)
+            d = Fraction(d)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ScalarError(f"quadratic field d must be a rational, got {d!r}") from exc
         if d == 0 or (
             _is_perfect_square(d.numerator) and _is_perfect_square(d.denominator)
@@ -273,14 +275,14 @@ class QuadraticField:
         return QuadScalar(x.a, -x.b)
 
     def parse(self, text: Any) -> QuadScalar:
-        # str() makes a bool the word True or False, which Fraction refuses
-        try:
-            if isinstance(text, (list, tuple)) and len(text) == 2:
-                return QuadScalar(Fraction(str(text[0])), Fraction(str(text[1])))
-            if isinstance(text, (int, str)):
-                return QuadScalar(Fraction(str(text)), Fraction(0))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarError(f"not a quadratic scalar: {text!r}") from exc
+        # a float is refused, as over Q; str() makes a bool the word True
+        # or False, which Fraction refuses
+        parts = text if isinstance(text, (list, tuple)) and len(text) == 2 else (text, 0)
+        if all(isinstance(x, (int, str)) for x in parts):
+            try:
+                return QuadScalar(Fraction(str(parts[0])), Fraction(str(parts[1])))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ScalarError(f"not a quadratic scalar: {text!r}") from exc
         raise ScalarError(f"not a quadratic scalar: {text!r}")
 
     def format(self, x: QuadScalar) -> Any:
@@ -514,22 +516,6 @@ class JetRing:
                     else:
                         coeffs[u] = term
         return Jet._raw(self.base, n, w, coeffs)
-
-    def inv(self, x: Jet) -> Jet:
-        """Inverse of a unit jet (nonzero base part) via the finite
-        geometric series: (c + n)^-1 = c^-1 * sum((-n/c)^k), where
-        n^k = 0 for k > ``nslots``."""
-        c0 = x.coefficient(())
-        if c0 == self.base.zero:
-            raise ZeroDivisionError("jet with zero base part is not invertible")
-        c0inv = self.embed(self.base.inv(c0))
-        nilpotent = self.mul(self.sub(x, self.embed(c0)), c0inv)
-        acc = self.one
-        term = self.one
-        for _ in range(self.nslots):
-            term = self.neg(self.mul(term, nilpotent))
-            acc = self.add(acc, term)
-        return self.mul(acc, c0inv)
 
     def conj(self, x: Jet) -> Jet:
         coeffs = {s: self.base.conj(c) for s, c in x.coeffs.items()}

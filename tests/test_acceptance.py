@@ -329,7 +329,7 @@ def test_criterion_06_jet_differentiation():
         spec = MatrixGroupSpec(Q, 2)
         basis = spec.standard_basis()
         adj = differentiate_difference_operator(
-            spec, builtin_difference_program("adjugate", Q, 2), basis
+            spec, builtin_difference_program("adjugate"), basis
         )
         ident = Matrix.identity(Q, 2)
 
@@ -352,7 +352,7 @@ def test_criterion_06_jet_differentiation():
                 assert lhs == comm(x, y).scale(Fraction(-1))
 
         inv = differentiate_difference_operator(
-            spec, builtin_difference_program("inverse", Q, 2), basis
+            spec, builtin_difference_program("inverse"), basis
         )
         assert inv.dop.d == -Matrix.identity(Q, 4)
 
@@ -362,8 +362,8 @@ def test_criterion_06_jet_differentiation():
 def test_criterion_07_van_est_cochain_map():
     def body():
         spec = MatrixGroupSpec(Q, 2)
-        dprog = builtin_difference_program("adjugate", Q, 2)
-        theta_prog = builtin_rep_program("det", Q, 2)
+        dprog = builtin_difference_program("adjugate")
+        theta_prog = builtin_rep_program("det")
         t = Matrix.from_rows(Q, [[Fraction(-1)]])
         vshape = VSpace(1, 1)
         diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())

@@ -811,11 +811,14 @@ _BAD_QUADRATIC = {
     "T-over-zero": ("T", [["1/0"]], "$.T[0][0]: not a quadratic scalar: '1/0'"),
     "T-bool": ("T", [[True]], "$.T[0][0]: not a quadratic scalar: True"),
     "T-pair-word": ("T", [[["1", "x"]]], "$.T[0][0]: not a quadratic scalar: ['1', 'x']"),
+    "T-pair-float": ("T", [[[0.1, 0]]], "$.T[0][0]: not a quadratic scalar: [0.1, 0]"),
     "d-word": ("d", "x", f"$.field: {_NOT_RATIONAL} 'x'"),
     "d-null": ("d", None, f"$.field: {_NOT_RATIONAL} None"),
     "d-list": ("d", [1], f"$.field: {_NOT_RATIONAL} [1]"),
     "d-over-zero": ("d", "1/0", f"$.field: {_NOT_RATIONAL} '1/0'"),
     "d-bool": ("d", True, f"$.field: {_NOT_RATIONAL} True"),
+    "d-float": ("d", 1.5, f"$.field: {_NOT_RATIONAL} 1.5"),
+    "d-integral-float": ("d", -1.0, f"$.field: {_NOT_RATIONAL} -1.0"),
 }
 
 

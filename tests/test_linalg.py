@@ -11,6 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from diffcoh.catalog import alternating4, inverse_map
+from diffcoh.group_cohomology import DifferenceComplex
+from diffcoh.groups import DifferenceGroup, DifferenceRep
 from diffcoh.linalg import (
     LinAlgError,
     Matrix,
@@ -26,9 +29,9 @@ from diffcoh.linalg import (
     rank,
     solve,
 )
-from diffcoh.scalars import JetRing, PrimeField, Rationals
+from diffcoh.scalars import Jet, JetRing, PrimeField, QuadraticField, Rationals, rational
 
-from oracles import dense, sparse
+from oracles import dense, modular_rank, sparse
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -193,6 +196,69 @@ def test_adjugate_identity(rows):
     m = qmat(rows)
     assert m @ adjugate(m) == Matrix.identity(Q, 3).scale(det(m))
     assert adjugate(m) @ m == Matrix.identity(Q, 3).scale(det(m))
+
+
+F7 = PrimeField(7)
+QR2 = QuadraticField(2)
+JET2 = JetRing(Q, 2)
+small_ints = st.integers(-3, 3)
+small_rationals = st.builds(lambda a, b: rational(Fraction(a, b)), small_ints, st.integers(1, 3))
+# entries of each ring, zero about half the time
+RING_ENTRIES = {
+    "F7": (F7, st.integers(0, 6)),
+    "Q": (Q, small_rationals),
+    "Q(sqrt2)": (QR2, st.builds(QR2.from_parts, small_ints, small_ints)),
+    "jets": (
+        JET2,
+        st.builds(
+            lambda *cs: Jet(Q, 2, dict(zip(map(frozenset, [(), (0,), (1,), (0, 1)]), cs))),
+            small_ints, small_ints, small_ints, small_ints,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_ENTRIES))
+@given(data=st.data())
+def test_det_and_adjugate_on_sparse_square_matrices(name, data):
+    ring, values = RING_ENTRIES[name]
+    n = data.draw(st.integers(0, 4))
+    entry = st.one_of(st.just(ring.zero), values)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    m = Matrix.from_rows(ring, rows)
+    d = det(m)
+    assert d == minor_det(m, range(n), range(n))
+    adj = adjugate(m)
+    scaled = Matrix.identity(ring, n).scale(d)
+    assert m @ adj == scaled
+    assert adj @ m == scaled
+
+
+def test_the_inverse_of_a_unit_jet_sums_one_term_per_slot():
+    # (1 + e0 + e2)^-1 = 1 - e0 - e2 + 2 e0 e2 with e0 and e2 in two slots
+    ring = JetRing(Q, 4, 2)
+    x = ring.add(ring.one, ring.add(ring.generator(0), ring.generator(2)))
+    assert matrix_inverse(Matrix.from_rows(ring, [[x]])).at(0, 0) == Jet(
+        Q, 4, {frozenset(): 1, frozenset([0]): -1, frozenset([2]): -1, frozenset([0, 2]): 2}, 2
+    )
+
+
+def test_heavy_fill_echelon_of_a4_over_f3():
+    # d_B(2) of A4 on F3 with D = inversion and T = 2 fills in as it is
+    # eliminated; its rank is checked against the heap echelon of the
+    # oracles, and its kernel against the matrix itself
+    group = alternating4()
+    rep = DifferenceRep(
+        DifferenceGroup(group, inverse_map(group)),
+        [Matrix.identity(F3, 1)] * group.order,
+        Matrix.from_rows(F3, [[2]]),
+    )
+    d = DifferenceComplex(rep).d_b(2)
+    assert (d.nrows, d.ncols) == (1452, 132)
+    assert rank(d) == modular_rank(d) == 120
+    basis = kernel_basis(d)
+    assert len(basis) == d.ncols - rank(d)
+    assert all(v and d.matvec(v) == {} for v in basis)
 
 
 def test_field_inverse_round_trip():

@@ -142,7 +142,7 @@ def test_substitute_composes_programs():
 def test_max_input_index():
     assert max_input_index(scalar(Fraction(1))) == -1
     assert max_input_index(mul(inp(0), inp(3))) == 3
-    assert max_input_index(builtin_rep_program("det", Q, 2)) == 1
+    assert max_input_index(builtin_rep_program("det")) == 1
     # a tree of 2^60 paths through 61 shared nodes is walked once per node
     shared = inp(2)
     for _ in range(60):
@@ -179,27 +179,27 @@ def test_parse_rejects_malformed_trees():
 
 def test_builtin_difference_programs():
     g = qmat([[2, 1], [1, 1]])
-    inv = builtin_difference_program("inverse", Q, 2)
+    inv = builtin_difference_program("inverse")
     assert evaluate(inv, [g], Q) == qmat([[1, -1], [-1, 2]])
-    adj = builtin_difference_program("adjugate", Q, 2)
+    adj = builtin_difference_program("adjugate")
     assert evaluate(adj, [g], Q) == qmat([[1, -1], [-1, 2]])
-    ci = builtin_difference_program("conjugate-inverse", QI, 1)
+    ci = builtin_difference_program("conjugate-inverse")
     gi = Matrix.from_rows(QI, [[QI.from_parts(0, 1)]])
     assert evaluate(ci, [gi], QI).at(0, 0) == QI.from_int(-1)
     with pytest.raises(ProgramError):
-        builtin_difference_program("transpose", Q, 2)
+        builtin_difference_program("transpose")
 
 
 def test_builtin_rep_programs():
     g = qmat([[1, 2], [0, 1]])
     u = qmat([[5]])
-    det_rep = builtin_rep_program("det", Q, 2)
+    det_rep = builtin_rep_program("det")
     assert evaluate(det_rep, [g, u], Q) == qmat([[5]])
-    ident_rep = builtin_rep_program("identity-rep", Q, 2)
+    ident_rep = builtin_rep_program("identity-rep")
     v = qmat([[1], [1]])
     assert evaluate(ident_rep, [g, v], Q) == qmat([[3], [1]])
     with pytest.raises(ProgramError):
-        builtin_rep_program("sign", Q, 2)
+        builtin_rep_program("sign")
 
 
 def test_builtin_cochain_programs():

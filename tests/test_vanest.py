@@ -60,20 +60,20 @@ def trace_shift():
 
 def adjugate_setup():
     spec = gl2()
-    dprog = builtin_difference_program("adjugate", Q, 2)
+    dprog = builtin_difference_program("adjugate")
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        diff, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
+        diff, builtin_rep_program("det"), qmat([[-1]]), VSpace(1, 1)
     )
     return spec, dprog, diff, rep
 
 
 def inverse_setup():
     spec = gl2()
-    dprog = builtin_difference_program("inverse", Q, 2)
+    dprog = builtin_difference_program("inverse")
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        diff, builtin_rep_program("det", Q, 2), qmat([[-1]]), VSpace(1, 1)
+        diff, builtin_rep_program("det"), qmat([[-1]]), VSpace(1, 1)
     )
     return spec, dprog, diff, rep
 
@@ -119,7 +119,7 @@ def test_twisted_rule_is_checked_without_inverting_the_samples(monkeypatch, stem
 def test_conjugate_inverse_differentiates_to_zero_on_a_rational_basis():
     qi = QuadraticField(-1)
     spec = MatrixGroupSpec(qi, 1)
-    dprog = builtin_difference_program("conjugate-inverse", qi, 1)
+    dprog = builtin_difference_program("conjugate-inverse")
     diff = differentiate_difference_operator(
         spec, dprog, [Matrix.from_rows(qi, [[qi.one]])]
     )
@@ -143,26 +143,26 @@ def test_determinant_representation_differentiates_to_trace():
 
 def test_identity_representation_differentiates_to_inclusion():
     spec = gl2()
-    dprog = builtin_difference_program("inverse", Q, 2)
+    dprog = builtin_difference_program("inverse")
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(
-        diff, builtin_rep_program("identity-rep", Q, 2), -Matrix.identity(Q, 2), VSpace(2, 1)
+        diff, builtin_rep_program("identity-rep"), -Matrix.identity(Q, 2), VSpace(2, 1)
     )
     assert list(rep.theta) == spec.standard_basis()
 
 
 def test_wrong_t_fails_the_sampled_difference_law():
     spec = gl2()
-    dprog = builtin_difference_program("adjugate", Q, 2)
+    dprog = builtin_difference_program("adjugate")
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     with pytest.raises(SampledPreconditionError):
         differentiate_representation(
-            diff, builtin_rep_program("det", Q, 2),
+            diff, builtin_rep_program("det"),
             Matrix.zeros(Q, 1, 1), VSpace(1, 1),
         )
     with pytest.raises(ValueError):
         differentiate_representation(
-            diff, builtin_rep_program("det", Q, 2),
+            diff, builtin_rep_program("det"),
             qmat([[1, 0]]), VSpace(1, 1),
         )
 
@@ -261,7 +261,7 @@ def test_degree_one_normalization_evaluates_alpha_once(monkeypatch):
 
     monkeypatch.setattr(vanest, "evaluate", counted)
     report = verify_van_est_cochain_map(
-        diff, rep, builtin_rep_program("det", Q, 2), VSpace(1, 1), alpha, 1
+        diff, rep, builtin_rep_program("det"), VSpace(1, 1), alpha, 1
     )
     assert report.ok
     assert calls == [[spec.identity()]]
@@ -270,7 +270,7 @@ def test_degree_one_normalization_evaluates_alpha_once(monkeypatch):
 def test_van_est_is_a_cochain_map_in_degree_one():
     spec, dprog, diff, rep = adjugate_setup()
     report = verify_van_est_cochain_map(
-        diff, rep, builtin_rep_program("det", Q, 2),
+        diff, rep, builtin_rep_program("det"),
         VSpace(1, 1), trace_shift(), 1,
     )
     names = [c.name for c in report.checks]
@@ -290,7 +290,7 @@ def test_van_est_is_a_cochain_map_in_degree_two():
     spec, dprog, diff, rep = inverse_setup()
     alpha2 = mul(trace_shift(), sub(trace_of(inp(1)), scalar(Fraction(2))))
     report = verify_van_est_cochain_map(
-        diff, rep, builtin_rep_program("det", Q, 2),
+        diff, rep, builtin_rep_program("det"),
         VSpace(1, 1), alpha2, 2, beta_prog=trace_shift(),
     )
     assert report.ok, [c for c in report.checks if not c.ok]
@@ -301,7 +301,7 @@ def test_pair_component_needs_degree_two():
     spec, dprog, diff, rep = adjugate_setup()
     with pytest.raises(ValueError):
         verify_van_est_cochain_map(
-            diff, rep, builtin_rep_program("det", Q, 2),
+            diff, rep, builtin_rep_program("det"),
             VSpace(1, 1), trace_shift(), 1,
             beta_prog=trace_shift(),
         )

@@ -51,8 +51,8 @@ def gaussian_setup():
     """GL2 over Q(sqrt(-1)) with D(g) = conj(g) g^-1, Theta = det, T = -1,
     alpha = (g - I)_01 (h - I)_10 and beta = tr g - 2."""
     spec = MatrixGroupSpec(QI, 2)
-    dprog = builtin_difference_program("conjugate-inverse", QI, 2)
-    theta_prog = builtin_rep_program("det", QI, 2)
+    dprog = builtin_difference_program("conjugate-inverse")
+    theta_prog = builtin_rep_program("det")
     t = -Matrix.identity(QI, 1)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(diff, theta_prog, t, VSHAPE)

@@ -55,8 +55,8 @@ def setup(field):
     over Q, Theta = det, T = -1."""
     name = "conjugate-inverse" if field is QI else "inverse"
     spec = MatrixGroupSpec(field, 2)
-    dprog = builtin_difference_program(name, field, 2)
-    theta_prog = builtin_rep_program("det", field, 2)
+    dprog = builtin_difference_program(name)
+    theta_prog = builtin_rep_program("det")
     t = -Matrix.identity(field, 1)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
     rep = differentiate_representation(diff, theta_prog, t, VSHAPE)
@@ -157,8 +157,8 @@ def dense_images(field, size):
     prog2 = mul(entry(x[0], 0, 1), add(entry(x[1], 1, 0), scalar(field.from_int(2))))
     prog3 = mul(mul(entry(x[0], 0, 1), entry(x[1], 1, size - 1)),
                 entry(inverse(inp(2)), size - 1, 0))
-    dprog = builtin_difference_program("inverse", field, size)
-    theta_prog = builtin_rep_program("det", field, size)
+    dprog = builtin_difference_program("inverse")
+    theta_prog = builtin_rep_program("det")
     t = Matrix.identity(field, 1).scale(field.from_int(2))
     return [
         (prog1, 1),
@@ -172,7 +172,7 @@ def dense_images(field, size):
 @pytest.mark.parametrize("size", [2, 3])
 def test_van_est_equals_one_plain_evaluation_per_tuple_on_a_dense_basis(size):
     spec = MatrixGroupSpec(Q, size)
-    dprog = builtin_difference_program("inverse", Q, size)
+    dprog = builtin_difference_program("inverse")
     diff = differentiate_difference_operator(spec, dprog, dense_basis(Q, size))
     assert diff.lie.dim == size * size
     for prog, degree in dense_images(Q, size):
@@ -230,7 +230,7 @@ def test_evaluate_runs_once_per_image_below_degree_three_and_dim_g_times_in_it(
 
 def test_no_evaluation_when_the_degree_exceeds_the_dimension(monkeypatch):
     spec = MatrixGroupSpec(Q, 2)
-    dprog = builtin_difference_program("inverse", Q, 2)
+    dprog = builtin_difference_program("inverse")
     diff = differentiate_difference_operator(spec, dprog, [Matrix.identity(Q, 2)])
     calls = count_jet_evaluations(monkeypatch)
     out = van_est(diff, corner_alpha(Q), 2, VSHAPE)
@@ -240,9 +240,9 @@ def test_no_evaluation_when_the_degree_exceeds_the_dimension(monkeypatch):
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2)])
 def test_each_derivative_is_one_jet_evaluation(shape, monkeypatch):
     spec = MatrixGroupSpec(Q, 2)
-    dprog = builtin_difference_program("inverse", Q, 2)
+    dprog = builtin_difference_program("inverse")
     vshape = VSpace(*shape)
-    theta_prog = builtin_rep_program("det" if shape == (1, 1) else "identity-rep", Q, 2)
+    theta_prog = builtin_rep_program("det" if shape == (1, 1) else "identity-rep")
     t = -Matrix.identity(Q, vshape.dim)
     calls = count_jet_evaluations(monkeypatch)
     diff = differentiate_difference_operator(spec, dprog, spec.standard_basis())
