@@ -7,11 +7,15 @@ Elimination (rank, kernel, solve, column space, inverse, ``rref``) is
 restricted to fields and runs one sparse echelon on those rows; its
 results are those of the reduced row echelon form, which is unique, so
 they do not depend on the pivot rows it picks.  A matrix keeps that
-form once computed, and its rank, kernel and pivot columns read it.
-Determinant and adjugate share one cofactor expansion and work over
-any commutative ring, including jet rings; jet matrices are inverted by
-eliminating the base part and summing the finite geometric series of
-the nilpotent remainder.
+form once computed, and its rank, kernel and pivot columns read it;
+``is_invertible`` only counts the pivots of an unreduced echelon.  Over
+Q the echelon and the products run on rows scaled to integers, and an
+entry becomes a rational again by one exact division: an int where it
+divides, one ``Fraction`` where it must; over F_p a product entry is a
+raw int sum reduced mod p once.  Determinant and adjugate share one
+cofactor expansion and work over any commutative ring, including jet
+rings; jet matrices are inverted by eliminating the base part and
+summing the finite geometric series of the nilpotent remainder.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .scalars import JetRing, PrimeField, Rationals, rational
+from .scalars import JetRing, PrimeField, Rationals
 
 
 class LinAlgError(ValueError):
@@ -153,7 +157,12 @@ class Matrix:
             raise LinAlgError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        add, mul = self.ring.add, self.ring.mul
+        ring = self.ring
+        if isinstance(ring, PrimeField):
+            return Matrix(ring, self.nrows, other.ncols, _matmul_mod(ring.p, self.rows, other.rows))
+        if isinstance(ring, Rationals):
+            return Matrix(ring, self.nrows, other.ncols, _matmul_q(self.rows, other.rows))
+        add, mul = ring.add, ring.mul
         out = []
         for left in self.rows:
             row: dict = {}
@@ -206,6 +215,69 @@ class Matrix:
         return self._nonzero(
             [{j: fn(x) for j, x in row.items()} for row in self.rows], self.ncols, ring
         )
+
+
+# ---------------------------------------------------------------- products
+#
+# Over F_p and Q a product entry is summed in plain ints and brought to
+# its canonical form once.  Over F_p the raw products are added and the
+# sum is reduced mod p.  Over Q each row of the left factor is scaled to
+# integers by the lcm s of its denominators, and the right factor by the
+# lcm t of all of its denominators; an entry is then an integer sum v
+# over s t, which is the int v // (s t) where the division is exact and
+# one ``Fraction`` otherwise.  A row or factor of ints has scale 1 and is
+# not rewritten.  Other rings run the generic loop over ring operations.
+
+
+def _int_sums(row: dict, right: Sequence[dict]) -> dict:
+    """The entries of row @ right as raw int sums, zeros included."""
+    acc: dict = {}
+    for k, x in row.items():
+        for j, y in right[k].items():
+            acc[j] = acc[j] + x * y if j in acc else x * y
+    return acc
+
+
+def _matmul_mod(p: int, left: Sequence[dict], right: Sequence[dict]) -> list[dict]:
+    out = []
+    for lrow in left:
+        row = {}
+        for j, v in _int_sums(lrow, right).items():
+            v %= p
+            if v:
+                row[j] = v
+        out.append(row)
+    return out
+
+
+def _scaled_row(row: dict) -> tuple[dict, int]:
+    """(r, s) with r = s * row an integer row, s the lcm of the
+    denominators of a rational row; a row of ints is r itself, s = 1."""
+    for x in row.values():
+        if x.__class__ is not int:
+            break
+    else:
+        return row, 1
+    s = math.lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (s // x.denominator) for j, x in row.items()}, s
+
+
+def _quotient(v: int, d: int) -> int | Fraction:
+    """v / d in canonical form: the int quotient where d divides v."""
+    return v // d if v % d == 0 else Fraction(v, d)
+
+
+def _matmul_q(left: Sequence[dict], right: Sequence[dict]) -> list[dict]:
+    scaled = [_scaled_row(row) for row in right]
+    t = math.lcm(*(s for _, s in scaled))
+    right = [r if s == t else {j: v * (t // s) for j, v in r.items()} for r, s in scaled]
+    out = []
+    for lrow in left:
+        lrow, s = _scaled_row(lrow)
+        d = s * t
+        sums = _int_sums(lrow, right)
+        out.append({j: v if d == 1 else _quotient(v, d) for j, v in sums.items() if v})
+    return out
 
 
 def _check_coordinates(v: dict, n: int) -> None:
@@ -319,9 +391,8 @@ def _combine_int(row: dict, c: int, prow: dict) -> None:
 
 
 def _integer_row(row: dict) -> dict:
-    """A rational row scaled to coprime integers."""
-    scale = math.lcm(*(x.denominator for x in row.values()))
-    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    """A rational row scaled to coprime integers, as a new dict."""
+    ints, _ = _scaled_row(row)
     g = math.gcd(*ints.values())
     return {j: v // g for j, v in ints.items()}
 
@@ -390,7 +461,8 @@ def _echelon_rows(
     if not scaled:
         for c, row in pivots.items():
             lead = row[c]
-            pivots[c] = {j: rational(Fraction(x, lead)) for j, x in row.items()}
+            if lead != 1:
+                pivots[c] = {j: _quotient(x, lead) for j, x in row.items()}
     return pivots, made
 
 
@@ -531,10 +603,21 @@ def field_matrix_inverse(m: Matrix) -> Matrix:
     f = m.ring
     _require_field(f, "matrix inverse")
     n = m.nrows
-    rows, pivots = rref(Matrix.block(f, [[m, Matrix.identity(f, n)]]))
-    if pivots != list(range(n)):
+    # [m | I] has rank n, and m is invertible iff every pivot is a column of m
+    pivots, _ = _echelon_rows(
+        f, [[{**row, n + i: f.one} for i, row in enumerate(m.rows)]], reduced=True
+    )
+    if any(c >= n for c in pivots):
         raise LinAlgError("matrix is singular")
-    return Matrix(f, n, n, [{j - n: x for j, x in row.items() if j >= n} for row in rows])
+    return Matrix(f, n, n, [{j - n: x for j, x in pivots[c].items() if j >= n} for c in range(n)])
+
+
+def is_invertible(m: Matrix) -> bool:
+    """Whether m, over a field, is square and invertible: an echelon of
+    its rows has a pivot in every column.  Only the pivots are counted,
+    and no reduced form is built or kept on m."""
+    pivots, _ = _echelon_rows(m.ring, [m.rows], reduced=False)
+    return m.nrows == m.ncols == len(pivots)
 
 
 def _minor(m: Matrix, rows: list[int], cols: list[int]) -> Any:

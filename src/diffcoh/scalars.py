@@ -102,17 +102,23 @@ class Rationals:
     def from_int(self, n: int) -> int:
         return n
 
+    # add, sub and mul inline ``rational``: they run in the inner loops
+    # of jet and cofactor arithmetic
+
     def add(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
-        return rational(a + b)
+        x = a + b
+        return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
     def sub(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
-        return rational(a - b)
+        x = a - b
+        return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
     def neg(self, a: int | Fraction) -> int | Fraction:
         return -a
 
     def mul(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
-        return rational(a * b)
+        x = a * b
+        return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
     def inv(self, a: int | Fraction) -> int | Fraction:
         if a == 0:
@@ -291,27 +297,38 @@ class QuadraticField:
         return [str(x.a), str(x.b)]
 
 
+# field kind -> its class, and the keys its description holds besides
+# "kind", in the order the class takes them
+_FIELD_KINDS = {
+    "rationals": (Rationals, ()),
+    "Q": (Rationals, ()),
+    "Fp": (PrimeField, ("p",)),
+    "prime-field": (PrimeField, ("p",)),
+    "quadratic": (QuadraticField, ("d",)),
+}
+
+
 def field_from_spec(spec: dict) -> "Rationals | PrimeField | QuadraticField":
     """Build a field from its serialized description.
 
     Accepts ``{"kind": "rationals"}``, ``{"kind": "Fp", "p": p}``
     (``"prime-field"`` is a synonym for ``"Fp"``), and
-    ``{"kind": "quadratic", "d": d}`` for Q(sqrt(d)).
+    ``{"kind": "quadratic", "d": d}`` for Q(sqrt(d)).  A key that the
+    kind does not use is an error, not ignored.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScalarError(f"field description must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
-    if kind in ("rationals", "Q"):
-        return Rationals()
-    if kind in ("Fp", "prime-field"):
-        if "p" not in spec:
-            raise ScalarError("prime-field description is missing 'p'")
-        return PrimeField(spec["p"])
-    if kind == "quadratic":
-        if "d" not in spec:
-            raise ScalarError("quadratic field description is missing 'd'")
-        return QuadraticField(spec["d"])
-    raise ScalarError(f"unknown field kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _FIELD_KINDS:
+        raise ScalarError(f"unknown field kind {kind!r}")
+    cls, keys = _FIELD_KINDS[kind]
+    for key in spec:
+        if key != "kind" and key not in keys:
+            raise ScalarError(f"{kind} field description has an unknown key {key!r}")
+    for key in keys:
+        if key not in spec:
+            raise ScalarError(f"{kind} field description is missing {key!r}")
+    return cls(*(spec[key] for key in keys))
 
 
 def field_to_spec(field: "Rationals | PrimeField | QuadraticField") -> dict:

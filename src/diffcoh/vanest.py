@@ -45,7 +45,7 @@ from .lie import (
     k_map,
 )
 from .exactness import CochainPair
-from .linalg import Matrix, jet_part, rank
+from .linalg import Matrix, is_invertible, jet_part
 from .programs import (
     Node,
     add,
@@ -90,7 +90,7 @@ class MatrixGroupSpec:
                     for _ in range(self.size)
                 ],
             )
-            if rank(m) == self.size:
+            if is_invertible(m):
                 return m
 
     def identity(self) -> Matrix:

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -478,6 +479,33 @@ def test_classify_rejects_a_module_over_q(name, mode, tmp_path, capsys):
     assert err == "error: $.rep.field: classification needs a finite (prime-field) module\n"
 
 
+@pytest.mark.parametrize(
+    "name, command, path, spec, extra",
+    [
+        ("z3_inverse.json", "cohomology", "$.rep.field", {"kind": "rationals", "p": 3}, "p"),
+        ("z3_inverse.json", "cohomology", "$.rep.field", {"kind": "Fp", "p": 3, "d": 2}, "d"),
+        ("gl2_corner_deg2.json", "check", "$.field", {"kind": "quadratic", "d": -1, "p": 3}, "p"),
+    ],
+    ids=["rationals", "Fp", "quadratic"],
+)
+def test_a_field_key_that_the_kind_does_not_use_is_a_fixture_error(
+    name, command, path, spec, extra, tmp_path, capsys
+):
+    # {"kind": "rationals", "p": 3} used to run over Q, where every
+    # dimension of z3_inverse is 0, and report ok: true
+    data = json.loads((FIXDIR / name).read_text())
+    if path == "$.rep.field":
+        data["rep"]["field"] = spec
+    else:
+        data["field"] = spec
+    p = tmp_path / name
+    p.write_text(json.dumps(data))
+    code, out, err = run([command, str(p)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {spec['kind']} field description has an unknown key {extra!r}\n"
+
+
 def test_check_rejects_a_cocycle_over_q(tmp_path, capsys):
     code, out, err = run(["check", _over_q(tmp_path, "z3_carry_extension.json")], capsys)
     assert code == 2
@@ -893,8 +921,9 @@ def test_reports_are_the_same_with_fractions_everywhere(argv, monkeypatch, capsy
 
     monkeypatch.setattr(fixtures, "field_from_spec", fraction_field)
     monkeypatch.setattr(fixtures, "Rationals", lambda: fraction_field({"kind": "rationals"}))
-    # back substitution makes its quotients Fractions too
-    monkeypatch.setattr(linalg, "rational", lambda x: x)
+    # the exact divisions of back substitution and of products make
+    # their quotients Fractions too
+    monkeypatch.setattr(linalg, "_quotient", Fraction)
     assert run(argv, capsys) == expected
     assert made and expected[0] == 0
 

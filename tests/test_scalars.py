@@ -8,7 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from diffcoh.linalg import LinAlgError, Matrix, field_matrix_inverse, kernel_basis, rref
+from diffcoh.linalg import (
+    LinAlgError,
+    Matrix,
+    adjugate,
+    det,
+    field_matrix_inverse,
+    kernel_basis,
+    rref,
+)
 from diffcoh.scalars import (
     PRIME_CAP,
     Jet,
@@ -21,6 +29,8 @@ from diffcoh.scalars import (
     field_to_spec,
     is_prime,
 )
+
+from oracles import FractionRationals, dense_matmul
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -168,6 +178,49 @@ def test_elimination_over_q_returns_the_canonical_form(rows):
         assert inverse @ m == Matrix.identity(Q, m.nrows)
 
 
+def _with_fractions(m):
+    """m over ``FractionRationals``: the same values, every one a Fraction."""
+    rows = [{j: Fraction(x) for j, x in row.items()} for row in m.rows]
+    return Matrix(FractionRationals(), m.nrows, m.ncols, rows)
+
+
+def _canonical_rows(got, want):
+    """got, a list of rows over Q, equals want and is in canonical form."""
+    assert len(got) == len(want)
+    for row, other in zip(got, want):
+        assert set(row) == {j for j, x in other.items() if x != 0}
+        assert all(_same(x, other[j]) for j, x in row.items())
+
+
+# canonical rationals: ints, and Fractions with denominator > 1
+q_values = st.one_of(st.integers(-50, 50), rationals.filter(lambda x: x.denominator != 1))
+
+
+@given(data=st.data())
+def test_matrix_kernels_over_q_return_the_canonical_form(data):
+    """Products, sums, scaling, matvec, det and adjugate over Q, on
+    entries that mix ints and Fractions, equal the same operations with
+    every value a Fraction, entry for entry, in canonical form."""
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+    def draw_matrix(nrows, ncols):
+        cells = st.lists(q_values, min_size=ncols, max_size=ncols)
+        return Matrix.from_rows(Q, data.draw(st.lists(cells, min_size=nrows, max_size=nrows)))
+
+    a, b, c, sq = draw_matrix(n, k), draw_matrix(n, k), draw_matrix(k, m), draw_matrix(n, n)
+    fa, fb, fc, fsq = map(_with_fractions, (a, b, c, sq))
+    v = {j: x for j, x in enumerate(data.draw(st.lists(q_values, min_size=k, max_size=k))) if x}
+    s = data.draw(q_values)
+    dense_product = [dict(enumerate(row)) for row in dense_matmul(fa, fc)]
+    _canonical_rows((a @ c).rows, dense_product)
+    _canonical_rows((a + b).rows, (fa + fb).rows)
+    _canonical_rows((a - b).rows, (fa - fb).rows)
+    _canonical_rows(a.scale(s).rows, fa.scale(Fraction(s)).rows)
+    _canonical_rows([a.matvec(v)], [fa.matvec({j: Fraction(x) for j, x in v.items()})])
+    assert _same(det(sq), det(fsq))
+    _canonical_rows(adjugate(sq).rows, adjugate(fsq).rows)
+
+
 def test_quadratic_field_rejects_squares():
     for bad in (0, 1, 4, 9, Fraction(4, 9)):
         with pytest.raises(ScalarError):
@@ -206,7 +259,15 @@ def test_field_spec_round_trips():
 
 
 def test_field_spec_rejects_junk():
-    for bad in ({"kind": "octonions"}, {"p": 3}, {"kind": "Fp"}, "Fp", None):
+    # a key that the kind does not use too, as {"kind": "rationals", "p": 3}
+    extra_keys = (
+        {"kind": "rationals", "p": 3},
+        {"kind": "Q", "d": 2},
+        {"kind": "Fp", "p": 3, "d": 2},
+        {"kind": "prime-field", "p": 5, "q": 5},
+        {"kind": "quadratic", "d": -1, "p": 3},
+    )
+    for bad in ({"kind": "octonions"}, {"p": 3}, {"kind": "Fp"}, "Fp", None, *extra_keys):
         with pytest.raises(ScalarError):
             field_from_spec(bad)
 

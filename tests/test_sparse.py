@@ -632,6 +632,67 @@ def test_rank_route_rejects_a_non_complex():
         exactness.cohomology_dims(data, 2)
 
 
+class _Chain(LESData):
+    """A = 0 and C a complex C_1 -> C_2 -> C_3 with the given d_C(1)
+    and d_C(2), whose product need not vanish."""
+
+    def __init__(self, field, d_c1, d_c2):
+        self.field = field
+        self._d_b = {}
+        self._d_c = {1: d_c1, 2: d_c2}
+        self._dims = {1: d_c1.ncols, 2: d_c1.nrows, 3: d_c2.nrows}
+
+    def dim_a(self, n):
+        return 0
+
+    def dim_c(self, n):
+        return self._dims[n]
+
+    def d_a(self, n):
+        return Matrix.zeros(self.field, 0, 0)
+
+    def d_c(self, n):
+        return self._d_c[n]
+
+    def k(self, n):
+        return Matrix.zeros(self.field, 0, self._dims[n])
+
+
+_R = Fraction
+# d_C(2) d_C(1) over F_3, whose raw sums are 3 and 0, so a product that
+# skips the reduction mod 3 sees a nonzero; over Q, 2 * 1/4 + 3/4 * 2/3
+# - 1 = 0, which rows of the right factor left at scales 4, 3 and 1 do
+# not cancel; then one column made nonzero, 1 mod 3 and 1/6
+GUARD_CASES = [
+    pytest.param(F3, [[1, 1, 1]], [[1, 0], [1, 0], [1, 0]], [[1, 0], [1, 0], [1, 1]], id="F3"),
+    pytest.param(
+        Q,
+        [[2, _R(3, 4), -1]],
+        [[_R(1, 4), 0], [_R(2, 3), 0], [1, 0]],
+        [[_R(1, 4), 0], [_R(2, 3), 0], [1, _R(-1, 6)]],
+        id="Q",
+    ),
+]
+
+
+@pytest.mark.parametrize("field, top, vanishing, one_off", GUARD_CASES)
+def test_the_square_check_of_the_rank_route(field, top, vanishing, one_off):
+    """cohomology_dims passes a d_B d_B that is zero only once reduced
+    (mod 3, or once its Fractions cancel) and raises on one whose single
+    nonzero entry is 1 mod 3 or 1/6."""
+    dims = inspect.unwrap(exactness.cohomology_dims)
+    d_c2 = Matrix.from_rows(field, top)
+    ok = _Chain(field, Matrix.from_rows(field, vanishing), d_c2)
+    bad = _Chain(field, Matrix.from_rows(field, one_off), d_c2)
+    # the cases are what they claim, by the dense oracle product
+    assert [x != 0 for x in dense_matmul(d_c2, ok.d_c(1))[0]] == [False, False]
+    assert [x != 0 for x in dense_matmul(d_c2, bad.d_c(1))[0]] == [False, True]
+    assert dims(ok, 2) == three_rank_dims(ok, 2)
+    assert dims(bad, 1) == three_rank_dims(bad, 1)
+    with pytest.raises(InternalCheckError, match="do not compose to zero"):
+        dims(bad, 2)
+
+
 def test_cohomology_dims_make_one_echelon_per_degree(monkeypatch):
     data = DifferenceComplex(_trivial(symmetric(3), F3))
     calls = []
