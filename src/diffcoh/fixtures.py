@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -99,6 +100,25 @@ def parse_matrix(field: Any, data: Any, path: str, shape: tuple[int, int] | None
     if nrows == 0 or ncols == 0:
         return Matrix.zeros(field, nrows, ncols)
     return Matrix.from_rows(field, rows)
+
+
+def _theta_at(field: Any, rblock: Any, count: int, dim: int, rpath: str, noun: str) -> list:
+    """The dim x dim matrices of the theta block of ``rblock``, keyed by
+    the indices "0".."count-1" of a ``noun``; no other key is allowed."""
+    path = f"{rpath}.theta"
+    data = _require(rblock, "theta", rpath)
+    if not isinstance(data, dict):
+        raise FixtureError(path, f"expected an object keyed by {noun.split()[0]} index")
+    keys = [str(i) for i in range(count)]
+    theta = []
+    for i, key in enumerate(keys):
+        if key not in data:
+            raise FixtureError(path, f"missing matrix for {noun} {i}")
+        theta.append(parse_matrix(field, data[key], f"{path}.{key}", (dim, dim)))
+    for key in data:
+        if key not in keys:
+            raise FixtureError(f"{path}.{key}", f"{key!r} is not an index in 0..{count - 1}")
+    return theta
 
 
 def format_matrix(field: Any, m: Matrix) -> list[list[Any]]:
@@ -216,15 +236,7 @@ def parse_group_fixture(data: dict, path: str = "$") -> GroupFixture:
         rblock = data["rep"]
         field = _field_at(_require(rblock, "field", rpath), f"{rpath}.field")
         dim = _int_at(_require(rblock, "dim", rpath), f"{rpath}.dim")
-        traw = _require(rblock, "theta", rpath)
-        if not isinstance(traw, dict):
-            raise FixtureError(f"{rpath}.theta", "expected an object keyed by element index")
-        theta = []
-        for g in range(order):
-            key = str(g)
-            if key not in traw:
-                raise FixtureError(f"{rpath}.theta", f"missing matrix for element {g}")
-            theta.append(parse_matrix(field, traw[key], f"{rpath}.theta.{key}", (dim, dim)))
+        theta = _theta_at(field, rblock, order, dim, rpath, "element")
         t = parse_matrix(field, _require(rblock, "T", rpath), f"{rpath}.T", (dim, dim))
         rep = DifferenceRep(dg, theta, t)
 
@@ -283,15 +295,15 @@ def parse_lie_fixture(data: dict, path: str = "$") -> LieFixture:
     brackets = {}
     for key, coords in braw.items():
         bpath = f"{path}.brackets.{key}"
-        parts = key.split(",")
-        if len(parts) != 2:
+        # the canonical decimal form only: int() would also read " 1" or "01"
+        match = re.fullmatch(r"(0|-?[1-9][0-9]*),(0|-?[1-9][0-9]*)", key)
+        if match is None:
             raise FixtureError(bpath, f"bracket key must be 'i,j', got {key!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FixtureError(bpath, f"bracket key must be 'i,j', got {key!r}") from exc
+        i, j = map(int, match.groups())
         if not i < j:
             raise FixtureError(bpath, f"bracket keys need i < j, got {key!r}")
+        if not 0 <= i < j < dim:
+            raise FixtureError(bpath, f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
         if not isinstance(coords, list) or len(coords) != dim:
             raise FixtureError(bpath, f"expected a coordinate vector of length {dim}")
         brackets[(i, j)] = tuple(_scalars_at(field, coords, bpath))
@@ -304,15 +316,7 @@ def parse_lie_fixture(data: dict, path: str = "$") -> LieFixture:
         rpath = f"{path}.rep"
         rblock = data["rep"]
         rdim = _int_at(_require(rblock, "dim", rpath), f"{rpath}.dim")
-        traw = _require(rblock, "theta", rpath)
-        if not isinstance(traw, dict):
-            raise FixtureError(f"{rpath}.theta", "expected an object keyed by basis index")
-        theta = []
-        for i in range(dim):
-            key = str(i)
-            if key not in traw:
-                raise FixtureError(f"{rpath}.theta", f"missing matrix for basis element {i}")
-            theta.append(parse_matrix(field, traw[key], f"{rpath}.theta.{key}", (rdim, rdim)))
+        theta = _theta_at(field, rblock, dim, rdim, rpath, "basis element")
         t = parse_matrix(field, _require(rblock, "T", rpath), f"{rpath}.T", (rdim, rdim))
         rep = LieRep(dop, theta, t)
     return LieFixture(dop, rep, data)
@@ -325,10 +329,10 @@ def format_lie_fixture(fx: LieFixture) -> dict:
         "field": field_to_spec(f),
         "dim": lie.dim,
         "brackets": {
-            f"{i},{j}": [f.format(x) for x in lie.bracket_basis(i, j)]
+            f"{i},{j}": [f.format(row.get(m, f.zero)) for m in range(lie.dim)]
             for i in range(lie.dim)
             for j in range(i + 1, lie.dim)
-            if any(x != f.zero for x in lie.bracket_basis(i, j))
+            if (row := lie.bracket_basis(i, j))
         },
         "D": format_matrix(f, fx.dop.d),
     }
@@ -473,7 +477,7 @@ def load_fixture_data(path: str) -> dict:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise FixtureError("$", f"fixture is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -482,6 +486,16 @@ def load_fixture_data(path: str) -> dict:
         ) from exc
     except RecursionError as exc:
         raise FixtureError("$", "JSON nesting is too deep to decode") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a key given twice is an error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise FixtureError("$", f"duplicate key {key!r} in a JSON object")
+        out[key] = value
+    return out
 
 
 def fixture_digest(path: str) -> str:

@@ -23,7 +23,10 @@ which by multilinearity equals the closed form
 (-1)^n ( z(D_+ x_1, .., D_+ x_n) - z(x) - T z(x) ).  ``LieCochain``
 adds to ``exactness.Cochain`` only increasing tuples, ``LieError`` and
 evaluation by permutation sign; pairs are ``exactness.CochainPair``,
-with alpha = zeta and beta = xi.
+with alpha = zeta and beta = xi.  Vectors of g are ``{m: c}`` rows
+that store no zero, as everywhere in the package: brackets,
+coordinates, theta combinations and the columns of D (rows of its
+transpose), so loops visit nonzero constants only.
 
 The faces define each operator once: ``_ce_faces`` and
 ``_connecting_faces`` (the closed form of K) return a function yielding
@@ -33,11 +36,10 @@ its matrices (``exactness.operator_matrix``), building them only for a
 matrix it has not cached; ``ce_coboundary`` and ``k_map`` take the
 complex and apply its cached matrices to a single cochain.  Where
 theta_D = theta, that is theta(Dx) = 0 for all x (as for D = 0 or
-theta = 0), d_D is d: the complex compares the two once and then returns the matrix
-of d for d_D.  K stays
-checked at run time by the square of the total differential, whose
-off-diagonal block is K d + d_D K (``exactness.cohomology_dims`` and
-``exactness.verify_les``).
+theta = 0), d_D is d: the complex compares the two once and then
+returns the matrix of d for d_D.  K stays checked at run time by the
+square of the total differential, whose off-diagonal block is
+K d + d_D K (``exactness.cohomology_dims`` and ``exactness.verify_les``).
 """
 
 from __future__ import annotations
@@ -67,67 +69,53 @@ class LieAlgebra:
     on all basis triples at construction.  ``MatrixLieAlgebra`` skips
     that check: its bracket is the commutator, which satisfies Jacobi
     because the matrix product is associative, and its basis is
-    independent, so the structure constants are those of that bracket."""
+    independent, so the structure constants are those of that bracket.
+    ``brackets`` gives [e_i, e_j], i < j, as dense coordinate vectors,
+    kept as ``{m: c}`` rows with no zero; a zero bracket is no row."""
 
     def __init__(
         self, field: Any, dim: int, brackets: Mapping[tuple[int, int], Sequence[Any]]
     ) -> None:
-        self._set_brackets(field, dim, brackets)
+        table = {}
+        for (i, j), vec in brackets.items():
+            if not 0 <= i < j < dim:
+                raise LieError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
+            if len(vec) != dim:
+                raise LieError(f"bracket [e{i},e{j}] has {len(vec)} coordinates != {dim}")
+            row = {m: c for m, c in enumerate(vec) if c != field.zero}
+            if row:
+                table[(i, j)] = row
+        self.field, self.dim, self._table = field, dim, table
         report = self._check_jacobi()
         if not report.ok:
             raise ValidationError(report)
 
-    def _set_brackets(
-        self, field: Any, dim: int, brackets: Mapping[tuple[int, int], Sequence[Any]]
-    ) -> None:
-        self.field = field
-        self.dim = dim
-        table: dict[tuple[int, int], tuple] = {}
-        for (i, j), vec in brackets.items():
-            if not 0 <= i < j < dim:
-                raise LieError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            vec = tuple(vec)
-            if len(vec) != dim:
-                raise LieError(f"bracket [e{i},e{j}] has {len(vec)} coordinates != {dim}")
-            table[(i, j)] = vec
-        self._table = table
+    def bracket_basis(self, i: int, j: int) -> dict:
+        """[e_i, e_j] as a row; callers must not modify it."""
+        if i <= j:
+            return self._table.get((i, j), {})
+        return {m: self.field.neg(c) for m, c in self._table.get((j, i), {}).items()}
 
-    def bracket_basis(self, i: int, j: int) -> tuple:
+    def bracket(self, x: dict, y: dict) -> dict:
+        """[x, y] of two rows."""
         f = self.field
-        if i == j:
-            return (f.zero,) * self.dim
-        if i < j:
-            return self._table.get((i, j), (f.zero,) * self.dim)
-        return tuple(f.neg(c) for c in self._table.get((j, i), (f.zero,) * self.dim))
-
-    def bracket(self, x: Sequence[Any], y: Sequence[Any]) -> list[Any]:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj == f.zero:
-                    continue
-                c = f.mul(xi, yj)
-                for m, b in enumerate(self.bracket_basis(i, j)):
-                    out[m] = f.add(out[m], f.mul(c, b))
-        return out
+        return _combination(
+            f, ((f.mul(a, b), self.bracket_basis(i, j)) for i, a in x.items() for j, b in y.items())
+        )
 
     def _check_jacobi(self) -> ValidationReport:
         """Jacobi on every basis triple, from the structure constants:
-        [[e_a, e_b], e_c] is the sum of c * [e_m, e_c] over the nonzero
-        coordinates c = c_ab^m of [e_a, e_b]."""
+        [[e_a, e_b], e_c] is the sum of x * [e_m, e_c] over the entries
+        x = c_ab^m of [e_a, e_b]."""
         report = ValidationReport("Lie algebra")
         f = self.field
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            acc = [f.zero] * self.dim
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, coeff in enumerate(self.bracket_basis(a, b)):
-                    if coeff != f.zero:
-                        term = self.bracket_basis(m, c)
-                        acc = [f.add(x, f.mul(coeff, y)) for x, y in zip(acc, term)]
-            if any(x != f.zero for x in acc):
+            terms = (
+                (x, self.bracket_basis(m, c))
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                for m, x in self.bracket_basis(a, b).items()
+            )
+            if _combination(f, terms):
                 report.add(
                     "jacobi",
                     (i, j, k),
@@ -137,6 +125,16 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, field={self.field!r})"
+
+
+def _combination(f: Any, terms: Iterable[tuple[Any, dict]]) -> dict:
+    """The row sum of c * row over the pairs (c, row) of ``terms``."""
+    acc: dict = {}
+    for c, row in terms:
+        for m, x in row.items():
+            v = f.mul(c, x)
+            acc[m] = f.add(acc[m], v) if m in acc else v
+    return {m: v for m, v in acc.items() if v != f.zero}
 
 
 def check_lie_difference(lie: LieAlgebra, d: Matrix) -> ValidationReport:
@@ -151,13 +149,9 @@ def check_lie_difference(lie: LieAlgebra, d: Matrix) -> ValidationReport:
     if d.nrows != lie.dim or d.ncols != lie.dim or d.ring != f:
         report.add("shape", (d.nrows, d.ncols), f"expected {lie.dim}x{lie.dim} over {f!r}")
         return report
-    d_plus = Matrix.identity(f, lie.dim) + d
-    images = [d_plus.col(i) for i in range(lie.dim)]
+    images = (Matrix.identity(f, lie.dim) + d).transpose().rows
     for i, j in itertools.combinations(range(lie.dim), 2):
-        lhs = [f.zero] * lie.dim  # D_+ of the sparse [e_i, e_j], column by column
-        for m, c in enumerate(lie.bracket_basis(i, j)):
-            if c != f.zero:
-                lhs = [f.add(x, f.mul(c, y)) for x, y in zip(lhs, images[m])]
+        lhs = _combination(f, ((c, images[m]) for m, c in lie.bracket_basis(i, j).items()))
         if lhs != lie.bracket(images[i], images[j]):
             report.add(
                 "difference-identity",
@@ -183,15 +177,13 @@ class LieDifferenceOp:
         return f"LieDifferenceOp(dim={self.lie.dim})"
 
 
-def theta_of(theta: Sequence[Matrix], vec: Sequence[Any]) -> Matrix:
+def theta_of(theta: Sequence[Matrix], vec: dict) -> Matrix:
     """The linear extension sum_i vec[i] theta[i] of matrices given on
-    basis elements."""
+    basis elements, for a row ``vec``."""
     m = theta[0]
-    f = m.ring
-    acc = Matrix.zeros(f, m.nrows, m.ncols)
-    for i, c in enumerate(vec):
-        if c != f.zero:
-            acc = acc + theta[i].scale(c)
+    acc = Matrix.zeros(m.ring, m.nrows, m.ncols)
+    for i, c in vec.items():
+        acc = acc + theta[i].scale(c)
     return acc
 
 
@@ -225,8 +217,7 @@ def check_lie_rep(
             )
     if not report.ok:
         return report
-    for i in range(lie.dim):
-        th_dei = theta_of(theta, d.col(i))
+    for i, th_dei in enumerate(theta_of(theta, col) for col in d.transpose().rows):
         lhs = t @ theta[i]
         rhs = th_dei + (theta[i] @ t) + (th_dei @ t)
         if lhs != rhs:
@@ -261,10 +252,9 @@ def theta_d_matrices(rep: LieRep) -> tuple[Matrix, ...]:
     """theta_D(x) = theta(x) + theta(Dx) on basis elements, re-verified
     to be a Lie algebra homomorphism."""
     lie = rep.lie
-    d = rep.dop.d
     out = tuple(
-        rep.theta[i] + theta_of(rep.theta, d.col(i))
-        for i in range(lie.dim)
+        th + theta_of(rep.theta, de_i)
+        for th, de_i in zip(rep.theta, rep.dop.d.transpose().rows)
     )
     for i, j in itertools.combinations(range(lie.dim), 2):
         lhs = theta_of(out, lie.bracket_basis(i, j))
@@ -337,10 +327,9 @@ def _ce_faces(lie: LieAlgebra, theta: Sequence[Matrix]):
             yield args[:k] + args[k + 1 :], minus_theta[i] if k % 2 else theta[i]
         for a, b in itertools.combinations(range(len(args)), 2):
             rest = args[:a] + args[a + 1 : b] + args[b + 1 :]
-            for m, c in enumerate(lie.bracket_basis(args[a], args[b])):
-                if c != f.zero:
-                    face, odd = _sorted_with_sign((m,) + rest)
-                    yield face, f.neg(c) if odd != (a + b) % 2 else c
+            for m, c in lie.bracket_basis(args[a], args[b]).items():
+                face, odd = _sorted_with_sign((m,) + rest)
+                yield face, f.neg(c) if odd != (a + b) % 2 else c
 
     return faces
 
@@ -424,37 +413,39 @@ class MatrixLieAlgebra(LieAlgebra):
         self.basis = tuple(basis)
         dim, size = len(basis), k * k
         augmented = [
-            [*b.entries, *(field.one if c == i else field.zero for c in range(dim))]
+            {r * k + c: x for r, row in enumerate(b.rows) for c, x in row.items()}
+            | {size + i: field.one}
             for i, b in enumerate(basis)
         ]
-        rows, pivots = rref(Matrix.from_rows(field, augmented))
+        rows, pivots = rref(Matrix(field, dim, size + dim, augmented))
         if pivots[-1] >= size:
             raise LieError("basis matrices are linearly dependent")
-        self._pivot_rows = [
-            (p, [(j - size, x) for j, x in row.items() if j >= size])
+        self._pivot_rows = {
+            divmod(p, k): {j - size: x for j, x in row.items() if j >= size}
             for p, row in zip(pivots, rows)
-        ]
-        brackets = {}
+        }
+        table = {}
         for i, j in itertools.combinations(range(dim), 2):
             coords = self._solve((basis[i] @ basis[j]) - (basis[j] @ basis[i]))
             if coords is None:
                 raise LieError(f"[b{i},b{j}] is outside the span of the basis")
-            brackets[(i, j)] = tuple(coords)
-        self._set_brackets(field, dim, brackets)
+            if coords:
+                table[(i, j)] = coords
+        self.dim, self._table = dim, table
 
-    def _solve(self, m: Matrix) -> list[Any] | None:
-        f = self.field
-        coords = [f.zero] * len(self.basis)
-        for p, row in self._pivot_rows:
-            c = m.at(*divmod(p, m.ncols))
-            if c != f.zero:
-                for i, x in row:
-                    coords[i] = f.add(coords[i], f.mul(c, x))
+    def _solve(self, m: Matrix) -> dict | None:
+        """The coordinates m[P] E of m as a row, or None when they do not
+        recombine to m."""
+        e = self._pivot_rows
+        terms = (
+            (x, e[r, c]) for r, row in enumerate(m.rows) for c, x in row.items() if (r, c) in e
+        )
+        coords = _combination(self.field, terms)
         return coords if theta_of(self.basis, coords) == m else None
 
-    def coords(self, m: Matrix) -> list[Any]:
-        """Coordinates of a matrix in the basis; raises ``LieError`` for a
-        matrix outside the span."""
+    def coords(self, m: Matrix) -> dict:
+        """Coordinates of a matrix in the basis, as a row; raises
+        ``LieError`` for a matrix outside the span."""
         if (m.nrows, m.ncols, m.ring) != (self.basis[0].nrows, self.basis[0].ncols, self.field):
             raise LieError("matrix has another shape or field than the basis")
         coords = self._solve(m)

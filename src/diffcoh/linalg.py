@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .scalars import JetRing, PrimeField, Rationals
+from .scalars import JetRing, PrimeField, Rationals, rational
 
 
 class LinAlgError(ValueError):
@@ -57,13 +57,15 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, ring: Any, rows: Sequence[Sequence[Any]]) -> "Matrix":
+        """The matrix of dense ``rows``, over Q in canonical form."""
         ncols = len(rows[0]) if rows else 0
         zero = ring.zero
+        canonical = isinstance(ring, Rationals)
         out = []
         for row in rows:
             if len(row) != ncols:
                 raise LinAlgError("ragged rows")
-            out.append({j: x for j, x in enumerate(row) if x != zero})
+            out.append({j: rational(x) if canonical else x for j, x in enumerate(row) if x != zero})
         return cls(ring, len(rows), ncols, out)
 
     @classmethod
@@ -93,10 +95,6 @@ class Matrix:
 
     def at(self, i: int, j: int) -> Any:
         return self.rows[i].get(j, self.ring.zero)
-
-    def col(self, j: int) -> tuple:
-        zero = self.ring.zero
-        return tuple(row.get(j, zero) for row in self.rows)
 
     @property
     def entries(self) -> tuple:

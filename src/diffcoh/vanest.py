@@ -174,7 +174,7 @@ def differentiate_difference_operator(
             "difference-operator program is not I + O(e) at I + e x"
         )
     cols = [lie.coords(jet_part(value, (k,))) for k in range(lie.dim)]
-    dmat = Matrix.from_rows(f, cols).transpose()
+    dmat = Matrix(f, lie.dim, lie.dim, cols).transpose()
     return DifferentiatedOperator(
         spec=spec, basis=list(basis), lie=lie, dop=LieDifferenceOp(lie, dmat),
         dprog=dprog, samples=samples[2:],
@@ -194,15 +194,11 @@ class VSpace:
         return self.rows * self.cols
 
     def basis(self, f: Any) -> list[Matrix]:
-        out = []
-        for i in range(self.rows):
-            for j in range(self.cols):
-                grid = [
-                    [f.one if (a, b) == (i, j) else f.zero for b in range(self.cols)]
-                    for a in range(self.rows)
-                ]
-                out.append(Matrix.from_rows(f, grid))
-        return out
+        return [
+            Matrix(f, self.rows, self.cols, [{j: f.one} if a == i else {} for a in range(self.rows)])
+            for i in range(self.rows)
+            for j in range(self.cols)
+        ]
 
     def flatten(self, m: Matrix) -> tuple:
         if (m.nrows, m.ncols) != (self.rows, self.cols):

@@ -85,8 +85,11 @@ def _matrix_algebra_compared(init):
         # Jacobi is not checked at construction; the structure constants
         # are those of one solve per commutator
         assert oracles.jacobi_failures(self) == []
-        solved = oracles.solved_brackets(field, basis)
-        assert self._table == {key: tuple(v) for key, v in solved.items()}
+        solved = {
+            key: oracles.sparse(v, field.zero)
+            for key, v in oracles.solved_brackets(field, basis).items()
+        }
+        assert self._table == {key: row for key, row in solved.items() if row}
 
     return compared
 
@@ -100,7 +103,7 @@ def _coords_compared(coords):
         except LieError:
             assert solved is None
             raise
-        assert out == solved
+        assert out == oracles.sparse(solved, self.field.zero)
         return out
 
     return compared

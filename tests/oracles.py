@@ -108,6 +108,30 @@ def basis_vector(lie, i):
     return [f.one if m == i else f.zero for m in range(lie.dim)]
 
 
+def structure_vector(lie, i, j):
+    """The dense coordinates of [e_i, e_j], read from the algebra's
+    stored rows [e_a, e_b], a < b, by antisymmetry."""
+    f = lie.field
+    if i > j:
+        return [f.neg(x) for x in structure_vector(lie, j, i)]
+    row = lie._table.get((i, j), {})
+    return [row.get(m, f.zero) for m in range(lie.dim)]
+
+
+def dense_bracket(lie, x, y):
+    """[x, y] of dense coordinate vectors, by bilinearity over every
+    pair of basis indices."""
+    f = lie.field
+    out = [f.zero] * lie.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            c = f.mul(xi, yj)
+            if c != f.zero:
+                w = structure_vector(lie, i, j)
+                out = [f.add(o, f.mul(c, b)) for o, b in zip(out, w)]
+    return out
+
+
 def dense_rank(m):
     return len(dense_echelon(m)[1])
 
@@ -141,7 +165,8 @@ def dense_solve(m, b):
 
 def dense_column_space_basis(m):
     _, pivots = dense_echelon(m)
-    return [list(m.col(j)) for j in pivots]
+    columns = [list(col) for col in zip(*m.to_lists())]
+    return [columns[j] for j in pivots]
 
 
 def dense_add(a, b):
@@ -511,8 +536,10 @@ def lie_difference_report(lie, d):
     for i, j in itertools.combinations(range(lie.dim), 2):
         ei, ej = basis_vector(lie, i), basis_vector(lie, j)
         dei, dej = dense_matvec(d, ei), dense_matvec(d, ej)
-        terms = (lie.bracket(dei, ej), lie.bracket(ei, dej), lie.bracket(dei, dej))
-        lhs = dense_matvec(d, lie.bracket(ei, ej))
+        terms = (
+            dense_bracket(lie, dei, ej), dense_bracket(lie, ei, dej), dense_bracket(lie, dei, dej)
+        )
+        lhs = dense_matvec(d, dense_bracket(lie, ei, ej))
         if lhs != [f.add(f.add(a, b), c) for a, b, c in zip(*terms)]:
             report.add(
                 "difference-identity",
@@ -529,7 +556,7 @@ def jacobi_failures(lie):
     for i, j, k in itertools.combinations(range(lie.dim), 3):
         acc = [f.zero] * lie.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            term = lie.bracket(lie.bracket_basis(a, b), basis_vector(lie, c))
+            term = dense_bracket(lie, structure_vector(lie, a, b), basis_vector(lie, c))
             acc = [f.add(x, y) for x, y in zip(acc, term)]
         if any(x != f.zero for x in acc):
             out.append((i, j, k))
@@ -705,7 +732,7 @@ def ce_coboundary(theta, z):
                 acc = [f.add(x, y) for x, y in zip(acc, term)]
         for a, b in itertools.combinations(range(n + 1), 2):
             rest = tuple(args[m] for m in range(n + 1) if m not in (a, b))
-            w = lie.bracket_basis(args[a], args[b])
+            w = structure_vector(lie, args[a], args[b])
             term = [f.zero] * z.dim
             for m, c in enumerate(w):
                 if c == f.zero:
@@ -778,7 +805,7 @@ def lie_k_subset_faces(rep, n):
     sign = f.neg(f.one) if n % 2 else f.one
     minus_t = rep.t.scale(f.neg(sign))
     d = rep.dop.d
-    d_cols = [[(r, x) for r, x in enumerate(d.col(i)) if x != f.zero] for i in range(d.ncols)]
+    d_cols = [[(r, x) for r, x in enumerate(col) if x != f.zero] for col in zip(*d.to_lists())]
 
     def expand(cols):
         """Faces of z(v_1, .., v_n), v_k = sum of c e_r over cols[k]."""

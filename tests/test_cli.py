@@ -506,6 +506,63 @@ def test_a_field_key_that_the_kind_does_not_use_is_a_fixture_error(
     assert err == f"error: {path}: {spec['kind']} field description has an unknown key {extra!r}\n"
 
 
+def test_a_key_given_twice_is_a_fixture_error(tmp_path, capsys):
+    # json.loads keeps the last of two equal keys, so the second bracket
+    # "0,1" used to turn lie_solvable into the abelian algebra and run
+    text = (FIXDIR / "lie_solvable.json").read_text()
+    text = text.replace('"brackets": {', '"brackets": {\n    "0,1": ["0", "0"],', 1)
+    p = tmp_path / "twice.json"
+    p.write_text(text)
+    code, out, err = run(["cohomology", str(p)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: $: duplicate key '0,1' in a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        # int() strips blanks and reads any Unicode digit: both were (0, 1)
+        (" 0,1", "bracket key must be 'i,j', got ' 0,1'"),
+        ("\u0660,\u0661", "bracket key must be 'i,j', got '\u0660,\u0661'"),
+        ("00,1", "bracket key must be 'i,j', got '00,1'"),
+        # was the pathless LieError "bracket key (0,5) must satisfy ..."
+        ("0,5", "bracket key (0,5) must satisfy 0 <= i < j < dim"),
+        ("-1,1", "bracket key (-1,1) must satisfy 0 <= i < j < dim"),
+    ],
+    ids=["blank", "arabic-indic", "leading-zero", "out-of-range", "negative"],
+)
+def test_a_bracket_key_must_be_canonical_and_in_range(key, message, tmp_path, capsys):
+    data = json.loads((FIXDIR / "lie_solvable.json").read_text())
+    data["brackets"] = {key: ["0", "1"]}
+    p = tmp_path / "key.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(["check", str(p)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: $.brackets.{key}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, key, message",
+    [
+        ("lie_solvable.json", "7", "'7' is not an index in 0..1"),
+        ("z2_endo.json", "2", "'2' is not an index in 0..1"),
+        ("z2_endo.json", "01", "'01' is not an index in 0..1"),
+    ],
+)
+def test_a_theta_key_that_names_no_index_is_a_fixture_error(name, key, message, tmp_path, capsys):
+    # theta read the keys "0".."n-1" and ignored any other key
+    data = json.loads((FIXDIR / name).read_text())
+    data["rep"]["theta"][key] = data["rep"]["theta"]["0"]
+    p = tmp_path / name
+    p.write_text(json.dumps(data))
+    code, out, err = run(["check", str(p)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: $.rep.theta.{key}: {message}\n"
+
+
 def test_check_rejects_a_cocycle_over_q(tmp_path, capsys):
     code, out, err = run(["check", _over_q(tmp_path, "z3_carry_extension.json")], capsys)
     assert code == 2
@@ -922,8 +979,9 @@ def test_reports_are_the_same_with_fractions_everywhere(argv, monkeypatch, capsy
     monkeypatch.setattr(fixtures, "field_from_spec", fraction_field)
     monkeypatch.setattr(fixtures, "Rationals", lambda: fraction_field({"kind": "rationals"}))
     # the exact divisions of back substitution and of products make
-    # their quotients Fractions too
+    # their quotients Fractions too, and matrices keep their entries
     monkeypatch.setattr(linalg, "_quotient", Fraction)
+    monkeypatch.setattr(linalg, "rational", lambda x: x)
     assert run(argv, capsys) == expected
     assert made and expected[0] == 0
 

@@ -42,7 +42,7 @@ def minimal_group_data():
 
 def test_all_shipped_fixtures_parse():
     paths = sorted(FIXDIR.glob("*.json"))
-    assert len(paths) == 9
+    assert len(paths) == 10
     kinds = {}
     for p in paths:
         fx = load_fixture(str(p))
@@ -53,6 +53,7 @@ def test_all_shipped_fixtures_parse():
         "gl2_inverse_det_deg2.json": "jet",
         "lie_abelian.json": "lie",
         "lie_solvable.json": "lie",
+        "sl2_dneg.json": "lie",
         "trivial_group.json": "group",
         "z2_endo.json": "group",
         "z3_carry_extension.json": "group",

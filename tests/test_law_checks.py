@@ -41,6 +41,7 @@ from oracles import (
     lie_difference_report,
     representation_report,
     solved_brackets,
+    sparse,
     twisted_rule_report,
 )
 
@@ -223,7 +224,8 @@ def test_one_corrupted_bracket_coordinate(algebra, pair, coord, value):
     vec = brackets.setdefault(key, [Fraction(0)] * 3)
     vec[coord] = Fraction(value)
     unchecked = object.__new__(LieAlgebra)
-    unchecked._set_brackets(Q, 3, brackets)
+    unchecked.field, unchecked.dim = Q, 3
+    unchecked._table = {key: sparse(vec) for key, vec in brackets.items() if any(vec)}
     expected = jacobi_failures(unchecked)
     try:
         lie = LieAlgebra(Q, 3, brackets)
@@ -287,4 +289,5 @@ def test_one_corrupted_matrix_basis_entry(basis, b, k, value):
         return
     assert dense_rank(flat) == len(basis)
     assert jacobi_failures(lie) == []
-    assert lie._table == {key: tuple(v) for key, v in solved_brackets(Q, basis).items()}
+    solved = {key: sparse(v) for key, v in solved_brackets(Q, basis).items()}
+    assert lie._table == {key: row for key, row in solved.items() if row}

@@ -26,7 +26,7 @@ from diffcoh.linalg import Matrix
 from diffcoh.scalars import PrimeField, Rationals
 
 from helpers import verify_delta_squared
-from oracles import basis_vector, delta_theta, value_on_vectors
+from oracles import delta_theta, value_on_vectors
 
 Q = Rationals()
 
@@ -65,14 +65,19 @@ def sl2():
 
 def test_bracket_antisymmetry_is_built_in():
     lie = solvable2()
-    assert lie.bracket_basis(1, 0) == (Fraction(0), Fraction(-1))
-    assert lie.bracket_basis(0, 0) == (Fraction(0), Fraction(0))
-    x = [Fraction(2), Fraction(3)]
-    y = [Fraction(1), Fraction(-1)]
+    assert lie.bracket_basis(0, 1) == {1: 1}
+    assert lie.bracket_basis(1, 0) == {1: -1}
+    assert lie.bracket_basis(0, 0) == {}
+    assert lie.bracket_basis(1, 1) == {}
+    x = {0: Fraction(2), 1: Fraction(3)}
+    y = {0: Fraction(1), 1: Fraction(-1)}
     xy = lie.bracket(x, y)
-    yx = lie.bracket(y, x)
-    assert xy == [Fraction(0), Fraction(-5)]
-    assert yx == [-c for c in xy]
+    assert xy == {1: -5}
+    assert lie.bracket(y, x) == {m: -c for m, c in xy.items()}
+    # no row holds a zero: [x, x] and a bracket with zero are {}
+    assert lie.bracket(x, x) == {}
+    assert lie.bracket(x, {}) == {}
+    assert abelian2().bracket_basis(0, 1) == {}
 
 
 def test_jacobi_violation_is_witnessed():
@@ -92,8 +97,10 @@ def test_jacobi_violation_is_witnessed():
 
 def test_sl2_satisfies_jacobi():
     lie = sl2()
-    h, e, f = (basis_vector(lie, i) for i in range(3))
+    h, e, f = ({i: Fraction(1)} for i in range(3))
     assert lie.bracket(e, f) == h
+    assert lie.bracket(h, e) == {1: 2}
+    assert lie.bracket(h, f) == {2: -2}
 
 
 def test_bracket_key_validation():
@@ -145,9 +152,12 @@ def gl2_with_trace_data():
 def test_matrix_lie_algebra_structure_constants():
     lie, _, _ = gl2_with_trace_data()
     # [E00, E01] = E01 in basis order (E00, E01, E10, E11)
-    assert lie.bracket_basis(0, 1) == (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+    assert lie.bracket_basis(0, 1) == {1: 1}
     # [E01, E10] = E00 - E11
-    assert lie.bracket_basis(1, 2) == (Fraction(1), Fraction(0), Fraction(0), Fraction(-1))
+    assert lie.bracket_basis(1, 2) == {0: 1, 3: -1}
+    # [E00, E11] = 0 is no row at all
+    assert lie.bracket_basis(0, 3) == {}
+    assert lie._table.keys() == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
 
 
 def test_matrix_lie_algebra_rejects_non_closed_spans():
@@ -169,7 +179,9 @@ def test_matrix_coords():
     basis = [qmat([[1, 0], [0, 1]]), qmat([[0, 1], [0, 0]])]
     lie = MatrixLieAlgebra(Q, basis)
     coords = lie.coords(qmat([[3, 2], [0, 3]]))
-    assert coords == [Fraction(3), Fraction(2)]
+    assert coords == {0: 3, 1: 2}
+    assert lie.coords(qmat([[0, 1], [0, 0]])) == {1: 1}
+    assert lie.coords(qmat([[0, 0], [0, 0]])) == {}
     with pytest.raises(LieError):
         lie.coords(qmat([[0, 0], [1, 0]]))
 
@@ -354,3 +366,22 @@ def test_zero_cochain_and_degree_guards():
         LieCochain(lie, 1, 0, {})
     with pytest.raises(LieError):
         LieCochain(lie, 1, 1, {(5,): (Fraction(1),)})
+
+
+def test_gl3_has_the_cohomology_of_three_primitive_classes():
+    """gl3 over Q from its matrix units, 24 of whose 324 structure
+    constants are nonzero, with D = 0 and trivial V: the ordinary H^k,
+    k = 1..9, are the coefficients of (1+t)(1+t^3)(1+t^5) less H^0, and
+    H^k = H^(9-k) for 1 <= k <= 8, since gl_n is unimodular."""
+    units = [
+        Matrix(Q, 3, 3, [{b: 1} if r == a else {} for r in range(3)])
+        for a in range(3)
+        for b in range(3)
+    ]
+    lie = MatrixLieAlgebra(Q, units)
+    assert sum(len(row) for row in lie._table.values()) == 24
+    rep = trivial_rep(LieDifferenceOp(lie, Matrix.zeros(Q, 9, 9)))
+    report = LieDifferenceComplex(rep).cohomology_dims(9)
+    ordinary = [report.degrees[k].h_ordinary for k in range(1, 10)]
+    assert ordinary == [1, 0, 1, 1, 1, 1, 0, 1, 1]
+    assert all(ordinary[k - 1] == ordinary[8 - k] for k in range(1, 9))

@@ -164,12 +164,13 @@ def test_solve_consistent_and_inconsistent():
 @given(rows=small_f3_matrices)
 def test_column_space_basis_spans_every_column(rows):
     m = fmat(F3, rows)
-    basis = [list(m.col(j)) for j in column_space_basis(m)]
+    columns = m.transpose().rows
+    basis = [columns[j] for j in column_space_basis(m)]
     assert len(basis) == rank(m)
     if basis:
-        bmat = Matrix.from_rows(F3, basis).transpose()
-        for j in range(m.ncols):
-            assert solve(bmat, sparse(m.col(j))) is not None
+        bmat = Matrix(F3, len(basis), m.nrows, basis).transpose()
+        for column in columns:
+            assert solve(bmat, column) is not None
     else:
         assert m.is_zero()
 
@@ -341,7 +342,7 @@ def test_matrix_basics():
     m = qmat([[1, 2], [3, 4]])
     assert m.transpose() == qmat([[1, 3], [2, 4]])
     assert m.trace() == Fraction(5)
-    assert m.col(1) == (Fraction(2), Fraction(4))
+    assert m.transpose().rows[1] == {0: Fraction(2), 1: Fraction(4)}
     assert Matrix.from_rows(Q, [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]).transpose() == m
     assert dense(m.matvec(sparse([Fraction(1), Fraction(0)])), 2) == [Fraction(1), Fraction(3)]
     assert (m - m).is_zero()

@@ -221,6 +221,19 @@ def test_matrix_kernels_over_q_return_the_canonical_form(data):
     _canonical_rows(adjugate(sq).rows, adjugate(fsq).rows)
 
 
+def test_from_rows_stores_canonical_rationals():
+    """Over Q ``from_rows`` stores an integral Fraction as an int, so the
+    operations that return a stored entry as it is (a 1x1 det, a sum or
+    difference with zeros) return the canonical form too."""
+    a = Matrix.from_rows(Q, [[Fraction(2, 1), Fraction(1, 2)], [Fraction(0, 1), Fraction(-3, 1)]])
+    want = [{0: 2, 1: Fraction(1, 2)}, {1: -3}]
+    _canonical_rows(a.rows, want)
+    zeros = Matrix.zeros(Q, 2, 2)
+    _canonical_rows((a + zeros).rows, want)
+    _canonical_rows((zeros - a).rows, [{j: -x for j, x in row.items()} for row in want])
+    assert _same(det(Matrix.from_rows(Q, [[Fraction(1, 1)]])), 1)
+
+
 def test_quadratic_field_rejects_squares():
     for bad in (0, 1, 4, 9, Fraction(4, 9)):
         with pytest.raises(ScalarError):
