@@ -180,9 +180,14 @@ class LESData:
     X_{n+1}), ``k(n)`` (the anticommuting map C_n -> A_{n+1}) and an
     empty dict ``_d_b``, where the total differential ``d_b(n)`` is kept
     once assembled.  B_n = C_n + A_n in coordinates, C first, so the
-    inclusion of A shifts a coordinate by dim C_n and the projection
-    onto C keeps the coordinates below dim C_n.
+    inclusion of A (``include``) shifts a coordinate by dim C_n and the
+    projection onto C keeps the coordinates below dim C_n.
     """
+
+    def include(self, n: int, row: dict) -> dict:
+        """The row of A_n as a row of B_n."""
+        cut = self.dim_c(n)
+        return {j + cut: x for j, x in row.items()}
 
     def d_b(self, n: int) -> Matrix:
         if n not in self._d_b:
@@ -268,12 +273,11 @@ def verify_les(data: LESData, max_degree: int) -> list[LESNode]:
     hb = {n: h(d_b, n) for n in range(1, top)}
     hc = {n: h(d_c, n) for n in range(1, top)}
 
-    # B_n = C_n + A_n, so i shifts the coordinates of a cochain of A by
-    # dim C_n and p keeps the coordinates below dim C_n
-    cut = {n: data.dim_c(n) for n in ha}
-    i_images = {n: [{j + cut[n]: x for j, x in r.items()} for r in ha[n].reps] for n in ha}
+    # p keeps the coordinates of B_n = C_n + A_n below dim C_n
+    i_images = {n: [data.include(n, r) for r in ha[n].reps] for n in ha}
     hb[top] = span_modulo(f, i_images[top], d_b[max_degree], d_b[max_degree].nrows)
     i_star = {n: induced_map(f, i_images[n], hb[n]) for n in ha}
+    cut = {n: data.dim_c(n) for n in hc}
     p_images = {n: [{j: x for j, x in r.items() if j < cut[n]} for r in hb[n].reps] for n in hc}
     p_star = {n: induced_map(f, p_images[n], hc[n]) for n in hc}
     k_star = {n: induced_map(f, list(map(data.k(n).matvec, hc[n].reps)), ha[n + 1]) for n in hc}
@@ -628,6 +632,5 @@ class DifferenceComplexBase(LESData):
         n = pair.degree
         vec = self.space(n).to_vector(pair.alpha)
         if pair.beta is not None:
-            beta, cut = self.space(n - 1).to_vector(pair.beta), self.dim_c(n)
-            vec.update((j + cut, x) for j, x in beta.items())
+            vec.update(self.include(n, self.space(n - 1).to_vector(pair.beta)))
         return self.pair(n + 1, self.d_b(n).matvec(vec))

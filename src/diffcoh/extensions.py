@@ -506,11 +506,10 @@ def classify_semidirect_difference_ops(
     h1 = cx.cohomology_dims(1).degrees[1]
     k_rank = h1.h_ordinary - h1.h_pair
 
-    cut = cx.dim_c(2)  # the pairs (0, beta) of B_2 = C_2 + C_1
-    space = CohomologySpace(
-        dim_total=cut + betas.dim_total,
-        reps=[{j + cut: x for j, x in v.items()} for v in betas.reps],
-        boundaries=[{j + cut: x for j, x in v.items()} for v in betas.boundaries],
+    space = CohomologySpace(  # the pairs (0, beta) of B_2 = C_2 + C_1
+        dim_total=cx.dim_c(2) + betas.dim_total,
+        reps=[cx.include(2, v) for v in betas.reps],
+        boundaries=[cx.include(2, v) for v in betas.boundaries],
         pivots=betas.pivots,
     )
     theory = GroupExtensionTheory(cx)

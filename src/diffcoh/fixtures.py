@@ -289,6 +289,8 @@ def format_group_fixture(fx: GroupFixture) -> dict:
 def parse_lie_fixture(data: dict, path: str = "$") -> LieFixture:
     field = _field_at(data["field"], f"{path}.field") if "field" in data else Rationals()
     dim = _int_at(_require(data, "dim", path), f"{path}.dim")
+    if dim > LIE_DIM_CAP:
+        raise FixtureError(f"{path}.dim", f"dim {dim} exceeds the Lie dim cap {LIE_DIM_CAP}")
     braw = _require(data, "brackets", path)
     if not isinstance(braw, dict):
         raise FixtureError(f"{path}.brackets", "expected an object keyed by 'i,j'")
@@ -376,6 +378,8 @@ MATRIX_SIZE_CAP = 6
 # the largest group order a fixture may give; validating the table is
 # O(order^2 * #generators) (Light's test on a generating set)
 GROUP_ORDER_CAP = 128
+# the largest Lie algebra dimension a fixture may give; Jacobi is checked on C(dim, 3) triples
+LIE_DIM_CAP = 32
 
 
 def _size_at(value: Any, path: str) -> int:

@@ -37,7 +37,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linalg import Matrix
 from .scalars import PrimeField
@@ -211,6 +211,16 @@ def _multiplicative(group: FiniteGroup, f: Sequence, mul) -> bool:
     )
 
 
+def _product_failures(group: FiniteGroup, theta: Sequence[Matrix]) -> Iterator[tuple[int, int]]:
+    """The pairs (g, h) with Theta(gh) != Theta(g) Theta(h), g major.  All
+    pairs are scanned only when Theta(e) != I or the generator check fails."""
+    e = theta[group.identity]
+    if e == Matrix.identity(e.ring, e.nrows) and _multiplicative(group, theta, operator.matmul):
+        return iter(())
+    pairs = itertools.product(group.elements, repeat=2)
+    return ((g, h) for g, h in pairs if theta[group.mul(g, h)] != theta[g] @ theta[h])
+
+
 def check_difference_operator(group: FiniteGroup, d: Sequence[int]) -> ValidationReport:
     """Check the twisted cocycle rule D(gh) = D(g) g D(h) g^{-1}.  It says
     that D_+(g) = D(g) g is a homomorphism, which is checked on
@@ -288,16 +298,13 @@ def check_representation(
     ident = Matrix.identity(ring, dim)
     if theta[group.identity] != ident:
         report.add("theta-identity", (group.identity,), "Theta(e) != I")
-    if not report.ok or not _multiplicative(group, theta, operator.matmul):
-        for g in range(n):
-            for h in range(n):
-                if theta[group.mul(g, h)] != theta[g] @ theta[h]:
-                    report.add(
-                        "theta-homomorphism",
-                        (g, h),
-                        f"Theta({group.label(g)} {group.label(h)}) != "
-                        f"Theta({group.label(g)}) Theta({group.label(h)})",
-                    )
+    for g, h in _product_failures(group, theta):
+        report.add(
+            "theta-homomorphism",
+            (g, h),
+            f"Theta({group.label(g)} {group.label(h)}) != "
+            f"Theta({group.label(g)}) Theta({group.label(h)})",
+        )
     if not report.ok:
         return report
     # T(Theta(g) u) + Theta(g) u = Theta(D(g) g) (T(u) + u), checked as matrices
@@ -370,20 +377,12 @@ def induced_rep_theta_d(rep: DifferenceRep) -> tuple[Matrix, ...]:
     dg = rep.dg
     group = dg.group
     theta_d = tuple(rep.theta[dg.d_plus_of(g)] for g in group.elements)
-    if theta_d[group.identity] == Matrix.identity(rep.field, rep.dim) and _multiplicative(
-        group, theta_d, operator.matmul
-    ):
-        return theta_d
-    for g in group.elements:
-        for h in group.elements:
-            if theta_d[group.mul(g, h)] != theta_d[g] @ theta_d[h]:
-                report = ValidationReport("induced representation")
-                report.add(
-                    "homomorphism",
-                    (g, h),
-                    "Theta(D(g) g) is not multiplicative; inputs are corrupt",
-                )
-                raise ValidationError(report)
+    for g, h in _product_failures(group, theta_d):
+        report = ValidationReport("induced representation")
+        report.add(
+            "homomorphism", (g, h), "Theta(D(g) g) is not multiplicative; inputs are corrupt"
+        )
+        raise ValidationError(report)
     return theta_d
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .exactness import (
     DEFAULT_BUDGET,
@@ -187,6 +187,13 @@ def theta_of(theta: Sequence[Matrix], vec: dict) -> Matrix:
     return acc
 
 
+def _bracket_failures(lie: LieAlgebra, theta: Sequence[Matrix]) -> Iterator[tuple[int, int]]:
+    """The pairs i < j, in order, with theta([e_i, e_j]) != [theta(e_i), theta(e_j)]."""
+    for i, j in itertools.combinations(range(lie.dim), 2):
+        if theta_of(theta, lie.bracket_basis(i, j)) != theta[i] @ theta[j] - theta[j] @ theta[i]:
+            yield i, j
+
+
 def check_lie_rep(
     lie: LieAlgebra, d: Matrix, theta: Sequence[Matrix], t: Matrix
 ) -> ValidationReport:
@@ -206,15 +213,12 @@ def check_lie_rep(
             report.add("theta-shape", (i,), "theta(e_i) has wrong shape or ring")
             return report
 
-    for i, j in itertools.combinations(range(lie.dim), 2):
-        lhs = theta_of(theta, lie.bracket_basis(i, j))
-        rhs = (theta[i] @ theta[j]) - (theta[j] @ theta[i])
-        if lhs != rhs:
-            report.add(
-                "theta-homomorphism",
-                (i, j),
-                f"theta[e{i},e{j}] != theta(e{i}) theta(e{j}) - theta(e{j}) theta(e{i})",
-            )
+    for i, j in _bracket_failures(lie, theta):
+        report.add(
+            "theta-homomorphism",
+            (i, j),
+            f"theta[e{i},e{j}] != theta(e{i}) theta(e{j}) - theta(e{j}) theta(e{i})",
+        )
     if not report.ok:
         return report
     for i, th_dei in enumerate(theta_of(theta, col) for col in d.transpose().rows):
@@ -251,19 +255,15 @@ class LieRep:
 def theta_d_matrices(rep: LieRep) -> tuple[Matrix, ...]:
     """theta_D(x) = theta(x) + theta(Dx) on basis elements, re-verified
     to be a Lie algebra homomorphism."""
-    lie = rep.lie
     out = tuple(
         th + theta_of(rep.theta, de_i)
         for th, de_i in zip(rep.theta, rep.dop.d.transpose().rows)
     )
-    for i, j in itertools.combinations(range(lie.dim), 2):
-        lhs = theta_of(out, lie.bracket_basis(i, j))
-        rhs = (out[i] @ out[j]) - (out[j] @ out[i])
-        if lhs != rhs:
-            raise InternalCheckError(
-                "theta + theta D fails to be a homomorphism although the "
-                "representation validated; inputs are corrupt"
-            )
+    if next(_bracket_failures(rep.lie, out), None) is not None:
+        raise InternalCheckError(
+            "theta + theta D fails to be a homomorphism although the "
+            "representation validated; inputs are corrupt"
+        )
     return out
 
 

@@ -672,9 +672,7 @@ def jet_matrix_inverse(m: Matrix) -> Matrix:
         raise LinAlgError("jet_matrix_inverse expects a matrix over a jet ring")
     if m.nrows != m.ncols:
         raise LinAlgError("inverse of a non-square matrix")
-    base = ring.base
-    base_part = m.map_entries(lambda x: x.coefficient(()), base)
-    base_inv = field_matrix_inverse(base_part).map_entries(ring.embed, ring)
+    base_inv = embed_matrix(field_matrix_inverse(jet_part(m, ())), ring)
     n = Matrix.identity(ring, m.nrows) - (base_inv @ m)  # nilpotent
     acc = Matrix.identity(ring, m.nrows)
     term = Matrix.identity(ring, m.nrows)

@@ -6,15 +6,13 @@ evaluated over a base field (to test identities on sampled concrete
 matrices) and over a jet ring (to differentiate it exactly).  Scalars
 are 1x1 matrices, so one value type suffices.
 
-Node kinds: input, const, scalar, add, sub, neg, mul (with 1x1
-broadcast), inverse, adjugate, det, trace, entry, linmap (a constant
-linear map applied to the flattened value), conj (the base field's
-automorphism applied entrywise).
-
-Programs compose by substitution, which is how coboundary and
-connecting-map combinators are built from cochain programs.
-
-One evaluation computes each subtree once and keeps nothing after it
+Each op is one row of ``_OPS``: its arity, its value from (ring,
+payload, *argument values) and how the wire format reads and writes its
+payload.  Adding an op is one row plus its constructor.  One memoized
+post-order walk over node ids evaluates a tree, substitutes programs
+for its inputs (which builds the coboundary and connecting-map
+combinators from cochain programs) and finds its largest input index.
+An evaluation computes each subtree once and keeps nothing after it
 returns.  Over a slot-graded jet ring (see ``scalars.JetRing``) one
 evaluation carries every basis direction of an input at once, so a
 derivative, or a van Est image of degree 1 or 2, is one evaluation.
@@ -22,10 +20,12 @@ derivative, or a van Est image of degree 1 or 2, is one evaluation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from .linalg import LinAlgError, Matrix, adjugate as _adjugate, det as _det, matrix_inverse
+from .linalg import LinAlgError, Matrix, adjugate as _adjugate, det as _det, embed_matrix
+from .linalg import matrix_inverse
 from .scalars import JetRing
 
 
@@ -34,13 +34,8 @@ class ProgramError(ValueError):
 
 
 # the deepest program tree, in nodes on a root-to-leaf path, that
-# ``parse_program`` accepts; evaluation and the tree walks recurse per node
+# ``parse_program`` accepts; the tree walk recurses once per node
 PROGRAM_DEPTH_CAP = 100
-
-
-_NO_ARGS = ("input", "const", "scalar")
-_ONE_ARG = ("neg", "inverse", "adjugate", "det", "trace", "entry", "linmap", "conj")
-_TWO_ARGS = ("add", "sub", "mul")
 
 
 @dataclass(frozen=True)
@@ -50,14 +45,7 @@ class Node:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        if self.op in _NO_ARGS:
-            expected = 0
-        elif self.op in _ONE_ARG:
-            expected = 1
-        elif self.op in _TWO_ARGS:
-            expected = 2
-        else:
-            raise ProgramError(f"unknown program op {self.op!r}")
+        expected = _op(self.op).arity
         if len(self.args) != expected:
             raise ProgramError(f"op {self.op!r} takes {expected} argument(s)")
 
@@ -129,150 +117,152 @@ def apply_linmap(lmat: Matrix, m: Matrix) -> Matrix:
     return Matrix(lmat.ring, m.nrows, width, rows)
 
 
+def _lift(ring: Any, m: Matrix) -> Matrix:
+    """A base-field constant as a value over ``ring``."""
+    if isinstance(ring, JetRing):
+        return embed_matrix(m, ring)
+    if m.ring != ring:
+        raise ProgramError("constant is over a different field than the inputs")
+    return m
+
+
+def _mul(ring: Any, _: Any, a: Matrix, b: Matrix) -> Matrix:
+    """a b, where a 1x1 factor of a larger value acts as a scalar."""
+    if a.nrows == 1 and a.ncols == 1 and (b.nrows, b.ncols) != (1, 1):
+        return b.scale(a.at(0, 0))
+    if b.nrows == 1 and b.ncols == 1 and (a.nrows, a.ncols) != (1, 1):
+        return a.scale(b.at(0, 0))
+    return a @ b
+
+
+def _entry(ring: Any, ij: tuple[int, int], m: Matrix) -> Matrix:
+    i, j = ij
+    if not (0 <= i < m.nrows and 0 <= j < m.ncols):
+        raise ProgramError(f"entry ({i},{j}) outside a {m.nrows}x{m.ncols} value")
+    return Matrix.from_rows(ring, [[m.at(i, j)]])
+
+
+def _linmap(ring: Any, lmat: Matrix, m: Matrix) -> Matrix:
+    lmat = _lift(ring, lmat)
+    if lmat.ncols != m.nrows * m.ncols:
+        raise ProgramError(
+            f"linear map expects {lmat.ncols} coordinates, value has {m.nrows * m.ncols}"
+        )
+    if lmat.nrows != lmat.ncols:
+        raise ProgramError(f"linear map is {lmat.nrows}x{lmat.ncols}, not square")
+    return apply_linmap(lmat, m)
+
+
+def _matrix_payload(key: str) -> tuple[Callable, Callable]:
+    return (
+        lambda d, op, f: _matrix_field(d, op, key, f),
+        lambda m, f: {key: [[f.format(x) for x in row] for row in m.to_lists()]},
+    )
+
+
+# an op's arity, its value(ring, payload, *argument values) (None for an
+# input) and, for an op with a payload, read(data, op, field) -> payload
+# and write(payload, field) -> its wire fields
+_Op = namedtuple("_Op", "arity value read write", defaults=(None, None))
+
+
+# ``matrix_inverse``, ``_adjugate`` and ``_det`` are looked up when an op
+# runs, so a caller may replace them on this module
+_OPS = {
+    "input": _Op(0, None, lambda d, op, f: _index_field(d, op, "index"), lambda i, f: {"index": i}),
+    "const": _Op(0, _lift, *_matrix_payload("value")),
+    "scalar": _Op(
+        0,
+        lambda ring, c: Matrix.from_rows(
+            ring, [[ring.embed(c) if isinstance(ring, JetRing) else c]]
+        ),
+        lambda d, op, f: f.parse(_payload(d, op, "value")), lambda c, f: {"value": f.format(c)},
+    ),
+    "add": _Op(2, lambda ring, _, a, b: a + b),
+    "sub": _Op(2, lambda ring, _, a, b: a - b),
+    "neg": _Op(1, lambda ring, _, a: -a),
+    "mul": _Op(2, _mul),
+    "inverse": _Op(1, lambda ring, _, a: matrix_inverse(a)),
+    "adjugate": _Op(1, lambda ring, _, a: _adjugate(a)),
+    "det": _Op(1, lambda ring, _, a: Matrix.from_rows(ring, [[_det(a)]])),
+    "trace": _Op(1, lambda ring, _, a: Matrix.from_rows(ring, [[a.trace()]])),
+    "entry": _Op(
+        1,
+        _entry,
+        lambda d, op, f: (_index_field(d, op, "i"), _index_field(d, op, "j")),
+        lambda ij, f: dict(zip("ij", ij)),
+    ),
+    "linmap": _Op(1, _linmap, *_matrix_payload("matrix")),
+    "conj": _Op(1, lambda ring, _, a: a.map_entries(ring.conj, ring)),
+}
+
+
+def _op(op: Any) -> _Op:
+    if isinstance(op, str) and op in _OPS:
+        return _OPS[op]
+    raise ProgramError(f"unknown program op {op!r}")
+
+
+def _walk(node: Node, memo: dict, leaf: Callable, apply: Callable) -> Any:
+    """The value of ``node``, post-order: ``leaf(index)`` at an input and
+    ``apply(node, argument values)`` elsewhere.  ``memo`` maps node ids
+    to values; the innermost op whose matrix operation fails is named."""
+    key = id(node)
+    if key in memo:
+        return memo[key]
+    if node.op == "input":
+        out = leaf(node.payload)
+    else:
+        values = [_walk(a, memo, leaf, apply) for a in node.args]
+        try:
+            out = apply(node, values)
+        except LinAlgError as exc:
+            raise ProgramError(f"op {node.op!r}: {exc}") from exc
+    memo[key] = out
+    return out
+
+
 def evaluate(node: Node, inputs: Sequence[Matrix], ring: Any) -> Matrix:
     """Evaluate a program on input matrices over ``ring``.
 
     Constants and linmap payloads are stored over the base field and
-    lifted when the evaluation ring is a jet ring.  A subtree shared
-    within the tree is evaluated once per call.  An op whose matrix
+    lifted when the evaluation ring is a jet ring.  An op whose matrix
     operation fails (shape mismatch, singular inverse) raises
     ``ProgramError`` naming the op.
     """
-    values: dict[int, Matrix] = {}
 
-    def lift(m: Matrix) -> Matrix:
-        if isinstance(ring, JetRing):
-            if m.ring != ring.base:
-                raise ProgramError("constant is over a different field than the jet base")
-            return m.map_entries(ring.embed, ring)
-        if m.ring != ring:
-            raise ProgramError("constant is over a different field than the inputs")
-        return m
+    def leaf(index: int) -> Matrix:
+        if not 0 <= index < len(inputs):
+            raise ProgramError(f"program wants input {index}, got {len(inputs)}")
+        return inputs[index]
 
-    def run(n: Node) -> Matrix:
-        key = id(n)
-        if key in values:
-            return values[key]
-        try:
-            out = _step(n)
-        except LinAlgError as exc:
-            raise ProgramError(f"op {n.op!r}: {exc}") from exc
-        values[key] = out
-        return out
-
-    def _step(n: Node) -> Matrix:
-        if n.op == "input":
-            idx = n.payload
-            if not 0 <= idx < len(inputs):
-                raise ProgramError(f"program wants input {idx}, got {len(inputs)}")
-            return inputs[idx]
-        if n.op == "const":
-            return lift(n.payload)
-        if n.op == "scalar":
-            return _scalar_matrix(n.payload, ring)
-        if n.op == "add":
-            return run(n.args[0]) + run(n.args[1])
-        if n.op == "sub":
-            return run(n.args[0]) - run(n.args[1])
-        if n.op == "neg":
-            return -run(n.args[0])
-        if n.op == "mul":
-            a, b = run(n.args[0]), run(n.args[1])
-            if a.nrows == 1 and a.ncols == 1 and (b.nrows, b.ncols) != (1, 1):
-                return b.scale(a.at(0, 0))
-            if b.nrows == 1 and b.ncols == 1 and (a.nrows, a.ncols) != (1, 1):
-                return a.scale(b.at(0, 0))
-            return a @ b
-        if n.op == "inverse":
-            return matrix_inverse(run(n.args[0]))
-        if n.op == "adjugate":
-            return _adjugate(run(n.args[0]))
-        if n.op == "det":
-            return Matrix.from_rows(ring, [[_det(run(n.args[0]))]])
-        if n.op == "trace":
-            return Matrix.from_rows(ring, [[run(n.args[0]).trace()]])
-        if n.op == "entry":
-            i, j = n.payload
-            m = run(n.args[0])
-            if not (0 <= i < m.nrows and 0 <= j < m.ncols):
-                raise ProgramError(f"entry ({i},{j}) outside a {m.nrows}x{m.ncols} value")
-            return Matrix.from_rows(ring, [[m.at(i, j)]])
-        if n.op == "linmap":
-            m = run(n.args[0])
-            lmat = lift(n.payload)
-            if lmat.ncols != m.nrows * m.ncols:
-                raise ProgramError(
-                    f"linear map expects {lmat.ncols} coordinates, value has "
-                    f"{m.nrows * m.ncols}"
-                )
-            if lmat.nrows != lmat.ncols:
-                raise ProgramError(f"linear map is {lmat.nrows}x{lmat.ncols}, not square")
-            return apply_linmap(lmat, m)
-        if n.op == "conj":
-            m = run(n.args[0])
-            return m.map_entries(ring.conj, ring)
-        raise ProgramError(f"unknown program op {n.op!r}")
-
-    # run and _step refer to each other, so their closures form a cycle
-    # that lives until the cycle collector runs; emptying ``values``
-    # frees the subtree values when the call returns
-    try:
-        return run(node)
-    finally:
-        values.clear()
-
-
-def _scalar_matrix(c: Any, ring: Any) -> Matrix:
-    if isinstance(ring, JetRing):
-        return Matrix.from_rows(ring, [[ring.embed(c)]])
-    return Matrix.from_rows(ring, [[c]])
+    return _walk(node, {}, leaf, lambda n, values: _OPS[n.op].value(ring, n.payload, *values))
 
 
 def substitute(node: Node, replacements: Sequence[Node]) -> Node:
     """Replace input i by replacements[i] throughout, preserving sharing."""
-    cache: dict[int, Node] = {}
 
-    def walk(n: Node) -> Node:
-        key = id(n)
-        if key in cache:
-            return cache[key]
-        if n.op == "input":
-            idx = n.payload
-            if not 0 <= idx < len(replacements):
-                raise ProgramError(f"substitution lacks a program for input {idx}")
-            out = replacements[idx]
-        elif n.args:
-            out = Node(n.op, tuple(walk(a) for a in n.args), n.payload)
-        else:
-            out = n
-        cache[key] = out
-        return out
+    def leaf(index: int) -> Node:
+        if not 0 <= index < len(replacements):
+            raise ProgramError(f"substitution lacks a program for input {index}")
+        return replacements[index]
 
-    return walk(node)
+    return _walk(node, {}, leaf, lambda n, args: Node(n.op, tuple(args), n.payload) if args else n)
 
 
 def max_input_index(node: Node) -> int:
     """Largest input index used, or -1 for a closed program."""
-    seen: dict[int, int] = {}
-
-    def walk(n: Node) -> int:
-        if id(n) not in seen:
-            args = [walk(a) for a in n.args]
-            seen[id(n)] = n.payload if n.op == "input" else max(args, default=-1)
-        return seen[id(n)]
-
-    return walk(node)
+    return _walk(node, {}, lambda index: index, lambda n, indices: max(indices, default=-1))
 
 
 def parse_program(data: Any, field: Any, depth: int = 1) -> Node:
     """Parse a serialized program tree whose root sits at ``depth``.
 
-    The wire format is {"op": ..., "args": [...]} with payload fields
-    "index" (input), "value" (const rows / scalar), "i"/"j" (entry),
-    and "matrix" (linmap).  Indices are ints >= 0 and matrices are
-    nonempty lists of equal-length nonempty rows; a missing or malformed
-    payload raises ``ProgramError`` naming the op and the field, and so
-    does a tree deeper than ``PROGRAM_DEPTH_CAP`` nodes.
+    The wire format is {"op": ..., "args": [...]} plus the payload
+    fields that the op's row of ``_OPS`` reads.  Indices are ints >= 0
+    and matrices are nonempty lists of equal-length nonempty rows; a
+    missing or malformed payload raises ``ProgramError`` naming the op
+    and the field, and so does a tree deeper than ``PROGRAM_DEPTH_CAP``.
     """
     if depth > PROGRAM_DEPTH_CAP:
         raise ProgramError(f"program tree is deeper than {PROGRAM_DEPTH_CAP} nodes")
@@ -283,18 +273,9 @@ def parse_program(data: Any, field: Any, depth: int = 1) -> Node:
     if not isinstance(raw_args, list):
         raise ProgramError(f"'args' must be a list at op {op!r}")
     args = tuple(parse_program(a, field, depth + 1) for a in raw_args)
-    if op == "input":
-        return Node("input", payload=_index_field(data, op, "index"))
-    if op == "const":
-        return Node("const", payload=_matrix_field(data, op, "value", field))
-    if op == "scalar":
-        return Node("scalar", payload=field.parse(_payload(data, op, "value")))
-    if op == "entry":
-        i, j = _index_field(data, op, "i"), _index_field(data, op, "j")
-        return Node("entry", args, payload=(i, j))
-    if op == "linmap":
-        return Node("linmap", args, payload=_matrix_field(data, op, "matrix", field))
-    return Node(op, args)
+    spec = _op(op)
+    payload = spec.read(data, op, field) if spec.read else None
+    return Node(op, args if spec.arity else (), payload)
 
 
 def _payload(data: dict, op: Any, key: str) -> Any:
@@ -326,23 +307,9 @@ def _matrix_field(data: dict, op: Any, key: str, field: Any) -> Matrix:
 
 def format_program(node: Node, field: Any) -> dict:
     out: dict[str, Any] = {"op": node.op}
-    if node.op == "input":
-        out["index"] = node.payload
-        return out
-    if node.op == "const":
-        out["value"] = [
-            [field.format(x) for x in row] for row in node.payload.to_lists()
-        ]
-        return out
-    if node.op == "scalar":
-        out["value"] = field.format(node.payload)
-        return out
-    if node.op == "entry":
-        out["i"], out["j"] = node.payload
-    if node.op == "linmap":
-        out["matrix"] = [
-            [field.format(x) for x in row] for row in node.payload.to_lists()
-        ]
+    write = _OPS[node.op].write
+    if write:
+        out.update(write(node.payload, field))
     if node.args:
         out["args"] = [format_program(a, field) for a in node.args]
     return out

@@ -45,7 +45,7 @@ from .lie import (
     k_map,
 )
 from .exactness import CochainPair
-from .linalg import Matrix, is_invertible, jet_part
+from .linalg import Matrix, embed_matrix, is_invertible, jet_part
 from .programs import (
     Node,
     add,
@@ -261,7 +261,7 @@ def differentiate_representation(
     gx = _tangent_arg(ring, diff.basis, 0, range(dim))
     images = []
     for u in vbasis:
-        w = act(gx, u.map_entries(ring.embed, ring), ring)
+        w = act(gx, embed_matrix(u, ring), ring)
         if jet_part(w, ()) != u:
             raise SampledPreconditionError(
                 "representation program is not id + O(e) at I + e x"

@@ -16,8 +16,14 @@ from diffcoh.catalog import cyclic, inverse_map, klein_four, symmetric
 from diffcoh.cli import main
 from diffcoh.extensions import classify_extensions
 from diffcoh.fixtures import MATRIX_SIZE_CAP, load_fixture
-from diffcoh.programs import PROGRAM_DEPTH_CAP, format_program
-from diffcoh.scalars import Rationals
+from diffcoh.programs import (
+    PROGRAM_DEPTH_CAP,
+    ProgramError,
+    evaluate,
+    format_program,
+    parse_program,
+)
+from diffcoh.scalars import Rationals, ScalarError
 
 from oracles import FractionRationals
 
@@ -726,34 +732,124 @@ def test_failing_section_round_trip_exits_three(monkeypatch, capsys):
 
 
 _G = {"op": "input", "index": 0}
+_MATRIX_SHAPE = "must be a nonempty list of equal-length nonempty rows"
+# name -> (tree, error class, message): parse_program raises the error,
+# and a fixture with the tree exits 2 with the message at its field
 _MALFORMED_PROGRAMS = {
-    "input-without-index": {"op": "input"},
-    "input-index-string": {"op": "input", "index": "zero"},
-    "input-index-bool": {"op": "input", "index": True},
-    "input-index-negative": {"op": "input", "index": -1},
-    "entry-i-string": {"op": "entry", "args": [_G], "i": "x", "j": 0},
-    "entry-j-negative": {"op": "entry", "args": [_G], "i": 0, "j": -1},
-    "linmap-without-matrix": {"op": "linmap", "args": [_G]},
-    "linmap-empty-row": {"op": "linmap", "args": [_G], "matrix": [[]]},
-    "const-factor-not-a-matrix": {"op": "mul", "args": [{"op": "const", "value": 5}, _G]},
-    "const-factor-ragged": {
-        "op": "mul",
-        "args": [{"op": "const", "value": [["1"], ["1", "2"]]}, _G],
-    },
-    "scalar-factor-without-value": {"op": "mul", "args": [{"op": "scalar"}, _G]},
+    "op-unknown": ({"op": "warp", "args": [_G]}, ProgramError, "unknown program op 'warp'"),
+    "op-list": ({"op": ["x"], "args": [_G]}, ProgramError, "unknown program op ['x']"),
+    "op-object": ({"op": {"a": 1}}, ProgramError, "unknown program op {'a': 1}"),
+    "op-int": ({"op": 7}, ProgramError, "unknown program op 7"),
+    "op-missing": (
+        {"args": [_G]},
+        ProgramError,
+        "program node must be an object with an 'op': {'args': [{'op': 'input', 'index': 0}]}",
+    ),
+    "node-not-an-object": (
+        {"op": "neg", "args": [5]},
+        ProgramError,
+        "program node must be an object with an 'op': 5",
+    ),
+    "args-not-a-list": ({"op": "neg", "args": "x"}, ProgramError, "'args' must be a list at op 'neg'"),
+    "arg-error-before-unknown-op": (
+        {"op": "warp", "args": [{"op": "input"}]},
+        ProgramError,
+        "op 'input' needs a 'index' field",
+    ),
+    "add-one-arg": ({"op": "add", "args": [_G]}, ProgramError, "op 'add' takes 2 argument(s)"),
+    "neg-two-args": ({"op": "neg", "args": [_G, _G]}, ProgramError, "op 'neg' takes 1 argument(s)"),
+    "payload-before-arity": ({"op": "entry", "j": 0}, ProgramError, "op 'entry' needs a 'i' field"),
+    "input-without-index": ({"op": "input"}, ProgramError, "op 'input' needs a 'index' field"),
+    "input-index-string": (
+        {"op": "input", "index": "zero"},
+        ProgramError,
+        "op 'input': 'index' must be an int >= 0, got 'zero'",
+    ),
+    "input-index-bool": (
+        {"op": "input", "index": True},
+        ProgramError,
+        "op 'input': 'index' must be an int >= 0, got True",
+    ),
+    "input-index-negative": (
+        {"op": "input", "index": -1},
+        ProgramError,
+        "op 'input': 'index' must be an int >= 0, got -1",
+    ),
+    "entry-without-i": ({"op": "entry", "args": [_G], "j": 0}, ProgramError, "op 'entry' needs a 'i' field"),
+    "entry-without-j": ({"op": "entry", "args": [_G], "i": 0}, ProgramError, "op 'entry' needs a 'j' field"),
+    "entry-i-string": (
+        {"op": "entry", "args": [_G], "i": "x", "j": 0},
+        ProgramError,
+        "op 'entry': 'i' must be an int >= 0, got 'x'",
+    ),
+    "entry-j-negative": (
+        {"op": "entry", "args": [_G], "i": 0, "j": -1},
+        ProgramError,
+        "op 'entry': 'j' must be an int >= 0, got -1",
+    ),
+    "linmap-without-matrix": (
+        {"op": "linmap", "args": [_G]},
+        ProgramError,
+        "op 'linmap' needs a 'matrix' field",
+    ),
+    "linmap-empty-row": (
+        {"op": "linmap", "args": [_G], "matrix": [[]]},
+        ProgramError,
+        f"op 'linmap': 'matrix' {_MATRIX_SHAPE}",
+    ),
+    "const-factor-without-value": (
+        {"op": "mul", "args": [{"op": "const"}, _G]},
+        ProgramError,
+        "op 'const' needs a 'value' field",
+    ),
+    "const-factor-not-a-matrix": (
+        {"op": "mul", "args": [{"op": "const", "value": 5}, _G]},
+        ProgramError,
+        f"op 'const': 'value' {_MATRIX_SHAPE}",
+    ),
+    "const-factor-no-rows": (
+        {"op": "mul", "args": [{"op": "const", "value": []}, _G]},
+        ProgramError,
+        f"op 'const': 'value' {_MATRIX_SHAPE}",
+    ),
+    "const-factor-empty-row": (
+        {"op": "mul", "args": [{"op": "const", "value": [[]]}, _G]},
+        ProgramError,
+        f"op 'const': 'value' {_MATRIX_SHAPE}",
+    ),
+    "const-factor-ragged": (
+        {"op": "mul", "args": [{"op": "const", "value": [["1"], ["1", "2"]]}, _G]},
+        ProgramError,
+        f"op 'const': 'value' {_MATRIX_SHAPE}",
+    ),
+    "const-factor-bad-entry": (
+        {"op": "mul", "args": [{"op": "const", "value": [["x"]]}, _G]},
+        ScalarError,
+        "not a rational scalar: 'x'",
+    ),
+    "scalar-factor-without-value": (
+        {"op": "mul", "args": [{"op": "scalar"}, _G]},
+        ProgramError,
+        "op 'scalar' needs a 'value' field",
+    ),
+    "scalar-factor-bad-value": (
+        {"op": "mul", "args": [{"op": "scalar", "value": "1/0"}, _G]},
+        ScalarError,
+        "not a rational scalar: '1/0'",
+    ),
 }
 
 
 @pytest.mark.parametrize("command", ["check", "vanest"])
 @pytest.mark.parametrize("name", sorted(_MALFORMED_PROGRAMS))
 def test_malformed_program_tree_is_a_fixture_error(name, command, tmp_path, capsys):
-    prog = _MALFORMED_PROGRAMS[name]
+    prog, error, message = _MALFORMED_PROGRAMS[name]
+    with pytest.raises(error) as info:
+        parse_program(prog, Rationals())
+    assert (type(info.value), str(info.value)) == (error, message)
     path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"difference-program": prog})
     code, out, err = run([command, path], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: $.difference-program: op ")
-    assert "Traceback" not in err
+    assert (code, out, err) == (2, "", f"error: $.difference-program: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["check", "vanest"])
@@ -859,14 +955,35 @@ def test_jet_fixture_sizes_are_capped(name, command, tmp_path, capsys):
 
 
 _G0 = {"op": "input", "index": 0}
+_ROW = {"op": "const", "value": [["1", "2"]]}
+# name -> (tree, message): the tree parses, evaluate on a 2x2 matrix
+# raises ProgramError, and a fixture with the tree exits 2
 _FAILING_OPS = {
     "add": (
         {"op": "add", "args": [_G0, {"op": "const", "value": [["1"]]}]},
         "op 'add': shape mismatch 2x2 vs 1x1",
     ),
+    "mul": (
+        {"op": "mul", "args": [_G0, {"op": "const", "value": [["1", "2", "3"]]}]},
+        "op 'mul': cannot multiply 2x2 by 1x3",
+    ),
+    "trace": ({"op": "trace", "args": [_ROW]}, "op 'trace': trace of a non-square matrix"),
+    "det": (
+        {"op": "mul", "args": [{"op": "det", "args": [_ROW]}, _G0]},
+        "op 'det': determinant of a non-square matrix",
+    ),
+    "adjugate": ({"op": "adjugate", "args": [_ROW]}, "op 'adjugate': adjugate of a non-square matrix"),
     "inverse": (
         {"op": "inverse", "args": [{"op": "sub", "args": [_G0, _G0]}]},
         "op 'inverse': matrix is singular",
+    ),
+    "entry-outside": (
+        {"op": "entry", "args": [_G0], "i": 2, "j": 0},
+        "entry (2,0) outside a 2x2 value",
+    ),
+    "linmap-wrong-size": (
+        {"op": "linmap", "args": [_G0], "matrix": [["1", "0"], ["0", "1"]]},
+        "linear map expects 2 coordinates, value has 4",
     ),
     "linmap-tall": (
         {"op": "linmap", "args": [_G0], "matrix": [["1", "0", "0", "0"]] * 8},
@@ -883,11 +1000,13 @@ _FAILING_OPS = {
 @pytest.mark.parametrize("name", sorted(_FAILING_OPS))
 def test_program_evaluation_error_names_the_op(name, command, tmp_path, capsys):
     prog, message = _FAILING_OPS[name]
+    q = Rationals()
+    with pytest.raises(ProgramError) as info:
+        evaluate(parse_program(prog, q), [linalg.Matrix.from_rows(q, [[2, 1], [1, 1]])], q)
+    assert str(info.value) == message
     path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"difference-program": prog})
     code, out, err = run([command, path], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}\n"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 _NOT_RATIONAL = "quadratic field d must be a rational, got"
@@ -945,6 +1064,32 @@ def test_group_order_cap(tmp_path, capsys):
         code, out, err = run(["check", _cyclic_fixture(tmp_path, too_long, rows)], capsys)
         assert (code, out, err) == (2, "", message)
     code, out, err = run(["check", _cyclic_fixture(tmp_path, GROUP_ORDER_CAP)], capsys)
+    assert code == 0
+    assert err == ""
+
+
+def _abelian_lie_fixture(tmp_path, dim, brackets=None):
+    data = {
+        "field": {"kind": "prime-field", "p": 7},
+        "dim": dim,
+        "brackets": {} if brackets is None else brackets,
+        "D": [[0] * dim for _ in range(dim)],
+    }
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_lie_dim_cap(tmp_path, capsys):
+    from diffcoh.fixtures import LIE_DIM_CAP
+
+    too_big = LIE_DIM_CAP + 1
+    message = f"error: $.dim: dim {too_big} exceeds the Lie dim cap {LIE_DIM_CAP}\n"
+    for brackets in (None, {"x": "y"}):
+        # the dimension is checked before any bracket is read
+        code, out, err = run(["check", _abelian_lie_fixture(tmp_path, too_big, brackets)], capsys)
+        assert (code, out, err) == (2, "", message)
+    code, out, err = run(["check", _abelian_lie_fixture(tmp_path, LIE_DIM_CAP)], capsys)
     assert code == 0
     assert err == ""
 

@@ -125,7 +125,6 @@ LIBRARY_API = {
     ("fixtures", "format_group_fixture"),
     ("fixtures", "format_lie_fixture"),
     ("linalg", "Matrix"),
-    ("linalg", "embed_matrix"),
     ("programs", "const"),
     ("scalars", "PrimeField"),
     # methods only the tests call

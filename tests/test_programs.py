@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffcoh import programs
 from diffcoh.linalg import Matrix, jet_part
 from diffcoh.programs import (
     Node,
@@ -164,6 +165,71 @@ def test_parse_format_round_trip():
     u = qmat([[1, 2], [3, 4]])
     assert evaluate(again, [g, u], Q) == evaluate(prog, [g, u], Q)
     assert format_program(again, Q) == data
+
+
+# op -> a program whose root is that op, on inputs g (2x2) and u (2x2)
+_ONE_OF_EACH_OP = {
+    "input": inp(1),
+    "const": const(qmat([[1, 2], [0, 3]])),
+    "scalar": scalar(Fraction(2, 3)),
+    "add": add(inp(0), inp(1)),
+    "sub": sub(inp(0), inp(1)),
+    "neg": neg(inp(1)),
+    "mul": mul(inp(0), mul(scalar(Fraction(-5)), inp(1))),
+    "inverse": inverse(inp(0)),
+    "adjugate": adjugate_of(inp(1)),
+    "det": det_of(inp(0)),
+    "trace": trace_of(inp(1)),
+    "entry": entry(inp(1), 1, 0),
+    "linmap": linmap(qmat([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]), inp(1)),
+    "conj": conj(inp(0)),
+}
+
+
+def test_the_samples_cover_every_op():
+    assert set(_ONE_OF_EACH_OP) == set(programs._OPS)
+
+
+@pytest.mark.parametrize("op", sorted(_ONE_OF_EACH_OP))
+def test_every_op_round_trips_and_evaluates_alike(op):
+    prog = _ONE_OF_EACH_OP[op]
+    assert prog.op == op
+    data = format_program(prog, Q)
+    again = parse_program(data, Q)
+    assert format_program(again, Q) == data
+    g, u = qmat([[2, 1], [1, 1]]), qmat([[1, 2], [3, 4]])
+    assert evaluate(again, [g, u], Q) == evaluate(prog, [g, u], Q)
+    # two slots of width 1, so an e0 e1 term survives a product
+    ring = JetRing(Q, 2)
+    e0, e1 = ring.generator(0), ring.generator(1)
+    jet_g = g.map_entries(ring.embed, ring) + Matrix.identity(ring, 2).scale(e0)
+    jet_u = u.map_entries(ring.embed, ring) + qmat([[0, 1], [1, 0]]).map_entries(
+        lambda c: ring.mul(e1, ring.embed(c)), ring
+    )
+    out = evaluate(again, [jet_g, jet_u], ring)
+    assert out == evaluate(prog, [jet_g, jet_u], ring)
+    assert jet_part(out, ()) == evaluate(prog, [g, u], Q)
+
+
+def test_evaluate_is_entered_once_per_call(monkeypatch):
+    # perfbench counts programs.evaluations by wrapping programs.evaluate,
+    # so the walk below it must not re-enter it by that name
+    shared = mul(inverse(inp(0)), entry(inp(1), 0, 0))
+    prog = inp(0)
+    for _ in range(8):
+        prog = mul(add(prog, shared), sub(shared, prog))
+    real = programs.evaluate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(programs, "evaluate", counted)
+    g, u = qmat([[1, 1], [0, 1]]), qmat([[1, 0], [1, 1]])
+    programs.evaluate(prog, [g, u], Q)
+    programs.evaluate(neg(prog), [g, u], Q)
+    assert len(calls) == 2
 
 
 def test_parse_rejects_malformed_trees():
