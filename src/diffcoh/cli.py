@@ -35,9 +35,8 @@ from .fixtures import (
     FixtureError,
     GroupFixture,
     JetFixture,
-    LieFixture,
+    detect_kind,
     fixture_digest,
-    load_fixture,
     load_fixture_data,
     parse_fixture,
     require_arity,
@@ -236,9 +235,17 @@ def _check_jet_fixture(report: dict, fx: JetFixture, seed: int) -> None:
         )
 
 
-def _complex_for(fx, budget: int):
-    if not isinstance(fx, (GroupFixture, LieFixture)):
-        raise FixtureError("$", "this command needs a group or Lie fixture")
+def _load_kind(path: str, kinds: tuple[str, ...], wrong: str):
+    """The fixture at ``path``; one of a kind not in ``kinds`` raises
+    ``wrong`` before any of it is parsed or validated."""
+    data = load_fixture_data(path)
+    if detect_kind(data) not in kinds:
+        raise FixtureError("$", wrong)
+    return parse_fixture(data)
+
+
+def _complex_for(path: str, budget: int):
+    fx = _load_kind(path, ("group", "lie"), "this command needs a group or Lie fixture")
     if fx.rep is None:
         raise FixtureError("$.rep", "this command needs a rep block")
     theory = DifferenceComplex if isinstance(fx, GroupFixture) else LieDifferenceComplex
@@ -246,7 +253,7 @@ def _complex_for(fx, budget: int):
 
 
 def cmd_cohomology(args: argparse.Namespace, report: dict) -> None:
-    cx = _complex_for(load_fixture(args.fixture), args.budget)
+    cx = _complex_for(args.fixture, args.budget)
     dims = cx.cohomology_dims(args.max_degree)
     rows = [
         {
@@ -263,15 +270,16 @@ def cmd_cohomology(args: argparse.Namespace, report: dict) -> None:
 
 
 def cmd_les(args: argparse.Namespace, report: dict) -> None:
-    cx = _complex_for(load_fixture(args.fixture), args.budget)
+    cx = _complex_for(args.fixture, args.budget)
     for node in cx.verify_les(args.max_degree):
         _add_check(report, node.node, node.ok, node.detail)
 
 
 def cmd_classify(args: argparse.Namespace, report: dict) -> None:
-    fx = load_fixture(args.fixture)
-    if not isinstance(fx, GroupFixture) or fx.rep is None:
-        raise FixtureError("$", "classification needs a group fixture with a rep block")
+    wrong = "classification needs a group fixture with a rep block"
+    fx = _load_kind(args.fixture, ("group",), wrong)
+    if fx.rep is None:
+        raise FixtureError("$", wrong)
     if not isinstance(fx.rep.field, PrimeField):
         raise FixtureError("$.rep.field", "classification needs a finite (prime-field) module")
     if args.mode == "extensions":
@@ -314,9 +322,7 @@ def cmd_classify(args: argparse.Namespace, report: dict) -> None:
 
 
 def cmd_vanest(args: argparse.Namespace, report: dict) -> None:
-    fx = load_fixture(args.fixture)
-    if not isinstance(fx, JetFixture):
-        raise FixtureError("$", "the vanest command needs a jet fixture")
+    fx = _load_kind(args.fixture, ("jet",), "the vanest command needs a jet fixture")
     if fx.theta_prog is None or fx.alpha_prog is None:
         raise FixtureError(
             "$", "the vanest command needs rep-program, T, value-shape, alpha-program"

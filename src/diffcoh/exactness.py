@@ -25,9 +25,9 @@ total differential is block lower-triangular, so one echelon of it per
 degree gives the ranks of d_C, d_A and d_B
 (``linalg.triangular_ranks``).  Once d_B d_B = 0 has been checked, the
 ranks of the previous degree bound those of this one, and the echelon
-stops inserting rows when its pivots reach those bounds; over F_p it
-reduces its rows with inlined integer arithmetic modulo p, and over F_2
-as int bitsets.
+stops inserting rows when its pivots reach those bounds.  Over F_2 and
+F_3 it eliminates the columns of d_B packed into int bitsets, and over
+other F_p its rows with inlined integer arithmetic modulo p.
 
 ``DifferenceComplexBase``, an ``LESData``, is the complex engine of
 both theories; a theory subclass supplies its cochain spaces and the
@@ -205,17 +205,19 @@ def cohomology_dims(data: LESData, max_degree: int) -> dict[int, tuple[int, int,
     lower-triangular, so one echelon of it per degree gives all three
     ranks (``triangular_ranks``): the rows of d_C go in first, the
     columns of d_A come first, and the pivots they make number rank d_C
-    and rank d_A.  The count is valid for complexes only, so the total
-    differential is checked to square to zero with a sparse product; the
-    diagonal blocks of d_B d_B are d_C d_C and d_A d_A and its
-    off-diagonal block is K d_C + d_A K, so this checks all three
-    complexes and that K anticommutes with the differentials.
+    and rank d_A; over F_2 and F_3 it eliminates the columns of d_B
+    instead, those of d_A first.  The count is valid for complexes only,
+    so the total differential is checked to square to zero with a full
+    exact product; the diagonal blocks of d_B d_B are d_C d_C and
+    d_A d_A and its off-diagonal block is K d_C + d_A K, so this checks
+    all three complexes and that K anticommutes with the differentials.
 
     Only after that check do the ranks of degree n - 1 bound those of
     degree n: the image of d_{n-1} lies in the kernel of d_n, so
     rank d_n <= dim X_n - rank d_{n-1}, for X = C and for X = B.  The
     echelon stops inserting the rows of d_C, and then those of d_B,
-    once its pivots reach these bounds, which leaves out only dependent
+    once its pivots reach these bounds (over F_2 and F_3 the columns
+    of d_B, at the bound for B only), which leaves out only dependent
     rows, so the ranks stay exact.  A bound exceeds its rank by dim H^n,
     so the stop fires exactly where H^n = 0.
     """

@@ -9,19 +9,23 @@ results are those of the reduced row echelon form, which is unique, so
 they do not depend on the pivot rows it picks.  A matrix keeps that
 form once computed, and its rank, kernel and pivot columns read it;
 ``is_invertible`` only counts the pivots of an unreduced echelon.  Over
-Q the echelon and the products run on rows scaled to integers, and an
-entry becomes a rational again by one exact division: an int where it
-divides, one ``Fraction`` where it must; over F_p a product entry is a
-raw int sum reduced mod p once.  Determinant and adjugate share one
-cofactor expansion and work over any commutative ring, including jet
-rings; jet matrices are inverted by eliminating the base part and
-summing the finite geometric series of the nilpotent remainder.
+F_2 and F_3 the echelon and the products run on vectors packed into
+int bitsets, and ``triangular_ranks`` eliminates the packed columns of
+its matrix, not its rows.  Over Q the echelon and the products run on
+rows scaled to integers, and an entry becomes a rational again by one
+exact division: an int where it divides, one ``Fraction`` where it
+must; over other F_p a product entry is a raw int sum reduced mod p
+once.  Determinant and adjugate share one cofactor expansion and work
+over any commutative ring, including jet rings; jet matrices are
+inverted by eliminating the base part and summing the finite geometric
+series of the nilpotent remainder.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -157,6 +161,8 @@ class Matrix:
             )
         ring = self.ring
         if isinstance(ring, PrimeField):
+            if ring.p <= 3:
+                return Matrix(ring, self.nrows, other.ncols, _matmul_packed(ring.p, self, other))
             return Matrix(ring, self.nrows, other.ncols, _matmul_mod(ring.p, self.rows, other.rows))
         if isinstance(ring, Rationals):
             return Matrix(ring, self.nrows, other.ncols, _matmul_q(self.rows, other.rows))
@@ -215,11 +221,111 @@ class Matrix:
         )
 
 
+# ------------------------------------------------- packed F_2 and F_3 vectors
+#
+# Over F_2 and F_3 a vector is packed into int bitsets, bit j for
+# coordinate j.  Over F_2 it is one int, its set bits the nonzero
+# coordinates, and a sum is ``^``.  Over F_3 it is a pair (P, N) of ints,
+# the coordinates that hold 1 and those that hold 2 = -1; negation swaps
+# them, and a sum is a few operations on the whole ints
+# (``_add_trits``).  A row update is then a handful of machine-word loops
+# instead of one Python step per entry.
+
+
+def _pack(p: int, row: dict) -> Any:
+    """The ``{column: value}`` row over F_2 or F_3, packed."""
+    pos = neg = 0
+    for j, x in row.items():
+        if x == 1:
+            pos |= 1 << j
+        else:
+            neg |= 1 << j
+    return pos if p == 2 else (pos, neg)
+
+
+def _unpack(p: int, v: Any) -> dict:
+    """The packed vector v over F_2 or F_3 as a ``{column: value}`` row,
+    columns in increasing order."""
+    if p == 2:
+        return dict.fromkeys(_bit_columns(v), 1)
+    pos, neg = v
+    return {j: 1 if pos >> j & 1 else 2 for j in _bit_columns(pos | neg)}
+
+
+def _packed_columns(p: int, m: Matrix) -> list:
+    """The columns of m over F_2 or F_3, packed: bit i of column j holds
+    entry (i, j)."""
+    pos, neg = [0] * m.ncols, [0] * m.ncols
+    for i, row in enumerate(m.rows):
+        bit = 1 << i
+        for j, x in row.items():
+            if x == 1:
+                pos[j] |= bit
+            else:
+                neg[j] |= bit
+    return pos if p == 2 else list(zip(pos, neg))
+
+
+def _bit_columns(r: int) -> list[int]:
+    """The set bits of r, lowest first."""
+    out = []
+    while r:
+        low = r & -r
+        out.append(low.bit_length() - 1)
+        r ^= low
+    return out
+
+
+def _add_trits(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """u + v over F_3: a coordinate is 1 where one of them is 1 and the
+    other 0, or both are 2; it is 2 where the same holds with 1 and 2
+    swapped."""
+    (p1, n1), (p2, n2) = u, v
+    return (p1 ^ p2) & ~(n1 | n2) | n1 & n2, (n1 ^ n2) & ~(p1 | p2) | p1 & p2
+
+
+def _trit_weight(v: tuple[int, int]) -> int:
+    return (v[0] | v[1]).bit_count()
+
+
+def _reduce_bits(r: int, pivots: dict) -> tuple[int, int]:
+    """(c, r) for the F_2 vector r reduced against ``pivots`` until its
+    leftmost column c has no pivot row; c = -1 when r reduces to zero."""
+    while r:
+        c = (r & -r).bit_length() - 1
+        prow = pivots.get(c)
+        if prow is None:
+            return c, r
+        r ^= prow
+    return -1, r
+
+
+def _reduce_trits(v: tuple[int, int], pivots: dict) -> tuple[int, tuple[int, int]]:
+    """``_reduce_bits`` over F_3; the vector returned has a leading one."""
+    pos, neg = v
+    s = pos | neg
+    while s:
+        low = s & -s
+        c = low.bit_length() - 1
+        prow = pivots.get(c)
+        if prow is None:
+            return c, ((pos, neg) if pos & low else (neg, pos))
+        # subtract the entry at c times prow: add prow for a 2, -prow for
+        # a 1; the sum of ``_add_trits``, inlined in this hot loop
+        p2, n2 = prow if neg & low else prow[::-1]
+        pos, neg = (pos ^ p2) & ~(neg | n2) | neg & n2, (neg ^ n2) & ~(pos | p2) | pos & p2
+        s = pos | neg
+    return -1, v
+
+
 # ---------------------------------------------------------------- products
 #
-# Over F_p and Q a product entry is summed in plain ints and brought to
-# its canonical form once.  Over F_p the raw products are added and the
-# sum is reduced mod p.  Over Q each row of the left factor is scaled to
+# Over F_2 and F_3 column j of a @ b is summed from the packed columns
+# of a, b[k][j] times column k for each entry of b, and only the nonzero
+# entries of the sums are unpacked, so a product that vanishes, such as
+# d_B d_B, stores nothing.  Over other F_p and over Q a product entry is
+# summed in plain ints and brought to its canonical form once.  Over F_p
+# the raw products are added and the sum is reduced mod p.  Over Q each row of the left factor is scaled to
 # integers by the lcm s of its denominators, and the right factor by the
 # lcm t of all of its denominators; an entry is then an integer sum v
 # over s t, which is the int v // (s t) where the division is exact and
@@ -245,6 +351,24 @@ def _matmul_mod(p: int, left: Sequence[dict], right: Sequence[dict]) -> list[dic
             if v:
                 row[j] = v
         out.append(row)
+    return out
+
+
+def _matmul_packed(p: int, a: Matrix, b: Matrix) -> list[dict]:
+    """The rows of a @ b over F_2 or F_3: column j is the sum over k of
+    b[k][j] times column k of a, on packed columns."""
+    cols = _packed_columns(p, a)
+    add = operator.xor if p == 2 else _add_trits
+    acc: dict = {}
+    for k, row in enumerate(b.rows):
+        col = cols[k]
+        for j, x in row.items():
+            term = col if x == 1 else col[::-1]
+            acc[j] = add(acc[j], term) if j in acc else term
+    out: list[dict] = [{} for _ in range(a.nrows)]
+    for j in sorted(acc):
+        for i, x in _unpack(p, acc[j]).items():
+            out[i][j] = x
     return out
 
 
@@ -321,10 +445,22 @@ def _require_field(ring: Any, what: str) -> None:
 # arithmetic.  Over Q the rows are integers after clearing denominators
 # and are combined fraction-free, a * row - b * prow divided by its
 # content; the entries become rationals again, in canonical form, only in
-# the reduced form.  Over F_2 a row is a Python int with bit j set for
-# each nonzero column j: its leftmost column is the lowest set bit, a
-# reduction is ``row ^ prow``, and rows become ``{column: 1}`` dicts
-# again only in the reduced form.
+# the reduced form.  Over F_2 and F_3 the rows are packed
+# (``_echelon_packed``): a row's leftmost column is the lowest set bit of
+# its support, a reduction is one packed sum with the pivot row or its
+# negation, and rows become ``{column: value}`` dicts again only in the
+# reduced form.
+#
+# ``triangular_ranks`` over F_2 and F_3 eliminates the packed columns of
+# m = [[X, 0], [K, Y]], the rows of its transpose, whose bits are the
+# rows of m.  The columns of Y are those of [0; Y], so the pivots they
+# make number rank Y.  Every echelon basis of the column space of m has
+# the same pivot bits, and those among the rows of X number the rank of
+# its projection onto those rows, which is the column space of X.  Over
+# other fields the rows of m are eliminated: a dict-row reduction costs
+# one Python step per entry, and eliminating the columns of d_B, five to
+# eleven times longer than its rows, measured slower; packed, a long
+# column costs little more than a short one.
 
 
 def _combine_field(f: Any, row: dict, c: int, prow: dict) -> None:
@@ -416,8 +552,9 @@ def _echelon_rows(
     _require_field(f, "elimination")
     if bounds is None:
         bounds = [math.inf] * len(bands)
-    if isinstance(f, PrimeField) and f.p == 2:
-        return _echelon_bits(bands, reduced, bounds)
+    if isinstance(f, PrimeField) and f.p <= 3:
+        packed = [[_pack(f.p, row) for row in band] for band in bands]
+        return _echelon_packed(f.p, packed, reduced, bounds)
     if isinstance(f, Rationals):
         fresh = _integer_row
         combine = _combine_int
@@ -464,46 +601,41 @@ def _echelon_rows(
     return pivots, made
 
 
-def _echelon_bits(
-    bands: Sequence[Sequence[dict]], reduced: bool, bounds: Sequence[float]
+def _echelon_packed(
+    p: int, bands: Sequence[Sequence[Any]], reduced: bool, bounds: Sequence[float]
 ) -> tuple[dict[int, Any], list[int]]:
-    """``_echelon_rows`` over F_2, on rows packed as int bitsets."""
-    pivots: dict[int, int] = {}
+    """``_echelon_rows`` over F_2 or F_3, on packed vectors; with
+    ``reduced`` the pivot rows are unpacked into ``{column: value}``
+    dicts."""
+    if p == 2:
+        weight, reduce, add = int.bit_count, _reduce_bits, operator.xor
+    else:
+        weight, reduce, add = _trit_weight, _reduce_trits, _add_trits
+    pivots: dict[int, Any] = {}
     made = []
     for band, bound in zip(bands, bounds):
         before = len(pivots)
-        for row in sorted((row for row in band if row), key=len):
+        for v in sorted(band, key=weight):
             if len(pivots) >= bound:
                 break
-            r = sum(1 << j for j in row)
-            while r:
-                c = (r & -r).bit_length() - 1
-                prow = pivots.get(c)
-                if prow is None:
-                    pivots[c] = r
-                    break
-                r ^= prow
+            c, v = reduce(v, pivots)
+            if c >= 0:
+                pivots[c] = v
         made.append(len(pivots) - before)
     if not reduced:
         return pivots, made
     # back substitution, rightmost pivot first: the pivot rows to the
-    # right are reduced, so clearing one pivot column sets no other
+    # right are reduced, so clearing one pivot column sets no other; an
+    # entry 1 at column j subtracts pivot row j, an entry 2 adds it
     done = 0
     for c in sorted(pivots, reverse=True):
-        for j in _bit_columns(pivots[c] & done):
-            pivots[c] ^= pivots[j]
+        v = pivots[c]
+        for j in _bit_columns((v if p == 2 else v[0] | v[1]) & done):
+            prow = pivots[j]
+            v = add(v, prow if p == 2 or v[1] >> j & 1 else prow[::-1])
+        pivots[c] = v
         done |= 1 << c
-    return {c: dict.fromkeys(_bit_columns(r), 1) for c, r in pivots.items()}, made
-
-
-def _bit_columns(r: int) -> list[int]:
-    """The set bits of r, lowest first."""
-    out = []
-    while r:
-        low = r & -r
-        out.append(low.bit_length() - 1)
-        r ^= low
-    return out
+    return {c: _unpack(p, v) for c, v in pivots.items()}, made
 
 
 def rref(m: Matrix) -> tuple[list[dict[int, Any]], list[int]]:
@@ -539,14 +671,26 @@ def triangular_ranks(
     left out are dependent and all three ranks are exact; a bound below
     the true rank gives wrong ranks.  A nonzero entry of the top-right
     block raises ``LinAlgError``.
+
+    Over F_2 and F_3 the packed columns are eliminated instead: those
+    of Y first, whose pivots number rank Y, then those of X, under the
+    bound on rank m only; the pivots at the rows of X number rank X.
     """
     if not (0 <= top <= m.nrows and 0 <= left <= m.ncols):
         raise LinAlgError(f"block corner ({top}, {left}) outside {m.nrows}x{m.ncols}")
-    width = m.ncols - left
     rows = m.rows
     for i in range(top):
         if rows[i] and max(rows[i]) >= left:
             raise LinAlgError(f"entry ({i}, {max(rows[i])}) of the top-right block is not zero")
+    ring = m.ring
+    if isinstance(ring, PrimeField) and ring.p <= 3:
+        cols = _packed_columns(ring.p, m)
+        bound = math.inf if bounds is None else bounds[1]
+        pivots, made = _echelon_packed(
+            ring.p, (cols[left:], cols[:left]), reduced=False, bounds=(math.inf, bound)
+        )
+        return sum(1 for c in pivots if c < top), made[0], len(pivots)
+    width = m.ncols - left
     bands = (
         [{j + width: x for j, x in row.items()} for row in rows[:top]],
         [
@@ -554,7 +698,7 @@ def triangular_ranks(
             for row in rows[top:]
         ],
     )
-    pivots, made = _echelon_rows(m.ring, bands, reduced=False, bounds=bounds)
+    pivots, made = _echelon_rows(ring, bands, reduced=False, bounds=bounds)
     return made[0], sum(1 for c in pivots if c < width), len(pivots)
 
 

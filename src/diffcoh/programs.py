@@ -275,7 +275,7 @@ def parse_program(data: Any, field: Any, depth: int = 1) -> Node:
     args = tuple(parse_program(a, field, depth + 1) for a in raw_args)
     spec = _op(op)
     payload = spec.read(data, op, field) if spec.read else None
-    return Node(op, args if spec.arity else (), payload)
+    return Node(op, args, payload)
 
 
 def _payload(data: dict, op: Any, key: str) -> Any:

@@ -466,6 +466,46 @@ def test_wrong_fixture_kind_exits_two(capsys):
     assert "jet fixture" in err
 
 
+# fixtures that fail validation: a Lie D that breaks the difference
+# identity, a group D that breaks the twisted-cocycle rule, and a jet
+# difference-program whose leaf op is given args
+_LIE_BAD_D = ("lie_solvable.json", {"D": [["2", "0"], ["0", "2"]]})
+_GROUP_BAD_D = ("z3_inverse.json", {"difference": [0, 1, 1]})
+_JET_BAD_PROGRAM = (
+    "gl2_adjugate_det.json",
+    {"difference-program": {"op": "input", "index": 0, "args": [{"op": "input", "index": 0}]}},
+)
+_NEEDS_GROUP = "classification needs a group fixture with a rep block"
+_NEEDS_JET = "the vanest command needs a jet fixture"
+_NEEDS_COMPLEX = "this command needs a group or Lie fixture"
+
+
+@pytest.mark.parametrize(
+    "command, fixture, message",
+    [
+        ("classify", _LIE_BAD_D, _NEEDS_GROUP),
+        ("vanest", _LIE_BAD_D, _NEEDS_JET),
+        ("vanest", _GROUP_BAD_D, _NEEDS_JET),
+        ("classify", _JET_BAD_PROGRAM, _NEEDS_GROUP),
+        ("cohomology", _JET_BAD_PROGRAM, _NEEDS_COMPLEX),
+        ("les", _JET_BAD_PROGRAM, _NEEDS_COMPLEX),
+    ],
+    ids=["classify-lie", "vanest-lie", "vanest-group", "classify-jet", "cohomology-jet", "les-jet"],
+)
+def test_wrong_fixture_kind_is_reported_before_validation(
+    command, fixture, message, tmp_path, capsys
+):
+    # check reports each fixture as invalid; a command that cannot take
+    # its kind says so without validating any of it
+    base, fields = fixture
+    data = json.loads((FIXDIR / base).read_text())
+    data.update(fields)
+    path = tmp_path / base
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)], capsys)[0] != 0
+    assert run([command, str(path)], capsys) == (2, "", f"error: $: {message}\n")
+
+
 def _over_q(tmp_path, name):
     data = json.loads((FIXDIR / name).read_text())
     data["rep"]["field"] = {"kind": "Q"}
@@ -775,6 +815,22 @@ _MALFORMED_PROGRAMS = {
         ProgramError,
         "op 'input': 'index' must be an int >= 0, got -1",
     ),
+    # a leaf op that is given args is an arity error, not a bare leaf
+    "input-with-args": (
+        {"op": "input", "index": 0, "args": [_G]},
+        ProgramError,
+        "op 'input' takes 0 argument(s)",
+    ),
+    "const-factor-with-args": (
+        {"op": "mul", "args": [{"op": "const", "value": [["1"]], "args": [_G]}, _G]},
+        ProgramError,
+        "op 'const' takes 0 argument(s)",
+    ),
+    "scalar-factor-with-args": (
+        {"op": "mul", "args": [{"op": "scalar", "value": "1", "args": [_G]}, _G]},
+        ProgramError,
+        "op 'scalar' takes 0 argument(s)",
+    ),
     "entry-without-i": ({"op": "entry", "args": [_G], "j": 0}, ProgramError, "op 'entry' needs a 'i' field"),
     "entry-without-j": ({"op": "entry", "args": [_G], "i": 0}, ProgramError, "op 'entry' needs a 'j' field"),
     "entry-i-string": (
@@ -850,6 +906,11 @@ def test_malformed_program_tree_is_a_fixture_error(name, command, tmp_path, caps
     path = _jet_fixture(tmp_path, "gl2_adjugate_det.json", **{"difference-program": prog})
     code, out, err = run([command, path], capsys)
     assert (code, out, err) == (2, "", f"error: $.difference-program: {message}\n")
+
+
+def test_empty_args_on_a_leaf_op_stay_valid():
+    for leaf in (_G, {"op": "const", "value": [["1"]]}, {"op": "scalar", "value": "2"}):
+        assert parse_program({**leaf, "args": []}, Rationals()) == parse_program(leaf, Rationals())
 
 
 @pytest.mark.parametrize("command", ["check", "vanest"])

@@ -122,6 +122,7 @@ LIBRARY_API = {
     ("groups", "DifferenceGroup"),
     ("groups", "DifferenceRep"),
     ("groups", "semidirect_product"),
+    ("fixtures", "load_fixture"),
     ("fixtures", "format_group_fixture"),
     ("fixtures", "format_lie_fixture"),
     ("linalg", "Matrix"),
